@@ -9,6 +9,13 @@ composed chaos+byz+lossy campaigns to digests captured on the pre-wheel
 heap implementation.  Any behavioural drift in the event core — ordering,
 RNG draw sequence, event counts — shows up here as a digest mismatch.
 
+The same fence covers the campaign runners' assembly: one clean campaign
+and one negative control per kind (chaos, soak, power-cut, shard-chaos),
+captured before the runners were rebuilt on one shared deployment
+assembly.  Each kind has an entry whose ``violations`` list is non-empty,
+because the violation strings — the per-kind verdict wording included —
+feed the result digest.
+
 Regenerate (only when an *intentional* behaviour change lands) with::
 
     PYTHONPATH=src REPRO_REGEN_GOLDEN=1 python -m pytest \
@@ -26,7 +33,10 @@ import pytest
 
 from repro.crypto.hashing import digest_of
 from repro.faults.chaos import ChaosSpec, run_chaos
+from repro.faults.powercut import PowercutSpec, run_powercut
 from repro.harness.runner import run_experiment
+from repro.harness.soak import SoakSpec, run_soak
+from repro.shard.chaos import ShardChaosSpec, run_shard_chaos
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "event_core_golden.json"
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -72,10 +82,13 @@ EXPERIMENTS: dict[str, dict] = {
                                loss=0.05, dup=0.02, corrupt=0.01),
 }
 
-CHAOS: dict[str, tuple[ChaosSpec, int]] = {
+#: name -> (runner, spec, seed); every runner returns a result with a
+#: deterministic ``digest`` over tips, violation strings and event count.
+CAMPAIGNS: dict[str, tuple] = {
     # Crashes + rollbacks + partition + lossy fabric + a Byzantine voter:
     # the full composed stack over the new event core.
     "chaos_byz_lossy_achilles": (
+        run_chaos,
         ChaosSpec(protocol="achilles", f=2, duration_ms=2200.0,
                   quiesce_ms=900.0, warmup_ms=150.0, crashes=3, rollbacks=2,
                   partitions=1, loss=0.02, dup=0.01, corrupt=0.005,
@@ -83,10 +96,95 @@ CHAOS: dict[str, tuple[ChaosSpec, int]] = {
         4,
     ),
     "chaos_damysus_r": (
+        run_chaos,
         ChaosSpec(protocol="damysus-r", f=1, duration_ms=2200.0,
                   quiesce_ms=900.0, warmup_ms=150.0, crashes=2, rollbacks=2,
                   partitions=0),
         6,
+    ),
+    # Snapshot vault + the stale-snapshot attack on the trust-sealed
+    # baseline: the expected invariant trips, the campaign passes.
+    "chaos_stale_snapshot_control": (
+        run_chaos,
+        ChaosSpec(protocol="achilles", f=1, duration_ms=2500.0,
+                  quiesce_ms=1000.0, crashes=0, rollbacks=0, partitions=0,
+                  snapshot_interval=5, byz=("stale-snapshot",),
+                  snapshot_trust_sealed=True,
+                  expect_violations=("sealed-state-freshness",)),
+        0,
+    ),
+    # The same attack on the defended restore path: nothing trips, so the
+    # control fails with chaos's "the attack did not land" line.
+    "chaos_stale_snapshot_defended": (
+        run_chaos,
+        ChaosSpec(protocol="achilles", f=1, duration_ms=2500.0,
+                  quiesce_ms=1000.0, crashes=0, rollbacks=0, partitions=0,
+                  snapshot_interval=5, byz=("stale-snapshot",),
+                  expect_violations=("sealed-state-freshness",)),
+        0,
+    ),
+    "soak_recovery_under_load": (
+        run_soak,
+        SoakSpec(scenario="recovery-under-load", warmup_ms=500.0,
+                 pressure_ms=1000.0, reconverge_budget_ms=1500.0,
+                 settle_ms=500.0),
+        1,
+    ),
+    # The canonical vulnerable control: the cycle detector trips.
+    "soak_vulnerable_control": (
+        run_soak,
+        SoakSpec(protocol="minbft", scenario="flash-crowd", vulnerable=True,
+                 warmup_ms=800.0, pressure_ms=2000.0,
+                 reconverge_budget_ms=2500.0, settle_ms=1500.0,
+                 expect_violations=("degradation-cycle",
+                                    "post-quiesce-liveness")),
+        0,
+    ),
+    # A defended campaign run as a control: "the degradation did not land".
+    "soak_defended_expect_missing": (
+        run_soak,
+        SoakSpec(scenario="flash-crowd", warmup_ms=400.0, pressure_ms=800.0,
+                 reconverge_budget_ms=2000.0, settle_ms=800.0, clients=5000,
+                 expect_violations=("degradation-cycle",)),
+        1,
+    ),
+    # Journaled, with the snapshot vault and a persistent counter (-R).
+    "powercut_snapshot_damysus_r": (
+        run_powercut,
+        PowercutSpec(protocol="damysus-r", duration_ms=1200.0,
+                     quiesce_ms=500.0, warmup_ms=150.0, max_cuts=3,
+                     snapshot_interval=5),
+        1,
+    ),
+    "powercut_journal_off_control": (
+        run_powercut,
+        PowercutSpec(protocol="minbft", duration_ms=1200.0, quiesce_ms=500.0,
+                     warmup_ms=150.0, max_cuts=2, journal_off=True,
+                     expect_violations=("durable-prefix",)),
+        0,
+    ),
+    # Journal on, run as a control: "the journal-off recovery hid nothing".
+    "powercut_journaled_expect_missing": (
+        run_powercut,
+        PowercutSpec(protocol="achilles", duration_ms=1000.0,
+                     quiesce_ms=500.0, warmup_ms=150.0, max_cuts=1,
+                     reorder_cuts=0, expect_violations=("durable-prefix",)),
+        2,
+    ),
+    "shard_chaos_crash": (
+        run_shard_chaos,
+        ShardChaosSpec(duration_ms=3000.0, quiesce_ms=1000.0,
+                       downtime_ms=600.0, rate_tps=800.0, txn_ttl_blocks=600),
+        0,
+    ),
+    # --no-ttl with a downtime inside the router's retry budget: the abort
+    # still reaches the victim, so "the scenario did not land".
+    "shard_chaos_no_ttl_expect_missing": (
+        run_shard_chaos,
+        ShardChaosSpec(duration_ms=3000.0, quiesce_ms=1000.0,
+                       downtime_ms=600.0, rate_tps=800.0, txn_ttl_blocks=None,
+                       expect_violations=("cross-shard-atomicity",)),
+        0,
     ),
 }
 
@@ -100,25 +198,34 @@ def _experiment_digest(config: dict) -> str:
                      json.dumps(payload, sort_keys=True, default=str))
 
 
-def compute_goldens(names: list[str] | None = None) -> dict[str, str]:
+def _campaign_digest(result):
+    """The result digest — for a power-cut exploration, followed by the
+    digest of every replayed cut, so a drift names the cut it is in."""
+    cuts = getattr(result, "cuts", None)
+    if cuts is None:
+        return result.digest
+    return [result.digest] + [cut.digest for cut in cuts]
+
+
+def compute_goldens(names: list[str] | None = None) -> dict:
     """Digests for every pinned run (or a named subset)."""
-    out: dict[str, str] = {}
+    out: dict = {}
     for name, config in EXPERIMENTS.items():
         if names is None or name in names:
             out[name] = _experiment_digest(config)
-    for name, (spec, seed) in CHAOS.items():
+    for name, (runner, spec, seed) in CAMPAIGNS.items():
         if names is None or name in names:
-            out[name] = run_chaos(spec, seed).digest
+            out[name] = _campaign_digest(runner(spec, seed))
     return out
 
 
-def _load_goldens() -> dict[str, str]:
+def _load_goldens() -> dict:
     if not GOLDEN_PATH.exists():
         pytest.fail(f"golden file missing: {GOLDEN_PATH}")
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(list(EXPERIMENTS) + list(CHAOS)))
+@pytest.mark.parametrize("name", sorted(list(EXPERIMENTS) + list(CAMPAIGNS)))
 def test_event_core_digest_matches_golden(name: str) -> None:
     if _REGEN:
         pytest.skip("regenerating goldens via main()")
@@ -127,7 +234,7 @@ def test_event_core_digest_matches_golden(name: str) -> None:
     actual = compute_goldens([name])[name]
     assert actual == golden[name], (
         f"{name}: run digest drifted from the pre-refactor golden — the "
-        f"event core is no longer bit-identical for this configuration"
+        f"run is no longer bit-identical for this configuration"
     )
 
 
