@@ -6,8 +6,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench perf scale scale-smoke chaos chaos-smoke \
-	loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
+.PHONY: test bench-quick bench perf perf-smoke scale scale-smoke chaos \
+	chaos-smoke loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
 	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke ci
 
 test:
@@ -132,6 +132,12 @@ bench:
 
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_simulator_perf.py --benchmark-only
+
+# Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
+# workloads at smoke scale, digest- and name-checked, nothing written.
+# Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
+perf-smoke:
+	$(PYTHON) benchmarks/perf/selftest.py
 
 # Full scale sweep (n = 31 / 101 / 301): regenerates
 # benchmarks/results/scale_sweep.txt.

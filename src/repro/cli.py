@@ -53,6 +53,17 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         help="open-loop offered load in TPS (default: saturated)")
 
 
+def _experiment_config(args: argparse.Namespace, protocol: str) -> dict:
+    """The ``run_experiment`` arguments of one workload-shaped invocation."""
+    return dict(
+        protocol=protocol, f=args.faults, network=args.network,
+        batch_size=args.batch, payload_size=args.payload,
+        counter_write_ms=args.counter_write_ms,
+        duration_ms=args.duration, warmup_ms=args.warmup, seed=args.seed,
+        offered_load_tps=args.rate,
+    )
+
+
 def _result_row(result) -> list:
     return [result.protocol, result.f, result.n, result.network,
             round(result.throughput_ktps, 2),
@@ -69,13 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment."""
     from repro.harness.runner import run_experiment
 
-    result = run_experiment(
-        args.protocol, f=args.faults, network=args.network,
-        batch_size=args.batch, payload_size=args.payload,
-        counter_write_ms=args.counter_write_ms,
-        duration_ms=args.duration, warmup_ms=args.warmup, seed=args.seed,
-        offered_load_tps=args.rate,
-    )
+    result = run_experiment(**_experiment_config(args, args.protocol))
     print(format_table(_RESULT_HEADERS, [_result_row(result)],
                        title=f"{args.protocol} — single experiment"))
     return 0
@@ -90,16 +95,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """
     from repro.harness.parallel import run_experiments
 
-    results = run_experiments([
-        dict(
-            protocol=protocol, f=args.faults, network=args.network,
-            batch_size=args.batch, payload_size=args.payload,
-            counter_write_ms=args.counter_write_ms,
-            duration_ms=args.duration, warmup_ms=args.warmup, seed=args.seed,
-            offered_load_tps=args.rate,
-        )
-        for protocol in args.protocols
-    ])
+    results = run_experiments([_experiment_config(args, protocol)
+                               for protocol in args.protocols])
     rows = [_result_row(result) for result in results]
     print(format_table(
         _RESULT_HEADERS, rows,
@@ -208,6 +205,102 @@ def cmd_counters(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv(text: Optional[str]) -> tuple:
+    """A comma-separated option value as a tuple of names."""
+    return tuple(name for name in (text or "").split(",") if name)
+
+
+def _seeds(args: argparse.Namespace) -> list:
+    """``--seed N`` runs exactly that seed, else seeds 0..``--seeds``-1."""
+    return [args.seed] if args.seed is not None else list(range(args.seeds))
+
+
+#: What a campaign command fans out over: option dest → the result
+#: attribute that narrows it to one run.
+_FANOUT = {"protocols": "protocol", "scenario": "scenario", "seed": "seed"}
+
+
+def _reproduce(args: argparse.Namespace, result) -> str:
+    """The command line that re-runs ``result``'s campaign: every option
+    whose parsed value differs from its parser default, with the fan-out
+    options narrowed to this run.  Read off the parser, so it cannot omit
+    a flag the campaign was run with."""
+    values = vars(args) | {dest: getattr(result, attr)
+                           for dest, attr in _FANOUT.items()
+                           if hasattr(args, dest)}
+    words = ["python -m repro", args.command]
+    for action in args.parser._actions:
+        value = values.get(action.dest, action.default)
+        # ``--seeds`` is the fan-out that the pinned ``--seed`` replaces.
+        if value == action.default or action.dest == "seeds":
+            continue
+        words.append(action.option_strings[0])
+        if action.nargs != 0:  # not a bare flag
+            words += map(str, value) if isinstance(value, list) else [str(value)]
+    return " ".join(words)
+
+
+def _report_failures(args: argparse.Namespace, results: list,
+                     detail=None, rerun=None) -> list:
+    """Print every failing campaign to stderr — a FAIL header, its
+    violations, ``detail(result)`` if the kind has more to show, and the
+    command that reproduces it — and return the failing results.
+
+    With ``rerun(result, trace_path)``, the first failure is re-run with
+    span tracing on and its Perfetto trace written to ``--trace-dir``:
+    determinism makes the re-run reproduce the failure exactly, so the
+    trace shows the run that violated the invariant.
+    """
+    import pathlib
+
+    def names(result) -> list:
+        return [getattr(result, _FANOUT[dest])
+                for dest in ("protocols", "scenario") if hasattr(args, dest)]
+
+    failures = [result for result in results if result.violations]
+    for result in failures:
+        print(f"\nFAIL {' '.join(names(result) + [f'seed {result.seed}'])}: "
+              f"{len(result.violations)} violation(s)", file=sys.stderr)
+        for violation in result.violations:
+            print(f"  {violation}", file=sys.stderr)
+        if detail is not None:
+            detail(result)
+        print(f"  reproduce with:\n    {_reproduce(args, result)}",
+              file=sys.stderr)
+    if failures and rerun is not None:
+        first = failures[0]
+        trace_dir = pathlib.Path(args.trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        path = trace_dir / ("-".join([args.command] + names(first))
+                            + f"-f{first.f}-seed{first.seed}.json")
+        try:
+            rerun(first, str(path))
+            print(f"  span trace of the failing run: {path} "
+                  "(open at https://ui.perfetto.dev)", file=sys.stderr)
+        except Exception as exc:  # best effort: never mask the failure
+            print(f"  (trace dump failed: {exc})", file=sys.stderr)
+    return failures
+
+
+def _chaos_spec(args: argparse.Namespace, protocol: str) -> dict:
+    """The ChaosSpec fields of one ``repro chaos`` campaign."""
+    byz = _csv(args.byz)
+    return dict(
+        protocol=protocol, f=args.faults, network=args.network,
+        duration_ms=args.duration, quiesce_ms=args.quiesce,
+        crashes=args.crashes, rollbacks=args.rollbacks,
+        partitions=args.partitions,
+        counter_write_ms=args.counter_write_ms,
+        loss=args.loss, dup=args.dup, corrupt=args.corrupt,
+        reorder=args.reorder, timeout_jitter=args.timeout_jitter,
+        byz=byz, byz_nodes=args.byz_nodes if byz else 0,
+        expect_violations=_csv(args.byz_expect),
+        snapshot_interval=args.snapshot_interval,
+        snapshot_retain=args.snapshot_retain,
+        snapshot_trust_sealed=args.snapshot_trust_sealed,
+    )
+
+
 #: Default protocol set for ``repro chaos`` — one per trust/committee shape.
 _CHAOS_PROTOCOLS = ["achilles", "achilles-c", "damysus", "minbft"]
 
@@ -219,39 +312,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     failing row prints the exact command that reproduces it.  Exit status
     is 1 if any invariant was violated.
     """
-    from repro.faults.chaos import ChaosResult, run_chaos_seed
+    from repro.faults.chaos import (ChaosResult, ChaosSpec, run_chaos,
+                                    run_chaos_seed)
     from repro.harness.parallel import run_experiments
 
     protocols = args.protocols or _CHAOS_PROTOCOLS
-    seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
+    seeds = _seeds(args)
     lossy = bool(args.loss or args.dup or args.corrupt or args.reorder)
-    byz = tuple(s for s in (args.byz or "").split(",") if s)
-    expect = tuple(s for s in (args.byz_expect or "").split(",") if s)
-    configs = [
-        dict(
-            protocol=protocol, f=args.faults, network=args.network,
-            duration_ms=args.duration, quiesce_ms=args.quiesce,
-            crashes=args.crashes, rollbacks=args.rollbacks,
-            partitions=args.partitions,
-            counter_write_ms=args.counter_write_ms,
-            loss=args.loss, dup=args.dup, corrupt=args.corrupt,
-            reorder=args.reorder, timeout_jitter=args.timeout_jitter,
-            byz=byz, byz_nodes=args.byz_nodes if byz else 0,
-            expect_violations=expect,
-            snapshot_interval=args.snapshot_interval,
-            snapshot_retain=args.snapshot_retain,
-            snapshot_trust_sealed=args.snapshot_trust_sealed,
-            seed=seed,
-        )
-        for protocol in protocols
-        for seed in seeds
-    ]
+    byz = _csv(args.byz)
+    configs = [dict(_chaos_spec(args, protocol), seed=seed)
+               for protocol in protocols for seed in seeds]
     results = run_experiments(configs, runner=run_chaos_seed,
                               result_type=ChaosResult, unpack=False)
 
     rows = []
-    failures = []
-    disengaged = []
     for result in results:
         row = [
             result.protocol, result.f, result.n, result.seed,
@@ -273,13 +347,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     result.extras.get("snap_stale_runs", 0)]
         row += [len(result.violations), result.digest[:12]]
         rows.append(row)
-        if result.violations:
-            failures.append(result)
-        elif lossy and args.loss > 0 and \
-                result.extras.get("retransmissions", 0) == 0:
-            # A lossy run that never retransmitted means the reliable
-            # transport was not engaged — the campaign proved nothing.
-            disengaged.append(result)
     headers = ["protocol", "f", "n", "seed", "height", "crashes", "recov",
                "rollbk", "partit"]
     if lossy:
@@ -305,78 +372,37 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
         print()
         print(format_byz_breakdown(results))
-    for result in failures:
-        print(f"\nFAIL {result.protocol} seed {result.seed}: "
-              f"{len(result.violations)} violation(s)", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        byzrepro = ""
-        if byz:
-            byzrepro = f"--byz {','.join(byz)} --byz-nodes {args.byz_nodes} "
-            if expect:
-                byzrepro += f"--byz-expect {','.join(expect)} "
-        if args.snapshot_interval:
-            byzrepro += f"--snapshot-interval {args.snapshot_interval} " \
-                        f"--snapshot-retain {args.snapshot_retain} "
-            if args.snapshot_trust_sealed:
-                byzrepro += "--snapshot-trust-sealed "
-        print("  reproduce with:\n"
-              f"    python -m repro chaos --protocols {result.protocol} "
-              f"--f {result.f} --network {result.network} "
-              f"--duration {args.duration:g} --quiesce {args.quiesce:g} "
-              f"--crashes {args.crashes} --rollbacks {args.rollbacks} "
-              f"--partitions {args.partitions} "
-              f"--counter-write-ms {args.counter_write_ms:g} "
-              f"--loss {args.loss:g} --dup {args.dup:g} "
-              f"--reorder {args.reorder:g} --corrupt {args.corrupt:g} "
-              f"{byzrepro}--seed {result.seed}", file=sys.stderr)
+    failures = _report_failures(args, results, rerun=lambda r, path: run_chaos(
+        ChaosSpec(**_chaos_spec(args, r.protocol)), r.seed, trace_path=path))
+    # A lossy run that never retransmitted means the reliable transport
+    # was not engaged — the campaign proved nothing.
+    disengaged = [r for r in results if not r.violations and args.loss > 0
+                  and r.extras.get("retransmissions", 0) == 0]
     for result in disengaged:
         print(f"\nFAIL {result.protocol} seed {result.seed}: loss={args.loss:g} "
               f"but zero retransmissions (transport not engaged)",
               file=sys.stderr)
-    if failures:
-        _dump_failing_chaos_trace(args, failures[0])
     if failures or disengaged:
         return 1
     print(f"\nall {len(results)} campaigns passed every invariant")
     return 0
 
 
-def _dump_failing_chaos_trace(args: argparse.Namespace, failure) -> None:
-    """Re-run the first failing chaos seed with span tracing on and write
-    its Perfetto trace (determinism makes the re-run reproduce the failure
-    exactly, so the trace shows the run that violated the invariant)."""
-    import pathlib
-
-    from repro.faults.chaos import ChaosSpec, run_chaos
-
-    trace_dir = pathlib.Path(args.trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    path = trace_dir / (f"chaos-{failure.protocol}-f{failure.f}"
-                        f"-seed{failure.seed}.json")
-    byz = tuple(s for s in (args.byz or "").split(",") if s)
-    spec = ChaosSpec(
-        protocol=failure.protocol, f=failure.f, network=failure.network,
+def _powercut_spec(args: argparse.Namespace, protocol: str) -> dict:
+    """The PowercutSpec fields of one ``repro powercut`` exploration."""
+    expect = _csv(args.expect)
+    if args.journal_off and "durable-prefix" not in expect:
+        expect += ("durable-prefix",)
+    return dict(
+        protocol=protocol, f=args.faults, network=args.network,
         duration_ms=args.duration, quiesce_ms=args.quiesce,
-        crashes=args.crashes, rollbacks=args.rollbacks,
-        partitions=args.partitions,
+        warmup_ms=args.warmup, downtime_ms=args.downtime,
+        max_cuts=args.max_cuts, reorder_cuts=args.reorder_cuts,
         counter_write_ms=args.counter_write_ms,
-        loss=args.loss, dup=args.dup, corrupt=args.corrupt,
-        reorder=args.reorder, timeout_jitter=args.timeout_jitter,
-        byz=byz, byz_nodes=args.byz_nodes if byz else 0,
-        expect_violations=tuple(
-            s for s in (args.byz_expect or "").split(",") if s),
+        journal_off=args.journal_off, expect_violations=expect,
         snapshot_interval=args.snapshot_interval,
         snapshot_retain=args.snapshot_retain,
-        snapshot_trust_sealed=args.snapshot_trust_sealed,
     )
-    try:
-        run_chaos(spec, failure.seed, trace_path=str(path))
-    except Exception as exc:  # best effort: never mask the failure itself
-        print(f"  (trace dump failed: {exc})", file=sys.stderr)
-        return
-    print(f"  span trace of the failing run: {path} "
-          "(open at https://ui.perfetto.dev)", file=sys.stderr)
 
 
 #: Default protocol set for ``repro powercut`` — distinct durable-state
@@ -401,30 +427,13 @@ def cmd_powercut(args: argparse.Namespace) -> int:
     from repro.harness.parallel import run_experiments
 
     protocols = args.protocols or _POWERCUT_PROTOCOLS
-    seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
-    expect = tuple(s for s in (args.expect or "").split(",") if s)
-    if args.journal_off and "durable-prefix" not in expect:
-        expect = expect + ("durable-prefix",)
-    configs = [
-        dict(
-            protocol=protocol, f=args.faults, network=args.network,
-            duration_ms=args.duration, quiesce_ms=args.quiesce,
-            warmup_ms=args.warmup, downtime_ms=args.downtime,
-            max_cuts=args.max_cuts, reorder_cuts=args.reorder_cuts,
-            counter_write_ms=args.counter_write_ms,
-            journal_off=args.journal_off, expect_violations=expect,
-            snapshot_interval=args.snapshot_interval,
-            snapshot_retain=args.snapshot_retain,
-            seed=seed,
-        )
-        for protocol in protocols
-        for seed in seeds
-    ]
+    seeds = _seeds(args)
+    configs = [dict(_powercut_spec(args, protocol), seed=seed)
+               for protocol in protocols for seed in seeds]
     results = run_experiments(configs, runner=run_powercut_seed,
                               result_type=PowercutResult, unpack=False)
 
     rows = []
-    failures = []
     for result in results:
         kinds = result.extras.get("point_kinds", {})
         rows.append([
@@ -435,8 +444,6 @@ def cmd_powercut(args: argparse.Namespace) -> int:
             sum(c.dropped_records for c in result.cuts),
             len(result.violations), result.digest[:12],
         ])
-        if result.violations:
-            failures.append(result)
     mode = "journal-OFF negative control" if args.journal_off else "journaled"
     print(format_table(
         ["protocol", "f", "n", "seed", "victim", "points", "eligible",
@@ -445,28 +452,7 @@ def cmd_powercut(args: argparse.Namespace) -> int:
         title=f"powercut — {len(protocols)} protocol(s) × {len(seeds)} "
               f"seed(s), {args.network}, f={args.faults}, {mode}",
     ))
-    for result in failures:
-        print(f"\nFAIL {result.protocol} seed {result.seed}: "
-              f"{len(result.violations)} violation(s)", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        extra = ""
-        if args.journal_off:
-            extra += "--journal-off "
-        if expect:
-            extra += f"--expect {','.join(expect)} "
-        if args.snapshot_interval:
-            extra += f"--snapshot-interval {args.snapshot_interval} " \
-                     f"--snapshot-retain {args.snapshot_retain} "
-        print("  reproduce with:\n"
-              f"    python -m repro powercut --protocols {result.protocol} "
-              f"--f {result.f} --network {result.network} "
-              f"--duration {args.duration:g} --quiesce {args.quiesce:g} "
-              f"--warmup {args.warmup:g} --downtime {args.downtime:g} "
-              f"--max-cuts {args.max_cuts} --reorder-cuts {args.reorder_cuts} "
-              f"--counter-write-ms {args.counter_write_ms:g} "
-              f"{extra}--seed {result.seed}", file=sys.stderr)
-    if failures:
+    if _report_failures(args, results):
         return 1
     cuts = sum(len(r.cuts) for r in results)
     print(f"\nall {len(results)} explorations passed: {cuts} power cuts "
@@ -482,6 +468,26 @@ def cmd_powercut(args: argparse.Namespace) -> int:
 _SOAK_PROTOCOLS = ["achilles", "damysus", "minbft"]
 
 
+def _soak_spec(args: argparse.Namespace, protocol: str, scenario: str) -> dict:
+    """The SoakSpec fields of one ``repro soak`` campaign."""
+    pressure_ms = args.hours * 3_600_000.0 if args.hours else args.pressure
+    spec = dict(
+        protocol=protocol, scenario=scenario,
+        f=args.faults, network=args.network,
+        warmup_ms=args.warmup, pressure_ms=pressure_ms,
+        reconverge_budget_ms=args.budget, settle_ms=args.settle,
+        base_rate_tps=args.rate, clients=args.clients,
+        mempool_capacity=args.mempool,
+        vulnerable=args.vulnerable,
+        expect_violations=_csv(args.expect),
+    )
+    if args.hours:
+        # Hour-scale pressure: stretch the diurnal curve so the load
+        # actually breathes across the run instead of flickering.
+        spec["diurnal_period_ms"] = min(3_600_000.0, pressure_ms / 2.0)
+    return spec
+
+
 def cmd_soak(args: argparse.Namespace) -> int:
     """Run long-horizon soak campaigns and gate on SLO reconvergence.
 
@@ -493,29 +499,14 @@ def cmd_soak(args: argparse.Namespace) -> int:
     from repro.faults.scenarios import SCENARIOS
     from repro.harness.parallel import run_experiments
     from repro.harness.report import format_phase_breakdown, format_slo_timeline
-    from repro.harness.soak import SoakResult, run_soak_seed
+    from repro.harness.soak import (SoakResult, SoakSpec, run_soak,
+                                    run_soak_seed)
 
     protocols = args.protocols or _SOAK_PROTOCOLS
     scenarios = list(SCENARIOS) if "all" in args.scenario else args.scenario
-    seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
-    expect = tuple(s for s in (args.expect or "").split(",") if s)
-    pressure_ms = (args.hours * 3_600_000.0 if args.hours
-                   else args.pressure)
-    overrides = dict(
-        f=args.faults, network=args.network,
-        warmup_ms=args.warmup, pressure_ms=pressure_ms,
-        reconverge_budget_ms=args.budget, settle_ms=args.settle,
-        base_rate_tps=args.rate, clients=args.clients,
-        mempool_capacity=args.mempool,
-        vulnerable=args.vulnerable,
-        expect_violations=expect,
-    )
-    if args.hours:
-        # Hour-scale pressure: stretch the diurnal curve so the load
-        # actually breathes across the run instead of flickering.
-        overrides["diurnal_period_ms"] = min(3_600_000.0, pressure_ms / 2.0)
+    seeds = _seeds(args)
     configs = [
-        dict(protocol=protocol, scenario=scenario, seed=seed, **overrides)
+        dict(_soak_spec(args, protocol, scenario), seed=seed)
         for protocol in protocols
         for scenario in scenarios
         for seed in seeds
@@ -524,7 +515,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
                               result_type=SoakResult, unpack=False)
 
     rows = []
-    failures = []
     for result in results:
         reconv = ("-" if result.reconverged_at_ms is None
                   else f"{result.reconverged_at_ms / 1000.0:.2f}")
@@ -535,8 +525,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
             result.extras.get("backoff_nudges", 0), reconv,
             result.cycle or "-", len(result.violations), result.digest[:12],
         ])
-        if result.violations:
-            failures.append(result)
     mode = " [VULNERABLE CONTROL]" if args.vulnerable else ""
     print(format_table(
         ["protocol", "scenario", "f", "n", "seed", "height", "recov",
@@ -544,37 +532,21 @@ def cmd_soak(args: argparse.Namespace) -> int:
         rows,
         title=f"soak — {len(protocols)} protocol(s) × {len(scenarios)} "
               f"scenario(s) × {len(seeds)} seed(s), {args.network}, "
-              f"f={args.faults}, pressure {pressure_ms / 1000.0:g} s"
-              f"{mode}",
+              f"f={args.faults}, "
+              f"pressure {configs[0]['pressure_ms'] / 1000.0:g} s{mode}",
     ))
-    for result in failures:
-        print(f"\nFAIL {result.protocol} {result.scenario} seed "
-              f"{result.seed}: {len(result.violations)} violation(s)",
-              file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
+    def timeline(result) -> None:
         tail = [w for w in result.windows
                 if w.phase in ("reconverge", "settle")]
         every = max(1, len(tail) // 24)
         print(format_slo_timeline(tail, title="  post-release timeline:",
                                   every=every), file=sys.stderr)
         print(format_phase_breakdown(result.windows), file=sys.stderr)
-        extra = ""
-        if args.vulnerable:
-            extra += "--vulnerable "
-        if expect:
-            extra += f"--expect {','.join(expect)} "
-        print("  reproduce with:\n"
-              f"    python -m repro soak --protocols {result.protocol} "
-              f"--scenario {result.scenario} --f {result.f} "
-              f"--network {result.network} "
-              f"--pressure {pressure_ms:g} --warmup {args.warmup:g} "
-              f"--budget {args.budget:g} --settle {args.settle:g} "
-              f"--rate {args.rate:g} --clients {args.clients} "
-              f"--mempool {args.mempool} "
-              f"{extra}--seed {result.seed}", file=sys.stderr)
-    if failures:
-        _dump_failing_soak_trace(args, failures[0], overrides)
+
+    if _report_failures(args, results, detail=timeline,
+                        rerun=lambda r, path: run_soak(
+                            SoakSpec(**_soak_spec(args, r.protocol, r.scenario)),
+                            r.seed, trace_path=path)):
         return 1
     if args.vulnerable:
         print(f"\nall {len(results)} negative controls tripped the "
@@ -582,29 +554,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
     else:
         print(f"\nall {len(results)} campaigns converged within budget")
     return 0
-
-
-def _dump_failing_soak_trace(args: argparse.Namespace, failure,
-                             overrides: dict) -> None:
-    """Re-run the first failing soak seed with span tracing on (the re-run
-    is deterministic, so the trace shows the exact failing campaign)."""
-    import pathlib
-
-    from repro.harness.soak import SoakSpec, run_soak
-
-    trace_dir = pathlib.Path(args.trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    path = trace_dir / (f"soak-{failure.protocol}-{failure.scenario}"
-                        f"-seed{failure.seed}.json")
-    spec_kwargs = dict(overrides)
-    spec_kwargs.update(protocol=failure.protocol, scenario=failure.scenario)
-    try:
-        run_soak(SoakSpec(**spec_kwargs), failure.seed, trace_path=str(path))
-    except Exception as exc:  # best effort: never mask the failure itself
-        print(f"  (trace dump failed: {exc})", file=sys.stderr)
-        return
-    print(f"  span trace of the failing run: {path} "
-          "(open at https://ui.perfetto.dev)", file=sys.stderr)
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
@@ -641,6 +590,19 @@ def cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shard_chaos_spec(args: argparse.Namespace) -> dict:
+    """The ShardChaosSpec fields of one ``repro shard-chaos`` campaign."""
+    return dict(
+        protocol=args.protocol, f=args.faults, shards=args.shards,
+        network=args.network, duration_ms=args.duration,
+        quiesce_ms=args.quiesce, rate_tps=args.rate,
+        cross_fraction=args.cross_fraction, fault=args.fault,
+        downtime_ms=args.downtime,
+        txn_ttl_blocks=None if args.no_ttl else args.ttl_blocks,
+        expect_violations=_csv(args.expect),
+    )
+
+
 def cmd_shard_chaos(args: argparse.Namespace) -> int:
     """Shard-aware chaos campaigns: crash or partition a whole shard
     mid-2PC and audit cross-shard atomicity.
@@ -652,26 +614,12 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
     from repro.harness.parallel import run_experiments
     from repro.shard.chaos import ShardChaosResult, run_shard_chaos_seed
 
-    expect = tuple(s for s in (args.expect or "").split(",") if s)
-    seeds = [args.seed] if args.seed is not None else list(range(args.seeds))
-    configs = [
-        dict(
-            protocol=args.protocol, f=args.faults, shards=args.shards,
-            network=args.network, duration_ms=args.duration,
-            quiesce_ms=args.quiesce, rate_tps=args.rate,
-            cross_fraction=args.cross_fraction, fault=args.fault,
-            downtime_ms=args.downtime,
-            txn_ttl_blocks=None if args.no_ttl else args.ttl_blocks,
-            expect_violations=expect,
-            seed=seed,
-        )
-        for seed in seeds
-    ]
+    seeds = _seeds(args)
+    configs = [dict(_shard_chaos_spec(args), seed=seed) for seed in seeds]
     results = run_experiments(configs, runner=run_shard_chaos_seed,
                               result_type=ShardChaosResult, unpack=False)
 
     rows = []
-    failures = []
     for result in results:
         rows.append([
             result.protocol, result.shards, result.f, result.seed,
@@ -680,9 +628,7 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
             result.extras.get("expired_prepares", 0),
             len(result.violations), result.digest[:12],
         ])
-        if result.violations:
-            failures.append(result)
-    mode = " [negative control]" if expect else ""
+    mode = " [negative control]" if args.expect else ""
     print(format_table(
         ["protocol", "shards", "f", "seed", "fault", "victim", "mid-2pc",
          "commit", "abort", "rejects", "expired", "violations", "digest"],
@@ -690,20 +636,7 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
         title=f"shard chaos — {args.shards} shards × {len(seeds)} seed(s), "
               f"{args.network}, f={args.faults}, fault={args.fault}{mode}",
     ))
-    for result in failures:
-        print(f"\nFAIL seed {result.seed}: "
-              f"{len(result.violations)} violation(s)", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        print("  reproduce with:\n"
-              f"    python -m repro shard-chaos --protocol {result.protocol} "
-              f"--shards {result.shards} --f {result.f} "
-              f"--network {args.network} --fault {args.fault} "
-              f"--duration {args.duration:g} --seed {result.seed}"
-              + (" --no-ttl" if args.no_ttl else "")
-              + (f" --expect {args.expect}" if args.expect else ""),
-              file=sys.stderr)
-    if failures:
+    if _report_failures(args, results):
         return 1
     print(f"\nall {len(results)} shard campaigns passed every invariant")
     return 0
@@ -726,13 +659,7 @@ def cmd_perf_profile(args: argparse.Namespace) -> int:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = run_experiment(
-        args.protocol, f=args.faults, network=args.network,
-        batch_size=args.batch, payload_size=args.payload,
-        counter_write_ms=args.counter_write_ms,
-        duration_ms=args.duration, warmup_ms=args.warmup, seed=args.seed,
-        offered_load_tps=args.rate,
-    )
+    result = run_experiment(**_experiment_config(args, args.protocol))
     profiler.disable()
     wall_s = time.perf_counter() - start
 
@@ -882,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--trace-dir", default="traces",
                          help="where the first failing seed's span trace "
                               "is dumped (Perfetto JSON)")
-    p_chaos.set_defaults(func=cmd_chaos)
+    p_chaos.set_defaults(func=cmd_chaos, parser=p_chaos)
 
     p_pcut = sub.add_parser(
         "powercut", help="exhaustive power-cut exploration: cut mid-write "
@@ -928,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(routes cuts through the snapshot vault too)")
     p_pcut.add_argument("--snapshot-retain", type=int, default=12,
                         metavar="BLOCKS")
-    p_pcut.set_defaults(func=cmd_powercut)
+    p_pcut.set_defaults(func=cmd_powercut, parser=p_pcut)
 
     p_soak = sub.add_parser(
         "soak", help="long-horizon soak campaigns: production-shaped "
@@ -977,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument("--trace-dir", default="traces",
                         help="where the first failing seed's span trace "
                              "is dumped (Perfetto JSON)")
-    p_soak.set_defaults(func=cmd_soak)
+    p_soak.set_defaults(func=cmd_soak, parser=p_soak)
 
     p_shard = sub.add_parser(
         "shard", help="throughput-vs-shard-count sweep (sharded deployment)")
@@ -1031,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schaos.add_argument("--expect", default=None, metavar="INV[,INV]",
                           help="negative control: these invariants MUST "
                                "trip; anything else failing still fails")
-    p_schaos.set_defaults(func=cmd_shard_chaos)
+    p_schaos.set_defaults(func=cmd_shard_chaos, parser=p_schaos)
 
     p_perf = sub.add_parser(
         "perf", help="simulator performance tooling")

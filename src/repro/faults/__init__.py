@@ -13,53 +13,11 @@
 * :mod:`repro.faults.chaos` — seeded chaos campaigns composing crashes,
   rollback attacks, partitions, delays, client churn, lossy fabrics, and
   Byzantine replicas, run under the always-on invariant monitors.
+* :mod:`repro.faults.scenarios` — phase-scheduled fault plans for the soak
+  campaigns (:mod:`repro.harness.soak`).
+* :mod:`repro.faults.powercut` — exhaustive mid-write power-cut
+  exploration over the durability journal.
+
+Import the submodule you need: this package re-exports nothing, so that
+loading one fault family does not load the others.
 """
-
-from repro.faults.crash import CrashRebootSchedule, crash_and_reboot
-from repro.faults.byz import (
-    STRATEGIES,
-    ByzController,
-    ByzStrategy,
-    applicable_strategies,
-    collect_byz_counters,
-    make_byzantine,
-    resolve_strategies,
-)
-from repro.faults.byzantine import (
-    SilentNode,
-    VoteWithholdingNode,
-    DecideHidingNode,
-    EquivocationAttemptNode,
-    ReplayingRecoveryResponder,
-)
-from repro.faults.chaos import (
-    ChaosCampaign,
-    ChaosResult,
-    ChaosSpec,
-    generate_campaign,
-    run_chaos,
-    run_chaos_seed,
-)
-
-__all__ = [
-    "CrashRebootSchedule",
-    "crash_and_reboot",
-    "ByzController",
-    "ByzStrategy",
-    "STRATEGIES",
-    "applicable_strategies",
-    "collect_byz_counters",
-    "make_byzantine",
-    "resolve_strategies",
-    "ChaosCampaign",
-    "ChaosResult",
-    "ChaosSpec",
-    "generate_campaign",
-    "run_chaos",
-    "run_chaos_seed",
-    "SilentNode",
-    "VoteWithholdingNode",
-    "DecideHidingNode",
-    "EquivocationAttemptNode",
-    "ReplayingRecoveryResponder",
-]

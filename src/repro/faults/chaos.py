@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.consensus.config import ProtocolConfig
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.faults.byz import (
@@ -38,7 +37,20 @@ from repro.faults.byz import (
     resolve_strategies,
 )
 from repro.faults.crash import CrashRebootSchedule
-from repro.net.adversary import NetworkAdversary
+from repro.harness.invariants import InvariantMonitor
+from repro.harness.runner import (
+    build_deployment,
+    committed_tips,
+    poisson_arrivals,
+    protocol_config,
+    resolve_network,
+    resolve_protocol,
+    spec_from_config,
+    verdict,
+)
+from repro.net.adversary import NetworkAdversary, PartitionWindow
+from repro.net.faults import LinkFaultModel
+from repro.net.transport import TransportConfig
 from repro.tee.rollback import RollbackAttacker
 
 
@@ -174,15 +186,6 @@ class ChaosSpec:
 
 
 @dataclass(frozen=True)
-class PartitionWindow:
-    """Isolate ``group`` from everyone else during [at, until)."""
-
-    at_ms: float
-    until_ms: float
-    group: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DelayWindow:
     """Add ``extra_ms`` to all src→dst traffic during [at, until)."""
 
@@ -246,18 +249,6 @@ class ChaosCampaign:
 # ----------------------------------------------------------------------
 # Campaign generation — pure function of (spec, seed)
 # ----------------------------------------------------------------------
-def _protocol_spec(name: str):
-    from repro.harness import runner
-
-    runner._ensure_registered()
-    spec = runner.PROTOCOLS.get(name)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown protocol {name!r}; known: {sorted(runner.PROTOCOLS)}"
-        )
-    return spec
-
-
 def _defends_rollback(protocol_spec, node_cls) -> bool:
     """Only attack protocols that defend: -R counters detect stale state,
     and Achilles-style recovery never trusts storage at all.  Attacking an
@@ -272,7 +263,7 @@ def _defends_rollback(protocol_spec, node_cls) -> bool:
 
 def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
     """Generate the deterministic fault plan for ``(spec, seed)``."""
-    protocol = _protocol_spec(spec.protocol)
+    protocol = resolve_protocol(spec.protocol)
     n = protocol.committee(spec.f)
     rng = random.Random(f"chaos/{spec.protocol}/{spec.f}/{seed}")
     start, end = spec.fault_window
@@ -509,14 +500,7 @@ def _install(campaign: ChaosCampaign, cluster, monitor, generator) -> dict:
 
     adversary = cluster.network.adversary
     for window in campaign.partitions:
-        rest = tuple(i for i in range(campaign.n) if i not in window.group)
-
-        def cut(group=window.group, rest=rest):
-            adversary.partition(set(group), set(rest))
-
-        sim.schedule_at(window.at_ms, cut, label="chaos.partition")
-        sim.schedule_at(window.until_ms, adversary.heal_partition,
-                        label="chaos.heal")
+        window.schedule(sim, adversary, campaign.n, "chaos")
 
     for window in campaign.delays:
         def slow(w=window):
@@ -546,52 +530,20 @@ def run_chaos(spec: ChaosSpec, seed: int,
     failing seed (tracing never changes simulation outcomes, so the traced
     re-run reproduces the failure exactly).
     """
-    from repro.client.workload import OpenLoopGenerator, QueueSource
-    from repro.consensus.cluster import build_cluster
-    from repro.harness.invariants import InvariantMonitor
-    from repro.net.faults import LinkFaultModel
-    from repro.net.latency import LAN_PROFILE, WAN_PROFILE
-    from repro.net.transport import TransportConfig
-    from repro.tee.counters import ConfigurableCounter
-    from repro.tee.enclave import EnclaveProfile
-
-    protocol = _protocol_spec(spec.protocol)
+    protocol = resolve_protocol(spec.protocol)
+    latency = resolve_network(spec.network)
     campaign = generate_campaign(spec, seed)
-
-    latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(spec.network.upper())
-    if latency is None:
-        raise ConfigurationError(f"unknown network {spec.network!r} (LAN or WAN)")
-
-    counter_factory = None
-    if protocol.uses_counter and spec.counter_write_ms > 0:
-        counter_factory = lambda: ConfigurableCounter(spec.counter_write_ms)  # noqa: E731
-    enclave = EnclaveProfile.outside_tee() if protocol.outside_tee \
-        else EnclaveProfile()
-
-    # Snapshot layer: pure function of the spec — disabled, it adds no
-    # config fields and no RNG draws, so non-snapshot campaigns stay
-    # bit-identical to the pre-snapshot baseline.
-    snapshot_kwargs: dict = {}
-    if spec.snapshot_interval:
-        snapshot_kwargs = dict(
-            snapshots=True,
-            checkpoint_interval=spec.snapshot_interval,
-            checkpoint_retain=spec.snapshot_retain,
-            snapshot_trust_sealed=spec.snapshot_trust_sealed,
-        )
-
-    config = ProtocolConfig(
-        n=campaign.n,
-        f=spec.f,
+    config = protocol_config(
+        protocol, spec.f, seed,
+        counter_write_ms=spec.counter_write_ms,
+        snapshot_interval=spec.snapshot_interval,
+        snapshot_retain=spec.snapshot_retain,
+        snapshot_trust_sealed=spec.snapshot_trust_sealed,
         batch_size=spec.batch_size,
         payload_size=spec.payload_size,
-        counter_factory=counter_factory,
-        enclave=enclave,
         base_timeout_ms=spec.base_timeout_ms,
         timeout_jitter=spec.timeout_jitter,
         recovery_retry_ms=spec.recovery_retry_ms,
-        seed=seed,
-        **snapshot_kwargs,
     )
 
     # Lossy fabric + reliable transport.  Both are pure functions of the
@@ -614,66 +566,30 @@ def run_chaos(spec: ChaosSpec, seed: int,
         byzantine_factories = {i: byz_cls for i in campaign.byz_ids}
 
     monitor = InvariantMonitor(
-        expected_violations=spec.expect_violations,
         track_seal_freshness=("stale-seal" in campaign.byz_strategies
                               or "stale-snapshot" in campaign.byz_strategies),
     )
-    generator_holder: list[OpenLoopGenerator] = []
-    # KV-shaped payloads only for snapshot runs: the kwarg is omitted
-    # otherwise so pre-snapshot campaigns construct the generator with the
-    # identical argument list (bit-identical runs).
-    workload_kwargs = {"kv_keys": spec.kv_keys} if spec.snapshot_interval \
-        else {}
-
-    def source_factory(sim):
-        queue = QueueSource()
-        generator = OpenLoopGenerator(
-            sim, queue, rate_tps=spec.base_rate_tps,
-            payload_size=spec.payload_size,
-            client_one_way_ms=latency.one_way_ms,
-            **workload_kwargs,
-        )
-        generator_holder.append(generator)
-        return queue
-
-    cluster = build_cluster(
-        node_factory=protocol.node_cls,
-        config=config,
-        latency=latency,
-        source_factory=source_factory,
+    deployment = build_deployment(
+        protocol, config, latency, seed,
         listener=monitor,
-        seed=seed,
+        # KV-shaped payloads only for snapshot runs.
+        open_loop=poisson_arrivals(
+            spec.base_rate_tps, spec.payload_size, latency,
+            kv_keys=spec.kv_keys if spec.snapshot_interval else 0),
+        poll_every_ms=spec.poll_every_ms,
+        trace=trace_path is not None,
         adversary=NetworkAdversary(),
         faults=faults,
         transport=transport,
         byzantine_factories=byzantine_factories,
     )
-    cluster.sim.trace.enabled = False
+    cluster = deployment.cluster
+    attackers = _install(campaign, cluster, monitor, deployment.generator)
+    deployment.run(spec.duration_ms)
+    deployment.audit(monitor)
     if trace_path is not None:
-        cluster.sim.obs.enabled = True
-    monitor.attach(cluster, poll_every_ms=spec.poll_every_ms)
-    generator = generator_holder[0] if generator_holder else None
-    attackers = _install(campaign, cluster, monitor, generator)
-
-    if generator is not None:
-        generator.start()
-    cluster.start()
-    cluster.run(spec.duration_ms)
-
-    monitor.finalize()
-    try:
-        cluster.assert_safety()
-    except AssertionError as exc:  # belt and braces over the live monitor
-        monitor.violations.append(type(monitor.violations[0])(
-            "agreement", cluster.sim.now, None, str(exc),
-        ) if monitor.violations else _final_violation(cluster, str(exc)))
-
-    if trace_path is not None:
-        from repro.obs.perfetto import write_perfetto
-
-        cluster.sim.obs.flush_open_phases(cluster.sim.now)
-        write_perfetto(cluster.sim.obs, trace_path,
-                       label=f"chaos/{spec.protocol}/f={spec.f}/seed={seed}")
+        deployment.write_trace(
+            trace_path, f"chaos/{spec.protocol}/f={spec.f}/seed={seed}")
 
     recoveries = sum(
         len(getattr(node, "recovery_episodes", ())) for node in cluster.nodes
@@ -720,23 +636,12 @@ def run_chaos(spec: ChaosSpec, seed: int,
                 f"[snapshot-engagement] cluster: {reboots} reboot(s) but "
                 f"the snapshot restore path never ran")
 
-    if spec.expect_violations:
-        # Negative control: expected invariants must trip; everything
-        # else (including an expected one that never tripped) fails.
-        violations = [str(v) for v in monitor.unexpected_violations()]
-        violations += [
-            f"[expected-violation-missing] negative control {name!r} "
-            f"never tripped — the attack did not land"
-            for name in monitor.missing_expected()
-        ]
-    else:
-        violations = [str(v) for v in monitor.violations]
-    violations += engagement_failures
-    tips = [(node.store.committed_tip.height, node.store.committed_tip.hash)
-            for node in cluster.nodes]
+    violations = verdict(monitor.violations, spec.expect_violations,
+                         "— the attack did not land") + engagement_failures
     digest = digest_of(
         "chaos-result", spec.protocol, spec.f, spec.network, seed,
-        tips, violations, cluster.sim.events_processed,
+        committed_tips(cluster.nodes), violations,
+        cluster.sim.events_processed,
     )
 
     extras: dict = {}
@@ -802,16 +707,6 @@ def run_chaos(spec: ChaosSpec, seed: int,
     )
 
 
-def _final_violation(cluster, message: str):
-    from repro.harness.invariants import InvariantViolation
-
-    return InvariantViolation("agreement", cluster.sim.now, None, message)
-
-
-#: ChaosSpec field names accepted by :func:`run_chaos_seed` configs.
-_SPEC_FIELDS = frozenset(ChaosSpec.__dataclass_fields__)
-
-
 def run_chaos_seed(config: Mapping) -> ChaosResult:
     """Worker entry point: one config mapping → one :class:`ChaosResult`.
 
@@ -819,32 +714,16 @@ def run_chaos_seed(config: Mapping) -> ChaosResult:
     shape :func:`repro.harness.parallel.run_experiments` fans out across
     worker processes (module-level so it pickles).
     """
-    kwargs = {k: v for k, v in config.items() if k in _SPEC_FIELDS}
-    unknown = set(config) - _SPEC_FIELDS - {"seed", "extras"}
-    if unknown:
-        raise ConfigurationError(f"unknown chaos config keys: {sorted(unknown)}")
-    return run_chaos(ChaosSpec(**kwargs), seed=int(config.get("seed", 0)))
-
-
-def run_shard_chaos_seed(config: Mapping):
-    """Shard-aware campaign worker (crash/partition a whole consensus
-    group mid-2PC): re-exported from :mod:`repro.shard.chaos` so chaos
-    drivers find every campaign family under one roof.  Lazy import —
-    the shard layer pulls in the deployment stack, which single-group
-    chaos runs never need."""
-    from repro.shard.chaos import run_shard_chaos_seed as _run
-
-    return _run(config)
+    return run_chaos(spec_from_config(ChaosSpec, config, "chaos"),
+                     seed=int(config.get("seed", 0)))
 
 
 __all__ = [
     "ChaosSpec",
     "ChaosCampaign",
     "ChaosResult",
-    "PartitionWindow",
     "DelayWindow",
     "generate_campaign",
     "run_chaos",
     "run_chaos_seed",
-    "run_shard_chaos_seed",
 ]

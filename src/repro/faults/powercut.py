@@ -52,7 +52,18 @@ from typing import Mapping, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
-from repro.faults.chaos import _protocol_spec
+from repro.harness.invariants import InvariantMonitor
+from repro.harness.runner import (
+    build_deployment,
+    committed_tips,
+    poisson_arrivals,
+    protocol_config,
+    resolve_network,
+    resolve_protocol,
+    spec_from_config,
+    verdict,
+)
+from repro.net.adversary import NetworkAdversary
 from repro.storage.journal import PersistencePoint, PowerCutController
 
 
@@ -225,79 +236,32 @@ def _run_instrumented(spec: PowercutSpec, seed: int,
     """Build the seeded cluster, attach the controller to the victim's
     journals, run to ``duration_ms``, and return
     ``(cluster, monitor, controller, victim, floor)``."""
-    from repro.client.workload import OpenLoopGenerator, QueueSource
-    from repro.consensus.cluster import build_cluster
-    from repro.consensus.config import ProtocolConfig
-    from repro.harness.invariants import InvariantMonitor
-    from repro.net.adversary import NetworkAdversary
-    from repro.net.latency import LAN_PROFILE, WAN_PROFILE
-    from repro.tee.counters import ConfigurableCounter
-    from repro.tee.enclave import EnclaveProfile
-
-    protocol = _protocol_spec(spec.protocol)
-    n = protocol.committee(spec.f)
-    victim = pick_victim(spec, seed, n)
-
-    latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(spec.network.upper())
-    if latency is None:
-        raise ConfigurationError(f"unknown network {spec.network!r} (LAN or WAN)")
-
-    counter_factory = None
-    if protocol.uses_counter and spec.counter_write_ms > 0:
-        counter_factory = lambda: ConfigurableCounter(spec.counter_write_ms)  # noqa: E731
-    enclave = EnclaveProfile.outside_tee() if protocol.outside_tee \
-        else EnclaveProfile()
-
-    snapshot_kwargs: dict = {}
-    if spec.snapshot_interval:
-        snapshot_kwargs = dict(
-            snapshots=True,
-            checkpoint_interval=spec.snapshot_interval,
-            checkpoint_retain=spec.snapshot_retain,
-        )
-
-    config = ProtocolConfig(
-        n=n,
-        f=spec.f,
+    protocol = resolve_protocol(spec.protocol)
+    latency = resolve_network(spec.network)
+    config = protocol_config(
+        protocol, spec.f, seed,
+        counter_write_ms=spec.counter_write_ms,
+        snapshot_interval=spec.snapshot_interval,
+        snapshot_retain=spec.snapshot_retain,
         batch_size=spec.batch_size,
         payload_size=spec.payload_size,
-        counter_factory=counter_factory,
-        enclave=enclave,
         base_timeout_ms=spec.base_timeout_ms,
         timeout_jitter=spec.timeout_jitter,
         recovery_retry_ms=spec.recovery_retry_ms,
-        seed=seed,
-        **snapshot_kwargs,
     )
+    victim = pick_victim(spec, seed, config.n)
 
-    expected = spec.expect_violations if cut_index is not None else ()
-    monitor = InvariantMonitor(expected_violations=expected)
-    generator_holder: list[OpenLoopGenerator] = []
-    workload_kwargs = {"kv_keys": spec.kv_keys} if spec.snapshot_interval \
-        else {}
-
-    def source_factory(sim):
-        queue = QueueSource()
-        generator = OpenLoopGenerator(
-            sim, queue, rate_tps=spec.base_rate_tps,
-            payload_size=spec.payload_size,
-            client_one_way_ms=latency.one_way_ms,
-            **workload_kwargs,
-        )
-        generator_holder.append(generator)
-        return queue
-
-    cluster = build_cluster(
-        node_factory=protocol.node_cls,
-        config=config,
-        latency=latency,
-        source_factory=source_factory,
+    monitor = InvariantMonitor()
+    deployment = build_deployment(
+        protocol, config, latency, seed,
         listener=monitor,
-        seed=seed,
+        open_loop=poisson_arrivals(
+            spec.base_rate_tps, spec.payload_size, latency,
+            kv_keys=spec.kv_keys if spec.snapshot_interval else 0),
+        poll_every_ms=spec.poll_every_ms,
         adversary=NetworkAdversary(),
     )
-    cluster.sim.trace.enabled = False
-    monitor.attach(cluster, poll_every_ms=spec.poll_every_ms)
+    cluster = deployment.cluster
 
     controller = PowerCutController(cut_index=cut_index, cut_kind=cut_kind)
     controller.clock = lambda: cluster.sim.now
@@ -350,12 +314,8 @@ def _run_instrumented(spec: PowercutSpec, seed: int,
     cluster.sim.schedule_at(quiesce_at, monitor.mark_quiesced,
                             label="powercut.quiesce")
 
-    generator = generator_holder[0] if generator_holder else None
-    if generator is not None:
-        generator.start()
-    cluster.start()
-    cluster.run(spec.duration_ms)
-    monitor.finalize()
+    deployment.run(spec.duration_ms)
+    deployment.audit(monitor)
     return cluster, monitor, controller, victim, floor
 
 
@@ -421,12 +381,8 @@ def sample_cuts(spec: PowercutSpec,
 # ----------------------------------------------------------------------
 def run_powercut(spec: PowercutSpec, seed: int) -> PowercutResult:
     """Run one seed's full exploration: oracle + every sampled cut."""
-    protocol = _protocol_spec(spec.protocol)
-    n = protocol.committee(spec.f)
-    victim = pick_victim(spec, seed, n)
-
     # Phase 1: oracle run — enumerate every persistence point.
-    cluster, monitor, controller, _, _ = _run_instrumented(spec, seed)
+    cluster, monitor, controller, victim, _ = _run_instrumented(spec, seed)
     points = controller.points
     start, end = spec.cut_window
     eligible = [p for p in points if start <= p.at_ms <= end]
@@ -445,7 +401,7 @@ def run_powercut(spec: PowercutSpec, seed: int) -> PowercutResult:
     result = PowercutResult(
         protocol=spec.protocol,
         f=spec.f,
-        n=n,
+        n=len(cluster.nodes),
         network=spec.network.upper(),
         seed=seed,
         victim=victim,
@@ -484,25 +440,15 @@ def run_powercut(spec: PowercutSpec, seed: int) -> PowercutResult:
             cut_violations.append(
                 f"[powercut-engagement] cut {point.index} ({point.kind} on "
                 f"{point.owner}) never fired on replay")
-        if spec.expect_violations:
-            cut_violations += [
-                str(v) for v in monitor.unexpected_violations()]
-            cut_violations += [
-                f"[expected-violation-missing] negative control {name!r} "
-                f"never tripped on cut {point.index} — the journal-off "
-                f"recovery hid nothing"
-                for name in monitor.missing_expected()
-            ]
-        else:
-            cut_violations += [str(v) for v in monitor.violations]
+        cut_violations += verdict(
+            monitor.violations, spec.expect_violations,
+            f"on cut {point.index} — the journal-off recovery hid nothing")
         outcome.violations = cut_violations
 
-        tips = [(node.store.committed_tip.height, node.store.committed_tip.hash)
-                for node in cluster.nodes]
         outcome.digest = digest_of(
             "powercut-cut", spec.protocol, spec.f, spec.network, seed,
-            point.index, outcome.kind, tips, cut_violations,
-            cluster.sim.events_processed,
+            point.index, outcome.kind, committed_tips(cluster.nodes),
+            cut_violations, cluster.sim.events_processed,
         )
         result.cuts.append(outcome)
         violations += [f"[cut {point.index}/{outcome.kind}] {v}"
@@ -520,20 +466,12 @@ def run_powercut(spec: PowercutSpec, seed: int) -> PowercutResult:
     return result
 
 
-#: PowercutSpec field names accepted by :func:`run_powercut_seed` configs.
-_SPEC_FIELDS = frozenset(PowercutSpec.__dataclass_fields__)
-
-
 def run_powercut_seed(config: Mapping) -> PowercutResult:
     """Worker entry point: one config mapping → one :class:`PowercutResult`
     (module-level so :func:`repro.harness.parallel.run_experiments` can
     pickle it)."""
-    kwargs = {k: v for k, v in config.items() if k in _SPEC_FIELDS}
-    unknown = set(config) - _SPEC_FIELDS - {"seed", "extras"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown powercut config keys: {sorted(unknown)}")
-    return run_powercut(PowercutSpec(**kwargs), seed=int(config.get("seed", 0)))
+    return run_powercut(spec_from_config(PowercutSpec, config, "powercut"),
+                        seed=int(config.get("seed", 0)))
 
 
 __all__ = [

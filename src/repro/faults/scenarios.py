@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.faults.chaos import PartitionWindow
+from repro.net.adversary import PartitionWindow
 from repro.workload.spec import ChurnEvent, FlashCrowd
 
 

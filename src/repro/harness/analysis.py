@@ -14,7 +14,14 @@ from functools import partial
 from typing import Sequence
 
 from repro.harness.parallel import parallel_map, run_experiments
-from repro.harness.runner import PROTOCOLS, run_experiment
+from repro.harness.metrics import MetricsCollector
+from repro.harness.runner import (
+    PROTOCOLS,
+    build_deployment,
+    protocol_config,
+    run_experiment,
+)
+from repro.net.latency import LAN_PROFILE
 
 
 @dataclass(frozen=True)
@@ -73,31 +80,17 @@ def measure_protocols(
 
 def _counter_writes_per_commit(protocol: str, f: int, seed: int) -> float:
     """Re-run briefly with introspection to count counter writes."""
-    from repro.client.workload import SaturatedSource
-    from repro.consensus.cluster import build_cluster
-    from repro.consensus.config import ProtocolConfig
-    from repro.harness.metrics import MetricsCollector
-    from repro.net.latency import LAN_PROFILE
-    from repro.tee.counters import ConfigurableCounter
-
     spec = PROTOCOLS[protocol]
     if not spec.uses_counter:
         return 0.0
-    config = ProtocolConfig(
-        n=spec.committee(f), f=f, batch_size=50, payload_size=64,
-        counter_factory=lambda: ConfigurableCounter(1.0), seed=seed,
-    )
+    config = protocol_config(spec, f, seed, counter_write_ms=1.0,
+                             batch_size=50, payload_size=64)
     collector = MetricsCollector(warmup_ms=0.0)
-    cluster = build_cluster(
-        node_factory=spec.node_cls, config=config, latency=LAN_PROFILE,
-        source_factory=lambda sim: SaturatedSource(sim, payload_size=64),
-        listener=collector, seed=seed,
-    )
-    cluster.sim.trace.enabled = False
-    cluster.start()
-    cluster.run(500.0)
+    deployment = build_deployment(spec, config, LAN_PROFILE, seed,
+                                  listener=collector)
+    deployment.run(500.0)
     writes = 0
-    for node in cluster.nodes:
+    for node in deployment.cluster.nodes:
         for component_name in ("checker", "proposer", "usig"):
             component = getattr(node, component_name, None)
             if component is not None and getattr(component, "counter", None) is not None:

@@ -14,14 +14,16 @@ import pathlib
 from functools import partial
 from typing import Sequence
 
-from repro.consensus.config import ProtocolConfig
-from repro.core.protocol import build_achilles_cluster
-from repro.client.workload import SaturatedSource
 from repro.faults.crash import crash_and_reboot
 from repro.harness.metrics import MetricsCollector
 from repro.harness.parallel import parallel_map, run_experiments
-from repro.harness.runner import ExperimentResult
-from repro.net.latency import LAN_PROFILE, WAN_PROFILE
+from repro.harness.runner import (
+    ExperimentResult,
+    build_deployment,
+    protocol_config,
+    resolve_protocol,
+)
+from repro.net.latency import LAN_PROFILE
 
 #: The four protocols Fig. 3/4 compare.
 FIG3_PROTOCOLS = ("achilles", "damysus-r", "flexibft", "oneshot-r")
@@ -33,8 +35,9 @@ FIG3_PAYLOADS = (0, 256, 512)
 FIG3_BATCHES = (200, 400, 600)
 
 
-def _window(network: str, n: int) -> tuple[float, float]:
+def _window(network: str, protocol: str, f: int) -> tuple[float, float]:
     """(duration, warmup) in ms, adapted to network and committee size."""
+    n = resolve_protocol(protocol).committee(f)
     if network.upper() == "WAN":
         duration = 6000.0 if n <= 45 else 4500.0
         return duration, 1200.0
@@ -54,8 +57,7 @@ def fig3_fault_sweep(
     configs = []
     for protocol in protocols:
         for f in faults:
-            n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-            duration, warmup = _window(network, n)
+            duration, warmup = _window(network, protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network=network,
                 batch_size=batch_size, payload_size=payload_size,
@@ -76,8 +78,7 @@ def fig3_payload_sweep(
     configs = []
     for protocol in protocols:
         for payload in payloads:
-            n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-            duration, warmup = _window(network, n)
+            duration, warmup = _window(network, protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network=network,
                 batch_size=batch_size, payload_size=payload,
@@ -98,8 +99,7 @@ def fig3_batch_sweep(
     configs = []
     for protocol in protocols:
         for batch in batches:
-            n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-            duration, warmup = _window(network, n)
+            duration, warmup = _window(network, protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network=network,
                 batch_size=batch, payload_size=payload_size,
@@ -124,8 +124,7 @@ def fig4_latency_vs_throughput(
     configs = []
     for protocol in protocols:
         for rate in rates_tps:
-            n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-            duration, warmup = _window("LAN", n)
+            duration, warmup = _window("LAN", protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network="LAN",
                 batch_size=batch_size, payload_size=payload_size,
@@ -151,8 +150,7 @@ def fig5_counter_sweep(
     configs = []
     for protocol in protocols:
         for write_ms in write_latencies_ms:
-            n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-            duration, warmup = _window("LAN", n)
+            duration, warmup = _window("LAN", protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network="LAN",
                 batch_size=batch_size, payload_size=payload_size,
@@ -184,8 +182,7 @@ def cost_breakdown_sweep(
     """
     configs = []
     for protocol in protocols:
-        n = (3 * f + 1) if protocol == "flexibft" else (2 * f + 1)
-        duration, warmup = _window(network, n)
+        duration, warmup = _window(network, protocol, f)
         trace_path = None
         if trace_dir is not None:
             safe = protocol.replace("/", "_")
@@ -204,20 +201,15 @@ def cost_breakdown_sweep(
 def _table2_row(n: int, seed: int = 1) -> dict:
     """One Table 2 row (module-level so it pickles into pool workers)."""
     f = (n - 1) // 2
-    config = ProtocolConfig.tee_committee(
-        f=f, batch_size=100, payload_size=64, seed=seed
-    )
-    collector = MetricsCollector(warmup_ms=0.0)
-    cluster = build_achilles_cluster(
-        f=f, latency=LAN_PROFILE, config=config,
-        source_factory=lambda sim: SaturatedSource(sim, payload_size=64),
-        listener=collector, seed=seed,
-    )
-    cluster.sim.trace.enabled = False
+    spec = resolve_protocol("achilles")
+    config = protocol_config(spec, f, seed, counter_write_ms=0.0,
+                             batch_size=100, payload_size=64)
+    deployment = build_deployment(spec, config, LAN_PROFILE, seed,
+                                  listener=MetricsCollector(warmup_ms=0.0))
+    cluster = deployment.cluster
     victim = 2 % n if n > 2 else 0
     crash_and_reboot(cluster, victim, at_ms=150.0, downtime_ms=20.0)
-    cluster.start()
-    cluster.run(600.0)
+    deployment.run(600.0)
     cluster.assert_safety()
     node = cluster.nodes[victim]
     episode = node.recovery_episodes[-1] if node.recovery_episodes else None
@@ -252,7 +244,7 @@ def table3_overhead_profiling(
     configs = []
     for protocol in protocols:
         for f in faults:
-            duration, warmup = _window("LAN", 2 * f + 1)
+            duration, warmup = _window("LAN", protocol, f)
             configs.append(dict(
                 protocol=protocol, f=f, network="LAN",
                 batch_size=batch_size, payload_size=payload_size,

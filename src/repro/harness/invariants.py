@@ -50,13 +50,13 @@ run* rather than only at the end:
   uncommitted, or out-of-order records (the journal-off negative control
   trips exactly this).
 
-**Negative controls.**  ``expected_violations`` flips selected
+**Negative controls.**  A campaign's ``expect_violations`` flips selected
 invariants from "must hold" to "must demonstrably break": a Byzantine
 campaign against an *unprotected* baseline proves the attack is real
-only if the matching invariant trips.  :meth:`unexpected_violations`
-returns what still fails the run (everything not expected), and
-:meth:`missing_expected` the expected invariants that never tripped —
-both must be empty for a negative-control run to pass.
+only if the matching invariant trips.  The monitor itself only collects;
+:func:`repro.harness.runner.verdict` turns its violations into what
+fails the run — everything not expected, plus every expected invariant
+that never tripped.
 
 Violations are collected, never raised mid-run, so one bad event cannot
 mask later ones; :meth:`InvariantMonitor.assert_ok` raises at the end with
@@ -99,11 +99,9 @@ class InvariantMonitor:
 
     def __init__(self, inner: Any = None,
                  recovery_bound_ms: Optional[float] = None,
-                 expected_violations: tuple = (),
                  track_seal_freshness: bool = False) -> None:
         self.inner = inner
         self.recovery_bound_ms = recovery_bound_ms
-        self.expected_violations = tuple(expected_violations)
         self.track_seal_freshness = track_seal_freshness
         self.violations: list[InvariantViolation] = []
         self.cluster = None
@@ -572,21 +570,6 @@ class InvariantMonitor:
                     f"committed height stuck at {final_height} since faults "
                     f"quiesced at t={self._quiesced_at:.1f} ms",
                 )
-
-    # ------------------------------------------------------------------
-    # Negative-control mode
-    # ------------------------------------------------------------------
-    def unexpected_violations(self) -> list[InvariantViolation]:
-        """Violations that fail the run even in negative-control mode."""
-        expected = set(self.expected_violations)
-        return [v for v in self.violations if v.invariant not in expected]
-
-    def missing_expected(self) -> list[str]:
-        """Expected invariants that never tripped — a negative control
-        whose attack did not demonstrably land proves nothing."""
-        tripped = {v.invariant for v in self.violations}
-        return [name for name in self.expected_violations
-                if name not in tripped]
 
     @property
     def ok(self) -> bool:

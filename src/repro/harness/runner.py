@@ -1,4 +1,4 @@
-"""Experiment runner.
+"""Experiment runner and the one deployment assembly.
 
 :func:`run_experiment` builds a cluster for any registered protocol, runs a
 measured window on a saturated (or open-loop) workload, checks safety, and
@@ -8,23 +8,38 @@ The ``PROTOCOLS`` registry maps the names used throughout the benchmarks —
 ``achilles``, ``achilles-c``, ``damysus``, ``damysus-r``, ``oneshot``,
 ``oneshot-r``, ``flexibft``, ``braft`` — to (node class, committee shape,
 counter wiring) descriptors.  Baselines register themselves on import.
+
+Every runner — :func:`run_experiment`, the chaos, soak, power-cut and
+shard-chaos campaigns, :class:`~repro.shard.deployment.ShardedDeployment` —
+turns "protocol P at fault bound f on network N, ``-R`` counter at c ms"
+into a running cluster through the functions below
+(:func:`resolve_protocol`, :func:`resolve_network`, :func:`protocol_config`,
+:func:`build_deployment`), and turns its violations into a pass/fail list
+through :func:`verdict`.  A campaign kind adds a spec, a fault installer,
+engagement checks, digest fields and a result type; it never assembles a
+cluster of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.client.workload import OpenLoopGenerator, QueueSource, SaturatedSource
 from repro.consensus.cluster import Cluster, build_cluster
 from repro.consensus.config import ProtocolConfig
 from repro.errors import ConfigurationError
+from repro.harness.invariants import InvariantViolation
 from repro.harness.metrics import MetricsCollector
 from repro.net.faults import LinkFaultModel
-from repro.net.latency import LAN_PROFILE, WAN_PROFILE
+from repro.net.latency import LAN_PROFILE, WAN_PROFILE, LatencyProfile
 from repro.net.transport import TransportConfig
 from repro.tee.counters import ConfigurableCounter
 from repro.tee.enclave import EnclaveProfile
+
+#: Persistent-counter write latency of the paper's Fig. 3 setting: what
+#: ``run_experiment`` defaults to and what sharded ``-R`` deployments use.
+DEFAULT_COUNTER_WRITE_MS = 20.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +68,211 @@ def _ensure_registered() -> None:
     # Importing the packages runs their registration side effects.
     import repro.core.registry  # noqa: F401
     import repro.baselines  # noqa: F401
+
+
+# ----------------------------------------------------------------------
+# Deployment assembly
+# ----------------------------------------------------------------------
+def resolve_protocol(name: str) -> ProtocolSpec:
+    """The registry entry for ``name``."""
+    _ensure_registered()
+    spec = PROTOCOLS.get(name)
+    if spec is None:
+        raise ConfigurationError(
+            f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}"
+        )
+    return spec
+
+
+def resolve_network(name: str) -> LatencyProfile:
+    """The latency profile called ``name`` (``LAN`` or ``WAN``)."""
+    latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(name.upper())
+    if latency is None:
+        raise ConfigurationError(f"unknown network {name!r} (LAN or WAN)")
+    return latency
+
+
+def protocol_config(
+    spec: ProtocolSpec,
+    f: int,
+    seed: int,
+    *,
+    counter_write_ms: float,
+    snapshot_interval: Optional[int] = None,
+    snapshot_retain: int = 12,
+    snapshot_trust_sealed: bool = False,
+    **fields: Any,
+) -> ProtocolConfig:
+    """The :class:`ProtocolConfig` of one deployment of ``spec``.
+
+    Decides what the registry entry decides: committee size, whether the
+    trusted components get a persistent counter (``-R`` variants, at
+    ``counter_write_ms`` per write) and whether they run inside the
+    enclave.  ``fields`` are passed through unchanged.
+    """
+    counter_factory = None
+    if spec.uses_counter and counter_write_ms > 0:
+        counter_factory = lambda: ConfigurableCounter(counter_write_ms)  # noqa: E731
+    if snapshot_interval:
+        # The snapshot layer is a pure function of the spec: off, it adds
+        # no config field at all, so non-snapshot runs stay bit-identical
+        # to the pre-snapshot baseline.
+        fields.update(
+            snapshots=True,
+            checkpoint_interval=snapshot_interval,
+            checkpoint_retain=snapshot_retain,
+            snapshot_trust_sealed=snapshot_trust_sealed,
+        )
+    return ProtocolConfig(
+        n=spec.committee(f),
+        f=f,
+        counter_factory=counter_factory,
+        enclave=EnclaveProfile.outside_tee() if spec.outside_tee else EnclaveProfile(),
+        seed=seed,
+        **fields,
+    )
+
+
+def committed_tips(nodes: Iterable) -> list[tuple[int, str]]:
+    """(height, hash) of every replica's committed tip — the chain part of
+    every campaign result digest."""
+    return [(node.store.committed_tip.height, node.store.committed_tip.hash)
+            for node in nodes]
+
+
+@dataclass
+class Deployment:
+    """A built, instrumented single-group cluster and its traffic source."""
+
+    cluster: Cluster
+    #: The open-loop generator feeding the mempool; ``None`` when saturated.
+    generator: Any = None
+
+    def run(self, duration_ms: float) -> None:
+        """Start traffic and replicas, then advance ``duration_ms``."""
+        if self.generator is not None:
+            self.generator.start()
+        self.cluster.start()
+        self.cluster.run(duration_ms)
+
+    def audit(self, monitor) -> None:
+        """End-of-run checks: the monitor's own, then the whole-chain
+        safety comparison as belt and braces over the live monitor — a
+        divergence it missed becomes one ``agreement`` violation."""
+        monitor.finalize()
+        try:
+            self.cluster.assert_safety()
+        except AssertionError as exc:
+            monitor.violations.append(InvariantViolation(
+                "agreement", self.cluster.sim.now, None, str(exc)))
+
+    def write_trace(self, path: str, label: str) -> None:
+        """Write the run's span trace as Perfetto/Chrome JSON."""
+        from repro.obs.perfetto import write_perfetto
+
+        tracer = self.cluster.sim.obs
+        tracer.flush_open_phases(self.cluster.sim.now)
+        write_perfetto(tracer, path, label=label)
+
+
+def poisson_arrivals(rate_tps: float, payload_size: int,
+                     latency: LatencyProfile, kv_keys: int = 0) -> Callable:
+    """An ``open_loop`` for :func:`build_deployment`: Poisson arrivals at
+    ``rate_tps`` into an unbounded mempool queue, created one client hop
+    away (``kv_keys`` > 0 makes the payloads KV writes)."""
+    def open_loop(sim):
+        queue = QueueSource()
+        return queue, OpenLoopGenerator(
+            sim, queue, rate_tps=rate_tps, payload_size=payload_size,
+            client_one_way_ms=latency.one_way_ms, kv_keys=kv_keys,
+        )
+    return open_loop
+
+
+def build_deployment(
+    spec: ProtocolSpec,
+    config: ProtocolConfig,
+    latency: LatencyProfile,
+    seed: int,
+    *,
+    listener,
+    open_loop: Optional[Callable] = None,
+    poll_every_ms: Optional[float] = None,
+    trace: bool = False,
+    **cluster_kwargs: Any,
+) -> Deployment:
+    """Assemble one cluster of ``spec`` and wire its instrumentation.
+
+    The mempool is a saturated source unless ``open_loop(sim)`` is given;
+    it returns ``(queue, generator)`` and the generator is started by
+    :meth:`Deployment.run`.  With ``poll_every_ms`` the ``listener`` is an
+    :class:`~repro.harness.invariants.InvariantMonitor` and is attached
+    to the cluster, polling that often.  ``trace`` turns on
+    :mod:`repro.obs` span tracing, which never changes simulation
+    outcomes.  ``cluster_kwargs`` go to :func:`build_cluster` (adversary,
+    faults, transport, byzantine_factories).
+    """
+    generator = None
+
+    def source_factory(sim):
+        nonlocal generator
+        if open_loop is None:
+            return SaturatedSource(sim, payload_size=config.payload_size,
+                                   client_one_way_ms=latency.one_way_ms)
+        queue, generator = open_loop(sim)
+        return queue
+
+    cluster = build_cluster(
+        node_factory=spec.node_cls,
+        config=config,
+        latency=latency,
+        source_factory=source_factory,
+        listener=listener,
+        seed=seed,
+        **cluster_kwargs,
+    )
+    # Hot call sites are guarded on this flag, so a disabled recorder costs
+    # nothing; cold sites still tick their event counters.
+    cluster.sim.trace.enabled = False
+    cluster.sim.obs.enabled = trace
+    if poll_every_ms is not None:
+        listener.attach(cluster, poll_every_ms=poll_every_ms)
+    return Deployment(cluster, generator)
+
+
+def verdict(violations: list, expected: Iterable[str],
+            missing_means: str) -> list[str]:
+    """What fails the run, as strings (they feed the result digests).
+
+    With nothing ``expected``, every violation.  In negative-control mode
+    the ``expected`` invariants must trip: everything else still fails
+    the run, and so does an expected one that never tripped — a control
+    whose attack did not demonstrably land proves nothing.
+    ``missing_means`` words that line per campaign kind.
+    """
+    if not expected:
+        return [str(v) for v in violations]
+    tripped = {v.invariant for v in violations}
+    return [str(v) for v in violations if v.invariant not in expected] + [
+        f"[expected-violation-missing] negative control {name!r} "
+        f"never tripped {missing_means}"
+        for name in expected if name not in tripped
+    ]
+
+
+def spec_from_config(spec_cls: type, config: Mapping, kind: str):
+    """A campaign spec from one parallel-harness config mapping: the
+    spec's own fields, ``seed``/``extras`` ignored, anything else refused."""
+    fields = spec_cls.__dataclass_fields__
+    unknown = set(config) - set(fields) - {"seed", "extras"}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {kind} config keys: {sorted(unknown)}")
+    kwargs = {k: v for k, v in config.items() if k in fields}
+    if "expect_violations" in kwargs:
+        # Configs that went through JSON carry lists.
+        kwargs["expect_violations"] = tuple(kwargs["expect_violations"])
+    return spec_cls(**kwargs)
 
 
 @dataclass
@@ -91,7 +311,7 @@ def run_experiment(
     network: str = "LAN",
     batch_size: int = 400,
     payload_size: int = 256,
-    counter_write_ms: float = 20.0,
+    counter_write_ms: float = DEFAULT_COUNTER_WRITE_MS,
     duration_ms: float = 1500.0,
     warmup_ms: float = 300.0,
     seed: int = 1,
@@ -126,50 +346,18 @@ def run_experiment(
     Perfetto/Chrome trace JSON there.  Tracing never changes simulation
     outcomes — metrics are identical with it on or off.
     """
-    _ensure_registered()
-    spec = PROTOCOLS.get(protocol)
-    if spec is None:
-        raise ConfigurationError(
-            f"unknown protocol {protocol!r}; known: {sorted(PROTOCOLS)}"
-        )
-    latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(network.upper())
-    if latency is None:
-        raise ConfigurationError(f"unknown network {network!r} (LAN or WAN)")
-
-    n = spec.committee(f)
-    counter_factory = None
-    if spec.uses_counter and counter_write_ms > 0:
-        counter_factory = lambda: ConfigurableCounter(counter_write_ms)  # noqa: E731
-    enclave = EnclaveProfile.outside_tee() if spec.outside_tee else EnclaveProfile()
-
-    overrides = dict(config_overrides or {})
-    config = ProtocolConfig(
-        n=n,
-        f=f,
+    spec = resolve_protocol(protocol)
+    latency = resolve_network(network)
+    config = protocol_config(
+        spec, f, seed,
+        counter_write_ms=counter_write_ms,
         batch_size=batch_size,
         payload_size=payload_size,
-        counter_factory=counter_factory,
-        enclave=enclave,
-        seed=seed,
-        **overrides,
+        **(config_overrides or {}),
     )
 
     client_hop = latency.one_way_ms
     collector = MetricsCollector(warmup_ms=warmup_ms, reply_one_way_ms=client_hop)
-
-    generator_holder: list[OpenLoopGenerator] = []
-
-    def source_factory(sim):
-        if offered_load_tps is None:
-            return SaturatedSource(sim, payload_size=payload_size,
-                                   client_one_way_ms=client_hop)
-        queue = QueueSource()
-        generator = OpenLoopGenerator(
-            sim, queue, rate_tps=offered_load_tps,
-            payload_size=payload_size, client_one_way_ms=client_hop,
-        )
-        generator_holder.append(generator)
-        return queue
 
     faults = None
     if loss or dup or reorder or corrupt:
@@ -178,27 +366,19 @@ def run_experiment(
         if transport is None:
             transport = TransportConfig()
 
-    cluster = build_cluster(
-        node_factory=spec.node_cls,
-        config=config,
-        latency=latency,
-        source_factory=source_factory,
+    deployment = build_deployment(
+        spec, config, latency, seed,
         listener=collector,
-        seed=seed,
+        open_loop=None if offered_load_tps is None else poisson_arrivals(
+            offered_load_tps, payload_size, latency),
+        trace=bool(trace or trace_path),
         faults=faults,
         transport=transport,
     )
-    # Hot call sites are guarded on this flag, so a disabled recorder costs
-    # nothing; cold sites still tick their event counters.
-    cluster.sim.trace.enabled = False
-    if trace or trace_path:
-        cluster.sim.obs.enabled = True
-        if trace_max_spans is not None:
-            cluster.sim.obs.max_spans = trace_max_spans
-    for generator in generator_holder:
-        generator.start()
-    cluster.start()
-    cluster.run(duration_ms)
+    cluster = deployment.cluster
+    if trace_max_spans is not None:
+        cluster.sim.obs.max_spans = trace_max_spans
+    deployment.run(duration_ms)
     cluster.assert_safety()
 
     extras: dict = {}
@@ -220,7 +400,6 @@ def run_experiment(
                 / stats.messages_sent, 4)
     if trace or trace_path:
         from repro.obs.critical_path import critical_path_report
-        from repro.obs.perfetto import write_perfetto
 
         tracer = cluster.sim.obs
         tracer.flush_open_phases(cluster.sim.now)
@@ -232,13 +411,13 @@ def run_experiment(
         extras["trace_spans"] = tracer.total_spans
         extras["trace_digest"] = tracer.digest()
         if trace_path:
-            write_perfetto(tracer, trace_path,
-                           label=f"{protocol}/f={f}/{network.upper()}/seed={seed}")
+            deployment.write_trace(
+                trace_path, f"{protocol}/f={f}/{network.upper()}/seed={seed}")
 
     return ExperimentResult(
         protocol=protocol,
         f=f,
-        n=n,
+        n=config.n,
         network=network.upper(),
         batch_size=batch_size,
         payload_size=payload_size,
@@ -260,6 +439,16 @@ __all__ = [
     "ProtocolSpec",
     "PROTOCOLS",
     "register_protocol",
+    "DEFAULT_COUNTER_WRITE_MS",
+    "resolve_protocol",
+    "resolve_network",
+    "protocol_config",
+    "Deployment",
+    "build_deployment",
+    "poisson_arrivals",
+    "committed_tips",
+    "verdict",
+    "spec_from_config",
     "ExperimentResult",
     "run_experiment",
 ]

@@ -31,7 +31,7 @@ come out of the timeline:
 
 Both verdicts surface as :class:`~repro.harness.invariants
 .InvariantViolation` entries on the run's monitor, so the
-``expected_violations`` negative-control machinery (``--expect``) works
+``expect_violations`` negative-control machinery (``--expect``) works
 unchanged: the vulnerable-config control *must* trip
 ``degradation-cycle`` on every seed or the run fails.
 
@@ -46,12 +46,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.consensus.config import ProtocolConfig
+from repro.client.workload import DROP_OVERFLOW, QueueSource
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.faults.scenarios import LEADER, SCENARIOS, SoakPlan, build_plan
+from repro.harness.invariants import InvariantMonitor, InvariantViolation
+from repro.harness.metrics import MetricsCollector
+from repro.harness.runner import (
+    build_deployment,
+    committed_tips,
+    protocol_config,
+    resolve_network,
+    resolve_protocol,
+    spec_from_config,
+    verdict,
+)
 from repro.net.adversary import NetworkAdversary
 from repro.tee.rollback import RollbackAttacker
+from repro.workload.generators import TrafficGenerator
 from repro.workload.spec import WorkloadSpec
 
 
@@ -247,8 +259,6 @@ class HealthRecorder:
             sim.schedule_at_fast(i * self.spec.window_ms, self._snapshot, i - 1)
 
     def _totals(self) -> dict:
-        from repro.client.workload import DROP_OVERFLOW
-
         cluster = self.cluster
         view_changes = 0
         recoveries = 0
@@ -451,16 +461,8 @@ def _install_plan(spec: SoakSpec, plan: SoakPlan, cluster, monitor) -> dict:
         sim.schedule_at(event.at_ms, lambda e=event: strike(e),
                         label="soak.strike")
 
-    adversary = cluster.network.adversary
     for window in plan.partitions:
-        rest = tuple(i for i in range(n) if i not in window.group)
-
-        def cut(group=window.group, rest=rest):
-            adversary.partition(set(group), set(rest))
-
-        sim.schedule_at(window.at_ms, cut, label="soak.partition")
-        sim.schedule_at(window.until_ms, adversary.heal_partition,
-                        label="soak.heal")
+        window.schedule(sim, cluster.network.adversary, n, "soak")
 
     # Post-release liveness is on the monitor's clock from the release
     # point: the scenario's faults are all over by then.
@@ -505,49 +507,13 @@ def _check_engagement(plan: SoakPlan, spec: SoakSpec, counters: dict) -> list[st
 def run_soak(spec: SoakSpec, seed: int,
              trace_path: Optional[str] = None) -> SoakResult:
     """Run one seeded soak campaign and return its deterministic result."""
-    from repro.client.workload import DROP_OVERFLOW, QueueSource
-    from repro.consensus.cluster import build_cluster
-    from repro.faults.chaos import _protocol_spec
-    from repro.harness.invariants import InvariantMonitor, InvariantViolation
-    from repro.harness.metrics import MetricsCollector
-    from repro.net.latency import LAN_PROFILE, WAN_PROFILE
-    from repro.tee.counters import ConfigurableCounter
-    from repro.tee.enclave import EnclaveProfile
-    from repro.workload.generators import TrafficGenerator
-
-    protocol = _protocol_spec(spec.protocol)
-    n = protocol.committee(spec.f)
-    latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(spec.network.upper())
-    if latency is None:
-        raise ConfigurationError(f"unknown network {spec.network!r} (LAN or WAN)")
-
-    plan = build_plan(
-        spec.scenario,
-        n=n, f=spec.f,
-        quorum=ProtocolConfig(n=n, f=spec.f).quorum,
-        pressure_start_ms=spec.warmup_ms,
-        pressure_end_ms=spec.release_ms,
-        seed=seed,
-        has_recovery=hasattr(protocol.node_cls, "_begin_recovery"),
-        clients=spec.clients,
-        flash_multiplier=spec.flash_multiplier,
-        storm_period_ms=spec.storm_period_ms,
-        storm_downtime_ms=spec.storm_downtime_ms,
-    )
-
-    counter_factory = None
-    if protocol.uses_counter and spec.counter_write_ms > 0:
-        counter_factory = lambda: ConfigurableCounter(spec.counter_write_ms)  # noqa: E731
-    enclave = EnclaveProfile.outside_tee() if protocol.outside_tee \
-        else EnclaveProfile()
-
-    config = ProtocolConfig(
-        n=n,
-        f=spec.f,
+    protocol = resolve_protocol(spec.protocol)
+    latency = resolve_network(spec.network)
+    config = protocol_config(
+        protocol, spec.f, seed,
+        counter_write_ms=spec.counter_write_ms,
         batch_size=spec.batch_size,
         payload_size=spec.payload_size,
-        counter_factory=counter_factory,
-        enclave=enclave,
         base_timeout_ms=(spec.vulnerable_timeout_ms if spec.vulnerable
                          else spec.base_timeout_ms),
         timeout_jitter=spec.timeout_jitter,
@@ -556,7 +522,21 @@ def run_soak(spec: SoakSpec, seed: int,
                                  else spec.pacemaker_max_doublings),
         backoff_decay=(0 if spec.vulnerable else spec.backoff_decay),
         recovery_assist=(False if spec.vulnerable else spec.recovery_assist),
+    )
+    n = config.n
+
+    plan = build_plan(
+        spec.scenario,
+        n=n, f=spec.f,
+        quorum=config.quorum,
+        pressure_start_ms=spec.warmup_ms,
+        pressure_end_ms=spec.release_ms,
         seed=seed,
+        has_recovery=hasattr(protocol.node_cls, "_begin_recovery"),
+        clients=spec.clients,
+        flash_multiplier=spec.flash_multiplier,
+        storm_period_ms=spec.storm_period_ms,
+        storm_downtime_ms=spec.storm_downtime_ms,
     )
 
     workload = WorkloadSpec(
@@ -577,53 +557,32 @@ def run_soak(spec: SoakSpec, seed: int,
     collector = MetricsCollector(warmup_ms=0.0,
                                  reply_one_way_ms=latency.one_way_ms,
                                  window_ms=spec.window_ms)
-    monitor = InvariantMonitor(inner=collector,
-                               expected_violations=spec.expect_violations)
-    generator_holder: list[TrafficGenerator] = []
+    monitor = InvariantMonitor(inner=collector)
 
-    def source_factory(sim):
+    def open_loop(sim):
         queue = QueueSource(capacity=spec.mempool_capacity)
-        generator = TrafficGenerator(sim, queue, workload, rng_tag="soak")
-        generator_holder.append(generator)
-        return queue
+        return queue, TrafficGenerator(sim, queue, workload, rng_tag="soak")
 
-    cluster = build_cluster(
-        node_factory=protocol.node_cls,
-        config=config,
-        latency=latency,
-        source_factory=source_factory,
+    deployment = build_deployment(
+        protocol, config, latency, seed,
         listener=monitor,
-        seed=seed,
+        open_loop=open_loop,
+        poll_every_ms=spec.poll_every_ms,
+        trace=trace_path is not None,
         adversary=NetworkAdversary(),
     )
-    cluster.sim.trace.enabled = False
-    if trace_path is not None:
-        cluster.sim.obs.enabled = True
-    monitor.attach(cluster, poll_every_ms=spec.poll_every_ms)
-
-    generator = generator_holder[0]
+    cluster = deployment.cluster
+    generator = deployment.generator
     source = generator.source
     recorder = HealthRecorder(spec, cluster, collector, generator, source)
     recorder.install()
     install_state = _install_plan(spec, plan, cluster, monitor)
 
-    generator.start()
-    cluster.start()
-    cluster.run(spec.duration_ms)
-
-    monitor.finalize()
-    try:
-        cluster.assert_safety()
-    except AssertionError as exc:  # belt and braces over the live monitor
-        monitor.violations.append(
-            InvariantViolation("agreement", cluster.sim.now, None, str(exc)))
-
+    deployment.run(spec.duration_ms)
+    deployment.audit(monitor)
     if trace_path is not None:
-        from repro.obs.perfetto import write_perfetto
-
-        cluster.sim.obs.flush_open_phases(cluster.sim.now)
-        write_perfetto(cluster.sim.obs, trace_path,
-                       label=f"soak/{spec.scenario}/{spec.protocol}/seed={seed}")
+        deployment.write_trace(
+            trace_path, f"soak/{spec.scenario}/{spec.protocol}/seed={seed}")
 
     windows = recorder.windows
     release_index = int(spec.release_ms // spec.window_ms)
@@ -689,26 +648,17 @@ def run_soak(spec: SoakSpec, seed: int,
     }
     engagement_failures = _check_engagement(plan, spec, counters)
 
-    if spec.expect_violations:
-        violations = [str(v) for v in monitor.unexpected_violations()]
-        violations += [
-            f"[expected-violation-missing] negative control {name!r} "
-            f"never tripped — the degradation did not land"
-            for name in monitor.missing_expected()
-        ]
-    else:
-        violations = [str(v) for v in monitor.violations]
-    violations += engagement_failures
+    violations = verdict(monitor.violations, spec.expect_violations,
+                         "— the degradation did not land") + engagement_failures
 
-    tips = [(node.store.committed_tip.height, node.store.committed_tip.hash)
-            for node in cluster.nodes]
     reconverged_at_ms = (None if reconverged_index is None
                          else reconverged_index * spec.window_ms)
     cycle_text = "" if cycle is None else \
         f"t={cycle[0] * spec.window_ms:.0f}ms period={cycle[1]}"
     digest = digest_of(
         "soak-result", spec.protocol, spec.scenario, spec.f, spec.network,
-        seed, tips, violations, cluster.sim.events_processed,
+        seed, committed_tips(cluster.nodes), violations,
+        cluster.sim.events_processed,
         counters["emitted"], counters["overflow_drops"],
         -1.0 if reconverged_at_ms is None else reconverged_at_ms,
         cycle_text,
@@ -747,10 +697,6 @@ def run_soak(spec: SoakSpec, seed: int,
     )
 
 
-#: SoakSpec field names accepted by :func:`run_soak_seed` configs.
-_SPEC_FIELDS = frozenset(SoakSpec.__dataclass_fields__)
-
-
 def run_soak_seed(config: Mapping) -> SoakResult:
     """Worker entry point: one config mapping → one :class:`SoakResult`.
 
@@ -758,13 +704,8 @@ def run_soak_seed(config: Mapping) -> SoakResult:
     (module-level, picklable): ``config`` holds ``seed`` plus SoakSpec
     fields.
     """
-    kwargs = {k: v for k, v in config.items() if k in _SPEC_FIELDS}
-    unknown = set(config) - _SPEC_FIELDS - {"seed", "extras"}
-    if unknown:
-        raise ConfigurationError(f"unknown soak config keys: {sorted(unknown)}")
-    if "expect_violations" in kwargs:
-        kwargs["expect_violations"] = tuple(kwargs["expect_violations"])
-    return run_soak(SoakSpec(**kwargs), seed=int(config.get("seed", 0)))
+    return run_soak(spec_from_config(SoakSpec, config, "soak"),
+                    seed=int(config.get("seed", 0)))
 
 
 __all__ = [

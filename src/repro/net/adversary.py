@@ -48,6 +48,28 @@ class LinkRule:
         return True
 
 
+@dataclass(frozen=True)
+class PartitionWindow:
+    """Isolate ``group`` from everyone else during [at, until): the
+    scheduled form of :meth:`NetworkAdversary.partition` that campaign
+    plans carry."""
+
+    at_ms: float
+    until_ms: float
+    group: tuple[int, ...]
+
+    def schedule(self, sim, adversary: "NetworkAdversary", n: int,
+                 label: str) -> None:
+        """Cut ``group`` off from the rest of an ``n``-node committee at
+        ``at_ms`` and heal the partition at ``until_ms``."""
+        group = set(self.group)
+        rest = set(range(n)) - group
+        sim.schedule_at(self.at_ms, lambda: adversary.partition(group, rest),
+                        label=f"{label}.partition")
+        sim.schedule_at(self.until_ms, adversary.heal_partition,
+                        label=f"{label}.heal")
+
+
 @dataclass
 class NetworkAdversary:
     """Ordered rule list + partition sets + interception hook."""
@@ -125,4 +147,4 @@ class NetworkAdversary:
         return 0.0
 
 
-__all__ = ["NetworkAdversary", "LinkRule"]
+__all__ = ["NetworkAdversary", "LinkRule", "PartitionWindow"]

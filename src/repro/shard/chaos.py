@@ -22,9 +22,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from repro.client.workload import ShardedOpenLoopGenerator
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.harness.invariants import InvariantViolation
+from repro.harness.runner import committed_tips, spec_from_config, verdict
 from repro.shard.deployment import ShardedDeployment
 
 
@@ -125,8 +127,6 @@ class ShardChaosResult:
 
 def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
     """Run one seeded shard campaign and return its result."""
-    from repro.client.workload import ShardedOpenLoopGenerator
-
     victim: Optional[int] = None
     if spec.fault != "none":
         # Victim choice on its own stream: adding fault kinds later must
@@ -178,8 +178,8 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
     generator.start()
     deployment.start()
     deployment.run(spec.duration_ms)
-    deployment.finalize()
 
+    # Finalizes every per-shard monitor, then audits atomicity.
     all_violations: list[InvariantViolation] = deployment.all_violations()
     for s, cluster in enumerate(deployment.clusters):
         try:
@@ -202,25 +202,15 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
             f"[shard-engagement] the {spec.fault} of shard {victim} landed "
             f"with zero transactions in flight — not mid-2PC")
 
-    if spec.expect_violations:
-        expected = set(spec.expect_violations)
-        violations = [str(v) for v in all_violations
-                      if v.invariant not in expected]
-        tripped = {v.invariant for v in all_violations}
-        violations += [
-            f"[expected-violation-missing] negative control {name!r} never "
-            f"tripped — the scenario did not land"
-            for name in sorted(expected - tripped)
-        ]
-    else:
-        violations = [str(v) for v in all_violations]
-    violations += engagement
+    violations = verdict(all_violations, sorted(set(spec.expect_violations)),
+                         "— the scenario did not land") + engagement
 
-    tips = [(node.store.committed_tip.height, node.store.committed_tip.hash)
-            for cluster in deployment.clusters for node in cluster.nodes]
     digest = digest_of(
         "shard-chaos-result", spec.protocol, spec.shards, spec.f,
-        spec.fault, seed, tips, violations, sim.events_processed,
+        spec.fault, seed,
+        committed_tips(node for cluster in deployment.clusters
+                       for node in cluster.nodes),
+        violations, sim.events_processed,
     )
 
     summary = deployment.summary()
@@ -268,20 +258,12 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
     )
 
 
-#: ShardChaosSpec field names accepted by :func:`run_shard_chaos_seed`.
-_SPEC_FIELDS = frozenset(ShardChaosSpec.__dataclass_fields__)
-
-
 def run_shard_chaos_seed(config: Mapping) -> ShardChaosResult:
     """Worker entry point (module-level so the parallel harness pickles
     it): one config mapping → one :class:`ShardChaosResult`."""
-    kwargs = {k: v for k, v in config.items() if k in _SPEC_FIELDS}
-    unknown = set(config) - _SPEC_FIELDS - {"seed", "extras"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown shard chaos config keys: {sorted(unknown)}")
-    return run_shard_chaos(ShardChaosSpec(**kwargs),
-                           seed=int(config.get("seed", 0)))
+    return run_shard_chaos(
+        spec_from_config(ShardChaosSpec, config, "shard chaos"),
+        seed=int(config.get("seed", 0)))
 
 
 __all__ = ["ShardChaosSpec", "ShardChaosResult", "run_shard_chaos",

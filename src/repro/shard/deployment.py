@@ -21,11 +21,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.client.workload import QueueSource
 from repro.consensus.cluster import Cluster, build_cluster
-from repro.consensus.config import ProtocolConfig
-from repro.errors import ConfigurationError
 from repro.harness.invariants import InvariantMonitor, InvariantViolation
 from repro.harness.metrics import LatencyStats, MetricsCollector
+from repro.harness.runner import (
+    DEFAULT_COUNTER_WRITE_MS,
+    protocol_config,
+    resolve_network,
+    resolve_protocol,
+)
 from repro.net.adversary import NetworkAdversary
 from repro.net.network import Network
 from repro.shard.machine import ShardStateMachine
@@ -77,17 +82,18 @@ class ShardedDeployment:
         poll_every_ms: float = 25.0,
         monitor: bool = True,
     ) -> None:
-        from repro.harness.runner import PROTOCOLS, _ensure_registered
-        from repro.net.latency import LAN_PROFILE, WAN_PROFILE
-        from repro.tee.enclave import EnclaveProfile
-
-        _ensure_registered()
-        spec = PROTOCOLS.get(protocol)
-        if spec is None:
-            raise ConfigurationError(f"unknown protocol {protocol!r}")
-        latency = {"LAN": LAN_PROFILE, "WAN": WAN_PROFILE}.get(network.upper())
-        if latency is None:
-            raise ConfigurationError(f"unknown network {network!r} (LAN or WAN)")
+        spec = resolve_protocol(protocol)
+        latency = resolve_network(network)
+        # -R variants get their persistent counter here as in every other
+        # runner, at the paper's Fig. 3 write latency.
+        config = protocol_config(
+            spec, f, seed,
+            counter_write_ms=DEFAULT_COUNTER_WRITE_MS,
+            batch_size=batch_size, payload_size=payload_size,
+            base_timeout_ms=base_timeout_ms,
+            maintain_state=True,
+            state_machine_factory=lambda: ShardStateMachine(txn_ttl_blocks),
+        )
 
         self.protocol = protocol
         self.seed = seed
@@ -95,9 +101,6 @@ class ShardedDeployment:
         self.txn_ttl_blocks = txn_ttl_blocks
         self.sim = Simulator(seed=seed)
         self.shard_map = ShardMap.uniform(shards)
-        n = spec.committee(f)
-        enclave = EnclaveProfile.outside_tee() if spec.outside_tee \
-            else EnclaveProfile()
 
         self.clusters: list[Cluster] = []
         self.monitors: list[Optional[InvariantMonitor]] = []
@@ -109,16 +112,6 @@ class ShardedDeployment:
             collector = MetricsCollector(warmup_ms=warmup_ms)
             shard_monitor = InvariantMonitor(inner=collector) if monitor \
                 else None
-            config = ProtocolConfig(
-                n=n, f=f, batch_size=batch_size, payload_size=payload_size,
-                enclave=enclave, base_timeout_ms=base_timeout_ms,
-                maintain_state=True,
-                state_machine_factory=(
-                    lambda ttl=txn_ttl_blocks: ShardStateMachine(ttl)),
-                seed=seed,
-            )
-            from repro.client.workload import QueueSource
-
             cluster = build_cluster(
                 node_factory=spec.node_cls,
                 config=config,
@@ -143,7 +136,7 @@ class ShardedDeployment:
             self.sim,
             networks=[c.network for c in self.clusters],
             shard_map=self.shard_map,
-            shard_n=n,
+            shard_n=config.n,
             shard_f=f,
         )
         self.txns = TxnManager(self.sim, self.router, self.shard_map)

@@ -158,6 +158,30 @@ class TestPassivity:
                [b.random() for _ in range(8)]
 
 
+class TestRollbackPreventionWiring:
+    """A sharded ``-R`` deployment is wired by the same registry decision
+    as every other runner: its trusted components get the persistent
+    counter, and the comparison the paper makes shows up under 2PC."""
+
+    def test_r_variant_replicas_get_a_counter(self):
+        deployment = ShardedDeployment(protocol="damysus-r", shards=2)
+        assert all(node.config.counter_factory is not None
+                   for cluster in deployment.clusters
+                   for node in cluster.nodes)
+        plain = ShardedDeployment(protocol="achilles", shards=2)
+        assert plain.clusters[0].nodes[0].config.counter_factory is None
+
+    def test_r_variant_pays_the_counter_write_under_2pc(self):
+        point = dict(f=1, duration_ms=6000.0, quiesce_ms=3000.0,
+                     rate_tps=300.0, cross_fraction=0.1)
+        with_counter = run_shard_point(2, protocol="damysus-r", **point)
+        without = run_shard_point(2, protocol="damysus", **point)
+        # 20 ms counter writes on the ordering path vs none.
+        assert with_counter["e2e_latency_p50_ms"] >= 40.0
+        assert without["e2e_latency_p50_ms"] < 10.0
+        assert with_counter["txns_committed"] > 0
+
+
 class TestGeneratorEngagement:
     def test_generator_routes_by_shard_and_stops_cross(self):
         deployment = ShardedDeployment(shards=2, seed=4, batch_size=20)

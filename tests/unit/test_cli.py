@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import (_chaos_spec, _powercut_spec, _reproduce,
+                       _shard_chaos_spec, _soak_spec, build_parser, main)
 
 
 class TestParser:
@@ -49,6 +52,74 @@ class TestParser:
     def test_bad_network_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "achilles", "--network", "MOON"])
+
+
+class TestReproduceRoundTrip:
+    """The printed ``reproduce with:`` command must re-run the campaign
+    that failed, not one that silently lost a flag: parse an invocation,
+    print the reproduce line for one of its runs, parse that line back,
+    and compare the campaign spec both produce."""
+
+    @staticmethod
+    def _round_trip(command: str, **run):
+        parser = build_parser()
+        args = parser.parse_args(command.split())
+        line = _reproduce(args, SimpleNamespace(**run))
+        assert line.startswith("python -m repro ")
+        again = parser.parse_args(line.split()[3:])
+        assert again.seed == run["seed"]
+        return args, again
+
+    def test_chaos(self):
+        args, again = self._round_trip(
+            "chaos --seeds 3 --f 2 --duration 2500 --quiesce 1000 "
+            "--loss 0.05 --dup 0.02 --corrupt 0.01 --timeout-jitter 0.1 "
+            "--byz withhold-vote,garbage --byz-nodes 2 "
+            "--byz-expect agreement --snapshot-interval 5",
+            protocol="minbft", seed=2)
+        assert again.protocols == ["minbft"]
+        spec = _chaos_spec(again, "minbft")
+        assert spec == _chaos_spec(args, "minbft")
+        assert spec["timeout_jitter"] == 0.1 and spec["byz_nodes"] == 2
+        assert spec["expect_violations"] == ("agreement",)
+
+    def test_powercut(self):
+        args, again = self._round_trip(
+            "powercut --protocols achilles minbft --seeds 2 --max-cuts 2 "
+            "--duration 1200 --quiesce 500 --warmup 150 --journal-off",
+            protocol="minbft", seed=1)
+        spec = _powercut_spec(again, again.protocols[0])
+        assert spec == _powercut_spec(args, "minbft")
+        assert spec["journal_off"]
+        assert spec["expect_violations"] == ("durable-prefix",)
+
+    def test_soak_hours_keep_their_diurnal_period(self):
+        args, again = self._round_trip(
+            "soak --hours 0.5 --vulnerable --rate 3000 "
+            "--expect degradation-cycle,post-quiesce-liveness",
+            protocol="minbft", scenario="flash-crowd", seed=0)
+        assert again.scenario == ["flash-crowd"]
+        spec = _soak_spec(again, again.protocols[0], again.scenario[0])
+        assert spec == _soak_spec(args, "minbft", "flash-crowd")
+        assert spec["pressure_ms"] == 1_800_000.0
+        assert spec["diurnal_period_ms"] == 900_000.0
+
+    def test_shard_chaos(self):
+        args, again = self._round_trip(
+            "shard-chaos --seeds 1 --duration 4000 --quiesce 1200 "
+            "--downtime 800 --rate 800 --cross-fraction 0.2 "
+            "--ttl-blocks 1000 --fault partition",
+            seed=0)
+        spec = _shard_chaos_spec(again)
+        assert spec == _shard_chaos_spec(args)
+        assert (spec["quiesce_ms"], spec["downtime_ms"], spec["rate_tps"],
+                spec["cross_fraction"], spec["txn_ttl_blocks"]) == \
+               (1200.0, 800.0, 800.0, 0.2, 1000)
+
+    def test_defaults_are_left_out(self):
+        args = build_parser().parse_args(["shard-chaos", "--no-ttl"])
+        assert _reproduce(args, SimpleNamespace(seed=4)) == \
+            "python -m repro shard-chaos --seed 4 --no-ttl"
 
 
 class TestCommands:

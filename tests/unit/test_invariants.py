@@ -11,6 +11,7 @@ from repro.consensus.config import ProtocolConfig
 from repro.core.node import NodeStatus
 from repro.core.protocol import build_achilles_cluster
 from repro.harness.invariants import InvariantMonitor, InvariantViolation
+from repro.harness.runner import Deployment
 from repro.tee.counters import ConfigurableCounter
 
 from tests.conftest import fast_config
@@ -86,6 +87,37 @@ class TestAgreement:
             monitor.on_commit(node, two, now=2.0)
         assert monitor.ok
         monitor.assert_ok()
+
+
+class TestDeploymentAudit:
+    """``Deployment.audit`` is the end-of-run belt and braces every
+    campaign runner shares: the whole-chain comparison must catch a fork
+    the live monitor never saw."""
+
+    def test_forked_committed_tips_append_one_agreement_violation(self):
+        cluster, monitor = _monitored_cluster()
+        left = _block(1, GENESIS_HASH, view=1, op="left")
+        right = _block(1, GENESIS_HASH, view=1, op="right")
+        # Straight into the stores: no on_commit, so the monitor is blind.
+        for node, block in ((cluster.nodes[0], left), (cluster.nodes[1], right)):
+            node.store.add(block)
+            node.store.commit(block)
+        assert monitor.ok
+        Deployment(cluster).audit(monitor)
+        [violation] = monitor.violations
+        assert violation.invariant == "agreement"
+        assert violation.node is None
+        assert ("nodes 0 and 1 committed different blocks at height 1"
+                in violation.message)
+
+    def test_clean_cluster_appends_nothing(self):
+        cluster, monitor = _monitored_cluster()
+        block = _block(1, GENESIS_HASH, view=1)
+        for node in cluster.nodes:
+            node.store.add(block)
+            node.store.commit(block)
+        Deployment(cluster).audit(monitor)
+        assert monitor.violations == []
 
 
 class TestRecoveryLiveness:
