@@ -6,7 +6,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench perf perf-smoke scale scale-smoke chaos \
+.PHONY: test bench-quick bench perf-smoke ledger ledger-compare scale \
+	scale-smoke chaos \
 	chaos-smoke loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
 	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke ci
 
@@ -130,14 +131,21 @@ bench-quick:
 bench:
 	$(PYTHON) -m pytest -q benchmarks/ --benchmark-only
 
-perf:
-	$(PYTHON) -m pytest -q benchmarks/test_simulator_perf.py --benchmark-only
-
 # Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
+
+# The full performance ledger (all eight workloads, both passes, ~6 min),
+# and the same-seed comparison of two of them: any moved sim_* value or
+# host_mcalls count between A (parent) and B fails.
+ledger:
+	mkdir -p .bench_build
+	$(PYTHON) benchmarks/perf/run.py --out .bench_build/ledger.json
+
+ledger-compare:
+	$(PYTHON) benchmarks/perf/compare.py --exact $(A) $(B)
 
 # Full scale sweep (n = 31 / 101 / 301): regenerates
 # benchmarks/results/scale_sweep.txt.

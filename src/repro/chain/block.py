@@ -45,16 +45,15 @@ class Block:
         if self.height == 0:
             return GENESIS_HASH
         # Inlined canonical encoding of
-        # digest_of([t.key + (t.payload,) for t in self.txs]): one
-        # streamed hash, no intermediate list of tuples.  Equivalence is
-        # pinned by tests/unit/test_chain.py.
-        h = hashlib.sha256()
-        h.update(b"l%d:" % len(self.txs))
-        for t in self.txs:
-            data = t.payload.encode()
-            cid, txid = t.key
-            h.update(b"l3:i%di%ds%d:%s" % (cid, txid, len(data), data))
-        tx_digest = h.hexdigest()
+        # digest_of([t.key + (t.payload,) for t in self.txs]), built in one
+        # pass and hashed once; an empty payload costs no call at all.
+        # Equivalence is pinned by tests/property/test_batch_encoders.py.
+        txs = self.txs
+        tx_digest = hashlib.sha256(b"l%d:%s" % (len(txs), b"".join([
+            b"l3:i%di%ds%d:%s" % (t.client_id, t.tx_id,
+                                  len(d := t.payload.encode()), d)
+            if t.payload else b"l3:i%di%ds0:" % t.key
+            for t in txs]))).hexdigest()
         return digest_of(tx_digest, self.op, self.parent_hash, self.view, self.height, self.proposer)
 
     @property
@@ -65,7 +64,7 @@ class Block:
     @cached_property
     def _wire_size(self) -> int:
         header = 2 * HASH_BYTES + 8 + 8 + 4  # op + parent hash + view/height/proposer
-        return header + sum(t.wire_size() for t in self.txs)
+        return header + sum([t._wire_size for t in self.txs])
 
     def wire_size(self) -> int:
         """Serialized size: header fields + all transactions.

@@ -85,6 +85,10 @@ class KVStateMachine:
 
     def __init__(self) -> None:
         self._state: dict[str, str] = {}
+        # Canonical encoding of each ``(key, value)`` item, kept beside
+        # ``_state`` by :meth:`_put` so the root hashes this machine's own
+        # materialized state without re-encoding every key per commit.
+        self._item_bytes: dict[str, bytes] = {}
         # Rolling digest over every effect ever applied, in order — the
         # history-sensitive half of the root.
         self._history: str = digest_of("kv-history")
@@ -99,8 +103,13 @@ class KVStateMachine:
         """Digest committing to the execution history *and* the
         materialized state (cached; recomputed lazily after writes)."""
         if self._root is None:
-            self._root = compute_state_root(
-                tuple(sorted(self._state.items())), self._history, self.applied)
+            # Inlined compute_state_root over the per-key bytes; pinned
+            # equal to it by tests/property/test_batch_encoders.py.
+            enc = self._item_bytes
+            self._root = hashlib.sha256(b"s7:kv-roots64:%sl%d:%si%d" % (
+                self._history.encode(), len(enc),
+                b"".join([enc[k] for k in sorted(enc)]), self.applied,
+            )).hexdigest()
         return self._root
 
     def get(self, key: str) -> str | None:
@@ -110,16 +119,33 @@ class KVStateMachine:
     def __len__(self) -> int:
         return len(self._state)
 
+    def _put(self, key: str, value: str) -> None:
+        """Store one write and its canonical item encoding."""
+        kb = key.encode()
+        vb = value.encode()
+        self._state[key] = value
+        self._item_bytes[key] = b"l2:s%d:%ss%d:%s" % (len(kb), kb, len(vb), vb)
+
     def apply(self, tx: Transaction) -> None:
         """Apply one transaction."""
         parts = tx.payload.split(" ", 2)
-        if len(parts) == 3 and parts[0] == "SET":
-            validate_write(parts[1], parts[2])
-            self._state[parts[1]] = parts[2]
-            effect = ("SET", parts[1], parts[2])
-        else:
-            effect = ("OPAQUE", str(tx.key), tx.payload)
-        self._history = digest_of(self._history, effect)
+        is_set = len(parts) == 3 and parts[0] == "SET"
+        key, value = parts[1:] if is_set else (str(tx.key), tx.payload)
+        kb = key.encode()
+        vb = value.encode()
+        vlen = len(vb)
+        # Inlined digest_of(history, (kind, key, value)) and, for a write,
+        # inlined _put: the two encodings share their (key, value) tail.
+        # tests/property/test_batch_encoders.py pins both to digest_of.
+        pair = b"s%d:%ss%d:%s" % (len(kb), kb, vlen, vb)
+        if is_set:
+            if not key or vlen > MAX_VALUE_BYTES:
+                validate_write(key, value)
+            self._state[key] = value
+            self._item_bytes[key] = b"l2:" + pair
+        self._history = hashlib.sha256(b"s64:%sl3:%s%s" % (
+            self._history.encode(),
+            b"s3:SET" if is_set else b"s6:OPAQUE", pair)).hexdigest()
         self.applied += 1
         self._root = None
 
@@ -156,7 +182,10 @@ class KVStateMachine:
         root (:meth:`repro.chain.snapshot.Snapshot.validate`).  Returns
         the resulting state root.
         """
-        self._state = dict(items)
+        self._state = {}
+        self._item_bytes = {}
+        for key, value in items:
+            self._put(key, value)
         self._history = history
         self.applied = applied
         self.state_height = height
@@ -172,18 +201,22 @@ def execute_transactions(txs: Sequence[Transaction], parent_hash: str) -> str:
     transaction's effect, so any two honest nodes derive the same ``op``
     and a Byzantine leader cannot attach wrong results undetected.
     """
+    # Inlined canonical encoding of digest_of(root, tx.key, tx.payload) for
+    # the fixed shape (64-char hex str, (int, int), str); this loop runs
+    # once per transaction per propose/validate, so an empty payload skips
+    # its encode/len.  tests/property/test_batch_encoders.py pins
+    # equivalence with digest_of.
     root = digest_of("exec", parent_hash)
     sha = hashlib.sha256
     for tx in txs:
-        # Inlined canonical encoding of digest_of(root, tx.key, tx.payload)
-        # for the fixed shape (64-char hex str, (int, int), str); this loop
-        # runs once per transaction per propose/validate and dominated
-        # profiles.  tests/test_chain.py pins equivalence with digest_of.
-        data = tx.payload.encode()
-        cid, txid = tx.key
-        root = sha(
-            b"s64:%sl2:i%di%ds%d:%s" % (root.encode(), cid, txid, len(data), data)
-        ).hexdigest()
+        if tx.payload:
+            data = tx.payload.encode()
+            root = sha(b"s64:%sl2:i%di%ds%d:%s" % (
+                root.encode(), tx.client_id, tx.tx_id, len(data), data,
+            )).hexdigest()
+        else:
+            root = sha(b"s64:%sl2:i%di%ds0:" % (
+                root.encode(), *tx.key)).hexdigest()
     return root
 
 

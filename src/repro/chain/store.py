@@ -72,7 +72,7 @@ class BlockStore:
                 f"block at height {block.height} extends parent at height {parent.height}"
             )
         self._blocks[block.hash] = block
-        if not block.is_genesis and \
+        if block.height != 0 and \
                 (parent is None or parent.hash in self._provisional):
             # Unknown parent, or a parent whose own height is still
             # unvalidated: this block's height is derived, not anchored.
@@ -132,7 +132,7 @@ class BlockStore:
         current = self._blocks.get(block.parent_hash)
         while current is not None:
             yield current
-            if current.is_genesis:
+            if current.height == 0:
                 return
             current = self._blocks.get(current.parent_hash)
 
@@ -156,7 +156,7 @@ class BlockStore:
         walk reaches genesis or any already-committed block (after
         compaction, committed checkpoints anchor ancestry in place of
         genesis)."""
-        if block.is_genesis or block.hash in self._committed_hashes:
+        if block.height == 0 or block.hash in self._committed_hashes:
             return True
         return self.missing_ancestor_hash(block) is None
 
@@ -164,7 +164,7 @@ class BlockStore:
         """The first unknown ancestor hash (what block-sync must pull);
         ``None`` when the ancestry is anchored locally."""
         current = block
-        while not current.is_genesis:
+        while current.height != 0:
             if current.hash in self._committed_hashes:
                 return None  # anchored at the committed prefix
             parent = self._blocks.get(current.parent_hash)
@@ -253,9 +253,9 @@ class BlockStore:
         pruned = self._committed[:-retain]
         self._committed = self._committed[-retain:]
         for block in pruned:
-            if not block.is_genesis:
+            if block.height != 0:
                 self._blocks.pop(block.hash, None)
-        return len([b for b in pruned if not b.is_genesis])
+        return len([b for b in pruned if b.height != 0])
 
     def install_checkpoint(self, block: Block) -> None:
         """Adopt a certified checkpoint block as the new committed base.

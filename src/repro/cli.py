@@ -642,40 +642,6 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_profile(args: argparse.Namespace) -> int:
-    """Run a standard experiment under cProfile and print the hot spots.
-
-    The regression-hunting workflow: run this before and after a change,
-    diff the top-N cumulative functions.  The experiment itself is the
-    same closed-loop run ``repro run`` would do, so simulated metrics in
-    the summary row are directly comparable with the benchmarks.
-    """
-    import cProfile
-    import pstats
-    import time
-
-    from repro.harness.runner import run_experiment
-
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    result = run_experiment(**_experiment_config(args, args.protocol))
-    profiler.disable()
-    wall_s = time.perf_counter() - start
-
-    print(format_table(
-        _RESULT_HEADERS + ["sim events", "wall (s)", "events/s"],
-        [_result_row(result) + [result.sim_events, round(wall_s, 2),
-                                round(result.sim_events / wall_s, 1)]],
-        title=f"{args.protocol} — profiled run (cProfile overhead included)",
-    ))
-    print()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort)
-    stats.print_stats(args.top)
-    return 0
-
-
 def cmd_protocols(args: argparse.Namespace) -> int:
     """List registered protocols."""
     import repro.baselines  # noqa: F401 (registration)
@@ -959,22 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="negative control: these invariants MUST "
                                "trip; anything else failing still fails")
     p_schaos.set_defaults(func=cmd_shard_chaos, parser=p_schaos)
-
-    p_perf = sub.add_parser(
-        "perf", help="simulator performance tooling")
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-    p_prof = perf_sub.add_parser(
-        "profile", help="run one experiment under cProfile and print the "
-                        "top-N cumulative hot functions")
-    p_prof.add_argument("protocol", nargs="?", default="achilles",
-                        help="protocol name (default: achilles)")
-    _add_workload_args(p_prof)
-    p_prof.add_argument("--top", type=int, default=25,
-                        help="how many functions to print")
-    p_prof.add_argument("--sort", default="cumulative",
-                        choices=["cumulative", "tottime", "ncalls"],
-                        help="pstats sort key")
-    p_prof.set_defaults(func=cmd_perf_profile)
 
     p_ls = sub.add_parser("protocols", help="list registered protocols")
     p_ls.set_defaults(func=cmd_protocols)

@@ -6,11 +6,11 @@ into a byte string before hashing, so two structurally equal values always
 hash identically regardless of dict insertion order.
 
 The canonical encoding is *streamable*: every container prefix carries the
-element count (not the byte length), so the encoder can feed chunks
-straight into the hash object without materializing nested byte strings.
-:func:`digest_of` exploits this — it is the hottest function in the
-simulator (every signature, checker call, and block identity goes through
-it), so it avoids the recursive concatenation a naive encoder would do.
+element count (not the byte length), so the encoding of a sequence is
+the concatenation of its parts' encodings.  :func:`digest_of` exploits
+this — it is the hottest function in the simulator (every signature,
+checker call, and block identity goes through it), so it encodes flat
+parts in line and hashes the joined bytes once.
 The byte encoding itself is frozen: ``tests/unit/test_crypto.py`` pins it
 against a reference implementation, because digests feed signed statements.
 """
@@ -83,11 +83,18 @@ def sha256_hex(data: bytes) -> str:
 
 
 def digest_of(*parts: Any) -> str:
-    """SHA-256 over the canonical encoding of ``parts``."""
-    h = hashlib.sha256()
-    for part in parts:
-        _encode_into(part, h.update)
-    return h.hexdigest()
+    """SHA-256 over the canonical encoding of ``parts``.
+
+    Flat ``str``/``int`` parts — nearly every caller's shape — are encoded
+    in line into one bytes object that is hashed once; anything else goes
+    through :func:`_canonical`, whose streamable output concatenates to
+    the same bytes.
+    """
+    return hashlib.sha256(b"".join([
+        b"s%d:%s" % (len(d := p.encode()), d) if p.__class__ is str
+        else b"i%d" % p if p.__class__ is int
+        else _canonical(p)
+        for p in parts])).hexdigest()
 
 
 #: Hash of the hard-coded genesis block (paper Sec. 4.2).

@@ -246,33 +246,28 @@ class MetricsCollector:
             self.duplicate_replies += len(txs)
             return
         self._batches_replied.add(batch_key)
+        # One pass per block, no per-transaction call: pick the first
+        # replies, mark them, sample them.
         replied = self._replied
-        if now < self.warmup_ms:
+        fresh = [tx for tx in txs if tx.key not in replied]
+        marked = len(replied)
+        replied.update([tx.key for tx in fresh])
+        if len(replied) - marked != len(fresh):
+            # A key repeated inside the batch: only its first occurrence
+            # is a first reply.
+            seen: set = set()
+            fresh = [tx for tx in fresh
+                     if tx.key not in seen and not seen.add(tx.key)]
+        self.duplicate_replies += len(txs) - len(fresh)
+        if now < self.warmup_ms or not fresh:
             # Warmup replies still mark transactions as replied (the first
             # reply wins), they just don't contribute latency samples.
-            for tx in txs:
-                if tx.key in replied:
-                    self.duplicate_replies += 1
-                else:
-                    replied.add(tx.key)
             return
         arrival = now + self.reply_one_way_ms
-        samples: list[float] = []
-        record = samples.append
-        duplicates = 0
-        for tx in txs:
-            key = tx.key
-            if key not in replied:
-                replied.add(key)
-                record(arrival - tx.created_at)
-            else:
-                duplicates += 1
-        if duplicates:
-            self.duplicate_replies += duplicates
-        if samples:
-            self.e2e_latency.add_many(samples)
-            if self.e2e_windows is not None:
-                self.e2e_windows.add_many(samples, arrival)
+        samples = [arrival - tx.created_at for tx in fresh]
+        self.e2e_latency.add_many(samples)
+        if self.e2e_windows is not None:
+            self.e2e_windows.add_many(samples, arrival)
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -135,7 +135,7 @@ class NetworkAdversary:
         """
         if self.intercept is not None:
             self.intercept(src, dst, payload)
-        if self._partitioned(src, dst):
+        if self._partitions and self._partitioned(src, dst):
             self.dropped += 1
             return None
         for rule in self.rules:

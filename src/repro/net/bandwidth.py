@@ -37,10 +37,16 @@ class BandwidthModel:
         """
         if self.bytes_per_ms <= 0:
             return now
-        start = max(now, self._tx_free_at.get(node_id, 0.0))
-        finish = start + size_bytes / self.bytes_per_ms
+        # Once per message: a node's first send takes the except arm, the
+        # rest cost no call.
+        try:
+            free_at = self._tx_free_at[node_id]
+            self.bytes_sent[node_id] += size_bytes
+        except KeyError:
+            free_at = self._tx_free_at.get(node_id, 0.0)
+            self.bytes_sent[node_id] = self.bytes_sent.get(node_id, 0) + size_bytes
+        finish = (now if now > free_at else free_at) + size_bytes / self.bytes_per_ms
         self._tx_free_at[node_id] = finish
-        self.bytes_sent[node_id] = self.bytes_sent.get(node_id, 0) + size_bytes
         return finish
 
     def tx_backlog(self, node_id: int, now: float) -> float:

@@ -35,8 +35,8 @@ class LatencyProfile:
 
     def sample(self, rng: random.Random) -> float:
         """Draw one one-way delay."""
-        delay = rng.gauss(self.one_way_ms, self.jitter_ms / 2.0)
-        return max(MIN_ONE_WAY_MS, delay)
+        delay = rng.gauss(self.rtt_ms / 2.0, self.jitter_ms / 2.0)
+        return delay if delay > MIN_ONE_WAY_MS else MIN_ONE_WAY_MS
 
 
 @dataclass(frozen=True)

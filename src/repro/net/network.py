@@ -193,9 +193,11 @@ class Network:
             raise NetworkError(f"sender {src} is not attached to the network")
         envelope = Envelope.make(src=src, dst=dst, payload=payload,
                                  sent_at=self.sim.now)
-        channel = self._channels.get(src)
-        if channel is not None:
-            channel.stamp(envelope)
+        channels = self._channels  # empty without a transport
+        if channels:
+            channel = channels.get(src)
+            if channel is not None:
+                channel.stamp(envelope)
         self.transmit(envelope, cause)
 
     def broadcast(self, src: int, dsts: list[int], payload: Any) -> None:
@@ -227,8 +229,10 @@ class Network:
         kind = payload.__class__.__name__
         stats.messages_sent += 1
         stats.bytes_sent += size
-        by_kind = stats.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
+        try:
+            stats.by_kind[kind] += 1
+        except KeyError:
+            stats.by_kind[kind] = 1
         if self._seal_sends and envelope.auth is None:
             seal_envelope(envelope)
 
@@ -283,7 +287,8 @@ class Network:
             # Destination crashed/detached while the message was in flight.
             self.stats.undeliverable_dropped += 1
             return
-        channel = self._channels.get(envelope.dst)
+        channels = self._channels
+        channel = channels.get(envelope.dst) if channels else None
         if not frame_intact(envelope):
             # Detected corruption: counted, never delivered, never ACKed —
             # the sender's retransmission (if any) repairs the stream.

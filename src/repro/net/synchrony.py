@@ -32,7 +32,8 @@ class PartialSynchrony:
         """Map a nominal propagation delay to the delay actually experienced."""
         if now >= self.gst_ms:
             # Synchronous period: delivery within Δ is guaranteed.
-            return min(nominal, self.delta_ms)
+            delta = self.delta_ms
+            return delta if delta < nominal else nominal
         if self.pre_gst_delay_fn is not None:
             extra = self.pre_gst_delay_fn(src, dst, now)
         else:

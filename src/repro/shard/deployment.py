@@ -40,28 +40,24 @@ from repro.shard.txn import TxnManager
 from repro.sim.loop import Simulator
 
 
-class ShardScope:
+class ShardScope(Simulator):
     """A per-shard RNG namespace over a shared :class:`Simulator`.
 
-    Transparent proxy: every attribute read/write forwards to the real
-    simulator, except :meth:`fork_rng`, which prefixes the shard tag so
-    each shard's components get independent deterministic streams.
+    An alias, not a proxy: it shares the real simulator's ``__dict__``, so
+    every attribute read and write lands on the one clock and queue at
+    plain-attribute cost.  Only :meth:`fork_rng` differs: it prefixes the
+    shard tag so each shard's components get independent deterministic
+    streams.
     """
 
-    __slots__ = ("_sim", "_tag")
+    __slots__ = ("_tag",)
 
     def __init__(self, sim: Simulator, tag: str) -> None:
-        object.__setattr__(self, "_sim", sim)
-        object.__setattr__(self, "_tag", tag)
+        self.__dict__ = sim.__dict__
+        self._tag = tag
 
     def fork_rng(self, tag: str):
-        return self._sim.fork_rng(f"{self._tag}/{tag}")
-
-    def __getattr__(self, name):
-        return getattr(object.__getattribute__(self, "_sim"), name)
-
-    def __setattr__(self, name, value):
-        setattr(object.__getattribute__(self, "_sim"), name, value)
+        return super().fork_rng(f"{self._tag}/{tag}")
 
 
 class ShardedDeployment:

@@ -211,7 +211,7 @@ class ShardStateMachine(KVStateMachine):
             return "rejected"
         if entry.status == "prepared":
             for key, value in entry.writes:
-                self._state[key] = value
+                self._put(key, value)
             self._release(txid)
             entry.status = "committed"
         return "committed"

@@ -157,6 +157,30 @@ class TestPassivity:
         assert [a.random() for _ in range(8)] != \
                [b.random() for _ in range(8)]
 
+    def test_shard_scope_is_the_one_simulator_under_another_rng_name(self):
+        import random
+
+        from repro.shard import ShardScope
+        from repro.sim.loop import Simulator
+
+        sim = Simulator(seed=5)
+        scope = ShardScope(sim, "shard1")
+        # Stream names are pinned by the shard-chaos goldens.
+        assert scope.fork_rng("network").random() == \
+            random.Random("5/shard1/network").random()
+        assert sim.fork_rng("network").random() == \
+            random.Random("5/network").random()
+        # One clock, one queue, one event count — through either name.
+        fired = []
+        scope.schedule_at_fast(2.0, fired.append, "via scope")
+        sim.schedule_fast(1.0, fired.append, "via sim")
+        assert scope.queue is sim.queue and scope.obs is sim.obs
+        sim.run(until=5.0)
+        assert fired == ["via sim", "via scope"]
+        assert scope.now == sim.now == 5.0
+        scope.now = 7.0
+        assert sim.now == 7.0 and scope.events_processed == 2
+
 
 class TestRollbackPreventionWiring:
     """A sharded ``-R`` deployment is wired by the same registry decision

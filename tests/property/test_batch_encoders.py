@@ -1,0 +1,157 @@
+"""The per-block batch encoders equal the ``digest_of`` reference.
+
+``Block.hash``, ``execute_transactions``, the ``KVStateMachine.apply``
+history step, ``state_root`` and ``digest_of``'s flat fast path each build
+their canonical bytes in line instead of walking ``_encode_into`` per item.
+The encoding is frozen (``tests/unit/test_crypto.py`` pins its bytes), so
+every one of them is held here to the generic formulation it replaced.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from hypothesis import given, settings, strategies as st
+
+from repro.chain.block import create_leaf, genesis_block
+from repro.chain.execution import (MAX_VALUE_BYTES, KVStateMachine,
+                                   compute_state_root, execute_transactions)
+from repro.chain.transaction import Transaction
+from repro.crypto.hashing import _canonical, digest_of
+
+#: Payload shapes the encoders branch on: arbitrary unicode, empty, a
+#: plain write, embedded spaces (the value keeps them), a multi-byte value
+#: and a value at the size limit.
+payloads = st.one_of(
+    st.text(max_size=24),
+    st.just(""),
+    st.builds("SET {} {}".format,
+              st.text(min_size=1, max_size=6).filter(lambda k: " " not in k),
+              st.text(max_size=12)),
+    st.sampled_from([
+        "SET k v", "SET a b c  d ", "SET  v", "SET k ", "SETk v", "SET k",
+        "SET ключ значение ✓", "SET big " + "x" * MAX_VALUE_BYTES,
+        "SET wide " + "é" * (MAX_VALUE_BYTES // 2),
+    ]),
+)
+
+transactions = st.builds(
+    Transaction,
+    client_id=st.integers(min_value=0, max_value=2 ** 40),
+    tx_id=st.integers(min_value=0, max_value=2 ** 40),
+    payload=payloads,
+    payload_size=st.integers(min_value=0, max_value=512),
+)
+
+tx_batches = st.lists(transactions, max_size=6).map(tuple)
+
+
+def reference_effect(tx: Transaction) -> tuple:
+    """The effect ``apply`` folds into the history, as originally written."""
+    parts = tx.payload.split(" ", 2)
+    if len(parts) == 3 and parts[0] == "SET":
+        return ("SET", parts[1], parts[2])
+    return ("OPAQUE", str(tx.key), tx.payload)
+
+
+def applicable(tx: Transaction) -> bool:
+    effect = reference_effect(tx)
+    return effect[0] != "SET" or bool(effect[1])
+
+
+class TestBatchEncoders:
+    @given(tx_batches, st.integers(0, 9), st.integers(-1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_block_hash(self, txs, view, proposer):
+        block = create_leaf(txs, "op", genesis_block(), view, proposer)
+        tx_digest = digest_of([t.key + (t.payload,) for t in txs])
+        assert block.hash == digest_of(tx_digest, "op", block.parent_hash,
+                                       view, 1, proposer)
+        assert block.wire_size() == 2 * 32 + 20 + sum(
+            t.wire_size() for t in txs)
+
+    @given(tx_batches, st.text(max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_execute_transactions(self, txs, parent):
+        expected = digest_of("exec", parent)
+        for tx in txs:
+            expected = digest_of(expected, tx.key, tx.payload)
+        assert execute_transactions(txs, parent) == expected
+
+    @given(tx_batches)
+    @settings(max_examples=150, deadline=None)
+    def test_apply_history_step_and_state_root(self, txs):
+        machine = KVStateMachine()
+        state: dict = {}
+        for tx in filter(applicable, txs):
+            _, history, applied = machine.snapshot_state()
+            effect = reference_effect(tx)
+            machine.apply(tx)
+            if effect[0] == "SET":
+                state[effect[1]] = effect[2]
+            items, after, count = machine.snapshot_state()
+            assert after == digest_of(history, effect)
+            assert count == applied + 1
+            assert items == tuple(sorted(state.items()))
+            assert machine.state_root == compute_state_root(items, after, count)
+
+    @given(st.lists(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=10)
+        | st.floats(allow_nan=False) | st.binary(max_size=6)
+        | st.lists(st.integers() | st.text(max_size=4), max_size=3),
+        max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_digest_of_flat_fast_path(self, parts):
+        expected = hashlib.sha256(
+            b"".join(_canonical(p) for p in parts)).hexdigest()
+        assert digest_of(*parts) == expected
+
+
+class TestStateRootFromOwnState:
+    """The root is hashed from the per-key bytes kept beside ``_state``:
+    every way of changing the state must keep the two in step."""
+
+    @staticmethod
+    def run(*payloads: str) -> KVStateMachine:
+        machine = KVStateMachine()
+        machine.apply_batch([Transaction(1, i, p)
+                             for i, p in enumerate(payloads)])
+        return machine
+
+    @staticmethod
+    def reference_root(machine: KVStateMachine) -> str:
+        return compute_state_root(*machine.snapshot_state())
+
+    def test_overwrite_of_an_existing_key(self):
+        machine = self.run("SET a 1", "SET b 2", "SET a 3")
+        assert machine.get("a") == "3"
+        assert machine.state_root == self.reference_root(machine)
+        assert machine.state_root != self.run("SET a 1", "SET b 2").state_root
+
+    def test_install_snapshot_rebuilds_the_item_bytes(self):
+        source = self.run("SET b 2", "SET a 1", "opaque", "SET ü ✓")
+        items, history, applied = source.snapshot_state()
+        target = self.run("SET stale x", "SET a old")
+        assert target.install_snapshot(items, history, applied, 7) \
+            == source.state_root
+        assert target.get("stale") is None
+        # ... and stays in step on the writes that follow the install.
+        tx = Transaction(2, 0, "SET a 9")
+        source.apply(tx)
+        target.apply(tx)
+        assert target.state_root == source.state_root \
+            == self.reference_root(target)
+
+    def test_same_state_by_different_write_orders(self):
+        one = self.run("SET a 1", "SET b 2", "SET c 3")
+        two = self.run("SET c 3", "SET a 1", "SET b 2")
+        assert one.snapshot_state()[0] == two.snapshot_state()[0]
+        # Different histories, so different roots; each is the reference
+        # root of that machine's own (items, history, applied).
+        assert one.state_root != two.state_root
+        assert one.state_root == self.reference_root(one)
+        assert two.state_root == self.reference_root(two)
+        # With the history made equal, the items half alone decides.
+        items, history, applied = one.snapshot_state()
+        two.install_snapshot(two.snapshot_state()[0], history, applied, 3)
+        assert two.state_root == one.state_root

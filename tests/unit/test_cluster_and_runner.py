@@ -108,6 +108,36 @@ class TestBuildCluster:
         with pytest.raises(AssertionError, match="safety violation"):
             cluster.assert_safety()
 
+    def test_assert_safety_names_the_pair_past_a_compacted_chain(self):
+        # Nodes 1 and 2 diverge at height 1; node 0 has compacted above
+        # it, so its chain overlaps neither at that height.  The screen
+        # must still trip, and the error must name nodes 1 and 2.
+        from repro.chain.block import create_leaf
+        from repro.chain.store import BlockStore
+
+        cluster = achilles_cluster(f=1)
+        cluster.start()
+        cluster.run(50.0)
+        cluster.assert_safety()
+        honest = cluster.nodes[1].store.committed_chain()[1]
+        assert cluster.nodes[0].store.compact(retain=1) > 0
+        assert cluster.nodes[0].store.compaction_base.height > 1
+        cluster.assert_safety()  # compaction alone is not a divergence
+        rogue = BlockStore()
+        evil = create_leaf((), "evil", rogue.genesis, view=1, proposer=9)
+        rogue.add(evil)
+        rogue.commit(evil)
+        cluster.nodes[2].store = rogue
+        with pytest.raises(AssertionError) as raised:
+            cluster.assert_safety()
+        assert str(raised.value) == (
+            "safety violation: nodes 1 and 2 committed different blocks "
+            f"at height 1: {honest} vs {evil}")
+        # With the only overlapping witness compacted too, the chains no
+        # longer overlap anywhere they differ: same verdict as pairwise.
+        cluster.nodes[1].store.compact(retain=1)
+        cluster.assert_safety()
+
 
 class TestProtocolRegistry:
     def test_register_is_idempotent_by_name(self):

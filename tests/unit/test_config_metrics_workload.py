@@ -102,6 +102,32 @@ class TestMetricsCollector:
         assert collector.e2e_latency.count == 1
         assert collector.e2e_latency.mean == pytest.approx(5.0)
 
+    def test_batched_replies_equal_the_per_transaction_reference(self):
+        # on_replies marks and samples a block in one pass; on_reply, one
+        # transaction at a time, is its reference.  The reports cover a
+        # warm-up batch, overlap with it, a key repeated inside one batch,
+        # a re-report of a whole batch and an empty one.
+        def txs(*ids):
+            return tuple(Transaction(client_id=0, tx_id=i, created_at=i * 0.5)
+                         for i in ids)
+        reports = [(0, txs(1, 2, 3), 5.0), (1, txs(3, 4), 6.0),
+                   (0, txs(5, 6, 5, 7, 6), 20.0), (2, txs(5, 6, 5, 7, 6), 21.0),
+                   (1, txs(2, 7, 8), 30.0), (0, (), 31.0)]
+        batched = MetricsCollector(warmup_ms=10.0, window_ms=8.0)
+        single = MetricsCollector(warmup_ms=10.0, window_ms=8.0)
+        for node, batch, now in reports:
+            batched.on_replies(node, batch, now)
+            for tx in batch:
+                single.on_reply(node, tx, now)
+        assert batched.e2e_latency.samples == single.e2e_latency.samples
+        assert batched.e2e_latency.count == 4
+        assert batched.duplicate_replies == single.duplicate_replies == 10
+        assert batched._replied == single._replied
+        assert batched.e2e_windows.indices() == single.e2e_windows.indices()
+        for idx in single.e2e_windows.indices():
+            assert batched.e2e_windows.window(idx).samples == \
+                single.e2e_windows.window(idx).samples
+
     def test_throughput(self):
         collector = MetricsCollector(warmup_ms=0.0)
         for view in range(1, 11):

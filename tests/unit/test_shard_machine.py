@@ -191,6 +191,19 @@ class TestDeterminism:
         assert plain.get("a") == sharded.get("a") == "1"
         assert plain.state_root != sharded.state_root
 
+    def test_2pc_committed_writes_reach_the_state_root(self):
+        # TCMT writes through the same per-key bytes the root is hashed
+        # from: the root must equal the reference over the visible items,
+        # including a 2PC overwrite of a plainly written key.
+        from repro.chain.execution import KVStateMachine, compute_state_root
+
+        machine = ShardStateMachine()
+        _apply(machine, "SET a 0", "TPREP t1 a=1&b=2", "TCMT t1")
+        items, history, applied = KVStateMachine.snapshot_state(machine)
+        assert items == (("a", "1"), ("b", "2"))
+        assert machine.state_root == compute_state_root(
+            items, history, applied)
+
 
 class TestSnapshotsUnsupported:
     def test_snapshot_paths_raise(self):
