@@ -1,4 +1,4 @@
-"""Golden-digest pins for the event-core refactor.
+"""Golden-digest pins: two files, one run per configuration.
 
 The timer-wheel / pooled-event rewrite of :mod:`repro.sim.events` promises
 *bit-identical* runs: same committed blocks, same metrics, same simulated
@@ -16,10 +16,31 @@ assembly.  Each kind has an entry whose ``violations`` list is non-empty,
 because the violation strings — the per-kind verdict wording included —
 feed the result digest.
 
-Regenerate (only when an *intentional* behaviour change lands) with::
+Each configuration is run once and pinned in two files:
+
+* ``tests/golden/event_core_golden.json`` — the run digest, which hashes
+  the simulator's event count along with everything else.  It moves when
+  *anything* moves, including a change that only takes work out of the
+  event loop.
+* ``tests/golden/outcome_golden.json`` — a digest of
+  ``dataclasses.asdict(result)`` with every ``sim_events`` and ``digest``
+  key removed, recursively (so each power-cut ``cuts`` entry is covered).
+  It moves only when something a user of the result can see moves:
+  heights, latencies, violations, windows, counters.
+
+A change that is meant to alter how many events a run takes and nothing
+else (arrivals pulled as data, a region-parallel event core) therefore
+reads "event-core moved, outcome did not"; re-pin the first file and
+leave the second alone.  Any other combination is a behaviour change
+and needs its own explanation.
+
+Regenerate (only when an *intentional* change lands) with::
 
     PYTHONPATH=src REPRO_REGEN_GOLDEN=1 python -m pytest \
         tests/integration/test_event_core_golden.py -q
+
+which rewrites both files from the same single run per entry and
+prints, per entry, which of the two digests moved.
 """
 
 from __future__ import annotations
@@ -38,7 +59,9 @@ from repro.harness.runner import run_experiment
 from repro.harness.soak import SoakSpec, run_soak
 from repro.shard.chaos import ShardChaosSpec, run_shard_chaos
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "event_core_golden.json"
+_GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_PATH = _GOLDEN_DIR / "event_core_golden.json"
+OUTCOME_PATH = _GOLDEN_DIR / "outcome_golden.json"
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 # ----------------------------------------------------------------------
@@ -189,61 +212,100 @@ CAMPAIGNS: dict[str, tuple] = {
 }
 
 
-def _experiment_digest(config: dict) -> str:
-    result = run_experiment(**config)
-    payload = dataclasses.asdict(result)
-    # extras holds only scalars (ints/floats/strs) for every pinned config;
-    # JSON with sorted keys + repr floats is a canonical encoding of it.
-    return digest_of("event-core-golden",
-                     json.dumps(payload, sort_keys=True, default=str))
+def _canonical(tag: str, payload) -> str:
+    # Results hold only scalars, strings, lists and string-keyed dicts for
+    # every pinned config; JSON with sorted keys + repr floats is a
+    # canonical encoding of that.
+    return digest_of(tag, json.dumps(payload, sort_keys=True, default=str))
 
 
-def _campaign_digest(result):
-    """The result digest — for a power-cut exploration, followed by the
-    digest of every replayed cut, so a drift names the cut it is in."""
-    cuts = getattr(result, "cuts", None)
-    if cuts is None:
-        return result.digest
-    return [result.digest] + [cut.digest for cut in cuts]
+def _without_event_counts(value):
+    """``value`` minus every ``sim_events`` / ``digest`` key, recursively."""
+    if isinstance(value, dict):
+        return {k: _without_event_counts(v) for k, v in value.items()
+                if k not in ("sim_events", "digest")}
+    if isinstance(value, (list, tuple)):
+        return [_without_event_counts(v) for v in value]
+    return value
 
 
-def compute_goldens(names: list[str] | None = None) -> dict:
-    """Digests for every pinned run (or a named subset)."""
-    out: dict = {}
-    for name, config in EXPERIMENTS.items():
-        if names is None or name in names:
-            out[name] = _experiment_digest(config)
-    for name, (runner, spec, seed) in CAMPAIGNS.items():
-        if names is None or name in names:
-            out[name] = _campaign_digest(runner(spec, seed))
-    return out
+def compute_digests(name: str) -> tuple:
+    """``(event-core digest, outcome digest)`` of one pinned run.
+
+    The event-core digest of a power-cut exploration is the result digest
+    followed by the digest of every replayed cut, so a drift names the cut
+    it is in.
+    """
+    if name in EXPERIMENTS:
+        result = run_experiment(**EXPERIMENTS[name])
+        payload = dataclasses.asdict(result)
+        event_core = _canonical("event-core-golden", payload)
+    else:
+        runner, spec, seed = CAMPAIGNS[name]
+        result = runner(spec, seed)
+        payload = dataclasses.asdict(result)
+        event_core = result.digest
+        cuts = getattr(result, "cuts", None)
+        if cuts is not None:
+            event_core = [event_core] + [cut.digest for cut in cuts]
+    return event_core, _canonical("outcome-golden",
+                                  _without_event_counts(payload))
 
 
-def _load_goldens() -> dict:
-    if not GOLDEN_PATH.exists():
-        pytest.fail(f"golden file missing: {GOLDEN_PATH}")
-    return json.loads(GOLDEN_PATH.read_text())
+def _load(path: Path) -> dict:
+    if not path.exists():
+        pytest.fail(f"golden file missing: {path}")
+    return json.loads(path.read_text())
+
+
+#: name -> (event-core digest, outcome digest), filled while regenerating.
+_fresh: dict = {}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _regenerate(pytestconfig):
+    """Under ``REPRO_REGEN_GOLDEN=1``: after the module's runs, fold the
+    fresh digests into both files and say which moved."""
+    yield
+    if not (_REGEN and _fresh):
+        return
+    columns = ((GOLDEN_PATH, "event-core", 0), (OUTCOME_PATH, "outcome", 1))
+    pinned = {path: json.loads(path.read_text()) if path.exists() else {}
+              for path, _, _ in columns}
+    lines = [""]
+    for name in sorted(_fresh):
+        verdicts = []
+        for path, label, index in columns:
+            old, new = pinned[path].get(name), _fresh[name][index]
+            verdicts.append(f"{label} " + ("new" if old is None else
+                                           "same" if old == new else "MOVED"))
+            pinned[path][name] = new
+        lines.append(f"golden {name}: {', '.join(verdicts)}")
+    for path, _, _ in columns:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(pinned[path], indent=2, sort_keys=True)
+                        + "\n")
+    lines.append(f"wrote {len(_fresh)} entries to {GOLDEN_PATH.name} "
+                 f"and {OUTCOME_PATH.name}")
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled():
+        print("\n".join(lines))
 
 
 @pytest.mark.parametrize("name", sorted(list(EXPERIMENTS) + list(CAMPAIGNS)))
 def test_event_core_digest_matches_golden(name: str) -> None:
     if _REGEN:
-        pytest.skip("regenerating goldens via main()")
-    golden = _load_goldens()
-    assert name in golden, f"no golden recorded for {name}; regenerate"
-    actual = compute_goldens([name])[name]
-    assert actual == golden[name], (
-        f"{name}: run digest drifted from the pre-refactor golden — the "
-        f"run is no longer bit-identical for this configuration"
+        _fresh[name] = compute_digests(name)
+        return
+    golden, outcomes = _load(GOLDEN_PATH), _load(OUTCOME_PATH)
+    assert name in golden and name in outcomes, \
+        f"no golden recorded for {name}; regenerate"
+    event_core, outcome = compute_digests(name)
+    assert outcome == outcomes[name], (
+        f"{name}: the run's outcome (everything but its event count) "
+        f"drifted from the golden — a behaviour change, not an event-loop one"
     )
-
-
-def main() -> None:
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    goldens = compute_goldens()
-    GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(goldens)} goldens to {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    main()
+    assert event_core == golden[name], (
+        f"{name}: run digest drifted from the golden while the outcome did "
+        f"not — the run takes a different number of simulator events"
+    )
