@@ -63,6 +63,14 @@ DROP_DUPLICATE = "duplicate"
 DROP_OVERFLOW = "overflow"
 
 
+def caught_up(attribute: str, doc: str) -> property:
+    """A read-only view of ``attribute`` that calls ``catch_up()`` first."""
+    def read(self):
+        self.catch_up()
+        return getattr(self, attribute)
+    return property(read, doc=doc)
+
+
 class QueueSource:
     """A FIFO mempool fed by generators or simulated clients.
 
@@ -74,7 +82,9 @@ class QueueSource:
     so a client retry after the backlog drains is admitted normally.
 
     ``capacity=None`` (the default) is byte-identical to the historical
-    unbounded behavior — the golden-digest suite pins this.
+    unbounded behavior — the golden-digest suite pins this.  Every method
+    and counter first pulls what an attached :class:`ArrivalStream` has
+    delivered by now.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
@@ -83,37 +93,52 @@ class QueueSource:
         self._queue: Deque[Transaction] = deque()
         self._seen: set[tuple[int, int]] = set()
         self.capacity = capacity
-        self.submitted = 0
-        self.duplicates_dropped = 0
-        self.drops: dict[str, int] = {}
+        self._arrivals: Optional[ArrivalStream] = None
+        self._submitted = 0
+        self._drops: dict[str, int] = {}
 
-    def _drop(self, reason: str) -> None:
-        self.drops[reason] = self.drops.get(reason, 0) + 1
+    def catch_up(self) -> None:
+        """Pull in what the attached arrival stream has delivered by now."""
+        if self._arrivals is not None:
+            self._arrivals.catch_up()
+
+    def _admit(self, txs) -> int:
+        """Pass ``txs`` through the door in order; how many got in."""
+        queue, seen, drops = self._queue, self._seen, self._drops
+        capacity, admitted = self.capacity, 0
+        for tx in txs:
+            if tx.key in seen:
+                drops[DROP_DUPLICATE] = drops.get(DROP_DUPLICATE, 0) + 1
+            elif capacity is not None and len(queue) >= capacity:
+                drops[DROP_OVERFLOW] = drops.get(DROP_OVERFLOW, 0) + 1
+            else:
+                seen.add(tx.key)
+                queue.append(tx)
+                admitted += 1
+        self._submitted += admitted
+        return admitted
 
     def submit(self, tx: Transaction) -> bool:
         """Add a transaction; returns False for duplicates/overflow."""
-        if tx.key in self._seen:
-            self.duplicates_dropped += 1
-            self._drop(DROP_DUPLICATE)
-            return False
-        if self.capacity is not None and len(self._queue) >= self.capacity:
-            self._drop(DROP_OVERFLOW)
-            return False
-        self._seen.add(tx.key)
-        self._queue.append(tx)
-        self.submitted += 1
-        return True
+        self.catch_up()
+        return self._admit((tx,)) == 1
+
+    submitted = caught_up("_submitted", "Transactions admitted so far.")
+    drops = caught_up("_drops", "Refused submissions by reason (DROP_*).")
 
     def dropped(self, reason: str) -> int:
         """Drops recorded for ``reason`` (see DROP_* constants)."""
         return self.drops.get(reason, 0)
 
+    duplicates_dropped = property(lambda self: self.dropped(DROP_DUPLICATE),
+                                  doc="Submissions refused as duplicates.")
+
     def take(self, count: int, now: float) -> list[Transaction]:
         """Pop up to ``count`` transactions."""
-        txs = []
-        while self._queue and len(txs) < count:
-            txs.append(self._queue.popleft())
-        return txs
+        self.catch_up()
+        queue = self._queue
+        pop = queue.popleft
+        return [pop() for _ in range(min(count, len(queue)))]
 
     def requeue(self, txs) -> None:
         """Put transactions back at the head (a proposal failed).
@@ -123,6 +148,7 @@ class QueueSource:
         unorder work the leader pulled.  Admission control applies at
         the door only.
         """
+        self.catch_up()
         self._queue.extendleft(reversed(list(txs)))
 
     def reset(self) -> None:
@@ -133,20 +159,81 @@ class QueueSource:
         unorderable.  (Already-*committed* transactions are still safe to
         resubmit after a wipe: replicas answer those from the durable
         store without re-queueing.)"""
+        self.catch_up()
         self._queue.clear()
         self._seen.clear()
 
     def pending(self) -> int:
         """Transactions currently queued."""
+        self.catch_up()
         return len(self._queue)
 
 
-class OpenLoopGenerator:
+_NEVER = float("inf")  # `_next_at` while not emitting (idle, paused, stopped)
+
+
+class ArrivalStream:
+    """Open-loop arrivals as data: a seeded stream its mempool pulls.
+
+    Arrivals never depend on the protocol, which only *observes* the
+    mempool, so they are not simulator events.  Every read of the queue or
+    the stream calls :meth:`catch_up`: it **emits** each arrival whose
+    instant ``e <= now`` (drawing the next gap *at* ``e``, with the rate in
+    force at ``e``), then **lands** each one whose client hop is over
+    (``e + hop <= now``) through the queue's admission checks — float for
+    float the instants of one event per step.  The steps are separate so
+    that a rate change, which catches up first, cannot reach requests
+    already on the hop.  Only one arrival is ever drawn ahead.  A subclass
+    supplies ``_arm()`` (place ``_next_at`` on starting) and
+    ``_emit_through(now)`` (mint every arrival due by ``now`` into
+    ``_in_flight``, leave ``_next_at`` beyond it).
+    """
+
+    def __init__(self, sim: Simulator, source: QueueSource,
+                 client_one_way_ms: float) -> None:
+        self.sim = sim
+        self.source = source
+        self.client_one_way_ms = client_one_way_ms
+        self._in_flight: Deque[Transaction] = deque()
+        self._next_at = _NEVER
+        self._running = False
+        self._accepted = 0
+
+    def start(self) -> None:
+        """Begin generating arrivals."""
+        self.source._arrivals = self
+        self._running = True
+        self._arm()
+
+    def stop(self) -> None:
+        """Stop generating (what was emitted by now still lands)."""
+        self.catch_up()
+        self._running = False
+        self._next_at = _NEVER
+
+    def catch_up(self) -> None:
+        """Emit, then land, everything due by ``sim.now``."""
+        now = self.sim.now
+        if self._next_at <= now:
+            self._emit_through(now)
+        hop, due = self.client_one_way_ms, 0
+        for tx in self._in_flight:
+            if tx.created_at + hop > now:
+                break
+            due += 1
+        if due:
+            pop = self._in_flight.popleft
+            self._accepted += self.source._admit([pop() for _ in range(due)])
+
+
+class OpenLoopGenerator(ArrivalStream):
     """Poisson open-loop arrivals at a fixed offered load (Fig. 4).
 
     Transactions are created at the client, then arrive at the mempool one
     client→replica hop later.  ``rate_tps`` is in transactions per second;
-    simulation time is milliseconds.
+    simulation time is milliseconds.  A new ``rate_tps`` mid-run applies
+    from the next emission (the gap already drawn stands); ``<= 0`` is a
+    pause, and the next gap is drawn when the rate turns positive again.
 
     ``kv_keys > 0`` switches to KV-shaped payloads — round-robin
     ``"SET k<i> v<seq>"`` writes over that many distinct keys, so the
@@ -157,57 +244,50 @@ class OpenLoopGenerator:
     perturbs timing.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        source: QueueSource,
-        rate_tps: float,
-        payload_size: int = 256,
-        client_one_way_ms: float = 0.05,
-        client_count: int = 16,
-        kv_keys: int = 0,
-    ) -> None:
-        self.sim = sim
-        self.source = source
-        self.rate_tps = rate_tps
+    def __init__(self, sim: Simulator, source: QueueSource, rate_tps: float,
+                 payload_size: int = 256, client_one_way_ms: float = 0.05,
+                 client_count: int = 16, kv_keys: int = 0) -> None:
+        super().__init__(sim, source, client_one_way_ms)
+        self._rate_tps = rate_tps
         self.payload_size = payload_size
-        self.client_one_way_ms = client_one_way_ms
         self.client_count = client_count
         self.kv_keys = kv_keys
         self._rng = sim.fork_rng("open-loop")
         self._next_id = 0
-        self._stopped = False
 
-    def start(self) -> None:
-        """Begin generating arrivals."""
-        self._schedule_next()
+    @property
+    def rate_tps(self) -> float:
+        """The offered load in force for the next gap drawn."""
+        return self._rate_tps
 
-    def stop(self) -> None:
-        """Stop generating (in-flight arrivals still land)."""
-        self._stopped = True
+    @rate_tps.setter
+    def rate_tps(self, rate: float) -> None:
+        self.catch_up()
+        paused = self._rate_tps <= 0
+        self._rate_tps = rate
+        if rate <= 0:
+            self._next_at = _NEVER
+        elif paused and self._running:
+            self._arm()
 
-    def _schedule_next(self) -> None:
-        if self._stopped or self.rate_tps <= 0:
-            return
-        gap_ms = self._rng.expovariate(self.rate_tps / 1000.0)
-        self.sim.schedule(gap_ms, self._emit, label="open-loop")
+    def _arm(self) -> None:
+        if self._rate_tps > 0:
+            self._next_at = self.sim.now + \
+                self._rng.expovariate(self._rate_tps / 1000.0)
 
-    def _emit(self) -> None:
-        if self._stopped:
-            return
-        self._next_id += 1
-        payload = f"SET k{self._next_id % self.kv_keys} v{self._next_id}" \
-            if self.kv_keys > 0 else ""
-        tx = Transaction(
-            client_id=self._next_id % self.client_count,
-            tx_id=self._next_id,
-            payload=payload,
-            payload_size=self.payload_size,
-            created_at=self.sim.now,
-        )
-        self.sim.schedule(self.client_one_way_ms, lambda: self.source.submit(tx),
-                          label="client-submit")
-        self._schedule_next()
+    def _emit_through(self, now: float) -> None:
+        # Per arrival: one constructor, one gap draw, one append.
+        at, seq = self._next_at, self._next_id
+        clients, keys, size = self.client_count, self.kv_keys, self.payload_size
+        mean_rate = self._rate_tps / 1000.0
+        draw_gap, fly = self._rng.expovariate, self._in_flight.append
+        while at <= now:
+            seq += 1
+            fly(Transaction(seq % clients, seq,
+                            f"SET k{seq % keys} v{seq}" if keys > 0 else "",
+                            size, at))
+            at = at + draw_gap(mean_rate)
+        self._next_at, self._next_id = at, seq
 
 
 class ShardedOpenLoopGenerator:
@@ -281,7 +361,7 @@ class ShardedOpenLoopGenerator:
         if self._stopped or self.rate_tps <= 0:
             return
         gap_ms = self._rng.expovariate(self.rate_tps / 1000.0)
-        self.sim.schedule(gap_ms, self._emit, label="shard-open-loop")
+        self.sim.schedule_fast(gap_ms, self._emit)
 
     def _emit(self) -> None:
         if self._stopped:
@@ -330,6 +410,7 @@ __all__ = [
     "DROP_OVERFLOW",
     "SaturatedSource",
     "QueueSource",
+    "ArrivalStream",
     "OpenLoopGenerator",
     "ShardedOpenLoopGenerator",
     "FiniteWorkload",

@@ -12,10 +12,9 @@ saturated mempool or a flat Poisson process.  This package models
 * mass client churn (the active client population jumps at events).
 
 Clients are *arrival processes*, not objects: a population of hundreds of
-thousands of clients is an integer plus a seeded draw per arrival, so the
-generators run on the timer-wheel fast path at millions of arrivals per
-run.  Everything is a pure function of ``(spec, seed)`` — the same spec
-and seed replay byte-identical arrival, client, and key sequences.
+thousands of clients is an integer plus a seeded draw per arrival.
+Everything is a pure function of ``(spec, seed)`` — the same spec and
+seed replay byte-identical arrival, client, and key sequences.
 
 :class:`TrafficGenerator` feeds a single-cluster mempool;
 :class:`ShardTrafficGenerator` drives the sharded deployment's

@@ -1,4 +1,4 @@
-"""Deterministic open-loop arrival engines on the timer-wheel fast path.
+"""Deterministic open-loop arrival engines.
 
 :class:`ArrivalEngine` is the shared core: given a
 :class:`~repro.workload.spec.WorkloadSpec` and a forked RNG it produces
@@ -14,20 +14,16 @@ tear down or replay.  Gaps are drawn from the *instantaneous* rate — the
 standard stepwise approximation for non-homogeneous processes; at the
 millisecond gaps we run, the error at a rate step is one inter-arrival
 time.
-
-:class:`TrafficGenerator` turns the stream into mempool submissions via
-``Simulator.schedule_fast`` (no Event allocation, no cancellation
-handles) so a multi-hour soak with millions of arrivals stays cheap.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.chain.transaction import Transaction
-from repro.client.workload import QueueSource
+from repro.client.workload import ArrivalStream, QueueSource, caught_up
 from repro.sim.loop import Simulator
 from repro.workload.spec import WorkloadSpec
 
@@ -111,86 +107,55 @@ class ArrivalEngine:
         return bisect_left(self._zipf_cdf, self.rng.random())
 
 
-class TrafficGenerator:
+class TrafficGenerator(ArrivalStream):
     """Open-loop production-shaped traffic into a single-cluster mempool.
 
-    One arrival = one ``schedule_fast`` callback: draw (gap, client,
-    key), mint the transaction, hand it to ``submit`` after the client
-    one-way hop, schedule the next arrival.  ``submit`` defaults to
-    ``source.submit`` (admission control — bounded queues drop here and
-    account for it).
-
+    One arrival = one step of the pulled stream: draw (client, key), mint
+    the transaction, put it on the client hop towards ``source`` (bounded
+    queues drop at landing and account for it), draw the next gap.  Where
+    the rate is ~0 the step is an idle probe: no draw, look again later.
     ``record`` (tests only) captures ``(time_ms, client_id, key_rank)``
     triples so determinism tests can compare full sequences.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        source: QueueSource,
-        spec: WorkloadSpec,
-        rng_tag: str = "workload",
-        record: Optional[list] = None,
-        submit: Optional[Callable[[Transaction], bool]] = None,
-    ) -> None:
-        self.sim = sim
-        self.source = source
+    def __init__(self, sim: Simulator, source: QueueSource,
+                 spec: WorkloadSpec, rng_tag: str = "workload",
+                 record: Optional[list] = None) -> None:
+        super().__init__(sim, source, spec.client_one_way_ms)
         self.spec = spec
-        self.engine = ArrivalEngine(spec, sim.fork_rng(rng_tag))
-        self.record = record
-        self._submit = submit if submit is not None else source.submit
+        self._engine = ArrivalEngine(spec, sim.fork_rng(rng_tag))
+        self._record = record
         self._seq = 0
-        self._stopped = False
-        self.emitted = 0
-        self.accepted = 0
+        self._probing = False
 
-    def start(self) -> None:
-        """Begin generating arrivals."""
-        self._schedule_next()
+    engine = caught_up("_engine", "The draw engine, its counters current.")
+    record = caught_up("_record", "The (time_ms, client, rank) triples so far.")
+    emitted = caught_up("_seq", "Arrivals created so far.")
+    accepted = caught_up("_accepted", "Arrivals the mempool admitted so far.")
 
-    def stop(self) -> None:
-        """Stop generating (in-flight client hops still land)."""
-        self._stopped = True
+    def _arm(self) -> None:
+        # Like an idle probe, the start instant only draws the first gap.
+        self._next_at, self._probing = self.sim.now, True
 
-    def _schedule_next(self) -> None:
-        if self._stopped:
-            return
-        gap = self.engine.next_gap_ms(self.sim.now)
-        if gap < 0:
-            # Rate is effectively zero right now; probe again later
-            # without consuming client/key draws (keeps sequences
-            # comparable across rate schedules).
-            self.sim.schedule_fast(-gap, self._probe)
-            return
-        self.sim.schedule_fast(gap, self._emit)
-
-    def _probe(self) -> None:
-        self._schedule_next()
-
-    def _emit(self) -> None:
-        if self._stopped:
-            return
-        now = self.sim.now
-        engine = self.engine
-        client = engine.next_client(now)
-        rank = engine.next_key_rank(now)
-        self._seq += 1
-        seq = self._seq
-        payload = f"SET k{rank} v{seq}" if rank >= 0 else ""
-        tx = Transaction(client, seq, payload, self.spec.payload_size, now)
-        self.emitted += 1
-        if self.record is not None:
-            self.record.append((now, client, rank))
-        one_way = self.spec.client_one_way_ms
-        if one_way > 0:
-            self.sim.schedule_fast(one_way, self._deliver, tx)
-        else:
-            self._deliver(tx)
-        self._schedule_next()
-
-    def _deliver(self, tx: Transaction) -> None:
-        if self._submit(tx):
-            self.accepted += 1
+    def _emit_through(self, now: float) -> None:
+        engine, record, size = self._engine, self._record, self.spec.payload_size
+        fly = self._in_flight.append
+        at, probing, seq = self._next_at, self._probing, self._seq
+        while at <= now:
+            if not probing:
+                client = engine.next_client(at)
+                rank = engine.next_key_rank(at)
+                seq += 1
+                fly(Transaction(client, seq,
+                                f"SET k{rank} v{seq}" if rank >= 0 else "",
+                                size, at))
+                if record is not None:
+                    record.append((at, client, rank))
+            # Negative: the rate is ~0, probe later with no client/key draw.
+            gap = engine.next_gap_ms(at)
+            probing = gap < 0
+            at = at + (-gap if probing else gap)
+        self._next_at, self._probing, self._seq = at, probing, seq
 
 
 __all__ = ["ArrivalEngine", "TrafficGenerator"]

@@ -178,6 +178,25 @@ class TestWorkloads:
         sim.run(until=1100.0)
         assert q.submitted <= before + 1  # generation stopped
 
+    def test_open_loop_rate_zero_is_a_pause(self):
+        # 2000 tps -> 0 at 50 ms -> 2000 at 150 ms.  A rate step to zero
+        # used to end the arrival process for good, silently.
+        sim = Simulator(seed=4)
+        q = QueueSource()
+        gen = OpenLoopGenerator(sim, q, rate_tps=2000.0, payload_size=0,
+                                client_one_way_ms=0.0)
+        gen.start()
+        sim.schedule_at(50.0, lambda: setattr(gen, "rate_tps", 0.0))
+        sim.schedule_at(150.0, lambda: setattr(gen, "rate_tps", 2000.0))
+        sim.run(until=1150.0)
+        created = [tx.created_at for tx in q.take(10_000, now=sim.now)]
+        assert created == sorted(created)
+        assert not [t for t in created if 50.0 <= t < 150.0]
+        assert 60 <= sum(1 for t in created if t < 50.0) <= 140
+        resumed = [t for t in created if t >= 150.0]
+        assert 1_800 <= len(resumed) <= 2_200  # one second at 2000 tps
+        assert resumed[0] < 155.0  # the gap is drawn at the resume instant
+
     def test_finite_workload(self):
         sim = Simulator()
         w = FiniteWorkload(sim, count=7, payload_prefix="SET k")

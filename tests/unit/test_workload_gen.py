@@ -156,18 +156,19 @@ class TestTrafficGenerator:
     def _run(self, spec, seed=0, until=500.0):
         sim = Simulator(seed=seed)
         source = QueueSource()
-        record = []
-        gen = TrafficGenerator(sim, source, spec, record=record)
+        gen = TrafficGenerator(sim, source, spec, record=[])
         gen.start()
         sim.run(until=until)
-        return sim, source, gen, record
+        # Arrivals are pulled, not pushed: `record` is a caught-up read of
+        # the generator, not the bare list handed in.
+        return sim, source, gen, gen.record
 
     def test_deterministic_stream(self):
         spec = WorkloadSpec(base_rate_tps=4000.0, clients=500, key_space=32)
         _, _, gen_a, rec_a = self._run(spec, seed=42)
         _, _, gen_b, rec_b = self._run(spec, seed=42)
         assert rec_a == rec_b
-        assert gen_a.emitted == gen_b.emitted > 0
+        assert len(rec_a) == gen_a.emitted == gen_b.emitted > 0
 
     def test_submissions_reach_mempool_after_client_hop(self):
         spec = WorkloadSpec(base_rate_tps=2000.0, client_one_way_ms=5.0)
