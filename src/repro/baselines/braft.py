@@ -27,7 +27,7 @@ from typing import Optional
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.crypto.keys import KeyPair, Keyring
 from repro.net.network import Network
 from repro.sim.loop import Simulator
@@ -300,9 +300,9 @@ class BRaftNode(ReplicaBase):
         if self.last_log_index() > self.commit_index:
             return  # serial chaining: one outstanding block, as in the BFT runs
         txs = self.make_batch()
-        if not txs and not self.config.allow_empty_blocks:
+        if not txs:
             self._batch_timer.start(
-                self.config.batch_wait_ms,
+                BATCH_WAIT_MS,
                 lambda: self.run_work(self._try_append_batch),
             )
             return

@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.crypto.keys import Keyring
 from repro.crypto.signatures import Signature, SignatureList, verify
+from repro.errors import EnclaveAbort, SealingError
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 from repro.tee.rprotect import RStateMixin  # noqa: F401 (re-export)
 
@@ -87,5 +88,49 @@ class PhaseQC:
         return len(self.phase) + HASH_BYTES + 8 + SIGNATURE_BYTES * len(self.signatures)
 
 
+def schedule_sealed_restore(node, rollback_attacker, init_ms: float,
+                            restored=None) -> None:
+    """Finish a sealing protocol's reboot (Damysus, OneShot): after
+    ``init_ms`` of enclave bring-up, restore ``node.checker`` from its
+    sealed ``rstate`` and re-enter the restored view.
 
-__all__ = ["PhaseVote", "PhaseQC", "RStateMixin", "PREP", "CMT"]
+    ``rollback_attacker`` (a :class:`~repro.tee.rollback.RollbackAttacker`)
+    chooses which sealed version the checker sees; the -R variants detect
+    a stale one via the counter and refuse to rejoin — modelled as staying
+    offline until the OS produces the fresh state.  ``restored()`` runs
+    once the checker accepted the state, before the pacemaker restarts.
+    """
+    def restore() -> None:
+        try:
+            if rollback_attacker is not None:
+                sealed = rollback_attacker.unseal_for(node.checker, "rstate")
+            else:
+                sealed = node.checker.unseal_state("rstate")
+        except SealingError:
+            # The on-disk blob is torn/corrupt (e.g. a power cut mid
+            # write): no usable sealed state.
+            sealed = None
+        try:
+            node.checker.tee_restore(sealed)
+        except EnclaveAbort:
+            node.sim.trace.record(node.sim.now, "rollback_detected", node.node_id)
+            if node._obs.enabled:
+                node._obs.end_phase("recovery", node.node_id, node.sim.now,
+                                    rollback_detected=True)
+            return
+        finally:
+            node.charge_enclave(node.checker)
+        if restored is not None:
+            restored()
+        node.view = node.checker.state.vi
+        node.pacemaker.view_started(node.view)
+        if node._obs.enabled:
+            node._obs.end_phase("recovery", node.node_id, node.sim.now,
+                                view=node.view)
+
+    node.after(init_ms, lambda: node.run_work(restore),
+               label=f"{node.name}.restore")
+
+
+__all__ = ["PhaseVote", "PhaseQC", "RStateMixin", "PREP", "CMT",
+           "schedule_sealed_restore"]

@@ -17,18 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.common import CMT, PREP, PhaseQC, PhaseVote
+from repro.baselines.common import (CMT, PREP, PhaseQC, PhaseVote,
+                                    schedule_sealed_restore)
 from repro.baselines.damysus.checker import DamysusChecker
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.core.accumulator import AchillesAccumulator
 from repro.core.certificates import BlockCertificate, ViewCertificate
 from repro.crypto.keys import KeyPair, Keyring
 from repro.crypto.signatures import SignatureList
-from repro.errors import EnclaveAbort, SealingError
+from repro.errors import EnclaveAbort
 from repro.net.network import Network
 from repro.sim.loop import Simulator
 
@@ -243,9 +244,9 @@ class DamysusNode(ReplicaBase):
         if self._proposed_view >= view:
             return
         txs = self.make_batch()
-        if not txs and not self.config.allow_empty_blocks:
+        if not txs:
             self._batch_timer.start(
-                self.config.batch_wait_ms,
+                BATCH_WAIT_MS,
                 lambda: self.run_work(lambda: self._propose(parent, acc, view)),
             )
             return
@@ -457,36 +458,7 @@ class DamysusNode(ReplicaBase):
         if self._obs.enabled:
             self._obs.begin_phase("recovery", self.node_id, self.sim.now)
 
-        def restore() -> None:
-            try:
-                if rollback_attacker is not None:
-                    sealed = rollback_attacker.unseal_for(self.checker, "rstate")
-                else:
-                    sealed = self.checker.unseal_state("rstate")
-            except SealingError:
-                # The on-disk blob is torn/corrupt (e.g. a power cut mid
-                # write): no usable sealed state.
-                sealed = None
-            try:
-                self.checker.tee_restore(sealed)
-            except EnclaveAbort:
-                # Rollback detected (Damysus-R): refuse to rejoin until the
-                # OS produces the fresh state.  Modelled as staying offline.
-                self.sim.trace.record(self.sim.now, "rollback_detected", self.node_id)
-                if self._obs.enabled:
-                    self._obs.end_phase("recovery", self.node_id, self.sim.now,
-                                        rollback_detected=True)
-                return
-            finally:
-                self.charge_enclave(self.checker)
-            self.view = self.checker.state.vi
-            self.pacemaker.view_started(self.view)
-            if self._obs.enabled:
-                self._obs.end_phase("recovery", self.node_id, self.sim.now,
-                                    view=self.view)
-
-        self.after(init_ms, lambda: self.run_work(restore),
-                   label=f"{self.name}.restore")
+        schedule_sealed_restore(self, rollback_attacker, init_ms)
 
 
 __all__ = [

@@ -23,7 +23,7 @@ from repro.baselines.common import RStateMixin
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.core.certificates import BlockCertificate
 from repro.crypto.keys import KeyPair, Keyring, PrivateKey
@@ -185,9 +185,9 @@ class FlexiBFTNode(ReplicaBase):
         if not self.is_leader(self.view) or parent.height < self._proposed_height:
             return
         txs = self.make_batch()
-        if not txs and not self.config.allow_empty_blocks:
+        if not txs:
             self._batch_timer.start(
-                self.config.batch_wait_ms,
+                BATCH_WAIT_MS,
                 lambda: self.run_work(lambda: self._propose(parent)),
             )
             return

@@ -26,7 +26,7 @@ from typing import Optional
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.crypto.hashing import digest_of
 from repro.crypto.keys import KeyPair, Keyring
@@ -158,9 +158,9 @@ class MinBFTNode(ReplicaBase):
             block = pending
         else:
             txs = self.make_batch()
-            if not txs and not self.config.allow_empty_blocks:
+            if not txs:
                 self._batch_timer.start(
-                    self.config.batch_wait_ms,
+                    BATCH_WAIT_MS,
                     lambda: self.run_work(self._prepare_next),
                 )
                 return

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.common import PREP, PhaseQC, PhaseVote, RStateMixin
+from repro.baselines.common import (PREP, PhaseQC, PhaseVote, RStateMixin,
+                                    schedule_sealed_restore)
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.core.certificates import (
     AccumulatorCertificate,
     BlockCertificate,
@@ -35,7 +36,7 @@ from repro.core.certificates import (
 from repro.core.checker import AchillesChecker
 from repro.core.node import AchillesNode, Decide, NewView, NodeStatus, StoreVote
 from repro.crypto.signatures import SignatureList, sign
-from repro.errors import EnclaveAbort, SealingError
+from repro.errors import EnclaveAbort
 from repro.tee.enclave import ecall
 
 
@@ -315,9 +316,9 @@ class OneShotNode(AchillesNode):
         if self._proposed_view >= view or self.status is not NodeStatus.RUNNING:
             return
         txs = self.make_batch()
-        if not txs and not self.config.allow_empty_blocks:
+        if not txs:
             self._batch_timer.start(
-                self.config.batch_wait_ms,
+                BATCH_WAIT_MS,
                 lambda: self.run_work(lambda: self._propose(parent, justification, view)),
             )
             return
@@ -516,35 +517,11 @@ class OneShotNode(AchillesNode):
         if self._obs.enabled:
             self._obs.begin_phase("recovery", self.node_id, self.sim.now)
 
-        def restore() -> None:
-            try:
-                if rollback_attacker is not None:
-                    sealed = rollback_attacker.unseal_for(self.checker, "rstate")
-                else:
-                    sealed = self.checker.unseal_state("rstate")
-            except SealingError:
-                # The on-disk blob is torn/corrupt (e.g. a power cut mid
-                # write): no usable sealed state.
-                sealed = None
-            try:
-                self.checker.tee_restore(sealed)
-            except EnclaveAbort:
-                self.sim.trace.record(self.sim.now, "rollback_detected", self.node_id)
-                if self._obs.enabled:
-                    self._obs.end_phase("recovery", self.node_id, self.sim.now,
-                                        rollback_detected=True)
-                return
-            finally:
-                self.charge_enclave(self.checker)
+        def running() -> None:
             self.status = NodeStatus.RUNNING
-            self.view = self.checker.state.vi
-            self.pacemaker.view_started(self.view)
-            if self._obs.enabled:
-                self._obs.end_phase("recovery", self.node_id, self.sim.now,
-                                    view=self.view)
 
-        self.after(init_ms, lambda: self.run_work(restore),
-                   label=f"{self.name}.restore")
+        schedule_sealed_restore(self, rollback_attacker, init_ms,
+                                restored=running)
 
     def _prune(self, committed_view: int) -> None:
         super()._prune(committed_view)

@@ -28,9 +28,13 @@ All output is plain text (the same tables the benchmarks record).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
+import typing
 from typing import Optional, Sequence
 
+from repro.errors import ReproError
 from repro.harness.report import format_table
 
 
@@ -215,6 +219,103 @@ def _seeds(args: argparse.Namespace) -> list:
     return [args.seed] if args.seed is not None else list(range(args.seeds))
 
 
+def _add_fanout_args(parser: argparse.ArgumentParser, *, seeds: int,
+                     per: str = "", protocols: Optional[list] = None,
+                     trace_dir: bool = False) -> None:
+    """The flags every campaign command shares: what it fans out over
+    (``protocols`` names the default set; a command without one runs a
+    single protocol and words these flags tersely), the committee, and
+    where a failing seed's trace goes."""
+    fans_protocols = protocols is not None
+    if fans_protocols:
+        parser.add_argument(
+            "--protocols", nargs="+", default=None,
+            help=f"protocol names (default: {' '.join(protocols)})")
+    parser.add_argument("--seeds", type=int, default=seeds,
+                        help=f"run seeds 0..N-1{per}")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run exactly this one seed" + (
+                            " (reproduce a failure)" if fans_protocols else ""))
+    parser.add_argument("--f", type=int, default=1, dest="faults",
+                        help="fault threshold f" if fans_protocols else None)
+    parser.add_argument("--network", choices=["LAN", "WAN"], default="LAN")
+    if trace_dir:
+        parser.add_argument("--trace-dir", default="traces",
+                            help="where the first failing seed's span trace "
+                                 "is dumped (Perfetto JSON)")
+
+
+def _add_spec_args(parser: argparse.ArgumentParser, spec_type: type) -> None:
+    """One flag per entry of the campaign spec's ``CLI`` table — type,
+    default, ``store_true`` for bools, ``Optional`` and comma-separated
+    tuples read off the dataclass field, so an option is declared once,
+    on the spec.  The field → dest map stays on the parser for
+    :func:`_spec_fields`."""
+    hints = typing.get_type_hints(spec_type)
+    dests = {}
+    for field in dataclasses.fields(spec_type):
+        if field.name not in spec_type.CLI:
+            continue
+        flag, help_text, *overrides = spec_type.CLI[field.name]
+        kind = hints[field.name]
+        if typing.get_origin(kind) is typing.Union:  # Optional[kind]
+            kind = typing.get_args(kind)[0]
+        if kind is bool:
+            derived = {"action": "store_true"}
+        elif kind is tuple:  # comma-separated names, see _spec_fields
+            derived = {"default": None}
+        else:
+            derived = {"default": field.default}
+            if kind is not str:
+                derived["type"] = kind
+        dests[field.name] = parser.add_argument(
+            flag, help=help_text, **derived | dict(*overrides)).dest
+    parser.set_defaults(spec_type=spec_type, spec_dests=dests)
+
+
+def _spec_fields(args: argparse.Namespace, **narrow) -> dict:
+    """The spec fields of one campaign of a parsed invocation, ``narrow``
+    picking its point on the fan-out axes (``protocol=``, ``scenario=``)."""
+    fields = {name: getattr(args, dest)
+              for name, dest in args.spec_dests.items()}
+    fields.update({name: _csv(value) for name, value in fields.items()
+                   if isinstance(getattr(args.spec_type, name), tuple)})
+    fields.update(f=args.faults, network=args.network, **narrow)
+    args.adjust(args, fields)
+    return fields
+
+
+def _campaigns(args: argparse.Namespace, runner, result_type, **axes) -> list:
+    """Run one campaign per point of ``axes`` (fan-out field → values) ×
+    seed through the parallel harness; results in that order."""
+    from repro.harness.parallel import run_experiments
+
+    configs = [dict(_spec_fields(args, **dict(zip(axes, point))), seed=seed)
+               for point in itertools.product(*axes.values())
+               for seed in _seeds(args)]
+    return run_experiments(configs, runner=runner, result_type=result_type,
+                           unpack=False)
+
+
+def _print_results(title: str, results: list, columns: dict) -> None:
+    """One table row per campaign result.  ``columns`` maps a header to a
+    result attribute, an ``extras.`` key (0 when absent) or a function of
+    the result; every kind's table ends with its violation count and
+    digest."""
+    def cell(result, source):
+        if callable(source):
+            return source(result)
+        if source.startswith("extras."):
+            return result.extras.get(source.removeprefix("extras."), 0)
+        return getattr(result, source)
+
+    columns = columns | {"violations": lambda r: len(r.violations),
+                         "digest": lambda r: r.digest[:12]}
+    print(format_table(list(columns),
+                       [[cell(result, source) for source in columns.values()]
+                        for result in results], title=title))
+
+
 #: What a campaign command fans out over: option dest → the result
 #: attribute that narrows it to one run.
 _FANOUT = {"protocols": "protocol", "scenario": "scenario", "seed": "seed"}
@@ -241,25 +342,27 @@ def _reproduce(args: argparse.Namespace, result) -> str:
 
 
 def _report_failures(args: argparse.Namespace, results: list,
-                     detail=None, rerun=None) -> list:
+                     detail=None, run=None) -> list:
     """Print every failing campaign to stderr — a FAIL header, its
     violations, ``detail(result)`` if the kind has more to show, and the
     command that reproduces it — and return the failing results.
 
-    With ``rerun(result, trace_path)``, the first failure is re-run with
-    span tracing on and its Perfetto trace written to ``--trace-dir``:
-    determinism makes the re-run reproduce the failure exactly, so the
-    trace shows the run that violated the invariant.
+    With ``run`` (the kind's ``run_*(spec, seed, trace_path=)``), the
+    first failure is re-run with span tracing on and its Perfetto trace
+    written to ``--trace-dir``: determinism makes the re-run reproduce
+    the failure exactly, so the trace shows the run that violated the
+    invariant.
     """
     import pathlib
 
-    def names(result) -> list:
-        return [getattr(result, _FANOUT[dest])
-                for dest in ("protocols", "scenario") if hasattr(args, dest)]
+    def narrowed(result) -> dict:
+        return {attr: getattr(result, attr) for dest, attr in _FANOUT.items()
+                if attr != "seed" and hasattr(args, dest)}
 
     failures = [result for result in results if result.violations]
     for result in failures:
-        print(f"\nFAIL {' '.join(names(result) + [f'seed {result.seed}'])}: "
+        names = list(narrowed(result).values()) + [f"seed {result.seed}"]
+        print(f"\nFAIL {' '.join(names)}: "
               f"{len(result.violations)} violation(s)", file=sys.stderr)
         for violation in result.violations:
             print(f"  {violation}", file=sys.stderr)
@@ -267,14 +370,15 @@ def _report_failures(args: argparse.Namespace, results: list,
             detail(result)
         print(f"  reproduce with:\n    {_reproduce(args, result)}",
               file=sys.stderr)
-    if failures and rerun is not None:
+    if failures and run is not None:
         first = failures[0]
         trace_dir = pathlib.Path(args.trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        path = trace_dir / ("-".join([args.command] + names(first))
+        path = trace_dir / ("-".join([args.command, *narrowed(first).values()])
                             + f"-f{first.f}-seed{first.seed}.json")
         try:
-            rerun(first, str(path))
+            run(args.spec_type(**_spec_fields(args, **narrowed(first))),
+                first.seed, trace_path=str(path))
             print(f"  span trace of the failing run: {path} "
                   "(open at https://ui.perfetto.dev)", file=sys.stderr)
         except Exception as exc:  # best effort: never mask the failure
@@ -282,23 +386,10 @@ def _report_failures(args: argparse.Namespace, results: list,
     return failures
 
 
-def _chaos_spec(args: argparse.Namespace, protocol: str) -> dict:
-    """The ChaosSpec fields of one ``repro chaos`` campaign."""
-    byz = _csv(args.byz)
-    return dict(
-        protocol=protocol, f=args.faults, network=args.network,
-        duration_ms=args.duration, quiesce_ms=args.quiesce,
-        crashes=args.crashes, rollbacks=args.rollbacks,
-        partitions=args.partitions,
-        counter_write_ms=args.counter_write_ms,
-        loss=args.loss, dup=args.dup, corrupt=args.corrupt,
-        reorder=args.reorder, timeout_jitter=args.timeout_jitter,
-        byz=byz, byz_nodes=args.byz_nodes if byz else 0,
-        expect_violations=_csv(args.byz_expect),
-        snapshot_interval=args.snapshot_interval,
-        snapshot_retain=args.snapshot_retain,
-        snapshot_trust_sealed=args.snapshot_trust_sealed,
-    )
+def _chaos_adjust(args: argparse.Namespace, fields: dict) -> None:
+    """``--byz-nodes`` reads 1 by default but only counts with ``--byz``."""
+    if not fields["byz"]:
+        fields["byz_nodes"] = 0
 
 
 #: Default protocol set for ``repro chaos`` — one per trust/committee shape.
@@ -312,68 +403,48 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     failing row prints the exact command that reproduces it.  Exit status
     is 1 if any invariant was violated.
     """
-    from repro.faults.chaos import (ChaosResult, ChaosSpec, run_chaos,
-                                    run_chaos_seed)
-    from repro.harness.parallel import run_experiments
+    from repro.faults.chaos import ChaosResult, run_chaos, run_chaos_seed
 
     protocols = args.protocols or _CHAOS_PROTOCOLS
-    seeds = _seeds(args)
     lossy = bool(args.loss or args.dup or args.corrupt or args.reorder)
     byz = _csv(args.byz)
-    configs = [dict(_chaos_spec(args, protocol), seed=seed)
-               for protocol in protocols for seed in seeds]
-    results = run_experiments(configs, runner=run_chaos_seed,
-                              result_type=ChaosResult, unpack=False)
+    results = _campaigns(args, run_chaos_seed, ChaosResult,
+                         protocol=protocols)
 
-    rows = []
-    for result in results:
-        row = [
-            result.protocol, result.f, result.n, result.seed,
-            result.committed_height, result.crashes, result.recoveries,
-            result.rollbacks_mounted, result.partitions,
-        ]
-        if lossy:
-            row += [result.extras.get("fault_dropped", 0),
-                    result.extras.get("retransmissions", 0),
-                    result.extras.get("dup_suppressed", 0),
-                    result.extras.get("corrupt_rejected", 0)]
-        if byz:
-            row += [sum(result.extras.get("byz_attempts", {}).values()),
-                    sum(result.extras.get("byz_denials", {}).values())]
-        if args.snapshot_interval:
-            row += [result.extras.get("snap_sealed", 0),
-                    result.extras.get("snap_restored", 0),
-                    result.extras.get("snap_installed", 0),
-                    result.extras.get("snap_stale_runs", 0)]
-        row += [len(result.violations), result.digest[:12]]
-        rows.append(row)
-    headers = ["protocol", "f", "n", "seed", "height", "crashes", "recov",
-               "rollbk", "partit"]
+    columns = {"protocol": "protocol", "f": "f", "n": "n", "seed": "seed",
+               "height": "committed_height", "crashes": "crashes",
+               "recov": "recoveries", "rollbk": "rollbacks_mounted",
+               "partit": "partitions"}
     if lossy:
-        headers += ["lost", "retrans", "dedup", "rejected"]
+        columns |= {"lost": "extras.fault_dropped",
+                    "retrans": "extras.retransmissions",
+                    "dedup": "extras.dup_suppressed",
+                    "rejected": "extras.corrupt_rejected"}
     if byz:
-        headers += ["byz-att", "byz-den"]
+        columns |= {
+            "byz-att": lambda r: sum(r.extras.get("byz_attempts", {}).values()),
+            "byz-den": lambda r: sum(r.extras.get("byz_denials", {}).values())}
     if args.snapshot_interval:
-        headers += ["sealed", "restored", "instald", "stale"]
-    headers += ["violations", "digest"]
+        columns |= {"sealed": "extras.snap_sealed",
+                    "restored": "extras.snap_restored",
+                    "instald": "extras.snap_installed",
+                    "stale": "extras.snap_stale_runs"}
     fabric = f", loss={args.loss:g} dup={args.dup:g} " \
              f"reorder={args.reorder:g} corrupt={args.corrupt:g}" if lossy else ""
     byzdesc = f", byz={','.join(byz)}×{args.byz_nodes}" if byz else ""
     if args.snapshot_interval:
         byzdesc += f", snapshots every {args.snapshot_interval} blocks" + \
             (" (trust-sealed)" if args.snapshot_trust_sealed else "")
-    print(format_table(
-        headers, rows,
-        title=f"chaos — {len(protocols)} protocol(s) × {len(seeds)} seed(s), "
-              f"{args.network}, f={args.faults}{fabric}{byzdesc}",
-    ))
+    _print_results(
+        f"chaos — {len(protocols)} protocol(s) × {len(_seeds(args))} "
+        f"seed(s), {args.network}, f={args.faults}{fabric}{byzdesc}",
+        results, columns)
     if byz:
         from repro.harness.report import format_byz_breakdown
 
         print()
         print(format_byz_breakdown(results))
-    failures = _report_failures(args, results, rerun=lambda r, path: run_chaos(
-        ChaosSpec(**_chaos_spec(args, r.protocol)), r.seed, trace_path=path))
+    failures = _report_failures(args, results, run=run_chaos)
     # A lossy run that never retransmitted means the reliable transport
     # was not engaged — the campaign proved nothing.
     disengaged = [r for r in results if not r.violations and args.loss > 0
@@ -388,21 +459,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _powercut_spec(args: argparse.Namespace, protocol: str) -> dict:
-    """The PowercutSpec fields of one ``repro powercut`` exploration."""
-    expect = _csv(args.expect)
-    if args.journal_off and "durable-prefix" not in expect:
-        expect += ("durable-prefix",)
-    return dict(
-        protocol=protocol, f=args.faults, network=args.network,
-        duration_ms=args.duration, quiesce_ms=args.quiesce,
-        warmup_ms=args.warmup, downtime_ms=args.downtime,
-        max_cuts=args.max_cuts, reorder_cuts=args.reorder_cuts,
-        counter_write_ms=args.counter_write_ms,
-        journal_off=args.journal_off, expect_violations=expect,
-        snapshot_interval=args.snapshot_interval,
-        snapshot_retain=args.snapshot_retain,
-    )
+def _powercut_adjust(args: argparse.Namespace, fields: dict) -> None:
+    """``--journal-off`` is a negative control: it implies the
+    ``durable-prefix`` expectation it exists to trip."""
+    if args.journal_off and "durable-prefix" not in fields["expect_violations"]:
+        fields["expect_violations"] += ("durable-prefix",)
 
 
 #: Default protocol set for ``repro powercut`` — distinct durable-state
@@ -424,34 +485,24 @@ def cmd_powercut(args: argparse.Namespace) -> int:
     to appear).
     """
     from repro.faults.powercut import PowercutResult, run_powercut_seed
-    from repro.harness.parallel import run_experiments
 
     protocols = args.protocols or _POWERCUT_PROTOCOLS
-    seeds = _seeds(args)
-    configs = [dict(_powercut_spec(args, protocol), seed=seed)
-               for protocol in protocols for seed in seeds]
-    results = run_experiments(configs, runner=run_powercut_seed,
-                              result_type=PowercutResult, unpack=False)
+    results = _campaigns(args, run_powercut_seed, PowercutResult,
+                         protocol=protocols)
 
-    rows = []
-    for result in results:
-        kinds = result.extras.get("point_kinds", {})
-        rows.append([
-            result.protocol, result.f, result.n, result.seed, result.victim,
-            result.points_total, result.points_eligible,
-            "+".join(f"{k}:{v}" for k, v in kinds.items()) or "-",
-            len(result.cuts),
-            sum(c.dropped_records for c in result.cuts),
-            len(result.violations), result.digest[:12],
-        ])
     mode = "journal-OFF negative control" if args.journal_off else "journaled"
-    print(format_table(
-        ["protocol", "f", "n", "seed", "victim", "points", "eligible",
-         "kinds", "cuts", "dropped", "violations", "digest"],
-        rows,
-        title=f"powercut — {len(protocols)} protocol(s) × {len(seeds)} "
-              f"seed(s), {args.network}, f={args.faults}, {mode}",
-    ))
+    _print_results(
+        f"powercut — {len(protocols)} protocol(s) × {len(_seeds(args))} "
+        f"seed(s), {args.network}, f={args.faults}, {mode}",
+        results,
+        {"protocol": "protocol", "f": "f", "n": "n", "seed": "seed",
+         "victim": "victim", "points": "points_total",
+         "eligible": "points_eligible",
+         "kinds": lambda r: "+".join(
+             f"{k}:{v}" for k, v in r.extras.get("point_kinds", {}).items())
+             or "-",
+         "cuts": lambda r: len(r.cuts),
+         "dropped": lambda r: sum(c.dropped_records for c in r.cuts)})
     if _report_failures(args, results):
         return 1
     cuts = sum(len(r.cuts) for r in results)
@@ -468,24 +519,14 @@ def cmd_powercut(args: argparse.Namespace) -> int:
 _SOAK_PROTOCOLS = ["achilles", "damysus", "minbft"]
 
 
-def _soak_spec(args: argparse.Namespace, protocol: str, scenario: str) -> dict:
-    """The SoakSpec fields of one ``repro soak`` campaign."""
-    pressure_ms = args.hours * 3_600_000.0 if args.hours else args.pressure
-    spec = dict(
-        protocol=protocol, scenario=scenario,
-        f=args.faults, network=args.network,
-        warmup_ms=args.warmup, pressure_ms=pressure_ms,
-        reconverge_budget_ms=args.budget, settle_ms=args.settle,
-        base_rate_tps=args.rate, clients=args.clients,
-        mempool_capacity=args.mempool,
-        vulnerable=args.vulnerable,
-        expect_violations=_csv(args.expect),
-    )
+def _soak_adjust(args: argparse.Namespace, fields: dict) -> None:
+    """``--hours`` overrides ``--pressure`` and stretches the diurnal
+    curve so hour-scale load breathes across the run instead of
+    flickering."""
     if args.hours:
-        # Hour-scale pressure: stretch the diurnal curve so the load
-        # actually breathes across the run instead of flickering.
-        spec["diurnal_period_ms"] = min(3_600_000.0, pressure_ms / 2.0)
-    return spec
+        fields["pressure_ms"] = args.hours * 3_600_000.0
+        fields["diurnal_period_ms"] = min(3_600_000.0,
+                                          fields["pressure_ms"] / 2.0)
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
@@ -497,44 +538,27 @@ def cmd_soak(args: argparse.Namespace) -> int:
     Exit status is 1 if any campaign failed a gate.
     """
     from repro.faults.scenarios import SCENARIOS
-    from repro.harness.parallel import run_experiments
     from repro.harness.report import format_phase_breakdown, format_slo_timeline
-    from repro.harness.soak import (SoakResult, SoakSpec, run_soak,
-                                    run_soak_seed)
+    from repro.harness.soak import SoakResult, run_soak, run_soak_seed
 
     protocols = args.protocols or _SOAK_PROTOCOLS
     scenarios = list(SCENARIOS) if "all" in args.scenario else args.scenario
-    seeds = _seeds(args)
-    configs = [
-        dict(_soak_spec(args, protocol, scenario), seed=seed)
-        for protocol in protocols
-        for scenario in scenarios
-        for seed in seeds
-    ]
-    results = run_experiments(configs, runner=run_soak_seed,
-                              result_type=SoakResult, unpack=False)
+    results = _campaigns(args, run_soak_seed, SoakResult,
+                         protocol=protocols, scenario=scenarios)
 
-    rows = []
-    for result in results:
-        reconv = ("-" if result.reconverged_at_ms is None
-                  else f"{result.reconverged_at_ms / 1000.0:.2f}")
-        rows.append([
-            result.protocol, result.scenario, result.f, result.n,
-            result.seed, result.committed_height, result.recoveries,
-            result.extras.get("overflow_drops", 0),
-            result.extras.get("backoff_nudges", 0), reconv,
-            result.cycle or "-", len(result.violations), result.digest[:12],
-        ])
     mode = " [VULNERABLE CONTROL]" if args.vulnerable else ""
-    print(format_table(
-        ["protocol", "scenario", "f", "n", "seed", "height", "recov",
-         "drops", "nudges", "reconv (s)", "cycle", "violations", "digest"],
-        rows,
-        title=f"soak — {len(protocols)} protocol(s) × {len(scenarios)} "
-              f"scenario(s) × {len(seeds)} seed(s), {args.network}, "
-              f"f={args.faults}, "
-              f"pressure {configs[0]['pressure_ms'] / 1000.0:g} s{mode}",
-    ))
+    _print_results(
+        f"soak — {len(protocols)} protocol(s) × {len(scenarios)} "
+        f"scenario(s) × {len(_seeds(args))} seed(s), {args.network}, "
+        f"f={args.faults}, "
+        f"pressure {_spec_fields(args)['pressure_ms'] / 1000.0:g} s{mode}",
+        results,
+        {"protocol": "protocol", "scenario": "scenario", "f": "f", "n": "n",
+         "seed": "seed", "height": "committed_height", "recov": "recoveries",
+         "drops": "extras.overflow_drops", "nudges": "extras.backoff_nudges",
+         "reconv (s)": lambda r: ("-" if r.reconverged_at_ms is None
+                                  else f"{r.reconverged_at_ms / 1000.0:.2f}"),
+         "cycle": lambda r: r.cycle or "-"})
     def timeline(result) -> None:
         tail = [w for w in result.windows
                 if w.phase in ("reconverge", "settle")]
@@ -543,10 +567,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                                   every=every), file=sys.stderr)
         print(format_phase_breakdown(result.windows), file=sys.stderr)
 
-    if _report_failures(args, results, detail=timeline,
-                        rerun=lambda r, path: run_soak(
-                            SoakSpec(**_soak_spec(args, r.protocol, r.scenario)),
-                            r.seed, trace_path=path)):
+    if _report_failures(args, results, detail=timeline, run=run_soak):
         return 1
     if args.vulnerable:
         print(f"\nall {len(results)} negative controls tripped the "
@@ -590,17 +611,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_chaos_spec(args: argparse.Namespace) -> dict:
-    """The ShardChaosSpec fields of one ``repro shard-chaos`` campaign."""
-    return dict(
-        protocol=args.protocol, f=args.faults, shards=args.shards,
-        network=args.network, duration_ms=args.duration,
-        quiesce_ms=args.quiesce, rate_tps=args.rate,
-        cross_fraction=args.cross_fraction, fault=args.fault,
-        downtime_ms=args.downtime,
-        txn_ttl_blocks=None if args.no_ttl else args.ttl_blocks,
-        expect_violations=_csv(args.expect),
-    )
+def _shard_chaos_adjust(args: argparse.Namespace, fields: dict) -> None:
+    """``--no-ttl`` turns the participant lock TTL off altogether."""
+    if args.no_ttl:
+        fields["txn_ttl_blocks"] = None
 
 
 def cmd_shard_chaos(args: argparse.Namespace) -> int:
@@ -611,31 +625,19 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
     with ``--expect cross-shard-atomicity`` for the canonical negative
     control (wedged locks MUST trip the audit).
     """
-    from repro.harness.parallel import run_experiments
     from repro.shard.chaos import ShardChaosResult, run_shard_chaos_seed
 
-    seeds = _seeds(args)
-    configs = [dict(_shard_chaos_spec(args), seed=seed) for seed in seeds]
-    results = run_experiments(configs, runner=run_shard_chaos_seed,
-                              result_type=ShardChaosResult, unpack=False)
+    results = _campaigns(args, run_shard_chaos_seed, ShardChaosResult)
 
-    rows = []
-    for result in results:
-        rows.append([
-            result.protocol, result.shards, result.f, result.seed,
-            result.fault, result.victim, result.in_flight_at_fault,
-            result.committed_txns, result.aborted_txns, result.commit_rejects,
-            result.extras.get("expired_prepares", 0),
-            len(result.violations), result.digest[:12],
-        ])
     mode = " [negative control]" if args.expect else ""
-    print(format_table(
-        ["protocol", "shards", "f", "seed", "fault", "victim", "mid-2pc",
-         "commit", "abort", "rejects", "expired", "violations", "digest"],
-        rows,
-        title=f"shard chaos — {args.shards} shards × {len(seeds)} seed(s), "
-              f"{args.network}, f={args.faults}, fault={args.fault}{mode}",
-    ))
+    _print_results(
+        f"shard chaos — {args.shards} shards × {len(_seeds(args))} seed(s), "
+        f"{args.network}, f={args.faults}, fault={args.fault}{mode}",
+        results,
+        {"protocol": "protocol", "shards": "shards", "f": "f", "seed": "seed",
+         "fault": "fault", "victim": "victim", "mid-2pc": "in_flight_at_fault",
+         "commit": "committed_txns", "abort": "aborted_txns",
+         "rejects": "commit_rejects", "expired": "extras.expired_prepares"})
     if _report_failures(args, results):
         return 1
     print(f"\nall {len(results)} shard campaigns passed every invariant")
@@ -660,12 +662,27 @@ def cmd_protocols(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from repro.faults.chaos import ChaosSpec
+    from repro.faults.powercut import PowercutSpec
+    from repro.harness.soak import SoakSpec
+    from repro.shard.chaos import ShardChaosSpec
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Achilles (EuroSys '25) reproduction — simulated "
                     "TEE-assisted BFT consensus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def campaign(name: str, func, adjust, spec_type: type, help: str,
+                 **fanout) -> argparse.ArgumentParser:
+        """A campaign sub-command: the shared fan-out flags, then one
+        flag per entry of the spec's ``CLI`` table."""
+        p = sub.add_parser(name, help=help)
+        _add_fanout_args(p, **fanout)
+        _add_spec_args(p, spec_type)
+        p.set_defaults(func=func, adjust=adjust, parser=p)
+        return p
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("protocol", help="protocol name (see `protocols`)")
@@ -707,171 +724,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnt.add_argument("--samples", type=int, default=200)
     p_cnt.set_defaults(func=cmd_counters)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="seeded chaos campaigns under invariant monitors")
-    p_chaos.add_argument("--protocols", nargs="+", default=None,
-                         help=f"protocol names (default: {' '.join(_CHAOS_PROTOCOLS)})")
-    p_chaos.add_argument("--seeds", type=int, default=20,
-                         help="run seeds 0..N-1 per protocol")
-    p_chaos.add_argument("--seed", type=int, default=None,
-                         help="run exactly this one seed (reproduce a failure)")
-    p_chaos.add_argument("--f", type=int, default=1, dest="faults",
-                         help="fault threshold f")
-    p_chaos.add_argument("--network", choices=["LAN", "WAN"], default="LAN")
-    p_chaos.add_argument("--duration", type=float, default=4000.0,
-                         help="campaign length (simulated ms)")
-    p_chaos.add_argument("--quiesce", type=float, default=1500.0,
-                         help="fault-free tail checked for liveness (ms)")
-    p_chaos.add_argument("--crashes", type=int, default=3,
-                         help="crash/reboot events per campaign")
-    p_chaos.add_argument("--rollbacks", type=int, default=1,
-                         help="rollback attacks per campaign")
-    p_chaos.add_argument("--partitions", type=int, default=1,
-                         help="partition windows per campaign")
-    p_chaos.add_argument("--loss", type=float, default=0.0,
-                         help="per-message drop probability (installs the "
-                              "reliable transport when nonzero)")
-    p_chaos.add_argument("--dup", type=float, default=0.0,
-                         help="per-message duplication probability")
-    p_chaos.add_argument("--reorder", type=float, default=0.0,
-                         help="per-message reorder (extra jittered delay) "
-                              "probability")
-    p_chaos.add_argument("--corrupt", type=float, default=0.0,
-                         help="per-message corruption probability (detected "
-                              "and rejected at the receiver, then repaired "
-                              "by retransmission)")
-    p_chaos.add_argument("--byz", default=None, metavar="STRAT[,STRAT]",
-                         help="comma-separated Byzantine strategies to stack "
-                              "onto --byz-nodes replicas (see "
-                              "repro.faults.byz.STRATEGIES; composes with "
-                              "every other fault layer under one seed)")
-    p_chaos.add_argument("--byz-nodes", type=int, default=1,
-                         help="Byzantine replica count (≤ f; they occupy "
-                              "fault-budget slots)")
-    p_chaos.add_argument("--byz-expect", default=None, metavar="INV[,INV]",
-                         help="negative control: these invariants MUST trip "
-                              "(attacking an unprotected baseline); any "
-                              "other violation still fails the run")
-    p_chaos.add_argument("--snapshot-interval", type=int, default=None,
-                         metavar="BLOCKS",
-                         help="execute committed blocks on a replicated KV "
-                              "store and seal a certified snapshot every N "
-                              "blocks (enables log compaction + state "
-                              "transfer; off by default)")
-    p_chaos.add_argument("--snapshot-retain", type=int, default=12,
-                         metavar="BLOCKS",
-                         help="committed blocks kept below a checkpoint "
-                              "after compaction (default 12)")
-    p_chaos.add_argument("--snapshot-trust-sealed", action="store_true",
-                         help="baseline mode: trust locally unsealed "
-                              "snapshots without replaying the committed "
-                              "tail (vulnerable to rollback; pair with "
-                              "--byz stale-snapshot as a negative control)")
-    p_chaos.add_argument("--timeout-jitter", type=float, default=0.0,
-                         help="pacemaker timeout jitter fraction "
-                              "(de-synchronizes view-change storms)")
-    p_chaos.add_argument("--counter-write-ms", type=float, default=5.0,
-                         help="persistent-counter write latency for -R variants")
-    p_chaos.add_argument("--trace-dir", default="traces",
-                         help="where the first failing seed's span trace "
-                              "is dumped (Perfetto JSON)")
-    p_chaos.set_defaults(func=cmd_chaos, parser=p_chaos)
-
-    p_pcut = sub.add_parser(
-        "powercut", help="exhaustive power-cut exploration: cut mid-write "
-                         "at every enumerated persistence point, recover, "
-                         "audit the durable prefix")
-    p_pcut.add_argument("--protocols", nargs="+", default=None,
-                        help=f"protocol names (default: "
-                             f"{' '.join(_POWERCUT_PROTOCOLS)})")
-    p_pcut.add_argument("--seeds", type=int, default=3,
-                        help="run seeds 0..N-1 per protocol")
-    p_pcut.add_argument("--seed", type=int, default=None,
-                        help="run exactly this one seed (reproduce a failure)")
-    p_pcut.add_argument("--f", type=int, default=1, dest="faults",
-                        help="fault threshold f")
-    p_pcut.add_argument("--network", choices=["LAN", "WAN"], default="LAN")
-    p_pcut.add_argument("--duration", type=float, default=2500.0,
-                        help="oracle/replay length (simulated ms)")
-    p_pcut.add_argument("--quiesce", type=float, default=1000.0,
-                        help="fault-free tail: recovery and liveness must "
-                             "complete inside it (ms)")
-    p_pcut.add_argument("--warmup", type=float, default=200.0,
-                        help="cuts land only after this (ms)")
-    p_pcut.add_argument("--downtime", type=float, default=120.0,
-                        help="victim dark time after the cut (ms)")
-    p_pcut.add_argument("--max-cuts", type=int, default=6,
-                        help="replays per seed (stratified sample of the "
-                             "enumerated points)")
-    p_pcut.add_argument("--reorder-cuts", type=int, default=1,
-                        help="sampled commit/atomic points replayed as "
-                             "barrier-ignoring reorder cuts")
-    p_pcut.add_argument("--counter-write-ms", type=float, default=5.0,
-                        help="persistent-counter write latency for -R variants")
-    p_pcut.add_argument("--journal-off", action="store_true",
-                        help="negative control: victim journals become "
-                             "write-back caches without barriers; every cut "
-                             "MUST trip durable-prefix")
-    p_pcut.add_argument("--expect", default=None, metavar="INV[,INV]",
-                        help="negative control: these invariants MUST trip "
-                             "on every cut; any other violation still fails")
-    p_pcut.add_argument("--snapshot-interval", type=int, default=None,
-                        metavar="BLOCKS",
-                        help="enable certified KV snapshots every N blocks "
-                             "(routes cuts through the snapshot vault too)")
-    p_pcut.add_argument("--snapshot-retain", type=int, default=12,
-                        metavar="BLOCKS")
-    p_pcut.set_defaults(func=cmd_powercut, parser=p_pcut)
-
-    p_soak = sub.add_parser(
-        "soak", help="long-horizon soak campaigns: production-shaped "
-                     "traffic, degradation-cycle detection, SLO-gated "
-                     "reconvergence")
-    p_soak.add_argument("--protocols", nargs="+", default=None,
-                        help=f"protocol names (default: {' '.join(_SOAK_PROTOCOLS)})")
+    campaign("chaos", cmd_chaos, _chaos_adjust, ChaosSpec,
+             "seeded chaos campaigns under invariant monitors",
+             protocols=_CHAOS_PROTOCOLS, seeds=20, per=" per protocol",
+             trace_dir=True)
+    campaign("powercut", cmd_powercut, _powercut_adjust, PowercutSpec,
+             "exhaustive power-cut exploration: cut mid-write at every "
+             "enumerated persistence point, recover, audit the durable "
+             "prefix",
+             protocols=_POWERCUT_PROTOCOLS, seeds=3, per=" per protocol")
+    p_soak = campaign(
+        "soak", cmd_soak, _soak_adjust, SoakSpec,
+        "long-horizon soak campaigns: production-shaped traffic, "
+        "degradation-cycle detection, SLO-gated reconvergence",
+        protocols=_SOAK_PROTOCOLS, seeds=3, per=" per (protocol, scenario)",
+        trace_dir=True)
     p_soak.add_argument("--scenario", nargs="+", default=["all"],
                         help="soak scenarios, or 'all' (see "
                              "repro.faults.scenarios.SCENARIOS)")
-    p_soak.add_argument("--seeds", type=int, default=3,
-                        help="run seeds 0..N-1 per (protocol, scenario)")
-    p_soak.add_argument("--seed", type=int, default=None,
-                        help="run exactly this one seed (reproduce a failure)")
-    p_soak.add_argument("--f", type=int, default=1, dest="faults",
-                        help="fault threshold f")
-    p_soak.add_argument("--network", choices=["LAN", "WAN"], default="LAN")
-    p_soak.add_argument("--pressure", type=float, default=4000.0,
-                        help="fault-pressure phase length (simulated ms)")
     p_soak.add_argument("--hours", type=float, default=None,
                         help="pressure length in simulated HOURS "
                              "(overrides --pressure; stretches the diurnal "
                              "period to match)")
-    p_soak.add_argument("--warmup", type=float, default=1200.0,
-                        help="warmup phase length (ms)")
-    p_soak.add_argument("--budget", type=float, default=4000.0,
-                        help="reconvergence budget after release (ms)")
-    p_soak.add_argument("--settle", type=float, default=1800.0,
-                        help="settle tail past the budget (ms)")
-    p_soak.add_argument("--rate", type=float, default=2500.0,
-                        help="base offered load (TPS)")
-    p_soak.add_argument("--clients", type=int, default=50_000,
-                        help="client population (seeded arrival process)")
-    p_soak.add_argument("--mempool", type=int, default=4000,
-                        help="bounded mempool capacity (overflow drops are "
-                             "typed and counted)")
-    p_soak.add_argument("--vulnerable", action="store_true",
-                        help="negative control: disable backoff and arm a "
-                             "base timeout below commit latency — the "
-                             "degradation-cycle detector MUST trip (pair "
-                             "with --expect)")
-    p_soak.add_argument("--expect", default=None, metavar="INV[,INV]",
-                        help="negative control: these invariants MUST trip "
-                             "on every seed; any other violation still "
-                             "fails the run")
-    p_soak.add_argument("--trace-dir", default="traces",
-                        help="where the first failing seed's span trace "
-                             "is dumped (Perfetto JSON)")
-    p_soak.set_defaults(func=cmd_soak, parser=p_soak)
-
     p_shard = sub.add_parser(
         "shard", help="throughput-vs-shard-count sweep (sharded deployment)")
     p_shard.add_argument("--protocol", default="achilles")
@@ -896,35 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the sweep table to this file")
     p_shard.set_defaults(func=cmd_shard)
 
-    p_schaos = sub.add_parser(
-        "shard-chaos", help="crash/partition a whole shard mid-2PC and "
-                            "audit cross-shard atomicity")
-    p_schaos.add_argument("--protocol", default="achilles")
-    p_schaos.add_argument("--shards", type=int, default=2)
-    p_schaos.add_argument("--seeds", type=int, default=5,
-                          help="run seeds 0..N-1")
-    p_schaos.add_argument("--seed", type=int, default=None,
-                          help="run exactly this one seed")
-    p_schaos.add_argument("--f", type=int, default=1, dest="faults")
-    p_schaos.add_argument("--network", choices=["LAN", "WAN"], default="LAN")
-    p_schaos.add_argument("--fault", choices=["crash", "partition", "none"],
-                          default="crash")
-    p_schaos.add_argument("--duration", type=float, default=12000.0)
-    p_schaos.add_argument("--quiesce", type=float, default=2500.0)
-    p_schaos.add_argument("--downtime", type=float, default=3800.0,
-                          help="how long the victim shard stays down (ms)")
-    p_schaos.add_argument("--rate", type=float, default=1500.0,
-                          help="offered load per shard (TPS)")
-    p_schaos.add_argument("--cross-fraction", type=float, default=0.25)
-    p_schaos.add_argument("--ttl-blocks", type=int, default=1500,
-                          help="participant lock TTL in committed blocks")
+    p_schaos = campaign(
+        "shard-chaos", cmd_shard_chaos, _shard_chaos_adjust, ShardChaosSpec,
+        "crash/partition a whole shard mid-2PC and audit cross-shard "
+        "atomicity", seeds=5)
     p_schaos.add_argument("--no-ttl", action="store_true",
                           help="disable the timeout→abort defense "
                                "(negative controls)")
-    p_schaos.add_argument("--expect", default=None, metavar="INV[,INV]",
-                          help="negative control: these invariants MUST "
-                               "trip; anything else failing still fails")
-    p_schaos.set_defaults(func=cmd_shard_chaos, parser=p_schaos)
 
     p_ls = sub.add_parser("protocols", help="list registered protocols")
     p_ls.set_defaults(func=cmd_protocols)
@@ -938,9 +790,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # surfaced as a clean CLI error
+    except ReproError as exc:  # unknown protocol, bad spec: a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ from repro.tee.counters import NullCounter, PersistentCounter
 from repro.tee.enclave import EnclaveProfile
 
 
+#: How long a leader with an empty mempool waits before re-checking.
+BATCH_WAIT_MS = 2.0
+
+
 @dataclass(frozen=True)
 class NodeCosts:
     """Non-crypto CPU costs, in milliseconds."""
@@ -98,10 +102,6 @@ class ProtocolConfig:
     recovery_assist: bool = False
     #: Retry period for the recovery protocol (ms).
     recovery_retry_ms: float = 50.0
-    #: How long a leader with an empty mempool waits before re-checking.
-    batch_wait_ms: float = 2.0
-    #: Propose empty blocks instead of waiting for transactions.
-    allow_empty_blocks: bool = False
     #: Maintain a live key-value state machine on every replica (enables
     #: the consensus-free read path of paper Sec. 6.1); off by default to
     #: keep large benchmark runs lean.
@@ -184,4 +184,4 @@ class ProtocolConfig:
         return cls(n=3 * f + 1, f=f, **kwargs)
 
 
-__all__ = ["NodeCosts", "ProtocolConfig"]
+__all__ = ["BATCH_WAIT_MS", "NodeCosts", "ProtocolConfig"]

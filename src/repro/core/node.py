@@ -30,7 +30,7 @@ from typing import Optional
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.core.accumulator import AchillesAccumulator
 from repro.core.certificates import (
@@ -349,10 +349,10 @@ class AchillesNode(ReplicaBase):
         if self._proposed_view >= view or self.status is not NodeStatus.RUNNING:
             return
         txs = self.make_batch()
-        if not txs and not self.config.allow_empty_blocks:
+        if not txs:
             # Wait briefly for transactions, then retry the same proposal.
             self._batch_timer.start(
-                self.config.batch_wait_ms,
+                BATCH_WAIT_MS,
                 lambda: self.run_work(lambda: self._propose(parent, justification, view)),
             )
             return

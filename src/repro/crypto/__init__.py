@@ -15,7 +15,6 @@ The protocols in this library need three things from cryptography:
 from repro.crypto.hashing import sha256_hex, digest_of, GENESIS_HASH
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, Keyring, generate_keypairs
 from repro.crypto.signatures import Signature, SignatureList, CryptoProfile, sign, verify
-from repro.crypto.quorum import QuorumCertificate, combine_signatures, distinct_signers
 
 __all__ = [
     "sha256_hex",
@@ -31,7 +30,4 @@ __all__ = [
     "CryptoProfile",
     "sign",
     "verify",
-    "QuorumCertificate",
-    "combine_signatures",
-    "distinct_signers",
 ]

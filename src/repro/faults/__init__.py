@@ -8,8 +8,6 @@
   garbage injection, silence) woven into *any* protocol's node class by
   ``make_byzantine(node_cls, strategies)`` — always through the
   untrusted-code surface, never the enclave.
-* :mod:`repro.faults.byzantine` — the historical Achilles-specific names,
-  now thin aliases over the engine.
 * :mod:`repro.faults.chaos` — seeded chaos campaigns composing crashes,
   rollback attacks, partitions, delays, client churn, lossy fabrics, and
   Byzantine replicas, run under the always-on invariant monitors.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
@@ -57,6 +57,25 @@ from repro.tee.rollback import RollbackAttacker
 # ----------------------------------------------------------------------
 # Campaign description
 # ----------------------------------------------------------------------
+#: How long a crashed replica stays down (uniform draw, ms).
+MIN_DOWNTIME_MS = 20.0
+MAX_DOWNTIME_MS = 250.0
+#: Longest partition window (ms).
+MAX_PARTITION_MS = 400.0
+#: Largest targeted extra delay on a link (ms).
+MAX_EXTRA_DELAY_MS = 25.0
+#: Client churn: offered-load changes at random times, each to a rate
+#: drawn from this range (the plan then restores the base rate so the
+#: liveness check has traffic).
+CHURN_EVENTS = 2
+MIN_RATE_TPS = 500.0
+MAX_RATE_TPS = 8000.0
+#: Budget added to each crash window when checking the f-bound: a
+#: rebooted node is still effectively faulty while it runs recovery,
+#: and two concurrent recoveries can deadlock an f=1 committee.
+RECOVERY_GRACE_MS = 500.0
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """Knobs for one chaos campaign (everything but the seed)."""
@@ -74,23 +93,14 @@ class ChaosSpec:
     #: Crash/reboot events to attempt (events that would exceed the
     #: f-bound are dropped deterministically).
     crashes: int = 3
-    min_downtime_ms: float = 20.0
-    max_downtime_ms: float = 250.0
     #: Rollback attacks to mount on rebooting nodes (only on protocols
     #: that defend: Achilles-style recovery or -R counters).
     rollbacks: int = 1
     #: Partition windows (a minority group is isolated, then healed).
     partitions: int = 1
-    max_partition_ms: float = 400.0
     #: Targeted extra-delay rules on random links.
     delays: int = 2
-    max_extra_delay_ms: float = 25.0
-    #: Client churn: offered-load changes at random times (the final churn
-    #: event restores the base rate so the liveness check has traffic).
-    churn_events: int = 2
     base_rate_tps: float = 4000.0
-    min_rate_tps: float = 500.0
-    max_rate_tps: float = 8000.0
     #: Persistent-counter write latency for -R variants.
     counter_write_ms: float = 5.0
     #: Probabilistic link-fault rates (fabric-wide, every message):
@@ -106,14 +116,8 @@ class ChaosSpec:
     #: force it on/off (False under loss is for dedicated safety tests —
     #: liveness is then out the window by design).
     transport: Optional[bool] = None
-    #: Transport base retransmission timeout.
-    transport_rto_ms: float = 30.0
     #: Deterministic pacemaker timeout jitter (see ProtocolConfig).
     timeout_jitter: float = 0.0
-    #: Budget added to each crash window when checking the f-bound: a
-    #: rebooted node is still effectively faulty while it runs recovery,
-    #: and two concurrent recoveries can deadlock an f=1 committee.
-    recovery_grace_ms: float = 500.0
     #: Deployment shaping (small and fast — chaos is about logic coverage).
     batch_size: int = 50
     payload_size: int = 32
@@ -147,6 +151,60 @@ class ChaosSpec:
     snapshot_trust_sealed: bool = False
     #: Distinct KV keys the workload writes when snapshots are on.
     kv_keys: int = 8
+
+    #: ``repro chaos`` flags: field → (flag, help[, argparse overrides]).
+    #: Type, default and ``store_true`` come from the field itself.
+    CLI: ClassVar[dict] = {
+        "duration_ms": ("--duration", "campaign length (simulated ms)"),
+        "quiesce_ms": ("--quiesce",
+                       "fault-free tail checked for liveness (ms)"),
+        "crashes": ("--crashes", "crash/reboot events per campaign"),
+        "rollbacks": ("--rollbacks", "rollback attacks per campaign"),
+        "partitions": ("--partitions", "partition windows per campaign"),
+        "loss": ("--loss", "per-message drop probability (installs the "
+                           "reliable transport when nonzero)"),
+        "dup": ("--dup", "per-message duplication probability"),
+        "reorder": ("--reorder", "per-message reorder (extra jittered "
+                                 "delay) probability"),
+        "corrupt": ("--corrupt",
+                    "per-message corruption probability (detected and "
+                    "rejected at the receiver, then repaired by "
+                    "retransmission)"),
+        "byz": ("--byz",
+                "comma-separated Byzantine strategies to stack onto "
+                "--byz-nodes replicas (see repro.faults.byz.STRATEGIES; "
+                "composes with every other fault layer under one seed)",
+                {"metavar": "STRAT[,STRAT]"}),
+        # The flag reads 1 but only counts once --byz names a strategy.
+        "byz_nodes": ("--byz-nodes", "Byzantine replica count (≤ f; they "
+                                     "occupy fault-budget slots)",
+                      {"default": 1}),
+        "expect_violations": (
+            "--byz-expect",
+            "negative control: these invariants MUST trip (attacking an "
+            "unprotected baseline); any other violation still fails the run",
+            {"metavar": "INV[,INV]"}),
+        "snapshot_interval": (
+            "--snapshot-interval",
+            "execute committed blocks on a replicated KV store and seal a "
+            "certified snapshot every N blocks (enables log compaction + "
+            "state transfer; off by default)", {"metavar": "BLOCKS"}),
+        "snapshot_retain": (
+            "--snapshot-retain",
+            "committed blocks kept below a checkpoint after compaction "
+            "(default 12)", {"metavar": "BLOCKS"}),
+        "snapshot_trust_sealed": (
+            "--snapshot-trust-sealed",
+            "baseline mode: trust locally unsealed snapshots without "
+            "replaying the committed tail (vulnerable to rollback; pair "
+            "with --byz stale-snapshot as a negative control)"),
+        "timeout_jitter": ("--timeout-jitter",
+                           "pacemaker timeout jitter fraction "
+                           "(de-synchronizes view-change storms)"),
+        "counter_write_ms": (
+            "--counter-write-ms",
+            "persistent-counter write latency for -R variants"),
+    }
 
     def __post_init__(self) -> None:
         if self.duration_ms <= self.quiesce_ms + self.warmup_ms:
@@ -284,8 +342,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
             # The stale-blob feed happens at unseal: each Byzantine host
             # reboots itself once so its enclave goes through restore.
             for node in byz_ids:
-                downtime = byz_rng.uniform(spec.min_downtime_ms,
-                                           spec.max_downtime_ms)
+                downtime = byz_rng.uniform(MIN_DOWNTIME_MS, MAX_DOWNTIME_MS)
                 at = byz_rng.uniform(start, max(start + 1.0, end - downtime))
                 byz_reboots.append((node, at, downtime))
         if "stale-snapshot" in byz_strategies:
@@ -296,8 +353,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
             # leaves a real gap.
             late = start + 0.6 * (end - start)
             for node in byz_ids:
-                downtime = byz_rng.uniform(spec.min_downtime_ms,
-                                           spec.max_downtime_ms)
+                downtime = byz_rng.uniform(MIN_DOWNTIME_MS, MAX_DOWNTIME_MS)
                 at = byz_rng.uniform(late, max(late + 1.0, end - downtime))
                 byz_reboots.append((node, at, downtime))
     byz_set = set(byz_ids)
@@ -311,7 +367,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
     for _ in range(spec.partitions):
         size = rng.randint(1, max(1, spec.f))
         group = tuple(sorted(rng.sample(range(n), size)))
-        length = rng.uniform(50.0, spec.max_partition_ms)
+        length = rng.uniform(50.0, MAX_PARTITION_MS)
         at = rng.uniform(start, max(start + 1.0, end - length))
         partitions.append(PartitionWindow(
             at_ms=at, until_ms=min(end, at + length), group=group,
@@ -320,10 +376,10 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
     def effective_end(at: float, downtime: float) -> float:
         """When the victim is plausibly RUNNING again: reboot + recovery
         grace, stretched through any partition the recovery overlaps."""
-        done = at + downtime + spec.recovery_grace_ms
+        done = at + downtime + RECOVERY_GRACE_MS
         for window in sorted(partitions, key=lambda w: w.at_ms):
             if window.at_ms < done and window.until_ms > at + downtime:
-                done = max(done, window.until_ms + spec.recovery_grace_ms)
+                done = max(done, window.until_ms + RECOVERY_GRACE_MS)
         return done
 
     def admits(events: list[tuple[int, float, float]]) -> bool:
@@ -346,7 +402,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
             # schedule; the honest crash layer never touches them.
             crashes_dropped += 1
             continue
-        downtime = rng.uniform(spec.min_downtime_ms, spec.max_downtime_ms)
+        downtime = rng.uniform(MIN_DOWNTIME_MS, MAX_DOWNTIME_MS)
         latest_start = end - downtime
         if latest_start <= start:
             crashes_dropped += 1
@@ -395,18 +451,17 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
         until = rng.uniform(at, end)
         delays.append(DelayWindow(
             at_ms=at, until_ms=until, src=src, dst=dst,
-            extra_ms=rng.uniform(1.0, spec.max_extra_delay_ms),
+            extra_ms=rng.uniform(1.0, MAX_EXTRA_DELAY_MS),
         ))
 
     # Client churn: rate swings inside the fault window, then back to base
     # so the post-quiesce liveness check always has traffic to commit.
     churn: list[tuple[float, float]] = []
-    for _ in range(spec.churn_events):
+    for _ in range(CHURN_EVENTS):
         churn.append((rng.uniform(start, end),
-                      rng.uniform(spec.min_rate_tps, spec.max_rate_tps)))
+                      rng.uniform(MIN_RATE_TPS, MAX_RATE_TPS)))
     churn.sort()
-    if churn:
-        churn.append((end, spec.base_rate_tps))
+    churn.append((end, spec.base_rate_tps))
 
     return ChaosCampaign(
         spec=spec,
@@ -557,8 +612,7 @@ def run_chaos(spec: ChaosSpec, seed: int,
                                 reorder_jitter_ms=spec.reorder_jitter_ms)
     use_transport = spec.transport if spec.transport is not None \
         else faults is not None
-    transport = TransportConfig(base_rto_ms=spec.transport_rto_ms) \
-        if use_transport else None
+    transport = TransportConfig() if use_transport else None
 
     byzantine_factories = None
     if campaign.byz_ids:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
@@ -113,6 +113,38 @@ class PowercutSpec:
     snapshot_interval: Optional[int] = None
     snapshot_retain: int = 12
     kv_keys: int = 8
+
+    #: ``repro powercut`` flags: field → (flag, help[, argparse
+    #: overrides]).  Type, default and ``store_true`` come from the field.
+    CLI: ClassVar[dict] = {
+        "duration_ms": ("--duration", "oracle/replay length (simulated ms)"),
+        "quiesce_ms": ("--quiesce", "fault-free tail: recovery and liveness "
+                                    "must complete inside it (ms)"),
+        "warmup_ms": ("--warmup", "cuts land only after this (ms)"),
+        "downtime_ms": ("--downtime", "victim dark time after the cut (ms)"),
+        "max_cuts": ("--max-cuts", "replays per seed (stratified sample of "
+                                   "the enumerated points)"),
+        "reorder_cuts": ("--reorder-cuts",
+                         "sampled commit/atomic points replayed as "
+                         "barrier-ignoring reorder cuts"),
+        "counter_write_ms": (
+            "--counter-write-ms",
+            "persistent-counter write latency for -R variants"),
+        "journal_off": ("--journal-off",
+                        "negative control: victim journals become "
+                        "write-back caches without barriers; every cut "
+                        "MUST trip durable-prefix"),
+        "expect_violations": (
+            "--expect",
+            "negative control: these invariants MUST trip on every cut; "
+            "any other violation still fails", {"metavar": "INV[,INV]"}),
+        "snapshot_interval": (
+            "--snapshot-interval",
+            "enable certified KV snapshots every N blocks (routes cuts "
+            "through the snapshot vault too)", {"metavar": "BLOCKS"}),
+        "snapshot_retain": ("--snapshot-retain", None,
+                            {"metavar": "BLOCKS"}),
+    }
 
     def __post_init__(self) -> None:
         if self.duration_ms <= self.quiesce_ms + self.warmup_ms:

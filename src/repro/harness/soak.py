@@ -25,7 +25,7 @@ come out of the timeline:
   AEDPoS participation-collapse shape: the system is busy — view
   changes, retries, recoveries — but going nowhere, forever).
 * :func:`find_reconvergence` — the earliest post-release window opening
-  a streak of ``slo_sustain_windows`` consecutive windows that meet the
+  a streak of ``SLO_SUSTAIN_WINDOWS`` consecutive windows that meet the
   SLO (commit fraction + p99 bound).  Starting later than the budget is
   a ``reconvergence`` violation.
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from repro.client.workload import DROP_OVERFLOW, QueueSource
 from repro.crypto.hashing import digest_of
@@ -70,6 +70,15 @@ from repro.workload.spec import WorkloadSpec
 # ----------------------------------------------------------------------
 # Campaign description
 # ----------------------------------------------------------------------
+#: Base view timeout the vulnerable configuration arms: below the commit
+#: latency, so every view times out before it can commit.
+VULNERABLE_TIMEOUT_MS = 2.0
+#: Reconvergence needs this many consecutive SLO-passing windows.
+SLO_SUSTAIN_WINDOWS = 4
+#: Windows after release before the cycle detector starts looking.
+RELEASE_GRACE_WINDOWS = 2
+
+
 @dataclass(frozen=True)
 class SoakSpec:
     """Knobs for one soak campaign (everything but the seed)."""
@@ -130,24 +139,48 @@ class SoakSpec:
     #: view-change storm with zero progress, forever.  The degradation-
     #: cycle detector MUST flag it (pair with ``--expect``).
     vulnerable: bool = False
-    vulnerable_timeout_ms: float = 2.0
     #: SLO gate: a window passes if committed >= fraction × offered and
     #: (when it has latency samples) p99 <= the bound; reconvergence
-    #: needs ``slo_sustain_windows`` consecutive passing windows.
+    #: needs ``SLO_SUSTAIN_WINDOWS`` consecutive passing windows.
     slo_commit_fraction: float = 0.5
     slo_p99_ms: float = 80.0
-    slo_sustain_windows: int = 4
-    #: Cycle detector: span length (windows) and post-release grace.
+    #: Cycle detector: span length (windows).
     #: The span must exceed the longest *legitimate* quiet interval — one
     #: maximally backed-off armed timeout (base × 2^cap × (1+jitter) ≈
     #: 2.1 s at the defaults) — or a committee honestly waiting out one
     #: stale timer reads as a limit cycle.  10 × 250 ms = 2.5 s.
     cycle_windows: int = 10
-    release_grace_windows: int = 2
     #: Negative-control mode: these invariants MUST trip; all others
     #: still fail the run.
     expect_violations: tuple = ()
     poll_every_ms: float = 25.0
+
+    #: ``repro soak`` flags: field → (flag, help[, argparse overrides]).
+    #: Type, default and ``store_true`` come from the field itself.
+    CLI: ClassVar[dict] = {
+        "pressure_ms": ("--pressure",
+                        "fault-pressure phase length (simulated ms)"),
+        "warmup_ms": ("--warmup", "warmup phase length (ms)"),
+        "reconverge_budget_ms": ("--budget",
+                                 "reconvergence budget after release (ms)"),
+        "settle_ms": ("--settle", "settle tail past the budget (ms)"),
+        "base_rate_tps": ("--rate", "base offered load (TPS)"),
+        "clients": ("--clients",
+                    "client population (seeded arrival process)"),
+        "mempool_capacity": ("--mempool",
+                             "bounded mempool capacity (overflow drops are "
+                             "typed and counted)"),
+        "vulnerable": ("--vulnerable",
+                       "negative control: disable backoff and arm a base "
+                       "timeout below commit latency — the "
+                       "degradation-cycle detector MUST trip (pair with "
+                       "--expect)"),
+        "expect_violations": (
+            "--expect",
+            "negative control: these invariants MUST trip on every seed; "
+            "any other violation still fails the run",
+            {"metavar": "INV[,INV]"}),
+    }
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -158,9 +191,8 @@ class SoakSpec:
                      "settle_ms", "window_ms"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        if self.slo_sustain_windows <= 0 or self.cycle_windows < 2:
-            raise ConfigurationError(
-                "need slo_sustain_windows >= 1 and cycle_windows >= 2")
+        if self.cycle_windows < 2:
+            raise ConfigurationError("need cycle_windows >= 2")
 
     @property
     def duration_ms(self) -> float:
@@ -514,7 +546,7 @@ def run_soak(spec: SoakSpec, seed: int,
         counter_write_ms=spec.counter_write_ms,
         batch_size=spec.batch_size,
         payload_size=spec.payload_size,
-        base_timeout_ms=(spec.vulnerable_timeout_ms if spec.vulnerable
+        base_timeout_ms=(VULNERABLE_TIMEOUT_MS if spec.vulnerable
                          else spec.base_timeout_ms),
         timeout_jitter=spec.timeout_jitter,
         recovery_retry_ms=spec.recovery_retry_ms,
@@ -589,12 +621,12 @@ def run_soak(spec: SoakSpec, seed: int,
 
     cycle = detect_degradation_cycle(
         windows,
-        start_index=release_index + spec.release_grace_windows,
+        start_index=release_index + RELEASE_GRACE_WINDOWS,
         span=spec.cycle_windows,
     )
     reconverged_index = find_reconvergence(
         windows, release_index,
-        sustain=spec.slo_sustain_windows,
+        sustain=SLO_SUSTAIN_WINDOWS,
         commit_fraction=spec.slo_commit_fraction,
         p99_ms=spec.slo_p99_ms,
     )
@@ -618,7 +650,7 @@ def run_soak(spec: SoakSpec, seed: int,
             None,
             f"steady-state SLO not re-attained within "
             f"{spec.reconverge_budget_ms:.0f} ms of release "
-            f"({spec.slo_sustain_windows} windows of >= "
+            f"({SLO_SUSTAIN_WINDOWS} windows of >= "
             f"{spec.slo_commit_fraction:.0%} offered committed, "
             f"p99 <= {spec.slo_p99_ms:.0f} ms): {observed}"))
 

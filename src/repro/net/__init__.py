@@ -14,7 +14,6 @@ Reliable point-to-point channels between nodes (paper Sec. 3.1) with:
 
 from repro.net.message import Envelope, wire_size
 from repro.net.latency import LatencyProfile, LAN_PROFILE, WAN_PROFILE, FixedLatency
-from repro.net.geo import GeoLatencyModel
 from repro.net.bandwidth import BandwidthModel
 from repro.net.synchrony import PartialSynchrony
 from repro.net.adversary import NetworkAdversary, LinkRule
@@ -34,7 +33,6 @@ __all__ = [
     "LAN_PROFILE",
     "WAN_PROFILE",
     "FixedLatency",
-    "GeoLatencyModel",
     "BandwidthModel",
     "PartialSynchrony",
     "NetworkAdversary",

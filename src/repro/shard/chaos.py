@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from repro.client.workload import ShardedOpenLoopGenerator
 from repro.crypto.hashing import digest_of
@@ -70,6 +70,27 @@ class ShardChaosSpec:
     #: Negative-control mode: these invariants MUST trip; anything else
     #: tripping — or an expected one not tripping — fails the run.
     expect_violations: tuple = field(default=())
+
+    #: ``repro shard-chaos`` flags: field → (flag, help[, argparse
+    #: overrides]).  Type and default come from the field itself.
+    CLI: ClassVar[dict] = {
+        "protocol": ("--protocol", None),
+        "shards": ("--shards", None),
+        "fault": ("--fault", None,
+                  {"choices": ["crash", "partition", "none"]}),
+        "duration_ms": ("--duration", None),
+        "quiesce_ms": ("--quiesce", None),
+        "downtime_ms": ("--downtime",
+                        "how long the victim shard stays down (ms)"),
+        "rate_tps": ("--rate", "offered load per shard (TPS)"),
+        "cross_fraction": ("--cross-fraction", None),
+        "txn_ttl_blocks": ("--ttl-blocks",
+                           "participant lock TTL in committed blocks"),
+        "expect_violations": (
+            "--expect",
+            "negative control: these invariants MUST trip; anything else "
+            "failing still fails", {"metavar": "INV[,INV]"}),
+    }
 
     def __post_init__(self) -> None:
         if self.shards < 1:

@@ -32,7 +32,6 @@ from repro.tee.counters import (
 )
 from repro.tee.enclave import Enclave, EnclaveProfile
 from repro.tee.rollback import RollbackAttacker
-from repro.tee.attestation import AttestationReport, attest, verify_attestation
 
 __all__ = [
     "SealedBlob",
@@ -48,7 +47,4 @@ __all__ = [
     "Enclave",
     "EnclaveProfile",
     "RollbackAttacker",
-    "AttestationReport",
-    "attest",
-    "verify_attestation",
 ]

@@ -16,21 +16,16 @@ thousands of clients is an integer plus a seeded draw per arrival.
 Everything is a pure function of ``(spec, seed)`` — the same spec and
 seed replay byte-identical arrival, client, and key sequences.
 
-:class:`TrafficGenerator` feeds a single-cluster mempool;
-:class:`ShardTrafficGenerator` drives the sharded deployment's
-:class:`~repro.shard.router.Router` (and optionally its 2PC
-:class:`~repro.shard.txn.TxnManager`) with the same shaped arrivals.
+:class:`TrafficGenerator` feeds a single-cluster mempool.
 """
 
 from repro.workload.spec import ChurnEvent, FlashCrowd, WorkloadSpec
 from repro.workload.generators import ArrivalEngine, TrafficGenerator
-from repro.workload.shard import ShardTrafficGenerator
 
 __all__ = [
     "ArrivalEngine",
     "ChurnEvent",
     "FlashCrowd",
-    "ShardTrafficGenerator",
     "TrafficGenerator",
     "WorkloadSpec",
 ]

@@ -21,16 +21,16 @@ from repro.core.checker import AchillesChecker
 from repro.core.node import AchillesNode, NodeStatus
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.errors import EnclaveAbort
-from repro.faults.byzantine import (
-    EquivocationAttemptNode,
-    ReplayingRecoveryResponder,
-)
+from repro.faults.byz import make_byzantine
 from repro.faults.crash import crash_and_reboot
 from repro.net.latency import LAN_PROFILE
 from repro.client.workload import SaturatedSource
 from repro.harness.metrics import MetricsCollector
 
 from tests.conftest import fast_config
+
+EquivocationAttemptNode = make_byzantine(AchillesNode, ["equivocate"])
+ReplayingRecoveryResponder = make_byzantine(AchillesNode, ["replay-recovery"])
 
 N, F = 5, 2
 

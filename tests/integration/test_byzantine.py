@@ -8,15 +8,15 @@ import pytest
 from repro.consensus.cluster import build_cluster
 from repro.client.workload import SaturatedSource
 from repro.core.node import AchillesNode
-from repro.faults.byzantine import (
-    DecideHidingNode,
-    SilentNode,
-    VoteWithholdingNode,
-)
+from repro.faults.byz import make_byzantine
 from repro.harness.metrics import MetricsCollector
 from repro.net.latency import LAN_PROFILE
 
 from tests.conftest import fast_config
+
+SilentNode = make_byzantine(AchillesNode, ["silent"])
+VoteWithholdingNode = make_byzantine(AchillesNode, ["withhold-vote"])
+DecideHidingNode = make_byzantine(AchillesNode, ["hide-decide"])
 
 
 def byzantine_cluster(factories: dict, f: int = 2, seed: int = 9,

@@ -14,9 +14,7 @@ The acceptance bar for the soak harness itself:
   digests across invocations;
 * the negative control (minbft with backoff disabled and a timeout below
   its commit latency) deterministically trips the degradation-cycle
-  detector on every seed — proof the detector detects;
-* the traffic tier plugs into the sharded deployment: the same seeded
-  arrival engine drives the Router/2PC client tier.
+  detector on every seed — proof the detector detects.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.soak import SoakSpec, run_soak
-from repro.shard import ShardedDeployment
-from repro.workload.shard import ShardTrafficGenerator
-from repro.workload.spec import WorkloadSpec
 
 #: Pinned regression seed for the recovery-assist fix: on this seed the
 #: unassisted committee sits out a peak-backoff timer armed during the
@@ -119,45 +114,3 @@ class TestNegativeControl:
         assert r.cycle != ""
         # Height collapses by an order of magnitude vs the defended run.
         assert r.committed_height < 2000
-
-
-class TestShardedTraffic:
-    def test_generator_drives_router_and_2pc_tiers(self):
-        deployment = ShardedDeployment(shards=2, seed=11, batch_size=20)
-        record = []
-        gen = ShardTrafficGenerator(
-            deployment.sim, deployment.router, txns=deployment.txns,
-            spec=WorkloadSpec(base_rate_tps=800.0, clients=200,
-                              key_space=64, zipf_s=1.0),
-            cross_fraction=0.25, record=record)
-        deployment.start()
-        gen.start()
-        deployment.run(1500.0)
-        gen.stop_cross()  # quiesce: let in-flight 2PC rounds settle
-        deployment.run(1200.0)
-        gen.stop()
-        deployment.finalize()
-        assert gen.writes_issued > 100
-        assert gen.txns_issued > 10
-        assert gen.emitted == gen.writes_issued + gen.txns_issued
-        # Zipf skew routes hot keys to whichever shard owns them; both
-        # shards must still see traffic (the hash map spreads ranks).
-        summary = deployment.summary()
-        assert summary["txs_committed"] > 100
-        deployment.assert_ok()
-
-    def test_sharded_stream_is_deterministic(self):
-        records = []
-        for _ in range(2):
-            deployment = ShardedDeployment(shards=2, seed=7, batch_size=20)
-            record = []
-            gen = ShardTrafficGenerator(
-                deployment.sim, deployment.router, txns=deployment.txns,
-                spec=WorkloadSpec(base_rate_tps=600.0, clients=100,
-                                  key_space=32),
-                cross_fraction=0.2, record=record)
-            deployment.start()
-            gen.start()
-            deployment.run(800.0)
-            records.append((record, gen.writes_issued, gen.txns_issued))
-        assert records[0] == records[1]

@@ -9,17 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import (_chaos_spec, _powercut_spec, _reproduce,
-                       _shard_chaos_spec, _soak_spec, build_parser, main)
-from repro.faults.chaos import ChaosSpec
-from repro.faults.powercut import PowercutSpec
-from repro.harness.soak import SoakSpec
-from repro.shard.chaos import ShardChaosSpec
+from repro.cli import _FANOUT, _reproduce, _spec_fields, build_parser, main
 
-#: The user-visible CLI surface (flag names, dests, types, defaults,
-#: choices, help text), captured before the campaign parsers were derived
-#: from the spec dataclasses.  A refactor leaves it byte-identical; a
-#: deliberate flag change edits this file in the same commit.
+#: The user-visible CLI surface: every sub-command's flag names, dests,
+#: types, defaults, choices and help text.  A refactor leaves it
+#: byte-identical; a deliberate flag change edits this file in the same
+#: commit.
 SURFACE_PIN = pathlib.Path(__file__).with_name("cli_surface.txt")
 
 
@@ -105,57 +100,60 @@ class TestReproduceRoundTrip:
     and compare the campaign spec both produce."""
 
     @staticmethod
-    def _round_trip(command: str, **run):
+    def _round_trip(words: list, **run) -> dict:
+        """The spec fields of ``run``'s campaign, checked equal between
+        the invocation and its reproduce line (and accepted by the spec)."""
         parser = build_parser()
-        args = parser.parse_args(command.split())
+        args = parser.parse_args(words)
         line = _reproduce(args, SimpleNamespace(**run))
         assert line.startswith("python -m repro ")
         again = parser.parse_args(line.split()[3:])
-        assert again.seed == run["seed"]
-        return args, again
+        assert again.seed == run.pop("seed")
+        for dest, axis in _FANOUT.items():  # narrowed to exactly this run
+            if axis in run:
+                assert getattr(again, dest) == [run[axis]]
+        fields = _spec_fields(again, **run)
+        assert fields == _spec_fields(args, **run)
+        args.spec_type(**fields)
+        return fields
 
     def test_chaos(self):
-        args, again = self._round_trip(
+        spec = self._round_trip(
             "chaos --seeds 3 --f 2 --duration 2500 --quiesce 1000 "
             "--loss 0.05 --dup 0.02 --corrupt 0.01 --timeout-jitter 0.1 "
             "--byz withhold-vote,garbage --byz-nodes 2 "
-            "--byz-expect agreement --snapshot-interval 5",
+            "--byz-expect agreement --snapshot-interval 5".split(),
             protocol="minbft", seed=2)
-        assert again.protocols == ["minbft"]
-        spec = _chaos_spec(again, "minbft")
-        assert spec == _chaos_spec(args, "minbft")
         assert spec["timeout_jitter"] == 0.1 and spec["byz_nodes"] == 2
         assert spec["expect_violations"] == ("agreement",)
 
+    def test_chaos_byz_nodes_only_count_with_byz(self):
+        args = build_parser().parse_args(["chaos"])
+        assert args.byz_nodes == 1
+        assert _spec_fields(args, protocol="achilles")["byz_nodes"] == 0
+
     def test_powercut(self):
-        args, again = self._round_trip(
+        spec = self._round_trip(
             "powercut --protocols achilles minbft --seeds 2 --max-cuts 2 "
-            "--duration 1200 --quiesce 500 --warmup 150 --journal-off",
+            "--duration 1200 --quiesce 500 --warmup 150 --journal-off".split(),
             protocol="minbft", seed=1)
-        spec = _powercut_spec(again, again.protocols[0])
-        assert spec == _powercut_spec(args, "minbft")
         assert spec["journal_off"]
         assert spec["expect_violations"] == ("durable-prefix",)
 
     def test_soak_hours_keep_their_diurnal_period(self):
-        args, again = self._round_trip(
+        spec = self._round_trip(
             "soak --hours 0.5 --vulnerable --rate 3000 "
-            "--expect degradation-cycle,post-quiesce-liveness",
+            "--expect degradation-cycle,post-quiesce-liveness".split(),
             protocol="minbft", scenario="flash-crowd", seed=0)
-        assert again.scenario == ["flash-crowd"]
-        spec = _soak_spec(again, again.protocols[0], again.scenario[0])
-        assert spec == _soak_spec(args, "minbft", "flash-crowd")
         assert spec["pressure_ms"] == 1_800_000.0
         assert spec["diurnal_period_ms"] == 900_000.0
 
     def test_shard_chaos(self):
-        args, again = self._round_trip(
+        spec = self._round_trip(
             "shard-chaos --seeds 1 --duration 4000 --quiesce 1200 "
             "--downtime 800 --rate 800 --cross-fraction 0.2 "
-            "--ttl-blocks 1000 --fault partition",
+            "--ttl-blocks 1000 --fault partition".split(),
             seed=0)
-        spec = _shard_chaos_spec(again)
-        assert spec == _shard_chaos_spec(args)
         assert (spec["quiesce_ms"], spec["downtime_ms"], spec["rate_tps"],
                 spec["cross_fraction"], spec["txn_ttl_blocks"]) == \
                (1200.0, 800.0, 800.0, 0.2, 1000)
@@ -165,17 +163,12 @@ class TestReproduceRoundTrip:
         assert _reproduce(args, SimpleNamespace(seed=4)) == \
             "python -m repro shard-chaos --seed 4 --no-ttl"
 
-    #: Campaign command → (spec type, args → spec fields, the run the
-    #: reproduce line is narrowed to).
+    #: Campaign command → the run its reproduce line is narrowed to.
     CAMPAIGNS = {
-        "chaos": (ChaosSpec, lambda a: _chaos_spec(a, a.protocols[0]),
-                  dict(protocol="minbft", seed=7)),
-        "powercut": (PowercutSpec, lambda a: _powercut_spec(a, a.protocols[0]),
-                     dict(protocol="minbft", seed=7)),
-        "soak": (SoakSpec,
-                 lambda a: _soak_spec(a, a.protocols[0], a.scenario[0]),
-                 dict(protocol="minbft", scenario="flash-crowd", seed=7)),
-        "shard-chaos": (ShardChaosSpec, _shard_chaos_spec, dict(seed=7)),
+        "chaos": dict(protocol="minbft", seed=7),
+        "powercut": dict(protocol="minbft", seed=7),
+        "soak": dict(protocol="minbft", scenario="flash-crowd", seed=7),
+        "shard-chaos": dict(seed=7),
     }
 
     @staticmethod
@@ -185,8 +178,8 @@ class TestReproduceRoundTrip:
         flag = action.option_strings[0]
         if action.nargs == 0:
             return [flag]
-        if action.dest in ("protocols", "scenario"):
-            return [flag, run[action.dest.removesuffix("s")]]
+        if action.nargs == "+":  # a fan-out axis
+            return [flag, run[_FANOUT[action.dest]]]
         if action.choices is not None:
             value = [c for c in action.choices if c != action.default][-1]
         elif action.metavar == "STRAT[,STRAT]":
@@ -206,26 +199,42 @@ class TestReproduceRoundTrip:
         """Set every flag of the command to a non-default value: the
         reproduce line must carry each one, and parse back to the same
         (valid) spec — so a field added later cannot be dropped from it."""
-        spec_type, spec_of, run = self.CAMPAIGNS[command]
-        parser = build_parser()
+        run = self.CAMPAIGNS[command]
         flags = [action for action in _subcommands()[command][0]._actions
                  if action.option_strings
                  and not isinstance(action, argparse._HelpAction)]
         words = [command]
         for action in flags:
             words += self._non_default(action, run)
-        args = parser.parse_args(words)
 
-        line = _reproduce(args, SimpleNamespace(**run))
+        parser = build_parser()
+        fields = self._round_trip(words, **run)
+        line = _reproduce(parser.parse_args(words), SimpleNamespace(**run))
         for action in flags:
             if action.dest != "seeds":  # the fan-out --seed replaces
                 assert action.option_strings[0] in line.split()
-        again = parser.parse_args(line.split()[3:])
-        assert spec_of(again) == spec_of(args)
-        spec_type(**spec_of(again))  # and the spec accepts it
+        # ... and every flagged field reached the spec with a new value.
+        narrow = {axis: value for axis, value in run.items() if axis != "seed"}
+        defaults = _spec_fields(parser.parse_args([command]), **narrow)
+        changed = {name for name in defaults if fields[name] != defaults[name]}
+        assert changed >= set(parser.parse_args([command]).spec_type.CLI)
 
 
 class TestCommands:
+    @staticmethod
+    def _canned(monkeypatch, result_of) -> list:
+        """Stand ``result_of(config)`` in for running each campaign;
+        returns the list the configs handed to the harness collect in."""
+        seen = []
+
+        def run_experiments(configs, **kwargs):
+            seen.extend(configs)
+            return [result_of(config) for config in configs]
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiments",
+                            run_experiments)
+        return seen
+
     def test_protocols_lists_registry(self, capsys):
         assert main(["protocols"]) == 0
         out = capsys.readouterr().out
@@ -241,9 +250,27 @@ class TestCommands:
         assert "achilles" in out
 
     def test_unknown_protocol_is_clean_error(self, capsys):
+        # A usage error: argparse's own exit code, not the 1 a campaign
+        # returns for an invariant violation.
         code = main(["run", "pbft", "--duration", "100"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert code == 2
+        assert "error: unknown protocol" in capsys.readouterr().err
+
+    def test_bad_spec_is_clean_error(self, capsys):
+        code = main(["chaos", "--duration", "100", "--quiesce", "1000"])
+        assert code == 2
+        assert "error: duration_ms must exceed" in capsys.readouterr().err
+
+    def test_programming_errors_are_not_swallowed(self, monkeypatch):
+        """A harness crash must not masquerade as "safety violated" (or
+        as anything else ``main`` returns): it propagates, traceback and
+        all."""
+        def broken(*args, **kwargs):
+            raise AttributeError("'NoneType' object has no attribute 'nodes'")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiments", broken)
+        with pytest.raises(AttributeError, match="nodes"):
+            main(["chaos", "--seeds", "1"])
 
     def test_counters_table(self, capsys):
         assert main(["counters", "--samples", "20"]) == 0
@@ -266,9 +293,30 @@ class TestCommands:
         assert "VULNERABLE CONTROL" in out
         assert "negative controls tripped" in out
 
-    def test_soak_missing_expected_violation_fails(self, capsys, tmp_path):
+    def test_soak_missing_expected_violation_fails(self, capsys, tmp_path,
+                                                   monkeypatch):
         # A defended campaign with --expect: the cycle never trips, so
-        # the run must FAIL loudly with a reproduction command.
+        # the run must FAIL loudly with a reproduction command and re-run
+        # the failing seed with tracing on.  A canned result stands in
+        # for the 10 s run: the verdict that produces this violation is
+        # pinned in test_cluster_and_runner.py, soak's negative control in
+        # tests/integration/test_soak_campaigns.py.
+        from repro.harness.soak import SoakResult
+
+        missing = ("[expected-violation-missing] negative control "
+                   "'degradation-cycle' never tripped")
+        configs = self._canned(monkeypatch, lambda config: SoakResult(
+            protocol=config["protocol"], f=config["f"], n=3,
+            network=config["network"], scenario=config["scenario"],
+            seed=config["seed"], committed_height=900,
+            min_committed_height=900, recoveries=0,
+            reconverged_at_ms=1600.0, cycle="", violations=[missing]))
+        reruns = []
+        monkeypatch.setattr(
+            "repro.harness.soak.run_soak",
+            lambda spec, seed, trace_path: reruns.append(
+                (spec, seed, trace_path)))
+
         code = main(["soak", "--protocols", "achilles", "--scenario",
                      "flash-crowd", "--seeds", "1",
                      "--warmup", "400", "--pressure", "1200",
@@ -276,10 +324,17 @@ class TestCommands:
                      "--expect", "degradation-cycle",
                      "--trace-dir", str(tmp_path)])
         assert code == 1
+        assert [c["expect_violations"] for c in configs] == \
+            [("degradation-cycle",)]
         err = capsys.readouterr().err
         assert "expected-violation-missing" in err
         assert "reproduce with:" in err
         assert "repro soak" in err
+        [(spec, seed, trace_path)] = reruns
+        assert (spec.protocol, spec.scenario, spec.pressure_ms, seed) == \
+            ("achilles", "flash-crowd", 1200.0, 0)
+        assert trace_path == str(
+            tmp_path / "soak-achilles-flash-crowd-f1-seed0.json")
 
     def test_powercut_defaults(self):
         args = build_parser().parse_args(["powercut"])
@@ -297,14 +352,23 @@ class TestCommands:
         assert "powercut" in out
         assert "every recovery preserved the durable prefix" in out
 
-    def test_powercut_journal_off_control(self, capsys):
-        # --journal-off implies --expect durable-prefix; the control must
-        # trip on every cut and the command still exits 0.
+    def test_powercut_journal_off_control(self, capsys, monkeypatch):
+        # --journal-off implies --expect durable-prefix; a control that
+        # tripped on every cut reports no violation and the command exits
+        # 0.  (tests/integration/test_powercut.py runs the control itself.)
+        from repro.faults.powercut import PowercutResult
+
+        configs = self._canned(monkeypatch, lambda config: PowercutResult(
+            protocol=config["protocol"], f=config["f"], n=3,
+            network=config["network"], seed=config["seed"], victim=1))
         code = main(["powercut", "--protocols", "minbft", "--seeds", "1",
                      "--max-cuts", "2", "--duration", "1200",
                      "--quiesce", "500", "--warmup", "150",
                      "--journal-off"])
         assert code == 0
+        [config] = configs
+        assert config["journal_off"]
+        assert config["expect_violations"] == ("durable-prefix",)
         out = capsys.readouterr().out
         assert "negative control held" in out
 

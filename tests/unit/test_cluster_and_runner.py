@@ -10,10 +10,15 @@ from repro import errors
 from repro.consensus.cluster import Cluster, build_cluster
 from repro.core.node import AchillesNode
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.runner import PROTOCOLS, ProtocolSpec, register_protocol
+from repro.faults.byz import make_byzantine
+from repro.harness.invariants import InvariantViolation
+from repro.harness.runner import (PROTOCOLS, ProtocolSpec, register_protocol,
+                                  verdict)
 from repro.net.latency import LAN_PROFILE
 
 from tests.conftest import achilles_cluster, fast_config
+
+SilentNode = make_byzantine(AchillesNode, ["silent"])
 
 
 class TestBuildCluster:
@@ -27,8 +32,6 @@ class TestBuildCluster:
         assert cluster.network.endpoints() == list(range(5))
 
     def test_byzantine_factory_replaces_named_nodes(self):
-        from repro.faults.byzantine import SilentNode
-
         cluster = build_cluster(
             node_factory=AchillesNode, config=fast_config(f=1),
             latency=LAN_PROFILE, byzantine_factories={1: SilentNode},
@@ -37,8 +40,6 @@ class TestBuildCluster:
         assert type(cluster.nodes[0]) is AchillesNode
 
     def test_byzantine_id_out_of_range_rejected(self):
-        from repro.faults.byzantine import SilentNode
-
         with pytest.raises(ConfigurationError):
             build_cluster(
                 node_factory=AchillesNode, config=fast_config(f=1),
@@ -158,6 +159,26 @@ class TestProtocolRegistry:
         assert PROTOCOLS["achilles-c"].outside_tee
         assert not PROTOCOLS["achilles"].uses_counter
         assert PROTOCOLS["minbft-r"].uses_counter
+
+
+class TestVerdict:
+    """What fails a campaign, for every kind (chaos, soak, power-cut,
+    shard chaos all hand their monitor's violations to ``verdict``)."""
+
+    TRIPPED = [InvariantViolation("agreement", 12.0, 1, "forked"),
+               InvariantViolation("durable-prefix", 30.0, None, "lost")]
+
+    def test_every_violation_fails_an_ordinary_run(self):
+        assert verdict(self.TRIPPED, (), "") == [str(v) for v in self.TRIPPED]
+
+    def test_expected_violations_are_forgiven_others_are_not(self):
+        assert verdict(self.TRIPPED, ("agreement",), "") == \
+            [str(self.TRIPPED[1])]
+
+    def test_expected_violation_that_never_tripped_fails_the_run(self):
+        [line] = verdict([], ("degradation-cycle",), "— nothing cycled")
+        assert line == ("[expected-violation-missing] negative control "
+                        "'degradation-cycle' never tripped — nothing cycled")
 
 
 class TestErrorHierarchy:

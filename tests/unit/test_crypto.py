@@ -1,4 +1,4 @@
-"""Unit tests for the crypto substrate: hashing, keys, signatures, quorums."""
+"""Unit tests for the crypto substrate: hashing, keys, signatures."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.crypto.hashing import GENESIS_HASH, digest_of, sha256_hex
 from repro.crypto.keys import Keyring, generate_keypairs
-from repro.crypto.quorum import combine_signatures, distinct_signers
 from repro.crypto.signatures import (
     CryptoProfile,
     SignatureList,
@@ -15,7 +14,7 @@ from repro.crypto.signatures import (
     verify,
     verify_distinct,
 )
-from repro.errors import CryptoError, InvalidSignature, ValidationError
+from repro.errors import CryptoError, InvalidSignature
 
 
 class TestHashing:
@@ -216,49 +215,3 @@ class TestCryptoProfile:
         assert p.hash_cost(512) == pytest.approx(0.005)
         assert p.hash_cost(1536) == pytest.approx(
             p.hash_cost(1024) + p.hash_cost(512))
-
-
-class TestQuorum:
-    @pytest.fixture
-    def setup(self):
-        pairs = generate_keypairs(range(5), seed=1)
-        return pairs, Keyring.from_keypairs(pairs)
-
-    def test_combine_and_validate(self, setup):
-        pairs, ring = setup
-        statement = ("COMMIT", "h", 7)
-        sigs = [sign(pairs[i].private, *statement) for i in range(3)]
-        qc = combine_signatures(statement, sigs, threshold=3, keyring=ring)
-        assert qc.validate(ring)
-        assert qc.signers() == {0, 1, 2}
-
-    def test_combine_dedupes_by_signer(self, setup):
-        pairs, ring = setup
-        statement = ("X",)
-        sigs = [sign(pairs[0].private, *statement)] * 5
-        with pytest.raises(ValidationError):
-            combine_signatures(statement, sigs, threshold=2)
-
-    def test_combine_rejects_bad_signature(self, setup):
-        pairs, ring = setup
-        good = sign(pairs[0].private, "X")
-        bad = sign(pairs[1].private, "Y")  # signed the wrong statement
-        with pytest.raises(ValidationError):
-            combine_signatures(("X",), [good, bad], threshold=2, keyring=ring)
-
-    def test_validate_fails_below_threshold(self, setup):
-        pairs, ring = setup
-        statement = ("X",)
-        sigs = [sign(pairs[i].private, *statement) for i in range(2)]
-        qc = combine_signatures(statement, sigs, threshold=2, keyring=ring)
-        # Tamper: claim a higher threshold than the signatures support.
-        from dataclasses import replace
-
-        stricter = replace(qc, threshold=3)
-        assert not stricter.validate(ring)
-
-    def test_distinct_signers_helper(self, setup):
-        pairs, _ = setup
-        sigs = [sign(pairs[0].private, "m"), sign(pairs[1].private, "m"),
-                sign(pairs[0].private, "m")]
-        assert distinct_signers(sigs) == {0, 1}

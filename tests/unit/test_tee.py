@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.errors import CounterError, EnclaveOffline, SealingError
-from repro.tee.attestation import attest, verify_attestation
 from repro.tee.counters import (
     ConfigurableCounter,
     NarratorCounter,
@@ -19,7 +18,6 @@ from repro.tee.counters import (
 from repro.tee.enclave import Enclave, EnclaveProfile, ecall
 from repro.tee.rollback import RollbackAttacker
 from repro.tee.sealing import SealingKey, UntrustedStore, seal, unseal
-from repro.crypto.keys import generate_keypairs
 
 
 class TestSealing:
@@ -247,26 +245,6 @@ class TestRollbackAttacker:
         attacker = RollbackAttacker(store=e.store)
         attacker.serve_stale("s", 0)
         assert attacker.unseal_for(e, "s") == "v1"
-
-
-class TestAttestation:
-    def test_verify_roundtrip(self):
-        pk = generate_keypairs([0], seed=1)[0].public
-        report = attest("enclave/0", "measurement-abc", pk)
-        assert verify_attestation(report, "measurement-abc")
-
-    def test_wrong_measurement_rejected(self):
-        pk = generate_keypairs([0], seed=1)[0].public
-        report = attest("enclave/0", "measurement-abc", pk)
-        assert not verify_attestation(report, "other")
-
-    def test_tampered_key_rejected(self):
-        from dataclasses import replace
-
-        pks = generate_keypairs([0, 1], seed=1)
-        report = attest("enclave/0", "m", pks[0].public)
-        tampered = replace(report, public_key=pks[1].public)
-        assert not verify_attestation(tampered, "m")
 
 
 class TestCounterJitterSeeding:
