@@ -146,6 +146,64 @@ CAMPAIGNS: dict[str, tuple] = {
                   expect_violations=("sealed-state-freshness",)),
         0,
     ),
+    # Crash/reboot on every protocol the entries above do not reboot: one
+    # campaign each, pinned before the six `reboot` bodies became one
+    # lifecycle template.  Rollback victims only where the protocol
+    # defends (the planner skips the rest).
+    "chaos_crash_oneshot_r": (
+        # Pinned *with* its recovery-liveness line: a -R counter detecting
+        # the stale seal leaves the replica RECOVERING for good.
+        run_chaos,
+        ChaosSpec(protocol="oneshot-r", f=2, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=2,
+                  partitions=1),
+        1,
+    ),
+    "chaos_crash_minbft": (
+        run_chaos,
+        ChaosSpec(protocol="minbft", f=2, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=1,
+                  partitions=1),
+        3,
+    ),
+    "chaos_crash_achilles_c": (
+        run_chaos,
+        ChaosSpec(protocol="achilles-c", f=2, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=2,
+                  partitions=1),
+        2,
+    ),
+    "chaos_crash_damysus": (
+        run_chaos,
+        ChaosSpec(protocol="damysus", f=2, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=0,
+                  partitions=1),
+        0,
+    ),
+    "chaos_crash_flexibft": (
+        # Leader 0 crashes at 433 ms, backup 2 at 1157 ms.  (Seed 3 of the
+        # CLI-default spec trips FlexiBFT's view-change safety hole, see
+        # ROADMAP; this seed completes.)
+        run_chaos,
+        ChaosSpec(protocol="flexibft", f=1, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=0,
+                  partitions=1),
+        5,
+    ),
+    "chaos_crash_braft": (
+        run_chaos,
+        ChaosSpec(protocol="braft", f=2, duration_ms=2200.0,
+                  quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=0,
+                  partitions=1),
+        1,
+    ),
+    "soak_leader_storm_damysus": (
+        run_soak,
+        SoakSpec(protocol="damysus", scenario="leader-storm",
+                 warmup_ms=500.0, pressure_ms=1500.0,
+                 reconverge_budget_ms=1500.0, settle_ms=500.0),
+        0,
+    ),
     "soak_recovery_under_load": (
         run_soak,
         SoakSpec(scenario="recovery-under-load", warmup_ms=500.0,
