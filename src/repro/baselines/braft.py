@@ -26,11 +26,7 @@ from typing import Optional
 
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
-from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
-from repro.crypto.keys import KeyPair, Keyring
-from repro.net.network import Network
-from repro.sim.loop import Simulator
+from repro.consensus.base import ReplicaBase
 
 
 @dataclass(frozen=True)
@@ -118,18 +114,8 @@ class BRaftNode(ReplicaBase):
     # is no standalone decide message to hide.
     BYZ_DECIDE_KINDS = ()
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        config: ProtocolConfig,
-        keypair: KeyPair,
-        keyring: Keyring,
-        source: Optional[TransactionSource] = None,
-        listener: Optional[CommitListener] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, config, keypair, keyring, source, listener)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.role = RaftRole.FOLLOWER
         self.term = 0
         self.voted_for: Optional[int] = None
@@ -142,10 +128,9 @@ class BRaftNode(ReplicaBase):
         self._votes_received: set[int] = set()
         self._election_timer = self.timer("election")
         self._heartbeat_timer = self.timer("heartbeat")
-        self._batch_timer = self.timer("batch_wait")
-        self._rng = sim.fork_rng(f"raft/{node_id}")
-        self.heartbeat_ms = max(10.0, config.base_timeout_ms / 10.0)
-        self.election_min_ms = config.base_timeout_ms
+        self._rng = self.sim.fork_rng(f"raft/{self.node_id}")
+        self.heartbeat_ms = max(10.0, self.config.base_timeout_ms / 10.0)
+        self.election_min_ms = self.config.base_timeout_ms
         self.elections_won = 0
 
     # ------------------------------------------------------------------
@@ -188,6 +173,8 @@ class BRaftNode(ReplicaBase):
     def _arm_election_timer(self, extra: float = 0.0) -> None:
         timeout = self.election_min_ms + extra + self._rng.uniform(0, self.election_min_ms)
         self._election_timer.start(timeout, lambda: self.run_work(self._start_election))
+
+    _arm_view_timer = _arm_election_timer
 
     # ------------------------------------------------------------------
     # Elections (§5.2)
@@ -299,18 +286,10 @@ class BRaftNode(ReplicaBase):
             return
         if self.last_log_index() > self.commit_index:
             return  # serial chaining: one outstanding block, as in the BFT runs
-        txs = self.make_batch()
-        if not txs:
-            self._batch_timer.start(
-                BATCH_WAIT_MS,
-                lambda: self.run_work(self._try_append_batch),
-            )
-            return
-        self._batch_timer.cancel()
         parent = self.log[-1].block if self.log else self.store.genesis
-        op = execute_transactions(txs, parent.hash)
-        self.charge(self.config.costs.exec_cost(len(txs)))
-        block = create_leaf(txs, op, parent, view=self.term, proposer=self.node_id)
+        block = self._build_block(parent, self.term, self._try_append_batch)
+        if block is None:
+            return
         self.log.append(LogEntry(term=self.term, block=block))
         self.store.add(block)
         if self.listener is not None:
@@ -409,13 +388,12 @@ class BRaftNode(ReplicaBase):
         self._heartbeat_timer.cancel()
         self._election_timer.cancel()
 
-    def reboot(self) -> None:
-        """Reboot with persistent (term, votedFor, log) intact, as Raft
-        assumes stable storage for those."""
-        super().reboot()
+    def _reset_volatile(self) -> None:
+        """(term, votedFor, log) stay, as Raft assumes stable storage for
+        those; the server comes back as a follower and rejoins at once."""
+        super()._reset_volatile()
         self.role = RaftRole.FOLLOWER
         self.leader_id = None
-        self._arm_election_timer()
 
 
 __all__ = [

@@ -1,9 +1,11 @@
 """Shared pieces for the baseline protocols.
 
-Damysus, OneShot, and FlexiBFT all use per-phase votes and quorum
-certificates; :class:`PhaseVote` / :class:`PhaseQC` factor that out.  The
-phase tag is part of the signed statement, so a prepare vote can never be
-replayed as a commit vote.
+Damysus and OneShot use per-phase votes and quorum certificates;
+:class:`PhaseVote` / :class:`PhaseQC` factor that out.  The phase tag is
+part of the signed statement, so a prepare vote can never be replayed as
+a commit vote.  MinBFT and FlexiBFT keep a stable leader and replace it
+the same way; :class:`StableLeaderNode` / :class:`ViewChangeVote` factor
+that out.
 
 ``RStateMixin`` wires the paper's rollback-*prevention* recipe (Sec. 2.1)
 into a trusted component: every state-updating ECALL seals the state to
@@ -15,11 +17,12 @@ overhead the -R variants pay and Achilles avoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
+from repro.consensus.base import ReplicaBase
+from repro.consensus.pacemaker import Pacemaker
 from repro.crypto.keys import Keyring
-from repro.crypto.signatures import Signature, SignatureList, verify
-from repro.errors import EnclaveAbort, SealingError
+from repro.crypto.signatures import Signature, SignatureList, sign, verify
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 from repro.tee.rprotect import RStateMixin  # noqa: F401 (re-export)
 
@@ -88,49 +91,116 @@ class PhaseQC:
         return len(self.phase) + HASH_BYTES + 8 + SIGNATURE_BYTES * len(self.signatures)
 
 
-def schedule_sealed_restore(node, rollback_attacker, init_ms: float,
-                            restored=None) -> None:
-    """Finish a sealing protocol's reboot (Damysus, OneShot): after
-    ``init_ms`` of enclave bring-up, restore ``node.checker`` from its
-    sealed ``rstate`` and re-enter the restored view.
+@dataclass(frozen=True)
+class ViewChangeVote:
+    """Node → all: a signed vote to install leader epoch ``new_view``.
+    Each stable-leader protocol subclasses it under its own message name
+    and signing tag."""
 
-    ``rollback_attacker`` (a :class:`~repro.tee.rollback.RollbackAttacker`)
-    chooses which sealed version the checker sees; the -R variants detect
-    a stale one via the counter and refuse to rejoin — modelled as staying
-    offline until the OS produces the fresh state.  ``restored()`` runs
-    once the checker accepted the state, before the pacemaker restarts.
+    TAG: ClassVar[str]
+    new_view: int
+    signature: Signature
+
+    def statement(self) -> tuple:
+        """The signed tuple."""
+        return (self.TAG, self.new_view)
+
+    def validate(self, keyring: Keyring) -> bool:
+        """Check the signature."""
+        return verify(keyring, self.signature, *self.statement())
+
+    def wire_size(self) -> int:
+        """Serialized size."""
+        return 3 + 8 + SIGNATURE_BYTES
+
+
+class StableLeaderNode(ReplicaBase):
+    """A replica whose leader (``view % n``) stays until ``config.quorum``
+    signed view-change votes install the next one (MinBFT, FlexiBFT).
+
+    A protocol names its :class:`ViewChangeVote` message in
+    :attr:`VIEW_CHANGE`, binds :meth:`_on_view_change` to it, and says in
+    :meth:`_view_installed` what follows a leader change.
     """
-    def restore() -> None:
-        try:
-            if rollback_attacker is not None:
-                sealed = rollback_attacker.unseal_for(node.checker, "rstate")
-            else:
-                sealed = node.checker.unseal_state("rstate")
-        except SealingError:
-            # The on-disk blob is torn/corrupt (e.g. a power cut mid
-            # write): no usable sealed state.
-            sealed = None
-        try:
-            node.checker.tee_restore(sealed)
-        except EnclaveAbort:
-            node.sim.trace.record(node.sim.now, "rollback_detected", node.node_id)
-            if node._obs.enabled:
-                node._obs.end_phase("recovery", node.node_id, node.sim.now,
-                                    rollback_detected=True)
-            return
-        finally:
-            node.charge_enclave(node.checker)
-        if restored is not None:
-            restored()
-        node.view = node.checker.state.vi
-        node.pacemaker.view_started(node.view)
-        if node._obs.enabled:
-            node._obs.end_phase("recovery", node.node_id, node.sim.now,
-                                view=node.view)
 
-    node.after(init_ms, lambda: node.run_work(restore),
-               label=f"{node.name}.restore")
+    VIEW_CHANGE: type
+    #: Join a view change someone else proposed (PBFT-style echo).
+    ECHO_VIEW_CHANGE = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.view = 0  # leader epoch: leader = view % n, stable until VC
+        self._vc_votes = self._new_collector(self.config.quorum)
+        self.pacemaker = Pacemaker(self, self.config.base_timeout_ms,
+                                   self._on_timeout)
+
+    def start(self) -> None:
+        """The initial leader begins proposing at once."""
+        self.pacemaker.view_started(self.view)
+        if self.is_leader(self.view):
+            self.run_work(self._lead)
+
+    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
+        """The trusted component's state persists: rejoin at once.  What
+        the quorum finished meanwhile comes back through block sync."""
+        self._resume()
+        if self.is_leader(self.view):
+            self.run_work(self._lead)
+
+    def _lead(self) -> None:
+        """Hook: propose on the committed tip as ``self.view``'s leader."""
+        raise NotImplementedError
+
+    def _on_timeout(self, view: int) -> None:
+        self.run_work(self._send_view_change)
+
+    def _view_change_vote(self, new_view: int) -> ViewChangeVote:
+        self.charge_sign(1)
+        return self.VIEW_CHANGE(new_view=new_view, signature=sign(
+            self.keypair.private, self.VIEW_CHANGE.TAG, new_view))
+
+    def _send_view_change(self) -> None:
+        vote = self._view_change_vote(self.view + 1)
+        self.broadcast(vote)
+        self._collect_view_change(vote)
+        self.pacemaker.view_started(self.view)
+
+    def _on_view_change(self, msg: ViewChangeVote, src: int) -> None:
+        """Install a new leader on a quorum of view-change votes."""
+        self.charge_verify(1)
+        if not msg.validate(self.keyring):
+            return
+        self._collect_view_change(msg)
+
+    def _collect_view_change(self, msg: ViewChangeVote) -> None:
+        new_view = msg.new_view
+        if new_view <= self.view:
+            return
+        votes, key = self._vc_votes, (new_view,)
+        quorum = votes.add(key, msg.signature.signer, msg)
+        if self.ECHO_VIEW_CHANGE and not votes.voted(key, self.node_id):
+            # Nodes whose timeouts diverged would otherwise each vote only
+            # for their own view+1 and never assemble a quorum on any
+            # single view.  Safety is unaffected — the view number is just
+            # a leader epoch; equivocation is prevented by the USIG.
+            echo = self._view_change_vote(new_view)
+            self.broadcast(echo)
+            quorum = votes.add(key, self.node_id, echo) or quorum
+        if quorum is None:
+            return
+        self.view = new_view
+        self.pacemaker.view_started(new_view)
+        if self._obs.enabled:
+            self._obs.instant("view_change", self.node_id, self.sim.now,
+                              view=new_view)
+        votes.prune(new_view)
+        self._view_installed()
+
+    def _view_installed(self) -> None:
+        """Hook: ``self.view`` was just installed."""
+        if self.is_leader(self.view):
+            self._lead()
 
 
 __all__ = ["PhaseVote", "PhaseQC", "RStateMixin", "PREP", "CMT",
-           "schedule_sealed_restore"]
+           "ViewChangeVote", "StableLeaderNode"]

@@ -15,23 +15,15 @@ node per view then pays a counter write on the critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.baselines.common import (CMT, PREP, PhaseQC, PhaseVote,
-                                    schedule_sealed_restore)
+from repro.baselines.common import CMT, PREP, PhaseQC, PhaseVote
 from repro.baselines.damysus.checker import DamysusChecker
-from repro.chain.block import Block, create_leaf
-from repro.chain.execution import execute_transactions
-from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
-from repro.consensus.pacemaker import Pacemaker
-from repro.core.accumulator import AchillesAccumulator
+from repro.chain.block import Block
+from repro.consensus.base import NodeStatus
+from repro.consensus.messages import BlockSyncRequest
 from repro.core.certificates import BlockCertificate, ViewCertificate
-from repro.crypto.keys import KeyPair, Keyring
-from repro.crypto.signatures import SignatureList
+from repro.core.node import ChainedTeeNode
 from repro.errors import EnclaveAbort
-from repro.net.network import Network
-from repro.sim.loop import Simulator
 
 
 @dataclass(frozen=True)
@@ -101,202 +93,60 @@ class DNewView:
         return self.cert.wire_size()
 
 
-class DamysusNode(ReplicaBase):
+class DamysusNode(ChainedTeeNode):
     """A Damysus replica (plain or -R depending on the counter factory)."""
 
     BYZ_PROPOSAL_KINDS = ("DProposal",)
     BYZ_VOTE_KINDS = ("DPrepareVote", "DCommitVote")
     BYZ_DECIDE_KINDS = ("DDecide",)
+    NEW_VIEW = DNewView
+    RESTORES_FROM_SEAL = True
+    PULLS_PARENT_ONLY_WHEN_READY = True
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        config: ProtocolConfig,
-        keypair: KeyPair,
-        keyring: Keyring,
-        source: Optional[TransactionSource] = None,
-        listener: Optional[CommitListener] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, config, keypair, keyring, source, listener)
-        self.checker = DamysusChecker(
-            node_id=node_id, n=config.n, f=config.f,
-            private_key=keypair.private, keyring=keyring,
-            profile=config.enclave, crypto=config.crypto,
-            counter=(config.make_counter(sim.fork_rng(f"counter/{node_id}"))
-                     if config.counter_factory else None),
-        )
-        self.accumulator = AchillesAccumulator(
-            node_id=node_id, f=config.f,
-            private_key=keypair.private, keyring=keyring,
-            profile=config.enclave, crypto=config.crypto,
-        )
-        self.view = 0
-        self._view_certs: dict[int, dict[int, ViewCertificate]] = {}
-        self._prepare_votes: dict[tuple[str, int], dict[int, PhaseVote]] = {}
-        self._commit_votes: dict[tuple[str, int], dict[int, PhaseVote]] = {}
-        self._proposed_view = -1
-        self._prepared_qc_sent: set[int] = set()
-        self._decided: set[int] = set()
-        self._batch_timer = self.timer("batch_wait")
-        self.pacemaker = Pacemaker(self, config.base_timeout_ms, self._on_timeout)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._prepare_votes = self._new_collector(self.config.f + 1)
+        self._commit_votes = self._new_collector(self.config.f + 1)
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Bootstrap into view 1 via the timeout path."""
-        self.run_work(self._advance_via_new_view)
+    def _make_checker(self, **trusted) -> DamysusChecker:
+        return DamysusChecker(counter=self._make_counter(), **trusted)
 
-    def _advance_via_new_view(self) -> None:
-        try:
-            cert = self.checker.tee_new_view()
-        except EnclaveAbort:
-            # Same stall as Achilles' TEEview path: re-arm so the replica
-            # keeps retrying at the current backoff instead of going quiet.
-            self.pacemaker.rearm()
-            return
-        finally:
-            self.charge_enclave(self.checker)
-        self.view = cert.current_view
-        self.pacemaker.view_started(self.view)
-        # Broadcast so peers behind this view can fast-forward to it (see
-        # AchillesNode._sync_to_view for the divergent-backoff failure).
-        self.broadcast(DNewView(cert), include_self=True)
+    def _checker_offline(self) -> bool:
+        return self.checker.needs_restore
 
-    def _sync_to_view(self, target_view: int) -> None:
-        """Fast-forward the checker to ``target_view`` off a peer's
-        certificate, reuniting divergent views in one place."""
-        cert = None
-        while self.view < target_view:
-            try:
-                cert = self.checker.tee_new_view()
-            except EnclaveAbort:
-                return
-            finally:
-                self.charge_enclave(self.checker)
-            self.view = cert.current_view
-        if cert is None:
-            return
-        self.pacemaker.view_started(self.view)
-        self.send_to(self.leader_of(self.view), DNewView(cert))
+    def _tee_next_view(self) -> ViewCertificate:
+        return self.checker.tee_new_view()
 
-    def _on_timeout(self, view: int) -> None:
-        self.run_work(self._advance_via_new_view)
+    on_DNewView = ChainedTeeNode._on_new_view
+    on_DProposal = ChainedTeeNode._on_proposal
+    on_DDecide = ChainedTeeNode._on_decide
 
-    # ------------------------------------------------------------------
-    # NEW-VIEW collection + PREPARE phase (leader)
-    # ------------------------------------------------------------------
-    def on_DNewView(self, msg: DNewView, src: int) -> None:
-        """Collect view certificates; accumulate and propose on f+1."""
-        cert = msg.cert
-        # Re-verified (and charged) inside the accumulator ECALL.
-        if not cert.validate(self.keyring):
-            return
-        # One view ahead is the normal chained handoff; two or more means
-        # views diverged (crashes + backoff drift) and we must fast-forward
-        # or the committee never reassembles f+1 certificates in one view.
-        if cert.current_view > self.view + 1:
-            self.run_work(lambda: self._sync_to_view(cert.current_view))
-        if not self.is_leader(cert.current_view):
-            return
-        bucket = self._view_certs.setdefault(cert.current_view, {})
-        bucket[cert.signer] = cert
-        self._try_propose(cert.current_view)
-
-    def _try_propose(self, target_view: int) -> None:
-        if self._proposed_view >= target_view:
-            return
-        bucket = self._view_certs.get(target_view, {})
-        if len(bucket) < self.config.f + 1:
-            return
-        if self.checker.state.vi != target_view or self.checker.needs_restore:
-            return
-        certs = list(bucket.values())
-        best = max(certs, key=lambda c: (c.block_view, -c.signer))
-        parent = self.store.get(best.block_hash)
-        if parent is None:
-            self._request_missing(best.block_hash, best.signer, target_view)
-            return
-        if not self.store.has_full_ancestry(parent):
-            self.with_full_ancestry(parent, lambda _b: self._try_propose(target_view),
-                                    hint=best.signer)
-            return
-        try:
-            acc = self.accumulator.tee_accum(best, certs)
-        except EnclaveAbort:
-            return
-        finally:
-            self.charge_enclave(self.accumulator)
-        self._propose(parent, acc, target_view)
-
-    def _request_missing(self, block_hash: str, hint: int, target_view: int) -> None:
-        from repro.consensus.messages import BlockSyncRequest
-
+    def _obtain_parent(self, block_hash: str, hint: int, retry) -> None:
+        """Unlike Achilles' ``_obtain_block``: a parent some other path is
+        already pulling is not waited on a second time, and the request
+        goes to the certificate's signer even when that is this replica."""
         if block_hash in self._sync_requested:
             return
         self._sync_requested.add(block_hash)
         self._awaiting_ancestor.setdefault(block_hash, []).append(
-            (self.store.genesis, lambda _b: self._try_propose(target_view))
-        )
-        self.send_to(hint, BlockSyncRequest(block_hash=block_hash, requester=self.node_id))
+            (self.store.genesis, retry))
+        self.send_to(hint, BlockSyncRequest(block_hash=block_hash,
+                                            requester=self.node_id))
 
-    def _propose(self, parent: Block, acc, view: int) -> None:
-        if self._proposed_view >= view:
-            return
-        txs = self.make_batch()
-        if not txs:
-            self._batch_timer.start(
-                BATCH_WAIT_MS,
-                lambda: self.run_work(lambda: self._propose(parent, acc, view)),
-            )
-            return
-        self._batch_timer.cancel()
-        op = execute_transactions(txs, parent.hash)
-        self.charge(self.config.costs.exec_cost(len(txs)))
-        block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
-        try:
-            block_cert, own_vote = self.checker.tee_prepare(block, acc)
-        except EnclaveAbort:
-            self.requeue_batch(txs)
-            return
-        finally:
-            self.charge_enclave(self.checker)
-        self._proposed_view = view
-        self.view = view
-        self.pacemaker.view_started(view)
-        self.store.add(block)
-        if self.listener is not None:
-            self.listener.on_propose(self.node_id, block, self.sim.now)
-        if self._obs.enabled:
-            self._obs.block_proposed(block.hash, view, self.node_id,
-                                     len(block.txs), self.sim.now)
+    # ------------------------------------------------------------------
+    # PREPARE phase
+    # ------------------------------------------------------------------
+    def _tee_prepare(self, block: Block, acc) -> tuple[BlockCertificate, PhaseVote]:
+        return self.checker.tee_prepare(block, acc)
+
+    def _announce(self, block: Block, prepared) -> None:
+        block_cert, own_vote = prepared
         self.broadcast(DProposal(block=block, block_cert=block_cert))
-        self._collect_prepare_vote(own_vote)
+        self.on_DPrepareVote(DPrepareVote(vote=own_vote), self.node_id)
 
-    # ------------------------------------------------------------------
-    # PREPARE phase (backups)
-    # ------------------------------------------------------------------
-    def on_DProposal(self, msg: DProposal, src: int) -> None:
-        """Validate the block and return a prepare vote."""
-        block, cert = msg.block, msg.block_cert
+    def _store_and_vote(self, block: Block, cert: BlockCertificate) -> None:
+        """Backup: the checker's prepare vote for a validated block."""
         # Certificate verification is charged inside tee_vote_prepare.
-        self.charge_hash(block.wire_size())
-        if not cert.validate(self.keyring):
-            return
-        if cert.block_hash != block.hash or cert.view != block.view:
-            return
-        if cert.signature.signer != self.leader_of(block.view):
-            return
-        self.with_full_ancestry(
-            block, lambda b: self.run_work(lambda: self._vote_prepare(b, cert)), hint=src
-        )
-
-    def _vote_prepare(self, block: Block, cert: BlockCertificate) -> None:
-        self.charge(self.config.costs.exec_cost(len(block.txs)))
-        if self.config.deep_validation:
-            parent = self.store.get(block.parent_hash)
-            if parent is None or execute_transactions(block.txs, parent.hash) != block.op:
-                return
         try:
             vote = self.checker.tee_vote_prepare(cert)
         except EnclaveAbort:
@@ -313,42 +163,27 @@ class DamysusNode(ReplicaBase):
 
     def on_DPrepareVote(self, msg: DPrepareVote, src: int) -> None:
         """Leader: combine f+1 prepare votes into the prepared QC."""
-        self._collect_prepare_vote(msg.vote)
-
-    def _collect_prepare_vote(self, vote: PhaseVote) -> None:
-        if vote.phase != PREP or not self.is_leader(vote.view):
+        vote = msg.vote
+        if vote.phase != PREP:
             return
-        if vote.view in self._prepared_qc_sent:
+        signatures = self._quorum_signatures(self._prepare_votes, vote)
+        if signatures is None:
             return
-        self.charge_verify(1)
-        if not vote.validate(self.keyring):
-            return
-        key = (vote.block_hash, vote.view)
-        bucket = self._prepare_votes.setdefault(key, {})
-        bucket[vote.signature.signer] = vote
-        if len(bucket) < self.config.f + 1:
-            return
-        self._prepared_qc_sent.add(vote.view)
         if self._obs.enabled:
             self._obs.block_milestone(vote.block_hash, "prepared",
                                       self.node_id, self.sim.now)
-        qc = PhaseQC(
-            phase=PREP, block_hash=vote.block_hash, view=vote.view,
-            signatures=SignatureList.of(
-                v.signature for v in list(bucket.values())[: self.config.f + 1]
-            ),
-        )
-        self.broadcast(DPrepared(qc=qc))
-        self._record_prepared(qc)
+        qc = PhaseQC(phase=PREP, block_hash=vote.block_hash, view=vote.view,
+                     signatures=signatures)
+        prepared = DPrepared(qc=qc)
+        self.broadcast(prepared)
+        self.on_DPrepared(prepared, self.node_id)
 
     # ------------------------------------------------------------------
     # PRE-COMMIT phase
     # ------------------------------------------------------------------
     def on_DPrepared(self, msg: DPrepared, src: int) -> None:
         """All nodes: record the prepared block, send the commit vote."""
-        self.run_work(lambda: self._record_prepared(msg.qc))
-
-    def _record_prepared(self, qc: PhaseQC) -> None:
+        qc = msg.qc
         self.charge_verify(len(qc.signatures))
         if not qc.validate(self.keyring, self.config.f + 1):
             return
@@ -360,7 +195,7 @@ class DamysusNode(ReplicaBase):
             self.charge_enclave(self.checker)
         leader = self.leader_of(qc.view)
         if leader == self.node_id:
-            self._collect_commit_vote(commit_vote)
+            self.on_DCommitVote(DCommitVote(vote=commit_vote), self.node_id)
         else:
             self.send_to(leader, DCommitVote(vote=commit_vote))
         # Chaining: the NEW-VIEW for v+1 ships now, overlapping the DECIDE
@@ -370,95 +205,47 @@ class DamysusNode(ReplicaBase):
 
     def on_DCommitVote(self, msg: DCommitVote, src: int) -> None:
         """Leader: combine f+1 commit votes and broadcast DECIDE."""
-        self._collect_commit_vote(msg.vote)
-
-    def _collect_commit_vote(self, vote: PhaseVote) -> None:
-        if vote.phase != CMT or not self.is_leader(vote.view):
+        vote = msg.vote
+        if vote.phase != CMT:
             return
-        if vote.view in self._decided:
+        signatures = self._quorum_signatures(self._commit_votes, vote)
+        if signatures is None:
             return
-        self.charge_verify(1)
-        if not vote.validate(self.keyring):
-            return
-        key = (vote.block_hash, vote.view)
-        bucket = self._commit_votes.setdefault(key, {})
-        bucket[vote.signature.signer] = vote
-        if len(bucket) < self.config.f + 1:
-            return
-        self._decided.add(vote.view)
         if self._obs.enabled:
             self._obs.block_milestone(vote.block_hash, "cert", self.node_id,
                                       self.sim.now)
-        qc = PhaseQC(
-            phase=CMT, block_hash=vote.block_hash, view=vote.view,
-            signatures=SignatureList.of(
-                v.signature for v in list(bucket.values())[: self.config.f + 1]
-            ),
-        )
-        self._apply_decide(qc)
+        qc = PhaseQC(phase=CMT, block_hash=vote.block_hash, view=vote.view,
+                     signatures=signatures)
+        self._handle_commitment(qc, self.node_id)
         self.broadcast(DDecide(qc=qc))
 
-    # ------------------------------------------------------------------
-    # DECIDE phase
-    # ------------------------------------------------------------------
-    def on_DDecide(self, msg: DDecide, src: int) -> None:
-        """All nodes: execute the block, ship the NEW-VIEW onward."""
-        qc = msg.qc
-        if self.store.is_committed(qc.block_hash):
-            return
-        self.charge_verify(len(qc.signatures))
-        if not qc.validate(self.keyring, self.config.f + 1):
-            return
-        self._apply_decide(qc)
-
-    def _apply_decide(self, qc: PhaseQC) -> None:
+    def _handle_commitment(self, qc: PhaseQC, src: int) -> None:
+        """Unlike Achilles, a decide for a block this replica never
+        received is dropped, not fetched: the block arrives as an ancestor
+        of a later proposal and commits with it."""
         block = self.store.get(qc.block_hash)
-        if block is None:
-            return
-        if not self.store.is_committed(block.hash):
-            if not self.store.has_full_ancestry(block):
-                self.with_full_ancestry(block, lambda b: self._apply_decide(qc))
-                return
-            self.commit_block(block)
-            notify_qc = getattr(self.listener, "on_commit_certificate", None)
-            if notify_qc is not None:
-                notify_qc(self.node_id, qc, self.sim.now)
-            self.pacemaker.progress()
-        next_view = qc.view + 1
-        if next_view > self.view:
-            self.view = next_view
-            self.pacemaker.view_started(next_view)
-        self._prune(qc.view)
-
-    def _prune(self, committed_view: int) -> None:
-        for view in [v for v in self._view_certs if v <= committed_view]:
-            del self._view_certs[view]
-        for collection in (self._prepare_votes, self._commit_votes):
-            for key in [k for k in collection if k[1] <= committed_view]:
-                del collection[key]
-        self._prepared_qc_sent = {v for v in self._prepared_qc_sent if v > committed_view}
-        self._decided = {v for v in self._decided if v > committed_view}
+        if block is not None:
+            self._apply_commitment(qc, block)
 
     # ------------------------------------------------------------------
     # Reboot: restore from sealed state (+ counter check in -R)
     # ------------------------------------------------------------------
-    def reboot(self, rollback_attacker=None) -> None:
-        """Reboot and restore the checker from sealed storage.
+    def _reset_volatile(self) -> None:
+        # Only the view certificates: the leader-side prepare/commit vote
+        # buckets have always survived a Damysus reboot, and `make
+        # loss-smoke` (damysus, seed 2) is pinned on the quorums a
+        # rebooted leader completes from them — ROADMAP item 5.
+        self._view_certs.clear()
 
-        ``rollback_attacker`` (a :class:`~repro.tee.rollback.RollbackAttacker`)
-        chooses which sealed version the checker sees; Damysus-R detects a
-        stale version via the counter, plain Damysus does not.
-        """
-        super().reboot()
-        self.checker.reboot()
-        self.accumulator.reboot()
-        self.pacemaker.stop()
-        init_ms = self.checker.restart(self.config.n - 1)
-        self.accumulator.restart(0)  # covered by the same bringup window
-        if self._obs.enabled:
-            self._obs.begin_phase("recovery", self.node_id, self.sim.now)
-
-        schedule_sealed_restore(self, rollback_attacker, init_ms)
+    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
+        """Damysus-R detects a stale sealed version via the counter, plain
+        Damysus does not."""
+        # RUNNING before the restore completes — and still RUNNING when a
+        # -R counter refuses it: what this class's missing ``status``
+        # meant to every monitor.  OneShot's window and a terminal
+        # "halted" state are ROADMAP item 5's open behaviour finding.
+        self.status = NodeStatus.RUNNING
+        self._rejoin_from_seal(rollback_attacker, init_ms)
 
 
 __all__ = [

@@ -19,19 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.common import RStateMixin
-from repro.chain.block import Block, create_leaf
+from repro.baselines.common import (RStateMixin, StableLeaderNode,
+                                    ViewChangeVote)
+from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
-from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
-from repro.consensus.pacemaker import Pacemaker
 from repro.core.certificates import BlockCertificate
-from repro.crypto.keys import KeyPair, Keyring, PrivateKey
+from repro.crypto.keys import Keyring, PrivateKey
 from repro.crypto.signatures import CryptoProfile, Signature, sign, verify
 from repro.errors import EnclaveAbort
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
-from repro.net.network import Network
-from repro.sim.loop import Simulator
 from repro.tee.enclave import Enclave, EnclaveProfile, ecall
 from repro.tee.counters import PersistentCounter
 
@@ -111,94 +107,51 @@ class FVote:
 
 
 @dataclass(frozen=True)
-class FViewChange:
+class FViewChange(ViewChangeVote):
     """Node → all: vote to replace the leader after a timeout."""
 
-    new_view: int
-    signature: Signature
-
-    def statement(self) -> tuple:
-        """The signed tuple."""
-        return ("FVC", self.new_view)
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
-
-    def wire_size(self) -> int:
-        """Serialized size."""
-        return 3 + 8 + SIGNATURE_BYTES
+    TAG = "FVC"
 
 
-class FlexiBFTNode(ReplicaBase):
+class FlexiBFTNode(StableLeaderNode):
     """A FlexiBFT replica (n = 3f+1, quorum 2f+1)."""
 
     BYZ_PROPOSAL_KINDS = ("FProposal",)
     BYZ_VOTE_KINDS = ("FVote",)
     # Commits are local once 2f+1 votes collect; nothing to hide.
     BYZ_DECIDE_KINDS = ()
+    VIEW_CHANGE = FViewChange
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        config: ProtocolConfig,
-        keypair: KeyPair,
-        keyring: Keyring,
-        source: Optional[TransactionSource] = None,
-        listener: Optional[CommitListener] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, config, keypair, keyring, source, listener)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.proposer = FlexiProposer(
-            node_id=node_id, n=config.n,
-            private_key=keypair.private, keyring=keyring,
-            profile=config.enclave, crypto=config.crypto,
-            counter=(config.make_counter(sim.fork_rng(f"counter/{node_id}"))
-                     if config.counter_factory else None),
+            node_id=self.node_id, n=self.config.n,
+            private_key=self.keypair.private, keyring=self.keyring,
+            profile=self.config.enclave, crypto=self.config.crypto,
+            counter=self._make_counter(),
         )
-        self.view = 0  # leader epoch: leader = view % n (stable until VC)
-        self._votes: dict[tuple[str, int], dict[int, FVote]] = {}
-        self._vc_votes: dict[int, set[int]] = {}
+        # Keyed (view, block hash); a bucket goes when its block commits.
+        self._votes = self._new_collector(self.config.quorum, once=False)
         self._proposed_height = 0
         self._blocks_by_hash_pending: dict[str, Block] = {}
-        self._batch_timer = self.timer("batch_wait")
-        self.pacemaker = Pacemaker(self, config.base_timeout_ms, self._on_timeout)
-
-    @property
-    def quorum(self) -> int:
-        """2f+1 of 3f+1."""
-        return 2 * self.config.f + 1
-
-    def leader_of(self, view: int) -> int:
-        """Stable leader: changes only on view change."""
-        return view % self.config.n
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Leader of epoch 0 starts proposing immediately."""
-        self.pacemaker.view_started(self.view)
-        if self.is_leader(self.view):
-            self.run_work(lambda: self._propose(self.store.committed_tip))
+    def _lead(self) -> None:
+        """Leader of a fresh epoch (boot, reboot, view change)."""
+        self._proposed_height = self.store.committed_tip.height
+        self._propose(self.store.committed_tip)
 
     def _propose(self, parent: Block) -> None:
         if not self.is_leader(self.view) or parent.height < self._proposed_height:
             return
-        txs = self.make_batch()
-        if not txs:
-            self._batch_timer.start(
-                BATCH_WAIT_MS,
-                lambda: self.run_work(lambda: self._propose(parent)),
-            )
+        block = self._build_block(parent, self.view,
+                                  lambda: self._propose(parent))
+        if block is None:
             return
-        self._batch_timer.cancel()
-        op = execute_transactions(txs, parent.hash)
-        self.charge(self.config.costs.exec_cost(len(txs)))
-        block = create_leaf(txs, op, parent, view=self.view, proposer=self.node_id)
         try:
             cert = self.proposer.tee_propose(block)
         except EnclaveAbort:
-            self.requeue_batch(txs)
+            self.requeue_batch(block.txs)
             return
         finally:
             self.charge_enclave(self.proposer)
@@ -258,9 +211,8 @@ class FlexiBFTNode(ReplicaBase):
     def _collect_vote(self, vote: FVote) -> None:
         if self.store.is_committed(vote.block_hash):
             return
-        bucket = self._votes.setdefault((vote.block_hash, vote.view), {})
-        bucket[vote.signature.signer] = vote
-        if len(bucket) < self.quorum:
+        if self._votes.add((vote.view, vote.block_hash),
+                           vote.signature.signer, vote) is None:
             return
         block = self._blocks_by_hash_pending.get(vote.block_hash) or \
             self.store.get(vote.block_hash)
@@ -278,53 +230,20 @@ class FlexiBFTNode(ReplicaBase):
         self.pacemaker.progress()
         self.pacemaker.view_started(self.view)
         self._blocks_by_hash_pending.pop(block.hash, None)
-        for key in [k for k in self._votes if k[0] == block.hash]:
-            del self._votes[key]
+        self._votes.discard((block.view, block.hash))
         if self.is_leader(self.view):
             # Defer through the event queue: with n = 1 a synchronous
             # re-propose would recurse commit→propose→commit forever.
             self.after(0.0, lambda: self.run_work(lambda: self._propose(block)))
 
     # ------------------------------------------------------------------
-    # View change (leader replacement)
+    # Lifecycle and view change (the proposer's height marker persists)
     # ------------------------------------------------------------------
-    def _on_timeout(self, view: int) -> None:
-        self.run_work(self._send_view_change)
+    def _reset_volatile(self) -> None:
+        super()._reset_volatile()
+        self._blocks_by_hash_pending.clear()
 
-    def _send_view_change(self) -> None:
-        new_view = self.view + 1
-        self.charge_sign(1)
-        vc = FViewChange(
-            new_view=new_view,
-            signature=sign(self.keypair.private, "FVC", new_view),
-        )
-        self.broadcast(vc)
-        self._collect_vc(vc)
-        self.pacemaker.view_started(self.view)
-
-    def on_FViewChange(self, msg: FViewChange, src: int) -> None:
-        """Collect 2f+1 view-change votes to install the next leader."""
-        self.charge_verify(1)
-        if not msg.validate(self.keyring):
-            return
-        self._collect_vc(msg)
-
-    def _collect_vc(self, msg: FViewChange) -> None:
-        if msg.new_view <= self.view:
-            return
-        voters = self._vc_votes.setdefault(msg.new_view, set())
-        voters.add(msg.signature.signer)
-        if len(voters) < self.quorum:
-            return
-        self.view = msg.new_view
-        self.pacemaker.view_started(self.view)
-        if self._obs.enabled:
-            self._obs.instant("view_change", self.node_id, self.sim.now,
-                              view=self.view)
-        self._vc_votes = {v: s for v, s in self._vc_votes.items() if v > self.view}
-        if self.is_leader(self.view):
-            self._proposed_height = self.store.committed_tip.height
-            self._propose(self.store.committed_tip)
+    on_FViewChange = StableLeaderNode._on_view_change
 
 
 __all__ = ["FlexiBFTNode", "FlexiProposer", "FProposal", "FVote", "FViewChange"]

@@ -23,18 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.chain.block import Block, create_leaf
+from repro.baselines.common import StableLeaderNode, ViewChangeVote
+from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
-from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
-from repro.consensus.pacemaker import Pacemaker
 from repro.crypto.hashing import digest_of
-from repro.crypto.keys import KeyPair, Keyring
-from repro.crypto.signatures import Signature, sign, verify
 from repro.errors import EnclaveAbort
-from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
-from repro.net.network import Network
-from repro.sim.loop import Simulator
+from repro.net.message import HASH_BYTES
 from repro.tee.trinc import Usig, UsigCertificate
 
 
@@ -70,26 +64,13 @@ class MCommit:
 
 
 @dataclass(frozen=True)
-class MViewChange:
+class MViewChange(ViewChangeVote):
     """Node → all: vote to install the next leader."""
 
-    new_view: int
-    signature: Signature
-
-    def statement(self) -> tuple:
-        """The signed tuple."""
-        return ("MVC", self.new_view)
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
-
-    def wire_size(self) -> int:
-        """Serialized size."""
-        return 3 + 8 + SIGNATURE_BYTES
+    TAG = "MVC"
 
 
-class MinBFTNode(ReplicaBase):
+class MinBFTNode(StableLeaderNode):
     """A MinBFT replica."""
 
     BYZ_PROPOSAL_KINDS = ("MPrepare",)
@@ -97,26 +78,16 @@ class MinBFTNode(ReplicaBase):
     # MinBFT has no separate decide message: an MCommit both votes and
     # notifies, so hiding commits means hiding MCommits.
     BYZ_DECIDE_KINDS = ("MCommit",)
+    VIEW_CHANGE = MViewChange
+    ECHO_VIEW_CHANGE = True
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        config: ProtocolConfig,
-        keypair: KeyPair,
-        keyring: Keyring,
-        source: Optional[TransactionSource] = None,
-        listener: Optional[CommitListener] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, config, keypair, keyring, source, listener)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.usig = Usig(
-            node_id=node_id, private_key=keypair.private, keyring=keyring,
-            profile=config.enclave, crypto=config.crypto,
-            counter=(config.make_counter(sim.fork_rng(f"counter/{node_id}"))
-                     if config.counter_factory else None),
+            node_id=self.node_id, private_key=self.keypair.private,
+            keyring=self.keyring, profile=self.config.enclave,
+            crypto=self.config.crypto, counter=self._make_counter(),
         )
-        self.view = 0  # leader epoch: leader = view % n, stable until VC
         self._prepares: dict[str, MPrepare] = {}       # digest -> prepare
         self._commit_uis: dict[str, set[int]] = {}     # digest -> nodes
         self._executed: set[str] = set()
@@ -126,23 +97,11 @@ class MinBFTNode(ReplicaBase):
         # node signed both) — the certification rule below refuses that.
         # Kept with the USIG's sealed TrInc state, so it survives reboots.
         self._certified: dict[int, str] = {}
-        self._vc_votes: dict[int, set[int]] = {}
         self._outstanding: Optional[str] = None        # digest in flight
-        self._batch_timer = self.timer("batch_wait")
-        self.pacemaker = Pacemaker(self, config.base_timeout_ms, self._on_timeout)
-
-    def leader_of(self, view: int) -> int:
-        """Stable leader."""
-        return view % self.config.n
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """The initial leader begins preparing batches."""
-        self.pacemaker.view_started(self.view)
-        if self.is_leader(self.view):
-            self.run_work(self._prepare_next)
-
-    def _prepare_next(self) -> None:
+    def _lead(self) -> None:
+        """Leader: UI-certify and broadcast the next batch."""
         if not self.is_leader(self.view) or self._outstanding is not None:
             return
         parent = self.store.committed_tip
@@ -157,24 +116,15 @@ class MinBFTNode(ReplicaBase):
                 return  # off our committed chain; let the leader rotate
             block = pending
         else:
-            txs = self.make_batch()
-            if not txs:
-                self._batch_timer.start(
-                    BATCH_WAIT_MS,
-                    lambda: self.run_work(self._prepare_next),
-                )
+            block = self._build_block(parent, self.view, self._lead)
+            if block is None:
                 return
-            self._batch_timer.cancel()
-            op = execute_transactions(txs, parent.hash)
-            self.charge(self.config.costs.exec_cost(len(txs)))
-            block = create_leaf(txs, op, parent, view=self.view,
-                                proposer=self.node_id)
         prepare_digest = digest_of("mprep", self.view, block.hash)
         try:
             ui = self.usig.create_ui(prepare_digest)
         except EnclaveAbort:
             if pending_hash is None:
-                self.requeue_batch(txs)
+                self.requeue_batch(block.txs)
             return
         finally:
             self.charge_enclave(self.usig)
@@ -298,87 +248,26 @@ class MinBFTNode(ReplicaBase):
         if self._outstanding == digest:
             self._outstanding = None
         if self.is_leader(self.view):
-            self.after(0.0, lambda: self.run_work(self._prepare_next))
+            self.after(0.0, lambda: self.run_work(self._lead))
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle and view change
     # ------------------------------------------------------------------
-    def reboot(self) -> None:
-        """Resume after a crash.
-
-        The USIG's monotonic counter is persistent (TrInc), so the node
+    def _reset_volatile(self) -> None:
+        """The USIG's monotonic counter is persistent (TrInc), so the node
         rejoins with its UI sequence intact; everything host-side is
-        volatile.  In-flight prepares and partial commit quorums are
-        gone (anything the quorum finished meanwhile comes back through
-        block sync / checkpoint catch-up), and so is every timer — most
-        importantly the pacemaker.  A rebooted node whose pacemaker
-        never re-arms can never vote a view change, which wedges an
-        f=1 committee for good.
-        """
-        super().reboot()
+        volatile: in-flight prepares and partial commit quorums are gone."""
+        super()._reset_volatile()
         self._prepares.clear()
         self._commit_uis.clear()
         self._executed.clear()
-        self._vc_votes.clear()
         self._outstanding = None
-        self._batch_timer.cancel()
-        if self._obs.enabled:
-            self._obs.instant("rejoin", self.node_id, self.sim.now,
-                              view=self.view)
-        self.pacemaker.view_started(self.view)
-        if self.is_leader(self.view):
-            self.run_work(self._prepare_next)
 
-    # ------------------------------------------------------------------
-    # View change (simplified leader replacement)
-    # ------------------------------------------------------------------
-    def _on_timeout(self, view: int) -> None:
-        self.run_work(self._send_view_change)
+    on_MViewChange = StableLeaderNode._on_view_change
 
-    def _send_view_change(self) -> None:
-        new_view = self.view + 1
-        self.charge_sign(1)
-        vc = MViewChange(
-            new_view=new_view,
-            signature=sign(self.keypair.private, "MVC", new_view),
-        )
-        self.broadcast(vc)
-        self._collect_vc(vc)
-        self.pacemaker.view_started(self.view)
-
-    def on_MViewChange(self, msg: MViewChange, src: int) -> None:
-        """Install a new leader on f+1 view-change votes."""
-        self.charge_verify(1)
-        if not msg.validate(self.keyring):
-            return
-        self._collect_vc(msg)
-
-    def _collect_vc(self, msg: MViewChange) -> None:
-        if msg.new_view <= self.view:
-            return
-        voters = self._vc_votes.setdefault(msg.new_view, set())
-        voters.add(msg.signature.signer)
-        if self.node_id not in voters:
-            # Join the proposed view (PBFT-style echo): nodes whose
-            # timeouts diverged would otherwise each vote only for their
-            # own view+1 and never assemble f+1 votes on any single view.
-            # Safety is unaffected — the view number is just a leader
-            # epoch; equivocation is prevented by the USIG.
-            voters.add(self.node_id)
-            self.charge_sign(1)
-            self.broadcast(MViewChange(
-                new_view=msg.new_view,
-                signature=sign(self.keypair.private, "MVC", msg.new_view),
-            ))
-        if len(voters) < self.config.f + 1:
-            return
-        self.view = msg.new_view
+    def _view_installed(self) -> None:
         self._outstanding = None
-        self.pacemaker.view_started(self.view)
-        self._vc_votes = {v: s for v, s in self._vc_votes.items()
-                          if v > self.view}
-        if self.is_leader(self.view):
-            self.run_work(self._prepare_next)
+        super()._view_installed()
 
 
 __all__ = ["MinBFTNode", "MPrepare", "MCommit", "MViewChange"]

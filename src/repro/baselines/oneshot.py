@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.baselines.common import (PREP, PhaseQC, PhaseVote, RStateMixin,
-                                    schedule_sealed_restore)
-from repro.chain.block import Block, create_leaf
-from repro.chain.execution import execute_transactions
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
+from repro.baselines.common import PREP, PhaseQC, PhaseVote, RStateMixin
+from repro.chain.block import Block
+from repro.consensus.base import NodeStatus
 from repro.core.certificates import (
     AccumulatorCertificate,
     BlockCertificate,
@@ -34,8 +32,8 @@ from repro.core.certificates import (
     StoreCertificate,
 )
 from repro.core.checker import AchillesChecker
-from repro.core.node import AchillesNode, Decide, NewView, NodeStatus, StoreVote
-from repro.crypto.signatures import SignatureList, sign
+from repro.core.node import AchillesNode, ChainedTeeNode, StoreVote
+from repro.crypto.signatures import sign
 from repro.errors import EnclaveAbort
 from repro.tee.enclave import ecall
 
@@ -294,69 +292,41 @@ class OneShotNode(AchillesNode):
     BYZ_PROPOSAL_KINDS = ("OSProposal",)
     BYZ_VOTE_KINDS = ("StoreVote", "OSPreVote")
     BYZ_DECIDE_KINDS = ("Decide",)
+    RESTORES_FROM_SEAL = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Replace the Achilles checker with the OneShot one.
-        self.checker = OneShotChecker(
-            node_id=self.node_id, n=self.config.n, f=self.config.f,
-            private_key=self.keypair.private, keyring=self.keyring,
-            profile=self.config.enclave, crypto=self.config.crypto,
-            counter=(self.config.make_counter(self.sim.fork_rng(f"counter/{self.node_id}"))
-                     if self.config.counter_factory else None),
-        )
-        self._pre_votes: dict[tuple[str, int], dict[int, PhaseVote]] = {}
-        self._pre_qc_sent: set[int] = set()
+        self._pre_votes = self._new_collector(self.config.f + 1)
         self._slow_blocks: dict[int, tuple[Block, BlockCertificate]] = {}
 
-    # ------------------------------------------------------------------
-    # Proposal — dispatch fast vs slow by justification type
-    # ------------------------------------------------------------------
-    def _propose(self, parent: Block, justification, view: int) -> None:
-        if self._proposed_view >= view or self.status is not NodeStatus.RUNNING:
-            return
-        txs = self.make_batch()
-        if not txs:
-            self._batch_timer.start(
-                BATCH_WAIT_MS,
-                lambda: self.run_work(lambda: self._propose(parent, justification, view)),
-            )
-            return
-        self._batch_timer.cancel()
-        op = execute_transactions(txs, parent.hash)
-        self.charge(self.config.costs.exec_cost(len(txs)))
-        block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
-        slow = isinstance(justification, AccumulatorCertificate)
-        try:
-            if slow:
-                block_cert, own_pre = self.checker.tee_prepare_slow(block, justification)
-            else:
-                block_cert, own_store = self.checker.tee_prepare_fast(block, justification)
-        except EnclaveAbort:
-            self.requeue_batch(txs)
-            return
-        finally:
-            self.charge_enclave(self.checker)
+    def _make_checker(self, **trusted) -> OneShotChecker:
+        return OneShotChecker(counter=self._make_counter(), **trusted)
 
-        self._proposed_view = view
-        self.view = view
-        self.pacemaker.view_started(view)
+    def _tee_next_view(self):
+        """OneShot's counter-protected TEEview."""
+        return self.checker.tee_view_os()
+
+    # ------------------------------------------------------------------
+    # Proposal — fast vs slow by justification type
+    # ------------------------------------------------------------------
+    def _tee_prepare(self, block: Block, justification):
+        if isinstance(justification, AccumulatorCertificate):
+            return self.checker.tee_prepare_slow(block, justification)
+        return self.checker.tee_prepare_fast(block, justification)
+
+    def _announce(self, block: Block, prepared) -> None:
+        block_cert, own_vote = prepared
+        slow = isinstance(own_vote, PhaseVote)
         self._answer_pending_recoveries()
-        self.store.add(block)
-        if self.listener is not None:
-            self.listener.on_propose(self.node_id, block, self.sim.now)
-        if self._obs.enabled:
-            self._obs.block_proposed(block.hash, view, self.node_id,
-                                     len(block.txs), self.sim.now)
         self.broadcast(OSProposal(block=block, block_cert=block_cert, slow=slow))
         if slow:
-            self._slow_blocks[view] = (block, block_cert)
-            self._collect_pre_vote(own_pre)
+            self._slow_blocks[block.view] = (block, block_cert)
+            self.on_OSPreVote(OSPreVote(vote=own_vote), self.node_id)
         else:
             self.preb_block = block
             self.preb_cert = block_cert
             self.preb_qc = None
-            self.send_to(self.node_id, StoreVote(cert=own_store))
+            self.send_to(self.node_id, StoreVote(cert=own_vote))
 
     # Achilles' Proposal handler is unused; OneShot ships OSProposal.
     def on_Proposal(self, msg, src: int) -> None:  # pragma: no cover - guard
@@ -365,42 +335,26 @@ class OneShotNode(AchillesNode):
 
     def on_OSProposal(self, msg: OSProposal, src: int) -> None:
         """Backup: fast path stores immediately; slow path pre-votes."""
-        if self.status is not NodeStatus.RUNNING:
-            return
-        block, cert = msg.block, msg.block_cert
-        # Certificate verification is charged inside the checker ECALLs.
-        self.charge_hash(block.wire_size())
-        if not cert.validate(self.keyring):
-            return
-        if cert.block_hash != block.hash or cert.view != block.view:
-            return
-        if cert.signature.signer != self.leader_of(block.view):
-            return
-        if msg.slow:
-            self._slow_blocks[block.view] = (block, cert)
-            self.with_full_ancestry(
-                block, lambda b: self.run_work(lambda: self._pre_vote(b, cert)), hint=src
-            )
-        else:
-            self.with_full_ancestry(
-                block, lambda b: self.run_work(lambda: self._validated_store(b, cert)),
-                hint=src,
-            )
+        if self._on_proposal(msg, src, self._pre_vote if msg.slow else None) \
+                and msg.slow:
+            # Nothing reads this before the handler returns, so recording
+            # it after admission equals recording it before the ancestry
+            # wait.
+            self._slow_blocks[msg.block.view] = (msg.block, msg.block_cert)
 
-    def _validated_store(self, block: Block, cert: BlockCertificate) -> None:
-        if self.status is not NodeStatus.RUNNING:
-            return
-        self.charge(self.config.costs.exec_cost(len(block.txs)))
+    def _store_and_vote(self, block: Block, cert: BlockCertificate,
+                        pre_qc: Optional[PhaseQC] = None) -> None:
+        """The store round: the fast path's only one, or — given the
+        pre-QC — the slow path's second."""
         try:
-            store_cert = self.checker.tee_store_fast(cert)
+            if pre_qc is None:
+                store_cert = self.checker.tee_store_fast(cert)
+            else:
+                store_cert = self.checker.tee_store_slow(cert, pre_qc)
         except EnclaveAbort:
             return
         finally:
             self.charge_enclave(self.checker)
-        self._after_store(block, cert, store_cert)
-
-    def _after_store(self, block: Block, cert: BlockCertificate,
-                     store_cert: StoreCertificate) -> None:
         self.preb_block = block
         self.preb_cert = cert
         self.preb_qc = None
@@ -416,9 +370,6 @@ class OneShotNode(AchillesNode):
     # Slow path rounds
     # ------------------------------------------------------------------
     def _pre_vote(self, block: Block, cert: BlockCertificate) -> None:
-        if self.status is not NodeStatus.RUNNING:
-            return
-        self.charge(self.config.costs.exec_cost(len(block.txs)))
         try:
             vote = self.checker.tee_pre_vote(cert)
         except EnclaveAbort:
@@ -432,39 +383,23 @@ class OneShotNode(AchillesNode):
 
     def on_OSPreVote(self, msg: OSPreVote, src: int) -> None:
         """Leader: combine f+1 pre-votes and broadcast the pre-QC."""
-        if self.status is not NodeStatus.RUNNING:
+        vote = msg.vote
+        if self.status is not NodeStatus.RUNNING or vote.phase != PREP:
             return
-        self._collect_pre_vote(msg.vote)
-
-    def _collect_pre_vote(self, vote: PhaseVote) -> None:
-        if vote.phase != PREP or not self.is_leader(vote.view):
+        signatures = self._quorum_signatures(self._pre_votes, vote)
+        if signatures is None:
             return
-        if vote.view in self._pre_qc_sent:
-            return
-        self.charge_verify(1)
-        if not vote.validate(self.keyring):
-            return
-        bucket = self._pre_votes.setdefault((vote.block_hash, vote.view), {})
-        bucket[vote.signature.signer] = vote
-        if len(bucket) < self.config.f + 1:
-            return
-        self._pre_qc_sent.add(vote.view)
-        qc = PhaseQC(
+        pre_qc = OSPreQC(qc=PhaseQC(
             phase=PREP, block_hash=vote.block_hash, view=vote.view,
-            signatures=SignatureList.of(
-                v.signature for v in list(bucket.values())[: self.config.f + 1]
-            ),
-        )
-        self.broadcast(OSPreQC(qc=qc))
-        self._store_after_pre_qc(qc)
+            signatures=signatures))
+        self.broadcast(pre_qc)
+        self.on_OSPreQC(pre_qc, self.node_id)
 
     def on_OSPreQC(self, msg: OSPreQC, src: int) -> None:
         """All nodes: second slow-path round — store and vote."""
         if self.status is not NodeStatus.RUNNING:
             return
-        self.run_work(lambda: self._store_after_pre_qc(msg.qc))
-
-    def _store_after_pre_qc(self, qc: PhaseQC) -> None:
+        qc = msg.qc
         entry = self._slow_blocks.get(qc.view)
         if entry is None:
             return
@@ -474,62 +409,21 @@ class OneShotNode(AchillesNode):
         self.charge_verify(len(qc.signatures))
         if not qc.validate(self.keyring, self.config.f + 1):
             return
-        try:
-            store_cert = self.checker.tee_store_slow(cert, qc)
-        except EnclaveAbort:
-            return
-        finally:
-            self.charge_enclave(self.checker)
-        leader = self.leader_of(block.view)
-        if leader == self.node_id:
-            self.preb_block = block
-            self.preb_cert = cert
-            self.send_to(self.node_id, StoreVote(cert=store_cert))
-        else:
-            self._after_store(block, cert, store_cert)
-
-    # ------------------------------------------------------------------
-    # Timeout uses the counter-protected TEEview
-    # ------------------------------------------------------------------
-    def _tee_next_view(self):
-        """OneShot's counter-protected TEEview (broadcast/catch-up logic
-        is inherited from :class:`AchillesNode`)."""
-        return self.checker.tee_view_os()
+        self._store_and_vote(block, cert, qc)
 
     # ------------------------------------------------------------------
     # Reboot: sealed-state restore (no cooperative recovery in OneShot)
     # ------------------------------------------------------------------
-    def reboot(self, rollback_attacker=None) -> None:
-        """Restore the checker from sealed storage (counter-checked in -R)."""
-        from repro.consensus.base import ReplicaBase
+    _rejoin = ChainedTeeNode._rejoin_from_seal
 
-        ReplicaBase.reboot(self)
-        self.status = NodeStatus.RECOVERING
-        self.checker.reboot()
-        self.accumulator.reboot()
-        self.pacemaker.stop()
-        self._view_certs.clear()
-        self._votes.clear()
-        self._pre_votes.clear()
+    def _reset_volatile(self) -> None:
+        super()._reset_volatile()
         self._slow_blocks.clear()
-        init_ms = self.checker.restart(self.config.n - 1)
-        self.accumulator.restart(0)  # covered by the same bringup window
-        if self._obs.enabled:
-            self._obs.begin_phase("recovery", self.node_id, self.sim.now)
-
-        def running() -> None:
-            self.status = NodeStatus.RUNNING
-
-        schedule_sealed_restore(self, rollback_attacker, init_ms,
-                                restored=running)
 
     def _prune(self, committed_view: int) -> None:
         super()._prune(committed_view)
-        for key in [k for k in self._pre_votes if k[1] <= committed_view]:
-            del self._pre_votes[key]
         for view in [v for v in self._slow_blocks if v <= committed_view]:
             del self._slow_blocks[view]
-        self._pre_qc_sent = {v for v in self._pre_qc_sent if v > committed_view}
 
 
 __all__ = ["OneShotNode", "OneShotChecker", "OSProposal", "OSPreVote", "OSPreQC"]

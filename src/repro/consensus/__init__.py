@@ -9,7 +9,8 @@ which keeps the cost accounting identical across protocols — the paper's
 """
 
 from repro.consensus.config import NodeCosts, ProtocolConfig
-from repro.consensus.base import ReplicaBase, CommitListener
+from repro.consensus.base import (CommitListener, NodeStatus,
+                                  QuorumCollector, ReplicaBase)
 from repro.consensus.pacemaker import Pacemaker
 from repro.consensus.messages import (
     ClientRequest,
@@ -23,6 +24,8 @@ __all__ = [
     "ProtocolConfig",
     "ReplicaBase",
     "CommitListener",
+    "NodeStatus",
+    "QuorumCollector",
     "Pacemaker",
     "ClientRequest",
     "ClientReply",

@@ -9,7 +9,10 @@
 * a block store with chained commitment and client-reply bookkeeping;
 * a transaction source (mempool) and batch assembly;
 * block synchronization (pull missing ancestors, paper Sec. 4.4);
-* crash/reboot lifecycle shared with the fault injectors.
+* quorum collection (:class:`QuorumCollector`);
+* the replica lifecycle — ``crash`` and the one ``reboot`` template every
+  protocol fills in through three hooks (docs/PROTOCOLS.md, "Replica
+  lifecycle and skeleton").
 
 Protocol subclasses implement ``on_<MessageType>`` handlers and call
 :meth:`send_to` / :meth:`broadcast` from inside them; the dispatch wrapper
@@ -18,12 +21,14 @@ takes care of CPU serialization so all protocols are costed identically.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Protocol as TypingProtocol
+import enum
+from typing import Any, Callable, Optional, Protocol as TypingProtocol
 
-from repro.chain.block import Block
+from repro.chain.block import Block, create_leaf
+from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
 from repro.chain.transaction import Transaction
-from repro.consensus.config import ProtocolConfig
+from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.messages import BlockSyncRequest, BlockSyncResponse
 from repro.crypto.keys import KeyPair, Keyring
 from repro.net.message import Envelope
@@ -56,8 +61,86 @@ class TransactionSource(TypingProtocol):
         """Number of transactions currently waiting."""
 
 
+class NodeStatus(enum.Enum):
+    """Replica lifecycle status."""
+
+    RUNNING = "running"
+    RECOVERING = "recovering"
+    CRASHED = "crashed"
+
+
+class QuorumCollector:
+    """Votes bucketed by key, one per signer, until a key holds a quorum.
+
+    A key is a tuple whose first element is the view (height, for
+    checkpoint votes) the vote belongs to.  With ``once`` (the default) a
+    view *latches* the first time one of its keys fills: :meth:`add` hands
+    out that quorum and drops every later vote of the view; handlers test
+    ``view in collector.latched`` before paying for a signature check.
+    Without it every vote from the ``threshold``-th on reports the whole
+    bucket (NEW-VIEW certificates, FlexiBFT's all-to-all votes).
+    """
+
+    def __init__(self, threshold: int, once: bool = True) -> None:
+        self.threshold = threshold
+        self.once = once
+        #: Views whose quorum was handed out (``once`` collectors only).
+        self.latched: set[int] = set()
+        #: key -> {signer: vote}, both in arrival order.
+        self.buckets: dict[tuple, dict[int, Any]] = {}
+
+    def add(self, key: tuple, signer: int, item: Any) -> Optional[list]:
+        """Count ``signer``'s vote for ``key``; a signer counts once.
+        Returns the bucket's votes in arrival order (certificates sign them
+        in that order) once it holds ``threshold``, else ``None``."""
+        if key[0] in self.latched:
+            return None
+        bucket = self.buckets.setdefault(key, {})
+        bucket[signer] = item
+        if len(bucket) < self.threshold:
+            return None
+        if self.once:
+            self.latched.add(key[0])
+        return list(bucket.values())
+
+    def voted(self, key: tuple, signer: int) -> bool:
+        """Has ``signer``'s vote for ``key`` been counted?"""
+        return signer in self.buckets.get(key, ())
+
+    def votes(self, key: tuple) -> list:
+        """The votes collected for ``key`` so far, in arrival order."""
+        return list(self.buckets.get(key, {}).values())
+
+    def discard(self, key: tuple) -> None:
+        """Forget one bucket (its block was committed)."""
+        self.buckets.pop(key, None)
+
+    def prune(self, view: int) -> None:
+        """Forget every bucket and latch of a view at or below ``view``."""
+        buckets = self.buckets
+        if buckets:
+            for key in [k for k in buckets if k[0] <= view]:
+                del buckets[key]
+        if self.latched:
+            self.latched = {v for v in self.latched if v > view}
+
+    def clear(self) -> None:
+        """Forget everything (the host rebooted)."""
+        self.buckets.clear()
+        self.latched.clear()
+
+
 class ReplicaBase(Process):
     """Common machinery for all consensus replicas."""
+
+    #: True where a reboot restores the trusted component from *sealed*
+    #: storage (Damysus, OneShot): the surface a rollback attacker feeds
+    #: stale blobs into.  Everything else never reads consensus state
+    #: back from untrusted storage.
+    RESTORES_FROM_SEAL = False
+    #: The view timer (:class:`~repro.consensus.pacemaker.Pacemaker`);
+    #: ``None`` for BRaft, whose election timer plays that part.
+    pacemaker = None
 
     #: Message kinds (``type(payload).__name__``) carrying proposals, votes,
     #: and commit notifications.  The Byzantine strategy engine
@@ -101,6 +184,14 @@ class ReplicaBase(Process):
         # (the Byzantine wrapper) can never share stale entries.
         self._handlers: dict[str, Any] = {}
 
+        self.status = NodeStatus.RUNNING
+        #: Completed recovery episodes (Table 2); only protocols with a
+        #: recovery *protocol* (Algorithm 3) ever add one.
+        self.recovery_episodes: list = []
+        #: Vote collectors that live in host RAM: a reboot clears them.
+        self._collectors: list[QuorumCollector] = []
+        self._batch_timer = self.timer("batch_wait")
+
         self._pending_cost = 0.0
         self._outbox: list[tuple[int, Any]] = []
         self._in_handler = False
@@ -117,7 +208,10 @@ class ReplicaBase(Process):
         if config.maintain_state:
             self.state_machine = self._new_state_machine()
         # Checkpointing (certified log compaction + state transfer).
-        self._checkpoint_votes: dict[tuple[int, str, str], dict[int, object]] = {}
+        # Keyed (height, block hash, state root).  Not in `_collectors`:
+        # partial checkpoint quorums have always survived a reboot, and a
+        # rebooted replica's snapshot counters are pinned on that.
+        self._checkpoint_votes = QuorumCollector(config.f + 1)
         self.checkpoint_certs: dict[int, object] = {}
         # Certified application snapshots (docs/STATE_TRANSFER.md): the
         # vault is a per-node enclave sealing each snapshot to untrusted
@@ -148,6 +242,24 @@ class ReplicaBase(Process):
                 identity=f"node{node_id}/app-state",
                 profile=config.enclave, crypto=config.crypto)
             self._snap_sync_timer = self.timer("snapshot-sync")
+
+    # ------------------------------------------------------------------
+    # What a protocol's constructor builds through the base
+    # ------------------------------------------------------------------
+    def _new_collector(self, threshold: int,
+                       once: bool = True) -> QuorumCollector:
+        """A vote collector living in host RAM: a reboot clears it."""
+        collector = QuorumCollector(threshold, once)
+        self._collectors.append(collector)
+        return collector
+
+    def _make_counter(self):
+        """This replica's persistent counter on its own jitter stream (the
+        -R variants), or ``None`` without rollback prevention."""
+        if self.config.counter_factory is None:
+            return None
+        return self.config.make_counter(
+            self.sim.fork_rng(f"counter/{self.node_id}"))
 
     # ------------------------------------------------------------------
     # Leader schedule
@@ -369,6 +481,25 @@ class ReplicaBase(Process):
         if requeue is not None and txs:
             requeue(txs)
 
+    def _build_block(self, parent: Block, view: int,
+                     retry: Callable[[], None]) -> Optional[Block]:
+        """Batch, execute and chain the next block on ``parent``.
+
+        With an empty mempool, returns ``None`` and runs ``retry`` as a
+        unit of work after :data:`BATCH_WAIT_MS`.  A caller whose trusted
+        component then refuses the block hands ``block.txs`` back through
+        :meth:`requeue_batch`.
+        """
+        txs = self.make_batch()
+        if not txs:
+            self._batch_timer.start(BATCH_WAIT_MS,
+                                    lambda: self.run_work(retry))
+            return None
+        self._batch_timer.cancel()
+        op = execute_transactions(txs, parent.hash)
+        self.charge(self.config.costs.exec_cost(len(txs)))
+        return create_leaf(txs, op, parent, view=view, proposer=self.node_id)
+
     # ------------------------------------------------------------------
     # Commitment
     # ------------------------------------------------------------------
@@ -382,8 +513,6 @@ class ReplicaBase(Process):
         factory = self.config.state_machine_factory
         if factory is not None:
             return factory()
-        from repro.chain.execution import KVStateMachine
-
         return KVStateMachine()
 
     def commit_block(self, block: Block, *, reply: bool = True) -> list[Block]:
@@ -482,17 +611,15 @@ class ReplicaBase(Process):
 
         if vote.height in self.checkpoint_certs:
             return
-        key = (vote.height, vote.block_hash, vote.state_root)
-        bucket = self._checkpoint_votes.setdefault(key, {})
-        bucket[vote.signature.signer] = vote
-        threshold = self.config.f + 1
-        if len(bucket) < threshold:
+        quorum = self._checkpoint_votes.add(
+            (vote.height, vote.block_hash, vote.state_root),
+            vote.signature.signer, vote)
+        if quorum is None:
             return
-        certificate = combine_checkpoint_votes(list(bucket.values()), threshold)
+        certificate = combine_checkpoint_votes(quorum, self.config.f + 1)
         self.checkpoint_certs[vote.height] = certificate
         self._seal_snapshot_if_certified(certificate)
-        for stale in [k for k in self._checkpoint_votes if k[0] <= vote.height]:
-            del self._checkpoint_votes[stale]
+        self._checkpoint_votes.prune(vote.height)
         if self.store.is_committed(vote.block_hash):
             pruned = self.store.compact(retain=self.config.checkpoint_retain)
             if pruned:
@@ -700,9 +827,7 @@ class ReplicaBase(Process):
         snap = self.latest_snapshot
         if snap is None or snap.height <= msg.min_height:
             return
-        status = getattr(self, "status", None)
-        if status is not None and \
-                getattr(status, "name", "RUNNING") != "RUNNING":
+        if self.status is not NodeStatus.RUNNING:
             return
         from repro.consensus.messages import SnapshotReply
 
@@ -877,21 +1002,50 @@ class ReplicaBase(Process):
             self.with_full_ancestry(waiting_block, action, hint=src)
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle (docs/PROTOCOLS.md, "Replica lifecycle and skeleton")
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Crash: stop processing; in-flight work and timers are voided."""
+        """Crash: stop processing; in-flight work and timers are voided
+        by the epoch bump (an override that also cancels a timer does so
+        because a cancelled event and a voided one count differently)."""
         super().crash()
+        self.status = NodeStatus.CRASHED
         self.sim.trace.record(self.sim.now, "crash", self.node_id)
 
-    def reboot(self) -> None:
-        """Reboot the host process (protocols layer recovery on top)."""
+    def reboot(self, rollback_attacker=None) -> None:
+        """Come back from a crash — the one template; protocols fill in
+        :meth:`_reset_volatile`, :meth:`_restart_trusted` and
+        :meth:`_rejoin` and never override this.
+
+        ``rollback_attacker`` (a :class:`~repro.tee.rollback.RollbackAttacker`)
+        chooses which sealed version a ``RESTORES_FROM_SEAL`` protocol's
+        trusted component gets to see; every other protocol ignores it.
+        """
+        self._reset_host()
+        self.status = NodeStatus.RECOVERING
+        if self.pacemaker is not None:
+            self.pacemaker.stop()
+        self._reset_volatile()
+        if self._obs.enabled:
+            self._obs.begin_phase("recovery", self.node_id, self.sim.now)
+        self._rejoin(rollback_attacker, self._restart_trusted())
+
+    def cold_restart(self) -> None:
+        """Operator restart of a replica whose whole group was down; only a
+        protocol whose recovery needs running helpers does more than
+        reboot."""
+        self.reboot()
+
+    def _reset_host(self) -> None:
+        """The host process restarts: a fresh epoch, idle CPU, nothing
+        queued, transport and executed state rebuilt."""
         super().reboot()
         self.cpu.reset()
         self._pending_cost = 0.0
         self._outbox = []
         self._awaiting_ancestor.clear()
         self._sync_requested.clear()
+        self._batch_timer.cancel()
         # Transport state dies with the host: abandon in-flight frames and
         # start a fresh stream epoch (no-op without a reliable channel).
         reset_channel = getattr(self.network, "reset_channel", None)
@@ -903,5 +1057,38 @@ class ReplicaBase(Process):
             self.run_work(self._rebuild_app_state)
         self.sim.trace.record(self.sim.now, "reboot", self.node_id)
 
+    def _reset_volatile(self) -> None:
+        """Hook: forget the protocol state that lived in host RAM."""
+        for collector in self._collectors:
+            collector.clear()
 
-__all__ = ["ReplicaBase", "CommitListener", "TransactionSource"]
+    def _restart_trusted(self) -> float:
+        """Hook: power-cycle the trusted components; returns their
+        bring-up latency (ms).  The default is a component whose state
+        persists and needs no bring-up (USIG, FlexiBFT's proposer)."""
+        return 0.0
+
+    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
+        """Hook: get from a restarted host back into consensus, ending in
+        :meth:`_resume` — at once, or from a continuation ``init_ms`` (and
+        a recovery protocol) later, with ``status`` RECOVERING meanwhile."""
+        self._resume()
+
+    def _resume(self, view: Optional[int] = None) -> None:
+        """RUNNING again (in ``view``, when the rejoin learned one): arm
+        the view timer, close the ``recovery`` phase."""
+        self.status = NodeStatus.RUNNING
+        if view is not None:
+            self.view = view
+        self._arm_view_timer()
+        if self._obs.enabled:
+            self._obs.end_phase("recovery", self.node_id, self.sim.now,
+                                view=view)
+
+    def _arm_view_timer(self) -> None:
+        """(Re)arm what times this replica out of a stalled view."""
+        self.pacemaker.view_started(self.view)
+
+
+__all__ = ["ReplicaBase", "CommitListener", "TransactionSource", "NodeStatus",
+           "QuorumCollector"]

@@ -17,24 +17,25 @@ One view commits one block in a single voting phase:
 
 End-to-end this is four communication steps (client→leader, proposal,
 vote, reply), with O(n) messages per view.  No persistent counter is ever
-touched: a rebooting node runs :meth:`AchillesNode.reboot` →
-:meth:`_begin_recovery` instead (Sec. 4.5).
+touched: a rebooting node's ``_rejoin`` runs :meth:`_begin_recovery`
+instead (Sec. 4.5).
+
+:class:`ChainedTeeNode` is the part of this that is not Achilles': the
+chained-TEE skeleton OneShot and Damysus are built on as well.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.chain.block import Block, create_leaf
+from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
-from repro.consensus.base import CommitListener, ReplicaBase, TransactionSource
-from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
+from repro.consensus.base import NodeStatus, QuorumCollector, ReplicaBase
+from repro.consensus.messages import BlockSyncRequest
 from repro.consensus.pacemaker import Pacemaker
 from repro.core.accumulator import AchillesAccumulator
 from repro.core.certificates import (
-    AccumulatorCertificate,
     BlockCertificate,
     CommitmentCertificate,
     RecoveryReply,
@@ -43,11 +44,8 @@ from repro.core.certificates import (
     ViewCertificate,
 )
 from repro.core.checker import AchillesChecker
-from repro.crypto.keys import KeyPair, Keyring
 from repro.crypto.signatures import SignatureList
-from repro.errors import EnclaveAbort
-from repro.net.network import Network
-from repro.sim.loop import Simulator
+from repro.errors import EnclaveAbort, SealingError
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +125,6 @@ class RecoveryResponseMsg:
         return size
 
 
-class NodeStatus(enum.Enum):
-    """Replica lifecycle status."""
-
-    RUNNING = "running"
-    RECOVERING = "recovering"
-    CRASHED = "crashed"
-
-
 @dataclass
 class RecoveryStats:
     """One recovery episode's timing breakdown (Table 2)."""
@@ -149,85 +139,87 @@ class RecoveryStats:
         return self.init_ms + self.protocol_ms
 
 
-class AchillesNode(ReplicaBase):
-    """An Achilles replica."""
+class ChainedTeeNode(ReplicaBase):
+    """The chained-TEE skeleton Achilles, OneShot and Damysus share.
 
-    BYZ_PROPOSAL_KINDS = ("Proposal",)
-    BYZ_VOTE_KINDS = ("StoreVote",)
-    BYZ_DECIDE_KINDS = ("Decide",)
+    A view's leader extends the parent it learns from f+1 view
+    certificates (through the stateless ACCUMULATOR) or from the previous
+    view's commitment certificate; its CHECKER certifies one block per
+    view; backups admit the proposal, vote through their own checker, and
+    everyone commits on a certificate of f+1 votes.  A protocol supplies
+    its checker and ECALLs (:meth:`_make_checker`, :meth:`_tee_next_view`,
+    :meth:`_tee_prepare`, :meth:`_store_and_vote`), its wire messages
+    (:attr:`NEW_VIEW`, :meth:`_announce`; the shared handler bodies
+    :meth:`_on_new_view`, :meth:`_on_proposal`, :meth:`_on_decide` are
+    bound to its message names), and the handlers of its own phases.
+    """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: int,
-        config: ProtocolConfig,
-        keypair: KeyPair,
-        keyring: Keyring,
-        source: Optional[TransactionSource] = None,
-        listener: Optional[CommitListener] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, config, keypair, keyring, source, listener)
-        self.checker = AchillesChecker(
-            node_id=node_id,
-            n=config.n,
-            f=config.f,
-            private_key=keypair.private,
-            keyring=keyring,
-            profile=config.enclave,
-            crypto=config.crypto,
-        )
-        self.accumulator = AchillesAccumulator(
-            node_id=node_id,
-            f=config.f,
-            private_key=keypair.private,
-            keyring=keyring,
-            profile=config.enclave,
-            crypto=config.crypto,
-        )
-        self.status = NodeStatus.RUNNING
+    #: The protocol's message carrying a view certificate.
+    NEW_VIEW: type
+    #: Whether a leader whose checker is not in the target view yet holds
+    #: back the pull of a missing parent too (Damysus), or only the
+    #: proposal (Achilles, OneShot).
+    PULLS_PARENT_ONLY_WHEN_READY = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        config = self.config
+        trusted = dict(node_id=self.node_id, f=config.f,
+                       private_key=self.keypair.private, keyring=self.keyring,
+                       profile=config.enclave, crypto=config.crypto)
+        self.checker = self._make_checker(n=config.n, **trusted)
+        self.accumulator = AchillesAccumulator(**trusted)
         self.view = 0
-        # ⟨b, φ_b, φ_c⟩ — the latest stored block and its certificates.
-        self.preb_block: Block = self.store.genesis
-        self.preb_cert: Optional[BlockCertificate] = None
-        self.preb_qc: Optional[CommitmentCertificate] = None
-
-        self._view_certs: dict[int, dict[int, ViewCertificate]] = {}
-        self._votes: dict[tuple[str, int], dict[int, StoreCertificate]] = {}
+        self._view_certs = self._new_collector(config.f + 1, once=False)
         self._proposed_view = -1
-        self._decided_views: set[int] = set()
-        self._batch_timer = self.timer("batch_wait")
-
         self.pacemaker = Pacemaker(self, config.base_timeout_ms, self._on_timeout)
 
-        # Recovery bookkeeping
-        self._recovery_replies: dict[int, tuple[RecoveryReply, Optional[Block],
-                                                Optional[CommitmentCertificate]]] = {}
-        self._recovery_request: Optional[RecoveryRequest] = None
-        self._recovery_nonce: Optional[str] = None
-        self._recovery_timer = self.timer("recovery_retry")
-        # Outstanding peers' recovery requests, kept so this node can
-        # re-answer with a fresh (higher-view) reply when it becomes the
-        # leader — see _answer_pending_recoveries for why that matters.
-        self._pending_recovery: dict[int, tuple[RecoveryRequest, float]] = {}
-        self._current_recovery: Optional[RecoveryStats] = None
-        self._recovery_started_at = 0.0
-        self.recovery_episodes: list[RecoveryStats] = []
+    # ------------------------------------------------------------------
+    # Protocol hooks
+    # ------------------------------------------------------------------
+    def _make_checker(self, **trusted):
+        """The protocol's CHECKER, built from the common constructor
+        arguments."""
+        raise NotImplementedError
+
+    def _checker_offline(self) -> bool:
+        """The checker lost its volatile state and has not got it back
+        (recovery protocol or sealed restore still pending)."""
+        return self.checker.recovering
+
+    def _tee_next_view(self) -> ViewCertificate:
+        """The trusted call that advances the checker one view."""
+        raise NotImplementedError
+
+    def _tee_prepare(self, block: Block, justification):
+        """The trusted call certifying ``block`` as this view's proposal;
+        whatever it returns is handed to :meth:`_announce`."""
+        raise NotImplementedError
+
+    def _announce(self, block: Block, prepared) -> None:
+        """Broadcast the certified proposal and cast the leader's own
+        vote."""
+        raise NotImplementedError
+
+    def _store_and_vote(self, block: Block, cert: BlockCertificate) -> None:
+        """The trusted call recording a validated proposal, and the vote
+        it yields, sent to the leader."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Bootstrap
+    # Entering views (NEW-VIEW phase, Algorithm 1 lines 38–43)
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Enter view 1 and ship the initial view certificate (bootstrap
         plays the timeout path once so every checker leaves view 0)."""
-        self.run_work(self._advance_via_teeview)
+        self.run_work(self._advance_view)
 
-    def _tee_next_view(self) -> "ViewCertificate":
-        """The trusted call that advances the checker one view (subclasses
-        substitute their counter-protected variant)."""
-        return self.checker.tee_view()
+    def _on_timeout(self, view: int) -> None:
+        if self.status is not NodeStatus.RUNNING:
+            return
+        self.run_work(self._advance_view)
 
-    def _advance_via_teeview(self) -> None:
+    def _advance_view(self) -> None:
         try:
             cert = self._tee_next_view()
         except EnclaveAbort:
@@ -246,7 +238,7 @@ class AchillesNode(ReplicaBase):
         # Broadcast (not just to the new leader): peers that fell behind
         # fast-forward off this certificate, so divergent backoffs reunite
         # the committee in one view instead of drifting apart forever.
-        self.broadcast(NewView(cert), include_self=True)
+        self.broadcast(self.NEW_VIEW(cert), include_self=True)
 
     def _sync_to_view(self, target_view: int) -> None:
         """Fast-forward the checker to ``target_view`` and hand the
@@ -269,22 +261,14 @@ class AchillesNode(ReplicaBase):
         if cert is None:
             return
         self.pacemaker.view_started(self.view)
-        self.send_to(self.leader_of(self.view), NewView(cert))
+        self.send_to(self.leader_of(self.view), self.NEW_VIEW(cert))
 
-    # ------------------------------------------------------------------
-    # Timeout path (NEW-VIEW phase, Algorithm 1 lines 38–43)
-    # ------------------------------------------------------------------
-    def _on_timeout(self, view: int) -> None:
-        if self.status is not NodeStatus.RUNNING:
-            return
-        self.run_work(self._advance_via_teeview)
-
-    def on_NewView(self, msg: NewView, src: int) -> None:
+    def _on_new_view(self, msg, src: int) -> None:
         """Leader side: collect view certificates (COMMIT phase trigger).
 
         Non-leaders use the certificate as a view-synchronization beacon:
-        seeing a view ahead of their own, they catch up through TEEview and
-        send their own certificate to the new view's leader.
+        seeing a view ahead of their own, they catch up through the
+        checker and send their own certificate to the new view's leader.
         """
         if self.status is not NodeStatus.RUNNING:
             return
@@ -294,40 +278,41 @@ class AchillesNode(ReplicaBase):
         # per Algorithm 2 — charging here too would double-count.
         if not cert.validate(self.keyring):
             return
-        # One view ahead is an ordinary single timeout; two or more means
-        # views diverged (crash/backoff drift) and this replica must fast-
-        # forward or no view ever assembles f+1 certificates.
+        # One view ahead is an ordinary single timeout (or the chained
+        # handoff); two or more means views diverged (crash/backoff drift)
+        # and this replica must fast-forward or no view ever assembles
+        # f+1 certificates.
         if cert.current_view > self.view + 1:
             self.run_work(lambda: self._sync_to_view(cert.current_view))
         if not self.is_leader(cert.current_view):
             return
-        bucket = self._view_certs.setdefault(cert.current_view, {})
-        bucket[cert.signer] = cert
-        self._try_accumulate(cert.current_view)
+        self._view_certs.add((cert.current_view,), cert.signer, cert)
+        self._try_propose(cert.current_view)
 
-    def _try_accumulate(self, target_view: int) -> None:
-        if self._proposed_view >= target_view:
+    def _try_propose(self, target_view: int) -> None:
+        if self._proposed_view >= target_view or self.view > target_view:
             return
-        if self.view > target_view:
+        certs = self._view_certs.votes((target_view,))
+        if len(certs) < self.config.f + 1:
             return
-        bucket = self._view_certs.get(target_view, {})
-        if len(bucket) < self.config.f + 1:
+        # The untrusted view may lag the checker if our own view-advancing
+        # call for target_view already ran; the checker is authoritative.
+        ready = self.checker.state.vi == target_view and \
+            not self._checker_offline()
+        if self.PULLS_PARENT_ONLY_WHEN_READY and not ready:
             return
-        certs = list(bucket.values())
         best = max(certs, key=lambda c: (c.block_view, -c.signer))
         parent = self.store.get(best.block_hash)
         if parent is None:
             # Pull the parent block before extending it.
-            self._obtain_block(best.block_hash, best.signer,
-                               lambda _b: self._try_accumulate(target_view))
+            self._obtain_parent(best.block_hash, best.signer,
+                                lambda _b: self._try_propose(target_view))
             return
         if not self.store.has_full_ancestry(parent):
-            self.with_full_ancestry(parent, lambda _b: self._try_accumulate(target_view),
+            self.with_full_ancestry(parent, lambda _b: self._try_propose(target_view),
                                     hint=best.signer)
             return
-        # The untrusted view may lag the checker if our own TEEview for
-        # target_view already ran; the checker is authoritative.
-        if self.checker.state.vi != target_view or self.checker.recovering:
+        if not ready:
             return
         try:
             acc = self.accumulator.tee_accum(best, certs)
@@ -340,39 +325,23 @@ class AchillesNode(ReplicaBase):
     # ------------------------------------------------------------------
     # COMMIT phase — leader side (Algorithm 1 lines 5–23, 45–49)
     # ------------------------------------------------------------------
-    def _propose(
-        self,
-        parent: Block,
-        justification: AccumulatorCertificate | CommitmentCertificate,
-        view: int,
-    ) -> None:
+    def _propose(self, parent: Block, justification, view: int) -> None:
         if self._proposed_view >= view or self.status is not NodeStatus.RUNNING:
             return
-        txs = self.make_batch()
-        if not txs:
-            # Wait briefly for transactions, then retry the same proposal.
-            self._batch_timer.start(
-                BATCH_WAIT_MS,
-                lambda: self.run_work(lambda: self._propose(parent, justification, view)),
-            )
+        block = self._build_block(
+            parent, view, lambda: self._propose(parent, justification, view))
+        if block is None:
             return
-        self._batch_timer.cancel()
-
-        op = execute_transactions(txs, parent.hash)
-        self.charge(self.config.costs.exec_cost(len(txs)))
-        block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
         try:
-            block_cert = self.checker.tee_prepare(block, justification)
+            prepared = self._tee_prepare(block, justification)
         except EnclaveAbort:
-            self.requeue_batch(txs)
+            self.requeue_batch(block.txs)
             return
         finally:
             self.charge_enclave(self.checker)
-
         self._proposed_view = view
         self.view = view
         self.pacemaker.view_started(view)
-        self._answer_pending_recoveries()
         self.store.add(block)
         if self.listener is not None:
             self.listener.on_propose(self.node_id, block, self.sim.now)
@@ -381,63 +350,37 @@ class AchillesNode(ReplicaBase):
         if self._obs.enabled:
             self._obs.block_proposed(block.hash, view, self.node_id,
                                      len(block.txs), self.sim.now)
-        self.broadcast(Proposal(block=block, block_cert=block_cert))
-        # The leader stores (votes for) its own block (Algorithm 1 line 18
-        # covers "all nodes").
-        self._store_and_vote(block, block_cert)
-
-    def on_StoreVote(self, msg: StoreVote, src: int) -> None:
-        """Leader side of the DECIDE phase: collect f+1 store certificates."""
-        if self.status is not NodeStatus.RUNNING:
-            return
-        cert = msg.cert
-        if not self.is_leader(cert.view):
-            return
-        key = (cert.block_hash, cert.view)
-        if cert.view in self._decided_views:
-            return
-        self.charge_verify(1)
-        if not cert.validate(self.keyring):
-            return
-        bucket = self._votes.setdefault(key, {})
-        bucket[cert.signature.signer] = cert
-        if len(bucket) < self.config.f + 1:
-            return
-        self._decided_views.add(cert.view)
-        sigs = SignatureList.of(
-            c.signature for c in list(bucket.values())[: self.config.f + 1]
-        )
-        qc = CommitmentCertificate(block_hash=cert.block_hash, view=cert.view, signatures=sigs)
-        if self._obs.enabled:
-            self._obs.block_milestone(cert.block_hash, "cert", self.node_id,
-                                      self.sim.now)
-        self._handle_commitment(qc, src=self.node_id)
-        self.broadcast(Decide(qc=qc))
+        self._announce(block, prepared)
 
     # ------------------------------------------------------------------
     # COMMIT phase — backup side (Algorithm 1 lines 18–23)
     # ------------------------------------------------------------------
-    def on_Proposal(self, msg: Proposal, src: int) -> None:
-        """Validate and store the leader's block; return the vote."""
+    def _on_proposal(self, msg, src: int, vote=None) -> Optional[bool]:
+        """Admit the leader's block; ``vote(block, cert)`` — by default
+        :meth:`_store_and_vote` — runs once it is validated.  Returns
+        True when the proposal passed admission."""
         if self.status is not NodeStatus.RUNNING:
-            return
+            return None
         block, cert = msg.block, msg.block_cert
-        # The block certificate is re-verified (and charged) inside
-        # TEEstore; here the host only pays for hashing the block body it
+        # The block certificate is re-verified (and charged) inside the
+        # checker; here the host only pays for hashing the block body it
         # needs for the structural comparisons.
         self.charge_hash(block.wire_size())
         if not cert.validate(self.keyring):
-            return
+            return None
         if cert.block_hash != block.hash or cert.view != block.view:
-            return
+            return None
         if cert.signature.signer != self.leader_of(block.view):
-            return
+            return None
+        if vote is None:
+            vote = self._store_and_vote
         # Block validity: full ancestry plus correct execution results.
         self.with_full_ancestry(
-            block, lambda b: self.run_work(lambda: self._validated_store(b, cert)), hint=src
-        )
+            block, lambda b: self.run_work(lambda: self._validated(b, cert, vote)),
+            hint=src)
+        return True
 
-    def _validated_store(self, block: Block, cert: BlockCertificate) -> None:
+    def _validated(self, block: Block, cert: BlockCertificate, vote) -> None:
         if self.status is not NodeStatus.RUNNING:
             return
         self.charge(self.config.costs.exec_cost(len(block.txs)))
@@ -450,7 +393,190 @@ class AchillesNode(ReplicaBase):
                 self.sim.trace.record(self.sim.now, "bad_execution_results",
                                       self.node_id, block=block.hash)
                 return
-        self._store_and_vote(block, cert)
+        vote(block, cert)
+
+    def _quorum_signatures(self, collector: QuorumCollector,
+                           vote) -> Optional[SignatureList]:
+        """Leader side of a voting phase: count ``vote`` (anything signed
+        over ``(block_hash, view)``); returns the signatures of the first
+        f+1 votes for one block, once per view."""
+        if not self.is_leader(vote.view) or vote.view in collector.latched:
+            return None
+        self.charge_verify(1)
+        if not vote.validate(self.keyring):
+            return None
+        quorum = collector.add((vote.view, vote.block_hash),
+                               vote.signature.signer, vote)
+        if quorum is None:
+            return None
+        return SignatureList.of(v.signature for v in quorum)
+
+    # ------------------------------------------------------------------
+    # DECIDE phase — all nodes (Algorithm 1 lines 31–36)
+    # ------------------------------------------------------------------
+    def _on_decide(self, msg, src: int) -> None:
+        """Commit on a valid certificate of f+1 votes; enter the next
+        view."""
+        if self.status is not NodeStatus.RUNNING:
+            return
+        qc = msg.qc
+        if self.store.is_committed(qc.block_hash):
+            return
+        self.charge_verify(len(qc.signatures))
+        if not qc.validate(self.keyring, self.config.f + 1):
+            return
+        self._handle_commitment(qc, src)
+
+    def _handle_commitment(self, qc, src: int) -> None:
+        block = self.store.get(qc.block_hash)
+        if block is None:
+            self._obtain_block(qc.block_hash, src, lambda b: self._apply_commitment(qc, b))
+            return
+        self._apply_commitment(qc, block)
+
+    def _apply_commitment(self, qc, block: Block) -> Optional[bool]:
+        """Commit ``block`` on ``qc``; True once it actually committed."""
+        if self.status is not NodeStatus.RUNNING:
+            return None
+        if self.store.is_committed(block.hash):
+            return None
+        if not self.store.has_full_ancestry(block):
+            self.with_full_ancestry(block, lambda b: self._apply_commitment(qc, b))
+            return None
+        self.commit_block(block)
+        # Invariant monitors subscribe to the certificate that justified
+        # the commit (Theorem 1: no commit without f+1 store certificates).
+        notify_qc = getattr(self.listener, "on_commit_certificate", None)
+        if notify_qc is not None:
+            notify_qc(self.node_id, qc, self.sim.now)
+        self.pacemaker.progress()
+        next_view = qc.view + 1
+        if next_view > self.view:
+            self.view = next_view
+            self.pacemaker.view_started(next_view)
+        self._prune(qc.view)
+        return True
+
+    def _prune(self, committed_view: int) -> None:
+        """Drop per-view collections that can no longer matter."""
+        for collector in self._collectors:
+            # Only a view's leader collects anything; backups skip the call.
+            if collector.buckets or collector.latched:
+                collector.prune(committed_view)
+
+    def _obtain_block(self, block_hash: str, hint: int, action) -> None:
+        """Pull a block known only by hash, then run ``action(block)``."""
+        waiters = self._awaiting_ancestor.setdefault(block_hash, [])
+        waiters.append((self.store.genesis, lambda _b: action(self.store.get(block_hash))))
+        if block_hash not in self._sync_requested:
+            self._sync_requested.add(block_hash)
+            request = BlockSyncRequest(block_hash=block_hash, requester=self.node_id)
+            if hint != self.node_id:
+                self.send_to(hint, request)
+            else:
+                self.broadcast(request)
+
+    #: How :meth:`_try_propose` pulls a missing parent.
+    _obtain_parent = _obtain_block
+
+    # ------------------------------------------------------------------
+    # Reboot through sealed storage (Damysus, OneShot)
+    # ------------------------------------------------------------------
+    def _restart_trusted(self) -> float:
+        self.checker.reboot()
+        self.accumulator.reboot()
+        init_ms = self.checker.restart(self.config.n - 1)
+        # The accumulator restarts within the same enclave-bringup window;
+        # its cost is covered by the checker's init (one SGX restart).
+        self.accumulator.restart(0)
+        return init_ms
+
+    def _rejoin_from_seal(self, rollback_attacker, init_ms: float) -> None:
+        """After ``init_ms`` of enclave bring-up, restore the checker from
+        its sealed ``rstate`` and re-enter the restored view.
+
+        ``rollback_attacker`` chooses which sealed version the checker
+        sees; the -R variants detect a stale one via the counter and
+        refuse to rejoin — modelled as staying offline until the OS
+        produces the fresh state.
+        """
+        def restore() -> None:
+            try:
+                if rollback_attacker is not None:
+                    sealed = rollback_attacker.unseal_for(self.checker, "rstate")
+                else:
+                    sealed = self.checker.unseal_state("rstate")
+            except SealingError:
+                # The on-disk blob is torn/corrupt (e.g. a power cut mid
+                # write): no usable sealed state.
+                sealed = None
+            try:
+                self.checker.tee_restore(sealed)
+            except EnclaveAbort:
+                self.sim.trace.record(self.sim.now, "rollback_detected", self.node_id)
+                if self._obs.enabled:
+                    self._obs.end_phase("recovery", self.node_id, self.sim.now,
+                                        rollback_detected=True)
+                return
+            finally:
+                self.charge_enclave(self.checker)
+            self._resume(self.checker.state.vi)
+
+        self.after(init_ms, lambda: self.run_work(restore),
+                   label=f"{self.name}.restore")
+
+
+class AchillesNode(ChainedTeeNode):
+    """An Achilles replica."""
+
+    BYZ_PROPOSAL_KINDS = ("Proposal",)
+    BYZ_VOTE_KINDS = ("StoreVote",)
+    BYZ_DECIDE_KINDS = ("Decide",)
+    NEW_VIEW = NewView
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # ⟨b, φ_b, φ_c⟩ — the latest stored block and its certificates.
+        self.preb_block: Block = self.store.genesis
+        self.preb_cert: Optional[BlockCertificate] = None
+        self.preb_qc: Optional[CommitmentCertificate] = None
+        self._votes = self._new_collector(self.config.f + 1)
+
+        # Recovery bookkeeping
+        self._recovery_replies: dict[int, tuple[RecoveryReply, Optional[Block],
+                                                Optional[CommitmentCertificate]]] = {}
+        self._recovery_request: Optional[RecoveryRequest] = None
+        self._recovery_nonce: Optional[str] = None
+        self._recovery_timer = self.timer("recovery_retry")
+        # Outstanding peers' recovery requests, kept so this node can
+        # re-answer with a fresh (higher-view) reply when it becomes the
+        # leader — see _answer_pending_recoveries for why that matters.
+        self._pending_recovery: dict[int, tuple[RecoveryRequest, float]] = {}
+        self._current_recovery: Optional[RecoveryStats] = None
+        self._recovery_started_at = 0.0
+
+    def _make_checker(self, **trusted) -> AchillesChecker:
+        return AchillesChecker(**trusted)
+
+    def _tee_next_view(self) -> ViewCertificate:
+        return self.checker.tee_view()
+
+    on_NewView = ChainedTeeNode._on_new_view
+    on_Proposal = ChainedTeeNode._on_proposal
+    on_Decide = ChainedTeeNode._on_decide
+
+    # ------------------------------------------------------------------
+    # COMMIT phase (TEEprepare / TEEstore)
+    # ------------------------------------------------------------------
+    def _tee_prepare(self, block: Block, justification) -> BlockCertificate:
+        return self.checker.tee_prepare(block, justification)
+
+    def _announce(self, block: Block, block_cert: BlockCertificate) -> None:
+        self._answer_pending_recoveries()
+        self.broadcast(Proposal(block=block, block_cert=block_cert))
+        # The leader stores (votes for) its own block (Algorithm 1 line 18
+        # covers "all nodes").
+        self._store_and_vote(block, block_cert)
 
     def _store_and_vote(self, block: Block, cert: BlockCertificate) -> None:
         try:
@@ -473,112 +599,62 @@ class AchillesNode(ReplicaBase):
         # whole propose→vote→commit cycle would otherwise recurse.
         self.send_to(self.leader_of(block.view), StoreVote(cert=store_cert))
 
-    # ------------------------------------------------------------------
-    # DECIDE phase — all nodes (Algorithm 1 lines 31–36)
-    # ------------------------------------------------------------------
-    def on_Decide(self, msg: Decide, src: int) -> None:
-        """Commit on a valid commitment certificate; enter the next view."""
+    def on_StoreVote(self, msg: StoreVote, src: int) -> None:
+        """Leader side of the DECIDE phase: collect f+1 store certificates."""
         if self.status is not NodeStatus.RUNNING:
             return
-        qc = msg.qc
-        if self.store.is_committed(qc.block_hash):
+        cert = msg.cert
+        if not self.is_leader(cert.view) or cert.view in self._votes.latched:
             return
-        self.charge_verify(len(qc.signatures))
-        if not qc.validate(self.keyring, self.config.f + 1):
+        self.charge_verify(1)
+        if not cert.validate(self.keyring):
             return
-        self._handle_commitment(qc, src)
+        quorum = self._votes.add((cert.view, cert.block_hash),
+                                 cert.signature.signer, cert)
+        if quorum is None:
+            return
+        qc = CommitmentCertificate(
+            block_hash=cert.block_hash, view=cert.view,
+            signatures=SignatureList.of(c.signature for c in quorum))
+        if self._obs.enabled:
+            self._obs.block_milestone(cert.block_hash, "cert", self.node_id,
+                                      self.sim.now)
+        self._handle_commitment(qc, src=self.node_id)
+        self.broadcast(Decide(qc=qc))
 
-    def _handle_commitment(self, qc: CommitmentCertificate, src: int) -> None:
-        block = self.store.get(qc.block_hash)
-        if block is None:
-            self._obtain_block(qc.block_hash, src, lambda b: self._apply_commitment(qc, b))
-            return
-        self._apply_commitment(qc, block)
-
-    def _apply_commitment(self, qc: CommitmentCertificate, block: Block) -> None:
-        if self.status is not NodeStatus.RUNNING:
-            return
-        if self.store.is_committed(block.hash):
-            return
-        if not self.store.has_full_ancestry(block):
-            self.with_full_ancestry(block, lambda b: self._apply_commitment(qc, b))
-            return
-        self.commit_block(block)
-        # Invariant monitors subscribe to the certificate that justified
-        # the commit (Theorem 1: no commit without f+1 store certificates).
-        notify_qc = getattr(self.listener, "on_commit_certificate", None)
-        if notify_qc is not None:
-            notify_qc(self.node_id, qc, self.sim.now)
+    def _apply_commitment(self, qc: CommitmentCertificate, block: Block) -> Optional[bool]:
+        if not super()._apply_commitment(qc, block):
+            return None
         self.preb_block = block
         self.preb_qc = qc
-        self.pacemaker.progress()
-        next_view = qc.view + 1
-        if next_view > self.view:
-            self.view = next_view
-            self.pacemaker.view_started(next_view)
-        self._prune(qc.view)
         # New-View optimization: the next leader proposes straight away.
+        next_view = qc.view + 1
         if self.is_leader(next_view) and self._proposed_view < next_view:
             self._propose(block, qc, next_view)
-
-    def _prune(self, committed_view: int) -> None:
-        """Drop per-view collections that can no longer matter."""
-        for view in [v for v in self._view_certs if v <= committed_view]:
-            del self._view_certs[view]
-        for key in [k for k in self._votes if k[1] <= committed_view]:
-            del self._votes[key]
-        self._decided_views = {v for v in self._decided_views if v > committed_view}
-
-    # ------------------------------------------------------------------
-    # Block pulling helper
-    # ------------------------------------------------------------------
-    def _obtain_block(self, block_hash: str, hint: int, action) -> None:
-        from repro.consensus.messages import BlockSyncRequest
-
-        waiters = self._awaiting_ancestor.setdefault(block_hash, [])
-        waiters.append((self.store.genesis, lambda _b: action(self.store.get(block_hash))))
-        if block_hash not in self._sync_requested:
-            self._sync_requested.add(block_hash)
-            request = BlockSyncRequest(block_hash=block_hash, requester=self.node_id)
-            if hint != self.node_id:
-                self.send_to(hint, request)
-            else:
-                self.broadcast(request)
+        return True
 
     # ------------------------------------------------------------------
     # Reboot + rollback-resilient recovery (Algorithm 3)
     # ------------------------------------------------------------------
-    def reboot(self) -> None:
-        """Come back from a crash: restart enclaves, then run recovery.
-
-        The volatile checker state is gone; any sealed data the OS returns
-        is untrusted (and Achilles never seals consensus state anyway), so
-        the node *must* complete Algorithm 3 before touching consensus.
-        """
-        super().reboot()
-        self.status = NodeStatus.RECOVERING
-        self.checker.reboot()
-        self.accumulator.reboot()
-        self._view_certs.clear()
-        self._votes.clear()
-        self._decided_views.clear()
+    def _reset_volatile(self) -> None:
+        super()._reset_volatile()
         self._recovery_replies.clear()
         self._recovery_request = None
         self._recovery_nonce = None
         self._pending_recovery.clear()
         self.preb_cert = None
         self.preb_qc = None
-        self.pacemaker.stop()
 
-        stats = RecoveryStats(rebooted_at=self.sim.now)
-        self._current_recovery = stats
-        if self._obs.enabled:
-            self._obs.begin_phase("recovery", self.node_id, self.sim.now)
-        init_ms = self.checker.restart(self.config.n - 1)
-        # The accumulator restarts within the same enclave-bringup window;
-        # its cost is covered by the checker's init (one SGX restart).
-        self.accumulator.restart(0)
-        stats.init_ms = init_ms
+    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
+        """Run recovery once the enclaves are up.
+
+        The volatile checker state is gone; any sealed data the OS returns
+        is untrusted (and Achilles never seals consensus state anyway —
+        ``rollback_attacker`` has nothing to feed), so the node *must*
+        complete Algorithm 3 before touching consensus.
+        """
+        self._current_recovery = RecoveryStats(rebooted_at=self.sim.now,
+                                               init_ms=init_ms)
         self.after(init_ms, lambda: self.run_work(self._begin_recovery),
                    label=f"{self.name}.recovery_init")
 
@@ -699,6 +775,8 @@ class AchillesNode(ReplicaBase):
 
         self._recovery_timer.cancel()
         self._recovery_request = None
+        # RUNNING before the adopted block commits: _apply_commitment is a
+        # RUNNING-only continuation.
         self.status = NodeStatus.RUNNING
         # Adopt the block the checker adopted: the reply with the highest
         # prepv (which intersects any commit quorum), not the highest-view
@@ -719,8 +797,7 @@ class AchillesNode(ReplicaBase):
             # not resurrect timers or send messages from a dead host —
             # the next reboot restarts recovery from scratch.
             return
-        self.view = view_cert.current_view
-        self.pacemaker.view_started(self.view)
+        self._resume(view_cert.current_view)
         self.send_to(self.leader_of(self.view), NewView(cert=view_cert))
 
         if self._current_recovery is not None:
@@ -730,15 +807,11 @@ class AchillesNode(ReplicaBase):
             self._current_recovery = None
         self.sim.trace.record(self.sim.now, "recovery_complete", self.node_id,
                               view=self.view)
-        if self._obs.enabled:
-            self._obs.end_phase("recovery", self.node_id, self.sim.now,
-                                view=self.view)
 
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Crash the host (and thereby the enclaves)."""
         super().crash()
-        self.status = NodeStatus.CRASHED
         self.pacemaker.stop()
 
     def cold_restart(self) -> None:
@@ -756,33 +829,23 @@ class AchillesNode(ReplicaBase):
         endpoints — and the caller (the deployment layer) attests exactly
         that.
         """
-        ReplicaBase.reboot(self)
-        self.checker.reboot()
-        self.accumulator.reboot()
-        self._view_certs.clear()
-        self._votes.clear()
-        self._decided_views.clear()
-        self._recovery_replies.clear()
-        self._recovery_request = None
-        self._recovery_nonce = None
-        self._pending_recovery.clear()
+        self._reset_host()
+        self.pacemaker.stop()
+        self._reset_volatile()
         self._proposed_view = -1
         self.preb_block = self.store.committed_tip
-        self.preb_cert = None
-        self.preb_qc = None
         self.view = 0
-        self.pacemaker.stop()
-        init_ms = self.checker.restart(self.config.n - 1)
-        self.accumulator.restart(0)
+        init_ms = self._restart_trusted()
         self.checker.cold_boot(self.preb_block.hash)
         self.status = NodeStatus.RUNNING
         self.sim.trace.record(self.sim.now, "cold_restart", self.node_id)
-        self.after(init_ms, lambda: self.run_work(self._advance_via_teeview),
+        self.after(init_ms, lambda: self.run_work(self._advance_view),
                    label=f"{self.name}.cold_boot")
 
 
 __all__ = [
     "AchillesNode",
+    "ChainedTeeNode",
     "NodeStatus",
     "RecoveryStats",
     "Proposal",

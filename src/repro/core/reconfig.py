@@ -259,7 +259,7 @@ class ReconfigurableAchillesNode(AchillesNode):
         if self.node_id in self.members and self.is_standby:
             # A standby becomes a full member: join via the timeout path.
             self.is_standby = False
-            self.run_work(self._advance_via_teeview)
+            self.run_work(self._advance_view)
         elif self.node_id not in self.members and not self.is_standby:
             # Replaced: retire to observer (keeps serving sync requests).
             self.is_standby = True
@@ -269,8 +269,8 @@ class ReconfigurableAchillesNode(AchillesNode):
         super().on_Decide(msg, src)
         self._maybe_activate_members()
 
-    def _advance_via_teeview(self) -> None:  # noqa: D102 (inherits doc)
-        super()._advance_via_teeview()
+    def _advance_view(self) -> None:  # noqa: D102 (inherits doc)
+        super()._advance_view()
         self._maybe_activate_members()
 
 

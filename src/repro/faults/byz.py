@@ -37,7 +37,6 @@ dropping them.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass
 from typing import Any, Optional, Type
 
@@ -431,13 +430,9 @@ class StaleSealStrategy(ByzStrategy):
 
     @classmethod
     def applies_to(cls, node_cls: type) -> bool:
-        # Only protocols whose reboot path unseals through an attacker
-        # (i.e. that trust sealed storage at all) have this surface.
-        try:
-            return "rollback_attacker" in inspect.signature(
-                node_cls.reboot).parameters
-        except (TypeError, ValueError):
-            return False
+        # Only protocols whose rejoin unseals through an attacker (i.e.
+        # that trust sealed storage at all) have this surface.
+        return node_cls.RESTORES_FROM_SEAL
 
     def pre_reboot(self, node: Any,
                    attacker: Optional[RollbackAttacker]) -> Optional[RollbackAttacker]:
@@ -658,12 +653,6 @@ def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
     a compromised host.
     """
     names = resolve_strategies(strategies)
-    takes_attacker = False
-    try:
-        takes_attacker = "rollback_attacker" in inspect.signature(
-            node_cls.reboot).parameters
-    except (TypeError, ValueError):
-        pass
 
     class Byzantine(node_cls):  # type: ignore[misc, valid-type]
         byz_strategy_names = tuple(names)
@@ -703,17 +692,10 @@ def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
                     return
             super()._dispatch(envelope, arrival)
 
-        if takes_attacker:
-            def reboot(self, rollback_attacker: Optional[RollbackAttacker] = None
-                       ) -> None:
-                rollback_attacker = self.byz.pre_reboot(rollback_attacker)
-                node_cls.reboot(self, rollback_attacker=rollback_attacker)
-                self.byz.post_reboot()
-        else:
-            def reboot(self) -> None:
-                self.byz.pre_reboot(None)
-                node_cls.reboot(self)
-                self.byz.post_reboot()
+        def reboot(self, rollback_attacker: Optional[RollbackAttacker] = None
+                   ) -> None:
+            super().reboot(self.byz.pre_reboot(rollback_attacker))
+            self.byz.post_reboot()
 
     Byzantine.__name__ = f"Byz{node_cls.__name__}"
     Byzantine.__qualname__ = Byzantine.__name__

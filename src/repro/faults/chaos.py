@@ -22,7 +22,6 @@ always on.
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Optional
@@ -51,7 +50,7 @@ from repro.harness.runner import (
 from repro.net.adversary import NetworkAdversary, PartitionWindow
 from repro.net.faults import LinkFaultModel
 from repro.net.transport import TransportConfig
-from repro.tee.rollback import RollbackAttacker
+from repro.tee.rollback import RollbackAttacker, mount_rollback_attack
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +313,9 @@ def _defends_rollback(protocol_spec, node_cls) -> bool:
     demonstration of its known vulnerability, not a regression signal."""
     if protocol_spec.uses_counter:
         return True
-    # Reboot signatures without a rollback_attacker parameter never unseal
-    # through the attacker (Achilles, MinBFT): storage attacks are moot.
-    return "rollback_attacker" not in inspect.signature(node_cls.reboot).parameters
+    # A rejoin that never unseals consensus state (Achilles, MinBFT) has
+    # nothing an attacker could feed: storage attacks are moot.
+    return not node_cls.RESTORES_FROM_SEAL
 
 
 def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
@@ -520,30 +519,18 @@ def _install(campaign: ChaosCampaign, cluster, monitor, generator) -> dict:
     for node_id, at, downtime in campaign.crash_events:
         node = cluster.nodes[node_id]
         sim.schedule_at(at, node.crash, label=f"chaos.crash node{node_id}")
+        attacker = None
         if node_id in campaign.rollback_victims:
-            checker = getattr(node, "checker", None)
-            accepts = "rollback_attacker" in \
-                inspect.signature(node.reboot).parameters
-            if checker is not None and accepts:
-                attacker = RollbackAttacker(store=checker.store)
-                attacker.serve_oldest(f"{checker.identity}/rstate")
-                attackers[node_id] = attacker
-                sim.schedule_at(
-                    at + downtime,
-                    lambda node=node, attacker=attacker:
-                        node.reboot(rollback_attacker=attacker),
-                    label=f"chaos.reboot+rollback node{node_id}",
-                )
-                continue
-            if checker is not None:
-                # Achilles-style: mount the storage attack anyway — the
-                # protocol never consults untrusted storage, so the plan
-                # must stay unused (attacks_mounted == 0 is the proof).
-                attacker = RollbackAttacker(store=checker.store)
-                attacker.serve_oldest(f"{checker.identity}/rstate")
-                attackers[node_id] = attacker
-        sim.schedule_at(at + downtime, node.reboot,
-                        label=f"chaos.reboot node{node_id}")
+            # Mounted on Achilles-style protocols too: they never consult
+            # untrusted storage, so the plan must stay unused
+            # (attacks_mounted == 0 is the proof).
+            attacker = mount_rollback_attack(node)
+        if attacker is not None:
+            attackers[node_id] = attacker
+        sim.schedule_at(
+            at + downtime,
+            lambda node=node, attacker=attacker: node.reboot(attacker),
+            label=f"chaos.reboot node{node_id}")
 
     # Byzantine self-reboots: plain node.reboot() — the strategy chain's
     # pre_reboot hook substitutes the stale-blob attacker itself.
@@ -645,9 +632,7 @@ def run_chaos(spec: ChaosSpec, seed: int,
         deployment.write_trace(
             trace_path, f"chaos/{spec.protocol}/f={spec.f}/seed={seed}")
 
-    recoveries = sum(
-        len(getattr(node, "recovery_episodes", ())) for node in cluster.nodes
-    )
+    recoveries = sum(len(node.recovery_episodes) for node in cluster.nodes)
     rollbacks_mounted = sum(a.attacks_mounted for a in attackers.values())
 
     # Byzantine engagement: a configured, applicable attack that never

@@ -71,6 +71,7 @@ from typing import Any, Optional
 
 from repro.chain.block import Block
 from repro.chain.transaction import Transaction
+from repro.consensus.base import NodeStatus
 
 
 @dataclass(frozen=True)
@@ -352,10 +353,8 @@ class InvariantMonitor:
                 f"(epoch {node.epoch}): {last} -> {vi}",
             )
         self._last_vi[key] = vi
-        status = getattr(node, "status", None)
-        running = status is None or \
-            getattr(status, "name", "RUNNING") == "RUNNING"
-        if self.track_seal_freshness and running and \
+        if self.track_seal_freshness and \
+                node.status is NodeStatus.RUNNING and \
                 not getattr(checker, "needs_restore", False):
             # Cross-incarnation: a new epoch *running* below the peak of an
             # earlier one means the enclave restored stale sealed state
@@ -406,9 +405,7 @@ class InvariantMonitor:
             # Defended gap: the node discarded possibly-stale state and is
             # waiting for a certified fresh snapshot — not a violation.
             return
-        status = getattr(node, "status", None)
-        if status is not None and \
-                getattr(status, "name", "RUNNING") != "RUNNING":
+        if node.status is not NodeStatus.RUNNING:
             return
         node_id = node.node_id
         peak = self._peak_snapshot.get(node_id, 0)
@@ -442,10 +439,8 @@ class InvariantMonitor:
             self._last_counter[key] = value
 
     def _poll_recovery(self, node, now: float) -> None:
-        status = getattr(node, "status", None)
-        recovering = status is not None and getattr(status, "name", "") == "RECOVERING"
         node_id = node.node_id
-        if not recovering:
+        if node.status is not NodeStatus.RECOVERING:
             self._recovering_since.pop(node_id, None)
             self._reported_stuck.discard(node_id)
             return
@@ -519,8 +514,7 @@ class InvariantMonitor:
         self.poll()
 
         for node in self.cluster.nodes:
-            status = getattr(node, "status", None)
-            if status is not None and getattr(status, "name", "") == "RECOVERING":
+            if node.status is NodeStatus.RECOVERING:
                 since = self._recovering_since.get(node.node_id,
                                                    self.cluster.sim.now)
                 self._violate(

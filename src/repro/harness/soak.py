@@ -41,12 +41,12 @@ deterministic digest.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Optional
 
 from repro.client.workload import DROP_OVERFLOW, QueueSource
+from repro.consensus.base import NodeStatus
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.faults.scenarios import LEADER, SCENARIOS, SoakPlan, build_plan
@@ -62,7 +62,7 @@ from repro.harness.runner import (
     verdict,
 )
 from repro.net.adversary import NetworkAdversary
-from repro.tee.rollback import RollbackAttacker
+from repro.tee.rollback import mount_rollback_attack
 from repro.workload.generators import TrafficGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -296,12 +296,10 @@ class HealthRecorder:
         recoveries = 0
         recovering = 0
         for node in cluster.nodes:
-            pm = getattr(node, "pacemaker", None)
-            if pm is not None:
-                view_changes += pm.timeouts_fired
-            recoveries += len(getattr(node, "recovery_episodes", ()))
-            status = getattr(node, "status", None)
-            if status is not None and getattr(status, "name", "") == "RECOVERING":
+            if node.pacemaker is not None:
+                view_changes += node.pacemaker.timeouts_fired
+            recoveries += len(node.recovery_episodes)
+            if node.status is NodeStatus.RECOVERING:
                 recovering += 1
         return {
             "offered": self.generator.emitted,
@@ -440,33 +438,18 @@ def _install_plan(spec: SoakSpec, plan: SoakPlan, cluster, monitor) -> dict:
     n = len(cluster.nodes)
     state = {"attackers": {}, "strikes_skipped": 0, "strikes_fired": 0}
 
-    def is_running(node) -> bool:
-        # Baselines without a lifecycle enum report plain liveness.
-        if not node.alive:
-            return False
-        status = getattr(node, "status", None)
-        return status is None or getattr(status, "name", "") == "RUNNING"
-
     def committee_healthy() -> bool:
-        return all(is_running(node) for node in cluster.nodes)
+        return all(node.status is NodeStatus.RUNNING
+                   for node in cluster.nodes)
 
     def reboot_with_attack(node) -> None:
-        # Fresh rollback attack per episode: serve the oldest sealed
-        # state ever written (maximum rollback distance).  Protocols
-        # whose reboot cannot consume an attacker (Achilles: recovery
-        # never reads untrusted storage) still get one mounted — its
+        # Fresh rollback attack per episode.  Protocols whose rejoin never
+        # reads untrusted storage (Achilles) still get one mounted — its
         # attacks_mounted staying 0 is part of the proof.
-        checker = getattr(node, "checker", None)
-        if checker is None:
-            node.reboot()
-            return
-        attacker = RollbackAttacker(store=checker.store)
-        attacker.serve_oldest(f"{checker.identity}/rstate")
-        state["attackers"][len(state["attackers"])] = attacker
-        if "rollback_attacker" in inspect.signature(node.reboot).parameters:
-            node.reboot(rollback_attacker=attacker)
-        else:
-            node.reboot()
+        attacker = mount_rollback_attack(node)
+        if attacker is not None:
+            state["attackers"][len(state["attackers"])] = attacker
+        node.reboot(attacker)
 
     def strike(event) -> None:
         if event.guarded and not committee_healthy():
@@ -478,7 +461,7 @@ def _install_plan(spec: SoakSpec, plan: SoakPlan, cluster, monitor) -> dict:
         else:
             victim_id = event.node
         victim = cluster.nodes[victim_id]
-        if not is_running(victim):
+        if victim.status is not NodeStatus.RUNNING:
             state["strikes_skipped"] += 1
             return
         state["strikes_fired"] += 1
@@ -654,18 +637,17 @@ def run_soak(spec: SoakSpec, seed: int,
             f"{spec.slo_commit_fraction:.0%} offered committed, "
             f"p99 <= {spec.slo_p99_ms:.0f} ms): {observed}"))
 
-    recoveries = sum(
-        len(getattr(node, "recovery_episodes", ())) for node in cluster.nodes)
+    recoveries = sum(len(node.recovery_episodes) for node in cluster.nodes)
     backoff_decays = 0
     backoff_nudges = 0
     peak_backoff = 0
     view_changes = 0
     for node in cluster.nodes:
-        pm = getattr(node, "pacemaker", None)
+        pm = node.pacemaker
         if pm is not None:
-            backoff_decays += getattr(pm, "backoff_decays", 0)
-            backoff_nudges += getattr(pm, "backoff_nudges", 0)
-            peak_backoff = max(peak_backoff, getattr(pm, "peak_backoff", 0))
+            backoff_decays += pm.backoff_decays
+            backoff_nudges += pm.backoff_nudges
+            peak_backoff = max(peak_backoff, pm.peak_backoff)
             view_changes += pm.timeouts_fired
 
     counters = {

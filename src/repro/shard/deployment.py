@@ -185,8 +185,8 @@ class ShardedDeployment:
         therefore (1) equalizes the durable committed chains across the
         group (restore from the freshest replica's backup; safe — the
         chains agree and differ only in length) and (2) cold-boots every
-        replica from that chain.  Protocols without a ``cold_restart``
-        path fall back to their ordinary reboot.
+        replica from that chain (an ordinary reboot, for protocols whose
+        rejoin needs no helpers).
         """
         nodes = self.clusters[shard].nodes
         best = max(nodes, key=lambda nd: nd.store.committed_tip.height)
@@ -198,11 +198,7 @@ class ShardedDeployment:
                     node.store.add(block)
                     node.store.commit(block)
         for node in nodes:
-            cold = getattr(node, "cold_restart", None)
-            if cold is not None:
-                cold()
-            else:
-                node.reboot()
+            node.cold_restart()
 
     def partition_shard(self, shard: int) -> None:
         """Isolate a whole shard from its clients (the router): the group

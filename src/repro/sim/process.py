@@ -35,8 +35,10 @@ class Timer:
 
     @property
     def pending(self) -> bool:
-        """True while the timer is armed and not yet fired/cancelled."""
-        return self._event is not None and not self._event.cancelled
+        """True while the timer is armed and can still fire: not fired,
+        not cancelled, not voided by its process crashing since."""
+        return self._event is not None and not self._event.cancelled \
+            and self._epoch == self._process.epoch
 
     @property
     def deadline(self) -> Optional[float]:

@@ -61,4 +61,16 @@ class RollbackAttacker:
         return enclave.unseal_state(name)
 
 
-__all__ = ["RollbackAttacker"]
+def mount_rollback_attack(node) -> Optional[RollbackAttacker]:
+    """An attacker over ``node``'s checker storage, set to serve the oldest
+    sealed ``rstate`` ever written (maximal rollback distance) — hand it to
+    ``node.reboot``.  ``None`` for a replica without a checker."""
+    checker = getattr(node, "checker", None)
+    if checker is None:
+        return None
+    attacker = RollbackAttacker(store=checker.store)
+    attacker.serve_oldest(f"{checker.identity}/rstate")
+    return attacker
+
+
+__all__ = ["RollbackAttacker", "mount_rollback_attack"]

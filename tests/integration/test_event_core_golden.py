@@ -148,8 +148,9 @@ CAMPAIGNS: dict[str, tuple] = {
     ),
     # Crash/reboot on every protocol the entries above do not reboot: one
     # campaign each, pinned before the six `reboot` bodies became one
-    # lifecycle template.  Rollback victims only where the protocol
-    # defends (the planner skips the rest).
+    # lifecycle template (which moved none of them but FlexiBFT's).
+    # Rollback victims only where the protocol defends (the planner skips
+    # the rest).
     "chaos_crash_oneshot_r": (
         # Pinned *with* its recovery-liveness line: a -R counter detecting
         # the stale seal leaves the replica RECOVERING for good.
@@ -181,9 +182,13 @@ CAMPAIGNS: dict[str, tuple] = {
         0,
     ),
     "chaos_crash_flexibft": (
-        # Leader 0 crashes at 433 ms, backup 2 at 1157 ms.  (Seed 3 of the
-        # CLI-default spec trips FlexiBFT's view-change safety hole, see
-        # ROADMAP; this seed completes.)
+        # Leader 0 crashes at 433 ms, backup 2 at 1157 ms.  While FlexiBFT
+        # had no reboot path the rebooted leader never re-armed its view
+        # timer and this run ended wedged at height 77 with a
+        # post-quiesce-liveness line; re-pinned clean (height 344) with the
+        # lifecycle template.  (Seed 3 of the CLI-default spec trips
+        # FlexiBFT's view-change safety hole, see ROADMAP item 5; this
+        # seed completes.)
         run_chaos,
         ChaosSpec(protocol="flexibft", f=1, duration_ms=2200.0,
                   quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=0,
