@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench perf-smoke ledger ledger-compare scale \
+.PHONY: test bench-quick bench perf-smoke calls ledger ledger-compare scale \
 	scale-smoke chaos \
 	chaos-smoke loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
 	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke ci
@@ -134,8 +134,17 @@ bench:
 # Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
+# The call profiler runs once too, so that it cannot rot.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
+	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke > /dev/null
+
+# Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
+# prints the row's total (host_mcalls x 1e6), calls per simulator event
+# and the top 40 functions by call count; OF='len|leader_of' adds who
+# calls the functions matching the pattern.
+calls:
+	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)')
 
 # The full performance ledger (all eight workloads, both passes, ~6 min),
 # and the same-seed comparison of two of them: any moved sim_* value or

@@ -1,0 +1,54 @@
+"""Where one ledger workload's host calls go (``make calls W=<workload>``).
+
+    python3 benchmarks/call_profile.py lan_sat_n101 [--seed 1] [--smoke] [--of PATTERN]
+
+Prepares the workload exactly as ``benchmarks/perf/run.py`` counts it, runs
+one rep under ``cProfile`` and prints the total call count (the ledger's
+``host_mcalls`` x 1e6), ``sim.events``, calls per event, the top 40
+functions by call count, and who calls the functions matching ``--of``.
+Never run seed 7 while developing a change: it is the ledger's hold-out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"),
+                os.path.join(ROOT, "benchmarks", "perf")]
+
+
+def main() -> None:
+    import workloads
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--of", default=None, metavar="PATTERN")
+    args = parser.parse_args()
+    workload = workloads.WORKLOADS[args.workload]
+    # As run.py: first-use imports and caches are not part of a rep.
+    workload.run(workload.prepare(args.seed, workloads.SMOKE_SCALE))
+    state = workload.prepare(
+        args.seed, workloads.SMOKE_SCALE if args.smoke else 1.0)
+    profile = cProfile.Profile()
+    profile.enable()
+    outcome = workload.run(state)
+    profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats())
+    events = outcome.counts["sim.events"]
+    print(f"{args.workload} seed {args.seed}: {calls} calls, "
+          f"{events} events, {calls / events:.1f} calls/event")
+    stats = pstats.Stats(profile).sort_stats("ncalls")
+    stats.print_stats(40)
+    if args.of:
+        stats.print_callers(args.of)
+
+
+if __name__ == "__main__":
+    main()

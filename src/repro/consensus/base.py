@@ -280,43 +280,38 @@ class ReplicaBase(Process):
         """Network entry point: queue the message behind the node's CPU.
 
         Dispatch is scheduled through the handle-free fast path — a
-        delivered message is never cancelled (crash/epoch guards run at
-        fire time), so it needs neither an Event handle nor a closure.
+        delivered message is never cancelled (:meth:`_dispatch` guards itself
+        at fire time), so it needs neither an Event handle nor a closure.
         """
         if not self.alive:
             return
         sim = self.sim
         now = sim.now
-        recv_cost = self.config.costs.recv_cost(envelope.size)
-        ready = self.cpu.account(now, recv_cost)
-        if ready <= now:
-            sim.queue.push_fast(now, self._guarded_dispatch,
-                                (envelope, self.epoch, now))
-        else:
-            sim.queue.push_fast(ready, self._guarded_dispatch,
-                                (envelope, self.epoch, now))
+        ready = self.cpu.account(
+            now, self.config.costs.recv_cost(envelope.size))
+        sim.queue.push_fast(ready if ready > now else now, self._dispatch,
+                            (envelope, now, self.epoch))
 
-    def _guarded_dispatch(self, envelope: Envelope, epoch: int,
-                          arrival: float) -> None:
-        if self.alive and self.epoch == epoch:
-            self._dispatch(envelope, arrival)
-
-    def _dispatch(self, envelope: Envelope, arrival: Optional[float] = None) -> None:
+    def _dispatch(self, envelope: Envelope, arrival: float,
+                  epoch: int) -> None:
+        """Run the handler of a message that reached this node at
+        ``arrival`` — unless the node crashed or rebooted since."""
+        if not self.alive or self.epoch != epoch:
+            return
         payload = envelope.payload
         kind = payload.__class__.__name__
         handlers = self._handlers
-        handler = handlers.get(kind, False)
-        if handler is False:
-            handler = getattr(type(self), f"on_{kind}", None)
-            handlers[kind] = handler
+        try:
+            handler = handlers[kind]
+        except KeyError:
+            handler = handlers[kind] = getattr(type(self), f"on_{kind}", None)
         if handler is None:
             self.sim.trace.record(self.sim.now, "unhandled_message",
                                   self.node_id, message_kind=kind)
             return
         obs = self._obs
         if obs.enabled:
-            obs.stage_dispatch(self.node_id, kind,
-                               self.sim.now if arrival is None else arrival,
+            obs.stage_dispatch(self.node_id, kind, arrival,
                                obs.take_route(envelope.msg_id))
         # Inlined run_work (one unit of work per delivered message): the
         # wrapper-closure version cost an allocation + two calls per
@@ -371,32 +366,24 @@ class ReplicaBase(Process):
                                      (outbox, self.epoch, sid))
 
     def _transmit_outbox(self, outbox: list, epoch: int, sid: int) -> None:
-        if not self.alive or self.epoch != epoch:
-            return
-        node_id = self.node_id
-        send = self.network.send
-        for dst, payload in outbox:
-            if dst == node_id:
-                sim = self.sim
-                envelope = Envelope.make(node_id, node_id, payload, sim.now)
-                if sid and self._obs.enabled:
-                    # Loopback skips the network; give it a pseudo
-                    # net span so the causal chain stays unbroken
-                    # (leader self-votes sit on the commit path).
-                    self._obs.net_span(
-                        sid, envelope.msg_id, node_id, node_id,
-                        type(payload).__name__, sim.now,
-                        sim.now + self.LOOPBACK_EPSILON_MS,
-                        envelope.size, loopback=True)
-                sim.queue.push_fast(sim.now + self.LOOPBACK_EPSILON_MS,
-                                    self._loopback_dispatch,
-                                    (envelope, epoch))
-            else:
-                send(node_id, dst, payload, cause=sid)
-
-    def _loopback_dispatch(self, envelope: Envelope, epoch: int) -> None:
         if self.alive and self.epoch == epoch:
-            self._dispatch(envelope)
+            self.network.send_outbox(self.node_id, outbox, sid,
+                                     self._loopback)
+
+    def _loopback(self, envelope: Envelope, sid: int) -> None:
+        """A self-addressed message: skips the network and is dispatched
+        one epsilon from now."""
+        sim = self.sim
+        arrival = sim.now + self.LOOPBACK_EPSILON_MS
+        if sid and self._obs.enabled:
+            # Give it a pseudo net span so the causal chain stays unbroken
+            # (leader self-votes sit on the commit path).
+            self._obs.net_span(
+                sid, envelope.msg_id, self.node_id, self.node_id,
+                type(envelope.payload).__name__, sim.now, arrival,
+                envelope.size, loopback=True)
+        sim.queue.push_fast(arrival, self._dispatch,
+                            (envelope, arrival, self.epoch))
 
     # ------------------------------------------------------------------
     # Cost + send helpers (valid inside run_work)

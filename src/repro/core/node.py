@@ -284,7 +284,7 @@ class ChainedTeeNode(ReplicaBase):
         # f+1 certificates.
         if cert.current_view > self.view + 1:
             self.run_work(lambda: self._sync_to_view(cert.current_view))
-        if not self.is_leader(cert.current_view):
+        if self.leader_of(cert.current_view) != self.node_id:
             return
         self._view_certs.add((cert.current_view,), cert.signer, cert)
         self._try_propose(cert.current_view)
@@ -400,7 +400,8 @@ class ChainedTeeNode(ReplicaBase):
         """Leader side of a voting phase: count ``vote`` (anything signed
         over ``(block_hash, view)``); returns the signatures of the first
         f+1 votes for one block, once per view."""
-        if not self.is_leader(vote.view) or vote.view in collector.latched:
+        if self.leader_of(vote.view) != self.node_id \
+                or vote.view in collector.latched:
             return None
         self.charge_verify(1)
         if not vote.validate(self.keyring):
@@ -604,7 +605,8 @@ class AchillesNode(ChainedTeeNode):
         if self.status is not NodeStatus.RUNNING:
             return
         cert = msg.cert
-        if not self.is_leader(cert.view) or cert.view in self._votes.latched:
+        if self.leader_of(cert.view) != self.node_id \
+                or cert.view in self._votes.latched:
             return
         self.charge_verify(1)
         if not cert.validate(self.keyring):
@@ -629,7 +631,8 @@ class AchillesNode(ChainedTeeNode):
         self.preb_qc = qc
         # New-View optimization: the next leader proposes straight away.
         next_view = qc.view + 1
-        if self.is_leader(next_view) and self._proposed_view < next_view:
+        if self.leader_of(next_view) == self.node_id \
+                and self._proposed_view < next_view:
             self._propose(block, qc, next_view)
         return True
 

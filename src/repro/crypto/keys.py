@@ -27,10 +27,8 @@ class PublicKey:
     commitment: str
 
     @cached_property
-    def _mac_template(self) -> "hmac.HMAC":
-        # Keying an HMAC costs two hash-block compressions; verification is
-        # on the simulator's hot path, so key once and ``copy()`` per tag.
-        return hmac.new(self.commitment.encode(), None, hashlib.sha256)
+    def _mac_key(self) -> bytes:
+        return self.commitment.encode()
 
     def verify_tag(self, payload: bytes, tag: str) -> bool:
         """Check a tag produced by the matching :class:`PrivateKey`.
@@ -39,9 +37,8 @@ class PublicKey:
         without the secret would require inverting the commitment, which the
         simulation adversary is not given an API to do.
         """
-        mac = self._mac_template.copy()
-        mac.update(payload)
-        return hmac.compare_digest(mac.hexdigest(), tag)
+        return hmac.compare_digest(
+            hmac.digest(self._mac_key, payload, "sha256").hex(), tag)
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class PrivateKey:
         return hashlib.sha256(b"commit:" + self._secret).hexdigest()
 
     @cached_property
-    def _mac_template(self) -> "hmac.HMAC":
-        return hmac.new(self._commitment.encode(), None, hashlib.sha256)
+    def _mac_key(self) -> bytes:
+        return self._commitment.encode()
 
     def commitment(self) -> str:
         """Public commitment used by verifiers."""
@@ -65,9 +62,7 @@ class PrivateKey:
 
     def sign_tag(self, payload: bytes) -> str:
         """Produce the authentication tag over ``payload``."""
-        mac = self._mac_template.copy()
-        mac.update(payload)
-        return mac.hexdigest()
+        return hmac.digest(self._mac_key, payload, "sha256").hex()
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,9 @@ class Keyring:
     """The PKI: node id -> :class:`PublicKey`."""
 
     def __init__(self, public_keys: Dict[int, PublicKey]):
-        self._keys = dict(public_keys)
+        #: node id -> key.  ``verify`` subscripts it directly (a memoised
+        #: verdict must cost no call on the way); nobody writes to it.
+        self.public_keys = dict(public_keys)
 
     @classmethod
     def from_keypairs(cls, pairs: Dict[int, KeyPair]) -> "Keyring":
@@ -103,19 +100,19 @@ class Keyring:
     def public_key(self, node_id: int) -> PublicKey:
         """Look up a node's public key; raises :class:`CryptoError` if absent."""
         try:
-            return self._keys[node_id]
+            return self.public_keys[node_id]
         except KeyError:
             raise CryptoError(f"no public key registered for node {node_id}") from None
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._keys
+        return node_id in self.public_keys
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.public_keys)
 
     def node_ids(self) -> list[int]:
         """All registered node ids, sorted."""
-        return sorted(self._keys)
+        return sorted(self.public_keys)
 
 
 __all__ = ["PublicKey", "PrivateKey", "KeyPair", "Keyring", "generate_keypairs"]

@@ -15,7 +15,7 @@ transition (modelled in :mod:`repro.tee.enclave`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from repro.crypto.hashing import digest_of
 from repro.crypto.keys import Keyring, PrivateKey
@@ -44,9 +44,9 @@ class CryptoProfile:
         """Cost of verifying ``count`` signatures with mild amortization."""
         if count <= 0:
             return 0.0
-        first = self.verify_ms
-        rest = max(self.verify_batch_floor, self.verify_ms * 0.85) * (count - 1)
-        return first + rest
+        floor = self.verify_batch_floor
+        each = self.verify_ms * 0.85
+        return self.verify_ms + (each if each > floor else floor) * (count - 1)
 
     @classmethod
     def free(cls) -> "CryptoProfile":
@@ -61,6 +61,8 @@ class Signature:
     signer: int
     digest: str
     tag: str
+    #: :func:`verify`'s memo, ``(public key, verdict)``, once set per instance.
+    _tag_memo: ClassVar[Optional[tuple]] = None
 
     @property
     def id(self) -> int:
@@ -91,19 +93,20 @@ def verify(keyring: Keyring, signature: Signature, *message_parts: object,
     ``digest=`` skips the canonicalization when the caller already derived
     the message digest (see :func:`sign`).
     """
-    if signature.signer not in keyring:
+    try:
+        public = keyring.public_keys[signature.signer]
+    except KeyError:
         return False
     if digest is None:
         digest = digest_of(*message_parts)
     if digest != signature.digest:
         return False
-    public = keyring.public_key(signature.signer)
     # Memoize the tag check per (signature, public key): every node in a
     # cluster validates the same shared certificate objects, so the HMAC
     # for each signature only needs computing once.  Safe because the
     # payload is signature.digest (frozen) and the memo is keyed on the
-    # exact PublicKey object by identity.
-    memo = signature.__dict__.get("_tag_memo")
+    # exact PublicKey object by identity.  A hit costs no call.
+    memo = signature._tag_memo
     if memo is not None and memo[0] is public:
         return memo[1]
     ok = public.verify_tag(digest.encode(), signature.tag)

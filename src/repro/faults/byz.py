@@ -680,7 +680,10 @@ def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
                 if not self.byz.in_hook:
                     self.byz.on_propose(args)
 
-        def _dispatch(self, envelope: Any, arrival: Optional[float] = None) -> None:
+        def _dispatch(self, envelope: Any, arrival: float,
+                      epoch: int) -> None:
+            if not self.alive or self.epoch != epoch:
+                return
             if not self.byz.in_hook:
                 consumed: list[bool] = []
                 # Inside run_work so sends a strategy queues while
@@ -690,7 +693,7 @@ def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
                     self.byz.intercept_deliver(envelope.payload, envelope.src)))
                 if consumed[0]:
                     return
-            super()._dispatch(envelope, arrival)
+            super()._dispatch(envelope, arrival, epoch)
 
         def reboot(self, rollback_attacker: Optional[RollbackAttacker] = None
                    ) -> None:

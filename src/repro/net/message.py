@@ -49,6 +49,20 @@ def wire_size(payload: Any) -> int:
     return 32
 
 
+def intern_size(payload: Any) -> int:
+    """Estimate ``payload``'s envelope size and intern it on the object
+    (``_env_size``): payloads are immutable, and one broadcast wraps the
+    *same* object n−1 times — without the memo every destination re-walked
+    its size recursively.  Payloads that reject attributes (slotted or
+    builtin types) simply recompute each time."""
+    size = HEADER_BYTES + wire_size(payload)
+    try:
+        object.__setattr__(payload, "_env_size", size)
+    except (AttributeError, TypeError):
+        pass
+    return size
+
+
 _envelope_ids = itertools.count(1)
 
 
@@ -94,23 +108,11 @@ class Envelope:
 
     @classmethod
     def make(cls, src: int, dst: int, payload: Any, sent_at: float) -> "Envelope":
-        """Build an envelope, estimating wire size from the payload.
-
-        The estimate is interned on the payload object (``_env_size``):
-        protocol payloads are immutable (frozen dataclasses), and one
-        broadcast wraps the *same* payload object n−1 times — without the
-        memo every fan-out destination re-walked the payload's size
-        recursively.  Payloads that reject attributes (slotted or builtin
-        types) simply recompute, matching the old behaviour.
-        """
+        """Build an envelope, estimating wire size from the payload."""
         try:
             size = payload._env_size
         except AttributeError:
-            size = HEADER_BYTES + wire_size(payload)
-            try:
-                object.__setattr__(payload, "_env_size", size)
-            except (AttributeError, TypeError):
-                pass
+            size = intern_size(payload)
         return cls(src, dst, payload, size, sent_at)
 
     def fabric_duplicate(self) -> "Envelope":
@@ -129,4 +131,5 @@ class Envelope:
             self.auth = "!" + self.auth
 
 
-__all__ = ["Envelope", "wire_size", "HEADER_BYTES", "SIGNATURE_BYTES", "HASH_BYTES"]
+__all__ = ["Envelope", "wire_size", "intern_size", "HEADER_BYTES",
+           "SIGNATURE_BYTES", "HASH_BYTES"]

@@ -2,7 +2,7 @@
 
 Combines latency profile, bandwidth model, partial synchrony, the
 adversary, the probabilistic link-fault model, and the reliable-delivery
-transport into a single ``send``/``broadcast`` API used by every protocol.
+transport into a single ``send``/``send_outbox`` API used by every protocol.
 Delivery invokes the destination endpoint's ``deliver(envelope)`` method
 (consensus replicas and clients both implement it).
 
@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Protocol
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SimulationError
 from repro.net.adversary import NetworkAdversary
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import LinkFaultModel
 from repro.net.latency import LAN_PROFILE
-from repro.net.message import Envelope
+from repro.net.message import Envelope, intern_size
 from repro.net.synchrony import PartialSynchrony
 from repro.net.transport import (
     ReliableChannel,
@@ -89,13 +89,6 @@ class NetworkStats:
         return (self.adversary_dropped + self.fault_dropped
                 + self.undeliverable_dropped)
 
-    def note_send(self, envelope: Envelope) -> None:
-        """Count an accepted send."""
-        self.messages_sent += 1
-        self.bytes_sent += envelope.size
-        kind = type(envelope.payload).__name__
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
 
 class Network:
     """Latency-modelled message fabric with optional loss + transport."""
@@ -123,11 +116,8 @@ class Network:
         self._seal_sends = faults is not None and faults.corrupt_possible
         self._rng = sim.fork_rng("network")
         self._obs = sim.obs
-        # Hot-path hoists: per-message getattr/bound-method construction in
-        # ``transmit`` was measurable at broadcast fan-out scale.  Geo-aware
-        # profiles expose per-link sampling; flat ones don't.
+        # Geo-aware profiles expose per-link sampling; flat ones don't.
         self._sample_link = getattr(latency, "sample_link", None)
-        self._deliver_ref = self._deliver
 
     @property
     def transport_engaged(self) -> bool:
@@ -189,101 +179,122 @@ class Network:
         ``cause`` is the id of the work span that queued the message
         (0 = unknown); it parents the flight's net span when tracing.
         """
-        if src not in self._endpoints:
-            raise NetworkError(f"sender {src} is not attached to the network")
-        envelope = Envelope.make(src=src, dst=dst, payload=payload,
-                                 sent_at=self.sim.now)
-        channels = self._channels  # empty without a transport
-        if channels:
-            channel = channels.get(src)
-            if channel is not None:
-                channel.stamp(envelope)
-        self.transmit(envelope, cause)
+        self.send_outbox(src, ((dst, payload),), cause)
 
-    def broadcast(self, src: int, dsts: list[int], payload: Any) -> None:
-        """Send ``payload`` to each destination (separate serializations —
-        this is what charges an O(n) sender cost for a broadcast)."""
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, payload)
+    def transmit(self, envelope: Envelope, cause: int = 0) -> None:
+        """Put an already stamped envelope on the wire again (a channel
+        retransmission): it re-faces the adversary, the fault model, and
+        fresh latency draws, exactly like the original copy did."""
+        self.send_outbox(envelope.src, ((envelope.dst, envelope.payload),),
+                         cause, stamped=envelope)
 
-    def transmit(self, envelope: Envelope, cause: int = 0,
-                 retransmit: bool = False) -> None:
-        """Put one (already stamped) envelope on the wire.
+    def send_outbox(self, src: int, outbox, cause: int = 0, loopback=None,
+                    stamped: Optional[Envelope] = None) -> None:
+        """Send each ``(dst, payload)`` of ``outbox`` from ``src``, in order:
+        the one body behind :meth:`send`, :meth:`transmit` and a replica's
+        flush.
 
-        Shared by :meth:`send` and channel retransmissions: a retransmit
-        re-faces the adversary, the fault model, and fresh latency draws,
-        exactly like the original copy did.
+        An entry is finished before the next is begun — envelope built (so
+        ``msg_id`` follows outbox order), stamped by the sender's channel,
+        then adversary, fault model, serialization, latency and the
+        delivery event — so every stream is drawn as message-by-message
+        sends would draw it.  ``loopback(envelope, cause)``, when given,
+        takes the entries addressed to ``src`` itself: they skip the fabric
+        but keep their place in the ``msg_id`` and event order.
+        ``stamped`` is the ready envelope of a one-entry retransmission.
         """
-        src = envelope.src
-        dst = envelope.dst
-        payload = envelope.payload
+        if stamped is None and src not in self._endpoints:
+            raise NetworkError(f"sender {src} is not attached to the network")
         sim = self.sim
         now = sim.now
-        extra = self.adversary.verdict(src, dst, payload, now)
+        push = sim.queue.push_fast
+        deliver = self._deliver
         stats = self.stats
-        if extra is None:
-            stats.adversary_dropped += 1
-            return
-        size = envelope.size
-        kind = payload.__class__.__name__
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        try:
-            stats.by_kind[kind] += 1
-        except KeyError:
-            stats.by_kind[kind] = 1
-        if self._seal_sends and envelope.auth is None:
-            seal_envelope(envelope)
-
+        by_kind = stats.by_kind
+        verdict = self.adversary.verdict
         faults = self.faults
-        fate = faults.verdict(src, dst, kind) if faults is not None else None
-
-        rng = self._rng
-        # NIC serialization occupies the sender's transmit queue...
-        departure = self.bandwidth.serialize(src, now, size)
-        # ...then propagation (+ partial-synchrony shaping + adversary delay).
+        serialize = self.bandwidth.serialize
         sample_link = self._sample_link
-        if sample_link is not None:
-            nominal = sample_link(src, dst, rng)
-        else:
-            nominal = self.latency.sample(rng)
-        actual = self.synchrony.actual_delay(src, dst, now, nominal, rng)
-        arrival = departure + actual + extra
+        sample = self.latency.sample
+        actual_delay = self.synchrony.actual_delay
+        rng = self._rng
         obs = self._obs
+        seal = self._seal_sends
+        channels = self._channels  # empty without a transport
+        channel = channels.get(src) if channels and stamped is None else None
+        for dst, payload in outbox:
+            envelope = stamped
+            if envelope is None:
+                try:
+                    size = payload._env_size
+                except AttributeError:
+                    size = intern_size(payload)
+                envelope = Envelope(src, dst, payload, size, now)
+                if dst == src and loopback is not None:
+                    loopback(envelope, cause)
+                    continue
+                if channel is not None:
+                    channel.stamp(envelope)
+            extra = verdict(src, dst, payload, now)
+            if extra is None:
+                stats.adversary_dropped += 1
+                continue
+            size = envelope.size
+            kind = payload.__class__.__name__
+            stats.messages_sent += 1
+            stats.bytes_sent += size
+            try:
+                by_kind[kind] += 1
+            except KeyError:
+                by_kind[kind] = 1
+            if seal and envelope.auth is None:
+                seal_envelope(envelope)
+            fate = faults.verdict(src, dst, kind) if faults is not None else None
+            # NIC serialization occupies the sender's transmit queue...
+            departure = serialize(src, now, size)
+            # ...then propagation (+ partial-synchrony shaping + adversary delay).
+            if sample_link is not None:
+                nominal = sample_link(src, dst, rng)
+            else:
+                nominal = sample(rng)
+            arrival = departure + actual_delay(src, dst, now, nominal, rng) + extra
 
-        if fate is not None and (fate.drop or fate.duplicate
-                                 or fate.extra_delay_ms or fate.corrupt):
-            arrival += fate.extra_delay_ms
-            copy = envelope.fabric_duplicate() if fate.duplicate else None
-            if fate.corrupt:
-                envelope.corrupt()
-                stats.fault_corrupted += 1
-            if copy is not None:
-                if fate.corrupt_dup:
-                    copy.corrupt()
+            if fate is not None and (fate.drop or fate.duplicate
+                                     or fate.extra_delay_ms or fate.corrupt):
+                arrival += fate.extra_delay_ms
+                copy = envelope.fabric_duplicate() if fate.duplicate else None
+                if fate.corrupt:
+                    envelope.corrupt()
                     stats.fault_corrupted += 1
-                stats.fault_duplicated += 1
-                dup_arrival = arrival + fate.dup_delay_ms
-                sim.schedule_at_fast(dup_arrival, self._deliver_ref, copy)
-                if obs.enabled:
-                    obs.net_span(cause, copy.msg_id, src, dst, kind,
-                                 now, dup_arrival, size,
-                                 duplicate=True)
-            if fate.drop:
-                stats.fault_dropped += 1
-                if obs.enabled:
-                    obs.instant("net_loss", src, now, dst=dst, kind=kind)
-                return
+                if copy is not None:
+                    if fate.corrupt_dup:
+                        copy.corrupt()
+                        stats.fault_corrupted += 1
+                    stats.fault_duplicated += 1
+                    dup_arrival = arrival + fate.dup_delay_ms
+                    sim.schedule_at_fast(dup_arrival, deliver, copy)
+                    if obs.enabled:
+                        obs.net_span(cause, copy.msg_id, src, dst, kind,
+                                     now, dup_arrival, size,
+                                     duplicate=True)
+                if fate.drop:
+                    stats.fault_dropped += 1
+                    if obs.enabled:
+                        obs.instant("net_loss", src, now, dst=dst, kind=kind)
+                    continue
 
-        sim.schedule_at_fast(arrival, self._deliver_ref, envelope)
-        if obs.enabled:
-            obs.net_span(cause, envelope.msg_id, src, dst, kind, now,
-                         arrival, size, retransmit=retransmit)
+            if arrival < now:
+                raise SimulationError(
+                    f"cannot schedule into the past (time={arrival}, now={now})")
+            push(arrival, deliver, (envelope,))
+            if obs.enabled:
+                obs.net_span(cause, envelope.msg_id, src, dst, kind, now,
+                             arrival, size, retransmit=stamped is not None)
 
     def _deliver(self, envelope: Envelope) -> None:
-        endpoint = self._endpoints.get(envelope.dst)
-        if endpoint is None:
+        try:
+            endpoint = self._endpoints[envelope.dst]
+        except KeyError:
             # Destination crashed/detached while the message was in flight.
             self.stats.undeliverable_dropped += 1
             return

@@ -354,7 +354,7 @@ class ReliableChannel:
                                      sent_at=now)
             envelope.frame = Frame(epoch=self.epoch, seq=seq,
                                    retransmit=frame_state.retries)
-            self.network.transmit(envelope, cause=0, retransmit=True)
+            self.network.transmit(envelope)
         self._arm_retransmit(peer_id, peer)
 
     def _process_ack(self, peer_id: int, ack: AckInfo) -> None:

@@ -34,8 +34,8 @@ class CpuModel:
         """
         if cost < 0:
             raise ValueError(f"negative CPU cost: {cost}")
-        start = max(now, self.busy_until)
-        finish = start + cost
+        busy = self.busy_until
+        finish = (busy if busy > now else now) + cost
         self.busy_until = finish
         self.total_busy += cost
         return finish

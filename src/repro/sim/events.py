@@ -29,14 +29,20 @@ The queue is a **hierarchical timer wheel with a heap overflow**:
   entries redistribute into buckets.  Overflow times are always beyond
   every wheel time, so the two structures never interleave.
 
-Two entry shapes share the structure (``seq`` is unique, so comparisons
-never reach the third element):
+Every entry is one shape, ``(time, seq, target, args)`` (``seq`` is
+unique, so comparisons never reach the third element):
 
-* ``(time, seq, Event)`` — the cancellable slow path (:meth:`push`);
-* ``(time, seq, callback, args)`` — the handle-free fast path
-  (:meth:`push_fast`) used for fire-and-forget schedules (message
-  deliveries, dispatch completions).  No :class:`Event` object, no
-  closure, no lazy-deletion bookkeeping — the entry tuple is the event.
+* ``args`` is a tuple — the handle-free fast path (:meth:`push_fast`) used
+  for fire-and-forget schedules (message deliveries, dispatch
+  completions): ``target(*args)`` runs at ``time``.  No :class:`Event`
+  object, no closure, no lazy-deletion bookkeeping — the entry tuple is
+  the event.
+* ``args`` is ``None`` — the cancellable slow path (:meth:`push`):
+  ``target`` is the :class:`Event` handle, skipped if cancelled.
+
+The drain loop, :meth:`repro.sim.loop.Simulator._drain`, pops due entries
+straight off ``_active`` (one ``heappop`` and the callback per event) and
+enters :meth:`EventQueue._settle` only when that heap is empty.
 
 Fired :class:`Event` objects can be recycled through a small free pool
 (:meth:`release`); the ``Timer`` layer returns its events after every
@@ -124,31 +130,9 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def _insert(self, entry: tuple, time: float) -> None:
-        idx = int((time - self._base) / self._gran)
-        if idx <= self._cursor:
-            # Due now / behind the cursor: heap order covers it exactly.
-            heappush(self._active, entry)
-        elif idx < self._nslots:
-            self._slots[idx].append(entry)
-            self._wheel_count += 1
-        elif not self._wheel_count and not self._active:
-            if self._overflow:
-                heappush(self._overflow, entry)
-            else:
-                # Whole queue empty: realign the wheel window on this event
-                # instead of parking it in overflow (keeps isolated
-                # far-future schedules, e.g. after a long idle gap, cheap).
-                self._base = time
-                self._cursor = 0
-                heappush(self._active, entry)
-        else:
-            heappush(self._overflow, entry)
-
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         """Insert a callback to fire at ``time``; returns a cancellable handle."""
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self._seq  # the number push_fast is about to assign
         pool = self._pool
         if pool:
             event = pool.pop()
@@ -160,22 +144,38 @@ class EventQueue:
             event.fired = False
         else:
             event = Event(time, seq, callback, label)
-        self._insert((time, seq, event), time)
-        self._live += 1
+        self.push_fast(time, event, None)
         return event
 
     def push_fast(self, time: float, callback: Callable[..., None],
-                  args: tuple = ()) -> None:
+                  args: Optional[tuple] = ()) -> None:
         """Handle-free insert: no :class:`Event`, nothing to cancel.
 
         ``callback(*args)`` runs at ``time``.  Use for the fire-and-forget
         majority of schedules (message deliveries, dispatch completions);
-        anything that may need cancelling must use :meth:`push`.
+        anything that may need cancelling must use :meth:`push` (which
+        lands here with its handle and ``args=None``).
         """
         seq = self._seq
         self._seq = seq + 1
-        self._insert((time, seq, callback, args), time)
         self._live += 1
+        entry = (time, seq, callback, args)
+        idx = int((time - self._base) / self._gran)
+        if idx <= self._cursor:
+            # Due now / behind the cursor: heap order covers it exactly.
+            heappush(self._active, entry)
+        elif idx < self._nslots:
+            self._slots[idx].append(entry)
+            self._wheel_count += 1
+        elif self._wheel_count or self._active or self._overflow:
+            heappush(self._overflow, entry)
+        else:
+            # Whole queue empty: realign the wheel window on this event
+            # instead of parking it in overflow (keeps isolated
+            # far-future schedules, e.g. after a long idle gap, cheap).
+            self._base = time
+            self._cursor = 0
+            heappush(self._active, entry)
 
     def release(self, event: Event) -> None:
         """Return a *fired* event handle to the free pool for reuse.
@@ -199,7 +199,7 @@ class EventQueue:
         while True:
             while active:
                 top = active[0]
-                if len(top) == 3 and top[2].cancelled:
+                if top[3] is None and top[2].cancelled:
                     heappop(active)
                     continue
                 return True
@@ -222,6 +222,7 @@ class EventQueue:
             if self._overflow:
                 self._rebase()
                 continue
+            self._live = 0
             return False
 
     def _rebase(self) -> None:
@@ -249,42 +250,23 @@ class EventQueue:
                 slots[idx].append(entry)
                 self._wheel_count += 1
 
-    def pop_due(self, limit: Optional[float]) -> Optional[tuple]:
-        """Remove and return the earliest live entry due at or before
-        ``limit`` (``None`` = no bound), or ``None``.
-
-        Slow entries come back as ``(time, seq, Event)`` with the event
-        marked fired; fast entries as ``(time, seq, callback, args)``.
-        """
-        if not self._settle():
-            self._live = 0
-            return None
-        active = self._active
-        if limit is not None and active[0][0] > limit:
-            return None
-        entry = heappop(active)
-        self._live -= 1
-        if len(entry) == 3:
-            entry[2].fired = True
-        return entry
-
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``.
 
-        The returned event is marked ``fired`` so a later ``cancel`` of its
-        handle cannot corrupt the live count (see :meth:`note_cancelled`).
-        Fast-path entries come back wrapped in a transient (already-fired)
-        :class:`Event` so direct queue consumers keep working; the run loop
-        itself uses :meth:`pop_due` and never pays for the wrapper.
+        For consumers that drain a queue by hand (the simulator's own loop
+        never comes through here).  The event is marked ``fired`` so a
+        later ``cancel`` of its handle cannot corrupt the live count; a
+        fast-path entry comes back wrapped in a transient :class:`Event`.
         """
-        entry = self.pop_due(None)
-        if entry is None:
+        if not self._settle():
             return None
-        if len(entry) == 3:
-            return entry[2]
-        time, seq, callback, args = entry
-        event = Event(time, seq,
-                      callback if not args else (lambda: callback(*args)))
+        time, seq, target, args = heappop(self._active)
+        self._live -= 1
+        if args is None:
+            event = target
+        else:
+            event = Event(time, seq,
+                          target if not args else (lambda: target(*args)))
         event.fired = True
         return event
 

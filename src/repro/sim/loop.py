@@ -14,14 +14,16 @@ Two scheduling paths share one ``(time, seq)`` order:
   dispatch completions).  No handle, no Event allocation, no closure:
   callback arguments ride in the queue entry itself.
 
-:meth:`run` drains the queue with an inlined loop (no per-event
-``peek``/``step`` method pair); :meth:`step` remains for callers that
-interleave simulation with checks (the cluster harness, chaos campaigns).
+:meth:`run` and :meth:`step` share one drain loop (:meth:`_drain`: a due
+event costs one ``heappop`` and its callback); :meth:`step` is for callers
+that interleave simulation with checks (the cluster harness, campaigns).
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappop
+from math import inf
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -112,57 +114,65 @@ class Simulator:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
+    def _drain(self, until: float, limit: int) -> int:
+        """Fire due events in ``(time, seq)`` order until none is left at
+        or before ``until``, ``limit`` of them have fired (-1: no bound),
+        or a callback called :meth:`stop`; returns how many fired."""
+        queue = self.queue
+        active = queue._active
+        fired = 0
+        while fired != limit:
+            if not active:
+                if not queue._settle():  # next bucket, rebase, or done
+                    break
+                active = queue._active
+                continue
+            time, _seq, target, args = active[0]
+            if time > until:
+                break
+            heappop(active)
+            if args is None:  # a cancellable Event: skip, or unwrap
+                if target.cancelled:
+                    continue
+                target.fired = True
+                target = target.callback
+                args = ()
+            if time < self.now:
+                raise SimulationError(
+                    "event queue returned an event from the past")
+            queue._live -= 1
+            self.now = time
+            self._events_processed += 1
+            target(*args)
+            fired += 1
+            if self._stopped:
+                break
+        return fired
+
     def step(self) -> bool:
         """Process one event.  Returns False when the queue is empty."""
-        entry = self.queue.pop_due(None)
-        if entry is None:
-            return False
-        time = entry[0]
-        if time < self.now:
-            raise SimulationError("event queue returned an event from the past")
-        self.now = time
-        self._events_processed += 1
-        if len(entry) == 4:
-            entry[2](*entry[3])
-        else:
-            entry[2].callback()
-        return True
+        return self._drain(inf, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` (ms) is reached, or
         ``max_events`` have been processed.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
-        even if the queue drained earlier, so metrics windows are exact.
+        even if the queue drained earlier, so metrics windows are exact —
+        unless ``max_events`` or :meth:`stop` cut the run short (events due
+        before ``until`` may then be pending still).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
-        processed = 0
         limit = -1 if max_events is None else max_events
-        pop_due = self.queue.pop_due
         try:
-            while not self._stopped:
-                if processed == limit:
-                    break
-                entry = pop_due(until)
-                if entry is None:
-                    break
-                time = entry[0]
-                if time < self.now:
-                    raise SimulationError(
-                        "event queue returned an event from the past")
-                self.now = time
-                self._events_processed += 1
-                if len(entry) == 4:
-                    entry[2](*entry[3])
-                else:
-                    entry[2].callback()
-                processed += 1
+            fired = self._drain(inf if until is None else until, limit)
         finally:
             self._running = False
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until and fired != limit \
+                and not self._stopped:
             self.now = until
 
     def stop(self) -> None:

@@ -213,7 +213,8 @@ class TestNetwork:
         sinks = {i: Sink() for i in range(4)}
         for i, s in sinks.items():
             net.attach(i, s)
-        net.broadcast(0, [0, 1, 2, 3], "x")
+        for dst in (1, 2, 3):
+            net.send(0, dst, "x")
         sim.run()
         assert len(sinks[0].received) == 0
         assert all(len(sinks[i].received) == 1 for i in (1, 2, 3))

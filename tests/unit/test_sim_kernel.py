@@ -183,6 +183,29 @@ class TestSimulator:
         sim.run(max_events=10)
         assert count[0] == 10
 
+    def test_count_cut_timed_run_leaves_the_clock_at_its_last_event(self):
+        # Regression: run(until=5, max_events=1) used to jump the clock to
+        # 5.0 with the event due at 2.0 still pending, and the next step
+        # then failed with "event from the past".
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.run(until=5.0, max_events=1)
+        assert fired == [1.0] and sim.now == 1.0
+        sim.run(until=5.0, max_events=5)    # the count no longer binds
+        assert fired == [1.0, 2.0] and sim.now == 5.0
+
+    @pytest.mark.parametrize("drive", [Simulator.step, Simulator.run],
+                             ids=["step", "run"])
+    def test_an_event_behind_the_clock_is_refused(self, drive):
+        # One guard in the one drain loop, whichever way it is entered.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.now = 2.0                        # tampering: nothing legal does this
+        with pytest.raises(SimulationError, match="from the past"):
+            drive(sim)
+
     def test_determinism_across_runs(self):
         def run_once(seed: int) -> list[float]:
             sim = Simulator(seed=seed)
