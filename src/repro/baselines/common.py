@@ -21,8 +21,8 @@ from typing import ClassVar
 
 from repro.consensus.base import ReplicaBase
 from repro.consensus.pacemaker import Pacemaker
-from repro.crypto.keys import Keyring
-from repro.crypto.signatures import Signature, SignatureList, sign, verify
+from repro.crypto.signatures import (QuorumCertificate, Signature,
+                                     SignatureList, SignedStatement)
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 from repro.tee.rprotect import RStateMixin  # noqa: F401 (re-export)
 
@@ -32,7 +32,7 @@ CMT = "CMT"
 
 
 @dataclass(frozen=True)
-class PhaseVote:
+class PhaseVote(SignedStatement):
     """A vote for block ``block_hash`` at ``view`` in a named phase."""
 
     phase: str
@@ -44,17 +44,13 @@ class PhaseVote:
         """The signed tuple."""
         return (self.phase, self.block_hash, self.view)
 
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
-
     def wire_size(self) -> int:
         """Serialized size."""
         return len(self.phase) + HASH_BYTES + 8 + SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class PhaseQC:
+class PhaseQC(QuorumCertificate):
     """A quorum certificate: ``threshold`` distinct phase votes."""
 
     phase: str
@@ -62,29 +58,8 @@ class PhaseQC:
     view: int
     signatures: SignatureList
 
-    def statement(self) -> tuple:
-        """The tuple each member vote signed."""
-        return (self.phase, self.block_hash, self.view)
-
-    def validate(self, keyring: Keyring, threshold: int) -> bool:
-        """≥ threshold distinct valid signers.
-
-        Memoized per ``(keyring, threshold)``: a QC object is shared by
-        every node it reaches, so the full signature sweep runs once per
-        certificate instead of once per receiving node.
-        """
-        memo = self.__dict__.get("_validate_memo")
-        if memo is not None and memo[0] is keyring and memo[1] == threshold:
-            return memo[2]
-        statement = self.statement()
-        valid = {
-            s.signer
-            for s in self.signatures.signatures
-            if verify(keyring, s, *statement)
-        }
-        ok = len(valid) >= threshold
-        object.__setattr__(self, "_validate_memo", (keyring, threshold, ok))
-        return ok
+    #: Each member signature covers a phase vote's statement.
+    statement = PhaseVote.statement
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -92,7 +67,7 @@ class PhaseQC:
 
 
 @dataclass(frozen=True)
-class ViewChangeVote:
+class ViewChangeVote(SignedStatement):
     """Node → all: a signed vote to install leader epoch ``new_view``.
     Each stable-leader protocol subclasses it under its own message name
     and signing tag."""
@@ -104,10 +79,6 @@ class ViewChangeVote:
     def statement(self) -> tuple:
         """The signed tuple."""
         return (self.TAG, self.new_view)
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -156,8 +127,7 @@ class StableLeaderNode(ReplicaBase):
 
     def _view_change_vote(self, new_view: int) -> ViewChangeVote:
         self.charge_sign(1)
-        return self.VIEW_CHANGE(new_view=new_view, signature=sign(
-            self.keypair.private, self.VIEW_CHANGE.TAG, new_view))
+        return self.VIEW_CHANGE.issue(self.keypair.private, new_view=new_view)
 
     def _send_view_change(self) -> None:
         vote = self._view_change_vote(self.view + 1)

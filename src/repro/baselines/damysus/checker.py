@@ -9,28 +9,29 @@ Differences from the Achilles checker (Sec. 4.3):
   rollback-prevention dance (:class:`~repro.baselines.common.RStateMixin`),
   and after a reboot the sealed state is only accepted if its version
   matches the persistent counter.
+
+What it shares with the Achilles checker it calls on
+:class:`~repro.core.checker.Checker`: the gate, the accumulator
+justification, the one-proposal-per-view guard, and admitting a block
+certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.baselines.common import CMT, PREP, PhaseQC, PhaseVote, RStateMixin
 from repro.chain.block import Block
 from repro.core.certificates import AccumulatorCertificate, BlockCertificate, ViewCertificate
+from repro.core.checker import Checker
 from repro.crypto.hashing import GENESIS_HASH
-from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, sign
 from repro.errors import EnclaveAbort
-from repro.tee.counters import PersistentCounter
-from repro.tee.enclave import Enclave, EnclaveProfile, ecall
-from repro.tee.sealing import UntrustedStore
+from repro.tee.enclave import ecall
 
 
 @dataclass
 class DamysusState:
-    """Volatile checker state."""
+    """Volatile checker state; in field order, the sealed snapshot."""
 
     vi: int = 0
     proposed: bool = False
@@ -39,67 +40,23 @@ class DamysusState:
     prepv: int = 0
     preph: str = GENESIS_HASH
 
-    def as_payload(self) -> tuple:
-        """Serializable snapshot for sealing."""
-        return (self.vi, self.proposed, self.prepare_voted, self.recorded,
-                self.prepv, self.preph)
 
-    @classmethod
-    def from_payload(cls, payload: tuple) -> "DamysusState":
-        """Rebuild from a sealed snapshot."""
-        vi, proposed, prepare_voted, recorded, prepv, preph = payload
-        return cls(vi=vi, proposed=proposed, prepare_voted=prepare_voted,
-                   recorded=recorded, prepv=prepv, preph=preph)
-
-
-class DamysusChecker(RStateMixin, Enclave):
+class DamysusChecker(RStateMixin, Checker):
     """Damysus' CHECKER (optionally counter-protected: Damysus-R)."""
 
-    def __init__(
-        self,
-        node_id: int,
-        n: int,
-        f: int,
-        private_key: PrivateKey,
-        keyring: Keyring,
-        profile: Optional[EnclaveProfile] = None,
-        crypto: Optional[CryptoProfile] = None,
-        store: Optional[UntrustedStore] = None,
-        counter: Optional[PersistentCounter] = None,
-    ) -> None:
-        super().__init__(
-            identity=f"damysus-checker/{node_id}", profile=profile,
-            crypto=crypto, store=store,
-        )
-        self.node_id = node_id
-        self.n = n
-        self.f = f
-        self._sk = private_key
-        self._keyring = keyring
-        self.state = DamysusState()
-        self.needs_restore = False
+    IDENTITY = "damysus-checker"
+    STATE = DamysusState
+
+    def __init__(self, *args, counter=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.attach_counter(counter)
 
-    def leader_of(self, view: int) -> int:
-        """Round-robin leader schedule."""
-        return view % self.n
-
-    def wipe_volatile_state(self) -> None:
-        """Reboot: state must be restored from sealed storage."""
-        self.state = DamysusState()
-        self.needs_restore = True
-
-    def _require_restored(self) -> None:
-        if self.needs_restore:
-            raise EnclaveAbort("checker state not restored after reboot")
-
-    def _advance(self, view: int) -> None:
+    def _enter(self, view: int) -> None:
         st = self.state
-        if view > st.vi:
-            st.vi = view
-            st.proposed = False
-            st.prepare_voted = False
-            st.recorded = False
+        st.vi = view
+        st.proposed = False
+        st.prepare_voted = False
+        st.recorded = False
 
     # ------------------------------------------------------------------
     # Normal-case ECALLs
@@ -111,61 +68,30 @@ class DamysusChecker(RStateMixin, Enclave):
         """Certify the leader's proposal; also emit the leader's own
         prepare vote (so leader and backups both make two checker calls
         per view, matching the paper's -R cost accounting)."""
-        self._require_restored()
-        st = self.state
+        self._require_ready()
         self.charge_hash(block.wire_size())
-        self.charge_verify(1)
-        if not acc.validate(self._keyring, self.f + 1):
-            raise EnclaveAbort("invalid accumulator certificate")
-        if acc.signature.signer != self.node_id:
-            raise EnclaveAbort("accumulator certificate from another node")
-        if acc.target_view != st.vi:
-            raise EnclaveAbort("accumulator targets a different view")
-        if block.parent_hash != acc.block_hash:
-            raise EnclaveAbort("block does not extend the accumulated block")
-        if st.proposed:
-            raise EnclaveAbort("already proposed in this view")
-        if block.view != st.vi:
-            raise EnclaveAbort("block view mismatch")
-        if self.leader_of(st.vi) != self.node_id:
-            raise EnclaveAbort("not the leader of this view")
-        st.proposed = True
-        st.prepare_voted = True
-        self.protect_state_update(st.as_payload())
+        self._extends_accumulated(block, acc)
+        self._claim_proposal(block)
+        self.state.prepare_voted = True
+        self.protect_state_update()
         self.charge_sign(2)
-        block_cert = BlockCertificate(
-            block_hash=block.hash, view=st.vi,
-            signature=sign(self._sk, "PROP", block.hash, st.vi),
+        vi = self.state.vi
+        return (
+            BlockCertificate.issue(self._sk, block_hash=block.hash, view=vi),
+            PhaseVote.issue(self._sk, phase=PREP, block_hash=block.hash, view=vi),
         )
-        own_vote = PhaseVote(
-            phase=PREP, block_hash=block.hash, view=st.vi,
-            signature=sign(self._sk, PREP, block.hash, st.vi),
-        )
-        return block_cert, own_vote
 
     @ecall
     def tee_vote_prepare(self, block_cert: BlockCertificate) -> PhaseVote:
         """Backup's first checker call: vote to prepare the block."""
-        self._require_restored()
-        st = self.state
-        self.charge_verify(1)
-        if not block_cert.validate(self._keyring):
-            raise EnclaveAbort("invalid block certificate")
-        v = block_cert.view
-        if block_cert.signature.signer != self.leader_of(v):
-            raise EnclaveAbort("block certificate not from the leader")
-        if v < st.vi:
-            raise EnclaveAbort("stale block certificate")
-        self._advance(v)
-        if st.prepare_voted:
+        v = self._admit(block_cert)
+        if self.state.prepare_voted:
             raise EnclaveAbort("already prepare-voted in this view")
-        st.prepare_voted = True
-        self.protect_state_update(st.as_payload())
+        self.state.prepare_voted = True
+        self.protect_state_update()
         self.charge_sign(1)
-        return PhaseVote(
-            phase=PREP, block_hash=block_cert.block_hash, view=v,
-            signature=sign(self._sk, PREP, block_cert.block_hash, v),
-        )
+        return PhaseVote.issue(
+            self._sk, phase=PREP, block_hash=block_cert.block_hash, view=v)
 
     @ecall
     def tee_record_prepared(
@@ -173,7 +99,7 @@ class DamysusChecker(RStateMixin, Enclave):
     ) -> tuple[PhaseVote, ViewCertificate]:
         """Second checker call: record the prepared block, emit the commit
         vote, and pre-issue the NEW-VIEW certificate for the next view."""
-        self._require_restored()
+        self._require_ready()
         st = self.state
         self.charge_verify(self.f + 1)
         if qc.phase != PREP or not qc.validate(self._keyring, self.f + 1):
@@ -181,74 +107,48 @@ class DamysusChecker(RStateMixin, Enclave):
         v = qc.view
         if v < st.vi:
             raise EnclaveAbort("stale prepared QC")
-        self._advance(v)
+        if v > st.vi:
+            self._enter(v)
         if st.recorded:
             raise EnclaveAbort("already recorded a prepared block in this view")
         st.recorded = True
         st.prepv = v
         st.preph = qc.block_hash
+        commit_vote = PhaseVote.issue(
+            self._sk, phase=CMT, block_hash=qc.block_hash, view=v)
         # The view's voting work is done; enter the next view.
-        next_view = v + 1
-        commit_vote_sig = sign(self._sk, CMT, qc.block_hash, v)
-        st.vi = next_view
-        st.proposed = False
-        st.prepare_voted = False
-        st.recorded = False
-        self.protect_state_update(st.as_payload())
+        self._enter(v + 1)
+        self.protect_state_update()
         self.charge_sign(2)
-        new_view = ViewCertificate(
-            block_hash=st.preph, block_view=st.prepv, current_view=next_view,
-            signature=sign(self._sk, "NEW-VIEW", st.preph, st.prepv, next_view),
-        )
-        return (
-            PhaseVote(phase=CMT, block_hash=qc.block_hash, view=v,
-                      signature=commit_vote_sig),
-            new_view,
-        )
+        new_view = ViewCertificate.issue(
+            self._sk, block_hash=st.preph, block_view=st.prepv,
+            current_view=st.vi)
+        return commit_vote, new_view
 
     @ecall
     def tee_new_view(self) -> ViewCertificate:
         """Timeout path: advance the view and certify the prepared pair."""
-        self._require_restored()
+        self._require_ready()
+        self._enter(self.state.vi + 1)
+        self.protect_state_update()
+        return self._certify_view()
+
+    # ------------------------------------------------------------------
+    # Reboot path: RStateMixin.tee_restore.  With a persistent counter
+    # attached (Damysus-R) the snapshot's bound version must equal the
+    # counter value — a stale snapshot is detected and rejected.  Without
+    # one (plain Damysus) **any authentic snapshot is accepted**, which is
+    # the rollback vulnerability the Achilles paper targets;
+    # `tests/integration/test_rollback_attacks.py` demonstrates the
+    # resulting equivocation.
+    # ------------------------------------------------------------------
+    def _sealed_payload(self) -> tuple:
         st = self.state
-        st.vi += 1
-        st.proposed = False
-        st.prepare_voted = False
-        st.recorded = False
-        self.protect_state_update(st.as_payload())
-        self.charge_sign(1)
-        return ViewCertificate(
-            block_hash=st.preph, block_view=st.prepv, current_view=st.vi,
-            signature=sign(self._sk, "NEW-VIEW", st.preph, st.prepv, st.vi),
-        )
+        return (st.vi, st.proposed, st.prepare_voted, st.recorded,
+                st.prepv, st.preph)
 
-    # ------------------------------------------------------------------
-    # Reboot path
-    # ------------------------------------------------------------------
-    @ecall
-    def tee_restore(self, sealed_payload: Optional[tuple]) -> bool:
-        """Restore state from a sealed snapshot after a reboot.
-
-        With a persistent counter attached (Damysus-R) the snapshot's bound
-        version must equal the counter value — a stale snapshot is detected
-        and rejected.  Without a counter (plain Damysus) **any authentic
-        snapshot is accepted**, which is the rollback vulnerability the
-        Achilles paper targets; `tests/integration/test_rollback_attacks.py`
-        demonstrates the resulting equivocation.
-        """
-        if not self.needs_restore:
-            raise EnclaveAbort("checker does not need restoration")
-        if sealed_payload is None:
-            # Nothing sealed (fresh node): start from genesis state.
-            self.state = DamysusState()
-            self.needs_restore = False
-            return True
-        version, payload = sealed_payload
-        self.check_sealed_freshness(version)
-        self.state = DamysusState.from_payload(payload)
-        self._state_version = version
-        self.needs_restore = False
-        return True
+    def _load_sealed(self, payload: tuple) -> None:
+        self.state = DamysusState(*payload)
 
 
 __all__ = ["DamysusChecker", "DamysusState", "PREP", "CMT"]

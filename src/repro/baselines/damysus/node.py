@@ -111,9 +111,6 @@ class DamysusNode(ChainedTeeNode):
     def _make_checker(self, **trusted) -> DamysusChecker:
         return DamysusChecker(counter=self._make_counter(), **trusted)
 
-    def _checker_offline(self) -> bool:
-        return self.checker.needs_restore
-
     def _tee_next_view(self) -> ViewCertificate:
         return self.checker.tee_new_view()
 

@@ -25,7 +25,7 @@ from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
 from repro.core.certificates import BlockCertificate
 from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, Signature, sign, verify
+from repro.crypto.signatures import CryptoProfile, Signature, SignedStatement
 from repro.errors import EnclaveAbort
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 from repro.tee.enclave import Enclave, EnclaveProfile, ecall
@@ -61,15 +61,17 @@ class FlexiProposer(RStateMixin, Enclave):
             raise EnclaveAbort(f"height {block.height} already proposed")
         self.charge_hash(block.wire_size())
         self.last_height = block.height
-        self.protect_state_update(self.last_height)
+        self.protect_state_update()
         self.charge_sign(1)
-        return BlockCertificate(
-            block_hash=block.hash, view=block.view,
-            signature=sign(self._sk, "PROP", block.hash, block.view),
-        )
+        return BlockCertificate.issue(
+            self._sk, block_hash=block.hash, view=block.view)
+
+    def _sealed_payload(self) -> int:
+        return self.last_height
 
     def wipe_volatile_state(self) -> None:
-        """Reboot: height marker restored via the counter-checked seal."""
+        """Reboot: the height marker is lost, and nothing loads the seal
+        back — no replica reboots its proposer (ROADMAP item 5)."""
         self.last_height = 0
 
 
@@ -86,7 +88,7 @@ class FProposal:
 
 
 @dataclass(frozen=True)
-class FVote:
+class FVote(SignedStatement):
     """Node → all nodes: a signed vote (the O(n²) pattern)."""
 
     block_hash: str
@@ -96,10 +98,6 @@ class FVote:
     def statement(self) -> tuple:
         """The signed tuple."""
         return ("FVOTE", self.block_hash, self.view)
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -194,10 +192,8 @@ class FlexiBFTNode(StableLeaderNode):
             self._obs.block_milestone(block.hash, "vote", self.node_id,
                                       self.sim.now)
         self.charge_sign(1)
-        vote = FVote(
-            block_hash=block.hash, view=block.view,
-            signature=sign(self.keypair.private, "FVOTE", block.hash, block.view),
-        )
+        vote = FVote.issue(
+            self.keypair.private, block_hash=block.hash, view=block.view)
         self.broadcast(vote)
         self._collect_vote(vote)
 

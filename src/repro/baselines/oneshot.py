@@ -30,10 +30,10 @@ from repro.core.certificates import (
     BlockCertificate,
     CommitmentCertificate,
     StoreCertificate,
+    ViewCertificate,
 )
-from repro.core.checker import AchillesChecker
+from repro.core.checker import AchillesChecker, CheckerState
 from repro.core.node import AchillesNode, ChainedTeeNode, StoreVote
-from repro.crypto.signatures import sign
 from repro.errors import EnclaveAbort
 from repro.tee.enclave import ecall
 
@@ -74,8 +74,17 @@ class OSPreQC:
 
 
 class OneShotChecker(RStateMixin, AchillesChecker):
-    """Achilles-shaped checker with counter-protected state updates and a
-    slow-path voting round; no cooperative recovery."""
+    """Achilles' rules with counter-protected state updates and a
+    slow-path voting round; no cooperative recovery.
+
+    Every ECALL here is one transition, one sealed update and — with a
+    counter — one counter write, however many of Algorithm 2's rules it
+    composes; the rules themselves are :class:`AchillesChecker`'s, entered
+    below their own ECALL gate."""
+
+    _prepare = AchillesChecker.tee_prepare.__wrapped__
+    _store = AchillesChecker.tee_store.__wrapped__
+    _view = AchillesChecker.tee_view.__wrapped__
 
     def __init__(self, *args, counter=None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -93,11 +102,17 @@ class OneShotChecker(RStateMixin, AchillesChecker):
         self, block: Block, qc: CommitmentCertificate
     ) -> tuple[BlockCertificate, StoreCertificate]:
         """Certify proposal *and* the leader's own store in one call."""
-        self._require_oneshot_ready()
-        block_cert = self._prepare_with_commit(block, qc)
-        store_cert = self._store_internal(block_cert)
-        self.protect_state_update(self._payload())
+        block_cert = self._prepare(block, qc)
+        store_cert = self._store(block_cert)
+        self.protect_state_update()
         return block_cert, store_cert
+
+    @ecall
+    def tee_store_fast(self, block_cert: BlockCertificate) -> StoreCertificate:
+        """Backup's single fast-path ECALL."""
+        cert = self._store(block_cert)
+        self.protect_state_update()
+        return cert
 
     # -- slow path: proposal after a view change ------------------------
     @ecall
@@ -105,185 +120,56 @@ class OneShotChecker(RStateMixin, AchillesChecker):
         self, block: Block, acc: AccumulatorCertificate
     ) -> tuple[BlockCertificate, PhaseVote]:
         """Certify the proposal and the leader's own PRE vote."""
-        self._require_oneshot_ready()
-        block_cert = self._prepare_with_acc(block, acc)
+        block_cert = self._prepare(block, acc)
         self._pre_voted_view = self.state.vi
         self.charge_sign(1)
-        pre_vote = PhaseVote(
-            phase=PREP, block_hash=block.hash, view=self.state.vi,
-            signature=sign(self._sk, PREP, block.hash, self.state.vi),
-        )
-        self.protect_state_update(self._payload())
+        pre_vote = PhaseVote.issue(
+            self._sk, phase=PREP, block_hash=block.hash, view=self.state.vi)
+        self.protect_state_update()
         return block_cert, pre_vote
 
     @ecall
     def tee_pre_vote(self, block_cert: BlockCertificate) -> PhaseVote:
         """Backup's first slow-path round."""
-        self._require_oneshot_ready()
-        self.charge_verify(1)
-        if not block_cert.validate(self._keyring):
-            raise EnclaveAbort("invalid block certificate")
-        v = block_cert.view
-        if block_cert.signature.signer != self.leader_of(v):
-            raise EnclaveAbort("block certificate not from the leader")
-        if v < self.state.vi:
-            raise EnclaveAbort("stale block certificate")
-        if v > self.state.vi:
-            self.state.vi = v
-            self.state.proposed = False
-            self.state.voted = False
+        v = self._admit(block_cert)
         if self._pre_voted_view >= v:
             raise EnclaveAbort("already pre-voted in this view")
         self._pre_voted_view = v
-        self.protect_state_update(self._payload())
+        self.protect_state_update()
         self.charge_sign(1)
-        return PhaseVote(
-            phase=PREP, block_hash=block_cert.block_hash, view=v,
-            signature=sign(self._sk, PREP, block_cert.block_hash, v),
-        )
+        return PhaseVote.issue(
+            self._sk, phase=PREP, block_hash=block_cert.block_hash, view=v)
 
     @ecall
     def tee_store_slow(
         self, block_cert: BlockCertificate, pre_qc: PhaseQC
     ) -> StoreCertificate:
         """Backup's second slow-path round: store after seeing the pre-QC."""
-        self._require_oneshot_ready()
+        self._require_ready()  # before the pre-QC check is charged
         self.charge_verify(self.f + 1)
         if pre_qc.phase != PREP or not pre_qc.validate(self._keyring, self.f + 1):
             raise EnclaveAbort("invalid pre-QC")
         if pre_qc.block_hash != block_cert.block_hash or pre_qc.view != block_cert.view:
             raise EnclaveAbort("pre-QC does not match the block certificate")
-        cert = self._store_internal(block_cert)
-        self.protect_state_update(self._payload())
+        cert = self._store(block_cert)
+        self.protect_state_update()
         return cert
 
     @ecall
-    def tee_store_fast(self, block_cert: BlockCertificate) -> StoreCertificate:
-        """Backup's single fast-path ECALL."""
-        self._require_oneshot_ready()
-        cert = self._store_internal(block_cert)
-        self.protect_state_update(self._payload())
-        return cert
-
-    @ecall
-    def tee_view_os(self):
+    def tee_view_os(self) -> ViewCertificate:
         """Timeout path (counter-protected TEEview)."""
-        self._require_oneshot_ready()
-        cert = self._view_internal()
-        self.protect_state_update(self._payload())
+        cert = self._view()
+        self.protect_state_update()
         return cert
 
-    # -- restore after reboot -------------------------------------------
-    @ecall
-    def tee_restore(self, sealed_payload: Optional[tuple]) -> bool:
-        """Restore from sealed state; with a counter, verify freshness."""
-        if not self.recovering:
-            raise EnclaveAbort("checker does not need restoration")
-        if sealed_payload is None:
-            self.recovering = False
-            return True
-        version, payload = sealed_payload
-        self.check_sealed_freshness(version)
-        (vi, proposed, voted, prepv, preph, pre_voted) = payload
-        st = self.state
-        st.vi, st.proposed, st.voted, st.prepv, st.preph = vi, proposed, voted, prepv, preph
-        self._pre_voted_view = pre_voted
-        self._state_version = version
-        self.recovering = False
-        return True
-
-    # -- internals (no extra ECALL cost; shared logic) -------------------
-    def _require_oneshot_ready(self) -> None:
-        if self.recovering:
-            raise EnclaveAbort("checker state not restored")
-
-    def _payload(self) -> tuple:
+    # -- what a reboot seals and restores (RStateMixin.tee_restore) -------
+    def _sealed_payload(self) -> tuple:
         st = self.state
         return (st.vi, st.proposed, st.voted, st.prepv, st.preph, self._pre_voted_view)
 
-    def _prepare_with_commit(self, block: Block, qc: CommitmentCertificate) -> BlockCertificate:
-        st = self.state
-        self.charge_hash(block.wire_size())
-        self.charge_verify(self.f + 1)
-        if not qc.validate(self._keyring, self.f + 1):
-            raise EnclaveAbort("invalid commitment certificate")
-        if block.parent_hash != qc.block_hash:
-            raise EnclaveAbort("block does not extend the committed block")
-        if qc.view + 1 < st.vi:
-            raise EnclaveAbort("stale commitment certificate")
-        if qc.view >= st.vi:
-            st.vi = qc.view + 1
-            st.proposed = False
-            st.voted = False
-        if st.proposed:
-            raise EnclaveAbort("already proposed in this view")
-        if block.view != st.vi or self.leader_of(st.vi) != self.node_id:
-            raise EnclaveAbort("not this view's leader / wrong block view")
-        st.proposed = True
-        self.charge_sign(1)
-        return BlockCertificate(
-            block_hash=block.hash, view=st.vi,
-            signature=sign(self._sk, "PROP", block.hash, st.vi),
-        )
-
-    def _prepare_with_acc(self, block: Block, acc: AccumulatorCertificate) -> BlockCertificate:
-        st = self.state
-        self.charge_hash(block.wire_size())
-        self.charge_verify(1)
-        if not acc.validate(self._keyring, self.f + 1):
-            raise EnclaveAbort("invalid accumulator certificate")
-        if acc.signature.signer != self.node_id:
-            raise EnclaveAbort("accumulator certificate from another node")
-        if acc.target_view != st.vi:
-            raise EnclaveAbort("accumulator targets a different view")
-        if block.parent_hash != acc.block_hash:
-            raise EnclaveAbort("block does not extend the accumulated block")
-        if st.proposed or block.view != st.vi or self.leader_of(st.vi) != self.node_id:
-            raise EnclaveAbort("proposal guard failed")
-        st.proposed = True
-        self.charge_sign(1)
-        return BlockCertificate(
-            block_hash=block.hash, view=st.vi,
-            signature=sign(self._sk, "PROP", block.hash, st.vi),
-        )
-
-    def _store_internal(self, block_cert: BlockCertificate) -> StoreCertificate:
-        st = self.state
-        self.charge_verify(1)
-        if not block_cert.validate(self._keyring):
-            raise EnclaveAbort("invalid block certificate")
-        v = block_cert.view
-        if block_cert.signature.signer != self.leader_of(v):
-            raise EnclaveAbort("block certificate not from the leader")
-        if v < st.vi:
-            raise EnclaveAbort("stale block certificate")
-        if v > st.vi:
-            st.vi = v
-            st.proposed = False
-            st.voted = False
-        if st.voted:
-            raise EnclaveAbort("already voted in this view")
-        st.voted = True
-        st.prepv = v
-        st.preph = block_cert.block_hash
-        self.charge_sign(1)
-        return StoreCertificate(
-            block_hash=block_cert.block_hash, view=v,
-            signature=sign(self._sk, "COMMIT", block_cert.block_hash, v),
-        )
-
-    def _view_internal(self):
-        from repro.core.certificates import ViewCertificate
-
-        st = self.state
-        st.vi += 1
-        st.proposed = False
-        st.voted = False
-        self.charge_sign(1)
-        return ViewCertificate(
-            block_hash=st.preph, block_view=st.prepv, current_view=st.vi,
-            signature=sign(self._sk, "NEW-VIEW", st.preph, st.prepv, st.vi),
-        )
+    def _load_sealed(self, payload: tuple) -> None:
+        *state, self._pre_voted_view = payload
+        self.state = CheckerState(*state)
 
 
 class OneShotNode(AchillesNode):

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import Signature, SignatureList, sign, verify
+from repro.crypto.keys import PrivateKey
+from repro.crypto.signatures import (QuorumCertificate, Signature,
+                                     SignatureList, SignedStatement)
 from repro.errors import ChainError
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class CheckpointVote:
+class CheckpointVote(SignedStatement):
     """``⟨CHKPT, height, block-hash, state-root⟩_σ`` — one node's
     checkpoint vote (``state_root`` is empty when no state machine runs)."""
 
@@ -50,10 +51,6 @@ class CheckpointVote:
         """The signed tuple."""
         return ("CHKPT", self.height, self.block_hash, self.state_root)
 
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, *self.statement())
-
     def wire_size(self) -> int:
         """Serialized size."""
         root = HASH_BYTES if self.state_root else 1
@@ -63,14 +60,12 @@ class CheckpointVote:
 def make_checkpoint_vote(private_key: PrivateKey, height: int,
                          block_hash: str, state_root: str = "") -> CheckpointVote:
     """Sign a checkpoint vote."""
-    return CheckpointVote(
-        height=height, block_hash=block_hash, state_root=state_root,
-        signature=sign(private_key, "CHKPT", height, block_hash, state_root),
-    )
+    return CheckpointVote.issue(private_key, height=height,
+                                block_hash=block_hash, state_root=state_root)
 
 
 @dataclass(frozen=True)
-class CheckpointCertificate:
+class CheckpointCertificate(QuorumCertificate):
     """f+1 matching checkpoint votes: the block at ``height`` is final."""
 
     height: int
@@ -78,15 +73,8 @@ class CheckpointCertificate:
     signatures: SignatureList
     state_root: str = ""
 
-    def validate(self, keyring: Keyring, threshold: int) -> bool:
-        """≥ threshold distinct valid signers over the checkpoint statement."""
-        valid = {
-            s.signer
-            for s in self.signatures.signatures
-            if verify(keyring, s, "CHKPT", self.height, self.block_hash,
-                      self.state_root)
-        }
-        return len(valid) >= threshold
+    #: Each member signature covers a checkpoint vote's statement.
+    statement = CheckpointVote.statement
 
     def wire_size(self) -> int:
         """Serialized size."""

@@ -289,15 +289,6 @@ class BlockStore:
         :class:`~repro.storage.journal.RecoveryReport`, or ``None``."""
         return self.journal.power_restore()
 
-    def durable_tip_height(self) -> int:
-        """Height of the committed tip as it would survive a pending cut
-        (equals the live tip when no cut is pending)."""
-        records = self.journal.peek_durable()
-        for record in reversed(records):
-            if not record.torn:
-                return record.value.height
-        return self.genesis.height
-
     def _restore_from_records(self, records: list[JournalRecord]) -> None:
         """Rebuild committed state from the surviving journal records.
 

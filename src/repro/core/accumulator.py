@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, sign
+from repro.crypto.signatures import CryptoProfile
 from repro.errors import EnclaveAbort
 from repro.core.certificates import AccumulatorCertificate, ViewCertificate
 from repro.tee.enclave import Enclave, EnclaveProfile, ecall
@@ -88,16 +88,9 @@ class AchillesAccumulator(Enclave):
 
         ids = tuple(sorted(signers))
         self.charge_sign(1)
-        signature = sign(
-            self._sk, "ACC", best.block_hash, best.block_view, target_view, ids
-        )
-        return AccumulatorCertificate(
-            block_hash=best.block_hash,
-            block_view=best.block_view,
-            target_view=target_view,
-            ids=ids,
-            signature=signature,
-        )
+        return AccumulatorCertificate.issue(
+            self._sk, block_hash=best.block_hash, block_view=best.block_view,
+            target_view=target_view, ids=ids)
 
 
 __all__ = ["AchillesAccumulator"]

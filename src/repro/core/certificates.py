@@ -5,32 +5,35 @@ the signature(s).  Statement tuples start with the paper's message-type tag
 (PROP, COMMIT, DECIDE, ACC, NEW-VIEW, REQ, RPY) so a signature can never be
 replayed across certificate types.
 
-Validation is split in two: a ``statement()`` method producing the exact
-tuple that was signed, and ``validate(keyring, ...)`` which checks the
-signature(s).  Trusted components sign these inside the enclave; untrusted
-code (and other nodes) verify them with the PKI.
-
-Certificates are immutable, so the digest of the signed statement is
-memoized (``statement_digest``): one certificate object is typically
-validated by every node it reaches — and a commitment certificate checks
-f+1 signatures over the *same* statement — so canonicalizing the statement
-once instead of per validation is one of the simulator's biggest hot-path
-savings (see ``docs/PERFORMANCE.md``).
+A class here declares only its fields, its ``statement()`` — the exact
+tuple that is signed — and its wire size.  Everything a signed object
+*does* is inherited from the two bases in :mod:`repro.crypto.signatures`:
+``Cert.issue(private_key, **fields)`` signs the statement (trusted
+components call it inside the enclave), ``validate(keyring, ...)`` checks
+the signature(s) against the PKI (untrusted code and other nodes), and
+``statement_digest`` memoizes the digest both go through — one certificate
+object is typically validated by every node it reaches, and a commitment
+certificate checks f+1 signatures over the *same* statement, so
+canonicalizing the statement once is one of the simulator's biggest
+hot-path savings (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from repro.crypto.hashing import digest_of
 from repro.crypto.keys import Keyring
-from repro.crypto.signatures import Signature, SignatureList, verify
+from repro.crypto.signatures import (
+    QuorumCertificate,
+    Signature,
+    SignatureList,
+    SignedStatement,
+)
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class BlockCertificate:
+class BlockCertificate(SignedStatement):
     """``⟨PROP, h, v⟩_σ`` — the leader's TEE certifies block ``h`` as the
     unique proposal of view ``v`` (produced by TEEprepare)."""
 
@@ -42,22 +45,13 @@ class BlockCertificate:
         """The signed tuple."""
         return ("PROP", self.block_hash, self.view)
 
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, digest=self.statement_digest)
-
     def wire_size(self) -> int:
         """Serialized size."""
         return 4 + HASH_BYTES + 8 + SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class StoreCertificate:
+class StoreCertificate(SignedStatement):
     """``⟨COMMIT, h, v⟩_σ`` — a node's TEE certifies that it stored block
     ``h`` of view ``v`` (produced by TEEstore); doubles as its vote."""
 
@@ -69,22 +63,13 @@ class StoreCertificate:
         """The signed tuple."""
         return ("COMMIT", self.block_hash, self.view)
 
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, digest=self.statement_digest)
-
     def wire_size(self) -> int:
         """Serialized size."""
         return 6 + HASH_BYTES + 8 + SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class CommitmentCertificate:
+class CommitmentCertificate(QuorumCertificate):
     """``⟨DECIDE, h, v⟩_{σ⃗^{f+1}}`` — f+1 store certificates combined by
     the leader; proof that at least one correct node holds the block."""
 
@@ -92,39 +77,8 @@ class CommitmentCertificate:
     view: int
     signatures: SignatureList
 
-    def statement(self) -> tuple:
-        """The tuple each member signature covers (a store statement)."""
-        return ("COMMIT", self.block_hash, self.view)
-
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
-    def validate(self, keyring: Keyring, threshold: int) -> bool:
-        """≥ ``threshold`` distinct valid signers over the store statement.
-
-        Memoized per ``(keyring, threshold)``: the certificate and the
-        keyring are immutable, and the same certificate object reaches
-        every node in the committee — without the memo an n=301 run
-        re-verifies the same f+1 signatures 301 times per block.
-        """
-        memo = self.__dict__.get("_validate_memo")
-        if memo is not None and memo[0] is keyring and memo[1] == threshold:
-            return memo[2]
-        digest = self.statement_digest
-        valid = {
-            s.signer
-            for s in self.signatures.signatures
-            if verify(keyring, s, digest=digest)
-        }
-        ok = len(valid) >= threshold
-        object.__setattr__(self, "_validate_memo", (keyring, threshold, ok))
-        return ok
-
-    def signers(self) -> set[int]:
-        """Distinct signer ids."""
-        return self.signatures.distinct_signers()
+    #: Each member signature covers a store statement.
+    statement = StoreCertificate.statement
 
     def wire_size(self) -> int:
         """Serialized size (grows with the signature vector)."""
@@ -132,7 +86,7 @@ class CommitmentCertificate:
 
 
 @dataclass(frozen=True)
-class AccumulatorCertificate:
+class AccumulatorCertificate(SignedStatement):
     """``⟨ACC, h, v, v', i⃗d⟩_σ`` — the ACCUMULATOR's proof that ``h`` (a
     block stored at view ``v``) is the highest-view stored block among f+1
     view certificates for target view ``v'``.
@@ -153,25 +107,9 @@ class AccumulatorCertificate:
         """The signed tuple."""
         return ("ACC", self.block_hash, self.block_view, self.target_view, self.ids)
 
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
     def validate(self, keyring: Keyring, quorum: int) -> bool:
-        """Signature valid and the id vector names ≥ quorum distinct nodes.
-
-        Memoized per ``(keyring, quorum)`` like
-        :meth:`CommitmentCertificate.validate` — one accumulator object is
-        validated by every recovery participant.
-        """
-        memo = self.__dict__.get("_validate_memo")
-        if memo is not None and memo[0] is keyring and memo[1] == quorum:
-            return memo[2]
-        ok = (len(set(self.ids)) >= quorum
-              and verify(keyring, self.signature, digest=self.statement_digest))
-        object.__setattr__(self, "_validate_memo", (keyring, quorum, ok))
-        return ok
+        """Signature valid and the id vector names ≥ quorum distinct nodes."""
+        return len(set(self.ids)) >= quorum and super().validate(keyring)
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -179,7 +117,7 @@ class AccumulatorCertificate:
 
 
 @dataclass(frozen=True)
-class ViewCertificate:
+class ViewCertificate(SignedStatement):
     """``⟨NEW-VIEW, h, v, v'⟩_σ`` — produced by TEEview: the node's latest
     stored block is ``h`` from view ``v``; the node is now at view ``v'``.
 
@@ -195,27 +133,13 @@ class ViewCertificate:
         """The signed tuple."""
         return ("NEW-VIEW", self.block_hash, self.block_view, self.current_view)
 
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, digest=self.statement_digest)
-
-    @property
-    def signer(self) -> int:
-        """Who issued the certificate."""
-        return self.signature.signer
-
     def wire_size(self) -> int:
         """Serialized size."""
         return 8 + HASH_BYTES + 16 + SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
-class RecoveryRequest:
+class RecoveryRequest(SignedStatement):
     """``⟨REQ, non⟩_σ`` — a rebooting node asks peers for checker state;
     the nonce prevents replayed replies (Sec. 4.5 step ①)."""
 
@@ -227,16 +151,10 @@ class RecoveryRequest:
         """The signed tuple."""
         return ("REQ", self.nonce, self.requester)
 
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
     def validate(self, keyring: Keyring) -> bool:
         """Check the signature and claimed identity."""
-        return self.signature.signer == self.requester and verify(
-            keyring, self.signature, digest=self.statement_digest
-        )
+        return self.signature.signer == self.requester \
+            and super().validate(keyring)
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -244,7 +162,7 @@ class RecoveryRequest:
 
 
 @dataclass(frozen=True)
-class RecoveryReply:
+class RecoveryReply(SignedStatement):
     """``⟨RPY, preh, prev, vi, k, non⟩_σ`` — a peer's checker reports its
     latest stored block (preh/prev), its current view ``vi``, the
     requester's id ``k``, and the request nonce (Sec. 4.5 step ②)."""
@@ -259,20 +177,6 @@ class RecoveryReply:
     def statement(self) -> tuple:
         """The signed tuple."""
         return ("RPY", self.preh, self.prepv, self.vi, self.requester, self.nonce)
-
-    @cached_property
-    def statement_digest(self) -> str:
-        """Memoized digest of :meth:`statement` (the object is immutable)."""
-        return digest_of(*self.statement())
-
-    def validate(self, keyring: Keyring) -> bool:
-        """Check the signature."""
-        return verify(keyring, self.signature, digest=self.statement_digest)
-
-    @property
-    def signer(self) -> int:
-        """Who issued the reply."""
-        return self.signature.signer
 
     def wire_size(self) -> int:
         """Serialized size."""

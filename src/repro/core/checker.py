@@ -18,6 +18,14 @@ certificates).  We track ``proposed`` and ``voted`` separately, which is
 the weakest state that makes Lemma 1 (no equivocation for block *and*
 store certificates) hold; both reset when ``vi`` advances.
 
+**One body per rule.**  :class:`Checker` holds what the three chained-TEE
+protocols' checkers share — the gate, entering a view, admitting a block
+certificate, the accumulator justification, the proposal guard — and
+:class:`AchillesChecker` holds Algorithm 2 itself.  OneShot composes these
+ECALL bodies (through ``__wrapped__``, so one ECALL transition covers
+prepare + store) and Damysus calls the shared checks; neither restates
+them.
+
 **No persistent counter.**  Unlike the -R baselines, nothing here touches
 stable storage on the hot path — a reboot simply wipes this state and the
 node must run the rollback-resilient recovery (Sec. 4.5) before the
@@ -32,7 +40,7 @@ from typing import Optional, Sequence
 from repro.chain.block import Block
 from repro.crypto.hashing import GENESIS_HASH, digest_of
 from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, sign, verify
+from repro.crypto.signatures import CryptoProfile
 from repro.errors import EnclaveAbort
 from repro.core.certificates import (
     AccumulatorCertificate,
@@ -58,8 +66,11 @@ class CheckerState:
     preph: str = GENESIS_HASH
 
 
-class AchillesChecker(Enclave):
-    """Achilles' CHECKER component."""
+class Checker(Enclave):
+    """The checks every chained-TEE CHECKER makes, whatever it votes on."""
+
+    IDENTITY = "checker"
+    STATE = CheckerState
 
     def __init__(
         self,
@@ -73,7 +84,8 @@ class AchillesChecker(Enclave):
         store: Optional[UntrustedStore] = None,
     ) -> None:
         super().__init__(
-            identity=f"checker/{node_id}", profile=profile, crypto=crypto, store=store
+            identity=f"{self.IDENTITY}/{node_id}", profile=profile,
+            crypto=crypto, store=store,
         )
         self.node_id = node_id
         self.n = n
@@ -82,36 +94,94 @@ class AchillesChecker(Enclave):
         # (Sec. 4.5); it survives reboots by assumption.
         self._sk = private_key
         self._keyring = keyring
-        self.state = CheckerState()
+        self.state = self.STATE()
+        #: Rebooted, and the volatile state is not back yet (through the
+        #: recovery protocol or a sealed restore): every rule refuses.
         self.recovering = False
-        self._pending_nonce: Optional[str] = None
-        self._nonce_counter = 0
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
     def leader_of(self, view: int) -> int:
         """Round-robin schedule known to the trusted code."""
         return view % self.n
 
+    def wipe_volatile_state(self) -> None:
+        """Reboot: all consensus state is lost until it is recovered."""
+        self.state = self.STATE()
+        self.recovering = True
+
     def _require_ready(self) -> None:
         if self.recovering:
-            raise EnclaveAbort("checker state not recovered")
+            raise EnclaveAbort("checker state not restored after reboot")
 
-    def snapshot(self) -> CheckerState:
-        """A copy of the current state (for tests and diagnostics)."""
-        return CheckerState(
-            vi=self.state.vi,
-            proposed=self.state.proposed,
-            voted=self.state.voted,
-            prepv=self.state.prepv,
-            preph=self.state.preph,
-        )
+    def _enter(self, view: int) -> None:
+        """A new view: nothing proposed, nothing voted yet."""
+        st = self.state
+        st.vi = view
+        st.proposed = False
+        st.voted = False
+
+    def _admit(self, block_cert: BlockCertificate) -> int:
+        """How a vote on a proposal starts (Algorithm 2, lines 16–18): the
+        block certificate is valid, from the leader of its view and not
+        stale; the checker moves up to that view, which is returned."""
+        self._require_ready()
+        self.charge_verify(1)
+        if not block_cert.validate(self._keyring):
+            raise EnclaveAbort("invalid block certificate")
+        v = block_cert.view
+        if block_cert.signature.signer != self.leader_of(v):
+            raise EnclaveAbort("block certificate not from the leader of its view")
+        if v < self.state.vi:
+            raise EnclaveAbort(f"stale block certificate (view {v} < {self.state.vi})")
+        if v > self.state.vi:
+            self._enter(v)
+        return v
+
+    def _extends_accumulated(self, block: Block, acc: AccumulatorCertificate) -> None:
+        """The NEW-VIEW justification (Algorithm 2, lines 6–9): this
+        node's own accumulator, for the current view, names the parent."""
+        self.charge_verify(1)
+        if not acc.validate(self._keyring, self.f + 1):
+            raise EnclaveAbort("invalid accumulator certificate")
+        if acc.signature.signer != self.node_id:
+            raise EnclaveAbort("accumulator certificate from another node")
+        if acc.target_view != self.state.vi:
+            raise EnclaveAbort(
+                f"accumulator targets view {acc.target_view}, checker at {self.state.vi}"
+            )
+        if block.parent_hash != acc.block_hash:
+            raise EnclaveAbort("block does not extend the accumulated block")
+
+    def _claim_proposal(self, block: Block) -> None:
+        """One proposal per view, by its leader (lines 11–13)."""
+        st = self.state
+        if st.proposed:
+            raise EnclaveAbort("already proposed in this view (flag == 1)")
+        if block.view != st.vi:
+            raise EnclaveAbort(f"block view {block.view} != checker view {st.vi}")
+        if self.leader_of(st.vi) != self.node_id:
+            raise EnclaveAbort(f"node {self.node_id} is not the leader of view {st.vi}")
+        st.proposed = True
+
+    def _certify_view(self) -> ViewCertificate:
+        """``⟨NEW-VIEW, preph, prepv, vi⟩`` for the state as it stands."""
+        st = self.state
+        self.charge_sign(1)
+        return ViewCertificate.issue(
+            self._sk, block_hash=st.preph, block_view=st.prepv,
+            current_view=st.vi)
+
+
+class AchillesChecker(Checker):
+    """Achilles' CHECKER component."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._pending_nonce: Optional[str] = None
+        self._nonce_counter = 0
 
     def wipe_volatile_state(self) -> None:
         """Reboot: all consensus state is lost; recovery is mandatory."""
-        self.state = CheckerState()
-        self.recovering = True
+        super().wipe_volatile_state()
         self._pending_nonce = None
 
     def cold_boot(self, preh: str) -> None:
@@ -150,22 +220,9 @@ class AchillesChecker(Enclave):
         previous view (the New-View optimization, Sec. 4.4).
         """
         self._require_ready()
-        st = self.state
         self.charge_hash(block.wire_size())
-
         if isinstance(justification, AccumulatorCertificate):
-            acc = justification
-            self.charge_verify(1)
-            if not acc.validate(self._keyring, self.f + 1):
-                raise EnclaveAbort("invalid accumulator certificate")
-            if acc.signature.signer != self.node_id:
-                raise EnclaveAbort("accumulator certificate from another node")
-            if acc.target_view != st.vi:
-                raise EnclaveAbort(
-                    f"accumulator targets view {acc.target_view}, checker at {st.vi}"
-                )
-            if block.parent_hash != acc.block_hash:
-                raise EnclaveAbort("block does not extend the accumulated block")
+            self._extends_accumulated(block, justification)
         elif isinstance(justification, CommitmentCertificate):
             qc = justification
             self.charge_verify(self.f + 1)
@@ -173,27 +230,17 @@ class AchillesChecker(Enclave):
                 raise EnclaveAbort("invalid commitment certificate")
             if block.parent_hash != qc.block_hash:
                 raise EnclaveAbort("block does not extend the committed block")
-            if qc.view + 1 < st.vi:
+            if qc.view + 1 < self.state.vi:
                 raise EnclaveAbort("stale commitment certificate")
-            if qc.view >= st.vi:
+            if qc.view >= self.state.vi:
                 # Advance into the view right after the committed one.
-                st.vi = qc.view + 1
-                st.proposed = False
-                st.voted = False
+                self._enter(qc.view + 1)
         else:
             raise EnclaveAbort("unsupported justification type")
-
-        if st.proposed:
-            raise EnclaveAbort("already proposed in this view (flag == 1)")
-        if block.view != st.vi:
-            raise EnclaveAbort(f"block view {block.view} != checker view {st.vi}")
-        if self.leader_of(st.vi) != self.node_id:
-            raise EnclaveAbort(f"node {self.node_id} is not the leader of view {st.vi}")
-
-        st.proposed = True
+        self._claim_proposal(block)
         self.charge_sign(1)
-        signature = sign(self._sk, "PROP", block.hash, st.vi)
-        return BlockCertificate(block_hash=block.hash, view=st.vi, signature=signature)
+        return BlockCertificate.issue(
+            self._sk, block_hash=block.hash, view=self.state.vi)
 
     # ------------------------------------------------------------------
     # TEEstore (Algorithm 2, lines 16–20)
@@ -201,28 +248,16 @@ class AchillesChecker(Enclave):
     @ecall
     def tee_store(self, block_cert: BlockCertificate) -> StoreCertificate:
         """Record the leader's block as latest-stored and emit the vote."""
-        self._require_ready()
+        v = self._admit(block_cert)
         st = self.state
-        self.charge_verify(1)
-        if not block_cert.validate(self._keyring):
-            raise EnclaveAbort("invalid block certificate")
-        v = block_cert.view
-        if block_cert.signature.signer != self.leader_of(v):
-            raise EnclaveAbort("block certificate not from the leader of its view")
-        if v < st.vi:
-            raise EnclaveAbort(f"stale block certificate (view {v} < {st.vi})")
-        if v > st.vi:
-            st.vi = v
-            st.proposed = False
-            st.voted = False
         if st.voted:
             raise EnclaveAbort("already voted in this view")
         st.voted = True
         st.prepv = v
         st.preph = block_cert.block_hash
         self.charge_sign(1)
-        signature = sign(self._sk, "COMMIT", block_cert.block_hash, v)
-        return StoreCertificate(block_hash=block_cert.block_hash, view=v, signature=signature)
+        return StoreCertificate.issue(
+            self._sk, block_hash=block_cert.block_hash, view=v)
 
     # ------------------------------------------------------------------
     # TEEview (Algorithm 2, lines 27–29)
@@ -231,18 +266,8 @@ class AchillesChecker(Enclave):
     def tee_view(self) -> ViewCertificate:
         """Enter the next view (timeout path) and certify the latest block."""
         self._require_ready()
-        st = self.state
-        st.vi += 1
-        st.proposed = False
-        st.voted = False
-        self.charge_sign(1)
-        signature = sign(self._sk, "NEW-VIEW", st.preph, st.prepv, st.vi)
-        return ViewCertificate(
-            block_hash=st.preph,
-            block_view=st.prepv,
-            current_view=st.vi,
-            signature=signature,
-        )
+        self._enter(self.state.vi + 1)
+        return self._certify_view()
 
     # ------------------------------------------------------------------
     # Recovery TEE code (Algorithm 3, lines 15–31)
@@ -254,8 +279,8 @@ class AchillesChecker(Enclave):
         nonce = digest_of("nonce", self.identity, self.reboots, self._nonce_counter)
         self._pending_nonce = nonce
         self.charge_sign(1)
-        signature = sign(self._sk, "REQ", nonce, self.node_id)
-        return RecoveryRequest(nonce=nonce, requester=self.node_id, signature=signature)
+        return RecoveryRequest.issue(
+            self._sk, nonce=nonce, requester=self.node_id)
 
     @ecall
     def tee_reply(self, request: RecoveryRequest) -> RecoveryReply:
@@ -269,17 +294,9 @@ class AchillesChecker(Enclave):
             raise EnclaveAbort("invalid recovery request signature")
         st = self.state
         self.charge_sign(1)
-        signature = sign(
-            self._sk, "RPY", st.preph, st.prepv, st.vi, request.requester, request.nonce
-        )
-        return RecoveryReply(
-            preh=st.preph,
-            prepv=st.prepv,
-            vi=st.vi,
-            requester=request.requester,
-            nonce=request.nonce,
-            signature=signature,
-        )
+        return RecoveryReply.issue(
+            self._sk, preh=st.preph, prepv=st.prepv, vi=st.vi,
+            requester=request.requester, nonce=request.nonce)
 
     @ecall
     def tee_recover(
@@ -344,23 +361,12 @@ class AchillesChecker(Enclave):
             (r for r in replies if r.signer in valid_signers),
             key=lambda r: r.prepv,
         )
-        st = self.state
-        st.vi = leader_reply.vi + 2
-        st.proposed = False
-        st.voted = False
-        st.prepv = best_stored.prepv
-        st.preph = best_stored.preh
+        self._enter(leader_reply.vi + 2)
+        self.state.prepv = best_stored.prepv
+        self.state.preph = best_stored.preh
         self.recovering = False
         self._pending_nonce = None
-
-        self.charge_sign(1)
-        signature = sign(self._sk, "NEW-VIEW", st.preph, st.prepv, st.vi)
-        return ViewCertificate(
-            block_hash=st.preph,
-            block_view=st.prepv,
-            current_view=st.vi,
-            signature=signature,
-        )
+        return self._certify_view()
 
 
-__all__ = ["AchillesChecker", "CheckerState"]
+__all__ = ["Checker", "AchillesChecker", "CheckerState"]

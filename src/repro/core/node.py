@@ -182,11 +182,6 @@ class ChainedTeeNode(ReplicaBase):
         arguments."""
         raise NotImplementedError
 
-    def _checker_offline(self) -> bool:
-        """The checker lost its volatile state and has not got it back
-        (recovery protocol or sealed restore still pending)."""
-        return self.checker.recovering
-
     def _tee_next_view(self) -> ViewCertificate:
         """The trusted call that advances the checker one view."""
         raise NotImplementedError
@@ -298,7 +293,7 @@ class ChainedTeeNode(ReplicaBase):
         # The untrusted view may lag the checker if our own view-advancing
         # call for target_view already ran; the checker is authoritative.
         ready = self.checker.state.vi == target_view and \
-            not self._checker_offline()
+            not self.checker.recovering
         if self.PULLS_PARENT_ONLY_WHEN_READY and not ready:
             return
         best = max(certs, key=lambda c: (c.block_view, -c.signer))

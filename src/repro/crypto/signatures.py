@@ -15,7 +15,8 @@ transition (modelled in :mod:`repro.tee.enclave`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import ClassVar, Iterable, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.crypto.keys import Keyring, PrivateKey
@@ -136,40 +137,92 @@ class SignatureList:
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def signers(self) -> tuple[int, ...]:
-        """Signer ids, in list order."""
-        return tuple(s.signer for s in self.signatures)
-
     def distinct_signers(self) -> set[int]:
         """Set of distinct signer ids."""
         return {s.signer for s in self.signatures}
 
-    def verify_all(self, keyring: Keyring, *message_parts: object) -> bool:
-        """True iff every member signature verifies over ``message_parts``."""
-        digest = digest_of(*message_parts)
-        return all(verify(keyring, s, digest=digest) for s in self.signatures)
+
+class Statement:
+    """What every certificate signs.  A subclass is a frozen dataclass that
+    declares its fields and :meth:`statement`, the exact tuple signed; it
+    opens with a message-type tag so that no signature can be replayed as
+    another kind of certificate.  The object is immutable, so the digest
+    is derived once — one certificate is validated by every node it
+    reaches."""
+
+    def statement(self) -> tuple:
+        """The signed tuple."""
+        raise NotImplementedError
+
+    @cached_property
+    def statement_digest(self) -> str:
+        """Memoized digest of :meth:`statement`."""
+        return digest_of(*self.statement())
 
 
-def verify_distinct(
-    keyring: Keyring,
-    signatures: Sequence[Signature],
-    threshold: int,
-    *message_parts: object,
-) -> bool:
-    """True iff ≥ ``threshold`` *distinct* signers validly signed the message."""
-    digest = digest_of(*message_parts)
-    valid_signers = {
-        s.signer for s in signatures if verify(keyring, s, digest=digest)
-    }
-    return len(valid_signers) >= threshold
+class SignedStatement(Statement):
+    """A statement under one ``signature`` (a field of the subclass)."""
+
+    signature: Signature
+
+    @classmethod
+    def issue(cls, private_key: PrivateKey, **fields: object):
+        """Sign ``statement()`` over ``fields``: the one way a certificate
+        is made, so the tuple signed is the tuple later verified."""
+        cert = cls(signature=None, **fields)
+        object.__setattr__(
+            cert, "signature", sign(private_key, digest=cert.statement_digest))
+        return cert
+
+    @property
+    def signer(self) -> int:
+        """Who signed."""
+        return self.signature.signer
+
+    def validate(self, keyring: Keyring) -> bool:
+        """Check the signature."""
+        return verify(keyring, self.signature, digest=self.statement_digest)
+
+
+class QuorumCertificate(Statement):
+    """A statement under the ``signatures`` (a field of the subclass) of a
+    threshold of distinct nodes."""
+
+    signatures: SignatureList
+
+    def validate(self, keyring: Keyring, threshold: int) -> bool:
+        """≥ ``threshold`` distinct valid signers over the statement.
+
+        Memoized per ``(keyring, threshold)``: the certificate and the
+        keyring are immutable, and the same certificate object reaches
+        every node in the committee — without the memo an n=301 run
+        re-verifies the same f+1 signatures 301 times per block.
+        """
+        memo = self.__dict__.get("_validate_memo")
+        if memo is not None and memo[0] is keyring and memo[1] == threshold:
+            return memo[2]
+        digest = self.statement_digest
+        valid = {
+            s.signer
+            for s in self.signatures.signatures
+            if verify(keyring, s, digest=digest)
+        }
+        ok = len(valid) >= threshold
+        object.__setattr__(self, "_validate_memo", (keyring, threshold, ok))
+        return ok
+
+    def signers(self) -> set[int]:
+        """Distinct signer ids."""
+        return self.signatures.distinct_signers()
 
 
 __all__ = [
     "CryptoProfile",
     "Signature",
     "SignatureList",
+    "SignedStatement",
+    "QuorumCertificate",
     "sign",
     "verify",
     "require_valid",
-    "verify_distinct",
 ]

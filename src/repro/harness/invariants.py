@@ -355,11 +355,11 @@ class InvariantMonitor:
         self._last_vi[key] = vi
         if self.track_seal_freshness and \
                 node.status is NodeStatus.RUNNING and \
-                not getattr(checker, "needs_restore", False):
+                not getattr(checker, "recovering", False):
             # Cross-incarnation: a new epoch *running* below the peak of an
             # earlier one means the enclave restored stale sealed state
             # (within an epoch, checker-monotonicity already covers it).
-            # While needs_restore is set the enclave has refused to run at
+            # While recovering is set the enclave has refused to run at
             # all — the -R defense, not a freshness violation.  A node that
             # is still RECOVERING shows a zeroed view legitimately: its
             # checker is waiting on the recovery protocol, not on sealed

@@ -282,10 +282,6 @@ class MetricsCollector:
             return 0.0
         return (self.txs_committed / (elapsed_ms / 1000.0)) / 1000.0
 
-    def commit_time_of(self, block_hash: str) -> Optional[float]:
-        """When a block first committed anywhere (or None)."""
-        return self._first_commit_at.get(block_hash)
-
     def summary(self) -> dict:
         """A plain-dict snapshot for reports."""
         return {

@@ -22,30 +22,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def format_breakdown(breakdowns: "dict[str, Any]",
-                     title: str = "critical-path cost breakdown") -> str:
-    """Render per-protocol critical-path bucket tables side by side.
-
-    ``breakdowns`` maps a row label (usually a protocol name) to a
-    :class:`repro.obs.critical_path.CostBreakdown`.  Each bucket prints
-    its mean per-commit milliseconds and its share of the mean commit
-    latency; a trailing column reports walk coverage (how much of the
-    measured latency the walk attributed — should be ≥ 0.95).
-    """
-    from repro.obs.critical_path import BUCKETS
-
-    headers = ["protocol", "commit (ms)"] + \
-        [f"{b} (ms)" for b in BUCKETS] + ["coverage"]
-    rows = []
-    for label, breakdown in breakdowns.items():
-        rows.append(
-            [label, round(breakdown.mean_latency_ms, 3)]
-            + [round(breakdown.buckets_ms.get(b, 0.0), 3) for b in BUCKETS]
-            + [f"{breakdown.coverage:.1%}"]
-        )
-    return format_table(headers, rows, title=title)
-
-
 def format_network_breakdown(stats_by_label: "dict[str, Any]",
                              transport_by_label: "dict[str, dict]" = None,
                              title: str = "network fault/transport breakdown") -> str:
@@ -212,6 +188,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-__all__ = ["format_table", "format_breakdown", "format_byz_breakdown",
+__all__ = ["format_table", "format_byz_breakdown",
            "format_network_breakdown", "format_slo_breakdown",
            "format_slo_timeline", "format_phase_breakdown"]

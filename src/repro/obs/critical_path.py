@@ -123,15 +123,6 @@ class CostBreakdown:
             return 0.0
         return self.buckets_ms.get(bucket, 0.0) / self.mean_latency_ms
 
-    def to_dict(self) -> dict:
-        """Plain-dict snapshot (picklable, JSON/CSV-friendly)."""
-        return {
-            "blocks": self.blocks,
-            "mean_latency_ms": self.mean_latency_ms,
-            "coverage": self.coverage,
-            "buckets_ms": dict(self.buckets_ms),
-        }
-
 
 def critical_path_report(tracer: SpanTracer,
                          warmup_ms: float = 0.0) -> CostBreakdown:

@@ -52,10 +52,6 @@ class ShardMap:
         """The shard owning ``key`` (by hash point, binary search)."""
         return bisect_right(self.boundaries, key_point(key))
 
-    def shard_of_point(self, point: int) -> int:
-        """The shard owning a raw ring point."""
-        return bisect_right(self.boundaries, point)
-
     def range_of(self, shard: int) -> tuple[int, int]:
         """The ``[lo, hi)`` ring range of ``shard``."""
         if not 0 <= shard < self.n_shards:

@@ -110,11 +110,6 @@ class Enclave:
             raise EnclaveOffline(f"enclave {self.identity} is offline (rebooted)")
         self.ecalls += 1
 
-    @property
-    def online(self) -> bool:
-        """Is the enclave currently running?"""
-        return self._online
-
     def reboot(self) -> None:
         """Power-cycle: volatile state is lost; ECALLs gate until restart."""
         self._online = False

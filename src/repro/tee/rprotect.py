@@ -10,26 +10,32 @@ Achilles never does — that is the paper's point.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import EnclaveAbort
 from repro.tee.counters import PersistentCounter
+from repro.tee.enclave import ecall
 
 
 class RStateMixin:
     """Rollback-prevention wiring for a trusted component.
 
-    Mix into an :class:`~repro.tee.enclave.Enclave` subclass and call
-    :meth:`protect_state_update` from every ECALL that mutates consensus
-    state.  With a real (non-null) counter attached this performs the
-    store-then-increment dance and charges its latency; with no counter it
-    is free — which is precisely the unprotected (rollback-vulnerable)
-    baseline configuration.
+    Mix into an :class:`~repro.tee.enclave.Enclave` subclass, say what is
+    sealed (:meth:`_sealed_payload`) and how it is loaded back
+    (:meth:`_load_sealed`), set ``recovering`` when a reboot wipes the
+    state, and call :meth:`protect_state_update` from every ECALL that
+    mutates consensus state.  With a real (non-null) counter attached
+    this performs the store-then-increment dance and charges its latency;
+    with no counter it is free — which is precisely the unprotected
+    (rollback-vulnerable) baseline configuration.
     """
 
     counter: Optional[PersistentCounter] = None
     counter_writes: int = 0
     _state_version: int = 0
+    #: Rebooted and not restored yet: the one state :meth:`tee_restore`
+    #: accepts.
+    recovering: bool = False
 
     def attach_counter(self, counter: Optional[PersistentCounter]) -> None:
         """Install the persistent counter (None = no rollback prevention)."""
@@ -37,7 +43,15 @@ class RStateMixin:
         self.counter_writes = 0
         self._state_version = 0
 
-    def protect_state_update(self, state_payload: object) -> None:
+    def _sealed_payload(self) -> Any:
+        """The component's state, as sealed after every update."""
+        raise NotImplementedError
+
+    def _load_sealed(self, payload: Any) -> None:
+        """Adopt a :meth:`_sealed_payload` that passed the freshness check."""
+        raise NotImplementedError
+
+    def protect_state_update(self) -> None:
         """Seal the new state; with a counter, bind it and pay the write.
 
         Without a counter the state is still sealed (so a reboot can
@@ -46,7 +60,7 @@ class RStateMixin:
         """
         self._state_version += 1
         # Store operation: persist the sealed state with its version.
-        self.seal_state("rstate", (self._state_version, state_payload))  # type: ignore[attr-defined]
+        self.seal_state("rstate", (self._state_version, self._sealed_payload()))  # type: ignore[attr-defined]
         if self.counter is None:
             return
         # Increase operation: the expensive persistent write.
@@ -55,6 +69,26 @@ class RStateMixin:
         # write as its own bucket — the cost Achilles eliminates.
         self.charge_part("counter", self.counter.name, latency)  # type: ignore[attr-defined]
         self.counter_writes += 1
+
+    @ecall
+    def tee_restore(self, sealed: Optional[tuple]) -> bool:
+        """Restore the state a reboot wiped from what the host unsealed.
+
+        ``sealed`` is a ``(version, payload)`` pair or ``None``; *nothing
+        sealed is version 0* and faces :meth:`check_sealed_freshness`
+        like any other version — a host that withholds the blob after a
+        protected update (the paper's "resetting states", Sec. 3.1) is
+        rolling the component back to genesis.
+        """
+        if not self.recovering:
+            raise EnclaveAbort(f"{self.identity} does not need restoration")  # type: ignore[attr-defined]
+        version, payload = sealed if sealed is not None else (0, None)
+        self.check_sealed_freshness(version)
+        if sealed is not None:
+            self._load_sealed(payload)
+        self._state_version = version
+        self.recovering = False
+        return True
 
     def check_sealed_freshness(self, version: int) -> None:
         """Post-reboot freshness check of a sealed state version.
@@ -72,7 +106,8 @@ class RStateMixin:
         """
         if self.counter is None:
             return
-        self.charge_protected_read()
+        _, latency = self.counter.read()
+        self.charge_part("counter", f"{self.counter.name}.read", latency)  # type: ignore[attr-defined]
         if version == self.counter.value:
             return
         if version == self.counter.value + 1:
@@ -85,21 +120,6 @@ class RStateMixin:
             f"rollback detected: sealed version {version} != "
             f"counter {self.counter.value}"
         )
-
-    def protected_read_latency(self) -> float:
-        """Latency of the post-reboot freshness check (counter read)."""
-        if self.counter is None:
-            return 0.0
-        _, latency = self.counter.read()
-        return latency
-
-    def charge_protected_read(self) -> None:
-        """Charge the post-reboot freshness check, tagged ``counter``."""
-        if self.counter is None:
-            return
-        _, latency = self.counter.read()
-        self.charge_part("counter", f"{self.counter.name}.read", latency)  # type: ignore[attr-defined]
-
 
 
 __all__ = ["RStateMixin"]

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.tee.rprotect import RStateMixin
 from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, Signature, sign, verify
+from repro.crypto.signatures import CryptoProfile, Signature, SignedStatement
 from repro.errors import EnclaveAbort
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 from repro.tee.counters import PersistentCounter
@@ -31,7 +31,7 @@ from repro.tee.sealing import UntrustedStore
 
 
 @dataclass(frozen=True)
-class UsigCertificate:
+class UsigCertificate(SignedStatement):
     """``⟨UI, node, counter, message-digest⟩_σ`` — a unique identifier."""
 
     node: int
@@ -45,9 +45,7 @@ class UsigCertificate:
 
     def validate(self, keyring: Keyring) -> bool:
         """Check the signature and claimed signer."""
-        return self.signature.signer == self.node and verify(
-            keyring, self.signature, *self.statement()
-        )
+        return self.signature.signer == self.node and super().validate(keyring)
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -84,23 +82,22 @@ class Usig(RStateMixin, Enclave):
         self.attach_counter(counter)
 
     def wipe_volatile_state(self) -> None:
-        """Reboot: the virtual counter is lost — the rollback hazard."""
+        """Reboot: the virtual counter is lost — the rollback hazard.  A
+        host that never calls ``tee_restore`` gets a USIG that starts over
+        at 1."""
         self.counter_value = 0
         self.last_seen = {}
+        self.recovering = True
 
     @ecall
     def create_ui(self, message_digest: str) -> UsigCertificate:
         """Assign the next unique identifier to ``message_digest``."""
         self.counter_value += 1
-        self.protect_state_update((self.counter_value, dict(self.last_seen)))
+        self.protect_state_update()
         self.charge_sign(1)
-        return UsigCertificate(
-            node=self.node_id,
-            counter=self.counter_value,
-            message_digest=message_digest,
-            signature=sign(self._sk, "UI", self.node_id, self.counter_value,
-                           message_digest),
-        )
+        return UsigCertificate.issue(
+            self._sk, node=self.node_id, counter=self.counter_value,
+            message_digest=message_digest)
 
     @ecall
     def verify_ui(self, ui: UsigCertificate, message_digest: str,
@@ -132,18 +129,13 @@ class Usig(RStateMixin, Enclave):
         self.last_seen[ui.node] = ui.counter
         return True
 
-    @ecall
-    def tee_restore(self, sealed_payload: Optional[tuple]) -> bool:
-        """Restore the counter from sealed state (counter-checked in -R)."""
-        if sealed_payload is None:
-            return True
-        version, payload = sealed_payload
-        self.check_sealed_freshness(version)
-        value, last_seen = payload
-        self.counter_value = value
+    # -- what a reboot seals and restores (RStateMixin.tee_restore) -------
+    def _sealed_payload(self) -> tuple:
+        return (self.counter_value, dict(self.last_seen))
+
+    def _load_sealed(self, payload: tuple) -> None:
+        self.counter_value, last_seen = payload
         self.last_seen = dict(last_seen)
-        self._state_version = version
-        return True
 
 
 __all__ = ["Usig", "UsigCertificate"]

@@ -22,6 +22,7 @@ from repro.crypto.keys import Keyring, generate_keypairs
 from repro.errors import EnclaveAbort
 from repro.tee.counters import ConfigurableCounter
 from repro.tee.rollback import RollbackAttacker
+from repro.tee.trinc import Usig
 
 from tests.conftest import achilles_cluster
 
@@ -125,6 +126,111 @@ class TestCounterPreventionDetects:
                                  counter=ConfigurableCounter(20.0))
         checker.tee_new_view()
         assert checker.drain_cost() >= 20.0
+
+
+def _damysus(pairs, ring, counter):
+    checker = DamysusChecker(node_id=2, n=N, f=F, keyring=ring,
+                             private_key=pairs[2].private, counter=counter)
+    return checker, checker.tee_new_view
+
+
+def _oneshot(pairs, ring, counter):
+    checker = OneShotChecker(node_id=2, n=N, f=F, keyring=ring,
+                             private_key=pairs[2].private, counter=counter)
+    return checker, checker.tee_view_os
+
+
+def _usig(pairs, ring, counter):
+    usig = Usig(node_id=2, private_key=pairs[2].private, keyring=ring,
+                counter=counter)
+    return usig, lambda: usig.create_ui("m")
+
+
+@pytest.mark.parametrize("build", [_damysus, _oneshot, _usig])
+class TestResetIsARollback:
+    """The paper's adversary may also *reset* a TEE (Sec. 3.1): serve no
+    sealed state at all.  Nothing sealed is version 0, and version 0 faces
+    the counter like any other version."""
+
+    def _rebooted(self, build, world, counter, updates):
+        pairs, ring = world
+        component, update = build(pairs, ring, counter)
+        for _ in range(updates):
+            update()
+        attacker = RollbackAttacker(store=component.store)
+        attacker.serve_nothing(f"{component.identity}/rstate")
+        component.reboot()
+        component.restart(N - 1)
+        return component, attacker.unseal_for(component, "rstate")
+
+    def test_counter_detects_a_reset_after_a_protected_update(self, build, world):
+        component, sealed = self._rebooted(
+            build, world, ConfigurableCounter(20.0), updates=2)
+        assert sealed is None
+        with pytest.raises(EnclaveAbort, match="rollback detected"):
+            component.tee_restore(sealed)
+        assert component.recovering  # still waiting for the fresh state
+        assert component.tee_restore(component.unseal_state("rstate"))
+        assert not component.recovering
+
+    def test_without_a_counter_the_reset_goes_through(self, build, world):
+        """The vulnerable baseline stays demonstrable."""
+        component, sealed = self._rebooted(build, world, None, updates=2)
+        assert component.tee_restore(sealed)
+        assert not component.recovering
+
+    def test_a_component_that_never_sealed_restores_from_nothing(self, build, world):
+        counter = ConfigurableCounter(20.0)
+        component, sealed = self._rebooted(build, world, counter, updates=0)
+        assert counter.value == 0
+        assert component.tee_restore(sealed)
+        assert component.counter_writes == 0
+
+    def test_store_then_increment_power_cut_window_still_resyncs(self, build, world):
+        """version == counter + 1: the seal landed, the increment did not."""
+        pairs, ring = world
+        counter = ConfigurableCounter(20.0)
+        component, update = build(pairs, ring, counter)
+        update()
+        update()
+        version, payload = component.unseal_state("rstate")
+        component.reboot()
+        component.restart(N - 1)
+        assert version == counter.value == 2
+        assert component.tee_restore((version + 1, payload))
+        assert counter.value == version + 1
+        assert component.counter_writes == 3  # two updates and the resync
+
+
+class TestDamysusRNodeStaysOutAfterAReset:
+    @pytest.mark.parametrize("serve", ["serve_oldest", "serve_nothing"])
+    def test_rebooted_replica_records_the_rollback_and_stays_gated(self, serve):
+        from repro.harness.metrics import MetricsCollector
+        from repro.harness.runner import (build_deployment, protocol_config,
+                                          resolve_network, resolve_protocol)
+
+        spec = resolve_protocol("damysus-r")
+        config = protocol_config(spec, 1, 3, counter_write_ms=1.0,
+                                 batch_size=20, payload_size=16,
+                                 base_timeout_ms=50.0, recovery_retry_ms=10.0)
+        cluster = build_deployment(spec, config, resolve_network("LAN"), 3,
+                                   listener=MetricsCollector()).cluster
+        cluster.start()
+        cluster.run(60.0)
+        node = cluster.nodes[-1]
+        assert node.checker.counter.value > 0
+        attacker = RollbackAttacker(store=node.checker.store)
+        getattr(attacker, serve)(f"{node.checker.identity}/rstate")
+        node.crash()
+        cluster.run(20.0)
+        node.reboot(rollback_attacker=attacker)
+        cluster.run(150.0)
+        cluster.assert_safety()
+        assert attacker.attacks_mounted == 1
+        assert cluster.sim.trace.count("rollback_detected") == 1
+        assert node.checker.recovering  # every checker ECALL still refuses
+        with pytest.raises(EnclaveAbort, match="not restored"):
+            node.checker.tee_new_view()
 
 
 class TestAchillesIsRollbackResilient:

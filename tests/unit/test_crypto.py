@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.crypto.hashing import GENESIS_HASH, digest_of, sha256_hex
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.crypto.signatures import (
     CryptoProfile,
+    QuorumCertificate,
     SignatureList,
     require_valid,
     sign,
     verify,
-    verify_distinct,
 )
 from repro.errors import CryptoError, InvalidSignature
+
+
+@dataclass(frozen=True)
+class Quorum(QuorumCertificate):
+    """The smallest quorum certificate: signatures over one message."""
+
+    message: str
+    signatures: SignatureList
+
+    def statement(self) -> tuple:
+        return (self.message,)
 
 
 class TestHashing:
@@ -154,14 +167,16 @@ class TestSignatures:
         sigs = SignatureList.of(sign(pairs[i].private, "m") for i in range(3))
         assert len(sigs) == 3
         assert sigs.distinct_signers() == {0, 1, 2}
-        assert sigs.verify_all(ring, "m")
-        assert not sigs.verify_all(ring, "other")
+        # Every member verifies over "m", none over another message.
+        assert Quorum("m", sigs).validate(ring, 3)
+        assert not Quorum("other", sigs).validate(ring, 1)
 
     def test_verify_distinct_counts_unique_signers(self, setup):
         pairs, ring = setup
-        sigs = [sign(pairs[0].private, "m")] * 3 + [sign(pairs[1].private, "m")]
-        assert verify_distinct(ring, sigs, 2, "m")
-        assert not verify_distinct(ring, sigs, 3, "m")
+        sigs = SignatureList.of(
+            [sign(pairs[0].private, "m")] * 3 + [sign(pairs[1].private, "m")])
+        assert Quorum("m", sigs).validate(ring, 2)
+        assert not Quorum("m", sigs).validate(ring, 3)
 
 
 class TestCryptoProfile:

@@ -10,12 +10,18 @@ for keeps nothing alive.  The one exception is ``repro.baselines``, whose
 The second check is the runtime side of the same coin: the benchmark's
 import closure is what ``setup_s`` pays for on every ledger row, and a
 package ``__init__`` is where it grows unnoticed.
+
+The third goes one level down, from modules to public callables: a
+function or method whose *name* nothing under ``src/``, ``benchmarks/``
+or ``examples/`` mentions is either deleted or listed, with the test that
+needs it, in :data:`TEST_ONLY_CALLABLES` — which may only shrink.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,6 +36,48 @@ REGISTERING_PACKAGES = {"repro.baselines"}
 #: ``workload`` ``__init__``s).  Lower it when the closure shrinks;
 #: raising it is a ``setup_s`` regression on all eight ledger rows.
 WORKLOADS_CLOSURE = 88
+
+
+#: Public callables that only a test refers to, and one test that does.
+#: Names, not qualified names: the check is by name (a reference to any
+#: ``free`` keeps every ``free`` alive), so it under-reports and never
+#: cries wolf.  An entry that gains a caller, or loses its definition or
+#: its test, fails the check until it is removed — the list only shrinks.
+TEST_ONLY_CALLABLES = {
+    "all_replied": "tests/integration/test_clients_and_sync.py",
+    "armed": "tests/integration/test_achilles_view_change.py",
+    "between": "tests/unit/test_sim_process_cpu.py",
+    "bft_committee": "tests/integration/test_baseline_protocols.py",
+    "byz_defended_sweep": "tests/integration/test_byzantine_campaigns.py",
+    "byz_negative_controls": "tests/integration/test_byzantine_campaigns.py",
+    "call_soon": "tests/unit/test_sim_kernel.py",
+    "conflicts": "tests/unit/test_chain.py",
+    "cut_pending": "tests/unit/test_storage.py",
+    "detach": "tests/unit/test_delivery_guards.py",
+    "drop_link": "tests/integration/test_achilles_view_change.py",
+    "endpoints": "tests/unit/test_cluster_and_runner.py",
+    "format_network_breakdown": "tests/unit/test_transport.py",
+    "free": "tests/conftest.py",
+    "idle_at": "tests/unit/test_sim_process_cpu.py",
+    "indices": "tests/unit/test_config_metrics_workload.py",
+    "is_genesis": "tests/integration/test_checkpointing.py",
+    "of_kind": "tests/unit/test_sim_process_cpu.py",
+    "pending_for": "tests/unit/test_shard_router.py",
+    "public_key": "tests/unit/test_crypto.py",
+    "remove_rule": "tests/unit/test_net.py",
+    "require_valid": "tests/unit/test_crypto.py",
+    "reset_node": "tests/unit/test_net.py",
+    "run_until": "tests/unit/test_cluster_and_runner.py",
+    "serve_stale": "tests/unit/test_tee.py",
+    "split_items": "tests/unit/test_shard_ranges.py",
+    "synchronous_at": "tests/unit/test_net.py",
+    "tx_backlog": "tests/unit/test_net.py",
+    "unlimited": "tests/unit/test_net.py",
+    "utilization": "tests/unit/test_sim_process_cpu.py",
+    "version_count": "tests/unit/test_storage.py",
+}
+#: Lower it when an entry goes; raising it is keeping code for a test.
+TEST_ONLY_CEILING = 31
 
 
 def _modules(src: pathlib.Path) -> dict:
@@ -128,3 +176,61 @@ def test_workloads_import_closure_does_not_grow():
     out = subprocess.run([sys.executable, "-c", code], cwd=REPO, check=True,
                          capture_output=True, text=True, timeout=120)
     assert int(out.stdout) <= WORKLOADS_CLOSURE
+
+
+def _is_dunder_all(node) -> bool:
+    """``__all__ = [...]``, ``__all__ += [...]`` or ``__all__.append(...)``:
+    a mention there exports a name, it does not use it."""
+    if isinstance(node, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in node.targets)
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.target, ast.Name) and node.target.id == "__all__"
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Attribute) \
+        and isinstance(node.func.value, ast.Name) \
+        and node.func.value.id == "__all__"
+
+
+def unreferenced_callables(repo: pathlib.Path) -> set:
+    """Names of public functions and methods defined under ``src/repro``
+    that no identifier, attribute, import, keyword or identifier-shaped
+    string (``getattr(x, "name")``) anywhere under ``src/``,
+    ``benchmarks/`` or ``examples/`` mentions.  Handlers (``on_*``),
+    CLI commands (``cmd_*``), private names and dunders are the
+    framework's to call and are not counted."""
+    src = set((repo / "src" / "repro").rglob("*.py"))
+    roots = sorted(src) + sorted((repo / "benchmarks").rglob("*.py")) \
+        + sorted((repo / "examples").glob("*.py"))
+    defined, mentioned = set(), set()
+    for path in roots:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {id(inner) for node in ast.walk(tree)
+                    if _is_dunder_all(node) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.keyword) and node.arg:
+                mentioned.add(node.arg)
+            elif isinstance(node, ast.Constant) and id(node) not in exported \
+                    and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                mentioned.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and path in src \
+                    and not node.name.startswith(("_", "on_", "cmd_")):
+                defined.add(node.name)
+    return defined - mentioned
+
+
+def test_every_public_callable_is_used_or_listed_as_test_only():
+    assert unreferenced_callables(REPO) == set(TEST_ONLY_CALLABLES)
+    assert len(TEST_ONLY_CALLABLES) <= TEST_ONLY_CEILING
+    for name, test in TEST_ONLY_CALLABLES.items():
+        text = (REPO / test).read_text(encoding="utf-8")
+        assert re.search(rf"\.{name}\b|\b{name}\(", text), \
+            f"{test} does not use {name}: delete the callable"

@@ -131,6 +131,23 @@ class TestRollbackSemantics:
         third = u.create_ui("m3")
         assert third.counter == 3  # no reuse of values 1 and 2
 
+    def test_live_usig_refuses_a_restore(self, world):
+        """A USIG that never rebooted has nothing to restore: the host
+        cannot overwrite its counter and gapless marks with a sealed
+        state of its choosing."""
+        pairs, ring, usigs = world
+        u = Usig(node_id=0, private_key=pairs[0].private, keyring=ring,
+                 counter=ConfigurableCounter(20.0))
+        u.create_ui("m1")
+        older = u.unseal_state("rstate")
+        u.verify_ui(usigs[1].create_ui("x"), "x")
+        u.create_ui("m2")
+        with pytest.raises(EnclaveAbort, match="does not need restoration"):
+            u.tee_restore(older)
+        assert (u.counter_value, u.last_seen) == (2, {1: 1})
+        with pytest.raises(EnclaveAbort, match="does not need restoration"):
+            u.tee_restore(None)
+
     def test_counter_write_cost_charged(self, world):
         pairs, ring, _ = world
         u = Usig(node_id=0, private_key=pairs[0].private, keyring=ring,
