@@ -137,14 +137,17 @@ bench:
 # The call profiler runs once too, so that it cannot rot.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
-	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke > /dev/null
+	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
+		> /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event
 # and the top 40 functions by call count; OF='len|leader_of' adds who
-# calls the functions matching the pattern.
+# calls the functions matching the pattern, BY=file the calls summed per
+# source file (C calls charged to the calling file).
 calls:
-	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)')
+	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)') \
+		$(if $(BY),--by-$(BY))
 
 # The full performance ledger (all eight workloads, both passes, ~6 min),
 # and the same-seed comparison of two of them: any moved sim_* value or

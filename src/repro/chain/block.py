@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
-from repro.crypto.hashing import GENESIS_HASH, digest_of
+from repro.crypto.hashing import GENESIS_HASH, cached_property, digest_of
 from repro.chain.transaction import Transaction
 from repro.net.message import HASH_BYTES
 

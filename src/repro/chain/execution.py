@@ -89,6 +89,10 @@ class KVStateMachine:
         # ``_state`` by :meth:`_put` so the root hashes this machine's own
         # materialized state without re-encoding every key per commit.
         self._item_bytes: dict[str, bytes] = {}
+        # Canonical encoding of each written key (a pure function of the
+        # key, so it survives snapshot installs), shared by its item bytes
+        # and every history step that writes it.
+        self._key_bytes: dict[str, bytes] = {}
         # Rolling digest over every effect ever applied, in order — the
         # history-sensitive half of the root.
         self._history: str = digest_of("kv-history")
@@ -127,33 +131,66 @@ class KVStateMachine:
         self._item_bytes[key] = b"l2:s%d:%ss%d:%s" % (len(kb), kb, len(vb), vb)
 
     def apply(self, tx: Transaction) -> None:
-        """Apply one transaction."""
-        parts = tx.payload.split(" ", 2)
-        is_set = len(parts) == 3 and parts[0] == "SET"
-        key, value = parts[1:] if is_set else (str(tx.key), tx.payload)
-        kb = key.encode()
-        vb = value.encode()
-        vlen = len(vb)
-        # Inlined digest_of(history, (kind, key, value)) and, for a write,
-        # inlined _put: the two encodings share their (key, value) tail.
-        # tests/property/test_batch_encoders.py pins both to digest_of.
-        pair = b"s%d:%ss%d:%s" % (len(kb), kb, vlen, vb)
-        if is_set:
-            if not key or vlen > MAX_VALUE_BYTES:
-                validate_write(key, value)
-            self._state[key] = value
-            self._item_bytes[key] = b"l2:" + pair
-        self._history = hashlib.sha256(b"s64:%sl3:%s%s" % (
-            self._history.encode(),
-            b"s3:SET" if is_set else b"s6:OPAQUE", pair)).hexdigest()
-        self.applied += 1
-        self._root = None
+        """Apply one transaction (the one-element form of the batch)."""
+        self._execute((tx,))
 
     def apply_batch(self, txs: Iterable[Transaction]) -> str:
         """Apply a batch; returns the resulting state root."""
-        for tx in txs:
-            self.apply(tx)
+        self._execute(txs)
         return self.state_root
+
+    #: Payload kinds (first word, followed by a space) that a subclass
+    #: executes itself, in log order, through ``_route(tx, parts)``.
+    _ROUTED: frozenset = frozenset()
+
+    def _execute(self, txs: Iterable[Transaction]) -> None:
+        """The one apply loop: fold each effect into the history in order.
+
+        Inlined digest_of(history, (kind, key, value)) and, for a write,
+        the item bytes: the two encodings share their (key, value) tail,
+        and a key's half of it is memoised, so a ``SET`` costs its split,
+        the value's encode and len, and the hash.  The history stays bytes
+        until the loop ends (or a routed entry reads it); the ``finally``
+        keeps every effect applied before a rejected write.
+        tests/property/test_batch_encoders.py pins both to digest_of.
+        """
+        state, items, memo = self._state, self._item_bytes, self._key_bytes
+        routed, sha = self._ROUTED, hashlib.sha256
+        history, applied = self._history.encode(), self.applied
+        try:
+            for tx in txs:
+                parts = tx.payload.split(" ", 2)
+                if parts[0] == "SET" and parts[2:]:
+                    key, value = parts[1], parts[2]
+                    vb = value.encode()
+                    vlen = len(vb)
+                    if vlen > MAX_VALUE_BYTES:
+                        validate_write(key, value)
+                    try:
+                        kenc = memo[key]
+                    except KeyError:
+                        validate_write(key, value)
+                        kb = key.encode()
+                        kenc = memo[key] = b"s%d:%s" % (len(kb), kb)
+                    venc = b"s%d:%s" % (vlen, vb)
+                    state[key] = value
+                    items[key] = b"l2:%s%s" % (kenc, venc)
+                    history = sha(b"s64:%sl3:s3:SET%s%s" % (
+                        history, kenc, venc)).hexdigest().encode()
+                elif parts[0] in routed and parts[1:]:
+                    self._history, self.applied = history.decode(), applied
+                    self._route(tx, parts)
+                    history, applied = self._history.encode(), self.applied
+                    continue
+                else:
+                    kb = str(tx.key).encode()
+                    vb = tx.payload.encode()
+                    history = sha(b"s64:%sl3:s6:OPAQUEs%d:%ss%d:%s" % (
+                        history, len(kb), kb, len(vb), vb)).hexdigest().encode()
+                applied += 1
+        finally:
+            self._history, self.applied = history.decode(), applied
+            self._root = None
 
     def items_in_range(self, lo: int, hi: int) -> "tuple[tuple[str, str], ...]":
         """The items whose :func:`key_point` falls in ``[lo, hi)``, sorted.

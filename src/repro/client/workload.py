@@ -9,8 +9,7 @@ the first communication step.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import Optional
 
 from repro.chain.transaction import Transaction
 from repro.sim.loop import Simulator
@@ -85,12 +84,24 @@ class QueueSource:
     unbounded behavior — the golden-digest suite pins this.  Every method
     and counter first pulls what an attached :class:`ArrivalStream` has
     delivered by now.
+
+    The queue is a list read behind a cursor: ``take`` slices from
+    ``_head`` and the taken prefix is deleted once the queue drains or the
+    cursor passes :data:`COMPACT_AT`, so neither end costs a call per
+    transaction.  ``take``, ``pending`` and ``submit``, the reads a
+    replica makes per block or per request, test for a stream in line
+    rather than calling :meth:`catch_up`.
     """
+
+    #: Cursor position past which ``take`` deletes the taken prefix even
+    #: though the queue has not drained (bounds what a backlog holds).
+    COMPACT_AT = 1024
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None = unbounded)")
-        self._queue: Deque[Transaction] = deque()
+        self._queue: list[Transaction] = []
+        self._head = 0
         self._seen: set[tuple[int, int]] = set()
         self.capacity = capacity
         self._arrivals: Optional[ArrivalStream] = None
@@ -102,14 +113,33 @@ class QueueSource:
         if self._arrivals is not None:
             self._arrivals.catch_up()
 
-    def _admit(self, txs) -> int:
-        """Pass ``txs`` through the door in order; how many got in."""
+    def _admit(self, txs: list) -> int:
+        """Pass a landed batch through the door in order; how many got in.
+
+        The whole batch is checked at once: distinct keys, none seen
+        before, room for all of it.  Otherwise each transaction goes
+        through :meth:`_admit_each`, so drops and order are the same.
+        """
+        keys = {tx.key for tx in txs}
+        count, capacity = len(txs), self.capacity
+        if len(keys) == count and self._seen.isdisjoint(keys) and (
+                capacity is None
+                or len(self._queue) - self._head + count <= capacity):
+            self._seen |= keys
+            self._queue += txs
+            self._submitted += count
+            return count
+        return self._admit_each(txs)
+
+    def _admit_each(self, txs) -> int:
+        """Pass ``txs`` through the door one by one; how many got in."""
         queue, seen, drops = self._queue, self._seen, self._drops
         capacity, admitted = self.capacity, 0
         for tx in txs:
             if tx.key in seen:
                 drops[DROP_DUPLICATE] = drops.get(DROP_DUPLICATE, 0) + 1
-            elif capacity is not None and len(queue) >= capacity:
+            elif capacity is not None and \
+                    len(queue) - self._head >= capacity:
                 drops[DROP_OVERFLOW] = drops.get(DROP_OVERFLOW, 0) + 1
             else:
                 seen.add(tx.key)
@@ -120,8 +150,9 @@ class QueueSource:
 
     def submit(self, tx: Transaction) -> bool:
         """Add a transaction; returns False for duplicates/overflow."""
-        self.catch_up()
-        return self._admit((tx,)) == 1
+        if self._arrivals is not None:
+            self._arrivals.catch_up()
+        return self._admit_each((tx,)) == 1
 
     submitted = caught_up("_submitted", "Transactions admitted so far.")
     drops = caught_up("_drops", "Refused submissions by reason (DROP_*).")
@@ -135,10 +166,19 @@ class QueueSource:
 
     def take(self, count: int, now: float) -> list[Transaction]:
         """Pop up to ``count`` transactions."""
-        self.catch_up()
-        queue = self._queue
-        pop = queue.popleft
-        return [pop() for _ in range(min(count, len(queue)))]
+        if self._arrivals is not None:
+            self._arrivals.catch_up()
+        queue, head = self._queue, self._head
+        end = head + count if count > 0 else head
+        taken = queue[head:end]
+        if end >= len(queue):
+            del queue[:]
+            end = 0
+        elif end >= self.COMPACT_AT:
+            del queue[:end]
+            end = 0
+        self._head = end
+        return taken
 
     def requeue(self, txs) -> None:
         """Put transactions back at the head (a proposal failed).
@@ -149,7 +189,8 @@ class QueueSource:
         the door only.
         """
         self.catch_up()
-        self._queue.extendleft(reversed(list(txs)))
+        head = self._head
+        self._queue[head:head] = txs
 
     def reset(self) -> None:
         """Wipe the mempool — it is volatile state, so a whole-group crash
@@ -160,13 +201,15 @@ class QueueSource:
         resubmit after a wipe: replicas answer those from the durable
         store without re-queueing.)"""
         self.catch_up()
-        self._queue.clear()
+        del self._queue[:]
+        self._head = 0
         self._seen.clear()
 
     def pending(self) -> int:
         """Transactions currently queued."""
-        self.catch_up()
-        return len(self._queue)
+        if self._arrivals is not None:
+            self._arrivals.catch_up()
+        return len(self._queue) - self._head
 
 
 _NEVER = float("inf")  # `_next_at` while not emitting (idle, paused, stopped)
@@ -185,8 +228,8 @@ class ArrivalStream:
     that a rate change, which catches up first, cannot reach requests
     already on the hop.  Only one arrival is ever drawn ahead.  A subclass
     supplies ``_arm()`` (place ``_next_at`` on starting) and
-    ``_emit_through(now)`` (mint every arrival due by ``now`` into
-    ``_in_flight``, leave ``_next_at`` beyond it).
+    ``_emit_through(now)`` (mint every arrival due by ``now`` onto the
+    ``_in_flight`` list, leave ``_next_at`` beyond it).
     """
 
     def __init__(self, sim: Simulator, source: QueueSource,
@@ -194,7 +237,7 @@ class ArrivalStream:
         self.sim = sim
         self.source = source
         self.client_one_way_ms = client_one_way_ms
-        self._in_flight: Deque[Transaction] = deque()
+        self._in_flight: list[Transaction] = []
         self._next_at = _NEVER
         self._running = False
         self._accepted = 0
@@ -216,14 +259,15 @@ class ArrivalStream:
         now = self.sim.now
         if self._next_at <= now:
             self._emit_through(now)
-        hop, due = self.client_one_way_ms, 0
-        for tx in self._in_flight:
+        in_flight, hop, due = self._in_flight, self.client_one_way_ms, 0
+        for tx in in_flight:
             if tx.created_at + hop > now:
                 break
             due += 1
         if due:
-            pop = self._in_flight.popleft
-            self._accepted += self.source._admit([pop() for _ in range(due)])
+            landed = in_flight[:due]
+            del in_flight[:due]
+            self._accepted += self.source._admit(landed)
 
 
 class OpenLoopGenerator(ArrivalStream):
@@ -276,7 +320,8 @@ class OpenLoopGenerator(ArrivalStream):
                 self._rng.expovariate(self._rate_tps / 1000.0)
 
     def _emit_through(self, now: float) -> None:
-        # Per arrival: one constructor, one gap draw, one append.
+        # Per arrival: the constructor, the gap draw (expovariate: random,
+        # log) and the append -- five calls.
         at, seq = self._next_at, self._next_id
         clients, keys, size = self.client_count, self.kv_keys, self.payload_size
         mean_rate = self._rate_tps / 1000.0

@@ -97,7 +97,35 @@ def digest_of(*parts: Any) -> str:
         for p in parts])).hexdigest()
 
 
+class cached_property:
+    """A memoized attribute of an immutable object, computed at first read.
+
+    What :func:`functools.cached_property` does, without the lock it takes
+    on every first access (Python 3.11: six calls where two suffice):
+    the first read calls ``__get__`` and the function and stores the
+    value in the instance ``__dict__``, which later reads find before
+    this non-data descriptor, at no call at all.  Blocks, signatures,
+    statements and keys use it; they are immutable and never shared
+    across threads, so a racing second computation could only store the
+    same value.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Any = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 #: Hash of the hard-coded genesis block (paper Sec. 4.2).
 GENESIS_HASH = sha256_hex(b"repro/achilles/genesis")
 
-__all__ = ["sha256_hex", "digest_of", "GENESIS_HASH"]
+__all__ = ["sha256_hex", "digest_of", "cached_property", "GENESIS_HASH"]

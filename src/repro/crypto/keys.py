@@ -13,9 +13,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterable
 
+from repro.crypto.hashing import cached_property
 from repro.errors import CryptoError
 
 

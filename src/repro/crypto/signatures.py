@@ -15,10 +15,9 @@ transition (modelled in :mod:`repro.tee.enclave`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import ClassVar, Iterable, Optional
 
-from repro.crypto.hashing import digest_of
+from repro.crypto.hashing import cached_property, digest_of
 from repro.crypto.keys import Keyring, PrivateKey
 from repro.errors import InvalidSignature
 

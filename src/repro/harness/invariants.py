@@ -65,7 +65,7 @@ every violation message.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -110,12 +110,15 @@ class InvariantMonitor:
         self._canonical: dict[int, tuple[str, int]] = {}
         # node -> height of its latest commit
         self._tip_height: dict[int, int] = {}
+        # Per-node containers on_commit fills are defaultdicts: a
+        # subscript, not a setdefault call, per block and node.
         # node -> hashes of every block it committed (no-duplicate-commit)
-        self._committed_hashes: dict[int, set[str]] = {}
+        self._committed_hashes: dict[int, set[str]] = defaultdict(set)
         # node -> (tx key -> block hash it was applied in) (exactly-once)
-        self._applied_txs: dict[int, dict[tuple, str]] = {}
+        self._applied_txs: dict[int, dict[tuple, str]] = defaultdict(dict)
         # node -> committed blocks not yet covered by a certificate
-        self._uncovered: dict[int, deque[tuple[int, str]]] = {}
+        self._uncovered: dict[int, deque[tuple[int, str]]] = \
+            defaultdict(deque)
         # nodes that ever reported a certificate (certified-commit applies)
         self._certifying_nodes: set[int] = set()
         # (node, epoch) -> last trusted view number seen
@@ -230,7 +233,7 @@ class InvariantMonitor:
             )
         self._tip_height[node] = height
 
-        committed = self._committed_hashes.setdefault(node, set())
+        committed = self._committed_hashes[node]
         if block_hash in committed:
             self._violate(
                 "no-duplicate-commit", node,
@@ -239,19 +242,27 @@ class InvariantMonitor:
             )
         committed.add(block_hash)
 
-        applied = self._applied_txs.setdefault(node, {})
-        for tx in block.txs:
-            earlier = applied.get(tx.key)
-            if earlier is not None:
-                self._violate(
-                    "exactly-once-apply", node,
-                    f"tx {tx.key} applied twice: in block {earlier[:12]} "
-                    f"and again in {block_hash[:12]} (height {height})",
-                )
-            else:
-                applied[tx.key] = block_hash
+        # Exactly-once: one set test per block; the block is walked per
+        # transaction only when a key repeats, in it or in what the node
+        # applied before, so that path alone words the violations.
+        applied = self._applied_txs[node]
+        txs = block.txs
+        fresh = {tx.key: block_hash for tx in txs}
+        if len(fresh) == len(txs) and applied.keys().isdisjoint(fresh):
+            applied.update(fresh)
+        else:
+            for tx in txs:
+                earlier = applied.get(tx.key)
+                if earlier is not None:
+                    self._violate(
+                        "exactly-once-apply", node,
+                        f"tx {tx.key} applied twice: in block {earlier[:12]} "
+                        f"and again in {block_hash[:12]} (height {height})",
+                    )
+                else:
+                    applied[tx.key] = block_hash
 
-        self._uncovered.setdefault(node, deque()).append((height, block_hash))
+        self._uncovered[node].append((height, block_hash))
         if self.inner is not None:
             self.inner.on_commit(node, block, now)
 
@@ -272,7 +283,7 @@ class InvariantMonitor:
                 f"{canonical[0][:12]} there",
             )
         self._tip_height[node] = block.height
-        self._committed_hashes.setdefault(node, set()).add(block.hash)
+        self._committed_hashes[node].add(block.hash)
         inner = getattr(self.inner, "on_state_transfer", None)
         if inner is not None:
             inner(node, block, now)

@@ -166,12 +166,10 @@ class ShardStateMachine(KVStateMachine):
         for key in [k for k, holder in self.locks.items() if holder == txid]:
             del self.locks[key]
 
-    def apply(self, tx: Transaction) -> None:
-        payload = tx.payload
-        if not payload.startswith(("TPREP ", "TCMT ", "TABT ", "TDEC ")):
-            super().apply(tx)
-            return
-        parts = payload.split(" ", 2)
+    _ROUTED = frozenset(("TPREP", "TCMT", "TABT", "TDEC"))
+
+    def _route(self, tx: Transaction, parts: "list[str]") -> None:
+        """Execute one 2PC entry where the apply loop meets it in the log."""
         kind, txid = parts[0], parts[1]
         if kind == "TPREP":
             outcome = self._apply_prepare(txid, parts)

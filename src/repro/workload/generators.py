@@ -14,6 +14,12 @@ tear down or replay.  Gaps are drawn from the *instantaneous* rate — the
 standard stepwise approximation for non-homogeneous processes; at the
 millisecond gaps we run, the error at a rate step is one inter-arrival
 time.
+
+The engine's ``next_gap_ms`` / ``next_client`` / ``next_key_rank`` are
+the per-arrival definition (and the oracle the property tests run the
+stream against); :class:`TrafficGenerator` makes the same draws from the
+spec compiled into segments once (:meth:`WorkloadSpec.segments`), so an
+arrival asks the spec nothing.
 """
 
 from __future__ import annotations
@@ -127,6 +133,9 @@ class TrafficGenerator(ArrivalStream):
         self._record = record
         self._seq = 0
         self._probing = False
+        # The spec's segments, then an end marker no instant reaches.
+        self._segments = spec.segments() + ((math.inf, 0.0, (), 0),)
+        self._segment = 0
 
     engine = caught_up("_engine", "The draw engine, its counters current.")
     record = caught_up("_record", "The (time_ms, client, rank) triples so far.")
@@ -138,24 +147,60 @@ class TrafficGenerator(ArrivalStream):
         self._next_at, self._probing = self.sim.now, True
 
     def _emit_through(self, now: float) -> None:
-        engine, record, size = self._engine, self._record, self.spec.payload_size
+        # ArrivalEngine's three draws in line, over the compiled segments:
+        # per arrival only the RNG draws, one sin, one log, the
+        # constructor and the append make calls.  Float for float the
+        # engine's arithmetic: base share, x diurnal, x each boost.
+        engine, spec, record = self._engine, self.spec, self._record
+        rng, cdf = engine.rng, engine._zipf_cdf
+        randrange, uniform = rng.randrange, rng.random
+        poisson, shift = spec.arrival == "poisson", engine._lognormal_shift
+        sigma, size = spec.lognormal_sigma, spec.payload_size
+        amplitude, period = spec.diurnal_amplitude, spec.diurnal_period_ms
+        two_pi, sin, log = 2.0 * math.pi, math.sin, math.log
         fly = self._in_flight.append
+        segments, index = self._segments, self._segment
+        _, share, boosts, population = segments[index]
+        bound = segments[index + 1][0]
+        flashed, turns = engine.flash_arrivals, engine.churn_transitions
+        last_population = engine._last_population
         at, probing, seq = self._next_at, self._probing, self._seq
         while at <= now:
+            while at >= bound:
+                index += 1
+                _, share, boosts, population = segments[index]
+                bound = segments[index + 1][0]
             if not probing:
-                client = engine.next_client(at)
-                rank = engine.next_key_rank(at)
+                if population != last_population:
+                    turns += 1
+                    last_population = population
+                client = randrange(population)
+                if boosts:
+                    flashed += 1
+                rank = bisect_left(cdf, uniform()) if cdf else -1
                 seq += 1
                 fly(Transaction(client, seq,
                                 f"SET k{rank} v{seq}" if rank >= 0 else "",
                                 size, at))
                 if record is not None:
                     record.append((at, client, rank))
-            # Negative: the rate is ~0, probe later with no client/key draw.
-            gap = engine.next_gap_ms(at)
-            probing = gap < 0
-            at = at + (-gap if probing else gap)
+            rate = share
+            if amplitude:
+                rate *= 1.0 + amplitude * sin(two_pi * at / period)
+            for boost in boosts:
+                rate *= boost
+            # ~0: probe later with no client/key draw.
+            probing = rate <= _MIN_RATE_TPS
+            if probing:
+                at = at + _IDLE_PROBE_MS
+            elif poisson:
+                at = at + rng.expovariate(1.0 / (1000.0 / rate))
+            else:
+                at = at + rng.lognormvariate(log(1000.0 / rate) - shift, sigma)
         self._next_at, self._probing, self._seq = at, probing, seq
+        self._segment = index
+        engine.flash_arrivals, engine.churn_transitions = flashed, turns
+        engine._last_population = last_population
 
 
 __all__ = ["ArrivalEngine", "TrafficGenerator"]

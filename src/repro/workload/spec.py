@@ -131,6 +131,31 @@ class WorkloadSpec:
         if times != sorted(times):
             raise ValueError("churn events must be sorted by at_ms")
 
+    def segments(self) -> "tuple[tuple[float, float, tuple[float, ...], int], ...]":
+        """The churn steps and flash windows compiled into segments.
+
+        One ``(start_ms, share, boosts, population)`` per instant from
+        which the population and the set of active flash windows hold
+        until the next segment starts (the first starts at ``-inf``):
+        ``share`` is ``base_rate_tps`` times the population fraction, as
+        :meth:`rate_at` computes it, and ``boosts`` are the active
+        multipliers in spec order.  Each segment is evaluated with
+        :meth:`population_at` and :meth:`FlashCrowd.active_at` at its
+        start, so on ``[start, next start)`` it equals them.
+        """
+        starts = {event.at_ms for event in self.churn}
+        for crowd in self.flash_crowds:
+            starts.update((crowd.at_ms, crowd.end_ms))
+        segments = []
+        for start in [-math.inf] + sorted(starts):
+            population = self.population_at(start)
+            segments.append((
+                start, self.base_rate_tps * (population / self.clients),
+                tuple(crowd.multiplier for crowd in self.flash_crowds
+                      if crowd.active_at(start)),
+                population))
+        return tuple(segments)
+
     def population_at(self, now_ms: float) -> int:
         """Active client population at ``now_ms`` (steps at churn events)."""
         population = self.clients

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.transaction import Transaction
@@ -198,19 +199,27 @@ class Side:
 
 
 def assert_indistinguishable(oracle: Side, stream: Side, script, extra,
-                             change_rate=None) -> None:
+                             change_rate=None) -> int:
+    """Play ``script`` on both sides; how many ``take`` s compacted the
+    stream's queue (moved its cursor back to 0 with work still queued)."""
+    compactions = 0
     for index, (advance_ms, action, amount) in enumerate(script):
         expected = oracle.act(advance_ms, action, amount, change_rate)
+        head = stream.queue._head
         actual = stream.act(advance_ms, action, amount, change_rate)
         assert actual == expected, f"observation {index} ({action})"
         assert extra(stream.generator) == extra(oracle.generator), \
             f"observation {index} ({action})"
+        if action == "take" and stream.queue._head == 0 and actual[-4] \
+                and head + len(actual[1]) >= QueueSource.COMPACT_AT:
+            compactions += 1
     # Whatever is still on the client hop lands the same way.
     for side in (oracle, stream):
         side.sim.run(until=side.sim.now + 30.0)
     assert stream.queue.take(10_000, 0.0) == oracle.queue.take(10_000, 0.0)
     assert stream.queue.submitted == oracle.queue.submitted
     assert stream.queue.drops == oracle.queue.drops
+    return compactions
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,3 +277,93 @@ def test_traffic_stream_equals_event_per_arrival(
         Side(seed, capacity, build(EventTrafficGenerator)),
         Side(seed, capacity, build(TrafficGenerator)),
         script, extra=extra, change_rate=lambda generator, amount: None)
+
+
+# ----------------------------------------------------------------------
+# Shapes the random scripts above cannot reach: the mempool is a list
+# read behind a take cursor that compacts past QueueSource.COMPACT_AT, and
+# a landed batch is admitted whole unless it overlaps the dedup set,
+# repeats a key or crosses capacity.
+# ----------------------------------------------------------------------
+def open_loop(rate: float):
+    return lambda cls: lambda sim, queue: cls(
+        sim, queue, rate_tps=rate, payload_size=64, client_one_way_ms=0.05)
+
+
+def traffic(rate: float):
+    spec = WorkloadSpec(base_rate_tps=rate, arrival="lognormal", clients=1000,
+                        churn=(ChurnEvent(30.0, 300),),
+                        flash_crowds=(FlashCrowd(20.0, 40.0, 3.0),),
+                        key_space=32, client_one_way_ms=0.05)
+    return lambda cls: lambda sim, queue: cls(sim, queue, spec,
+                                              rng_tag="soak", record=[])
+
+
+def open_loop_extra(generator):
+    return (generator.rate_tps, generator._next_id)
+
+
+def traffic_extra(generator):
+    engine = generator.engine
+    return (generator.emitted, generator.accepted, engine.flash_arrivals,
+            engine.churn_transitions, list(generator.record))
+
+
+GENERATORS = {
+    "open-loop": (open_loop, EventOpenLoopGenerator, OpenLoopGenerator,
+                  open_loop_extra),
+    "traffic": (traffic, EventTrafficGenerator, TrafficGenerator,
+                traffic_extra),
+}
+
+#: ~2 400 arrivals land in one batch, then takes of 100 walk the cursor
+#: past COMPACT_AT while ~1 000 stay queued; a requeue and more takes
+#: follow the compaction, then a second backlog builds and drains.
+DEEP_BACKLOG = ([(80.0, "take", 100)] + [(0.01, "take", 100)] * 13
+                + [(0.01, "requeue", 60), (0.01, "take", 70),
+                   (0.01, "requeue", 70), (0.01, "pending", 1)]
+                + [(0.01, "take", 100)] * 4
+                + [(60.0, "take", 120)] + [(0.01, "take", 120)] * 10
+                + [(0.01, "requeue", 120), (0.01, "take", 5000)])
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_take_cursor_compaction_equals_event_per_arrival(kind, seed):
+    shape, oracle, stream, extra = GENERATORS[kind]
+    build = shape(30_000.0)
+    compactions = assert_indistinguishable(
+        Side(seed, None, build(oracle)), Side(seed, None, build(stream)),
+        DEEP_BACKLOG, extra=extra)
+    assert compactions >= 1
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("capacity", [1, 700, 1500])
+def test_one_landed_batch_straddling_capacity(kind, capacity):
+    # ~1 500 arrivals land at once into a queue with room for part of
+    # them: admission falls back to one by one and drops the tail.
+    shape, oracle, stream, extra = GENERATORS[kind]
+    build = shape(30_000.0)
+    script = [(10.0, "take", 200), (50.0, "pending", 1), (0.01, "take", 900),
+              (30.0, "take", 50), (0.01, "reset", 1), (40.0, "take", 5000)]
+    side = Side(4, capacity, build(stream))
+    assert_indistinguishable(Side(4, capacity, build(oracle)), side, script,
+                             extra=extra)
+    assert side.queue.dropped("overflow") > 0
+
+
+@pytest.mark.parametrize("capacity", [None, 400])
+def test_a_landed_batch_holding_an_already_seen_key(capacity):
+    # "early" claims a key the open-loop generator is about to use; the
+    # batch that later lands with it must refuse exactly that arrival.
+    build = open_loop(20_000.0)
+    script = [(1.0, "take", 10), (0.01, "early", 30), (0.01, "early", 200),
+              (30.0, "pending", 1), (0.01, "take", 300),
+              (0.01, "duplicate", 1), (0.01, "early", 5), (20.0, "take", 50),
+              (0.01, "early", 1), (0.5, "take", 5000)]
+    side = Side(5, capacity, build(OpenLoopGenerator))
+    assert_indistinguishable(Side(5, capacity, build(EventOpenLoopGenerator)),
+                             side, script, extra=open_loop_extra)
+    # Four claimed keys land and are refused, and one retransmission.
+    assert side.queue.duplicates_dropped == 5

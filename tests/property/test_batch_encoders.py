@@ -5,6 +5,9 @@ history step, ``state_root`` and ``digest_of``'s flat fast path each build
 their canonical bytes in line instead of walking ``_encode_into`` per item.
 The encoding is frozen (``tests/unit/test_crypto.py`` pins its bytes), so
 every one of them is held here to the generic formulation it replaced.
+The apply loop keeps the history as bytes and routes 2PC entries mid-batch,
+so a ``ShardStateMachine`` batch is held to applying it one transaction at
+a time and to the ``digest_of`` fold of every effect in log order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.chain.execution import (MAX_VALUE_BYTES, KVStateMachine,
                                    compute_state_root, execute_transactions)
 from repro.chain.transaction import Transaction
 from repro.crypto.hashing import _canonical, digest_of
+from repro.shard.machine import ShardStateMachine
 
 #: Payload shapes the encoders branch on: arbitrary unicode, empty, a
 #: plain write, embedded spaces (the value keeps them), a multi-byte value
@@ -105,6 +109,52 @@ class TestBatchEncoders:
         expected = hashlib.sha256(
             b"".join(_canonical(p) for p in parts)).hexdigest()
         assert digest_of(*parts) == expected
+
+
+#: Log entries a shard orders: 2PC phases over a few txids and keys (so
+#: locks conflict, commits follow aborts, decisions repeat) between plain
+#: writes to the same keys and opaque payloads.
+txids = st.sampled_from(["t1", "t2", "t3"])
+shard_keys = st.sampled_from(["a", "b", "c"])
+shard_entries = st.one_of(
+    st.builds("TPREP {} {}={}".format, txids, shard_keys,
+              st.sampled_from(["1", "2"])),
+    st.builds("TPREP {} {}=1&{}=2".format, txids, shard_keys, shard_keys),
+    st.builds("TCMT {}".format, txids),
+    st.builds("TABT {}".format, txids),
+    st.builds("TDEC {} {}".format, txids, st.sampled_from(["commit", "abort"])),
+    st.builds("SET {} {}".format, shard_keys, st.sampled_from(["x", "y z"])),
+    st.sampled_from(["", "opaque", "TPREP", "TCMT"]),
+)
+
+
+class TestShardBatch:
+    @given(st.lists(shard_entries, max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_2pc_batch_equals_one_at_a_time(self, payloads):
+        txs = [Transaction(1, i, p) for i, p in enumerate(payloads)]
+        batch, single = ShardStateMachine(), ShardStateMachine()
+        batch.apply_batch(txs)
+        for tx in txs:
+            single.apply(tx)
+        history = digest_of("kv-history")
+        for tx in txs:
+            kind, space, rest = tx.payload.partition(" ")
+            if kind in ("TPREP", "TCMT", "TABT", "TDEC") and space:
+                effect = (kind, rest.split(" ")[0],
+                          batch.reply_outcome(tx.key))
+            else:
+                effect = reference_effect(tx)
+            history = digest_of(history, effect)
+        for machine in (batch, single):
+            assert machine._history == history
+            assert machine.applied == len(txs)
+        assert batch.state_root == single.state_root
+        assert batch._outcomes == single._outcomes
+        assert batch.locks == single.locks
+        assert {t: e.status for t, e in batch.txns.items()} == \
+            {t: e.status for t, e in single.txns.items()}
+        assert [batch.get(k) for k in "abc"] == [single.get(k) for k in "abc"]
 
 
 class TestStateRootFromOwnState:

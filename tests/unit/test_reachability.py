@@ -61,6 +61,11 @@ TEST_ONLY_CALLABLES = {
     "idle_at": "tests/unit/test_sim_process_cpu.py",
     "indices": "tests/unit/test_config_metrics_workload.py",
     "is_genesis": "tests/integration/test_checkpointing.py",
+    # ArrivalEngine's per-arrival draws: the definition TrafficGenerator's
+    # compiled loop is held to, run as its oracle.
+    "next_client": "tests/property/test_arrival_stream.py",
+    "next_gap_ms": "tests/property/test_arrival_stream.py",
+    "next_key_rank": "tests/property/test_arrival_stream.py",
     "of_kind": "tests/unit/test_sim_process_cpu.py",
     "pending_for": "tests/unit/test_shard_router.py",
     "public_key": "tests/unit/test_crypto.py",
@@ -77,7 +82,7 @@ TEST_ONLY_CALLABLES = {
     "version_count": "tests/unit/test_storage.py",
 }
 #: Lower it when an entry goes; raising it is keeping code for a test.
-TEST_ONLY_CEILING = 31
+TEST_ONLY_CEILING = 34
 
 
 def _modules(src: pathlib.Path) -> dict:
