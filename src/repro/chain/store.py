@@ -78,7 +78,7 @@ class BlockStore:
             # unvalidated: this block's height is derived, not anchored.
             self._orphans.setdefault(block.parent_hash, []).append(block.hash)
             self._provisional.add(block.hash)
-        elif parent is not None:
+        elif parent is not None and block.hash in self._orphans:
             self._validate_orphans_of(block)
 
     def _validate_orphans_of(self, parent: Block) -> None:
@@ -184,16 +184,27 @@ class BlockStore:
         :class:`ChainError` if ``block`` does not extend the committed tip —
         that would be a safety violation and tests rely on it being loud.
         """
-        if block.hash in self._committed_hashes:
+        committed = self._committed_hashes
+        if block.hash in committed:
             return []
-        if not self.has_full_ancestry(block):
+        # One parent walk collects the uncommitted path and proves it is
+        # anchored: at a committed block, or at genesis (height 0).
+        blocks = self._blocks
+        path = [block]
+        anchored = block.height == 0
+        parent = blocks.get(block.parent_hash)
+        while parent is not None:
+            if parent.hash in committed:
+                anchored = True
+                break
+            path.append(parent)
+            if parent.height == 0:
+                anchored = True
+                break
+            parent = blocks.get(parent.parent_hash)
+        if not anchored:
             raise ChainError(f"cannot commit {block}: ancestry incomplete")
         tip = self._committed[-1]
-        path = [block]
-        for ancestor in self.ancestors(block):
-            if ancestor.hash in self._committed_hashes:
-                break
-            path.append(ancestor)
         path.reverse()
         if path[0].parent_hash != tip.hash:
             raise ChainError(

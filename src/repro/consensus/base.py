@@ -287,10 +287,19 @@ class ReplicaBase(Process):
             return
         sim = self.sim
         now = sim.now
-        ready = self.cpu.account(
-            now, self.config.costs.recv_cost(envelope.size))
-        sim.queue.push_fast(ready if ready > now else now, self._dispatch,
-                            (envelope, now, self.epoch))
+        # The receive cost (fixed, plus deserialization per KB), reserved
+        # on the CPU as CpuModel.account does.
+        costs = self.config.costs
+        cost = costs.msg_recv_ms \
+            + costs.deserialize_per_kb_ms * (envelope.size / 1024.0)
+        if cost < 0:
+            raise ValueError(f"negative CPU cost: {cost}")
+        cpu = self.cpu
+        busy = cpu.busy_until
+        ready = (busy if busy > now else now) + cost
+        cpu.busy_until = ready
+        cpu.total_busy += cost
+        sim.queue.push_fast(ready, self._dispatch, (envelope, now, self.epoch))
 
     def _dispatch(self, envelope: Envelope, arrival: float,
                   epoch: int) -> None:

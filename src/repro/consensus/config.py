@@ -42,10 +42,6 @@ class NodeCosts:
     #: Mempool/batching bookkeeping per transaction.
     batch_per_tx_ms: float = 0.0002
 
-    def recv_cost(self, size_bytes: int) -> float:
-        """CPU cost of receiving a message of ``size_bytes``."""
-        return self.msg_recv_ms + self.deserialize_per_kb_ms * (size_bytes / 1024.0)
-
     def exec_cost(self, n_txs: int) -> float:
         """CPU cost of executing a batch of ``n_txs`` transactions."""
         return self.exec_per_tx_ms * n_txs

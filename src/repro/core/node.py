@@ -416,7 +416,7 @@ class ChainedTeeNode(ReplicaBase):
         if self.status is not NodeStatus.RUNNING:
             return
         qc = msg.qc
-        if self.store.is_committed(qc.block_hash):
+        if qc.block_hash in self.store._committed_hashes:
             return
         self.charge_verify(len(qc.signatures))
         if not qc.validate(self.keyring, self.config.f + 1):
@@ -434,9 +434,10 @@ class ChainedTeeNode(ReplicaBase):
         """Commit ``block`` on ``qc``; True once it actually committed."""
         if self.status is not NodeStatus.RUNNING:
             return None
-        if self.store.is_committed(block.hash):
+        store = self.store
+        if block.hash in store._committed_hashes:
             return None
-        if not self.store.has_full_ancestry(block):
+        if store.missing_ancestor_hash(block) is not None:
             self.with_full_ancestry(block, lambda b: self._apply_commitment(qc, b))
             return None
         self.commit_block(block)

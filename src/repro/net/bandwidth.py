@@ -26,36 +26,12 @@ class BandwidthModel:
     """FIFO transmit-queue model; tracks when each node's NIC frees up."""
 
     bytes_per_ms: float = GBPS_10_BYTES_PER_MS
+    #: When each node's NIC finishes what it has queued (the last byte of
+    #: a message leaves at its entry here, and propagation starts then).
+    #: ``Network.send_outbox`` does the arithmetic in its loop; a host
+    #: reboot leaves the queue in place.
     _tx_free_at: Dict[int, float] = field(default_factory=dict)
     bytes_sent: Dict[int, int] = field(default_factory=dict)
-
-    def serialize(self, node_id: int, now: float, size_bytes: int) -> float:
-        """Occupy the node's NIC for ``size_bytes``; return completion time.
-
-        The returned time is when the *last byte* leaves the NIC — i.e. the
-        moment propagation delay starts counting for this message.
-        """
-        if self.bytes_per_ms <= 0:
-            return now
-        # Once per message: a node's first send takes the except arm, the
-        # rest cost no call.
-        try:
-            free_at = self._tx_free_at[node_id]
-            self.bytes_sent[node_id] += size_bytes
-        except KeyError:
-            free_at = self._tx_free_at.get(node_id, 0.0)
-            self.bytes_sent[node_id] = self.bytes_sent.get(node_id, 0) + size_bytes
-        finish = (now if now > free_at else free_at) + size_bytes / self.bytes_per_ms
-        self._tx_free_at[node_id] = finish
-        return finish
-
-    def tx_backlog(self, node_id: int, now: float) -> float:
-        """Milliseconds of queued transmit work at ``now``."""
-        return max(0.0, self._tx_free_at.get(node_id, 0.0) - now)
-
-    def reset_node(self, node_id: int) -> None:
-        """Clear a node's queue (used on reboot)."""
-        self._tx_free_at.pop(node_id, None)
 
     @classmethod
     def unlimited(cls) -> "BandwidthModel":

@@ -33,7 +33,7 @@ from repro.errors import NetworkError, SimulationError
 from repro.net.adversary import NetworkAdversary
 from repro.net.bandwidth import BandwidthModel
 from repro.net.faults import LinkFaultModel
-from repro.net.latency import LAN_PROFILE
+from repro.net.latency import LAN_PROFILE, MIN_ONE_WAY_MS, LatencyProfile
 from repro.net.message import Envelope, intern_size
 from repro.net.synchrony import PartialSynchrony
 from repro.net.transport import (
@@ -116,8 +116,11 @@ class Network:
         self._seal_sends = faults is not None and faults.corrupt_possible
         self._rng = sim.fork_rng("network")
         self._obs = sim.obs
-        # Geo-aware profiles expose per-link sampling; flat ones don't.
+        # Geo-aware profiles expose per-link sampling; flat ones don't.  A
+        # Gaussian profile is drawn in the send loop from its (mean, sigma).
         self._sample_link = getattr(latency, "sample_link", None)
+        self._gaussian = (latency.rtt_ms / 2.0, latency.jitter_ms / 2.0) \
+            if type(latency) is LatencyProfile else None
 
     @property
     def transport_engaged(self) -> bool:
@@ -211,13 +214,25 @@ class Network:
         deliver = self._deliver
         stats = self.stats
         by_kind = stats.by_kind
-        verdict = self.adversary.verdict
+        adversary = self.adversary
+        # An idle adversary is not asked: nothing in this loop installs one.
+        verdict = adversary.verdict if (
+            adversary.intercept is not None or adversary.rules
+            or adversary._partitions) else None
         faults = self.faults
-        serialize = self.bandwidth.serialize
+        bandwidth = self.bandwidth
+        bytes_per_ms = bandwidth.bytes_per_ms
+        tx_free_at = bandwidth._tx_free_at
+        nic_bytes = bandwidth.bytes_sent
         sample_link = self._sample_link
         sample = self.latency.sample
-        actual_delay = self.synchrony.actual_delay
+        gaussian = self._gaussian
+        synchrony = self.synchrony
+        # Before GST the synchrony model shapes each delay; after it, Δ caps it.
+        pre_gst = synchrony.actual_delay if now < synchrony.gst_ms else None
+        delta = synchrony.delta_ms
         rng = self._rng
+        gauss = rng.gauss
         obs = self._obs
         seal = self._seal_sends
         channels = self._channels  # empty without a transport
@@ -235,10 +250,13 @@ class Network:
                     continue
                 if channel is not None:
                     channel.stamp(envelope)
-            extra = verdict(src, dst, payload, now)
-            if extra is None:
-                stats.adversary_dropped += 1
-                continue
+            if verdict is None:
+                extra = 0.0
+            else:
+                extra = verdict(src, dst, payload, now)
+                if extra is None:
+                    stats.adversary_dropped += 1
+                    continue
             size = envelope.size
             kind = payload.__class__.__name__
             stats.messages_sent += 1
@@ -251,13 +269,32 @@ class Network:
                 seal_envelope(envelope)
             fate = faults.verdict(src, dst, kind) if faults is not None else None
             # NIC serialization occupies the sender's transmit queue...
-            departure = serialize(src, now, size)
+            if bytes_per_ms > 0:
+                try:
+                    free_at = tx_free_at[src]
+                    nic_bytes[src] += size
+                except KeyError:  # the node's first send
+                    free_at = tx_free_at.get(src, 0.0)
+                    nic_bytes[src] = nic_bytes.get(src, 0) + size
+                departure = (now if now > free_at else free_at) \
+                    + size / bytes_per_ms
+                tx_free_at[src] = departure
+            else:
+                departure = now
             # ...then propagation (+ partial-synchrony shaping + adversary delay).
             if sample_link is not None:
-                nominal = sample_link(src, dst, rng)
+                delay = sample_link(src, dst, rng)
+            elif gaussian is not None:
+                delay = gauss(*gaussian)
+                if delay < MIN_ONE_WAY_MS:
+                    delay = MIN_ONE_WAY_MS
             else:
-                nominal = sample(rng)
-            arrival = departure + actual_delay(src, dst, now, nominal, rng) + extra
+                delay = sample(rng)
+            if pre_gst is not None:
+                delay = pre_gst(src, dst, now, delay, rng)
+            elif delta < delay:
+                delay = delta
+            arrival = departure + delay + extra
 
             if fate is not None and (fate.drop or fate.duplicate
                                      or fate.extra_delay_ms or fate.corrupt):
@@ -300,7 +337,8 @@ class Network:
             return
         channels = self._channels
         channel = channels.get(envelope.dst) if channels else None
-        if not frame_intact(envelope):
+        if envelope.corrupted or (envelope.auth is not None
+                                  and not frame_intact(envelope)):
             # Detected corruption: counted, never delivered, never ACKed —
             # the sender's retransmission (if any) repairs the stream.
             self.stats.corrupt_rejected += 1

@@ -20,6 +20,7 @@ import pytest
 
 from repro.chain.block import create_leaf, genesis_block
 from repro.chain.execution import KVStateMachine
+from repro.chain.store import BlockStore
 from repro.chain.transaction import Transaction
 from repro.client.workload import OpenLoopGenerator, QueueSource
 from repro.consensus.cluster import build_cluster
@@ -61,23 +62,24 @@ OPEN_LOOP_ALLOWANCE = 1.05
 #: ``name: (budget, what the tree before the per-event cuts read)``.  One
 #: more call on the pop, send or deliver chain adds 1.0-2.0.
 CALLS_PER_EVENT = {
-    "achilles": (44.31, 57.42),
-    "achilles-c": (44.28, 57.40),
-    "braft": (35.05, 43.72),
-    "damysus": (50.72, 64.26),
-    "damysus-r": (51.09, 64.93),
-    "flexibft": (31.05, 43.60),
-    "minbft": (46.66, 58.94),
-    "minbft-r": (53.04, 65.72),
-    "oneshot": (53.62, 66.73),
-    "oneshot-r": (52.12, 65.62),
+    "achilles": (37.80, 57.42),
+    "achilles-c": (37.77, 57.40),
+    "braft": (30.42, 43.72),
+    "damysus": (44.27, 64.26),
+    "damysus-r": (45.04, 64.93),
+    "flexibft": (23.26, 43.60),
+    "minbft": (39.24, 58.94),
+    "minbft-r": (45.35, 65.72),
+    "oneshot": (47.22, 66.73),
+    "oneshot-r": (46.32, 65.62),
 }
 
 #: Calls from ``Network.send`` to the end of the receiver's unit of work,
-#: for one message on an idle LAN: the send loop, two simulator events
-#: (arrival, dispatch behind the CPU), a no-op handler and the flush, plus
-#: the ``run`` that drives them.  48 before the per-event cuts.
-DELIVERY_CALLS = 30
+#: for one message on an idle LAN: the send loop (its physics in line),
+#: two simulator events (arrival, dispatch behind the CPU), a no-op
+#: handler and the flush, plus the ``run`` that drives them.  Reads 23;
+#: 30 before the physics moved into the loop, 48 before the per-event cuts.
+DELIVERY_CALLS = 23
 
 
 def profiled(config: dict):
@@ -161,6 +163,26 @@ def test_one_delivery_is_a_bounded_number_of_calls():
 
     deliver_one()   # first use: handler cache, size memo, NIC entry
     assert calls_of(deliver_one) <= DELIVERY_CALLS
+
+
+def test_committing_on_the_tip_is_one_walk():
+    """A commit proves its ancestry and collects its path in one parent
+    walk, which stops at the committed tip: the same calls at any height."""
+    def commit_calls(height: int) -> int:
+        store = BlockStore()
+        parent = store.genesis
+        for view in range(1, height + 1):
+            parent = create_leaf((), "op", parent, view, 0)
+            store.add(parent)
+            store.commit(parent)
+        block = create_leaf((), "op", parent, height + 1, 0)
+        block.hash
+        store.add(block)
+        calls = calls_of(lambda: store.commit(block))
+        assert store.committed_tip is block
+        return calls
+
+    assert commit_calls(10) == commit_calls(1_000)
 
 
 def test_a_memoised_signature_verdict_costs_one_call():

@@ -7,9 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.bandwidth import BandwidthModel
-from repro.net.latency import LatencyProfile
+from repro.net.latency import FixedLatency, LatencyProfile
+from repro.net.message import HEADER_BYTES
+from repro.net.network import Network
 from repro.sim.cpu import CpuModel
 from repro.sim.loop import Simulator
+
+
+class _Sized:
+    """A payload of ``size`` body bytes."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def wire_size(self):
+        return self.size
+
+
+class _Recorder:
+    def __init__(self, sim, arrivals):
+        self.sim, self.arrivals = sim, arrivals
+
+    def deliver(self, envelope):
+        self.arrivals.append(self.sim.now)
 
 
 class TestEventOrderingProperties:
@@ -92,10 +112,15 @@ class TestNetworkModels:
     @settings(max_examples=60)
     def test_nic_serialization_conserves_bytes(self, sizes):
         bw = BandwidthModel(bytes_per_ms=1000.0)
-        last = 0.0
-        for size in sizes:
-            done = bw.serialize(0, now=0.0, size_bytes=size)
-            assert done >= last
-            last = done
-        assert last == pytest.approx(sum(sizes) / 1000.0)
-        assert bw.bytes_sent[0] == sum(sizes)
+        sim = Simulator()
+        net = Network(sim, latency=FixedLatency("f", 1.0), bandwidth=bw)
+        arrivals: list[float] = []
+        net.attach(0, _Recorder(sim, arrivals))
+        net.attach(1, _Recorder(sim, arrivals))
+        wire = [size + HEADER_BYTES for size in sizes]
+        net.send_outbox(0, [(1, _Sized(size)) for size in sizes])
+        sim.run()
+        assert arrivals == sorted(arrivals)       # FIFO on one NIC
+        assert bw._tx_free_at[0] == pytest.approx(sum(wire) / 1000.0)
+        assert arrivals[-1] == pytest.approx(sum(wire) / 1000.0 + 1.0)
+        assert bw.bytes_sent[0] == sum(wire)

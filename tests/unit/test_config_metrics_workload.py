@@ -13,11 +13,15 @@ from repro.client.workload import (
     SaturatedSource,
     make_payload,
 )
+from repro.consensus.cluster import build_cluster
 from repro.consensus.config import NodeCosts, ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
+from repro.core.node import AchillesNode
 from repro.errors import ConfigurationError
 from repro.harness.metrics import LatencyStats, MetricsCollector
 from repro.harness.report import format_table
+from repro.net.latency import LAN_PROFILE
+from repro.net.message import Envelope
 from repro.sim.loop import Simulator
 from repro.sim.process import Process
 
@@ -46,9 +50,15 @@ class TestProtocolConfig:
 
     def test_node_costs(self):
         costs = NodeCosts(msg_recv_ms=0.01, deserialize_per_kb_ms=0.001)
-        assert costs.recv_cost(2048) == pytest.approx(0.012)
         assert costs.exec_cost(100) == pytest.approx(0.05)
-        assert NodeCosts.free().recv_cost(10**6) == 0.0
+        # The receive cost is reserved where a message arrives.
+        for node_costs, size, busy in ((costs, 2048, 0.012),
+                                       (NodeCosts.free(), 10**6, 0.0)):
+            node = build_cluster(
+                AchillesNode, ProtocolConfig.tee_committee(f=1, costs=node_costs),
+                LAN_PROFILE).nodes[0]
+            node.deliver(Envelope(1, 0, "x", size, 0.0))
+            assert node.cpu.total_busy == pytest.approx(busy)
 
 
 class TestLatencyStats:

@@ -10,7 +10,7 @@ from repro.errors import NetworkError
 from repro.net.adversary import LinkRule, NetworkAdversary
 from repro.net.bandwidth import BandwidthModel, GBPS_10_BYTES_PER_MS
 from repro.net.latency import FixedLatency, LAN_PROFILE, WAN_PROFILE, LatencyProfile
-from repro.net.message import Envelope, wire_size
+from repro.net.message import HEADER_BYTES, Envelope, wire_size
 from repro.net.network import Network
 from repro.net.synchrony import PartialSynchrony
 from repro.sim.loop import Simulator
@@ -49,31 +49,57 @@ class TestLatencyProfiles:
         assert fixed.rtt_ms == 6.0
 
 
+class Blob:
+    """A payload whose envelope is exactly ``size`` bytes on the wire."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def wire_size(self):
+        return self.size - HEADER_BYTES
+
+
 class TestBandwidth:
+    """The sender's NIC queue, as the fabric leaves it in the model."""
+
+    def _send(self, bw, sends, at=0.0):
+        sim = Simulator(seed=1)
+        net = Network(sim, latency=FixedLatency("f", 1.0), bandwidth=bw)
+        sinks = [Sink() for _ in range(3)]
+        for node_id, sink in enumerate(sinks):
+            net.attach(node_id, sink)
+        sim.run(until=at)
+        for src, size in sends:
+            net.send(src, 2, Blob(size))
+        return sim, net
+
     def test_serialization_time(self):
         bw = BandwidthModel()
-        done = bw.serialize(0, now=0.0, size_bytes=int(GBPS_10_BYTES_PER_MS))
-        assert done == pytest.approx(1.0)
+        self._send(bw, [(0, int(GBPS_10_BYTES_PER_MS))])
+        assert bw._tx_free_at[0] == pytest.approx(1.0)
 
     def test_fifo_queueing_per_node(self):
         bw = BandwidthModel(bytes_per_ms=100.0)
-        first = bw.serialize(0, now=0.0, size_bytes=100)
-        second = bw.serialize(0, now=0.0, size_bytes=100)
-        other = bw.serialize(1, now=0.0, size_bytes=100)
-        assert first == pytest.approx(1.0)
-        assert second == pytest.approx(2.0)   # queued behind first
-        assert other == pytest.approx(1.0)    # separate NIC
+        self._send(bw, [(0, 100), (0, 100), (1, 100)])
+        assert bw._tx_free_at[0] == pytest.approx(2.0)   # second behind first
+        assert bw._tx_free_at[1] == pytest.approx(1.0)   # separate NIC
+        assert bw.bytes_sent == {0: 200, 1: 100}
 
     def test_backlog_and_reset(self):
         bw = BandwidthModel(bytes_per_ms=100.0)
-        bw.serialize(0, now=0.0, size_bytes=500)
-        assert bw.tx_backlog(0, now=1.0) == pytest.approx(4.0)
-        bw.reset_node(0)
-        assert bw.tx_backlog(0, now=1.0) == 0.0
+        sim, net = self._send(bw, [(0, 500)])
+        assert bw._tx_free_at[0] - 1.0 == pytest.approx(4.0)
+        # A host reboot (detach, re-attach) leaves the NIC queue in place.
+        net.detach(0)
+        net.attach(0, Sink())
+        assert bw._tx_free_at[0] == pytest.approx(5.0)
 
     def test_unlimited(self):
         bw = BandwidthModel.unlimited()
-        assert bw.serialize(0, now=3.0, size_bytes=10**9) == 3.0
+        sim, _net = self._send(bw, [(0, 10**9)], at=3.0)
+        sim.run()
+        assert sim.now == pytest.approx(4.0)              # no NIC time
+        assert bw._tx_free_at == {} and bw.bytes_sent == {}
 
 
 class TestWireSize:
