@@ -14,6 +14,8 @@ the code, not of the machine: the same run makes the same calls everywhere.
 from __future__ import annotations
 
 import cProfile
+import dataclasses
+import statistics
 from dataclasses import dataclass
 
 import pytest
@@ -25,12 +27,19 @@ from repro.chain.transaction import Transaction
 from repro.client.workload import OpenLoopGenerator, QueueSource
 from repro.consensus.cluster import build_cluster
 from repro.consensus.config import ProtocolConfig
-from repro.core.node import AchillesNode
+from repro.core.node import AchillesNode, Decide
 from repro.crypto.hashing import cached_property
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.crypto.signatures import sign, verify
 from repro.harness.invariants import InvariantMonitor
-from repro.harness.runner import PROTOCOLS, resolve_protocol, run_experiment
+from repro.harness.metrics import MetricsCollector
+from repro.harness.runner import (
+    PROTOCOLS,
+    build_deployment,
+    protocol_config,
+    resolve_protocol,
+    run_experiment,
+)
 from repro.net.latency import LAN_PROFILE
 from repro.sim.loop import Simulator
 from repro.workload.generators import TrafficGenerator
@@ -163,6 +172,64 @@ def test_one_delivery_is_a_bounded_number_of_calls():
 
     deliver_one()   # first use: handler cache, size memo, NIC entry
     assert calls_of(deliver_one) <= DELIVERY_CALLS
+
+
+# ----------------------------------------------------------------------
+# Per-view paths (docs/PERFORMANCE.md): what one backup does in every
+# view of the normal case (Algorithm 1, lines 18-36) is a constant number
+# of calls.
+# ----------------------------------------------------------------------
+#: One backup's dispatch of the leader's ``Proposal``: admission, the
+#: TEEstore ECALL that signs its vote, the vote's send.
+PROPOSAL_DISPATCH_CALLS = 70
+
+#: One backup's dispatch of a ``Decide`` it does not lead the next view
+#: after: the certificate check, the commit and entering the next view.
+#: 57 on ``lan_sat_n101``, whose ledger listener adds one call.
+DECIDE_DISPATCH_CALLS = 56
+
+#: The backup whose dispatches are counted.
+PROBED = 1
+
+
+class ViewProbe(AchillesNode):
+    """An Achilles replica that counts the calls of the probed backup's
+    ``Proposal`` and ``Decide`` dispatches into ``calls``."""
+
+    calls: "dict[str, list[int]]" = {}
+
+    def _dispatch(self, envelope, arrival, epoch) -> None:
+        payload = envelope.payload
+        counted = self.calls.get(payload.__class__.__name__)
+        if self.node_id != PROBED or counted is None or (
+                isinstance(payload, Decide)
+                and self.leader_of(payload.qc.view + 1) == PROBED):
+            AchillesNode._dispatch(self, envelope, arrival, epoch)
+            return
+        counted.append(calls_of(lambda: AchillesNode._dispatch(
+            self, envelope, arrival, epoch)))
+
+
+def per_view_dispatch_calls() -> "dict[str, float]":
+    """The median calls of each counted dispatch over 200 ms of f=2 LAN
+    saturated, first five (cold caches) left out."""
+    ViewProbe.calls = {"Proposal": [], "Decide": []}
+    spec = dataclasses.replace(resolve_protocol("achilles"),
+                               node_cls=ViewProbe)
+    config = protocol_config(spec, 2, 1, counter_write_ms=0.0,
+                             batch_size=400)
+    build_deployment(spec, config, LAN_PROFILE, 1, listener=MetricsCollector(
+        warmup_ms=0.0, reply_one_way_ms=LAN_PROFILE.one_way_ms)).run(200.0)
+    counted = ViewProbe.calls
+    assert all(len(calls) >= 30 for calls in counted.values()), counted
+    return {kind: statistics.median(calls[5:])
+            for kind, calls in counted.items()}
+
+
+def test_a_backups_view_is_a_bounded_number_of_calls():
+    medians = per_view_dispatch_calls()
+    assert medians["Proposal"] <= PROPOSAL_DISPATCH_CALLS, medians
+    assert medians["Decide"] <= DECIDE_DISPATCH_CALLS, medians
 
 
 def test_committing_on_the_tip_is_one_walk():

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.common import CMT, PREP, PhaseQC, PhaseVote
 from repro.baselines.flexibft import FViewChange, FVote
@@ -221,3 +222,27 @@ def test_the_table_covers_every_signed_class():
                     & {f.name for f in fields(cls)}:
                 signed.add(cls)
     assert signed - {ViewChangeVote} == set(SINGLE) | set(QUORUM)
+
+
+#: A field value of the sample's type, including what no honest node
+#: sends: non-ASCII text, negative and huge integers.
+_VALUES = {
+    str: st.text(max_size=80),
+    int: st.integers(-(1 << 70), 1 << 70),
+    tuple: st.lists(st.integers(-5, 300), max_size=6).map(tuple),
+}
+
+
+@pytest.mark.parametrize("cls", [*SINGLE, *QUORUM], ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_statement_digest_is_the_digest_of_the_statement(cls, data):
+    """However a class derives ``statement_digest``, it is
+    ``digest_of(*statement())`` for any field values."""
+    sample = (SINGLE[cls] if cls in SINGLE else QUORUM[cls])[0]
+    values = {name: data.draw(_VALUES[type(value)], label=name)
+              for name, value in sample.items()}
+    extra = {"signatures": SignatureList()} if cls in QUORUM \
+        else {"signature": None}
+    obj = cls(**values, **extra)
+    assert obj.statement_digest == digest_of(*obj.statement())
