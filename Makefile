@@ -134,17 +134,19 @@ bench:
 # Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
-# The call profiler runs once too, so that it cannot rot.
+# The call profiler runs once too, both attributions on, so that it
+# cannot rot.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
 	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
-		> /dev/null
+		--by-handler > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event
 # and the top 40 functions by call count; OF='len|leader_of' adds who
 # calls the functions matching the pattern, BY=file the calls summed per
-# source file (C calls charged to the calling file).
+# source file (C calls charged to the calling file), BY=handler the calls
+# per event callback and message kind, with calls per fire.
 calls:
 	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)') \
 		$(if $(BY),--by-$(BY))
