@@ -27,6 +27,7 @@ from typing import Optional
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import execute_transactions
 from repro.consensus.base import ReplicaBase
+from repro.net.message import HEADER_BYTES
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,9 @@ class AppendReply:
     follower: int
     success: bool
     match_index: int
+
+    #: Envelope size (``intern_size``): every reply has the same one.
+    _env_size = HEADER_BYTES + 21
 
     def wire_size(self) -> int:
         """Serialized size."""

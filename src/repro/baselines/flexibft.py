@@ -25,9 +25,14 @@ from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
 from repro.core.certificates import BlockCertificate
 from repro.crypto.keys import Keyring, PrivateKey
-from repro.crypto.signatures import CryptoProfile, Signature, SignedStatement
+from repro.crypto.signatures import (
+    CryptoProfile,
+    Signature,
+    SignedStatement,
+    hash_view_digest,
+)
 from repro.errors import EnclaveAbort
-from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 from repro.tee.enclave import Enclave, EnclaveProfile, ecall
 from repro.tee.counters import PersistentCounter
 
@@ -98,6 +103,11 @@ class FVote(SignedStatement):
     def statement(self) -> tuple:
         """The signed tuple."""
         return ("FVOTE", self.block_hash, self.view)
+
+    statement_digest = hash_view_digest("FVOTE")
+
+    #: Envelope size (``intern_size``): every vote has the same one.
+    _env_size = HEADER_BYTES + 5 + HASH_BYTES + 8 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""

@@ -28,7 +28,7 @@ from repro.chain.block import Block
 from repro.chain.execution import execute_transactions
 from repro.crypto.hashing import digest_of
 from repro.errors import EnclaveAbort
-from repro.net.message import HASH_BYTES
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 from repro.tee.trinc import Usig, UsigCertificate
 
 
@@ -57,6 +57,10 @@ class MCommit:
     block_hash: str
     prepare_digest: str
     ui: UsigCertificate
+
+    #: Envelope size (``intern_size``): every commit has the same one.
+    _env_size = HEADER_BYTES + 8 + 2 * HASH_BYTES \
+        + 2 + 4 + 8 + HASH_BYTES + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""

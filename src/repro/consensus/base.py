@@ -200,6 +200,9 @@ class ReplicaBase(Process):
         self._sync_requested: set[str] = set()
         # tx key -> client network address awaiting a reply
         self._client_reply_to: dict[tuple[int, int], int] = {}
+        #: ``(listener, its on_replies, its on_commit_certificate)``: the
+        #: optional hooks, looked up again only when ``listener`` changes.
+        self._listener_hooks: tuple = (None, None, None)
         # Duplicate client requests absorbed (fabric duplication or client
         # retransmission): observability for the lossy-fabric campaigns.
         self.duplicate_client_requests = 0
@@ -402,14 +405,17 @@ class ReplicaBase(Process):
         self._pending_cost += cost_ms
 
     def charge_enclave(self, enclave) -> None:
-        """Drain a trusted component's accrued cost onto this node's CPU."""
+        """Drain a trusted component's accrued cost onto this node's CPU
+        (untraced, :meth:`~repro.tee.enclave.Enclave.drain_cost` in line:
+        every ECALL of every protocol ends here)."""
         if self._obs.enabled:
             cost, parts = enclave.drain_cost_parts()
             self._pending_cost += cost
             if parts:
                 self._obs.add_parts(parts)
         else:
-            self.charge(enclave.drain_cost())
+            self._pending_cost += enclave._pending_cost
+            enclave._pending_cost = 0.0
 
     def charge_verify(self, count: int = 1) -> None:
         """Account untrusted-side verification of ``count`` signatures."""
@@ -521,14 +527,20 @@ class ReplicaBase(Process):
         newly = self.store.commit(block)
         now = self.sim.now
         listener = self.listener
-        on_replies = getattr(listener, "on_replies", None)
+        hooks = self._listener_hooks
+        if hooks[0] is not listener:
+            hooks = self._listener_hooks = (
+                listener, getattr(listener, "on_replies", None),
+                getattr(listener, "on_commit_certificate", None))
+        on_replies = hooks[1]
+        costs = self.config.costs
         trace = self.sim.trace
         trace_record = trace.record if trace.enabled else None
         obs = self._obs if self._obs.enabled else None
         for b in newly:
             if obs is not None:
                 obs.block_committed(b.hash, self.node_id, now)
-            self.charge(self.config.costs.exec_cost(len(b.txs)))
+            self._pending_cost += costs.exec_cost(len(b.txs))
             sm = self.state_machine
             if sm is not None and sm.state_height == b.height - 1:
                 # Application of a batch is gated on contiguity: after a
@@ -897,6 +909,14 @@ class ReplicaBase(Process):
         if missing is None:
             action(block)
             return
+        self._await_ancestor(missing, block, action, hint)
+
+    def _await_ancestor(self, missing: str, block: Block,
+                        action: Callable[[Block], None],
+                        hint: Optional[int] = None) -> None:
+        """Run ``action(block)`` when the ``missing`` ancestor of a stored
+        block arrives; pull it from ``hint`` (or the proposer) unless a
+        pull is already out."""
         self._awaiting_ancestor.setdefault(missing, []).append((block, action))
         if missing not in self._sync_requested:
             self._sync_requested.add(missing)

@@ -17,11 +17,25 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.process import Process, Timer
+from repro.sim.events import Event
+from repro.sim.process import Process
 
 
 class Pacemaker:
-    """Per-replica view timer with exponential backoff."""
+    """Per-replica view timer with exponential backoff.
+
+    The timer is a *deadline*: :meth:`view_started` moves it, and the
+    queued timeout event stays where it is while it is at or before the
+    new deadline.  An event that fires before the deadline re-queues
+    itself at the deadline through ``schedule_at``, so the timeout fires at
+    exactly the instant a cancel-and-reschedule on every view would have
+    (``tests/property/test_view_timer.py``) for one event per timeout
+    period instead of two queue operations per view.  Only a deadline
+    that gets earlier than the queued event cancels it.  A re-queued
+    timeout takes a later queue sequence number than a rescheduled one
+    would have, which orders it differently only against another event
+    due at the very same instant.
+    """
 
     def __init__(
         self,
@@ -33,6 +47,8 @@ class Pacemaker:
         decay: Optional[int] = None,
     ) -> None:
         self._process = process
+        self._sim = process.sim
+        self._label = f"{process.name}.pacemaker"
         self.base_timeout_ms = base_timeout_ms
         self._on_timeout = on_timeout
         config = getattr(process, "config", None)
@@ -45,7 +61,12 @@ class Pacemaker:
         if decay is None:
             decay = getattr(config, "backoff_decay", 0)
         self.decay = decay
-        self._timer: Timer = process.timer("pacemaker")
+        # The queued timeout (None once it fired or was stopped; never
+        # later than the deadline), the epoch it was queued in, and the
+        # logical deadline.
+        self._event: Optional[Event] = None
+        self._epoch = -1
+        self._deadline = 0.0
         self._consecutive_timeouts = 0
         self.current_view = 0
         self.timeouts_fired = 0
@@ -65,38 +86,53 @@ class Pacemaker:
         # stream is forked lazily so jitter=0 draws nothing and perturbs
         # no other stream.
         if jitter is None:
-            config = getattr(process, "config", None)
             jitter = getattr(config, "timeout_jitter", 0.0)
         self.jitter = jitter
         self._rng = None
 
     @property
     def armed(self) -> bool:
-        """True while the view timer is pending (the replica can time out)."""
-        return self._timer.pending
+        """True while the view timer is pending (the replica can time out):
+        armed in this incarnation of the process, not fired, not stopped."""
+        return self._event is not None \
+            and self._epoch == self._process.epoch
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """When the view times out (absolute ms) while :attr:`armed`, else
+        None."""
+        return self._deadline if self.armed else None
 
     @property
     def current_timeout_ms(self) -> float:
         """The timeout applied to the current view."""
-        doublings = min(self._consecutive_timeouts, self._max_doublings)
+        doublings = self._consecutive_timeouts
+        if doublings > self._max_doublings:
+            doublings = self._max_doublings
         return self.base_timeout_ms * (2 ** doublings)
 
-    def _armed_timeout_ms(self) -> float:
-        """The timeout to arm: the backoff value plus deterministic
-        per-replica jitter (``current_timeout_ms`` stays jitter-free so
+    def _jittered(self, timeout: float) -> float:
+        """``timeout`` scaled by ``1 + jitter * U(0, 1)`` from this
+        replica's stream (``current_timeout_ms`` stays jitter-free so
         backoff behaviour remains exactly inspectable)."""
-        timeout = self.current_timeout_ms
-        if self.jitter <= 0.0:
-            return timeout
         if self._rng is None:
-            self._rng = self._process.sim.fork_rng(
-                f"pacemaker/{self._process.name}")
+            self._rng = self._sim.fork_rng(f"pacemaker/{self._process.name}")
         return timeout * (1.0 + self.jitter * self._rng.random())
 
     def view_started(self, view: int) -> None:
-        """(Re)arm the timer for ``view``."""
+        """(Re)arm the timer for ``view``: the deadline becomes one
+        (backed-off, jittered) timeout from now."""
         self.current_view = view
-        self._timer.start(self._armed_timeout_ms(), self._fire)
+        timeout = self.current_timeout_ms
+        if self.jitter > 0.0:
+            timeout = self._jittered(timeout)
+        sim = self._sim
+        deadline = self._deadline = sim.now + timeout
+        event = self._event
+        if event is not None and event.time <= deadline \
+                and self._epoch == self._process.epoch:
+            return  # the queued timeout re-queues itself at the deadline
+        self._queue(deadline)
 
     def progress(self) -> None:
         """A block committed: release backoff (the view advanced healthily).
@@ -131,22 +167,20 @@ class Pacemaker:
         every few ms) cannot livelock the timer into never firing.
         Timeouts are always safe — this affects liveness only.
         """
-        if not self._timer.pending:
+        if not self.armed:
             return
-        deadline = self._timer.deadline
-        remaining = deadline - self._process.sim.now
+        now = self._sim.now
+        remaining = self._deadline - now
         if remaining <= self.base_timeout_ms:
             return
         delay = self.base_timeout_ms
         if self.jitter > 0.0:
-            if self._rng is None:
-                self._rng = self._process.sim.fork_rng(
-                    f"pacemaker/{self._process.name}")
-            delay *= 1.0 + self.jitter * self._rng.random()
+            delay = self._jittered(delay)
         if delay >= remaining:
             return
         self.backoff_nudges += 1
-        self._timer.start(delay, self._fire)
+        self._deadline = now + delay
+        self._queue(self._deadline)
 
     def rearm(self) -> None:
         """Re-arm the timer for the current view at the current backoff.
@@ -156,21 +190,44 @@ class Pacemaker:
         replica would never time out again and could stall until an
         external message arrives.
         """
-        self._timer.start(self._armed_timeout_ms(), self._fire)
+        self.view_started(self.current_view)
 
     def stop(self) -> None:
         """Disarm (used on crash)."""
-        self._timer.cancel()
+        if self._event is not None:
+            self._sim.cancel(self._event)
+            self._event = None
+
+    def _queue(self, deadline: float) -> None:
+        """Replace the queued timeout with one at ``deadline``."""
+        sim = self._sim
+        if self._event is not None:
+            sim.cancel(self._event)
+        self._epoch = self._process.epoch
+        self._event = sim.schedule_at(deadline, self._fire, self._label)
 
     def _fire(self) -> None:
+        sim = self._sim
+        event = self._event
+        self._event = None
+        if event is not None:
+            # The handle just fired and nothing else holds it: recycle.
+            sim.release(event)
+        process = self._process
+        # Ignore a timeout queued by a previous incarnation of the process.
+        if self._epoch != process.epoch or not process.alive:
+            return
+        if sim.now < self._deadline:
+            # Views started since this was queued: wait out the deadline.
+            self._event = sim.schedule_at(self._deadline, self._fire,
+                                          self._label)
+            return
         self.timeouts_fired += 1
         self._consecutive_timeouts += 1
         if self._consecutive_timeouts > self.peak_backoff:
             self.peak_backoff = self._consecutive_timeouts
         view = self.current_view
-        self._process.sim.trace.record(
-            self._process.sim.now, "view_timeout", None, view=view
-        )
+        sim.trace.record(sim.now, "view_timeout", None, view=view)
         self._on_timeout(view)
 
 

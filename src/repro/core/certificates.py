@@ -21,13 +21,16 @@ hot-path savings (see ``docs/PERFORMANCE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 
+from repro.crypto.hashing import cached_property
 from repro.crypto.keys import Keyring
 from repro.crypto.signatures import (
     QuorumCertificate,
     Signature,
     SignatureList,
     SignedStatement,
+    hash_view_digest,
 )
 from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
 
@@ -44,6 +47,8 @@ class BlockCertificate(SignedStatement):
     def statement(self) -> tuple:
         """The signed tuple."""
         return ("PROP", self.block_hash, self.view)
+
+    statement_digest = hash_view_digest("PROP")
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -63,6 +68,8 @@ class StoreCertificate(SignedStatement):
         """The signed tuple."""
         return ("COMMIT", self.block_hash, self.view)
 
+    statement_digest = hash_view_digest("COMMIT")
+
     def wire_size(self) -> int:
         """Serialized size."""
         return 6 + HASH_BYTES + 8 + SIGNATURE_BYTES
@@ -79,6 +86,7 @@ class CommitmentCertificate(QuorumCertificate):
 
     #: Each member signature covers a store statement.
     statement = StoreCertificate.statement
+    statement_digest = StoreCertificate.statement_digest
 
     def wire_size(self) -> int:
         """Serialized size (grows with the signature vector)."""
@@ -132,6 +140,15 @@ class ViewCertificate(SignedStatement):
     def statement(self) -> tuple:
         """The signed tuple."""
         return ("NEW-VIEW", self.block_hash, self.block_view, self.current_view)
+
+    @cached_property
+    def statement_digest(self) -> str:
+        """Memoized digest of :meth:`statement`, encoded in line (as
+        :func:`~repro.crypto.signatures.hash_view_digest` does)."""
+        block_hash = self.block_hash.encode()
+        return sha256(b"s8:NEW-VIEWs%d:%si%di%d" % (
+            len(block_hash), block_hash, self.block_view,
+            self.current_view)).hexdigest()
 
     def wire_size(self) -> int:
         """Serialized size."""

@@ -46,6 +46,7 @@ from repro.core.certificates import (
 from repro.core.checker import AchillesChecker
 from repro.crypto.signatures import SignatureList
 from repro.errors import EnclaveAbort, SealingError
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +69,9 @@ class StoreVote:
     """Backup → leader: the store certificate (the vote)."""
 
     cert: StoreCertificate
+
+    #: Envelope size (``intern_size``): every vote has the same one.
+    _env_size = HEADER_BYTES + 6 + HASH_BYTES + 8 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -359,8 +363,11 @@ class ChainedTeeNode(ReplicaBase):
         block, cert = msg.block, msg.block_cert
         # The block certificate is re-verified (and charged) inside the
         # checker; here the host only pays for hashing the block body it
-        # needs for the structural comparisons.
-        self.charge_hash(block.wire_size())
+        # needs for the structural comparisons (charge_hash, in line).
+        cost = self.config.crypto.hash_per_kb_ms * (block.wire_size() / 1024.0)
+        self._pending_cost += cost
+        if self._obs.enabled:
+            self._obs.add_part("crypto", "hash", cost)
         if not cert.validate(self.keyring):
             return None
         if cert.block_hash != block.hash or cert.view != block.view:
@@ -370,15 +377,24 @@ class ChainedTeeNode(ReplicaBase):
         if vote is None:
             vote = self._store_and_vote
         # Block validity: full ancestry plus correct execution results.
-        self.with_full_ancestry(
-            block, lambda b: self.run_work(lambda: self._validated(b, cert, vote)),
-            hint=src)
+        # With the ancestry local (the normal case) validation runs now,
+        # in this handler's unit of work, as with_full_ancestry would.
+        store = self.store
+        store.add(block)
+        missing = store.missing_ancestor_hash(block)
+        if missing is None:
+            self._validated(block, cert, vote)
+        else:
+            self._await_ancestor(
+                missing, block,
+                lambda b: self.run_work(lambda: self._validated(b, cert, vote)),
+                hint=src)
         return True
 
     def _validated(self, block: Block, cert: BlockCertificate, vote) -> None:
         if self.status is not NodeStatus.RUNNING:
             return
-        self.charge(self.config.costs.exec_cost(len(block.txs)))
+        self._pending_cost += self.config.costs.exec_cost(len(block.txs))
         if self.config.deep_validation:
             parent = self.store.get(block.parent_hash)
             if parent is None:
@@ -418,7 +434,7 @@ class ChainedTeeNode(ReplicaBase):
         qc = msg.qc
         if qc.block_hash in self.store._committed_hashes:
             return
-        self.charge_verify(len(qc.signatures))
+        self.charge_verify(len(qc.signatures.signatures))
         if not qc.validate(self.keyring, self.config.f + 1):
             return
         self._handle_commitment(qc, src)
@@ -442,8 +458,9 @@ class ChainedTeeNode(ReplicaBase):
             return None
         self.commit_block(block)
         # Invariant monitors subscribe to the certificate that justified
-        # the commit (Theorem 1: no commit without f+1 store certificates).
-        notify_qc = getattr(self.listener, "on_commit_certificate", None)
+        # the commit (Theorem 1: no commit without f+1 store certificates);
+        # commit_block just looked the hook up.
+        notify_qc = self._listener_hooks[2]
         if notify_qc is not None:
             notify_qc(self.node_id, qc, self.sim.now)
         self.pacemaker.progress()

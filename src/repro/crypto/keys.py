@@ -15,6 +15,10 @@ import hmac
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
+# What ``hmac.digest`` calls for a named digest, without its wrapper frame
+# and ``isinstance``: every signature and tag check comes here.
+from _hashlib import hmac_digest as _hmac_digest
+
 from repro.crypto.hashing import cached_property
 from repro.errors import CryptoError
 
@@ -38,7 +42,7 @@ class PublicKey:
         simulation adversary is not given an API to do.
         """
         return hmac.compare_digest(
-            hmac.digest(self._mac_key, payload, "sha256").hex(), tag)
+            _hmac_digest(self._mac_key, payload, "sha256").hex(), tag)
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class PrivateKey:
 
     def sign_tag(self, payload: bytes) -> str:
         """Produce the authentication tag over ``payload``."""
-        return hmac.digest(self._mac_key, payload, "sha256").hex()
+        return _hmac_digest(self._mac_key, payload, "sha256").hex()
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ transition (modelled in :mod:`repro.tee.enclave`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import ClassVar, Iterable, Optional
 
 from repro.crypto.hashing import cached_property, digest_of
@@ -159,6 +160,28 @@ class Statement:
         return digest_of(*self.statement())
 
 
+def hash_view_digest(tag: str) -> cached_property:
+    """The ``statement_digest`` of a ``(tag, block_hash, view)`` statement,
+    encoded in line the way :func:`~repro.crypto.hashing.digest_of`
+    encodes it (pinned equal to it by
+    ``tests/unit/test_signed_statements.py``).  Votes and proposal
+    certificates have this shape, and every replica issues one in every
+    view: the in-line encoding skips ``statement()`` and ``digest_of``'s
+    per-part dispatch."""
+    data = tag.encode()
+    head = (b"s%d:" % len(data) + data).replace(b"%", b"%%") \
+        + b"s%d:%si%d"
+
+    def statement_digest(self) -> str:
+        block_hash = self.block_hash.encode()
+        return sha256(
+            head % (len(block_hash), block_hash, self.view)).hexdigest()
+
+    statement_digest.__doc__ = f"Memoized digest of ``({tag!r}, " \
+        "block_hash, view)``."
+    return cached_property(statement_digest)
+
+
 class SignedStatement(Statement):
     """A statement under one ``signature`` (a field of the subclass)."""
 
@@ -221,6 +244,7 @@ __all__ = [
     "SignatureList",
     "SignedStatement",
     "QuorumCertificate",
+    "hash_view_digest",
     "sign",
     "verify",
     "require_valid",

@@ -82,7 +82,7 @@ class LatencyStats:
     @property
     def p999(self) -> float:
         """99.9th percentile — the SLO tail the production-shaped runs
-        report (ROADMAP item 4)."""
+        report."""
         return self.percentile(99.9)
 
     def merge_from(self, other: "LatencyStats") -> None:

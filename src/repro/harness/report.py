@@ -93,8 +93,8 @@ def format_slo_breakdown(stats_by_label: "dict[str, Any]",
 
     ``stats_by_label`` maps a row label (a shard, a protocol, an
     aggregate) to a :class:`repro.harness.metrics.LatencyStats`.  These
-    are the production-style pass criteria of ROADMAP item 4: the shard
-    sweep prints one row per shard plus the cluster-wide aggregate.
+    are the production-style pass criteria: the shard sweep prints one
+    row per shard plus the cluster-wide aggregate.
     """
     headers = ["run", "samples", "mean (ms)", "p50 (ms)", "p99 (ms)",
                "p999 (ms)"]

@@ -43,9 +43,7 @@ class Timer:
     @property
     def deadline(self) -> Optional[float]:
         """Absolute fire time while pending, else None."""
-        if self._event is None or self._event.cancelled:
-            return None
-        return self._event.time
+        return self._event.time if self.pending else None
 
     def start(self, delay: float, callback: Callable[[], None]) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` ms from now."""

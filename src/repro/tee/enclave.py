@@ -64,12 +64,24 @@ F = TypeVar("F", bound=Callable[..., Any])
 
 def ecall(method: F) -> F:
     """Decorator marking an enclave entry point: gates on online state and
-    charges the transition cost."""
+    charges the transition cost.
+
+    A trusted call is one frame on top of its body: the gate and the
+    charge (:meth:`Enclave.charge_part`'s two lines) are written here in
+    line, on the path every ECALL of every protocol takes.
+    """
+    name = method.__name__
 
     @functools.wraps(method)
     def wrapper(self: "Enclave", *args: Any, **kwargs: Any) -> Any:
-        self.require_online()
-        self.charge_part("ecall", method.__name__, self.profile.ecall_ms)
+        if not self._online:
+            raise EnclaveOffline(
+                f"enclave {self.identity} is offline (rebooted)")
+        self.ecalls += 1
+        cost = self.profile.ecall_ms
+        self._pending_cost += cost
+        if self._cost_parts is not None:
+            self._cost_parts.append(("ecall", name, cost))
         return method(self, *args, **kwargs)
 
     return wrapper  # type: ignore[return-value]
@@ -104,12 +116,6 @@ class Enclave:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def require_online(self) -> None:
-        """Raise unless the enclave is running."""
-        if not self._online:
-            raise EnclaveOffline(f"enclave {self.identity} is offline (rebooted)")
-        self.ecalls += 1
-
     def reboot(self) -> None:
         """Power-cycle: volatile state is lost; ECALLs gate until restart."""
         self._online = False
@@ -146,13 +152,17 @@ class Enclave:
 
     def charge_sign(self, count: int = 1) -> None:
         """Accrue the cost of ``count`` in-enclave signatures."""
-        self.charge_part("crypto", "sign",
-                         self.crypto.sign_ms * self.profile.crypto_factor * count)
+        cost = self.crypto.sign_ms * self.profile.crypto_factor * count
+        self._pending_cost += cost
+        if self._cost_parts is not None:
+            self._cost_parts.append(("crypto", "sign", cost))
 
     def charge_verify(self, count: int = 1) -> None:
         """Accrue the cost of verifying ``count`` signatures in-enclave."""
-        self.charge_part("crypto", "verify",
-                         self.crypto.verify_many(count) * self.profile.crypto_factor)
+        cost = self.crypto.verify_many(count) * self.profile.crypto_factor
+        self._pending_cost += cost
+        if self._cost_parts is not None:
+            self._cost_parts.append(("crypto", "verify", cost))
 
     def charge_hash(self, size_bytes: int) -> None:
         """Accrue the cost of hashing ``size_bytes`` in-enclave."""

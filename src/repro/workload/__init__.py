@@ -1,4 +1,4 @@
-"""Production-shaped open-loop traffic (ROADMAP item 4).
+"""Production-shaped open-loop traffic.
 
 The :mod:`repro.client.workload` sources model *benchmark* traffic: a
 saturated mempool or a flat Poisson process.  This package models

@@ -9,8 +9,9 @@ with jitter on and off, backoff capped or not, decay on or off.  A
 timeout may advance the view or re-arm the same one, as the protocols'
 handlers do.  Both must fire at the same instants (compared with ``==``)
 for the same views, agree after every operation on whether the timer is
-armed, and end with the same ``timeouts_fired`` / ``backoff_nudges`` /
-``backoff_decays`` / ``peak_backoff`` and the same jitter-RNG state.
+armed and on its deadline, and end with the same ``timeouts_fired`` /
+``backoff_nudges`` / ``backoff_decays`` / ``peak_backoff`` and the same
+jitter-RNG state.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class Twin:
         elif op == "crash_reboot":        # a reboot that never re-arms
             process.crash()
             process.reboot()
-        self.armed.append((self.sim.now, op, pm.armed))
+        self.armed.append((self.sim.now, op, pm.armed, pm.deadline))
 
     def run(self, program, horizon: float) -> None:
         at = 0.0

@@ -95,6 +95,21 @@ class TestProcessAndTimers:
         sim.run()
         assert fired == []  # epoch changed; the old timer must not fire
 
+    def test_a_voided_timer_has_no_deadline(self):
+        """A crash voids a pending timer: it reports neither pending nor a
+        deadline, also once the process is back in a new epoch."""
+        sim = Simulator()
+        p = Process(sim, "p")
+        t = p.timer("t")
+        t.start(10.0, lambda: None)
+        assert t.pending and t.deadline == 10.0
+        p.crash()
+        assert not t.pending and t.deadline is None
+        p.reboot()
+        assert not t.pending and t.deadline is None
+        t.start(3.0, lambda: None)
+        assert t.pending and t.deadline == 3.0
+
     def test_after_guarded_by_liveness(self):
         sim = Simulator()
         p = Process(sim, "p")

@@ -221,19 +221,19 @@ class TestPacemakerDamping:
         sim, pm = self._pm(jitter=0.0)
         pm._consecutive_timeouts = 5  # armed timeout = 320 ms
         pm.view_started(1)
-        assert pm._timer.deadline == pytest.approx(320.0)
+        assert pm.deadline == pytest.approx(320.0)
         pm.nudge()
         assert pm.backoff_nudges == 1
-        assert pm._timer.deadline == pytest.approx(10.0)
+        assert pm.deadline == pytest.approx(10.0)
 
     def test_nudge_never_extends(self):
         # Remaining below base: nudging again must not push the deadline.
         sim, pm = self._pm(jitter=0.0)
         pm.view_started(1)  # armed at base (10 ms)
-        deadline = pm._timer.deadline
+        deadline = pm.deadline
         for _ in range(5):
             pm.nudge()
-        assert pm._timer.deadline == deadline
+        assert pm.deadline == deadline
         assert pm.backoff_nudges == 0
 
     def test_nudge_noop_when_disarmed(self):

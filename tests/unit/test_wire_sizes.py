@@ -125,3 +125,27 @@ class TestBaselineMessageSizes:
         one = AppendEntries(1, 0, 0, 0, (entry,), 0)
         three = AppendEntries(1, 0, 0, 0, (entry, entry, entry), 0)
         assert three.wire_size() - one.wire_size() == 2 * entry.wire_size()
+
+
+def test_a_class_level_envelope_size_is_the_payloads_own():
+    """A fixed-size vote carries its envelope size on the class, where
+    ``intern_size`` finds it: it must be what walking an instance gives."""
+    from repro.baselines.braft import AppendReply
+    from repro.baselines.flexibft import FVote
+    from repro.baselines.minbft import MCommit
+    from repro.core.certificates import StoreCertificate
+    from repro.core.node import StoreVote
+    from repro.tee.trinc import UsigCertificate
+
+    signature = sign(generate_keypairs([0], seed=1)[0].private, "x")
+    samples = [
+        StoreVote(StoreCertificate("h" * 64, 7, signature)),
+        FVote(block_hash="h" * 64, view=7, signature=signature),
+        MCommit(view=7, block_hash="h" * 64, prepare_digest="d" * 64,
+                ui=UsigCertificate(0, 3, "m" * 64, signature)),
+        AppendReply(term=2, follower=1, success=True, match_index=9),
+    ]
+    for payload in samples:
+        assert "_env_size" in type(payload).__dict__
+        assert payload._env_size == HEADER_BYTES + wire_size(payload), \
+            type(payload).__name__
