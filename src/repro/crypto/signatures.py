@@ -169,8 +169,7 @@ def hash_view_digest(tag: str) -> cached_property:
     view: the in-line encoding skips ``statement()`` and ``digest_of``'s
     per-part dispatch."""
     data = tag.encode()
-    head = (b"s%d:" % len(data) + data).replace(b"%", b"%%") \
-        + b"s%d:%si%d"
+    head = b"s%d:" % len(data) + data + b"s%d:%si%d"
 
     def statement_digest(self) -> str:
         block_hash = self.block_hash.encode()
