@@ -9,7 +9,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench-quick bench perf-smoke calls ledger ledger-compare scale \
 	scale-smoke chaos \
 	chaos-smoke loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
-	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke ci
+	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke \
+	smoke-stdout ci
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -124,6 +125,22 @@ powercut:
 # of mean commit latency and every trace passes schema validation.
 trace-smoke:
 	$(PYTHON) -m repro trace fig3-lan --f 1 --assert-coverage
+
+# Every *-smoke target's stdout, one file per target in DIR — the
+# golden that two trees' `diff -r` compares.  The list is read off this
+# Makefile's own rules; perf-smoke is left out because it prints wall
+# times.  Runs every target, then fails if any did.
+SMOKE_TARGETS = $(filter-out perf-smoke,$(shell sed -n \
+	's/^\([a-z0-9-]*-smoke\):.*/\1/p' $(firstword $(MAKEFILE_LIST))))
+
+smoke-stdout:
+	@test -n "$(DIR)" || { echo "usage: make smoke-stdout DIR=<dir>" >&2; exit 2; }
+	@mkdir -p $(DIR); status=0; \
+	for target in $(SMOKE_TARGETS); do \
+		echo "smoke-stdout: $$target" >&2; \
+		$(MAKE) -s --no-print-directory $$target > $(DIR)/$$target.out \
+			|| status=1; \
+	done; exit $$status
 
 bench-quick:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest -q benchmarks/ --benchmark-only
