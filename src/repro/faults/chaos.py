@@ -23,8 +23,8 @@ always on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
@@ -38,13 +38,13 @@ from repro.faults.byz import (
 from repro.faults.crash import CrashRebootSchedule
 from repro.harness.invariants import InvariantMonitor
 from repro.harness.runner import (
+    CampaignResult,
     build_deployment,
+    campaign_config,
     committed_tips,
     poisson_arrivals,
-    protocol_config,
     resolve_network,
     resolve_protocol,
-    spec_from_config,
     verdict,
 )
 from repro.net.adversary import NetworkAdversary, PartitionWindow
@@ -103,18 +103,14 @@ class ChaosSpec:
     #: Persistent-counter write latency for -R variants.
     counter_write_ms: float = 5.0
     #: Probabilistic link-fault rates (fabric-wide, every message):
-    #: loss / duplication / reordering / corruption probabilities.
+    #: loss / duplication / reordering / corruption probabilities.  Any
+    #: nonzero rate also installs the reliable transport.
     loss: float = 0.0
     dup: float = 0.0
     reorder: float = 0.0
     corrupt: float = 0.0
     #: Max extra delay a reordered message picks up.
     reorder_jitter_ms: float = 8.0
-    #: Reliable-transport wiring: None installs the transport exactly when
-    #: any fault rate is nonzero (the loss=0 equivalence mode); True/False
-    #: force it on/off (False under loss is for dedicated safety tests —
-    #: liveness is then out the window by design).
-    transport: Optional[bool] = None
     #: Deterministic pacemaker timeout jitter (see ProtocolConfig).
     timeout_jitter: float = 0.0
     #: Deployment shaping (small and fast — chaos is about logic coverage).
@@ -483,31 +479,16 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
 # ----------------------------------------------------------------------
 # Campaign execution
 # ----------------------------------------------------------------------
-@dataclass
-class ChaosResult:
-    """One seed's outcome.  ``digest`` summarizes the full observable
-    state deterministically: identical seeds must be byte-identical."""
+@dataclass(kw_only=True)
+class ChaosResult(CampaignResult):
+    """One seed's outcome."""
 
-    protocol: str
-    f: int
-    n: int
-    network: str
-    seed: int
     committed_height: int
     min_committed_height: int
     recoveries: int
     crashes: int
     rollbacks_mounted: int
     partitions: int
-    violations: list[str] = field(default_factory=list)
-    sim_events: int = 0
-    digest: str = ""
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True iff no invariant was violated."""
-        return not self.violations
 
 
 def _install(campaign: ChaosCampaign, cluster, monitor, generator) -> dict:
@@ -575,31 +556,17 @@ def run_chaos(spec: ChaosSpec, seed: int,
     protocol = resolve_protocol(spec.protocol)
     latency = resolve_network(spec.network)
     campaign = generate_campaign(spec, seed)
-    config = protocol_config(
-        protocol, spec.f, seed,
-        counter_write_ms=spec.counter_write_ms,
-        snapshot_interval=spec.snapshot_interval,
-        snapshot_retain=spec.snapshot_retain,
-        snapshot_trust_sealed=spec.snapshot_trust_sealed,
-        batch_size=spec.batch_size,
-        payload_size=spec.payload_size,
-        base_timeout_ms=spec.base_timeout_ms,
-        timeout_jitter=spec.timeout_jitter,
-        recovery_retry_ms=spec.recovery_retry_ms,
-    )
+    config = campaign_config(protocol, spec, seed)
 
     # Lossy fabric + reliable transport.  Both are pure functions of the
-    # spec: at all-zero rates no fault model exists, the transport (when
-    # auto) is absent, and the run is bit-identical to the pre-fault-layer
-    # baseline — the digests below pin exactly that.
-    faults = None
+    # spec: at all-zero rates neither exists and the run is bit-identical
+    # to the pre-fault-layer baseline — the digests below pin exactly that.
+    faults = transport = None
     if spec.loss or spec.dup or spec.reorder or spec.corrupt:
         faults = LinkFaultModel(loss=spec.loss, dup=spec.dup,
                                 reorder=spec.reorder, corrupt=spec.corrupt,
                                 reorder_jitter_ms=spec.reorder_jitter_ms)
-    use_transport = spec.transport if spec.transport is not None \
-        else faults is not None
-    transport = TransportConfig() if use_transport else None
+        transport = TransportConfig()
 
     byzantine_factories = None
     if campaign.byz_ids:
@@ -675,16 +642,8 @@ def run_chaos(spec: ChaosSpec, seed: int,
                 f"[snapshot-engagement] cluster: {reboots} reboot(s) but "
                 f"the snapshot restore path never ran")
 
-    violations = verdict(monitor.violations, spec.expect_violations,
-                         "— the attack did not land") + engagement_failures
-    digest = digest_of(
-        "chaos-result", spec.protocol, spec.f, spec.network, seed,
-        committed_tips(cluster.nodes), violations,
-        cluster.sim.events_processed,
-    )
-
     extras: dict = {}
-    if faults is not None or transport is not None:
+    if faults is not None:
         stats = cluster.network.stats
         totals = cluster.network.transport_totals()
         extras["fault_dropped"] = stats.fault_dropped
@@ -696,7 +655,22 @@ def run_chaos(spec: ChaosSpec, seed: int,
         extras["dup_suppressed"] = totals.get("dup_suppressed", 0)
         extras["acks_sent"] = totals.get("acks_sent", 0)
         extras["window_evictions"] = totals.get("window_evictions", 0)
-        extras["transport_engaged"] = cluster.network.transport_engaged
+        extras["transport_engaged"] = cluster.network.transport is not None
+        # A lossy run that never retransmitted had a transport that never
+        # engaged: the campaign proved nothing about delivery.
+        if spec.loss > 0 and extras["retransmissions"] == 0:
+            engagement_failures.append(
+                f"[transport-engagement] cluster: loss={spec.loss:g} but "
+                f"zero retransmissions (the transport never engaged)")
+
+    violations = verdict(monitor.violations, spec.expect_violations,
+                         "— the attack did not land",
+                         extras) + engagement_failures
+    digest = digest_of(
+        "chaos-result", spec.protocol, spec.f, spec.network, seed,
+        committed_tips(cluster.nodes), violations,
+        cluster.sim.events_processed,
+    )
 
     if campaign.byz_ids:
         extras["byz_ids"] = list(campaign.byz_ids)
@@ -722,10 +696,6 @@ def run_chaos(spec: ChaosSpec, seed: int,
             node.state_machine.state_root for node in cluster.nodes
             if node.state_machine is not None
             and node.state_machine.state_height == top})
-    if spec.expect_violations:
-        tripped = {v.invariant for v in monitor.violations}
-        extras["expected_tripped"] = sorted(
-            set(spec.expect_violations) & tripped)
 
     return ChaosResult(
         protocol=spec.protocol,
@@ -746,17 +716,6 @@ def run_chaos(spec: ChaosSpec, seed: int,
     )
 
 
-def run_chaos_seed(config: Mapping) -> ChaosResult:
-    """Worker entry point: one config mapping → one :class:`ChaosResult`.
-
-    ``config`` holds ``seed`` plus any :class:`ChaosSpec` fields — the
-    shape :func:`repro.harness.parallel.run_experiments` fans out across
-    worker processes (module-level so it pickles).
-    """
-    return run_chaos(spec_from_config(ChaosSpec, config, "chaos"),
-                     seed=int(config.get("seed", 0)))
-
-
 __all__ = [
     "ChaosSpec",
     "ChaosCampaign",
@@ -764,5 +723,4 @@ __all__ = [
     "DelayWindow",
     "generate_campaign",
     "run_chaos",
-    "run_chaos_seed",
 ]

@@ -48,19 +48,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Optional
 
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.harness.invariants import InvariantMonitor
 from repro.harness.runner import (
+    CampaignResult,
     build_deployment,
+    campaign_config,
     committed_tips,
     poisson_arrivals,
-    protocol_config,
     resolve_network,
     resolve_protocol,
-    spec_from_config,
     verdict,
 )
 from repro.net.adversary import NetworkAdversary
@@ -194,28 +194,14 @@ class CutOutcome:
         return not self.violations
 
 
-@dataclass
-class PowercutResult:
+@dataclass(kw_only=True)
+class PowercutResult(CampaignResult):
     """One seed's exploration outcome (oracle + every sampled cut)."""
 
-    protocol: str
-    f: int
-    n: int
-    network: str
-    seed: int
     victim: int
     points_total: int = 0
     points_eligible: int = 0
     cuts: list[CutOutcome] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    sim_events: int = 0
-    digest: str = ""
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True iff every replayed cut passed."""
-        return not self.violations
 
     # Fields the chaos-style result tables expect.
     @property
@@ -270,17 +256,7 @@ def _run_instrumented(spec: PowercutSpec, seed: int,
     ``(cluster, monitor, controller, victim, floor)``."""
     protocol = resolve_protocol(spec.protocol)
     latency = resolve_network(spec.network)
-    config = protocol_config(
-        protocol, spec.f, seed,
-        counter_write_ms=spec.counter_write_ms,
-        snapshot_interval=spec.snapshot_interval,
-        snapshot_retain=spec.snapshot_retain,
-        batch_size=spec.batch_size,
-        payload_size=spec.payload_size,
-        base_timeout_ms=spec.base_timeout_ms,
-        timeout_jitter=spec.timeout_jitter,
-        recovery_retry_ms=spec.recovery_retry_ms,
-    )
+    config = campaign_config(protocol, spec, seed)
     victim = pick_victim(spec, seed, config.n)
 
     monitor = InvariantMonitor()
@@ -498,14 +474,6 @@ def run_powercut(spec: PowercutSpec, seed: int) -> PowercutResult:
     return result
 
 
-def run_powercut_seed(config: Mapping) -> PowercutResult:
-    """Worker entry point: one config mapping → one :class:`PowercutResult`
-    (module-level so :func:`repro.harness.parallel.run_experiments` can
-    pickle it)."""
-    return run_powercut(spec_from_config(PowercutSpec, config, "powercut"),
-                        seed=int(config.get("seed", 0)))
-
-
 __all__ = [
     "PowercutSpec",
     "CutOutcome",
@@ -514,5 +482,4 @@ __all__ = [
     "victim_journals",
     "sample_cuts",
     "run_powercut",
-    "run_powercut_seed",
 ]

@@ -1,29 +1,31 @@
 """Parallel experiment harness.
 
-Every experiment in this repository is a pure function of its
-configuration: :func:`repro.harness.runner.run_experiment` seeds all
-randomness from ``(config, seed)`` and touches no global state, so a batch
-of experiments can be fanned out over a :mod:`multiprocessing` pool and the
-results are bit-identical to running them sequentially, in any order.
+Every experiment and campaign in this repository is a pure function of
+its configuration: :func:`repro.harness.runner.run_experiment` and the
+campaign runners seed all randomness from ``(config, seed)`` and touch no
+global state, so a batch can be fanned out over a :mod:`multiprocessing`
+pool and the results are bit-identical to running them sequentially.
 
 :func:`run_experiments` is the batch front end used by the figure/table
-sweeps in :mod:`repro.harness.experiments`, the CLI ``compare`` command,
-and the benchmarks.  It adds two orthogonal conveniences:
+sweeps in :mod:`repro.harness.experiments`, the CLI and the benchmarks.
+A config is the runner's keyword arguments: ``run_experiment``'s fields,
+or ``{"spec": spec, "seed": seed}`` for every campaign kind.  It adds two
+orthogonal conveniences:
 
 * **Fan-out** — configs run ``workers`` at a time (defaults to the CPU
   count, override with ``REPRO_HARNESS_WORKERS``; ``1`` forces the plain
   sequential loop with no pool at all).
 * **Result cache** — with ``cache_dir`` (or ``REPRO_RESULT_CACHE``) set,
-  each result is stored as JSON keyed by a digest of its full
-  configuration and replayed from disk on the next identical request.
-  Python's ``repr``-based float serialization round-trips exactly, so a
-  cached result is bit-identical to a fresh run.  The cache does **not**
-  observe code changes — wipe the directory after touching the simulator.
+  each result is stored as JSON keyed by a digest of the runner and its
+  configuration, and rebuilt by :func:`repro.harness.runner.from_json`
+  (nested records included) on the next identical request.  Python's
+  ``repr``-based float serialization round-trips exactly, so a cached
+  result equals a fresh run.  The cache does **not** observe code
+  changes — wipe the directory after touching the simulator.
 
 Per-experiment wall-clock and simulated-events-per-second lines are
 reported through the ``report`` callback (default: stderr), keeping
-observability out of :class:`ExperimentResult`, which stays purely a
-function of the simulated run.
+observability out of the result records.
 """
 
 from __future__ import annotations
@@ -38,15 +40,16 @@ import time
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from repro.crypto.hashing import digest_of
-from repro.harness.runner import ExperimentResult, run_experiment
+from repro.harness.runner import ExperimentResult, from_json, run_experiment
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Bump when any cached result dataclass's schema changes, to orphan stale
 #: cache files.  2: cache keys carry the runner name (chaos campaigns and
-#: throughput experiments share the cache directory).
-_CACHE_SCHEMA = 2
+#: throughput experiments share the cache directory).  3: campaign
+#: configs are ``{"spec", "seed"}`` and results extend ``CampaignResult``.
+_CACHE_SCHEMA = 3
 
 
 def default_workers() -> int:
@@ -90,14 +93,6 @@ def _run_kwargs(config: Mapping, runner: Callable) -> tuple:
     return result, time.perf_counter() - start
 
 
-def _run_mapping(config: Mapping, runner: Callable) -> tuple:
-    """Like :func:`_run_kwargs` for runners taking the config mapping whole
-    (e.g. :func:`repro.faults.chaos.run_chaos_seed`)."""
-    start = time.perf_counter()
-    result = runner(config)
-    return result, time.perf_counter() - start
-
-
 def _cache_path(cache_dir: pathlib.Path, key: str) -> pathlib.Path:
     return cache_dir / f"{key}.json"
 
@@ -110,7 +105,7 @@ def _cache_load(cache_dir: pathlib.Path, key: str,
     except (OSError, ValueError):
         return None
     try:
-        return result_type(**data)
+        return from_json(result_type, data)
     except TypeError:
         return None  # stale schema: treat as a miss, will be overwritten
 
@@ -154,21 +149,20 @@ def run_experiments(
     report: Optional[Callable[[str], None]] = None,
     runner: Callable = run_experiment,
     result_type: type = ExperimentResult,
-    unpack: bool = True,
 ) -> list:
-    """Run a batch of experiment configs; results in input order.
+    """Run a batch of configs; results in input order.
 
-    Each config is a mapping of ``runner`` keyword arguments (with
-    ``unpack=False`` the mapping is passed whole as the single positional
-    argument — the shape :func:`repro.faults.chaos.run_chaos_seed` takes),
-    plus an optional ``"extras"`` dict merged into ``result.extras`` after
-    the run (used by the Fig. 4/5 sweeps to tag rows with the swept
-    variable).  Results are bit-identical to calling ``runner``
-    sequentially yourself — fan-out and caching change wall-clock only.
+    Each config is a mapping of ``runner`` keyword arguments (a campaign's
+    is ``{"spec": spec, "seed": seed}``), plus an optional ``"extras"``
+    dict merged into ``result.extras`` after the run (used by the Fig. 4/5
+    sweeps to tag rows with the swept variable).  Results are
+    bit-identical to calling ``runner`` sequentially yourself — fan-out
+    and caching change wall-clock only.
 
     ``runner`` must be a module-level callable (it is pickled into pool
-    workers) returning a ``result_type`` dataclass with at least
-    ``protocol``/``f``/``n``/``network``/``sim_events``/``extras`` fields.
+    workers) returning a ``result_type`` record:
+    :class:`~repro.harness.runner.ExperimentResult` or a
+    :class:`~repro.harness.runner.CampaignResult` subclass.
 
     ``cache_dir`` (or the ``REPRO_RESULT_CACHE`` environment variable)
     enables the on-disk result cache.  ``report`` receives one line per
@@ -201,8 +195,7 @@ def run_experiments(
 
     batch_start = time.perf_counter()
     if pending:
-        body = functools.partial(_run_kwargs if unpack else _run_mapping,
-                                 runner=runner)
+        body = functools.partial(_run_kwargs, runner=runner)
         fresh = parallel_map(body, [configs[i] for i in pending],
                              workers=workers)
         for i, (result, wall) in zip(pending, fresh):
@@ -219,8 +212,10 @@ def run_experiments(
         if extras:
             result.extras.update(extras)
         total_events += result.sim_events
+        duration = getattr(config.get("spec"), "duration_ms",
+                           config.get("duration_ms", 1500.0))
         label = (f"{result.protocol} f={result.f} n={result.n} "
-                 f"{result.network} {config.get('duration_ms', 1500.0):g}ms")
+                 f"{result.network} {duration:g}ms")
         wall = walls[i]
         if wall is None:
             emit(f"[harness] {label}: cached ({result.sim_events} sim events)")

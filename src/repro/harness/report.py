@@ -22,42 +22,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def format_network_breakdown(stats_by_label: "dict[str, Any]",
-                             transport_by_label: "dict[str, dict]" = None,
-                             title: str = "network fault/transport breakdown") -> str:
-    """Render per-run network statistics with the drop-cause split.
-
-    ``stats_by_label`` maps a row label to a
-    :class:`repro.net.network.NetworkStats`; ``transport_by_label``
-    optionally maps the same labels to
-    :meth:`repro.net.network.Network.transport_totals` dicts, adding the
-    retransmission/dedup columns.  The split answers *who* lost each
-    message: the adversary (targeted), the fault model (stochastic), or a
-    detached destination.
-    """
-    transport_by_label = transport_by_label or {}
-    headers = ["run", "sent", "delivered", "adv-drop", "fault-drop",
-               "undeliv", "dup'd", "dup-deliv", "corrupt", "rejected"]
-    with_transport = bool(transport_by_label)
-    if with_transport:
-        headers += ["retrans", "dedup", "acks", "evicted"]
-    rows = []
-    for label, stats in stats_by_label.items():
-        row = [label, stats.messages_sent, stats.messages_delivered,
-               stats.adversary_dropped, stats.fault_dropped,
-               stats.undeliverable_dropped, stats.fault_duplicated,
-               stats.duplicates_delivered, stats.fault_corrupted,
-               stats.corrupt_rejected]
-        if with_transport:
-            totals = transport_by_label.get(label, {})
-            row += [totals.get("retransmissions", 0),
-                    totals.get("dup_suppressed", 0),
-                    totals.get("acks_sent", 0),
-                    totals.get("window_evictions", 0)]
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
 def format_byz_breakdown(results: "Sequence[Any]",
                          title: str = "Byzantine attack breakdown") -> str:
     """Render per-strategy attempt/denial counters of chaos results.
@@ -188,6 +152,5 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-__all__ = ["format_table", "format_byz_breakdown",
-           "format_network_breakdown", "format_slo_breakdown",
+__all__ = ["format_table", "format_byz_breakdown", "format_slo_breakdown",
            "format_slo_timeline", "format_phase_breakdown"]

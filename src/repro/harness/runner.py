@@ -15,15 +15,21 @@ turns "protocol P at fault bound f on network N, ``-R`` counter at c ms"
 into a running cluster through the functions below
 (:func:`resolve_protocol`, :func:`resolve_network`, :func:`protocol_config`,
 :func:`build_deployment`), and turns its violations into a pass/fail list
-through :func:`verdict`.  A campaign kind adds a spec, a fault installer,
-engagement checks, digest fields and a result type; it never assembles a
-cluster of its own.
+through :func:`verdict`.
+
+Every campaign kind keeps one contract: ``run_<kind>(spec, seed)``
+returns a :class:`CampaignResult` subclass, its deployment is
+:func:`campaign_config` of its spec, and the parallel harness runs it
+from the config ``{"spec": spec, "seed": seed}``.  A kind adds a spec, a
+fault installer, engagement checks, digest fields and a result subclass;
+it never assembles a cluster or writes a worker wrapper of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Iterable, Optional
 
 from repro.client.workload import OpenLoopGenerator, QueueSource, SaturatedSource
 from repro.consensus.cluster import Cluster, build_cluster
@@ -133,6 +139,24 @@ def protocol_config(
     )
 
 
+#: The deployment fields a campaign spec may declare: every
+#: :class:`ProtocolConfig` field but the committee's, plus the keywords
+#: :func:`protocol_config` maps itself.
+_DEPLOYMENT_FIELDS = frozenset(
+    set(ProtocolConfig.__dataclass_fields__) - {"n", "f", "seed"}
+    | {"counter_write_ms", "snapshot_interval", "snapshot_retain"})
+
+
+def campaign_config(protocol: ProtocolSpec, spec, seed: int,
+                    **overrides: Any) -> ProtocolConfig:
+    """The :class:`ProtocolConfig` of one campaign of ``spec``: every
+    deployment field the spec declares (batch size, timeouts, counter
+    write latency, snapshots, ...), then ``overrides``."""
+    declared = {name: value for name, value in vars(spec).items()
+                if name in _DEPLOYMENT_FIELDS}
+    return protocol_config(protocol, spec.f, seed, **declared | overrides)
+
+
 def committed_tips(nodes: Iterable) -> list[tuple[int, str]]:
     """(height, hash) of every replica's committed tip — the chain part of
     every campaign result digest."""
@@ -240,19 +264,23 @@ def build_deployment(
     return Deployment(cluster, generator)
 
 
-def verdict(violations: list, expected: Iterable[str],
-            missing_means: str) -> list[str]:
+def verdict(violations: list, expected: Iterable[str], missing_means: str,
+            extras: Optional[dict] = None) -> list[str]:
     """What fails the run, as strings (they feed the result digests).
 
     With nothing ``expected``, every violation.  In negative-control mode
     the ``expected`` invariants must trip: everything else still fails
     the run, and so does an expected one that never tripped — a control
     whose attack did not demonstrably land proves nothing.
-    ``missing_means`` words that line per campaign kind.
+    ``missing_means`` words that line per campaign kind; ``extras``, when
+    given, records the expected invariants that did trip under
+    ``expected_tripped``.
     """
     if not expected:
         return [str(v) for v in violations]
-    tripped = {v.invariant for v in violations}
+    tripped = sorted(set(expected) & {v.invariant for v in violations})
+    if extras is not None:
+        extras["expected_tripped"] = tripped
     return [str(v) for v in violations if v.invariant not in expected] + [
         f"[expected-violation-missing] negative control {name!r} "
         f"never tripped {missing_means}"
@@ -260,19 +288,41 @@ def verdict(violations: list, expected: Iterable[str],
     ]
 
 
-def spec_from_config(spec_cls: type, config: Mapping, kind: str):
-    """A campaign spec from one parallel-harness config mapping: the
-    spec's own fields, ``seed``/``extras`` ignored, anything else refused."""
-    fields = spec_cls.__dataclass_fields__
-    unknown = set(config) - set(fields) - {"seed", "extras"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {kind} config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in config.items() if k in fields}
-    if "expect_violations" in kwargs:
-        # Configs that went through JSON carry lists.
-        kwargs["expect_violations"] = tuple(kwargs["expect_violations"])
-    return spec_cls(**kwargs)
+@dataclass(kw_only=True)
+class CampaignResult:
+    """What every campaign kind returns for one ``(spec, seed)``: the
+    fields the parallel harness, the result cache and the CLI read.  A
+    kind subclasses it with its own fields only.  ``digest`` summarizes
+    the run's observable state: identical seeds give identical digests.
+    """
+
+    protocol: str
+    f: int
+    #: committee size (per shard, for sharded kinds)
+    n: int
+    network: str
+    seed: int
+    violations: list[str] = field(default_factory=list)
+    sim_events: int = 0
+    digest: str = ""
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        """True iff nothing (invariant, gate, engagement) failed."""
+        return not self.violations
+
+
+def from_json(record_type: type, data: dict):
+    """A result record back from its :func:`dataclasses.asdict` JSON: a
+    field typed ``list[<record>]`` (power-cut outcomes, soak health
+    windows) gets its records back, not dicts."""
+    hints = typing.get_type_hints(record_type)
+    for item in fields(record_type):
+        args = typing.get_args(hints[item.name])
+        if item.name in data and len(args) == 1 and is_dataclass(args[0]):
+            data[item.name] = [args[0](**value) for value in data[item.name]]
+    return record_type(**data)
 
 
 @dataclass
@@ -324,7 +374,6 @@ def run_experiment(
     dup: float = 0.0,
     reorder: float = 0.0,
     corrupt: float = 0.0,
-    transport: Optional[TransportConfig] = None,
 ) -> ExperimentResult:
     """Run one measured experiment and return its metrics.
 
@@ -334,10 +383,8 @@ def run_experiment(
 
     ``loss``/``dup``/``reorder``/``corrupt`` configure a
     :class:`~repro.net.faults.LinkFaultModel` on the fabric; any nonzero
-    rate also installs the reliable transport (pass ``transport`` to
-    override its knobs, or pass it alone to prove the loss=0 equivalence:
-    a passive transport changes no metric).  When the fault layer is on,
-    ``extras`` gains ``net_*`` retransmission/dedup/goodput counters.
+    rate also installs the reliable transport, and ``extras`` gains
+    ``net_*`` retransmission/dedup/goodput counters.
 
     ``trace=True`` turns on :mod:`repro.obs` span tracing for the run:
     the result's ``extras`` gains the critical-path cost breakdown
@@ -359,12 +406,11 @@ def run_experiment(
     client_hop = latency.one_way_ms
     collector = MetricsCollector(warmup_ms=warmup_ms, reply_one_way_ms=client_hop)
 
-    faults = None
+    faults = transport = None
     if loss or dup or reorder or corrupt:
         faults = LinkFaultModel(loss=loss, dup=dup, reorder=reorder,
                                 corrupt=corrupt)
-        if transport is None:
-            transport = TransportConfig()
+        transport = TransportConfig()
 
     deployment = build_deployment(
         spec, config, latency, seed,
@@ -443,12 +489,14 @@ __all__ = [
     "resolve_protocol",
     "resolve_network",
     "protocol_config",
+    "campaign_config",
     "Deployment",
     "build_deployment",
     "poisson_arrivals",
     "committed_tips",
     "verdict",
-    "spec_from_config",
+    "CampaignResult",
+    "from_json",
     "ExperimentResult",
     "run_experiment",
 ]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Optional
 
 from repro.client.workload import DROP_OVERFLOW, QueueSource
 from repro.consensus.base import NodeStatus
@@ -53,12 +53,12 @@ from repro.faults.scenarios import LEADER, SCENARIOS, SoakPlan, build_plan
 from repro.harness.invariants import InvariantMonitor, InvariantViolation
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import (
+    CampaignResult,
     build_deployment,
+    campaign_config,
     committed_tips,
-    protocol_config,
     resolve_network,
     resolve_protocol,
-    spec_from_config,
     verdict,
 )
 from repro.net.adversary import NetworkAdversary
@@ -70,9 +70,11 @@ from repro.workload.spec import WorkloadSpec
 # ----------------------------------------------------------------------
 # Campaign description
 # ----------------------------------------------------------------------
-#: Base view timeout the vulnerable configuration arms: below the commit
-#: latency, so every view times out before it can commit.
-VULNERABLE_TIMEOUT_MS = 2.0
+#: What the vulnerable configuration overrides: no backoff, no damping,
+#: no recovery assist, and a base view timeout below the commit latency,
+#: so every view times out before it can commit.
+VULNERABLE_OVERRIDES = dict(base_timeout_ms=2.0, pacemaker_max_doublings=0,
+                            backoff_decay=0, recovery_assist=False)
 #: Reconvergence needs this many consecutive SLO-passing windows.
 SLO_SUSTAIN_WINDOWS = 4
 #: Windows after release before the cycle detector starts looking.
@@ -405,31 +407,17 @@ def find_reconvergence(
 # ----------------------------------------------------------------------
 # Campaign execution
 # ----------------------------------------------------------------------
-@dataclass
-class SoakResult:
-    """One seed's outcome; ``digest`` is deterministic per (spec, seed)."""
+@dataclass(kw_only=True)
+class SoakResult(CampaignResult):
+    """One seed's outcome."""
 
-    protocol: str
-    f: int
-    n: int
-    network: str
     scenario: str
-    seed: int
     committed_height: int
     min_committed_height: int
     recoveries: int
     reconverged_at_ms: Optional[float]
     cycle: str
-    violations: list[str] = field(default_factory=list)
     windows: list[HealthWindow] = field(default_factory=list)
-    sim_events: int = 0
-    digest: str = ""
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True iff nothing (invariant, gate, engagement) failed."""
-        return not self.violations
 
 
 def _install_plan(spec: SoakSpec, plan: SoakPlan, cluster, monitor) -> dict:
@@ -524,20 +512,9 @@ def run_soak(spec: SoakSpec, seed: int,
     """Run one seeded soak campaign and return its deterministic result."""
     protocol = resolve_protocol(spec.protocol)
     latency = resolve_network(spec.network)
-    config = protocol_config(
-        protocol, spec.f, seed,
-        counter_write_ms=spec.counter_write_ms,
-        batch_size=spec.batch_size,
-        payload_size=spec.payload_size,
-        base_timeout_ms=(VULNERABLE_TIMEOUT_MS if spec.vulnerable
-                         else spec.base_timeout_ms),
-        timeout_jitter=spec.timeout_jitter,
-        recovery_retry_ms=spec.recovery_retry_ms,
-        pacemaker_max_doublings=(0 if spec.vulnerable
-                                 else spec.pacemaker_max_doublings),
-        backoff_decay=(0 if spec.vulnerable else spec.backoff_decay),
-        recovery_assist=(False if spec.vulnerable else spec.recovery_assist),
-    )
+    config = campaign_config(protocol, spec, seed,
+                             **(VULNERABLE_OVERRIDES if spec.vulnerable
+                                else {}))
     n = config.n
 
     plan = build_plan(
@@ -660,10 +637,10 @@ def run_soak(spec: SoakSpec, seed: int,
         "flash_arrivals": generator.engine.flash_arrivals,
         "churn_transitions": generator.engine.churn_transitions,
     }
-    engagement_failures = _check_engagement(plan, spec, counters)
-
+    extras = dict(counters)
     violations = verdict(monitor.violations, spec.expect_violations,
-                         "— the degradation did not land") + engagement_failures
+                         "— the degradation did not land", extras) \
+        + _check_engagement(plan, spec, counters)
 
     reconverged_at_ms = (None if reconverged_index is None
                          else reconverged_index * spec.window_ms)
@@ -678,7 +655,6 @@ def run_soak(spec: SoakSpec, seed: int,
         cycle_text,
     )
 
-    extras = dict(counters)
     extras["strikes_fired"] = install_state["strikes_fired"]
     extras["strikes_skipped"] = install_state["strikes_skipped"]
     extras["rollbacks_mounted"] = sum(
@@ -686,10 +662,6 @@ def run_soak(spec: SoakSpec, seed: int,
     extras["peak_backoff"] = peak_backoff
     extras["backoff_nudges"] = backoff_nudges
     extras["drop_reasons"] = dict(sorted(source.drops.items()))
-    if spec.expect_violations:
-        tripped = {v.invariant for v in monitor.violations}
-        extras["expected_tripped"] = sorted(
-            set(spec.expect_violations) & tripped)
 
     return SoakResult(
         protocol=spec.protocol,
@@ -711,17 +683,6 @@ def run_soak(spec: SoakSpec, seed: int,
     )
 
 
-def run_soak_seed(config: Mapping) -> SoakResult:
-    """Worker entry point: one config mapping → one :class:`SoakResult`.
-
-    Shape-compatible with :func:`repro.harness.parallel.run_experiments`
-    (module-level, picklable): ``config`` holds ``seed`` plus SoakSpec
-    fields.
-    """
-    return run_soak(spec_from_config(SoakSpec, config, "soak"),
-                    seed=int(config.get("seed", 0)))
-
-
 __all__ = [
     "SoakSpec",
     "SoakResult",
@@ -731,5 +692,4 @@ __all__ = [
     "find_reconvergence",
     "meets_slo",
     "run_soak",
-    "run_soak_seed",
 ]

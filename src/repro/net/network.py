@@ -16,8 +16,7 @@ Fault layering, in order, for every offered message:
 
 When a :class:`~repro.net.transport.TransportConfig` is supplied, every
 attached endpoint gets a :class:`~repro.net.transport.ReliableChannel`
-that wins delivery back under 1–3 (see :mod:`repro.net.transport` for the
-passive-at-loss=0 equivalence guarantee).
+that wins delivery back under 1–3 (see :mod:`repro.net.transport`).
 
 Statistics (message and byte counts, per-link and per-kind, and the
 adversary/fault/undeliverable drop split) feed Table 1's
@@ -73,7 +72,7 @@ class NetworkStats:
     #: Second copies created by the fault model (not sender traffic).
     fault_duplicated: int = 0
     #: Fabric-duplicated copies that reached an application endpoint
-    #: (with the transport engaged this stays ~0: dedup suppresses them).
+    #: (with a transport installed this stays ~0: dedup suppresses them).
     duplicates_delivered: int = 0
     #: Copies corrupted in flight by the fault model.
     fault_corrupted: int = 0
@@ -122,16 +121,6 @@ class Network:
         self._gaussian = (latency.rtt_ms / 2.0, latency.jitter_ms / 2.0) \
             if type(latency) is LatencyProfile else None
 
-    @property
-    def transport_engaged(self) -> bool:
-        """True while channels actively ACK/retransmit (vs passive
-        sequence stamping only)."""
-        if self.transport is None:
-            return False
-        if self.transport.engage == "always":
-            return True
-        return self.faults is not None and self.faults.active
-
     # ------------------------------------------------------------------
     def attach(self, node_id: int, endpoint: Endpoint) -> None:
         """Register an endpoint under ``node_id`` (replacing any previous)."""
@@ -142,7 +131,6 @@ class Network:
                 channel = ReliableChannel(self, node_id, self.transport)
                 self._channels[node_id] = channel
             channel.endpoint = endpoint
-            channel.engaged = self.transport_engaged
 
     def detach(self, node_id: int) -> None:
         """Remove an endpoint; traffic to it is dropped until re-attached."""

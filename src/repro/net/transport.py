@@ -17,17 +17,13 @@ paper's TCP deployment does:
   arrive out of order — the protocols are reorder-tolerant, and holding
   frames back would change delivery order versus the loss-free baseline.
 
-Passive vs engaged
-------------------
-A channel is **engaged** only while the fabric can actually fault
-(``LinkFaultModel.active``) or when the config forces it
-(``engage="always"``).  A passive channel stamps sequence metadata and
-nothing else: no timers, no ACKs, no RNG draws, no extra simulator
-events, and no change to estimated wire sizes (the transport header is
-part of the existing per-message framing allowance,
-:data:`~repro.net.message.HEADER_BYTES`).  That is what makes runs at
-loss=0 *bit-identical* with the transport enabled or disabled — the
-equivalence the property tests pin.
+Every runner installs a transport exactly when it installs a
+:class:`~repro.net.faults.LinkFaultModel`, and a channel always ACKs and
+retransmits; a fault-free run has no transport at all and stays
+bit-identical to the pre-fault-layer baseline.  The transport header is
+part of the existing per-message framing allowance
+(:data:`~repro.net.message.HEADER_BYTES`), so stamping never changes
+estimated wire sizes.
 
 Corruption is detected, never masked: when the fault model can corrupt,
 senders seal each envelope with an integrity tag over its header
@@ -73,19 +69,12 @@ class TransportConfig:
     #: Delayed-ACK window: how long a receiver waits for a piggyback
     #: opportunity before sending a standalone ACK.
     ack_delay_ms: float = 4.0
-    #: ``"auto"`` — engage only while the fault model is active (the
-    #: loss=0 equivalence mode); ``"always"`` — engage unconditionally
-    #: (unit tests exercising the machinery without a fault model).
-    engage: str = "auto"
 
     def __post_init__(self) -> None:
         if self.base_rto_ms <= 0 or self.max_rto_ms < self.base_rto_ms:
             raise ConfigurationError("invalid transport RTO configuration")
         if self.backoff < 1.0 or self.jitter < 0.0 or self.window < 1:
             raise ConfigurationError("invalid transport configuration")
-        if self.engage not in ("auto", "always"):
-            raise ConfigurationError(
-                f"transport engage mode {self.engage!r} (auto or always)")
 
 
 @dataclass
@@ -219,7 +208,6 @@ class ReliableChannel:
         self.node_id = node_id
         self.config = config
         self.endpoint = None
-        self.engaged = False
         #: Incarnation of this endpoint's outgoing streams; bumped by
         #: :meth:`reset` (host reboot) to abandon stale in-flight frames.
         self.epoch = 0
@@ -269,11 +257,8 @@ class ReliableChannel:
     # Send path
     # ------------------------------------------------------------------
     def stamp(self, envelope) -> None:
-        """Attach the transport header to an outgoing envelope.
-
-        Passive channels only assign sequence numbers — no timers, no
-        events, no RNG draws, no size change.
-        """
+        """Attach the transport header to an outgoing envelope and track
+        the frame until it is ACKed (the estimated size never changes)."""
         payload = envelope.payload
         if isinstance(payload, AckPayload):
             envelope.frame = Frame(epoch=self.epoch, seq=None)
@@ -285,8 +270,6 @@ class ReliableChannel:
         peer.next_seq += 1
         frame = Frame(epoch=self.epoch, seq=seq)
         envelope.frame = frame
-        if not self.engaged:
-            return
         self.stats.frames_sent += 1
         if envelope.dst in self._pending_acks:
             rx = self._rx.get(envelope.dst)
@@ -389,7 +372,7 @@ class ReliableChannel:
             return True  # pre-transport sender (mixed setups / tests)
         if frame.ack is not None:
             self._process_ack(envelope.src, frame.ack)
-        if frame.seq is None or not self.engaged:
+        if frame.seq is None:
             return True
         if not self._endpoint_up():
             # Never record (or ACK) a frame the dead process cannot see:

@@ -8,8 +8,7 @@ Layering: :mod:`ranges` (key-space partitioning) → :mod:`machine`
 :mod:`sweep` (campaign + benchmark harnesses).
 """
 
-from repro.shard.chaos import (ShardChaosResult, ShardChaosSpec,
-                               run_shard_chaos, run_shard_chaos_seed)
+from repro.shard.chaos import ShardChaosResult, ShardChaosSpec, run_shard_chaos
 from repro.shard.deployment import ShardedDeployment, ShardScope
 from repro.shard.invariants import INVARIANT, check_cross_shard_atomicity
 from repro.shard.machine import ShardStateMachine, decode_writes, encode_writes
@@ -34,7 +33,6 @@ __all__ = [
     "ShardChaosSpec",
     "ShardChaosResult",
     "run_shard_chaos",
-    "run_shard_chaos_seed",
     "run_shard_point",
     "run_shard_sweep",
     "format_shard_sweep",

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Optional
 
 from repro.client.workload import ShardedOpenLoopGenerator
 from repro.crypto.hashing import digest_of
 from repro.errors import ConfigurationError
 from repro.harness.invariants import InvariantViolation
-from repro.harness.runner import committed_tips, spec_from_config, verdict
+from repro.harness.runner import CampaignResult, committed_tips, verdict
 from repro.shard.deployment import ShardedDeployment
 
 
@@ -117,17 +117,12 @@ class ShardChaosSpec:
         return self.duration_ms / 3.0
 
 
-@dataclass(frozen=True)
-class ShardChaosResult:
-    """Deterministic outcome of one seeded shard campaign."""
+@dataclass(kw_only=True)
+class ShardChaosResult(CampaignResult):
+    """Deterministic outcome of one seeded shard campaign (``n`` is the
+    committee size per shard)."""
 
-    protocol: str
     shards: int
-    f: int
-    #: committee size *per shard* (the parallel harness reports it)
-    n: int
-    network: str
-    seed: int
     fault: str
     victim: Optional[int]
     committed_txns: int
@@ -135,15 +130,6 @@ class ShardChaosResult:
     commit_rejects: int
     in_flight_at_fault: int
     txs_committed: int
-    violations: "list[str]"
-    sim_events: int
-    digest: str
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """Did the campaign pass (no unexpected violations)?"""
-        return not self.violations
 
 
 def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
@@ -223,8 +209,9 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
             f"[shard-engagement] the {spec.fault} of shard {victim} landed "
             f"with zero transactions in flight — not mid-2PC")
 
+    extras: dict = {}
     violations = verdict(all_violations, sorted(set(spec.expect_violations)),
-                         "— the scenario did not land") + engagement
+                         "— the scenario did not land", extras) + engagement
 
     digest = digest_of(
         "shard-chaos-result", spec.protocol, spec.shards, spec.f,
@@ -235,7 +222,7 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
     )
 
     summary = deployment.summary()
-    extras = {
+    extras |= {
         "writes_issued": generator.writes_issued,
         "txns_issued": generator.txns_issued,
         "router_failures": deployment.router.failures,
@@ -253,10 +240,6 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
         "e2e_p99_ms": summary["e2e_latency_p99_ms"],
         "e2e_p999_ms": summary["e2e_latency_p999_ms"],
     }
-    if spec.expect_violations:
-        extras["expected_tripped"] = sorted(
-            set(spec.expect_violations)
-            & {v.invariant for v in all_violations})
 
     return ShardChaosResult(
         protocol=spec.protocol,
@@ -279,13 +262,4 @@ def run_shard_chaos(spec: ShardChaosSpec, seed: int) -> ShardChaosResult:
     )
 
 
-def run_shard_chaos_seed(config: Mapping) -> ShardChaosResult:
-    """Worker entry point (module-level so the parallel harness pickles
-    it): one config mapping → one :class:`ShardChaosResult`."""
-    return run_shard_chaos(
-        spec_from_config(ShardChaosSpec, config, "shard chaos"),
-        seed=int(config.get("seed", 0)))
-
-
-__all__ = ["ShardChaosSpec", "ShardChaosResult", "run_shard_chaos",
-           "run_shard_chaos_seed"]
+__all__ = ["ShardChaosSpec", "ShardChaosResult", "run_shard_chaos"]

@@ -2,15 +2,14 @@
 
 The trace is how the harness computes message complexity (Table 1),
 communication-step counts, and debug timelines.  Recording is cheap (an
-appended tuple) and can be filtered by kind; it can also be disabled
-entirely for long benchmark runs.
+appended record) and can be disabled entirely for long benchmark runs,
+while the per-kind counters keep ticking.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 
 @dataclass(frozen=True)
@@ -24,23 +23,13 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Appends :class:`TraceEvent` records; supports filtering and counting.
+    """Appends :class:`TraceEvent` records to ``events`` and counts them
+    per kind; filter ``events`` to select by kind or time."""
 
-    ``max_events`` bounds memory on long campaigns: when set, only the
-    most recent ``max_events`` records are retained (a ring buffer), while
-    the per-kind counters keep exact totals for everything ever recorded.
-    """
-
-    def __init__(self, enabled: bool = True,
-                 max_events: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.events: deque[TraceEvent] = deque(maxlen=max_events)
+        self.events: list[TraceEvent] = []
         self._counters: dict[str, int] = {}
-
-    @property
-    def max_events(self) -> Optional[int]:
-        """The retention bound (None = unbounded)."""
-        return self.events.maxlen
 
     def record(self, time: float, kind: str, node: Optional[int] = None, **detail: Any) -> None:
         """Record one event (no-op when disabled, but counters still tick)."""
@@ -51,23 +40,6 @@ class TraceRecorder:
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were recorded (even while disabled)."""
         return self._counters.get(kind, 0)
-
-    def of_kind(self, kind: str) -> Iterator[TraceEvent]:
-        """Iterate recorded events of one kind."""
-        return (e for e in self.events if e.kind == kind)
-
-    def between(self, start: float, end: float) -> Iterator[TraceEvent]:
-        """Iterate recorded events with ``start <= time < end``."""
-        return (e for e in self.events if start <= e.time < end)
-
-    def clear(self) -> None:
-        """Drop all recorded events and counters."""
-        self.events.clear()
-        self._counters.clear()
-
-    def kinds(self) -> Iterable[str]:
-        """All kinds seen so far."""
-        return self._counters.keys()
 
 
 __all__ = ["TraceEvent", "TraceRecorder"]

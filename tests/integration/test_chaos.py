@@ -13,12 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.chaos import (
-    ChaosSpec,
-    generate_campaign,
-    run_chaos,
-    run_chaos_seed,
-)
+from repro.faults.chaos import ChaosSpec, generate_campaign, run_chaos
 from repro.faults.crash import CrashRebootSchedule
 
 
@@ -134,41 +129,52 @@ class TestChaosRuns:
         assert first.digest == second.digest
         assert run_chaos(spec, seed=5).digest != first.digest
 
-    def test_run_chaos_seed_config_mapping(self):
-        config = dict(protocol="achilles", f=1, seed=2,
-                      duration_ms=SMOKE.duration_ms,
-                      quiesce_ms=SMOKE.quiesce_ms,
-                      warmup_ms=SMOKE.warmup_ms)
-        result = run_chaos_seed(config)
-        assert result.seed == 2 and result.protocol == "achilles"
-        assert result == run_chaos(
-            ChaosSpec(protocol="achilles", f=1,
-                      duration_ms=SMOKE.duration_ms,
-                      quiesce_ms=SMOKE.quiesce_ms,
-                      warmup_ms=SMOKE.warmup_ms), 2)
-
-    def test_run_chaos_seed_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError, match="unknown chaos config"):
-            run_chaos_seed(dict(protocol="achilles", seed=0, bogus=1))
-
     def test_parallel_harness_integration(self, tmp_path):
-        """run_experiments fans chaos configs out and caches results by
-        (runner, config) — a second call replays from disk bit-identically."""
+        """run_experiments runs every campaign kind from the config
+        ``{"spec": spec, "seed": seed}``, equal to calling its runner, and
+        caches results by (runner, config): a second call replays them
+        from disk equal to the fresh run, nested records included."""
         from repro.faults.chaos import ChaosResult
+        from repro.faults.powercut import (CutOutcome, PowercutResult,
+                                           PowercutSpec, run_powercut)
         from repro.harness.parallel import run_experiments
+        from repro.harness.soak import (HealthWindow, SoakResult, SoakSpec,
+                                        run_soak)
 
-        configs = [dict(protocol="achilles", f=1, seed=seed,
-                        duration_ms=SMOKE.duration_ms,
-                        quiesce_ms=SMOKE.quiesce_ms,
-                        warmup_ms=SMOKE.warmup_ms)
-                   for seed in (0, 1)]
-        lines: list[str] = []
-        fresh = run_experiments(configs, workers=1, cache_dir=tmp_path,
-                                report=lines.append, runner=run_chaos_seed,
-                                result_type=ChaosResult, unpack=False)
-        cached = run_experiments(configs, workers=1, cache_dir=tmp_path,
-                                 report=lines.append, runner=run_chaos_seed,
-                                 result_type=ChaosResult, unpack=False)
-        assert fresh == cached
-        assert all(isinstance(r, ChaosResult) for r in cached)
-        assert any("cached" in line for line in lines)
+        chaos = ChaosSpec(protocol="achilles", f=1,
+                          duration_ms=SMOKE.duration_ms,
+                          quiesce_ms=SMOKE.quiesce_ms,
+                          warmup_ms=SMOKE.warmup_ms)
+        powercut = PowercutSpec(protocol="minbft", duration_ms=900.0,
+                                quiesce_ms=400.0, warmup_ms=150.0,
+                                max_cuts=1)
+        soak = SoakSpec(scenario="flash-crowd", warmup_ms=250.0,
+                        pressure_ms=500.0, reconverge_budget_ms=500.0,
+                        settle_ms=250.0, clients=5000)
+        replayed = {}
+        for runner, result_type, spec, seeds in (
+                (run_chaos, ChaosResult, chaos, (0, 1)),
+                (run_powercut, PowercutResult, powercut, (1,)),
+                (run_soak, SoakResult, soak, (1,))):
+            configs = [{"spec": spec, "seed": seed} for seed in seeds]
+            lines: list[str] = []
+            fresh = run_experiments(configs, workers=1, cache_dir=tmp_path,
+                                    report=lines.append, runner=runner,
+                                    result_type=result_type)
+            cached = run_experiments(configs, workers=1, cache_dir=tmp_path,
+                                     report=lines.append, runner=runner,
+                                     result_type=result_type)
+            assert fresh == cached
+            assert all(type(r) is result_type for r in cached)
+            assert [r.seed for r in cached] == list(seeds)
+            assert sum(": cached (" in line for line in lines) == len(seeds)
+            replayed[runner] = cached
+        assert replayed[run_chaos][1] == run_chaos(chaos, 1)
+        [cut_run] = replayed[run_powercut]
+        assert cut_run.cuts
+        assert all(type(c) is CutOutcome for c in cut_run.cuts)
+        assert cut_run.extras["records_dropped"] == sum(
+            c.dropped_records for c in cut_run.cuts)
+        [soak_run] = replayed[run_soak]
+        assert soak_run.windows
+        assert all(type(w) is HealthWindow for w in soak_run.windows)

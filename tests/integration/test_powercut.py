@@ -10,12 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.powercut import (
-    PowercutSpec,
-    run_powercut,
-    run_powercut_seed,
-    sample_cuts,
-)
+from repro.faults.powercut import PowercutSpec, run_powercut, sample_cuts
 from repro.storage import PersistencePoint
 
 
@@ -134,15 +129,3 @@ class TestSampling:
         assert chosen and all(p.kind == "fsync" for p, _ in chosen)
         assert all(k is None for _, k in chosen)
 
-
-class TestWorker:
-    def test_config_roundtrip(self):
-        result = run_powercut_seed(dict(
-            protocol="minbft", duration_ms=1200.0, quiesce_ms=500.0,
-            warmup_ms=150.0, max_cuts=2, seed=1))
-        assert result.protocol == "minbft" and result.seed == 1
-        assert result.ok, result.violations
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            run_powercut_seed(dict(protocol="minbft", bogus=1))

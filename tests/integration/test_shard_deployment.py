@@ -14,8 +14,7 @@ import pytest
 from repro.client.workload import ShardedOpenLoopGenerator
 from repro.errors import ConfigurationError
 from repro.shard import (INVARIANT, ShardChaosSpec, ShardedDeployment,
-                         run_shard_chaos, run_shard_chaos_seed,
-                         run_shard_point)
+                         run_shard_chaos, run_shard_point)
 
 # Short defended campaign (< 25 s wall): downtime below the abort-retry
 # span so most aborts land on reboot, TTL 1000 blocks so the stragglers
@@ -112,10 +111,6 @@ class TestShardChaos:
         assert a.digest == b.digest
         assert a.committed_txns == b.committed_txns
         assert a.violations == b.violations
-
-    def test_worker_entry_point_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError):
-            run_shard_chaos_seed({"seed": 0, "not_a_field": 1})
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):

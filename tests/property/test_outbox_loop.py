@@ -9,8 +9,8 @@ moved into the network.  Both twins must end in the same state: the same
 ``msg_id`` on every delivery, at the same instant, in the same order, the
 same ``NetworkStats``, RNG states and channel sequence numbers — with the
 link-fault model on (drop / duplicate / corrupt / extra delay), with an
-adversary rule and a partition, with the transport stamping (and, engaged,
-retransmitting), and with self-addressed entries anywhere in the outbox.
+adversary rule and a partition, with the transport stamping and
+retransmitting, and with self-addressed entries anywhere in the outbox.
 """
 
 from __future__ import annotations
@@ -60,12 +60,9 @@ class Twin:
         self.sim = sim = Simulator(seed=seed)
         faults = LinkFaultModel(loss=0.15, dup=0.3, reorder=0.4, corrupt=0.2,
                                 reorder_jitter_ms=2.0) if lossy else None
-        config = None
-        if transport:
-            config = TransportConfig(
-                engage="always" if transport == "engaged" else "auto")
         self.net = net = Network(sim, latency=LAN_PROFILE, faults=faults,
-                                 transport=config)
+                                 transport=TransportConfig() if transport
+                                 else None)
         self.log: list = []
         for node_id in range(NODES):
             net.attach(node_id, Sink(sim, node_id, self.log))
@@ -120,8 +117,7 @@ def run_twin(how, seed, lossy, transport, hostile, program):
         for gap_ms, src, outbox, cause in program:
             twin.sim.run(until=twin.sim.now + gap_ms)
             send(src, outbox, cause)
-        # Bounded: an engaged channel retransmits into a dropped link for
-        # ever.
+        # Bounded: a channel retransmits into a dropped link for ever.
         twin.sim.run(until=twin.sim.now + 150.0)
         return twin.state()
     finally:
@@ -141,7 +137,7 @@ programs = st.lists(
 
 
 @given(seed=st.integers(0, 50), lossy=st.booleans(),
-       transport=st.sampled_from([None, "passive", "engaged"]),
+       transport=st.booleans(),
        hostile=st.booleans(), program=programs)
 @settings(max_examples=150, deadline=None)
 def test_whole_outbox_equals_message_by_message(seed, lossy, transport,
@@ -156,14 +152,15 @@ def test_self_addressed_entry_keeps_its_place_in_the_id_and_event_order():
     vote = Note("vote")
     outbox = [(1, vote), (2, vote), (0, vote), (3, vote), (5, vote)]
     program = [(0.0, 0, outbox, 9)]
-    whole = run_twin("whole", 1, False, "passive", False, program)
-    assert whole == run_twin("one_by_one", 1, False, "passive", False, program)
+    whole = run_twin("whole", 1, False, True, False, program)
+    assert whole == run_twin("one_by_one", 1, False, True, False, program)
     log = whole[0]
     loopback = [entry for entry in log if entry[0] == "loopback"]
     assert [(e[1], e[7], e[8]) for e in loopback] == [(3, 9, 2)]
     delivered = sorted(e[3] for e in log if e[0] == "deliver")
     assert delivered == [1, 2, 4, 5]        # msg_id 3 never met the fabric
-    assert whole[4].messages_sent == 4
+    # Four data frames; the peers' ACKs back to node 0 are not data.
+    assert whole[4].by_kind["Note"] == 4
     # Stamped by the sender's own channel, one sequence number per peer,
     # none for the loopback.
     assert whole[7][0] == [(1, 2, []), (2, 2, []), (3, 2, []), (5, 2, [])]

@@ -253,8 +253,7 @@ class Twin:
             bandwidth=BandwidthModel() if bandwidth == "10gbps"
             else BandwidthModel.unlimited(),
             synchrony=SYNCHRONIES[synchrony](delta), faults=faults,
-            transport=None if transport is None
-            else TransportConfig(engage=transport))
+            transport=TransportConfig() if transport else None)
         self.log: list = []
         for node_id in range(NODES):
             self.net.attach(node_id, Sink(sim, node_id, self.log))
@@ -296,8 +295,7 @@ def run_twin(network_class, setup, program):
             twin.sim.run(until=twin.sim.now + gap_ms)
             twin.install(action)
             twin.net.send_outbox(src, outbox)
-        # Bounded: an engaged channel retransmits into a dropped link for
-        # ever.
+        # Bounded: a channel retransmits into a dropped link for ever.
         twin.sim.run(until=twin.sim.now + 200.0)
         return twin.state()
     finally:
@@ -319,8 +317,7 @@ setups = st.tuples(
     st.integers(0, 50), st.sampled_from(sorted(LATENCIES)),
     st.sampled_from(sorted(SYNCHRONIES)),
     st.sampled_from([0.045, 0.7, 20.0, 1000.0]),
-    st.sampled_from(["unlimited", "10gbps"]), st.booleans(),
-    st.sampled_from([None, "auto", "always"]))
+    st.sampled_from(["unlimited", "10gbps"]), st.booleans(), st.booleans())
 
 
 @given(setup=setups, program=programs)

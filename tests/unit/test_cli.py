@@ -306,8 +306,9 @@ class TestCommands:
         missing = ("[expected-violation-missing] negative control "
                    "'degradation-cycle' never tripped")
         configs = self._canned(monkeypatch, lambda config: SoakResult(
-            protocol=config["protocol"], f=config["f"], n=3,
-            network=config["network"], scenario=config["scenario"],
+            protocol=config["spec"].protocol, f=config["spec"].f, n=3,
+            network=config["spec"].network,
+            scenario=config["spec"].scenario,
             seed=config["seed"], committed_height=900,
             min_committed_height=900, recoveries=0,
             reconverged_at_ms=1600.0, cycle="", violations=[missing]))
@@ -324,7 +325,7 @@ class TestCommands:
                      "--expect", "degradation-cycle",
                      "--trace-dir", str(tmp_path)])
         assert code == 1
-        assert [c["expect_violations"] for c in configs] == \
+        assert [c["spec"].expect_violations for c in configs] == \
             [("degradation-cycle",)]
         err = capsys.readouterr().err
         assert "expected-violation-missing" in err
@@ -359,16 +360,16 @@ class TestCommands:
         from repro.faults.powercut import PowercutResult
 
         configs = self._canned(monkeypatch, lambda config: PowercutResult(
-            protocol=config["protocol"], f=config["f"], n=3,
-            network=config["network"], seed=config["seed"], victim=1))
+            protocol=config["spec"].protocol, f=config["spec"].f, n=3,
+            network=config["spec"].network, seed=config["seed"], victim=1))
         code = main(["powercut", "--protocols", "minbft", "--seeds", "1",
                      "--max-cuts", "2", "--duration", "1200",
                      "--quiesce", "500", "--warmup", "150",
                      "--journal-off"])
         assert code == 0
         [config] = configs
-        assert config["journal_off"]
-        assert config["expect_violations"] == ("durable-prefix",)
+        assert config["spec"].journal_off
+        assert config["spec"].expect_violations == ("durable-prefix",)
         out = capsys.readouterr().out
         assert "negative control held" in out
 

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.obs` — span tracer mechanics, critical-path
 bucket arithmetic, and the Perfetto schema validator — plus the bounded
-recorders (``SpanTracer.max_spans``, ``TraceRecorder.max_events``) and the
-metrics-collector memory fixes that ride along."""
+span recorder (``SpanTracer.max_spans``), the unbounded ``TraceRecorder``
+and the metrics-collector memory fixes that ride along."""
 
 from __future__ import annotations
 
@@ -254,21 +254,12 @@ class TestLatencyStatsCache:
 
 
 class TestTraceRecorderRing:
-    def test_ring_keeps_recent_and_exact_counts(self):
-        recorder = TraceRecorder(max_events=3)
-        for i in range(10):
-            recorder.record(float(i), "tick", node=0)
-        assert len(recorder.events) == 3
-        assert [e.time for e in recorder.events] == [7.0, 8.0, 9.0]
-        assert recorder.count("tick") == 10
-        assert recorder.max_events == 3
-
     def test_unbounded_by_default(self):
         recorder = TraceRecorder()
         for i in range(10):
             recorder.record(float(i), "tick")
         assert len(recorder.events) == 10
-        assert recorder.max_events is None
+        assert recorder.count("tick") == 10
 
 
 class TestMetricsCollectorPruning:

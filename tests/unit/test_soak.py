@@ -11,8 +11,7 @@ from repro.faults.scenarios import (LEADER, SCENARIOS, SoakCrash,
 from repro.harness.metrics import WindowedLatencyStats
 from repro.harness.soak import (HealthWindow, SoakSpec, _bucket,
                                 detect_degradation_cycle,
-                                find_reconvergence, meets_slo,
-                                run_soak_seed)
+                                find_reconvergence, meets_slo)
 from repro.sim.loop import Simulator
 from repro.sim.process import Process
 
@@ -284,8 +283,3 @@ class TestSoakSpec:
             SoakSpec(pressure_ms=0.0)
         with pytest.raises(ConfigurationError):
             SoakSpec(cycle_windows=1)
-
-    def test_run_soak_seed_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError):
-            run_soak_seed({"protocol": "achilles", "seed": 0,
-                           "warp_factor": 9})

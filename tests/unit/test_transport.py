@@ -41,7 +41,7 @@ def _net(transport=None, faults=None, seed=1):
     return sim, net, sinks
 
 
-ENGAGED = TransportConfig(engage="always", jitter=0.0)
+ENGAGED = TransportConfig(jitter=0.0)
 
 
 class TestFaultModel:
@@ -155,37 +155,11 @@ class TestTransportConfig:
             TransportConfig(max_rto_ms=1.0)  # below base
         with pytest.raises(ConfigurationError):
             TransportConfig(window=0)
-        with pytest.raises(ConfigurationError):
-            TransportConfig(engage="sometimes")
-
-
-class TestPassiveChannel:
-    def test_passive_stamps_sequences_without_events(self):
-        sim, net, sinks = _net(transport=TransportConfig())  # auto, no faults
-        assert not net.transport_engaged
-        net.send(0, 1, "a")
-        net.send(0, 1, "b")
-        sim.run()
-        seqs = [e.frame.seq for e in sinks[1].received]
-        assert seqs == [1, 2]
-        channel = net.channel(0)
-        assert channel.stats.frames_sent == 0  # engaged-only counter
-        assert net.transport_totals()["acks_sent"] == 0
-
-    def test_passive_and_bare_runs_process_same_event_count(self):
-        def events(transport):
-            sim, net, _ = _net(transport=transport)
-            for _ in range(5):
-                net.send(0, 1, "x")
-            sim.run()
-            return sim.events_processed
-
-        assert events(None) == events(TransportConfig())
 
 
 class TestReliableChannel:
     def test_dedup_under_fabric_duplication(self):
-        sim, net, sinks = _net(transport=TransportConfig(engage="always"),
+        sim, net, sinks = _net(transport=TransportConfig(),
                                faults=LinkFaultModel(dup=1.0))
         for i in range(10):
             net.send(0, 1, i)
@@ -217,8 +191,7 @@ class TestReliableChannel:
 
     def test_retransmit_backoff_sequence(self):
         config = TransportConfig(base_rto_ms=10.0, backoff=2.0,
-                                 max_rto_ms=40.0, jitter=0.0,
-                                 engage="always")
+                                 max_rto_ms=40.0, jitter=0.0)
         sim, net, _ = _net(transport=config)
         net.adversary.drop_link(0, 1)  # data and retransmits all dropped
         net.send(0, 1, "x")
@@ -237,8 +210,7 @@ class TestReliableChannel:
         assert channel.stats.retransmissions >= 5
 
     def test_retransmission_repairs_loss(self):
-        config = TransportConfig(base_rto_ms=10.0, jitter=0.0,
-                                 engage="always")
+        config = TransportConfig(base_rto_ms=10.0, jitter=0.0)
         sim, net, sinks = _net(transport=config)
         # Drop exactly the first data copy; let the retransmit through.
         seen = {"n": 0}
@@ -260,8 +232,7 @@ class TestReliableChannel:
         assert not net.channel(0)._tx[1].inflight  # nothing left in flight
 
     def test_ack_loss_is_survivable(self):
-        config = TransportConfig(base_rto_ms=10.0, jitter=0.0,
-                                 engage="always")
+        config = TransportConfig(base_rto_ms=10.0, jitter=0.0)
         sim, net, sinks = _net(transport=config)
         dropped = {"n": 0}
 
@@ -284,7 +255,7 @@ class TestReliableChannel:
         assert net.channel(1).stats.dup_suppressed >= 1
 
     def test_window_eviction_oldest_first(self):
-        config = TransportConfig(window=2, engage="always", jitter=0.0)
+        config = TransportConfig(window=2, jitter=0.0)
         sim, net, _ = _net(transport=config)
         net.adversary.drop_link(0, 1)  # nothing ever ACKed
         for i in range(4):
@@ -294,8 +265,7 @@ class TestReliableChannel:
         assert sorted(channel._tx[1].inflight) == [3, 4]  # newest two
 
     def test_piggybacked_ack_cancels_standalone(self):
-        config = TransportConfig(ack_delay_ms=50.0, engage="always",
-                                 jitter=0.0)
+        config = TransportConfig(ack_delay_ms=50.0, jitter=0.0)
         sim, net, _ = _net(transport=config)
         net.send(0, 1, "ping")
         sim.run(until=2.0)      # ping arrived; node 1 owes an ACK
@@ -352,8 +322,7 @@ class TestReliableChannel:
         assert net.channel(1).stats.acks_sent == 1
 
     def test_corrupt_rejected_then_repaired(self):
-        config = TransportConfig(base_rto_ms=10.0, jitter=0.0,
-                                 engage="always")
+        config = TransportConfig(base_rto_ms=10.0, jitter=0.0)
         faults = LinkFaultModel(
             per_kind={"str": FaultRates(corrupt=1.0)})
         sim, net, sinks = _net(transport=config, faults=faults)
@@ -387,14 +356,3 @@ class TestNetworkStatsSplit:
         assert stats.fault_dropped == 1
         assert stats.undeliverable_dropped == 1
         assert stats.messages_dropped == 3  # backward-compatible sum
-
-    def test_format_network_breakdown(self):
-        from repro.harness.report import format_network_breakdown
-
-        sim, net, _ = _net(faults=LinkFaultModel(loss=1.0))
-        net.send(0, 1, "x")
-        sim.run()
-        text = format_network_breakdown(
-            {"run-a": net.stats}, {"run-a": {"retransmissions": 7}})
-        assert "fault-drop" in text and "retrans" in text
-        assert "run-a" in text and "7" in text
