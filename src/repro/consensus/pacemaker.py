@@ -215,12 +215,15 @@ class Pacemaker:
             sim.release(event)
         process = self._process
         # Ignore a timeout queued by a previous incarnation of the process.
-        if self._epoch != process.epoch or not process.alive:
+        if self._epoch != process.epoch:
             return
         if sim.now < self._deadline:
-            # Views started since this was queued: wait out the deadline.
+            # Views started since this was queued: wait out the deadline
+            # (armed until then even on a dead process, as a timer is).
             self._event = sim.schedule_at(self._deadline, self._fire,
                                           self._label)
+            return
+        if not process.alive:
             return
         self.timeouts_fired += 1
         self._consecutive_timeouts += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.consensus.pacemaker import Pacemaker
 from repro.sim.loop import Simulator
@@ -182,6 +182,13 @@ REACTIONS = st.lists(st.sampled_from(["advance", "rearm", "idle"]),
 @settings(max_examples=400, deadline=None)
 @given(program=PROGRAMS, params=PARAMS, reactions=REACTIONS,
        seed=st.integers(0, 3), horizon=st.sampled_from([0.0, 30.0, 2000.0]))
+# Armed on a dead process in its current epoch: an early fire waits out
+# the deadline there too, so the timer stays armed until it.
+@example(program=[(0.0, "crash", 0), (0.0, "view_started", 0),
+                  (0.5, "view_started", 0), (9.75, "progress", 0)],
+         params=dict(base_timeout_ms=10.0, max_backoff_doublings=0,
+                     jitter=0.0, decay=0),
+         reactions=["advance"], seed=0, horizon=0.0)
 def test_the_view_timer_fires_as_cancel_and_reschedule_did(
         program, params, reactions, seed, horizon):
     oracle = Twin(CancelAndReschedule, params, reactions, seed)
