@@ -129,6 +129,22 @@ class TestChaosRuns:
         assert first.digest == second.digest
         assert run_chaos(spec, seed=5).digest != first.digest
 
+    def test_run_chaos_seed_config_mapping(self):
+        """A campaign config ``{"spec": spec, "seed": seed}`` is the
+        runner's keyword arguments: through the harness without a cache it
+        equals calling ``run_chaos(spec, seed)``."""
+        from repro.faults.chaos import ChaosResult
+        from repro.harness.parallel import run_experiments
+
+        spec = ChaosSpec(protocol="achilles", f=1,
+                         duration_ms=SMOKE.duration_ms,
+                         quiesce_ms=SMOKE.quiesce_ms,
+                         warmup_ms=SMOKE.warmup_ms)
+        [result] = run_experiments([{"spec": spec, "seed": 2}], workers=1,
+                                   runner=run_chaos, result_type=ChaosResult)
+        assert result.seed == 2 and result.protocol == "achilles"
+        assert result == run_chaos(spec, 2)
+
     def test_parallel_harness_integration(self, tmp_path):
         """run_experiments runs every campaign kind from the config
         ``{"spec": spec, "seed": seed}``, equal to calling its runner, and

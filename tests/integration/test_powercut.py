@@ -129,3 +129,19 @@ class TestSampling:
         assert chosen and all(p.kind == "fsync" for p, _ in chosen)
         assert all(k is None for _, k in chosen)
 
+
+
+class TestWorker:
+    def test_config_roundtrip(self):
+        """A power-cut config ``{"spec": spec, "seed": seed}`` runs through
+        the harness as ``run_powercut``'s keyword arguments."""
+        from repro.faults.powercut import PowercutResult
+        from repro.harness.parallel import run_experiments
+
+        spec = PowercutSpec(protocol="minbft", duration_ms=1200.0,
+                            quiesce_ms=500.0, warmup_ms=150.0, max_cuts=2)
+        [result] = run_experiments([{"spec": spec, "seed": 1}], workers=1,
+                                   runner=run_powercut,
+                                   result_type=PowercutResult)
+        assert result.protocol == "minbft" and result.seed == 1
+        assert result.ok, result.violations

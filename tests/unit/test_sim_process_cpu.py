@@ -137,8 +137,13 @@ class TestTraceRecorder:
         assert tr.count("commit") == 2
         assert [e.time for e in tr.events if e.kind == "propose"] == [3.0]
         assert {e.node for e in tr.events if e.kind == "commit"} == {0, 1}
-        assert [e.time for e in tr.events if 1.5 <= e.time < 3.0] == [2.0]
         assert tr.events[0].detail == {"height": 1}
+
+    def test_between(self):
+        tr = TraceRecorder()
+        for t in (1.0, 2.0, 3.0):
+            tr.record(t, "x")
+        assert [e.time for e in tr.events if 1.5 <= e.time < 3.0] == [2.0]
 
     def test_disabled_still_counts(self):
         tr = TraceRecorder(enabled=False)
