@@ -10,7 +10,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	scale-smoke chaos \
 	chaos-smoke loss-smoke byz-smoke snapshot-smoke trace-smoke shard-smoke \
 	shard-chaos shard-sweep soak soak-smoke powercut powercut-smoke \
-	smoke-stdout ci
+	smoke-stdout smoke-diff ci
 
 test:
 	$(PYTHON) -m pytest -x -q tests/
@@ -142,6 +142,22 @@ smoke-stdout:
 			|| status=1; \
 	done; exit $$status
 
+# Two smoke-stdout directories compared target by target: each target is
+# byte-identical, identical with run digests masked (every 12-hex word),
+# or differs — which fails the comparison.
+smoke-diff:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make smoke-diff A=<dir> B=<dir>" >&2; exit 2; }
+	@status=0; mask='s/\b[0-9a-f]{12}\b/<digest>/g'; \
+	for target in $(SMOKE_TARGETS); do \
+		a=$(A)/$$target.out; b=$(B)/$$target.out; \
+		if ! test -f $$a -a -f $$b; then verdict="differs (missing)"; status=1; \
+		elif cmp -s $$a $$b; then verdict="byte-identical"; \
+		elif test "$$(sed -E "$$mask" $$a)" = "$$(sed -E "$$mask" $$b)"; then \
+			verdict="identical with run digests masked"; \
+		else verdict="differs"; status=1; fi; \
+		echo "$$target: $$verdict"; \
+	done; exit $$status
+
 bench-quick:
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest -q benchmarks/ --benchmark-only
 
@@ -151,22 +167,24 @@ bench:
 # Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
-# The call profiler runs once too, both attributions on, so that it
+# The call profiler runs once too, every attribution on, so that it
 # cannot rot.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
 	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
-		--by-handler > /dev/null
+		--by-handler --under execute_transactions > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event
 # and the top 40 functions by call count; OF='len|leader_of' adds who
 # calls the functions matching the pattern, BY=file the calls summed per
 # source file (C calls charged to the calling file), BY=handler the calls
-# per event callback and message kind, with calls per fire.
+# per event callback and message kind, with calls per fire,
+# UNDER=execute_transactions,Block.hash the inclusive calls under each
+# named function and their share of the row.
 calls:
 	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)') \
-		$(if $(BY),--by-$(BY))
+		$(if $(BY),--by-$(BY)) $(if $(UNDER),--under '$(UNDER)')
 
 # The full performance ledger (all eight workloads, both passes, ~6 min),
 # and the same-seed comparison of two of them: any moved sim_* value or

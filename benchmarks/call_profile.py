@@ -1,6 +1,6 @@
 """Where one ledger workload's host calls go (``make calls W=<workload>``).
 
-    python3 benchmarks/call_profile.py lan_sat_n101 [--seed 1] [--smoke] [--of PATTERN] [--by-file] [--by-handler]
+    python3 benchmarks/call_profile.py lan_sat_n101 [--seed 1] [--smoke] [--of PATTERN] [--by-file] [--by-handler] [--under NAME[,NAME...]]
 
 Prepares the workload exactly as ``benchmarks/perf/run.py`` counts it, runs
 one rep under ``cProfile`` and prints the total call count (the ledger's
@@ -11,7 +11,10 @@ source file, a C function's calls charged to the file that made them.
 ``--by-handler`` (``BY=handler``) runs the rep once more under a profile
 hook and charges every call to the event callback it ran under (a message
 delivery or dispatch also to the message's kind), with the callback's
-fires and its calls per fire.
+fires and its calls per fire.  ``--under`` (``UNDER=``) runs it once more
+and prints the inclusive calls under each named function (matched by name
+or qualified name; the function's own call included), its share of the
+row and its calls per outermost entry.
 Never run seed 7 while developing a change: it is the ledger's hold-out.
 """
 
@@ -129,6 +132,50 @@ def print_by_handler(calls: dict, fires: dict, total: int) -> None:
               f"{per:>8}  {key}")
 
 
+def calls_under(run, names) -> "tuple[dict, dict]":
+    """Run ``run()`` under a profile hook; returns ``(calls, entries)`` per
+    name in ``names``: every call (Python and builtin, as cProfile counts
+    them) made while a function of that name is on the stack, its own
+    call included, and how often it was entered from outside itself."""
+    calls = {name: 0 for name in names}
+    entries = dict(calls)
+    outer: dict = {}  # name -> the frame of its outermost active call
+    builtin = types.BuiltinFunctionType
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            for name in (code.co_name, code.co_qualname):
+                if name in calls and name not in outer:
+                    outer[name] = frame
+                    entries[name] += 1
+            for name in outer:
+                calls[name] += 1
+        elif event == "c_call":
+            if isinstance(arg, builtin):
+                for name in outer:
+                    calls[name] += 1
+        elif event == "return" and outer:
+            for name in [n for n, f in outer.items() if f is frame]:
+                del outer[name]
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls, entries
+
+
+def print_under(calls: dict, entries: dict, total: int) -> None:
+    print(f"{'calls':>10}  {'share':>6}  {'entries':>8}  {'per entry':>9}  "
+          f"under (inclusive; cProfile total {total})")
+    for name, count in calls.items():
+        per = f"{count / entries[name]:.1f}" if entries[name] else "-"
+        print(f"{count:>10}  {count / total:>6.1%}  {entries[name]:>8}  "
+              f"{per:>9}  {name}")
+
+
 def main() -> None:
     import workloads
 
@@ -142,6 +189,9 @@ def main() -> None:
     parser.add_argument("--by-handler", action="store_true",
                         help="also print calls per event callback and "
                              "message kind")
+    parser.add_argument("--under", default=None, metavar="NAME[,NAME...]",
+                        help="also print the inclusive calls under each "
+                             "named function")
     args = parser.parse_args()
     workload = workloads.WORKLOADS[args.workload]
     # As run.py: first-use imports and caches are not part of a rep.
@@ -166,6 +216,10 @@ def main() -> None:
         state = workload.prepare(args.seed, scale)
         print_by_handler(*calls_by_handler(lambda: workload.run(state)),
                          calls)
+    if args.under:
+        state = workload.prepare(args.seed, scale)
+        names = [name for name in args.under.split(",") if name]
+        print_under(*calls_under(lambda: workload.run(state), names), calls)
 
 
 if __name__ == "__main__":

@@ -1,23 +1,25 @@
 """Blocks and the genesis block.
 
 A block is ``⟨txs, op, h_p⟩`` (paper Sec. 4.2) annotated with the view at
-which it was produced and its height.  ``op`` is the digest of the
-execution results — the leader executes the batch before proposing and
-includes the outcome for others to verify (paper Sec. 6.1, second
-responsiveness fix), which is what lets a client trust a single reply.
+which it was produced and its height.  ``op`` is the execution results,
+one digest over the parent hash and the ordered batch
+(:func:`repro.chain.execution.execute_transactions`) — the leader executes
+the batch before proposing and includes the outcome for others to verify
+(paper Sec. 6.1, second responsiveness fix), which is what lets a client
+trust a single reply.
 
-Block hashes commit to every field, so hash links authenticate the whole
-ancestry.
+Block hashes commit to every field, the batch through
+:func:`~repro.chain.transaction.tx_list_digest` (the digest ``op`` is
+built on too), so hash links authenticate the whole ancestry.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.hashing import GENESIS_HASH, cached_property, digest_of
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, tx_list_digest
 from repro.net.message import HASH_BYTES
 
 
@@ -43,17 +45,8 @@ class Block:
         """
         if self.height == 0:
             return GENESIS_HASH
-        # Inlined canonical encoding of
-        # digest_of([t.key + (t.payload,) for t in self.txs]), built in one
-        # pass and hashed once; an empty payload costs no call at all.
-        # Equivalence is pinned by tests/property/test_batch_encoders.py.
-        txs = self.txs
-        tx_digest = hashlib.sha256(b"l%d:%s" % (len(txs), b"".join([
-            b"l3:i%di%ds%d:%s" % (t.client_id, t.tx_id,
-                                  len(d := t.payload.encode()), d)
-            if t.payload else b"l3:i%di%ds0:" % t.key
-            for t in txs]))).hexdigest()
-        return digest_of(tx_digest, self.op, self.parent_hash, self.view, self.height, self.proposer)
+        return digest_of(tx_list_digest(self.txs), self.op, self.parent_hash,
+                         self.view, self.height, self.proposer)
 
     @property
     def is_genesis(self) -> bool:

@@ -4,9 +4,11 @@ The paper assumes ``executeTx(txs, h_p)`` producing execution results
 ``op`` that anyone can re-derive and verify (Sec. 4.2).  We implement a
 small key-value state machine: payloads of the form ``"SET <key> <value>"``
 update the store; anything else is folded into the state digest as an
-opaque write.  ``op`` is the digest of (parent hash, state root after the
-batch), so equal prefixes always yield equal results and a forged result is
-detectable.
+opaque write.  ``op`` is one digest per batch,
+``digest_of("exec", h_p, tx_list_digest(txs))``: the parent hash and the
+ordered batch.  Execution is deterministic, so these fix the state after
+the batch; equal prefixes yield equal results, and a result over another
+parent, batch or order is detectable by any replica that re-derives it.
 
 The state root has two jobs that pull in opposite directions:
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, tx_list_digest
 from repro.crypto.hashing import digest_of
 from repro.errors import StateMachineError
 
@@ -233,28 +235,16 @@ class KVStateMachine:
 def execute_transactions(txs: Sequence[Transaction], parent_hash: str) -> str:
     """The paper's ``executeTx(txs, h_p)``: deterministic execution results.
 
-    Stateless helper used by proposers/validators: the result commits to
-    the parent (i.e. the whole prefix, via its hash) and to each
-    transaction's effect, so any two honest nodes derive the same ``op``
-    and a Byzantine leader cannot attach wrong results undetected.
+    ``digest_of("exec", parent_hash, tx_list_digest(txs))``: it commits to
+    the parent (the whole prefix, via its hash) and to the batch in order,
+    so any two honest nodes derive the same ``op`` and a Byzantine leader
+    cannot attach wrong results undetected.  The batch is encoded once.
     """
-    # Inlined canonical encoding of digest_of(root, tx.key, tx.payload) for
-    # the fixed shape (64-char hex str, (int, int), str); this loop runs
-    # once per transaction per propose/validate, so an empty payload skips
-    # its encode/len.  tests/property/test_batch_encoders.py pins
-    # equivalence with digest_of.
-    root = digest_of("exec", parent_hash)
-    sha = hashlib.sha256
-    for tx in txs:
-        if tx.payload:
-            data = tx.payload.encode()
-            root = sha(b"s64:%sl2:i%di%ds%d:%s" % (
-                root.encode(), tx.client_id, tx.tx_id, len(data), data,
-            )).hexdigest()
-        else:
-            root = sha(b"s64:%sl2:i%di%ds0:" % (
-                root.encode(), *tx.key)).hexdigest()
-    return root
+    # The outer digest_of encoded in line; pinned to it by
+    # tests/property/test_batch_encoders.py.
+    parent = parent_hash.encode()
+    return hashlib.sha256(b"s4:execs%d:%ss64:%s" % (
+        len(parent), parent, tx_list_digest(txs).encode())).hexdigest()
 
 
 __all__ = ["KVStateMachine", "compute_state_root", "execute_transactions",

@@ -5,7 +5,7 @@ work done once per block makes no Python-level call per transaction,
 ("Arrivals are data") that an open-loop arrival is not a simulator event,
 ("Per-event paths") that popping an event, sending a message and
 delivering one are short fixed call chains, and ("Per-transaction paths")
-that a transaction's arrival, draw, apply and audit are too.  The
+that a transaction's arrival, draw, execution, apply and audit are too.  The
 performance ledger would show a breach as a worse ``host_mcalls`` row;
 this test shows it as a failing tier-1 test.  Call counts are a property of
 the code, not of the machine: the same run makes the same calls everywhere.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.chain.block import create_leaf, genesis_block
-from repro.chain.execution import KVStateMachine
+from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
 from repro.chain.transaction import Transaction
 from repro.client.workload import OpenLoopGenerator, QueueSource
@@ -48,41 +48,42 @@ from repro.workload.spec import ChurnEvent, FlashCrowd, WorkloadSpec
 resolve_protocol("achilles")  # fills the registry
 
 #: Calls per committed transaction measured when this budget was set
-#: (263 339 calls for 35 600 transactions; 8.43 before the per-event
-#: cuts).  One new call per transaction anywhere on the path adds 1.0 and
-#: breaks the 10 % allowance.
-CALLS_PER_TX = 7.40
+#: (113 512 calls for 35 600 transactions; 6.18 while execution results
+#: hashed once per transaction, 8.43 before the per-event cuts).  One new
+#: call per transaction anywhere on the path adds 1.0 and breaks the 10 %
+#: allowance.
+CALLS_PER_TX = 3.19
 
 CONFIG = dict(protocol="achilles", f=2, network="LAN", batch_size=400,
               duration_ms=300.0, warmup_ms=0.0, seed=1)
 
 
-#: The same cluster fed 20 000 requests/s open loop (368 498 calls for
+#: The same cluster fed 20 000 requests/s open loop (246 407 calls for
 #: 6 017 transactions; blocks are small, so per-block work dominates).  An
-#: emit event and a client-submit event per arrival add ~26; the
-#: per-transaction paths this budget was last lowered for read 66.39, the
-#: per-event chains before them 84.87.  Its allowance is 5 %, not 10 %:
-#: at ~61 calls a transaction, 10 % would forgive six new calls on it.
-OPEN_LOOP_CALLS_PER_TX = 61.25
+#: emit event and a client-submit event per arrival add ~26; execution
+#: results hashed per transaction read 43.84, the per-transaction paths
+#: 66.39, the per-event chains 84.87.  Its allowance is 5 %, not 10 %:
+#: at ~41 calls a transaction, 10 % would forgive four new calls on it.
+OPEN_LOOP_CALLS_PER_TX = 40.95
 OPEN_LOOP_ALLOWANCE = 1.05
 
 #: Calls per simulator event, per protocol, at f=2 LAN saturated with
 #: blocks of 10 (so an event's fixed cost is not drowned by its block's):
 #: ``name: (budget, what the tree before the per-event cuts read)``.  One
 #: more call on the pop, send or deliver chain adds 1.0-2.0.  Last lowered
-#: with the per-view paths (achilles read 37.80 before them); part of
-#: that drop is the view timer's early fires, events that cost few calls.
+#: with per-batch execution results (achilles read 28.79 before them, and
+#: 37.80 before the per-view paths).
 CALLS_PER_EVENT = {
-    "achilles": (28.79, 57.42),
-    "achilles-c": (28.75, 57.40),
-    "braft": (28.15, 43.72),
-    "damysus": (39.26, 64.26),
-    "damysus-r": (40.68, 64.93),
-    "flexibft": (20.78, 43.60),
-    "minbft": (33.50, 58.94),
-    "minbft-r": (39.48, 65.72),
-    "oneshot": (38.37, 66.73),
-    "oneshot-r": (40.07, 65.62),
+    "achilles": (27.93, 57.42),
+    "achilles-c": (27.88, 57.40),
+    "braft": (26.93, 43.72),
+    "damysus": (38.81, 64.26),
+    "damysus-r": (40.20, 64.93),
+    "flexibft": (20.49, 43.60),
+    "minbft": (32.91, 58.94),
+    "minbft-r": (38.78, 65.72),
+    "oneshot": (37.50, 66.73),
+    "oneshot-r": (39.41, 65.62),
 }
 
 #: Calls from ``Network.send`` to the end of the receiver's unit of work,
@@ -290,6 +291,12 @@ TRAFFIC_ARRIVAL_CALLS = 22
 #: history's ``encode``.  Was 10.
 SET_WRITE_CALLS = 6
 
+#: ``execute_transactions`` over a batch of empty-payload transactions:
+#: the batch is encoded in one pass and hashed once, and the outer digest
+#: is encoded in line, so the count does not grow with the batch.  Reads
+#: 12; was 1 210 for 400 transactions, three calls each.
+EXECUTE_BATCH_CALLS = 16
+
 #: ``QueueSource.submit`` of one fresh transaction with no stream
 #: attached: ``submit``, ``_admit_each``, ``set.add``, ``list.append``.
 #: Was 5.
@@ -340,6 +347,19 @@ def test_a_set_write_is_a_bounded_number_of_calls():
     # The root over 64 keys at the end is a handful of calls per batch.
     assert per_item(lambda: machine.apply_batch(txs) and txs, len) \
         <= SET_WRITE_CALLS + 0.01
+
+
+def test_execution_results_are_one_digest_per_batch():
+    def execute_calls(txs) -> int:
+        return calls_of(lambda: execute_transactions(txs, "p" * 64))
+
+    empty = tuple(Transaction(1, i) for i in range(400))
+    assert execute_calls(empty) <= execute_calls(empty[:1])
+    assert execute_calls(empty) <= EXECUTE_BATCH_CALLS
+    # A payload still costs its encode and len: the encoding frames it by
+    # its byte length.
+    writes = tuple(Transaction(1, i, f"SET k{i} v{i}") for i in range(400))
+    assert execute_calls(writes) <= 2 * len(writes) + EXECUTE_BATCH_CALLS
 
 
 def test_the_exactly_once_audit_is_one_set_test_per_block():

@@ -1,8 +1,9 @@
 """The per-block batch encoders equal the ``digest_of`` reference.
 
-``Block.hash``, ``execute_transactions``, the ``KVStateMachine.apply``
-history step, ``state_root`` and ``digest_of``'s flat fast path each build
-their canonical bytes in line instead of walking ``_encode_into`` per item.
+``tx_list_digest`` (the batch digest ``Block.hash`` and
+``execute_transactions`` share), the ``KVStateMachine.apply`` history
+step, ``state_root`` and ``digest_of``'s flat fast path each build their
+canonical bytes in line instead of walking ``_encode_into`` per item.
 The encoding is frozen (``tests/unit/test_crypto.py`` pins its bytes), so
 every one of them is held here to the generic formulation it replaced.
 The apply loop keeps the history as bytes and routes 2PC entries mid-batch,
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain.block import create_leaf, genesis_block
 from repro.chain.execution import (MAX_VALUE_BYTES, KVStateMachine,
                                    compute_state_root, execute_transactions)
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, tx_list_digest
 from repro.crypto.hashing import _canonical, digest_of
 from repro.shard.machine import ShardStateMachine
 
@@ -77,10 +78,10 @@ class TestBatchEncoders:
     @given(tx_batches, st.text(max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_execute_transactions(self, txs, parent):
-        expected = digest_of("exec", parent)
-        for tx in txs:
-            expected = digest_of(expected, tx.key, tx.payload)
-        assert execute_transactions(txs, parent) == expected
+        batch = digest_of([t.key + (t.payload,) for t in txs])
+        assert tx_list_digest(txs) == batch
+        assert execute_transactions(txs, parent) == \
+            digest_of("exec", parent, batch)
 
     @given(tx_batches)
     @settings(max_examples=150, deadline=None)

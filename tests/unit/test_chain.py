@@ -232,9 +232,10 @@ class TestExecution:
         assert execute_transactions(txs, "p") != execute_transactions(txs[::-1], "p")
 
     def test_execute_matches_generic_digest_chain(self):
-        # execute_transactions inlines the canonical encoding of
-        # digest_of(root, tx.key, tx.payload) for speed; pin it against
-        # the generic chain, including empty and multi-byte payloads.
+        # execute_transactions is one digest per batch,
+        # digest_of("exec", parent, <the batch digest Block.hash uses>),
+        # with the encodings inlined; pin it against the generic
+        # formulation, including empty and multi-byte payloads.
         from repro.crypto.hashing import digest_of
 
         txs = (
@@ -243,11 +244,11 @@ class TestExecution:
             make_tx(3, "héllo ⚡ wörld"),
             make_tx(4, "opaque payload"),
         )
-        expected = digest_of("exec", "parent")
-        for tx in txs:
-            expected = digest_of(expected, tx.key, tx.payload)
+        expected = digest_of("exec", "parent",
+                             digest_of([t.key + (t.payload,) for t in txs]))
         assert execute_transactions(txs, "parent") == expected
-        assert execute_transactions((), "parent") == digest_of("exec", "parent")
+        assert execute_transactions((), "parent") == \
+            digest_of("exec", "parent", digest_of([]))
 
     def test_block_hash_matches_generic_encoding(self):
         # Block.hash inlines the tx-digest encoding; pin it against the
