@@ -17,7 +17,7 @@ import hashlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chain.block import create_leaf, genesis_block
+from repro.chain.block import Block, create_leaf, genesis_block
 from repro.chain.execution import (MAX_VALUE_BYTES, KVStateMachine,
                                    compute_state_root, execute_transactions)
 from repro.chain.transaction import Transaction, tx_list_digest
@@ -82,6 +82,21 @@ class TestBatchEncoders:
         assert tx_list_digest(txs) == batch
         assert execute_transactions(txs, parent) == \
             digest_of("exec", parent, batch)
+
+    @given(tx_batches, tx_batches, st.text(max_size=8), st.text(max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_results_valid(self, txs, other, parent, other_parent):
+        """A block's validity property is the paper's check
+        ``op == executeTx(txs, h_p)``, over honest and forged ``op``."""
+        for op in (execute_transactions(txs, parent),
+                   execute_transactions(other, parent),
+                   execute_transactions(txs[::-1], parent),
+                   execute_transactions(txs, other_parent), "op"):
+            block = Block(txs=txs, op=op, parent_hash=parent, view=1,
+                          height=1)
+            assert block.batch_digest == tx_list_digest(txs)
+            assert block.results_valid == \
+                (op == execute_transactions(txs, parent))
 
     @given(tx_batches)
     @settings(max_examples=150, deadline=None)
