@@ -22,7 +22,6 @@ from typing import Optional
 from repro.baselines.common import (RStateMixin, StableLeaderNode,
                                     ViewChangeVote)
 from repro.chain.block import Block
-from repro.chain.execution import execute_transactions
 from repro.core.certificates import BlockCertificate
 from repro.crypto.keys import Keyring, PrivateKey
 from repro.crypto.signatures import (
@@ -193,10 +192,9 @@ class FlexiBFTNode(StableLeaderNode):
 
     def _cast_vote(self, block: Block) -> None:
         self.charge(self.config.costs.exec_cost(len(block.txs)))
-        if self.config.deep_validation:
-            parent = self.store.get(block.parent_hash)
-            if parent is None or execute_transactions(block.txs, parent.hash) != block.op:
-                return
+        if not block.results_valid:
+            self._refuse_results(block)
+            return
         self._blocks_by_hash_pending[block.hash] = block
         if self._obs.enabled:
             self._obs.block_milestone(block.hash, "vote", self.node_id,

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.baselines.common import StableLeaderNode, ViewChangeVote
 from repro.chain.block import Block
-from repro.chain.execution import execute_transactions
 from repro.crypto.hashing import digest_of
 from repro.errors import EnclaveAbort
 from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
@@ -177,11 +176,9 @@ class MinBFTNode(StableLeaderNode):
             self.charge_enclave(self.usig)
         self._prepares[digest] = msg
         self.store.add(msg.block)
-        if self.config.deep_validation:
-            parent = self.store.get(msg.block.parent_hash)
-            if parent is None or \
-                    execute_transactions(msg.block.txs, parent.hash) != msg.block.op:
-                return
+        if not msg.block.results_valid:
+            self._refuse_results(msg.block)
+            return
         try:
             my_ui = self.usig.create_ui(digest)
         except EnclaveAbort:

@@ -10,7 +10,9 @@ trust a single reply.
 
 Block hashes commit to every field, the batch through
 :func:`~repro.chain.transaction.tx_list_digest` (the digest ``op`` is
-built on too), so hash links authenticate the whole ancestry.
+built on too), so hash links authenticate the whole ancestry.  A backup
+votes only for a block whose :attr:`Block.results_valid` holds: ``op``
+re-derived from that same batch digest.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.hashing import GENESIS_HASH, cached_property, digest_of
+from repro.chain.execution import execution_results
 from repro.chain.transaction import Transaction, tx_list_digest
 from repro.net.message import HASH_BYTES
 
@@ -35,6 +38,12 @@ class Block:
     proposer: int = -1
 
     @cached_property
+    def batch_digest(self) -> str:
+        """:func:`~repro.chain.transaction.tx_list_digest` of the batch,
+        computed once for :attr:`hash` and :attr:`results_valid`."""
+        return tx_list_digest(self.txs)
+
+    @cached_property
     def hash(self) -> str:
         """The block's content hash (H(b) in the paper).
 
@@ -45,13 +54,21 @@ class Block:
         """
         if self.height == 0:
             return GENESIS_HASH
-        return digest_of(tx_list_digest(self.txs), self.op, self.parent_hash,
+        return digest_of(self.batch_digest, self.op, self.parent_hash,
                          self.view, self.height, self.proposer)
 
-    @property
-    def is_genesis(self) -> bool:
-        """True for the hard-coded genesis block G."""
-        return self.height == 0
+    @cached_property
+    def results_valid(self) -> bool:
+        """True when ``op == executeTx(txs, h_p)`` (paper Sec. 4.2): the
+        execution results every backup re-derives before it votes.
+
+        Memoized like :attr:`hash`: a pure function of the immutable
+        block, so every replica that checks the one shared block object
+        gets the answer its own re-execution would give.  Each replica
+        still pays the simulated CPU time of the check where it makes it.
+        """
+        return self.op == execution_results(self.parent_hash,
+                                            self.batch_digest)
 
     @cached_property
     def _wire_size(self) -> int:

@@ -240,12 +240,20 @@ def execute_transactions(txs: Sequence[Transaction], parent_hash: str) -> str:
     so any two honest nodes derive the same ``op`` and a Byzantine leader
     cannot attach wrong results undetected.  The batch is encoded once.
     """
+    return execution_results(parent_hash, tx_list_digest(txs))
+
+
+def execution_results(parent_hash: str, batch_digest: str) -> str:
+    """:func:`execute_transactions` over a batch already digested by
+    ``tx_list_digest``, as :attr:`repro.chain.block.Block.batch_digest`
+    holds it."""
     # The outer digest_of encoded in line; pinned to it by
     # tests/property/test_batch_encoders.py.
     parent = parent_hash.encode()
     return hashlib.sha256(b"s4:execs%d:%ss64:%s" % (
-        len(parent), parent, tx_list_digest(txs).encode())).hexdigest()
+        len(parent), parent, batch_digest.encode())).hexdigest()
 
 
 __all__ = ["KVStateMachine", "compute_state_root", "execute_transactions",
-           "key_point", "validate_write", "KEYSPACE", "MAX_VALUE_BYTES"]
+           "execution_results", "key_point", "validate_write", "KEYSPACE",
+           "MAX_VALUE_BYTES"]

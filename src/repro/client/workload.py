@@ -214,6 +214,9 @@ class QueueSource:
 
 _NEVER = float("inf")  # `_next_at` while not emitting (idle, paused, stopped)
 
+#: Open-loop transactions come from this many client ids, round-robin.
+OPEN_LOOP_CLIENTS = 16
+
 
 class ArrivalStream:
     """Open-loop arrivals as data: a seeded stream its mempool pulls.
@@ -290,11 +293,10 @@ class OpenLoopGenerator(ArrivalStream):
 
     def __init__(self, sim: Simulator, source: QueueSource, rate_tps: float,
                  payload_size: int = 256, client_one_way_ms: float = 0.05,
-                 client_count: int = 16, kv_keys: int = 0) -> None:
+                 kv_keys: int = 0) -> None:
         super().__init__(sim, source, client_one_way_ms)
         self._rate_tps = rate_tps
         self.payload_size = payload_size
-        self.client_count = client_count
         self.kv_keys = kv_keys
         self._rng = sim.fork_rng("open-loop")
         self._next_id = 0
@@ -323,7 +325,7 @@ class OpenLoopGenerator(ArrivalStream):
         # Per arrival: the constructor, the gap draw (expovariate: random,
         # log) and the append -- five calls.
         at, seq = self._next_at, self._next_id
-        clients, keys, size = self.client_count, self.kv_keys, self.payload_size
+        clients, keys, size = OPEN_LOOP_CLIENTS, self.kv_keys, self.payload_size
         mean_rate = self._rate_tps / 1000.0
         draw_gap, fly = self._rng.expovariate, self._in_flight.append
         while at <= now:
@@ -341,7 +343,7 @@ class ShardedOpenLoopGenerator:
     Each arrival is either a single-shard write routed through the
     :class:`~repro.shard.router.Router` (probability ``1 -
     cross_fraction``) or a cross-shard transaction spanning
-    ``cross_writes`` distinct shards driven through the 2PC
+    two distinct shards driven through the 2PC
     :class:`~repro.shard.txn.TxnManager`.  ``rate_tps`` is *per shard*,
     so the offered load scales with the deployment (the weak-scaling
     shape of the throughput-vs-shard-count sweep).
@@ -360,7 +362,7 @@ class ShardedOpenLoopGenerator:
 
     def __init__(self, sim: Simulator, router, txns, rate_tps: float,
                  cross_fraction: float = 0.0, keys_per_shard: int = 32,
-                 cross_writes: int = 2, payload_size: int = 0) -> None:
+                 payload_size: int = 0) -> None:
         shard_map = router.shard_map
         if not 0.0 <= cross_fraction <= 1.0:
             raise ValueError(f"cross_fraction must be in [0,1], "
@@ -373,7 +375,6 @@ class ShardedOpenLoopGenerator:
         self.n_shards = shard_map.n_shards
         self.rate_tps = rate_tps
         self.cross_fraction = cross_fraction
-        self.cross_writes = min(cross_writes, max(self.n_shards, 1))
         self.payload_size = payload_size
         self._rng = sim.fork_rng("shard-open-loop")
         self._stopped = False
@@ -414,7 +415,7 @@ class ShardedOpenLoopGenerator:
         self._seq += 1
         rng = self._rng
         if self.cross_fraction > 0.0 and rng.random() < self.cross_fraction:
-            shards = rng.sample(range(self.n_shards), self.cross_writes)
+            shards = rng.sample(range(self.n_shards), 2)
             writes = {rng.choice(self.keys_by_shard[s]): f"v{self._seq}.{j}"
                       for j, s in enumerate(shards)}
             self.txns.begin(writes)

@@ -502,6 +502,12 @@ class ReplicaBase(Process):
         self.charge(self.config.costs.exec_cost(len(txs)))
         return create_leaf(txs, op, parent, view=view, proposer=self.node_id)
 
+    def _refuse_results(self, block: Block) -> None:
+        """A backup found ``block.op`` is not its batch's execution results
+        (``not block.results_valid``): it does not vote, and says so."""
+        self.sim.trace.record(self.sim.now, "bad_execution_results",
+                              self.node_id, block=block.hash)
+
     # ------------------------------------------------------------------
     # Commitment
     # ------------------------------------------------------------------

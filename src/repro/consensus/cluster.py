@@ -47,37 +47,6 @@ class Cluster:
         """Advance the simulation by ``duration_ms``."""
         self.sim.run(until=self.sim.now + duration_ms)
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout_ms: float,
-        check_every_events: int = 64,
-    ) -> bool:
-        """Run until ``predicate()`` holds or ``timeout_ms`` elapses.
-
-        Returns True if the predicate became true.  On timeout the clock is
-        advanced to the deadline (matching :meth:`Simulator.run`), so a
-        subsequent ``run(duration_ms)`` measures the expected window rather
-        than silently restarting from the last-event time.
-        """
-        deadline = self.sim.now + timeout_ms
-        while self.sim.now < deadline:
-            if predicate():
-                return True
-            progressed = False
-            for _ in range(check_every_events):
-                next_time = self.sim.queue.peek_time()
-                if next_time is None or next_time > deadline:
-                    break
-                self.sim.step()
-                progressed = True
-            if not progressed:
-                break
-        satisfied = predicate()
-        if not satisfied and self.sim.now < deadline:
-            self.sim.now = deadline
-        return satisfied
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------

@@ -123,10 +123,6 @@ class ProtocolConfig:
     #: cannot bridge the gap — the undefended baseline the stale-snapshot
     #: negative controls attack.  Never enable outside such controls.
     snapshot_trust_sealed: bool = False
-    #: Re-derive execution results when validating blocks (tests); when off,
-    #: validation is cost-charged but the recomputation is skipped, which
-    #: keeps large benchmark runs fast without changing simulated time.
-    deep_validation: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -173,11 +169,6 @@ class ProtocolConfig:
     def tee_committee(cls, f: int, **kwargs) -> "ProtocolConfig":
         """n = 2f+1 committee (Achilles, Damysus, OneShot, BRaft)."""
         return cls(n=2 * f + 1, f=f, **kwargs)
-
-    @classmethod
-    def bft_committee(cls, f: int, **kwargs) -> "ProtocolConfig":
-        """n = 3f+1 committee (FlexiBFT)."""
-        return cls(n=3 * f + 1, f=f, **kwargs)
 
 
 __all__ = ["BATCH_WAIT_MS", "NodeCosts", "ProtocolConfig"]

@@ -42,25 +42,17 @@ class Pacemaker:
         process: Process,
         base_timeout_ms: float,
         on_timeout: Callable[[int], None],
-        max_backoff_doublings: Optional[int] = None,
-        jitter: Optional[float] = None,
-        decay: Optional[int] = None,
     ) -> None:
         self._process = process
         self._sim = process.sim
         self._label = f"{process.name}.pacemaker"
         self.base_timeout_ms = base_timeout_ms
         self._on_timeout = on_timeout
-        config = getattr(process, "config", None)
-        # Backoff cap and decay-on-progress default to the replica
-        # config (same lazy idiom as jitter below) so deployments tune
-        # them without touching the four protocol constructors.
-        if max_backoff_doublings is None:
-            max_backoff_doublings = getattr(config, "pacemaker_max_doublings", 10)
-        self._max_doublings = max_backoff_doublings
-        if decay is None:
-            decay = getattr(config, "backoff_decay", 0)
-        self.decay = decay
+        # Backoff cap, decay-on-progress and jitter come from the
+        # replica's config (:class:`~repro.consensus.config.ProtocolConfig`).
+        config = process.config
+        self._max_doublings = config.pacemaker_max_doublings
+        self.decay = config.backoff_decay
         # The queued timeout (None once it fired or was stopped; never
         # later than the deadline), the epoch it was queued in, and the
         # logical deadline.
@@ -82,12 +74,9 @@ class Pacemaker:
         # Deterministic per-replica jitter on armed timeouts: replicas that
         # lose the same message must not all time out at the same instant
         # (synchronized view-change storms re-collide forever under loss).
-        # Defaults to the replica config's ``timeout_jitter``; the RNG
-        # stream is forked lazily so jitter=0 draws nothing and perturbs
-        # no other stream.
-        if jitter is None:
-            jitter = getattr(config, "timeout_jitter", 0.0)
-        self.jitter = jitter
+        # The RNG stream is forked lazily so jitter=0 draws nothing and
+        # perturbs no other stream.
+        self.jitter = config.timeout_jitter
         self._rng = None
 
     @property

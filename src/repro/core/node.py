@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.chain.block import Block
-from repro.chain.execution import execute_transactions
 from repro.consensus.base import NodeStatus, QuorumCollector, ReplicaBase
 from repro.consensus.messages import BlockSyncRequest
 from repro.consensus.pacemaker import Pacemaker
@@ -395,15 +394,9 @@ class ChainedTeeNode(ReplicaBase):
         if self.status is not NodeStatus.RUNNING:
             return
         self._pending_cost += self.config.costs.exec_cost(len(block.txs))
-        if self.config.deep_validation:
-            parent = self.store.get(block.parent_hash)
-            if parent is None:
-                return
-            expected = execute_transactions(block.txs, parent.hash)
-            if expected != block.op:
-                self.sim.trace.record(self.sim.now, "bad_execution_results",
-                                      self.node_id, block=block.hash)
-                return
+        if not block.results_valid:
+            self._refuse_results(block)
+            return
         vote(block, cert)
 
     def _quorum_signatures(self, collector: QuorumCollector,

@@ -50,10 +50,10 @@ from repro.tee.rollback import RollbackAttacker
 #: state; `UntrustedStore` retains everything).
 REPLAY_CAPTURE_KEY = "byz/replay-capture"
 
-#: Default interval of the deterministic strategy tick (ms).  Frequent
-#: enough that every attack engages several times within a smoke-length
+#: Interval of the deterministic strategy tick (ms).  Frequent enough
+#: that every attack engages several times within a smoke-length
 #: campaign, coarse enough not to dominate the event count.
-DEFAULT_TICK_MS = 120.0
+TICK_MS = 120.0
 
 
 @dataclass(frozen=True)
@@ -550,10 +550,9 @@ class ByzController:
     """Per-node strategy chain: owns the strategy instances, their
     attempt/denial counters, and the deterministic tick."""
 
-    def __init__(self, node: Any, names: list[str], tick_ms: float) -> None:
+    def __init__(self, node: Any, names: list[str]) -> None:
         self.node = node
         self.strategies = [STRATEGIES[n]() for n in resolve_strategies(names)]
-        self.tick_ms = tick_ms
         self.in_hook = False  # strategy-originated sends bypass the chain
         self._tick_timer = node.timer("byz-tick")
 
@@ -568,7 +567,7 @@ class ByzController:
         self.arm_tick()
 
     def arm_tick(self) -> None:
-        self._tick_timer.start(self.tick_ms, self._tick)
+        self._tick_timer.start(TICK_MS, self._tick)
 
     def _tick(self) -> None:
         node = self.node
@@ -641,8 +640,8 @@ class ByzController:
         }
 
 
-def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
-                   tick_ms: float = DEFAULT_TICK_MS) -> type:
+def make_byzantine(node_cls: type,
+                   strategies: "tuple[str, ...] | list[str]") -> type:
     """Subclass ``node_cls`` with the given strategy chain woven into its
     untrusted-code surface (send, deliver, start, reboot).
 
@@ -659,7 +658,7 @@ def make_byzantine(node_cls: type, strategies: "tuple[str, ...] | list[str]",
 
         def __init__(self, *args: Any, **kwargs: Any) -> None:
             super().__init__(*args, **kwargs)
-            self.byz = ByzController(self, names, tick_ms)
+            self.byz = ByzController(self, names)
 
         def start(self) -> None:
             super().start()
@@ -724,7 +723,6 @@ __all__ = [
     "ByzController",
     "ByzGarbage",
     "ByzStrategy",
-    "DEFAULT_TICK_MS",
     "EquivocateStrategy",
     "GarbageStrategy",
     "HideDecideStrategy",
@@ -736,6 +734,7 @@ __all__ = [
     "SkipCounterStrategy",
     "StaleSealStrategy",
     "StaleSnapshotStrategy",
+    "TICK_MS",
     "WithholdVoteStrategy",
     "applicable_strategies",
     "collect_byz_counters",

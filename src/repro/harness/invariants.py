@@ -25,8 +25,7 @@ run* rather than only at the end:
 * **counter-monotonicity** — persistent counter values never decrease,
   reboots included (that is their entire point);
 * **recovery-liveness** — every recovery episode terminates: no node is
-  left RECOVERING at the end of a run (optionally also bounded per
-  episode during the run);
+  left RECOVERING at the end of a run;
 * **post-quiesce-liveness** — once faults quiesce, the committed height
   advances again (the GST-style liveness claim of Sec. 6);
 * **sealed-state-freshness** (opt-in, ``track_seal_freshness=True``) —
@@ -99,10 +98,8 @@ class InvariantMonitor:
     """
 
     def __init__(self, inner: Any = None,
-                 recovery_bound_ms: Optional[float] = None,
                  track_seal_freshness: bool = False) -> None:
         self.inner = inner
-        self.recovery_bound_ms = recovery_bound_ms
         self.track_seal_freshness = track_seal_freshness
         self.violations: list[InvariantViolation] = []
         self.cluster = None
@@ -144,7 +141,6 @@ class InvariantMonitor:
         self._replay_allowance: dict[int, set[str]] = {}
         # node -> sim time it was first seen RECOVERING (this episode)
         self._recovering_since: dict[int, float] = {}
-        self._reported_stuck: set[int] = set()
         self.polls = 0
         self._quiesced_at: Optional[float] = None
         self._height_at_quiesce = 0
@@ -453,18 +449,8 @@ class InvariantMonitor:
         node_id = node.node_id
         if node.status is not NodeStatus.RECOVERING:
             self._recovering_since.pop(node_id, None)
-            self._reported_stuck.discard(node_id)
             return
-        since = self._recovering_since.setdefault(node_id, now)
-        bound = self.recovery_bound_ms
-        if bound is not None and now - since > bound and \
-                node_id not in self._reported_stuck:
-            self._reported_stuck.add(node_id)
-            self._violate(
-                "recovery-liveness", node_id,
-                f"stuck in RECOVERING for {now - since:.1f} ms "
-                f"(bound {bound:.1f} ms)",
-            )
+        self._recovering_since.setdefault(node_id, now)
 
     # ------------------------------------------------------------------
     # Power-cut hooks (repro.faults.powercut)

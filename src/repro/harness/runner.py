@@ -369,7 +369,6 @@ def run_experiment(
     config_overrides: Optional[dict] = None,
     trace: bool = False,
     trace_path: Optional[str] = None,
-    trace_max_spans: Optional[int] = None,
     loss: float = 0.0,
     dup: float = 0.0,
     reorder: float = 0.0,
@@ -422,8 +421,6 @@ def run_experiment(
         transport=transport,
     )
     cluster = deployment.cluster
-    if trace_max_spans is not None:
-        cluster.sim.obs.max_spans = trace_max_spans
     deployment.run(duration_ms)
     cluster.assert_safety()
 
@@ -454,7 +451,7 @@ def run_experiment(
             extras[f"cp_{bucket}_ms"] = ms
         extras["trace_coverage"] = breakdown.coverage
         extras["trace_blocks_walked"] = breakdown.walked
-        extras["trace_spans"] = tracer.total_spans
+        extras["trace_spans"] = len(tracer.spans)
         extras["trace_digest"] = tracer.digest()
         if trace_path:
             deployment.write_trace(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.latency import MIN_ONE_WAY_MS
@@ -28,6 +28,9 @@ DEFAULT_REGION_RTTS: Dict[Tuple[str, str], float] = {
     ("us-east", "ap-east"): 200.0,
     ("eu-west", "ap-east"): 180.0,
 }
+
+#: The regions :meth:`GeoLatencyModel.spread_across` places nodes in.
+REGIONS = ("us-east", "eu-west", "ap-east")
 
 
 @dataclass
@@ -83,13 +86,10 @@ class GeoLatencyModel:
 
     # ------------------------------------------------------------------
     @classmethod
-    def spread_across(cls, n: int, regions: Sequence[str] = ("us-east",
-                                                             "eu-west",
-                                                             "ap-east"),
-                      **kwargs) -> "GeoLatencyModel":
-        """Assign n nodes round-robin across the given regions."""
-        assignment = {i: regions[i % len(regions)] for i in range(n)}
-        return cls(name="geo", node_regions=assignment, **kwargs)
+    def spread_across(cls, n: int) -> "GeoLatencyModel":
+        """Assign n nodes round-robin across :data:`REGIONS`."""
+        assignment = {i: REGIONS[i % len(REGIONS)] for i in range(n)}
+        return cls(name="geo", node_regions=assignment)
 
 
 __all__ = ["GeoLatencyModel", "DEFAULT_REGION_RTTS"]

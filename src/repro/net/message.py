@@ -87,15 +87,15 @@ class Envelope:
                  "frame", "auth", "corrupted", "duplicate")
 
     def __init__(self, src: int, dst: int, payload: Any, size: int,
-                 sent_at: float, msg_id: Optional[int] = None,
-                 frame: Optional[Any] = None, auth: Optional[str] = None,
-                 corrupted: bool = False, duplicate: bool = False) -> None:
+                 sent_at: float, frame: Optional[Any] = None,
+                 auth: Optional[str] = None, corrupted: bool = False,
+                 duplicate: bool = False) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size = size
         self.sent_at = sent_at
-        self.msg_id = next(_envelope_ids) if msg_id is None else msg_id
+        self.msg_id = next(_envelope_ids)
         self.frame = frame
         self.auth = auth
         self.corrupted = corrupted

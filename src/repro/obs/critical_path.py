@@ -17,8 +17,8 @@ latency (first commit − proposal) is attributed to one bucket:
 * ``compute``  — CPU work not in any category above (batch assembly,
   execution, message send overhead);
 * ``unattributed`` — remainder when the walk could not reach the
-  proposal (span evicted from a bounded ring, commit triggered by block
-  sync rather than the protocol's message chain, ...).
+  proposal (commit triggered by block sync rather than the protocol's
+  message chain, ...).
 
 The decomposition telescopes: on a clean chain the bucket sums equal the
 measured commit latency exactly, which is what the ≥95 % attribution

@@ -32,7 +32,6 @@ tracing overhead when off (one attribute read + branch per site).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -108,13 +107,10 @@ class _OpenWork:
 class SpanTracer:
     """Disabled-by-default causal span recorder attached to a Simulator."""
 
-    def __init__(self, sim: Any = None, enabled: bool = False,
-                 max_spans: Optional[int] = None) -> None:
+    def __init__(self, sim: Any = None, enabled: bool = False) -> None:
         self.sim = sim
         self.enabled = enabled
-        self.max_spans = max_spans
-        self.spans: deque[Span] = deque()
-        self.total_spans = 0  # exact count even after ring eviction
+        self.spans: list[Span] = []
         self.blocks: dict[str, BlockRecord] = {}
         self._by_sid: dict[int, Span] = {}
         self._next_sid = 0
@@ -133,13 +129,9 @@ class SpanTracer:
     def _push(self, span: Span) -> None:
         self.spans.append(span)
         self._by_sid[span.sid] = span
-        self.total_spans += 1
-        if self.max_spans is not None and len(self.spans) > self.max_spans:
-            evicted = self.spans.popleft()
-            del self._by_sid[evicted.sid]
 
     def get(self, sid: Optional[int]) -> Optional[Span]:
-        """Look up a closed span by id (None when evicted or unknown)."""
+        """Look up a closed span by id (None when unknown)."""
         if sid is None:
             return None
         return self._by_sid.get(sid)
@@ -328,14 +320,6 @@ class SpanTracer:
             for r in self.blocks.values()
         ))
         return digest_of("repro.obs/v1", spans, blocks)
-
-    def summary(self) -> dict[str, int]:
-        """Cheap size counters for reports."""
-        return {
-            "spans": len(self.spans),
-            "total_spans": self.total_spans,
-            "blocks": len(self.blocks),
-        }
 
 
 __all__ = ["Span", "SpanTracer", "BlockRecord", "PART_KINDS"]

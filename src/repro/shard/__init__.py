@@ -15,7 +15,7 @@ from repro.shard.machine import ShardStateMachine, decode_writes, encode_writes
 from repro.shard.ranges import ShardMap
 from repro.shard.router import Router
 from repro.shard.sweep import (format_shard_slo, format_shard_sweep,
-                               run_shard_point, run_shard_sweep)
+                               run_shard_point)
 from repro.shard.txn import CrossShardTxn, TxnManager
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ShardChaosResult",
     "run_shard_chaos",
     "run_shard_point",
-    "run_shard_sweep",
     "format_shard_sweep",
     "format_shard_slo",
 ]

@@ -76,7 +76,6 @@ class ShardedDeployment:
         txn_ttl_blocks: Optional[int] = ShardStateMachine.DEFAULT_TTL_BLOCKS,
         warmup_ms: float = 0.0,
         poll_every_ms: float = 25.0,
-        monitor: bool = True,
     ) -> None:
         spec = resolve_protocol(protocol)
         latency = resolve_network(network)
@@ -99,22 +98,20 @@ class ShardedDeployment:
         self.shard_map = ShardMap.uniform(shards)
 
         self.clusters: list[Cluster] = []
-        self.monitors: list[Optional[InvariantMonitor]] = []
+        self.monitors: list[InvariantMonitor] = []
         self.collectors: list[MetricsCollector] = []
         for s in range(shards):
             scope = ShardScope(self.sim, f"shard{s}")
             fabric = Network(scope, latency=latency,
                              adversary=NetworkAdversary())
             collector = MetricsCollector(warmup_ms=warmup_ms)
-            shard_monitor = InvariantMonitor(inner=collector) if monitor \
-                else None
+            shard_monitor = InvariantMonitor(inner=collector)
             cluster = build_cluster(
                 node_factory=spec.node_cls,
                 config=config,
                 latency=latency,
                 source_factory=lambda sim: QueueSource(),
-                listener=shard_monitor if shard_monitor is not None
-                else collector,
+                listener=shard_monitor,
                 seed=seed,
                 sim=scope,
                 network=fabric,
@@ -122,8 +119,7 @@ class ShardedDeployment:
                 # seed would mint identical keys in every group).
                 key_seed=seed + 7919 * (s + 1),
             )
-            if shard_monitor is not None:
-                shard_monitor.attach(cluster, poll_every_ms=poll_every_ms)
+            shard_monitor.attach(cluster, poll_every_ms=poll_every_ms)
             self.clusters.append(cluster)
             self.monitors.append(shard_monitor)
             self.collectors.append(collector)
@@ -218,8 +214,7 @@ class ShardedDeployment:
     def mark_quiesced(self) -> None:
         """All injected faults are over; per-shard liveness must resume."""
         for shard_monitor in self.monitors:
-            if shard_monitor is not None:
-                shard_monitor.mark_quiesced()
+            shard_monitor.mark_quiesced()
 
     def finalize(self) -> None:
         """Run every per-shard monitor's end-of-run checks (idempotent)."""
@@ -227,8 +222,7 @@ class ShardedDeployment:
             return
         self._finalized = True
         for shard_monitor in self.monitors:
-            if shard_monitor is not None:
-                shard_monitor.finalize()
+            shard_monitor.finalize()
 
     def shard_machines(self, shard: int) -> "list[ShardStateMachine]":
         """The state machines of a shard's replicas, best-informed first
@@ -248,9 +242,8 @@ class ShardedDeployment:
         """Per-shard monitor violations + the cross-shard atomicity check."""
         self.finalize()
         violations: list[InvariantViolation] = []
-        for s, shard_monitor in enumerate(self.monitors):
-            if shard_monitor is not None:
-                violations.extend(shard_monitor.violations)
+        for shard_monitor in self.monitors:
+            violations.extend(shard_monitor.violations)
         violations.extend(self.atomicity_violations())
         return violations
 

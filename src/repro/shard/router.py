@@ -39,6 +39,11 @@ from repro.net.message import Envelope
 #: and the simulated-client band (10k+).
 ROUTER_ID_BASE = 50_000
 
+#: Each broadcast retry waits this factor longer than the last, up to
+#: :data:`MAX_RETRY_MS`.
+RETRY_BACKOFF = 1.6
+MAX_RETRY_MS = 400.0
+
 
 class _PendingOp:
     """One in-flight routed operation."""
@@ -67,19 +72,15 @@ class Router:
     """Key-range request router over a :class:`ShardedDeployment`."""
 
     def __init__(self, sim, networks, shard_map, shard_n: int, shard_f: int,
-                 retry_ms: float = 60.0, backoff: float = 1.6,
-                 max_retry_ms: float = 400.0, max_attempts: int = 10,
-                 router_id: int = ROUTER_ID_BASE) -> None:
+                 retry_ms: float = 60.0, max_attempts: int = 10) -> None:
         self.sim = sim
         self.networks = list(networks)
         self.shard_map = shard_map
         self.shard_n = shard_n
         self.shard_f = shard_f
         self.retry_ms = retry_ms
-        self.backoff = backoff
-        self.max_retry_ms = max_retry_ms
         self.max_attempts = max_attempts
-        self.router_id = router_id
+        self.router_id = ROUTER_ID_BASE
         for network in self.networks:
             network.attach(self.router_id, self)
         self._seq = 0
@@ -159,8 +160,8 @@ class Router:
             for replica in range(self.shard_n):
                 network.send(self.router_id, replica, request)
         op.attempts += 1
-        delay = min(self.retry_ms * (self.backoff ** (op.attempts - 1)),
-                    self.max_retry_ms)
+        delay = min(self.retry_ms * (RETRY_BACKOFF ** (op.attempts - 1)),
+                    MAX_RETRY_MS)
         self.sim.schedule(delay, lambda: self._retry(op), label="router-retry")
 
     def _retry(self, op: _PendingOp) -> None:

@@ -13,7 +13,7 @@ sweep raises.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.harness.metrics import LatencyStats
 from repro.harness.report import format_slo_breakdown, format_table
@@ -76,21 +76,6 @@ def run_shard_point(
     return summary
 
 
-def run_shard_sweep(
-    shard_counts: Iterable[int] = (1, 2, 4, 8),
-    protocol: str = "achilles",
-    seeds: Iterable[int] = (0,),
-    **kwargs,
-) -> "list[dict]":
-    """The throughput-vs-shard-count trajectory (one row per (S, seed))."""
-    rows = []
-    for shards in shard_counts:
-        for seed in seeds:
-            rows.append(run_shard_point(shards, protocol=protocol,
-                                        seed=seed, **kwargs))
-    return rows
-
-
 def format_shard_sweep(rows: "list[dict]",
                        title: Optional[str] = None) -> str:
     """The sweep as an aligned text table (stdout and
@@ -123,5 +108,5 @@ def format_shard_slo(rows: "list[dict]") -> str:
     return format_slo_breakdown(stats, title="per-shard latency SLOs")
 
 
-__all__ = ["run_shard_point", "run_shard_sweep", "format_shard_sweep",
+__all__ = ["run_shard_point", "format_shard_sweep",
            "format_shard_slo"]

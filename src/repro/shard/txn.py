@@ -36,6 +36,17 @@ from repro.errors import StateMachineError
 from repro.harness.metrics import LatencyStats
 from repro.shard.machine import encode_writes
 
+#: How long the prepare phase and the coordinator's decision may take to
+#: certify before the transaction aborts (rules 2 and 3).
+PREPARE_DEADLINE_MS = 400.0
+DECIDE_DEADLINE_MS = 300.0
+#: Retry budget for TABT dissemination — deliberately *smaller* than the
+#: router's default: an abort is the no-information outcome, so a real
+#: client stops pushing it quickly and leaves unreachable participants to
+#: the TTL defense.  (TCMT, by contrast, is persistent: a certified commit
+#: decision must reach every participant.)
+ABORT_ATTEMPTS = 5
+
 
 class CrossShardTxn:
     """Bookkeeping for one cross-shard transaction."""
@@ -74,22 +85,10 @@ class CrossShardTxn:
 class TxnManager:
     """Drives 2PC instances; owns cross-shard transaction statistics."""
 
-    def __init__(self, sim, router, shard_map,
-                 prepare_deadline_ms: float = 400.0,
-                 decide_deadline_ms: float = 300.0,
-                 abort_attempts: int = 5) -> None:
+    def __init__(self, sim, router, shard_map) -> None:
         self.sim = sim
         self.router = router
         self.shard_map = shard_map
-        self.prepare_deadline_ms = prepare_deadline_ms
-        self.decide_deadline_ms = decide_deadline_ms
-        #: Retry budget for TABT dissemination — deliberately *smaller*
-        #: than the router's default: an abort is the no-information
-        #: outcome, so a real client stops pushing it quickly and leaves
-        #: unreachable participants to the TTL defense.  (TCMT, by
-        #: contrast, is persistent: a certified commit decision must
-        #: reach every participant.)
-        self.abort_attempts = abort_attempts
         self._seq = 0
         #: every transaction ever begun, txid -> txn (the atomicity
         #: monitor audits all of them at end of run)
@@ -133,7 +132,7 @@ class TxnManager:
                 shard, payload, quorum=quorum,
                 on_done=lambda outcome, t=txn, s=shard:
                     self._on_prepare(t, s, outcome))
-        self.sim.schedule(self.prepare_deadline_ms,
+        self.sim.schedule(PREPARE_DEADLINE_MS,
                           lambda: self._prepare_deadline(txn),
                           label="txn-prepare-deadline")
         return txid
@@ -214,7 +213,7 @@ class TxnManager:
 
         self.router.submit_payload(txn.coordinator, f"TDEC {txn.txid} commit",
                                    quorum=quorum, on_done=on_decided)
-        self.sim.schedule(self.decide_deadline_ms, on_deadline,
+        self.sim.schedule(DECIDE_DEADLINE_MS, on_deadline,
                           label="txn-decide-deadline")
 
     # ------------------------------------------------------------------
@@ -228,7 +227,7 @@ class TxnManager:
             self.router.submit_payload(
                 shard, f"{phase} {txn.txid}", quorum=quorum,
                 persistent=persistent,
-                max_attempts=None if persistent else self.abort_attempts,
+                max_attempts=None if persistent else ABORT_ATTEMPTS,
                 on_done=lambda outcome, t=txn, s=shard:
                     self._on_resolved(t, s, outcome))
 

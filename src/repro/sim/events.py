@@ -12,8 +12,8 @@ Architecture (the simulator hot path)
 -------------------------------------
 The queue is a **hierarchical timer wheel with a heap overflow**:
 
-* A wheel of ``wheel_slots`` buckets, each ``granularity_ms`` wide, covers
-  the short horizon ``[base, base + wheel_slots * granularity_ms)`` where
+* A wheel of :data:`WHEEL_SLOTS` buckets, each :data:`GRANULARITY_MS`
+  wide, covers the short horizon ``[base, base + 1024 ms)`` where
   nearly every event lands (message deliveries, CPU completions,
   retransmit/ACK timers, pacemaker timeouts).  Insertion into a future
   bucket is an O(1) unsorted append — no heap sift.
@@ -55,6 +55,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
+
+#: The timer wheel: this many buckets of this width (ms), a 1024 ms
+#: horizon past which events wait in the overflow heap.
+WHEEL_SLOTS = 2048
+GRANULARITY_MS = 0.5
 
 
 class Event:
@@ -106,12 +111,11 @@ class EventQueue:
     #: without letting a cancellation storm hoard memory.
     _POOL_MAX = 4096
 
-    def __init__(self, wheel_slots: int = 2048,
-                 granularity_ms: float = 0.5) -> None:
-        self._nslots = wheel_slots
-        self._gran = granularity_ms
-        self._horizon = wheel_slots * granularity_ms
-        self._slots: list[list] = [[] for _ in range(wheel_slots)]
+    def __init__(self) -> None:
+        self._nslots = WHEEL_SLOTS
+        self._gran = GRANULARITY_MS
+        self._horizon = WHEEL_SLOTS * GRANULARITY_MS
+        self._slots: list[list] = [[] for _ in range(WHEEL_SLOTS)]
         self._base = 0.0      # absolute time of slot 0 in this rotation
         self._cursor = 0      # bucket currently merged into the active heap
         self._active: list = []    # heap: entries due at/behind the cursor

@@ -96,13 +96,12 @@ class Enclave:
         profile: Optional[EnclaveProfile] = None,
         crypto: Optional[CryptoProfile] = None,
         store: Optional[UntrustedStore] = None,
-        platform_seed: int = 0,
     ) -> None:
         self.identity = identity
         self.profile = profile if profile is not None else EnclaveProfile()
         self.crypto = crypto if crypto is not None else CryptoProfile()
         self.store = store if store is not None else UntrustedStore()
-        self.sealing_key = SealingKey.derive(identity, platform_seed)
+        self.sealing_key = SealingKey.derive(identity)
         self._online = True
         self._pending_cost = 0.0
         # Categorized cost parts for repro.obs; None until the host node

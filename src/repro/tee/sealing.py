@@ -43,9 +43,10 @@ class SealingKey:
     _secret: bytes = field(repr=False)
 
     @classmethod
-    def derive(cls, enclave_identity: str, platform_seed: int = 0) -> "SealingKey":
-        """Deterministically derive the sealing key for an enclave identity."""
-        secret = hashlib.sha256(f"seal/{platform_seed}/{enclave_identity}".encode()).digest()
+    def derive(cls, enclave_identity: str) -> "SealingKey":
+        """Deterministically derive the sealing key for an enclave identity
+        (every enclave runs on the one simulated platform, ``0``)."""
+        secret = hashlib.sha256(f"seal/0/{enclave_identity}".encode()).digest()
         return cls(enclave_identity=enclave_identity, _secret=secret)
 
     def mac(self, payload_digest: str, version: int) -> str:

@@ -33,7 +33,6 @@ def fast_config(f: int = 2, **overrides) -> ProtocolConfig:
         payload_size=16,
         base_timeout_ms=50.0,
         recovery_retry_ms=10.0,
-        deep_validation=True,
         seed=3,
     )
     defaults.update(overrides)

@@ -110,8 +110,8 @@ class TestOneShot:
 
 class TestFlexiBFT:
     def test_commits_with_3f_plus_1(self):
-        config = ProtocolConfig.bft_committee(
-            f=2, batch_size=20, payload_size=16, base_timeout_ms=50.0, seed=3,
+        config = ProtocolConfig(
+            n=7, f=2, batch_size=20, payload_size=16, base_timeout_ms=50.0, seed=3,
             counter_factory=lambda: ConfigurableCounter(1.0),
         )
         collector = MetricsCollector()
@@ -127,8 +127,8 @@ class TestFlexiBFT:
         assert cluster.min_committed_height() >= 10
 
     def test_only_leader_writes_counter(self):
-        config = ProtocolConfig.bft_committee(
-            f=1, batch_size=20, payload_size=16, base_timeout_ms=50.0, seed=3,
+        config = ProtocolConfig(
+            n=4, f=1, batch_size=20, payload_size=16, base_timeout_ms=50.0, seed=3,
             counter_factory=lambda: ConfigurableCounter(1.0),
         )
         collector = MetricsCollector()
@@ -144,8 +144,8 @@ class TestFlexiBFT:
         assert all(w == 0 for w in writes[1:])  # backups never do
 
     def test_leader_crash_triggers_view_change(self):
-        config = ProtocolConfig.bft_committee(
-            f=1, batch_size=20, payload_size=16, base_timeout_ms=40.0, seed=3,
+        config = ProtocolConfig(
+            n=4, f=1, batch_size=20, payload_size=16, base_timeout_ms=40.0, seed=3,
         )
         collector = MetricsCollector()
         cluster = build_cluster(
@@ -174,8 +174,8 @@ class TestFlexiBFT:
         is ~100 behind, view 1 times out first, and as view 2's leader it
         proposes from its stale tip — the view-change safety hole ROADMAP
         item 5 records, which is not this test's subject."""
-        config = ProtocolConfig.bft_committee(
-            f=1, base_timeout_ms=50.0, seed=3,
+        config = ProtocolConfig(
+            n=4, f=1, base_timeout_ms=50.0, seed=3,
             counter_factory=lambda: ConfigurableCounter(1.0),
         )
         cluster = build_cluster(

@@ -57,7 +57,7 @@ class TestCompaction:
         cluster.start()
         cluster.run(200.0)
         node = cluster.nodes[0]
-        assert node.store.compaction_base.is_genesis
+        assert node.store.compaction_base.height == 0
         assert len(node.store) >= node.store.committed_tip.height
 
     def test_compact_store_directly(self):

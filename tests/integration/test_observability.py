@@ -189,22 +189,6 @@ class TestDeterminism:
         assert plain.blocks_committed == traced.blocks_committed
 
 
-class TestBoundedTracing:
-    def test_max_spans_keeps_block_accounting_exact(self):
-        bounded = run_experiment(
-            "achilles", f=1, network="LAN", batch_size=50, payload_size=64,
-            duration_ms=500, warmup_ms=100, seed=11,
-            trace=True, trace_max_spans=200,
-        )
-        unbounded = run_experiment(
-            "achilles", f=1, network="LAN", batch_size=50, payload_size=64,
-            duration_ms=500, warmup_ms=100, seed=11, trace=True,
-        )
-        # The simulation itself is identical; only retention differs.
-        assert bounded.blocks_committed == unbounded.blocks_committed
-        assert bounded.extras["trace_spans"] == unbounded.extras["trace_spans"]
-
-
 class TestChaosTraceDump:
     def test_failing_seed_dump_shape(self, tmp_path):
         from repro.faults.chaos import ChaosSpec, run_chaos

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.consensus.config import ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.sim.loop import Simulator
 from repro.sim.process import Process, Timer
@@ -29,14 +30,13 @@ class CancelAndReschedule:
     """The oracle: one timer event per arming, cancelled by the next."""
 
     def __init__(self, process: Process, base_timeout_ms: float,
-                 on_timeout: Callable[[int], None],
-                 max_backoff_doublings: int, jitter: float,
-                 decay: int) -> None:
+                 on_timeout: Callable[[int], None]) -> None:
+        config = process.config
         self._process = process
         self.base_timeout_ms = base_timeout_ms
         self._on_timeout = on_timeout
-        self._max_doublings = max_backoff_doublings
-        self.decay = decay
+        self._max_doublings = config.pacemaker_max_doublings
+        self.decay = config.backoff_decay
         self._timer: Timer = process.timer("pacemaker")
         self._consecutive_timeouts = 0
         self.current_view = 0
@@ -44,7 +44,7 @@ class CancelAndReschedule:
         self.backoff_decays = 0
         self.peak_backoff = 0
         self.backoff_nudges = 0
-        self.jitter = jitter
+        self.jitter = config.timeout_jitter
         self._rng = None
 
     @property
@@ -121,10 +121,14 @@ class Twin:
                  seed: int) -> None:
         self.sim = Simulator(seed=seed)
         self.process = Process(self.sim, "node3")
+        self.process.config = ProtocolConfig(
+            n=1, f=0, pacemaker_max_doublings=params["max_backoff_doublings"],
+            timeout_jitter=params["jitter"], backoff_decay=params["decay"])
         self.fires: list = []
         self.armed: list = []
         self._reactions = reactions
-        self.pm = cls(self.process, on_timeout=self._on_timeout, **params)
+        self.pm = cls(self.process, params["base_timeout_ms"],
+                      self._on_timeout)
 
     def _on_timeout(self, view: int) -> None:
         self.fires.append((self.sim.now, view))

@@ -46,7 +46,6 @@ class TestTransaction:
 class TestBlock:
     def test_genesis(self):
         g = genesis_block()
-        assert g.is_genesis
         assert g.height == 0
         assert g.hash == genesis_block().hash
 

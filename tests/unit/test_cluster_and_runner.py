@@ -46,53 +46,6 @@ class TestBuildCluster:
                 latency=LAN_PROFILE, byzantine_factories={9: SilentNode},
             )
 
-    def test_run_until_predicate(self):
-        cluster = achilles_cluster(f=1)
-        cluster.start()
-        reached = cluster.run_until(
-            lambda: cluster.min_committed_height() >= 5, timeout_ms=2000.0,
-        )
-        assert reached
-        assert cluster.min_committed_height() >= 5
-        assert cluster.sim.now < 2000.0  # stopped early
-
-    def test_run_until_times_out(self):
-        cluster = achilles_cluster(f=1)
-        # never started: nothing commits
-        reached = cluster.run_until(
-            lambda: cluster.min_committed_height() >= 1, timeout_ms=50.0,
-        )
-        assert not reached
-
-    def test_run_until_timeout_advances_clock_to_deadline(self):
-        """Regression: a timed-out run_until used to leave ``sim.now`` at
-        the last-event time, silently shifting the window of any subsequent
-        ``run(duration_ms)`` call."""
-        cluster = achilles_cluster(f=1)
-        # Empty queue: without the fix the clock stays at 0.
-        reached = cluster.run_until(lambda: False, timeout_ms=250.0)
-        assert not reached
-        assert cluster.sim.now == 250.0
-
-    def test_run_until_timeout_clock_with_live_events(self):
-        cluster = achilles_cluster(f=1)
-        cluster.start()
-        reached = cluster.run_until(lambda: False, timeout_ms=100.0)
-        assert not reached
-        assert cluster.sim.now == 100.0
-        # A follow-up run() now measures exactly [100, 150).
-        cluster.run(50.0)
-        assert cluster.sim.now == 150.0
-
-    def test_run_until_success_does_not_jump_to_deadline(self):
-        cluster = achilles_cluster(f=1)
-        cluster.start()
-        reached = cluster.run_until(
-            lambda: cluster.min_committed_height() >= 1, timeout_ms=5000.0,
-        )
-        assert reached
-        assert cluster.sim.now < 5000.0
-
     def test_assert_safety_detects_divergence(self):
         cluster = achilles_cluster(f=1)
         cluster.start()

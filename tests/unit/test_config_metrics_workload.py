@@ -29,7 +29,7 @@ from repro.sim.process import Process
 class TestProtocolConfig:
     def test_quorums(self):
         assert ProtocolConfig.tee_committee(f=3).quorum == 4       # f+1
-        assert ProtocolConfig.bft_committee(f=3).quorum == 7       # 2f+1
+        assert ProtocolConfig(n=10, f=3).quorum == 7               # 2f+1
         assert ProtocolConfig(n=9, f=2).quorum == 7                # n-f fallback
 
     def test_invalid_committee_rejected(self):
@@ -220,10 +220,17 @@ class TestWorkloads:
         assert make_payload(0) == ""
 
 
+def replica(sim) -> Process:
+    """A process carrying the replica config the pacemaker reads."""
+    p = Process(sim, "p")
+    p.config = ProtocolConfig(n=1, f=0)
+    return p
+
+
 class TestPacemaker:
     def test_fires_on_timeout(self):
         sim = Simulator()
-        p = Process(sim, "p")
+        p = replica(sim)
         fired = []
         pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=fired.append)
         pm.view_started(1)
@@ -232,7 +239,7 @@ class TestPacemaker:
 
     def test_progress_resets_backoff(self):
         sim = Simulator()
-        p = Process(sim, "p")
+        p = replica(sim)
         pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=lambda v: None)
         pm.view_started(1)
         sim.run(until=15.0)
@@ -242,15 +249,15 @@ class TestPacemaker:
 
     def test_exponential_backoff_capped(self):
         sim = Simulator()
-        p = Process(sim, "p")
-        pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=lambda v: None,
-                       max_backoff_doublings=3)
+        p = replica(sim)
+        p.config = p.config.with_(pacemaker_max_doublings=3)
+        pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=lambda v: None)
         pm._consecutive_timeouts = 100
         assert pm.current_timeout_ms == 80.0
 
     def test_view_start_rearms(self):
         sim = Simulator()
-        p = Process(sim, "p")
+        p = replica(sim)
         fired = []
         pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=fired.append)
         pm.view_started(1)

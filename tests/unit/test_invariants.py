@@ -142,20 +142,6 @@ class TestRecoveryLiveness:
         assert "recovery episode never terminated" in liveness[0].message
         assert "RECOVERING since" in liveness[0].message
 
-    def test_bounded_episode_trips_mid_run(self):
-        cluster, monitor = _monitored_cluster(f=1)
-        monitor.recovery_bound_ms = 100.0
-        monitor.attach(cluster, poll_every_ms=20.0)
-        cluster.start()
-        cluster.run(50.0)
-        cluster.nodes[1].crash()
-        cluster.nodes[2].crash()
-        cluster.nodes[1].reboot()
-        cluster.run(400.0)
-        stuck = [v for v in monitor.violations
-                 if v.invariant == "recovery-liveness"]
-        assert stuck and "stuck in RECOVERING" in stuck[0].message
-
     def test_completed_recovery_is_clean(self):
         cluster, monitor = _monitored_cluster(f=1)
         monitor.attach(cluster)

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.obs` — span tracer mechanics, critical-path
-bucket arithmetic, and the Perfetto schema validator — plus the bounded
-span recorder (``SpanTracer.max_spans``), the unbounded ``TraceRecorder``
-and the metrics-collector memory fixes that ride along."""
+bucket arithmetic, and the Perfetto schema validator — plus the unbounded
+``TraceRecorder`` and the metrics-collector memory fixes that ride
+along."""
 
 from __future__ import annotations
 
@@ -63,25 +63,6 @@ class TestSpanTracerWork:
                         name="Vote", t0=0.0, t1=0.1)
         assert tracer.take_route(9) is not None
         assert tracer.take_route(9) is None
-
-
-class TestSpanTracerRing:
-    def test_max_spans_evicts_oldest_but_counts_all(self):
-        tracer = SpanTracer(enabled=True, max_spans=4)
-        for i in range(10):
-            tracer.instant("tick", node=0, now=float(i))
-        assert len(tracer.spans) == 4
-        assert tracer.total_spans == 10
-        kept = [span.t0 for span in tracer.spans]
-        assert kept == [6.0, 7.0, 8.0, 9.0]
-
-    def test_evicted_spans_unresolvable(self):
-        tracer = SpanTracer(enabled=True, max_spans=2)
-        first = tracer.open_work(node=0, now=0.0)
-        tracer.close_work(first, cpu_start=0.0, finish=0.1)
-        for i in range(5):
-            tracer.instant("tick", node=0, now=float(i))
-        assert tracer.get(first) is None
 
 
 class TestPhasesAndBlocks:

@@ -15,6 +15,11 @@ The third goes one level down, from modules to public callables: a
 function or method whose *name* nothing under ``src/``, ``benchmarks/``
 or ``examples/`` mentions is either deleted or listed, with the test that
 needs it, in :data:`TEST_ONLY_CALLABLES` — which may only shrink.
+
+The fourth goes one level further, to parameters: a public parameter
+with a default that no call under those directories sets is an option
+with one value in use.  It becomes a constant, or it is listed, with the
+test that needs it, in :data:`UNSET_OPTIONS` — which may only shrink.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ WORKLOADS_CLOSURE = 88
 #: its test, fails the check until it is removed — the list only shrinks.
 TEST_ONLY_CALLABLES = {
     "all_replied": "tests/integration/test_clients_and_sync.py",
-    "bft_committee": "tests/integration/test_baseline_protocols.py",
     "call_soon": "tests/unit/test_sim_kernel.py",
     "conflicts": "tests/unit/test_chain.py",
     "cut_pending": "tests/unit/test_storage.py",
@@ -55,17 +59,18 @@ TEST_ONLY_CALLABLES = {
     "free": "tests/conftest.py",
     "idle_at": "tests/unit/test_sim_process_cpu.py",
     "indices": "tests/unit/test_config_metrics_workload.py",
-    "is_genesis": "tests/integration/test_checkpointing.py",
     # ArrivalEngine's per-arrival draws: the definition TrafficGenerator's
     # compiled loop is held to, run as its oracle.
     "next_client": "tests/property/test_arrival_stream.py",
     "next_gap_ms": "tests/property/test_arrival_stream.py",
     "next_key_rank": "tests/property/test_arrival_stream.py",
+    # The queue-state probe the sorted-list oracle compares after every
+    # operation.
+    "peek_time": "tests/property/test_event_queue_model.py",
     "pending_for": "tests/unit/test_shard_router.py",
     "public_key": "tests/unit/test_crypto.py",
     "remove_rule": "tests/unit/test_net.py",
     "require_valid": "tests/unit/test_crypto.py",
-    "run_until": "tests/unit/test_cluster_and_runner.py",
     "serve_stale": "tests/unit/test_tee.py",
     "split_items": "tests/unit/test_shard_ranges.py",
     "synchronous_at": "tests/unit/test_net.py",
@@ -74,7 +79,33 @@ TEST_ONLY_CALLABLES = {
     "version_count": "tests/unit/test_storage.py",
 }
 #: Lower it when an entry goes; raising it is keeping code for a test.
-TEST_ONLY_CEILING = 26
+TEST_ONLY_CEILING = 24
+
+#: Public parameters with a default that nothing under ``src/``,
+#: ``benchmarks/`` or ``examples/`` sets, and one test that sets each.
+#: Labelled ``Class(param)`` for a constructor, ``name(param)`` or
+#: ``Class.name(param)`` otherwise.  An entry that gains a caller, or
+#: loses its parameter or its test, fails the check until it is removed:
+#: the list only shrinks.
+UNSET_OPTIONS = {
+    "FiniteWorkload(payload_prefix)":
+        "tests/unit/test_config_metrics_workload.py",
+    "LinkFaultModel(per_kind)": "tests/unit/test_transport.py",
+    "LinkFaultModel(per_link)": "tests/unit/test_transport.py",
+    # The send-at-a-time oracle the outbox loop is held to.
+    "Network.send(cause)": "tests/property/test_outbox_loop.py",
+    "TrafficGenerator(record)": "tests/unit/test_workload_gen.py",
+    "ascii_xy_chart(width)": "tests/unit/test_charts.py",
+    # The CLI run in process; a user's argv is sys.argv.
+    "main(argv)": "tests/unit/test_cli.py",
+    # A private cache and report sink; a user's come from the environment
+    # and stderr.
+    "run_experiments(cache_dir)": "tests/integration/test_chaos.py",
+    "run_experiments(report)": "tests/integration/test_chaos.py",
+}
+#: Lower it when an entry goes; raising it is adding an option no caller
+#: needs.
+UNSET_OPTIONS_CEILING = 9
 
 
 def _modules(src: pathlib.Path) -> dict:
@@ -231,3 +262,192 @@ def test_every_public_callable_is_used_or_listed_as_test_only():
         text = (REPO / test).read_text(encoding="utf-8")
         assert re.search(rf"\.{name}\b|\b{name}\(", text), \
             f"{test} does not use {name}: delete the callable"
+
+
+def _callee(func) -> "str | None":
+    """The name a call is matched by: ``f(...)`` and ``x.f(...)`` both
+    call ``f``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _values(node):
+    """Names and attributes a value hands on (so may later call)."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _values(elt)
+    elif isinstance(node, (ast.Name, ast.Attribute)):
+        yield _callee(node)
+
+
+class _Calls(ast.NodeVisitor):
+    """Everything under the roots that can set a parameter, by name."""
+
+    def __init__(self, bases: dict) -> None:
+        self.bases = bases
+        self.keywords: set = set()     # f(name=...)
+        self.assigned: set = set()     # x.name = ... (x not self)
+        self.splatted: set = set()     # f(**kw)
+        self.handed_on: set = set()    # f passed or stored as a value
+        self.reach: dict = {}          # f -> most positional args passed
+        self._class: "str | None" = None
+
+    def visit_ClassDef(self, node) -> None:
+        outer, self._class = self._class, node.name
+        self.generic_visit(node)
+        self._class = outer
+
+    def visit_Call(self, node) -> None:
+        func = node.func
+        names = {_callee(func)}
+        if self._class is not None and isinstance(func, ast.Attribute) \
+                and func.attr == "__init__" and isinstance(func.value, ast.Call):
+            names = self.bases.get(self._class, set())  # super().__init__
+        elif self._class is not None and isinstance(func, ast.Name) \
+                and func.id == "cls":
+            names = {self._class}
+        reach = len(node.args)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            reach = sys.maxsize
+        for name in names:
+            self.reach[name] = max(self.reach.get(name, 0), reach)
+            if any(kw.arg is None for kw in node.keywords):
+                self.splatted.add(name)
+        for kw in node.keywords:
+            if kw.arg is not None:
+                self.keywords.add(kw.arg)
+        for value in node.args + [kw.value for kw in node.keywords]:
+            self.handed_on.update(_values(value))
+        self.generic_visit(node)
+
+    def _assign(self, targets, value) -> None:
+        for target in targets:
+            if isinstance(target, ast.Attribute) and not (
+                    isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                self.assigned.add(target.attr)
+        if value is not None:
+            self.handed_on.update(_values(value))
+
+    def visit_Assign(self, node) -> None:
+        self._assign(node.targets, node.value)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node) -> None:
+        self._assign([node.target], node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node) -> None:
+        self._assign([node.target], node.value)
+        self.generic_visit(node)
+
+    def visit_Return(self, node) -> None:
+        if node.value is not None:
+            self.handed_on.update(_values(node.value))
+        self.generic_visit(node)
+
+    def visit_Dict(self, node) -> None:
+        for value in node.values:
+            self.handed_on.update(_values(value))
+        self.generic_visit(node)
+
+
+def _options(tree: ast.Module, bases: dict, own_init: set):
+    """``(label, callee, position, name)`` for every public parameter with
+    a default of a public function, method or constructor in ``tree``
+    (``position`` is None for a keyword-only one)."""
+    scopes = [(None, tree.body)] + [
+        (node, node.body) for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)]
+    for cls, body in scopes:
+        if cls is not None:
+            bases[cls.name] = {_callee(base) for base in cls.bases}
+            if any(isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for fn in body):
+                own_init.add(cls.name)
+            if cls.name.startswith("_"):
+                continue
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or (fn.name.startswith("_") and fn.name != "__init__"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            if cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in fn.decorator_list):
+                positional = positional[1:]  # self / cls
+            if fn.name == "__init__":
+                callee = label = cls.name
+            else:
+                callee = fn.name
+                label = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            defaulted = positional[len(positional) - len(fn.args.defaults):]
+            for arg in defaulted:
+                yield (f"{label}({arg.arg})", callee, positional.index(arg),
+                       arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{label}({arg.arg})", callee, None, arg.arg
+
+
+def unset_options(repo: pathlib.Path) -> set:
+    """Labels of the public parameters with a default that no call under
+    ``src/``, ``benchmarks/`` or ``examples/`` sets.
+
+    Matched by name, so the check under-reports and never cries wolf: a
+    parameter counts as set by any ``name=`` keyword anywhere, by any
+    ``x.name = ...`` outside ``self``, and by a call to any function of
+    the same name (a class through itself or a subclass that inherits its
+    constructor, or ``super().__init__``) that passes it by position or
+    splats ``*args`` / ``**kwargs``; a function or class that is passed or
+    stored as a value may be called from anywhere, so all its parameters
+    count as set."""
+    src = sorted((repo / "src" / "repro").rglob("*.py"))
+    roots = src + sorted((repo / "benchmarks").rglob("*.py")) \
+        + sorted((repo / "examples").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in roots}
+    bases: dict = {}
+    own_init: set = set()
+    options = [option for path in src
+               for option in _options(trees[path], bases, own_init)]
+    calls = _Calls(bases)
+    for tree in trees.values():
+        calls.visit(tree)
+
+    def called_as(callee: str) -> set:
+        names = {callee}
+        grew = True
+        while grew:
+            heirs = {cls for cls, parents in bases.items()
+                     if parents & names and cls not in own_init}
+            grew = not heirs <= names
+            names |= heirs
+        return names
+
+    unset = set()
+    for label, callee, position, name in options:
+        names = called_as(callee)
+        if name.startswith("_") or name in calls.keywords \
+                or name in calls.assigned or names & calls.splatted \
+                or names & calls.handed_on:
+            continue
+        if position is not None and position < max(
+                calls.reach.get(n, 0) for n in names):
+            continue
+        unset.add(label)
+    return unset
+
+
+def test_every_option_is_set_by_a_caller_or_listed_as_test_only():
+    assert unset_options(REPO) == set(UNSET_OPTIONS)
+    assert len(UNSET_OPTIONS) <= UNSET_OPTIONS_CEILING
+    for label, test in UNSET_OPTIONS.items():
+        callee, _, name = label[:-1].rpartition("(")
+        callee = callee.rpartition(".")[2]
+        text = (REPO / test).read_text(encoding="utf-8")
+        assert re.search(rf"\b{name}\b|\b{callee}\(", text), \
+            f"{test} does not use {label}: make it a constant"

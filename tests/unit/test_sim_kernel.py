@@ -245,7 +245,7 @@ class TestTimerWheel:
     the handle-free fast path, and event pooling."""
 
     def test_far_future_events_use_overflow_and_stay_ordered(self):
-        # Horizon is wheel_slots * granularity (1024 ms by default); these
+        # Horizon is WHEEL_SLOTS * GRANULARITY_MS (1024 ms); these
         # spread across wheel and overflow.
         q = EventQueue()
         fired = []

@@ -4,6 +4,7 @@ pacemaker storm damping (decay + nudge), and windowed latency stats."""
 
 import pytest
 
+from repro.consensus.config import ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.errors import ConfigurationError
 from repro.faults.scenarios import (LEADER, SCENARIOS, SoakCrash,
@@ -180,15 +181,15 @@ class TestScenarioPlans:
 
 
 class TestPacemakerDamping:
-    def _pm(self, **kw):
+    def _pm(self, **config):
         sim = Simulator(seed=0)
         p = Process(sim, "p")
-        pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=lambda v: None,
-                       **kw)
+        p.config = ProtocolConfig(n=1, f=0, **config)
+        pm = Pacemaker(p, base_timeout_ms=10.0, on_timeout=lambda v: None)
         return sim, pm
 
     def test_decay_steps_down_instead_of_reset(self):
-        _, pm = self._pm(decay=1)
+        _, pm = self._pm(backoff_decay=1)
         pm._consecutive_timeouts = 4
         pm.progress()
         assert pm._consecutive_timeouts == 3
@@ -197,19 +198,19 @@ class TestPacemakerDamping:
         assert pm._consecutive_timeouts == 2
 
     def test_zero_decay_hard_resets(self):
-        _, pm = self._pm(decay=0)
+        _, pm = self._pm(backoff_decay=0)
         pm._consecutive_timeouts = 4
         pm.progress()
         assert pm._consecutive_timeouts == 0
         assert pm.backoff_decays == 0
 
     def test_progress_on_zero_backoff_is_noop(self):
-        _, pm = self._pm(decay=1)
+        _, pm = self._pm(backoff_decay=1)
         pm.progress()
         assert pm.backoff_decays == 0
 
     def test_peak_backoff_high_water_mark(self):
-        sim, pm = self._pm(max_backoff_doublings=2)
+        sim, pm = self._pm(pacemaker_max_doublings=2)
         pm._on_timeout = lambda v: pm.rearm()  # keep the storm going
         pm.view_started(1)
         sim.run(until=500.0)
@@ -217,7 +218,7 @@ class TestPacemakerDamping:
         assert pm.current_timeout_ms == 40.0  # capped at 2 doublings
 
     def test_nudge_shortens_bloated_timer(self):
-        sim, pm = self._pm(jitter=0.0)
+        sim, pm = self._pm(timeout_jitter=0.0)
         pm._consecutive_timeouts = 5  # armed timeout = 320 ms
         pm.view_started(1)
         assert pm.deadline == pytest.approx(320.0)
@@ -227,7 +228,7 @@ class TestPacemakerDamping:
 
     def test_nudge_never_extends(self):
         # Remaining below base: nudging again must not push the deadline.
-        sim, pm = self._pm(jitter=0.0)
+        sim, pm = self._pm(timeout_jitter=0.0)
         pm.view_started(1)  # armed at base (10 ms)
         deadline = pm.deadline
         for _ in range(5):
@@ -236,7 +237,7 @@ class TestPacemakerDamping:
         assert pm.backoff_nudges == 0
 
     def test_nudge_noop_when_disarmed(self):
-        _, pm = self._pm(jitter=0.0)
+        _, pm = self._pm(timeout_jitter=0.0)
         pm.nudge()
         assert pm.backoff_nudges == 0
 
