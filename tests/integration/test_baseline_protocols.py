@@ -12,6 +12,7 @@ from repro.baselines.oneshot import OneShotNode
 from repro.client.workload import SaturatedSource
 from repro.consensus.cluster import build_cluster
 from repro.consensus.config import ProtocolConfig
+from repro.errors import ChainError
 from repro.harness.metrics import MetricsCollector
 from repro.net.latency import LAN_PROFILE
 from repro.tee.counters import ConfigurableCounter
@@ -173,10 +174,20 @@ class TestFlexiBFT:
         behind and catches up inside view 1.  With 20-transaction blocks it
         is ~100 behind, view 1 times out first, and as view 2's leader it
         proposes from its stale tip — the view-change safety hole ROADMAP
-        item 5 records, which is not this test's subject."""
+        item 5 records, pinned by the next test."""
+        self.reboot_backup_then_crash_leader()
+
+    @pytest.mark.xfail(strict=True, raises=ChainError, reason=(
+        "ROADMAP item 5(a): the rebooted backup, ~100 blocks behind, "
+        "leads view 2 and proposes from its stale committed tip"))
+    def test_rebooted_backup_far_behind_proposes_on_the_committed_tip(self):
+        self.reboot_backup_then_crash_leader(batch_size=20)
+
+    @staticmethod
+    def reboot_backup_then_crash_leader(**config_extra) -> None:
         config = ProtocolConfig(
             n=4, f=1, base_timeout_ms=50.0, seed=3,
-            counter_factory=lambda: ConfigurableCounter(1.0),
+            counter_factory=lambda: ConfigurableCounter(1.0), **config_extra,
         )
         cluster = build_cluster(
             node_factory=FlexiBFTNode, config=config, latency=LAN_PROFILE,

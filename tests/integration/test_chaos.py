@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ChainError, ConfigurationError
 from repro.faults.chaos import ChaosSpec, generate_campaign, run_chaos
 from repro.faults.crash import CrashRebootSchedule
 
@@ -101,6 +101,16 @@ class TestChaosRuns:
         assert result.ok, result.violations
         assert result.committed_height > 0
         assert result.n == 2 * f + 1
+
+    @pytest.mark.xfail(strict=True, raises=ChainError, reason=(
+        "ROADMAP item 5(a): a lagging FlexiBFT replica becomes leader and "
+        "proposes from its stale committed tip, a commit that does not "
+        "extend the committed chain (h=115)"))
+    def test_flexibft_seed_3_commits_one_chain(self):
+        result = run_chaos(ChaosSpec(protocol="flexibft", f=1,
+                                     duration_ms=2500, quiesce_ms=1000),
+                           seed=3)
+        assert result.ok, result.violations
 
     def test_rollback_protected_variant_survives_attack(self):
         """Find a seed whose campaign actually mounts a rollback attack on
