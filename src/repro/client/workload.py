@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.chain.transaction import Transaction
-from repro.sim.loop import Simulator
+from repro.sim.loop import Simulator, exponential_block
 
 
 def make_payload(payload_size: int, tag: int = 0) -> str:
@@ -299,6 +299,10 @@ class OpenLoopGenerator(ArrivalStream):
         self.payload_size = payload_size
         self.kv_keys = kv_keys
         self._rng = sim.fork_rng("open-loop")
+        # Gaps are read from ``_rng`` in blocks of standard exponentials
+        # ``e`` (a gap is ``e / rate``): ``_exponentials[_drawn]`` is next.
+        self._exponentials: list[float] = []
+        self._drawn = 0
         self._next_id = 0
 
     @property
@@ -318,23 +322,36 @@ class OpenLoopGenerator(ArrivalStream):
 
     def _arm(self) -> None:
         if self._rate_tps > 0:
-            self._next_at = self.sim.now + \
-                self._rng.expovariate(self._rate_tps / 1000.0)
+            if self._drawn == len(self._exponentials):
+                self._exponentials = exponential_block(self._rng)
+                self._drawn = 0
+            e = self._exponentials[self._drawn]
+            self._drawn += 1
+            self._next_at = self.sim.now + e / (self._rate_tps / 1000.0)
 
     def _emit_through(self, now: float) -> None:
-        # Per arrival: the constructor, the gap draw (expovariate: random,
-        # log) and the append -- five calls.
+        # Per arrival: the constructor and the append, two calls; the gap
+        # is a list read, plus a share of one refill per block.
         at, seq = self._next_at, self._next_id
         clients, keys, size = OPEN_LOOP_CLIENTS, self.kv_keys, self.payload_size
-        mean_rate = self._rate_tps / 1000.0
-        draw_gap, fly = self._rng.expovariate, self._in_flight.append
+        rate = self._rate_tps / 1000.0
+        exponentials, drawn = self._exponentials, self._drawn
+        fly = self._in_flight.append
         while at <= now:
             seq += 1
             fly(Transaction(seq % clients, seq,
                             f"SET k{seq % keys} v{seq}" if keys > 0 else "",
                             size, at))
-            at = at + draw_gap(mean_rate)
-        self._next_at, self._next_id = at, seq
+            try:
+                e = exponentials[drawn]
+            except IndexError:
+                exponentials = self._exponentials = \
+                    exponential_block(self._rng)
+                drawn = 0
+                e = exponentials[0]
+            drawn += 1
+            at = at + e / rate
+        self._next_at, self._next_id, self._drawn = at, seq, drawn
 
 
 class ShardedOpenLoopGenerator:

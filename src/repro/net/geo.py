@@ -6,7 +6,8 @@ latency is worth studying — quorum-based protocols (Achilles waits for the
 fastest f+1 votes) degrade more gracefully than broadcast-synchronised
 ones.  :class:`GeoLatencyModel` assigns each node to a region and samples
 per-link delays from an inter-region RTT matrix; the network fabric picks
-it up automatically through the ``sample_link`` hook.
+it up automatically through the ``link_gaussian`` and ``sample_link``
+hooks.
 """
 
 from __future__ import annotations
@@ -74,10 +75,14 @@ class GeoLatencyModel:
         return self.rtt_ms / 2.0
 
     # ------------------------------------------------------------------
+    def link_gaussian(self, src: int, dst: int) -> Tuple[float, float]:
+        """Mean and standard deviation of the src→dst one-way delay."""
+        one_way = self.link_rtt(src, dst) / 2.0
+        return one_way, one_way * self.jitter_fraction
+
     def sample_link(self, src: int, dst: int, rng: random.Random) -> float:
         """One one-way delay for the src→dst link."""
-        one_way = self.link_rtt(src, dst) / 2.0
-        delay = rng.gauss(one_way, one_way * self.jitter_fraction)
+        delay = rng.gauss(*self.link_gaussian(src, dst))
         return max(MIN_ONE_WAY_MS, delay)
 
     def sample(self, rng: random.Random) -> float:

@@ -41,7 +41,7 @@ from repro.net.transport import (
     frame_intact,
     seal_envelope,
 )
-from repro.sim.loop import Simulator
+from repro.sim.loop import Simulator, normal_block
 
 
 class Endpoint(Protocol):
@@ -115,11 +115,17 @@ class Network:
         self._seal_sends = faults is not None and faults.corrupt_possible
         self._rng = sim.fork_rng("network")
         self._obs = sim.obs
-        # Geo-aware profiles expose per-link sampling; flat ones don't.  A
-        # Gaussian profile is drawn in the send loop from its (mean, sigma).
+        # A Gaussian delay is mean + z * sigma: one (mean, sigma) for a flat
+        # profile, one per link for a geo-aware one (which also samples a
+        # link itself); any other profile draws its own delays.
         self._sample_link = getattr(latency, "sample_link", None)
+        self._link_gaussian = getattr(latency, "link_gaussian", None)
         self._gaussian = (latency.rtt_ms / 2.0, latency.jitter_ms / 2.0) \
-            if type(latency) is LatencyProfile else None
+            if type(latency) is LatencyProfile else (None, None)
+        # After GST the standard normals ``z`` are read from ``_rng`` in
+        # blocks: ``_normals[_drawn]`` is the next one.
+        self._normals: list[float] = []
+        self._drawn = 0
 
     # ------------------------------------------------------------------
     def attach(self, node_id: int, endpoint: Endpoint) -> None:
@@ -213,14 +219,15 @@ class Network:
         tx_free_at = bandwidth._tx_free_at
         nic_bytes = bandwidth.bytes_sent
         sample_link = self._sample_link
+        link_gaussian = self._link_gaussian
         sample = self.latency.sample
-        gaussian = self._gaussian
+        mean, sigma = self._gaussian
         synchrony = self.synchrony
         # Before GST the synchrony model shapes each delay; after it, Δ caps it.
         pre_gst = synchrony.actual_delay if now < synchrony.gst_ms else None
         delta = synchrony.delta_ms
         rng = self._rng
-        gauss = rng.gauss
+        normals, drawn = self._normals, self._drawn
         obs = self._obs
         seal = self._seal_sends
         channels = self._channels  # empty without a transport
@@ -270,18 +277,38 @@ class Network:
             else:
                 departure = now
             # ...then propagation (+ partial-synchrony shaping + adversary delay).
-            if sample_link is not None:
-                delay = sample_link(src, dst, rng)
-            elif gaussian is not None:
-                delay = gauss(*gaussian)
-                if delay < MIN_ONE_WAY_MS:
-                    delay = MIN_ONE_WAY_MS
-            else:
-                delay = sample(rng)
             if pre_gst is not None:
+                # A uniform follows each Gaussian on this stream, so each is
+                # drawn through the stdlib.  Time never falls back below GST:
+                # every such draw comes before the first block.
+                if sample_link is not None:
+                    delay = sample_link(src, dst, rng)
+                elif mean is not None:
+                    delay = rng.gauss(mean, sigma)
+                    if delay < MIN_ONE_WAY_MS:
+                        delay = MIN_ONE_WAY_MS
+                else:
+                    delay = sample(rng)
                 delay = pre_gst(src, dst, now, delay, rng)
-            elif delta < delay:
-                delay = delta
+            else:
+                if link_gaussian is not None:
+                    mean, sigma = link_gaussian(src, dst)
+                if mean is None:
+                    delay = sample(rng)
+                else:
+                    try:
+                        z = normals[drawn]
+                    except IndexError:
+                        normals = self._normals = normal_block(rng)
+                        drawn = 0
+                        z = normals[0]
+                    drawn += 1
+                    self._drawn = drawn
+                    delay = mean + z * sigma
+                    if delay < MIN_ONE_WAY_MS:
+                        delay = MIN_ONE_WAY_MS
+                if delta < delay:
+                    delay = delta
             arrival = departure + delay + extra
 
             if fate is not None and (fate.drop or fate.duplicate

@@ -4,6 +4,8 @@
 randomness in a run (network jitter, client arrivals, election timeouts)
 must come from :attr:`Simulator.rng` or a generator forked from it via
 :meth:`fork_rng`, so a run is a pure function of ``(configuration, seed)``.
+The hottest streams are read in blocks (:func:`normal_block`,
+:func:`exponential_block`), each value the float the stdlib would draw.
 
 Two scheduling paths share one ``(time, seq)`` order:
 
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import random
 from heapq import heappop
-from math import inf
+from itertools import repeat, starmap
+from math import cos, inf, log, pi, sin, sqrt
+from operator import mul, neg, sub
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -196,4 +200,43 @@ class Simulator:
         return random.Random(f"{self.seed}/{tag}")
 
 
-__all__ = ["Simulator"]
+#: Values a block reader takes from its stream at a time (even, so a block
+#: of normals ends on a whole Box-Muller pair).
+DRAW_BLOCK = 512
+
+_TWOPI = 2.0 * pi
+
+
+def normal_block(rng: random.Random) -> list[float]:
+    """The next standard normals of ``rng``: ``rng.gauss(mu, sigma)`` would
+    have returned ``mu + z * sigma`` for each ``z``, in order.
+
+    The stdlib's own Box-Muller pairs, operation for operation:
+    ``random() * TWOPI``, then ``sqrt(-2.0 * log(1.0 - random()))``, the
+    cos value first and the sin value second.  A pending ``gauss_next``
+    leads the block and is cleared, so the stream reads on exactly as
+    per-draw ``gauss`` calls would.
+    """
+    uniform = list(starmap(rng.random, repeat((), DRAW_BLOCK)))
+    angle = list(map(mul, uniform[0::2], repeat(_TWOPI)))
+    radius = list(map(sqrt, map(mul, repeat(-2.0),
+                                map(log, map(sub, repeat(1.0),
+                                             uniform[1::2])))))
+    block = uniform  # reused: same length, values replaced
+    block[0::2] = map(mul, map(cos, angle), radius)
+    block[1::2] = map(mul, map(sin, angle), radius)
+    if rng.gauss_next is not None:
+        block.insert(0, rng.gauss_next)
+        rng.gauss_next = None
+    return block
+
+
+def exponential_block(rng: random.Random) -> list[float]:
+    """The next standard exponentials of ``rng``: ``rng.expovariate(lambd)``
+    would have returned ``e / lambd`` for each ``e``, in order (the
+    stdlib's ``-log(1.0 - random())``)."""
+    return list(map(neg, map(log, map(
+        sub, repeat(1.0), starmap(rng.random, repeat((), DRAW_BLOCK))))))
+
+
+__all__ = ["DRAW_BLOCK", "Simulator", "exponential_block", "normal_block"]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.client.workload import SaturatedSource
@@ -10,6 +14,7 @@ from repro.core.protocol import build_achilles_cluster
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.crypto.signatures import CryptoProfile
 from repro.harness.metrics import MetricsCollector
+from repro.net import network as network_module
 from repro.net.latency import LAN_PROFILE
 from repro.tee.enclave import EnclaveProfile
 
@@ -66,3 +71,34 @@ def achilles_cluster(f: int = 2, config: ProtocolConfig | None = None,
     )
     cluster.collector = collector  # convenience for tests
     return cluster
+
+
+@contextmanager
+def normal_block_starts():
+    """Record, per stream, the state each block of normals a ``Network``
+    reads is drawn from (yields ``{rng: state}``, the latest block's)."""
+    starts: dict = {}
+    read = network_module.normal_block
+
+    def recording(rng):
+        starts[rng] = rng.getstate()
+        return read(rng)
+
+    with mock.patch.object(network_module, "normal_block", recording):
+        yield starts
+
+
+def stream_position(net, starts) -> tuple:
+    """The ``network`` stream's state as per-draw stdlib calls would have
+    left it.  A stream read in blocks is ahead of that by design, so this
+    is the state its current block started from (``starts``, from
+    :func:`normal_block_starts`) advanced by one ``gauss`` per normal
+    drawn from the block; a stream no block was read from is as it is."""
+    start = starts.get(net._rng)
+    if start is None:
+        return net._rng.getstate()
+    replay = random.Random()
+    replay.setstate(start)
+    for _ in range(net._drawn):
+        replay.gauss(0.0, 1.0)
+    return replay.getstate()

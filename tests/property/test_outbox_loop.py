@@ -7,10 +7,12 @@ oracle is a twin network that gets the same outbox message by message —
 entry, which is what ``ReplicaBase._transmit_outbox`` did before the loop
 moved into the network.  Both twins must end in the same state: the same
 ``msg_id`` on every delivery, at the same instant, in the same order, the
-same ``NetworkStats``, RNG states and channel sequence numbers — with the
-link-fault model on (drop / duplicate / corrupt / extra delay), with an
-adversary rule and a partition, with the transport stamping and
-retransmitting, and with self-addressed entries anywhere in the outbox.
+same ``NetworkStats``, RNG states (the block-read ``network`` stream by
+its logical position, ``tests.conftest.stream_position``) and channel
+sequence numbers — with the link-fault model on (drop / duplicate /
+corrupt / extra delay), with an adversary rule and a partition, with the
+transport stamping and retransmitting, and with self-addressed entries
+anywhere in the outbox.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.net.transport import TransportConfig
 from repro.sim.loop import Simulator
+
+from tests.conftest import normal_block_starts, stream_position
 
 NODES = 6
 
@@ -92,7 +96,7 @@ class Twin:
             else:
                 self.net.send(src, dst, payload, cause)
 
-    def state(self):
+    def state(self, block_starts):
         net = self.net
         channels = {}
         for node_id in range(NODES):
@@ -102,7 +106,8 @@ class Twin:
                     (dst, peer.next_seq, sorted(peer.inflight))
                     for dst, peer in channel._tx.items())
         return (self.log, self.sim.now, self.sim.events_processed,
-                len(self.sim.queue), net.stats, net._rng.getstate(),
+                len(self.sim.queue), net.stats,
+                stream_position(net, block_starts),
                 None if net.faults is None else net.faults._rng.getstate(),
                 channels, net.transport_totals())
 
@@ -112,14 +117,15 @@ def run_twin(how, seed, lossy, transport, hostile, program):
     saved = message._envelope_ids
     message._envelope_ids = itertools.count(1)
     try:
-        twin = Twin(seed, lossy, transport, hostile)
-        send = getattr(twin, how)
-        for gap_ms, src, outbox, cause in program:
-            twin.sim.run(until=twin.sim.now + gap_ms)
-            send(src, outbox, cause)
-        # Bounded: a channel retransmits into a dropped link for ever.
-        twin.sim.run(until=twin.sim.now + 150.0)
-        return twin.state()
+        with normal_block_starts() as block_starts:
+            twin = Twin(seed, lossy, transport, hostile)
+            send = getattr(twin, how)
+            for gap_ms, src, outbox, cause in program:
+                twin.sim.run(until=twin.sim.now + gap_ms)
+                send(src, outbox, cause)
+            # Bounded: a channel retransmits into a dropped link for ever.
+            twin.sim.run(until=twin.sim.now + 150.0)
+            return twin.state(block_starts)
     finally:
         message._envelope_ids = saved
 

@@ -13,7 +13,9 @@ each was a method of its model — ``BandwidthModel.serialize``,
 message.  Both twins must end in the same state: the same arrivals at the
 same instants with the same ``msg_id``s, the same ``NetworkStats``, RNG
 states, NIC free-at times and byte counts, across every latency model,
-synchrony regime, bandwidth, adversary and fault-model setting.
+synchrony regime, bandwidth, adversary and fault-model setting.  The
+``network`` stream is read in blocks after GST, so it is compared by its
+logical position (``tests.conftest.stream_position``), not its raw state.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.net.transport import TransportConfig, frame_intact, seal_envelope
 from repro.sim.cpu import CpuModel
 from repro.sim.loop import Simulator
 
-from tests.conftest import fast_config
+from tests.conftest import fast_config, normal_block_starts, stream_position
 
 NODES = 5
 
@@ -276,10 +278,10 @@ class Twin:
             adversary.clear()
             adversary.intercept = None
 
-    def state(self):
+    def state(self, block_starts):
         net = self.net
         return (self.log, self.sim.now, self.sim.events_processed,
-                net.stats, net._rng.getstate(),
+                net.stats, stream_position(net, block_starts),
                 None if net.faults is None else net.faults._rng.getstate(),
                 net.bandwidth._tx_free_at, net.bandwidth.bytes_sent,
                 net.adversary.dropped, net.transport_totals())
@@ -290,14 +292,15 @@ def run_twin(network_class, setup, program):
     saved = message._envelope_ids
     message._envelope_ids = itertools.count(1)
     try:
-        twin = Twin(network_class, *setup)
-        for gap_ms, action, src, outbox in program:
-            twin.sim.run(until=twin.sim.now + gap_ms)
-            twin.install(action)
-            twin.net.send_outbox(src, outbox)
-        # Bounded: a channel retransmits into a dropped link for ever.
-        twin.sim.run(until=twin.sim.now + 200.0)
-        return twin.state()
+        with normal_block_starts() as block_starts:
+            twin = Twin(network_class, *setup)
+            for gap_ms, action, src, outbox in program:
+                twin.sim.run(until=twin.sim.now + gap_ms)
+                twin.install(action)
+                twin.net.send_outbox(src, outbox)
+            # Bounded: a channel retransmits into a dropped link for ever.
+            twin.sim.run(until=twin.sim.now + 200.0)
+            return twin.state(block_starts)
     finally:
         message._envelope_ids = saved
 
