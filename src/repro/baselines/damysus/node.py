@@ -9,7 +9,9 @@ executes.  Six end-to-end communication steps, O(n) messages.
 
 Damysus-R is the same node with a persistent counter attached to the
 checker (``config.counter_factory``): each of the two checker calls per
-node per view then pays a counter write on the critical path.
+node per view then pays a counter write on the critical path.  A reboot
+restores the checker from its seal, as OneShot's does; -R halts the
+replica when the counter refuses the blob.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from repro.baselines.common import CMT, PREP, PhaseQC, PhaseVote
 from repro.baselines.damysus.checker import DamysusChecker
 from repro.chain.block import Block
-from repro.consensus.base import NodeStatus
-from repro.consensus.messages import BlockSyncRequest
 from repro.core.certificates import BlockCertificate, ViewCertificate
 from repro.core.node import ChainedTeeNode
 from repro.errors import EnclaveAbort
@@ -101,7 +101,6 @@ class DamysusNode(ChainedTeeNode):
     BYZ_DECIDE_KINDS = ("DDecide",)
     NEW_VIEW = DNewView
     RESTORES_FROM_SEAL = True
-    PULLS_PARENT_ONLY_WHEN_READY = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -117,18 +116,6 @@ class DamysusNode(ChainedTeeNode):
     on_DNewView = ChainedTeeNode._on_new_view
     on_DProposal = ChainedTeeNode._on_proposal
     on_DDecide = ChainedTeeNode._on_decide
-
-    def _obtain_parent(self, block_hash: str, hint: int, retry) -> None:
-        """Unlike Achilles' ``_obtain_block``: a parent some other path is
-        already pulling is not waited on a second time, and the request
-        goes to the certificate's signer even when that is this replica."""
-        if block_hash in self._sync_requested:
-            return
-        self._sync_requested.add(block_hash)
-        self._awaiting_ancestor.setdefault(block_hash, []).append(
-            (self.store.genesis, retry))
-        self.send_to(hint, BlockSyncRequest(block_hash=block_hash,
-                                            requester=self.node_id))
 
     # ------------------------------------------------------------------
     # PREPARE phase
@@ -215,34 +202,6 @@ class DamysusNode(ChainedTeeNode):
                      signatures=signatures)
         self._handle_commitment(qc, self.node_id)
         self.broadcast(DDecide(qc=qc))
-
-    def _handle_commitment(self, qc: PhaseQC, src: int) -> None:
-        """Unlike Achilles, a decide for a block this replica never
-        received is dropped, not fetched: the block arrives as an ancestor
-        of a later proposal and commits with it."""
-        block = self.store.get(qc.block_hash)
-        if block is not None:
-            self._apply_commitment(qc, block)
-
-    # ------------------------------------------------------------------
-    # Reboot: restore from sealed state (+ counter check in -R)
-    # ------------------------------------------------------------------
-    def _reset_volatile(self) -> None:
-        # Only the view certificates: the leader-side prepare/commit vote
-        # buckets have always survived a Damysus reboot, and `make
-        # loss-smoke` (damysus, seed 2) is pinned on the quorums a
-        # rebooted leader completes from them — ROADMAP item 5.
-        self._view_certs.clear()
-
-    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
-        """Damysus-R detects a stale sealed version via the counter, plain
-        Damysus does not."""
-        # RUNNING before the restore completes — and still RUNNING when a
-        # -R counter refuses it: what this class's missing ``status``
-        # meant to every monitor.  OneShot's window and a terminal
-        # "halted" state are ROADMAP item 5's open behaviour finding.
-        self.status = NodeStatus.RUNNING
-        self._rejoin_from_seal(rollback_attacker, init_ms)
 
 
 __all__ = [

@@ -75,7 +75,7 @@ class FlexiProposer(RStateMixin, Enclave):
 
     def wipe_volatile_state(self) -> None:
         """Reboot: the height marker is lost, and nothing loads the seal
-        back — no replica reboots its proposer (ROADMAP item 5)."""
+        back — no replica reboots its proposer (ROADMAP item 5(a))."""
         self.last_height = 0
 
 

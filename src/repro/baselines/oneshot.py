@@ -300,7 +300,7 @@ class OneShotNode(AchillesNode):
     # ------------------------------------------------------------------
     # Reboot: sealed-state restore (no cooperative recovery in OneShot)
     # ------------------------------------------------------------------
-    _rejoin = ChainedTeeNode._rejoin_from_seal
+    _rejoin = ChainedTeeNode._rejoin
 
     def _reset_volatile(self) -> None:
         super()._reset_volatile()

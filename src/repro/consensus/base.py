@@ -67,6 +67,9 @@ class NodeStatus(enum.Enum):
     RUNNING = "running"
     RECOVERING = "recovering"
     CRASHED = "crashed"
+    #: Rollback detected: the trusted component refused the sealed state
+    #: it was handed, and the replica stays out until an operator restores.
+    HALTED = "halted"
 
 
 class QuorumCollector:

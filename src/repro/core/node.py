@@ -31,7 +31,6 @@ from typing import Optional
 
 from repro.chain.block import Block
 from repro.consensus.base import NodeStatus, QuorumCollector, ReplicaBase
-from repro.consensus.messages import BlockSyncRequest
 from repro.consensus.pacemaker import Pacemaker
 from repro.core.accumulator import AchillesAccumulator
 from repro.core.certificates import (
@@ -154,15 +153,12 @@ class ChainedTeeNode(ReplicaBase):
     :meth:`_tee_prepare`, :meth:`_store_and_vote`), its wire messages
     (:attr:`NEW_VIEW`, :meth:`_announce`; the shared handler bodies
     :meth:`_on_new_view`, :meth:`_on_proposal`, :meth:`_on_decide` are
-    bound to its message names), and the handlers of its own phases.
+    bound to its message names), and the handlers of its own phases.  A
+    reboot restores the checker from its seal (:meth:`_rejoin`).
     """
 
     #: The protocol's message carrying a view certificate.
     NEW_VIEW: type
-    #: Whether a leader whose checker is not in the target view yet holds
-    #: back the pull of a missing parent too (Damysus), or only the
-    #: proposal (Achilles, OneShot).
-    PULLS_PARENT_ONLY_WHEN_READY = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -293,24 +289,20 @@ class ChainedTeeNode(ReplicaBase):
         certs = self._view_certs.votes((target_view,))
         if len(certs) < self.config.f + 1:
             return
-        # The untrusted view may lag the checker if our own view-advancing
-        # call for target_view already ran; the checker is authoritative.
-        ready = self.checker.state.vi == target_view and \
-            not self.checker.recovering
-        if self.PULLS_PARENT_ONLY_WHEN_READY and not ready:
-            return
         best = max(certs, key=lambda c: (c.block_view, -c.signer))
         parent = self.store.get(best.block_hash)
         if parent is None:
             # Pull the parent block before extending it.
-            self._obtain_parent(best.block_hash, best.signer,
-                                lambda _b: self._try_propose(target_view))
+            self._obtain_block(best.block_hash, best.signer,
+                               lambda _b: self._try_propose(target_view))
             return
         if not self.store.has_full_ancestry(parent):
             self.with_full_ancestry(parent, lambda _b: self._try_propose(target_view),
                                     hint=best.signer)
             return
-        if not ready:
+        # The untrusted view may lag the checker if our own view-advancing
+        # call for target_view already ran; the checker is authoritative.
+        if self.checker.state.vi != target_view or self.checker.recovering:
             return
         try:
             acc = self.accumulator.tee_accum(best, certs)
@@ -472,19 +464,11 @@ class ChainedTeeNode(ReplicaBase):
                 collector.prune(committed_view)
 
     def _obtain_block(self, block_hash: str, hint: int, action) -> None:
-        """Pull a block known only by hash, then run ``action(block)``."""
-        waiters = self._awaiting_ancestor.setdefault(block_hash, [])
-        waiters.append((self.store.genesis, lambda _b: action(self.store.get(block_hash))))
-        if block_hash not in self._sync_requested:
-            self._sync_requested.add(block_hash)
-            request = BlockSyncRequest(block_hash=block_hash, requester=self.node_id)
-            if hint != self.node_id:
-                self.send_to(hint, request)
-            else:
-                self.broadcast(request)
-
-    #: How :meth:`_try_propose` pulls a missing parent.
-    _obtain_parent = _obtain_block
+        """Pull a block known only by hash, then run ``action(block)``: a
+        wait on it as the missing "ancestor" of genesis."""
+        store = self.store
+        self._await_ancestor(block_hash, store.genesis,
+                             lambda _b: action(store.get(block_hash)), hint)
 
     # ------------------------------------------------------------------
     # Reboot through sealed storage (Damysus, OneShot)
@@ -498,14 +482,14 @@ class ChainedTeeNode(ReplicaBase):
         self.accumulator.restart(0)
         return init_ms
 
-    def _rejoin_from_seal(self, rollback_attacker, init_ms: float) -> None:
+    def _rejoin(self, rollback_attacker, init_ms: float) -> None:
         """After ``init_ms`` of enclave bring-up, restore the checker from
         its sealed ``rstate`` and re-enter the restored view.
 
         ``rollback_attacker`` chooses which sealed version the checker
         sees; the -R variants detect a stale one via the counter and
-        refuse to rejoin — modelled as staying offline until the OS
-        produces the fresh state.
+        refuse it, and the replica fail-stops: ``HALTED`` until an
+        operator restores it.
         """
         def restore() -> None:
             try:
@@ -520,6 +504,7 @@ class ChainedTeeNode(ReplicaBase):
             try:
                 self.checker.tee_restore(sealed)
             except EnclaveAbort:
+                self.status = NodeStatus.HALTED
                 self.sim.trace.record(self.sim.now, "rollback_detected", self.node_id)
                 if self._obs.enabled:
                     self._obs.end_phase("recovery", self.node_id, self.sim.now,

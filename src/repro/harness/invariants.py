@@ -25,7 +25,9 @@ run* rather than only at the end:
 * **counter-monotonicity** — persistent counter values never decrease,
   reboots included (that is their entire point);
 * **recovery-liveness** — every recovery episode terminates: no node is
-  left RECOVERING at the end of a run;
+  left RECOVERING at the end of a run.  A HALTED node is not stuck but
+  contained: its trusted component refused a stale seal, and it
+  fail-stops as a fault charged against f;
 * **post-quiesce-liveness** — once faults quiesce, the committed height
   advances again (the GST-style liveness claim of Sec. 6);
 * **sealed-state-freshness** (opt-in, ``track_seal_freshness=True``) —

@@ -427,6 +427,9 @@ def _install_plan(spec: SoakSpec, plan: SoakPlan, cluster, monitor) -> dict:
     state = {"attackers": {}, "strikes_skipped": 0, "strikes_fired": 0}
 
     def committee_healthy() -> bool:
+        # A HALTED replica is not healthy: its detected rollback is a fault
+        # charged against f for the rest of the run, so a guarded strike
+        # never adds a second one next to it.
         return all(node.status is NodeStatus.RUNNING
                    for node in cluster.nodes)
 

@@ -174,7 +174,7 @@ class TestFlexiBFT:
         behind and catches up inside view 1.  With 20-transaction blocks it
         is ~100 behind, view 1 times out first, and as view 2's leader it
         proposes from its stale tip — the view-change safety hole ROADMAP
-        item 5 records, pinned by the next test."""
+        item 5(a) records, pinned by the next test."""
         self.reboot_backup_then_crash_leader()
 
     @pytest.mark.xfail(strict=True, raises=ChainError, reason=(

@@ -118,6 +118,8 @@ CAMPAIGNS: dict[str, tuple] = {
                   byz=("withhold-vote",)),
         4,
     ),
+    # Seed 6 rolls node 0 back: its counter refuses the stale seal and it
+    # halts at height 16 while the other two commit on.
     "chaos_damysus_r": (
         run_chaos,
         ChaosSpec(protocol="damysus-r", f=1, duration_ms=2200.0,
@@ -152,8 +154,8 @@ CAMPAIGNS: dict[str, tuple] = {
     # Rollback victims only where the protocol defends (the planner skips
     # the rest).
     "chaos_crash_oneshot_r": (
-        # Pinned *with* its recovery-liveness line: a -R counter detecting
-        # the stale seal leaves the replica RECOVERING for good.
+        # The replica whose -R counter detects the stale seal halts, which
+        # recovery-liveness does not count: a clean run.
         run_chaos,
         ChaosSpec(protocol="oneshot-r", f=2, duration_ms=2200.0,
                   quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=2,
@@ -187,8 +189,8 @@ CAMPAIGNS: dict[str, tuple] = {
         # timer and this run ended wedged at height 77 with a
         # post-quiesce-liveness line; re-pinned clean (height 344) with the
         # lifecycle template.  (Seed 3 of the CLI-default spec trips
-        # FlexiBFT's view-change safety hole, see ROADMAP item 5; this
-        # seed completes.)
+        # FlexiBFT's view-change safety hole, see ROADMAP item 5(a) and
+        # test_chaos.py; this seed completes.)
         run_chaos,
         ChaosSpec(protocol="flexibft", f=1, duration_ms=2200.0,
                   quiesce_ms=900.0, warmup_ms=150.0, crashes=4, rollbacks=0,

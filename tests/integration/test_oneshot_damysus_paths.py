@@ -10,6 +10,7 @@ from repro.baselines.oneshot import OneShotNode, OSPreQC, OSProposal
 from repro.client.workload import SaturatedSource
 from repro.consensus.cluster import build_cluster
 from repro.harness.metrics import MetricsCollector
+from repro.net.adversary import LinkRule
 from repro.net.latency import LAN_PROFILE
 
 from tests.conftest import fast_config
@@ -108,6 +109,40 @@ class TestDamysusPaths:
         committed = {b.hash for b in cluster.nodes[0].store.committed_chain()[1:]}
         assert committed <= set(prepared)
         assert committed <= set(decided)
+
+    def test_a_rebooted_leader_holds_no_pre_crash_votes(self):
+        """Vote collectors live in host RAM: the reboot that wipes them on
+        every other protocol wipes a Damysus leader's too."""
+        cluster = cluster_of(DamysusNode, f=1)
+        cluster.start()
+        cluster.run(100.0)
+        leader = cluster.nodes[1]
+        collectors = (leader._prepare_votes, leader._commit_votes)
+        assert any(c.buckets or c.latched for c in collectors)
+        leader.crash()
+        cluster.run(10.0)
+        leader.reboot()
+        assert all(not c.buckets and not c.latched for c in collectors)
+        cluster.run(200.0)
+        cluster.assert_safety()
+
+    def test_a_backup_commits_a_decided_block_it_never_received(self):
+        """A backup that hears only DECIDEs pulls each decided block and
+        commits it, instead of waiting for a proposal that extends it."""
+        cluster = cluster_of(DamysusNode, f=1)
+        cluster.start()
+        cluster.run(100.0)
+        backup = cluster.nodes[2]
+        height = backup.store.committed_tip.height
+        cluster.network.adversary.add_rule(LinkRule(
+            dst=backup.node_id, drop=True,
+            predicate=lambda p: type(p).__name__ not in (
+                "DDecide", "BlockSyncResponse")))
+        cluster.run(300.0)
+        cluster.assert_safety()
+        assert cluster.max_committed_height() > height + 5
+        assert backup.store.committed_tip.height >= \
+            cluster.max_committed_height() - 1
 
     def test_pipelining_overlaps_decide_with_next_view(self):
         """Chained Damysus: NEW-VIEW certificates ship with commit votes,
