@@ -20,6 +20,11 @@ from repro.faults.crash import CrashRebootSchedule
 
 SMOKE = ChaosSpec(duration_ms=2200.0, quiesce_ms=900.0, warmup_ms=150.0)
 
+#: The rollback plan of ``make rollback-smoke``: two crashes, both
+#: rolled back at reboot where the protocol seals, no partitions.
+ROLLBACK_PLAN = dict(f=1, duration_ms=2200.0, quiesce_ms=900.0, crashes=2,
+                     rollbacks=2, partitions=0)
+
 
 class TestCampaignGeneration:
     def test_same_seed_same_campaign(self):
@@ -124,6 +129,24 @@ class TestChaosRuns:
         if any("post-quiesce-liveness" not in v for v in result.violations):
             pytest.fail(f"not the pinned failure: {result.violations}")
         assert result.ok, result.violations
+
+    def test_damysus_r_rollback_is_mounted(self):
+        """The rollback plan of ``make rollback-smoke`` attacks Damysus-R's
+        checker on every one of these seeds."""
+        for seed in range(3):
+            result = run_chaos(
+                ChaosSpec(protocol="damysus-r", **ROLLBACK_PLAN), seed)
+            assert result.rollbacks_mounted >= 1, seed
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5(a): mount_rollback_attack looks for a `checker`; "
+        "MinBFT-R's trusted component is its `usig`, so the same plan "
+        "mounts no rollback on it"))
+    def test_minbft_r_rollback_is_mounted(self):
+        for seed in range(3):
+            result = run_chaos(
+                ChaosSpec(protocol="minbft-r", **ROLLBACK_PLAN), seed)
+            assert result.rollbacks_mounted >= 1, seed
 
     def test_rollback_protected_variant_survives_attack(self):
         """Find a seed whose campaign actually mounts a rollback attack on
