@@ -176,12 +176,15 @@ bench:
 # Performance-ledger self-test (< 60 s): all eight BENCHMARK.json
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
-# The call profiler runs once too, every attribution on, so that it
-# cannot rot.
+# The call profiler runs on an Achilles row, every attribution on, so
+# that it cannot rot, and on the Damysus-R row, the one that seals its
+# trusted state on every update, under the sealed-update path.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
 	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
 		--by-handler --under execute_transactions > /dev/null
+	$(PYTHON) benchmarks/call_profile.py counter_r_f10 --smoke \
+		--under protect_state_update,seal_state > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event

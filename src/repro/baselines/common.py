@@ -17,13 +17,15 @@ overhead the -R variants pay and Achilles avoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import ClassVar
 
 from repro.consensus.base import ReplicaBase
 from repro.consensus.pacemaker import Pacemaker
+from repro.crypto.hashing import cached_property
 from repro.crypto.signatures import (QuorumCertificate, Signature,
                                      SignatureList, SignedStatement)
-from repro.net.message import HASH_BYTES, SIGNATURE_BYTES
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 from repro.tee.rprotect import RStateMixin  # noqa: F401 (re-export)
 
 #: Phase tags used in signed statements across the baselines.
@@ -44,6 +46,19 @@ class PhaseVote(SignedStatement):
         """The signed tuple."""
         return (self.phase, self.block_hash, self.view)
 
+    @cached_property
+    def statement_digest(self) -> str:
+        """Memoized digest of ``(phase, block_hash, view)``, encoded in
+        line the way :func:`~repro.crypto.hashing.digest_of` encodes it,
+        as :func:`~repro.crypto.signatures.hash_view_digest` does for a
+        fixed tag (pinned equal to it by
+        ``tests/unit/test_signed_statements.py``)."""
+        phase = self.phase.encode()
+        block_hash = self.block_hash.encode()
+        return sha256(b"s%d:%ss%d:%si%d" % (
+            len(phase), phase, len(block_hash), block_hash,
+            self.view)).hexdigest()
+
     def wire_size(self) -> int:
         """Serialized size."""
         return len(self.phase) + HASH_BYTES + 8 + SIGNATURE_BYTES
@@ -60,6 +75,7 @@ class PhaseQC(QuorumCertificate):
 
     #: Each member signature covers a phase vote's statement.
     statement = PhaseVote.statement
+    statement_digest = PhaseVote.statement_digest
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -79,6 +95,9 @@ class ViewChangeVote(SignedStatement):
     def statement(self) -> tuple:
         """The signed tuple."""
         return (self.TAG, self.new_view)
+
+    #: Envelope size (``intern_size``): every view change has the same one.
+    _env_size = HEADER_BYTES + 3 + 8 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""

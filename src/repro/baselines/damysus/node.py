@@ -24,6 +24,7 @@ from repro.chain.block import Block
 from repro.core.certificates import BlockCertificate, ViewCertificate
 from repro.core.node import ChainedTeeNode
 from repro.errors import EnclaveAbort
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class DPrepareVote:
     """Backup → leader: prepare vote."""
 
     vote: PhaseVote
+
+    #: Envelope size (``intern_size``): every vote has the same one.
+    _env_size = HEADER_BYTES + len(PREP) + HASH_BYTES + 8 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""
@@ -66,6 +70,9 @@ class DCommitVote:
 
     vote: PhaseVote
 
+    #: Envelope size (``intern_size``): every vote has the same one.
+    _env_size = HEADER_BYTES + len(CMT) + HASH_BYTES + 8 + SIGNATURE_BYTES
+
     def wire_size(self) -> int:
         """Serialized size."""
         return self.vote.wire_size()
@@ -87,6 +94,10 @@ class DNewView:
     """Node → next leader: view certificate."""
 
     cert: ViewCertificate
+
+    #: Envelope size (``intern_size``): every view certificate has the
+    #: same one.
+    _env_size = HEADER_BYTES + 8 + HASH_BYTES + 16 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""

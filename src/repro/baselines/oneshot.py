@@ -35,6 +35,7 @@ from repro.core.certificates import (
 from repro.core.checker import AchillesChecker, CheckerState
 from repro.core.node import AchillesNode, ChainedTeeNode, StoreVote
 from repro.errors import EnclaveAbort
+from repro.net.message import HASH_BYTES, HEADER_BYTES, SIGNATURE_BYTES
 from repro.tee.enclave import ecall
 
 
@@ -56,6 +57,9 @@ class OSPreVote:
     """Backup → leader: first-round vote on the slow path."""
 
     vote: PhaseVote
+
+    #: Envelope size (``intern_size``): every vote has the same one.
+    _env_size = HEADER_BYTES + len(PREP) + HASH_BYTES + 8 + SIGNATURE_BYTES
 
     def wire_size(self) -> int:
         """Serialized size."""

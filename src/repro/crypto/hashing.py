@@ -10,9 +10,15 @@ element count (not the byte length), so the encoding of a sequence is
 the concatenation of its parts' encodings.  :func:`digest_of` exploits
 this — it is the hottest function in the simulator (every signature,
 checker call, and block identity goes through it), so it encodes flat
-parts in line and hashes the joined bytes once.
-The byte encoding itself is frozen: ``tests/unit/test_crypto.py`` pins it
-against a reference implementation, because digests feed signed statements.
+parts in line and hashes the joined bytes once.  :func:`_canonical` does
+the same one level down: it is one recursive function that returns
+bytes, and a list or tuple encodes its flat members in line, recursing
+only into containers and rarer types — a sealed checker state is one
+call per nesting level.
+The byte encoding itself is frozen, because digests feed signed
+statements and sealing tags: ``tests/unit/test_crypto.py`` pins its
+bytes by hand and ``tests/property/test_canonical_encoding.py`` holds it
+to the one-emit-per-token encoder it was first written as.
 """
 
 from __future__ import annotations
@@ -21,60 +27,50 @@ import hashlib
 from typing import Any, Callable
 
 
-def _encode_into(value: Any, emit: Callable[[bytes], Any]) -> None:
-    """Stream the canonical encoding of ``value`` into ``emit``."""
-    if value is None:
-        emit(b"N")
-    elif value is True:
-        emit(b"T")
-    elif value is False:
-        emit(b"F")
-    elif type(value) is int:
-        emit(b"i%d" % value)
-    elif type(value) is str:
-        data = value.encode()
-        emit(b"s%d:" % len(data))
-        emit(data)
-    elif type(value) is float:
-        emit(b"f" + repr(value).encode())
-    elif type(value) is bytes:
-        emit(b"b%d:" % len(value))
-        emit(value)
-    elif isinstance(value, (list, tuple)):
-        emit(b"l%d:" % len(value))
-        for v in value:
-            _encode_into(v, emit)
-    elif isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        emit(b"d%d:" % len(items))
-        for k, v in items:
-            _encode_into(k, emit)
-            _encode_into(v, emit)
-    elif isinstance(value, bool):  # bool subclasses with odd identity
-        emit(b"T" if value else b"F")
-    elif isinstance(value, int):  # int subclasses (enum.IntEnum, ...)
-        emit(b"i" + str(value).encode())
-    elif isinstance(value, float):
-        emit(b"f" + repr(value).encode())
-    elif isinstance(value, str):
-        data = value.encode()
-        emit(b"s%d:" % len(data))
-        emit(data)
-    elif isinstance(value, bytes):
-        emit(b"b%d:" % len(value))
-        emit(value)
-    else:
-        # Fall back to the object's stable string form (e.g. enums,
-        # dataclasses that define __repr__); used only for trace metadata,
-        # never consensus.
-        emit(b"o" + repr(value).encode())
-
-
 def _canonical(value: Any) -> bytes:
-    """Deterministic byte encoding of nested tuples/lists/dicts/scalars."""
-    parts: list[bytes] = []
-    _encode_into(value, parts.append)
-    return b"".join(parts)
+    """Deterministic byte encoding of nested tuples/lists/dicts/scalars.
+
+    A list or tuple encodes its flat ``str``/``int``/``bool``/``None``
+    members in line and recurses only into containers and rarer types.
+    """
+    cls = value.__class__
+    if cls is str:
+        data = value.encode()
+        return b"s%d:%s" % (len(data), data)
+    if cls is int:
+        return b"i%d" % value
+    if value is None:
+        return b"N"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if cls is tuple or cls is list or isinstance(value, (list, tuple)):
+        return b"l%d:%s" % (len(value), b"".join([
+            b"s%d:%s" % (len(d := v.encode()), d) if v.__class__ is str
+            else b"i%d" % v if v.__class__ is int
+            else b"N" if v is None
+            else b"T" if v is True
+            else b"F" if v is False
+            else _canonical(v)
+            for v in value]))
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: str(kv[0]))
+        return b"d%d:%s" % (len(items), b"".join(
+            [_canonical(k) + _canonical(v) for k, v in items]))
+    if isinstance(value, int):  # int subclasses (enum.IntEnum, ...)
+        return b"i" + str(value).encode()
+    if isinstance(value, float):
+        return b"f" + repr(value).encode()
+    if isinstance(value, str):
+        data = value.encode()
+        return b"s%d:" % len(data) + data
+    if isinstance(value, bytes):
+        return b"b%d:" % len(value) + value
+    # Fall back to the object's stable string form (e.g. enums,
+    # dataclasses that define __repr__); used only for trace metadata,
+    # never consensus.
+    return b"o" + repr(value).encode()
 
 
 def sha256_hex(data: bytes) -> str:

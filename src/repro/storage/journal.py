@@ -165,7 +165,14 @@ class WriteAheadJournal:
         controller.on_point(self, "commit", batch[-1] if batch else None)
 
     def log(self, op: str, key: str, value: Any) -> None:
-        """One full write→fsync→commit cycle for a single record."""
+        """One full write→fsync→commit cycle for a single record.
+
+        Passive (no controller): the record only takes its sequence
+        number, as :meth:`write` would, and fsync and commit are no-ops.
+        """
+        if self.controller is None:
+            self._seq += 1
+            return
         self.write(op, key, value)
         self.fsync()
         self.commit()

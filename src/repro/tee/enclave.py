@@ -194,8 +194,15 @@ class Enclave:
     # Sealing
     # ------------------------------------------------------------------
     def seal_state(self, name: str, payload: Any) -> SealedBlob:
-        """Seal ``payload`` to the untrusted store under ``name``."""
-        self.charge_part("storage", "seal", self.profile.seal_ms)
+        """Seal ``payload`` to the untrusted store under ``name``.
+
+        Every -R state update comes here, so the storage charge
+        (:meth:`charge_part`'s lines) is written in line.
+        """
+        cost = self.profile.seal_ms
+        self._pending_cost += cost
+        if self._cost_parts is not None:
+            self._cost_parts.append(("storage", "seal", cost))
         self._seal_version += 1
         blob = seal(self.sealing_key, payload, self._seal_version)
         self.store.store(f"{self.identity}/{name}", blob)

@@ -66,8 +66,12 @@ class RStateMixin:
         # Increase operation: the expensive persistent write.
         _, latency = self.counter.increment()
         # Tagged "counter" so the critical-path analyzer can surface the
-        # write as its own bucket — the cost Achilles eliminates.
-        self.charge_part("counter", self.counter.name, latency)  # type: ignore[attr-defined]
+        # write as its own bucket — the cost Achilles eliminates.  The
+        # charge is ``charge_part``'s lines, in line on every update.
+        self._pending_cost += latency  # type: ignore[attr-defined]
+        if self._cost_parts is not None:  # type: ignore[attr-defined]
+            self._cost_parts.append(  # type: ignore[attr-defined]
+                ("counter", self.counter.name, latency))
         self.counter_writes += 1
 
     @ecall

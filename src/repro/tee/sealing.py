@@ -24,7 +24,11 @@ import hmac
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.crypto.hashing import digest_of
+# What ``hmac.digest`` calls for a named digest (as ``crypto/keys.py``
+# signs), without its wrapper frame: every -R state update seals.
+from _hashlib import hmac_digest as _hmac_digest
+
+from repro.crypto.hashing import _canonical, digest_of
 from repro.errors import SealingError, TornWriteError
 from repro.storage.journal import JournalRecord, WriteAheadJournal
 
@@ -49,10 +53,12 @@ class SealingKey:
         secret = hashlib.sha256(f"seal/0/{enclave_identity}".encode()).digest()
         return cls(enclave_identity=enclave_identity, _secret=secret)
 
-    def mac(self, payload_digest: str, version: int) -> str:
-        """Authentication tag over (identity, payload, version)."""
+    def tag(self, payload: Any, version: int) -> str:
+        """Authentication tag over (identity, payload digest, version): an
+        HMAC-SHA256 keyed by the sealing secret."""
+        payload_digest = hashlib.sha256(_canonical(payload)).hexdigest()
         msg = f"{self.enclave_identity}|{payload_digest}|{version}".encode()
-        return hmac.new(self._secret, msg, hashlib.sha256).hexdigest()
+        return _hmac_digest(self._secret, msg, "sha256").hex()
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,11 @@ class SealedBlob:
 
 def seal(key: SealingKey, payload: Any, version: int) -> SealedBlob:
     """Produce an authenticated snapshot of ``payload``."""
-    payload_digest = digest_of(payload)
     return SealedBlob(
         enclave_identity=key.enclave_identity,
         payload=payload,
         version=version,
-        tag=key.mac(payload_digest, version),
+        tag=key.tag(payload, version),
     )
 
 
@@ -115,9 +120,7 @@ def unseal(key: SealingKey, blob: SealedBlob) -> Any:
         raise SealingError(
             "blob sealed for a different enclave identity",
             identity=blob.enclave_identity, version=blob.version)
-    payload_digest = digest_of(blob.payload)
-    expected = key.mac(payload_digest, blob.version)
-    if not hmac.compare_digest(expected, blob.tag):
+    if not hmac.compare_digest(key.tag(blob.payload, blob.version), blob.tag):
         raise SealingError(
             "sealed blob failed authentication",
             identity=blob.enclave_identity, version=blob.version)

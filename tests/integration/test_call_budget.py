@@ -73,21 +73,26 @@ OPEN_LOOP_ALLOWANCE = 1.05
 #: blocks of 10 (so an event's fixed cost is not drowned by its block's):
 #: ``name: (budget, what the tree before the per-event cuts read)``.  One
 #: more call on the pop, send or deliver chain adds 1.0-2.0.  Last lowered
-#: when delays were read from blocks of normals (each a ``gauss`` call
-#: before: achilles 28.28, braft 27.07, minbft 33.15, the budgets then
-#: 27.93, 26.93 and 32.91), before that with per-batch execution results
-#: (achilles read 28.79 before them, and 37.80 before the per-view paths).
+#: with the sealed-update cuts (one-pass canonical encoding, the seal MAC
+#: as one C call, a passive journal that returns at once, in-line phase
+#: vote digests and class-level envelope sizes; before them damysus
+#: 37.39, damysus-r 38.61, flexibft 18.74, minbft 31.41, minbft-r 37.23,
+#: oneshot 36.30, oneshot-r 37.96), before that when delays were read
+#: from blocks of normals (each a ``gauss`` call before: achilles 28.28,
+#: braft 27.07, minbft 33.15, the budgets then 27.93, 26.93 and 32.91),
+#: before that with per-batch execution results (achilles read 28.79
+#: before them, and 37.80 before the per-view paths).
 CALLS_PER_EVENT = {
     "achilles": (26.73, 57.42),
     "achilles-c": (26.68, 57.40),
     "braft": (25.61, 43.72),
-    "damysus": (37.39, 64.26),
-    "damysus-r": (38.61, 64.93),
-    "flexibft": (18.74, 43.60),
-    "minbft": (31.41, 58.94),
-    "minbft-r": (37.23, 65.72),
-    "oneshot": (36.30, 66.73),
-    "oneshot-r": (37.96, 65.62),
+    "damysus": (29.88, 64.26),
+    "damysus-r": (31.68, 64.93),
+    "flexibft": (18.51, 43.60),
+    "minbft": (28.47, 58.94),
+    "minbft-r": (33.79, 65.72),
+    "oneshot": (31.29, 66.73),
+    "oneshot-r": (32.52, 65.62),
 }
 
 #: Calls from ``Network.send`` to the end of the receiver's unit of work,
@@ -263,6 +268,31 @@ def test_committing_on_the_tip_is_one_walk():
         return calls
 
     assert commit_calls(10) == commit_calls(1_000)
+
+
+#: One ``protect_state_update`` of a Damysus-R checker, its own call
+#: included: the payload, the seal (one ``_canonical`` call per nesting
+#: level, ``sha256``, the HMAC as one C call, the blob, the store and a
+#: passive journal that returns at once) and the counter write with its
+#: charge in line.  Was 60: the encoding streamed one ``emit`` per token
+#: through ``_encode_into``, the tag went through the stdlib ``hmac``
+#: object, the passive journal made three calls, the charges two.
+PROTECTED_UPDATE_CALLS = 28
+
+
+def test_a_protected_state_update_is_a_bounded_number_of_calls():
+    from repro.baselines.damysus.checker import DamysusChecker
+    from repro.tee.counters import ConfigurableCounter
+
+    pairs = generate_keypairs(range(3), seed=1)
+    checker = DamysusChecker(
+        node_id=0, n=3, f=1, private_key=pairs[0].private,
+        keyring=Keyring.from_keypairs(pairs),
+        counter=ConfigurableCounter(20.0))
+    checker.protect_state_update()       # first use
+    calls = calls_of(lambda: checker.protect_state_update())
+    assert calls <= PROTECTED_UPDATE_CALLS
+    assert checker.counter_writes == 2
 
 
 def test_a_memoised_signature_verdict_costs_one_call():

@@ -131,9 +131,12 @@ def test_a_class_level_envelope_size_is_the_payloads_own():
     """A fixed-size vote carries its envelope size on the class, where
     ``intern_size`` finds it: it must be what walking an instance gives."""
     from repro.baselines.braft import AppendReply
-    from repro.baselines.flexibft import FVote
-    from repro.baselines.minbft import MCommit
-    from repro.core.certificates import StoreCertificate
+    from repro.baselines.common import CMT, PREP, PhaseVote
+    from repro.baselines.damysus.node import DCommitVote, DNewView, DPrepareVote
+    from repro.baselines.flexibft import FViewChange, FVote
+    from repro.baselines.minbft import MCommit, MViewChange
+    from repro.baselines.oneshot import OSPreVote
+    from repro.core.certificates import StoreCertificate, ViewCertificate
     from repro.core.node import StoreVote
     from repro.tee.trinc import UsigCertificate
 
@@ -144,8 +147,15 @@ def test_a_class_level_envelope_size_is_the_payloads_own():
         MCommit(view=7, block_hash="h" * 64, prepare_digest="d" * 64,
                 ui=UsigCertificate(0, 3, "m" * 64, signature)),
         AppendReply(term=2, follower=1, success=True, match_index=9),
+        DPrepareVote(PhaseVote(PREP, "h" * 64, 7, signature)),
+        DCommitVote(PhaseVote(CMT, "h" * 64, 7, signature)),
+        DNewView(ViewCertificate("h" * 64, 6, 7, signature)),
+        OSPreVote(PhaseVote(PREP, "h" * 64, 7, signature)),
+        MViewChange(new_view=7, signature=signature),
+        FViewChange(new_view=7, signature=signature),
     ]
     for payload in samples:
-        assert "_env_size" in type(payload).__dict__
+        assert "_env_size" not in vars(payload)
+        assert any("_env_size" in vars(c) for c in type(payload).__mro__)
         assert payload._env_size == HEADER_BYTES + wire_size(payload), \
             type(payload).__name__
