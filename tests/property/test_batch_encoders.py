@@ -3,8 +3,9 @@
 ``tx_list_digest`` (the batch digest ``Block.hash`` and
 ``execute_transactions`` share), the ``KVStateMachine.apply`` history
 step, ``state_root`` and ``digest_of``'s flat fast path each build their
-canonical bytes in line instead of walking ``_encode_into`` per item.
-The encoding is frozen (``tests/unit/test_crypto.py`` pins its bytes), so
+canonical bytes in line instead of calling the generic ``_canonical`` per
+item.  The encoding is frozen (``tests/unit/test_crypto.py`` pins its
+bytes, ``tests/property/test_canonical_encoding.py`` its encoder), so
 every one of them is held here to the generic formulation it replaced.
 The apply loop keeps the history as bytes and routes 2PC entries mid-batch,
 so a ``ShardStateMachine`` batch is held to applying it one transaction at
