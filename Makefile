@@ -177,14 +177,17 @@ bench:
 # workloads at smoke scale, digest- and name-checked, nothing written.
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
 # The call profiler runs on an Achilles row, every attribution on, so
-# that it cannot rot, and on the Damysus-R row, the one that seals its
-# trusted state on every update, under the sealed-update path.
+# that it cannot rot, on the Damysus-R row, the one that seals its
+# trusted state on every update, under the sealed-update path, and on the
+# open-loop row under the paths that mint its arrivals.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
 	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
-		--by-handler --under execute_transactions > /dev/null
+		--by-handler --under _build_block > /dev/null
 	$(PYTHON) benchmarks/call_profile.py counter_r_f10 --smoke \
 		--under protect_state_update,seal_state > /dev/null
+	$(PYTHON) benchmarks/call_profile.py wan_open_f10 --smoke \
+		--under take,_emit_through > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event
@@ -192,7 +195,7 @@ perf-smoke:
 # calls the functions matching the pattern, BY=file the calls summed per
 # source file (C calls charged to the calling file), BY=handler the calls
 # per event callback and message kind, with calls per fire,
-# UNDER=execute_transactions,Block.hash the inclusive calls under each
+# UNDER=_build_block,Block.hash the inclusive calls under each
 # named function and their share of the row.
 calls:
 	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)') \

@@ -40,7 +40,9 @@ class Block:
     @cached_property
     def batch_digest(self) -> str:
         """:func:`~repro.chain.transaction.tx_list_digest` of the batch,
-        computed once for :attr:`hash` and :attr:`results_valid`."""
+        computed once for :attr:`hash` and :attr:`results_valid`.  A
+        leader's ``_build_block`` seeds this memo with the digest it built
+        ``op`` on, which must be ``tx_list_digest(txs)`` of this batch."""
         return tx_list_digest(self.txs)
 
     @cached_property

@@ -14,13 +14,17 @@ hundreds of thousands of them per run made the generated
 ``__init__``/``__post_init__`` pair a measurable slice of simulator
 profiles.  ``key`` (the globally unique identity) and the wire size are
 precomputed at construction; nothing may write to a transaction after
-``__init__`` returns, or digests derived from it would go stale.
+``__init__`` (or :func:`mint_batch`) returns, or digests derived from it
+would go stale.  A batch is minted by :func:`mint_batch`, column by
+column, with no Python frame per transaction.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from itertools import repeat
+from operator import add
+from typing import Iterable, Sequence
 
 #: Metadata bytes per transaction (client id + transaction id), Sec. 5.1.
 TX_METADATA_BYTES = 8
@@ -73,6 +77,34 @@ def tx_wire_size(payload_size: int) -> int:
     return TX_METADATA_BYTES + payload_size
 
 
+def mint_batch(client_ids: Iterable[int], tx_ids: Sequence[int],
+               payloads: Iterable[str], payload_size: int,
+               created_ats: Iterable[float]) -> "list[Transaction]":
+    """``[Transaction(c, i, p, payload_size, t) for c, i, p, t in zip(...)]``
+    with no Python frame per transaction: the objects are allocated and
+    each slot is stored column-wise by ``map`` over C functions (``any``
+    drains a ``map`` of ``setattr``, which returns ``None``).  One
+    transaction per entry of ``tx_ids``; every other column is read once,
+    so it may be an iterator (``repeat``).  ``key`` and the wire size are
+    derived from the stored slots, so ``key`` shares its ints with them as
+    in ``__init__``.  Pinned to the constructor by
+    tests/property/test_transaction_mint.py."""
+    txs = list(map(object.__new__, repeat(Transaction, len(tx_ids))))
+    any(map(setattr, txs, repeat("client_id"), client_ids))
+    any(map(setattr, txs, repeat("tx_id"), tx_ids))
+    any(map(setattr, txs, repeat("payload"), payloads))
+    any(map(setattr, txs, repeat("payload_size"), repeat(payload_size)))
+    any(map(setattr, txs, repeat("created_at"), created_ats))
+    any(map(setattr, txs, repeat("key"), zip(
+        map(getattr, txs, repeat("client_id")),
+        map(getattr, txs, repeat("tx_id")))))
+    # As in __init__: metadata + max(declared size, the text's bytes).
+    any(map(setattr, txs, repeat("_wire_size"), map(
+        add, repeat(TX_METADATA_BYTES), map(max, repeat(payload_size), map(
+            len, map(str.encode, map(getattr, txs, repeat("payload"))))))))
+    return txs
+
+
 def tx_list_digest(txs: Sequence[Transaction]) -> str:
     """``digest_of([t.key + (t.payload,) for t in txs])``, the one encoding
     of a batch, built in one pass: an empty payload costs no call.
@@ -84,4 +116,5 @@ def tx_list_digest(txs: Sequence[Transaction]) -> str:
         for t in txs]))).hexdigest()
 
 
-__all__ = ["Transaction", "tx_list_digest", "tx_wire_size", "TX_METADATA_BYTES"]
+__all__ = ["Transaction", "mint_batch", "tx_list_digest", "tx_wire_size",
+           "TX_METADATA_BYTES"]

@@ -9,9 +9,12 @@ the first communication step.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, islice, repeat
+from operator import mod, truediv
 from typing import Optional
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, mint_batch
 from repro.sim.loop import Simulator, exponential_block
 
 
@@ -41,16 +44,14 @@ class SaturatedSource:
 
     def take(self, count: int, now: float) -> list[Transaction]:
         """Mint ``count`` fresh transactions dated to their submit time."""
-        created = max(0.0, now - self.client_one_way_ms)
         base = self.minted
-        size = self.payload_size
-        # Positional construction in a comprehension: a saturated run mints
-        # hundreds of thousands of transactions, and keyword-argument
-        # parsing plus per-iteration attribute bumps were measurable.
-        txs = [Transaction(i % 64, i, "", size, created)
-               for i in range(base + 1, base + count + 1)]
+        # A saturated run mints hundreds of thousands of transactions: the
+        # batch is minted as columns, with no call per transaction.
+        tx_ids = range(base + 1, base + count + 1)
         self.minted = base + count
-        return txs
+        return mint_batch(map(mod, tx_ids, repeat(64)), tx_ids,
+                          repeat(""), self.payload_size,
+                          repeat(max(0.0, now - self.client_one_way_ms)))
 
     def pending(self) -> int:
         """A saturated source always has work."""
@@ -330,27 +331,33 @@ class OpenLoopGenerator(ArrivalStream):
             self._next_at = self.sim.now + e / (self._rate_tps / 1000.0)
 
     def _emit_through(self, now: float) -> None:
-        # Per arrival: the constructor and the append, two calls; the gap
-        # is a list read, plus a share of one refill per block.
+        # Every arrival due from the current block of gaps at once: the
+        # instants are the running sums ``at = at + e / rate`` (float for
+        # float), the due ones a prefix of them, minted as one batch.  No
+        # call per arrival; a refill per block of gaps.
         at, seq = self._next_at, self._next_id
         clients, keys, size = OPEN_LOOP_CLIENTS, self.kv_keys, self.payload_size
         rate = self._rate_tps / 1000.0
         exponentials, drawn = self._exponentials, self._drawn
-        fly = self._in_flight.append
         while at <= now:
-            seq += 1
-            fly(Transaction(seq % clients, seq,
-                            f"SET k{seq % keys} v{seq}" if keys > 0 else "",
-                            size, at))
-            try:
-                e = exponentials[drawn]
-            except IndexError:
+            if drawn == len(exponentials):
                 exponentials = self._exponentials = \
                     exponential_block(self._rng)
                 drawn = 0
-                e = exponentials[0]
-            drawn += 1
-            at = at + e / rate
+            instants = list(accumulate(
+                map(truediv, islice(exponentials, drawn, None), repeat(rate)),
+                initial=at))
+            # Each emitted arrival draws the gap to the next instant, so at
+            # most one arrival per gap left in the block.
+            due = min(bisect_right(instants, now), len(instants) - 1)
+            tx_ids = range(seq + 1, seq + due + 1)
+            self._in_flight += mint_batch(
+                map(mod, tx_ids, repeat(clients)), tx_ids,
+                [f"SET k{i % keys} v{i}" for i in tx_ids] if keys > 0
+                else repeat(""), size, instants[:due])
+            seq += due
+            drawn += due
+            at = instants[due]
         self._next_at, self._next_id, self._drawn = at, seq, drawn
 
 

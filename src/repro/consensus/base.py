@@ -25,9 +25,9 @@ import enum
 from typing import Any, Callable, Optional, Protocol as TypingProtocol
 
 from repro.chain.block import Block, create_leaf
-from repro.chain.execution import KVStateMachine, execute_transactions
+from repro.chain.execution import KVStateMachine, execution_results
 from repro.chain.store import BlockStore
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, tx_list_digest
 from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.messages import BlockSyncRequest, BlockSyncResponse
 from repro.crypto.keys import KeyPair, Keyring
@@ -501,9 +501,16 @@ class ReplicaBase(Process):
                                     lambda: self.run_work(retry))
             return None
         self._batch_timer.cancel()
-        op = execute_transactions(txs, parent.hash)
+        # executeTx over the batch, encoded once: the block's own
+        # ``batch_digest`` memo is seeded with the digest ``op`` was built
+        # on (the block's batch is a tuple), so its hash does not encode
+        # the batch again.
+        batch = tx_list_digest(txs)
+        op = execution_results(parent.hash, batch)
         self.charge(self.config.costs.exec_cost(len(txs)))
-        return create_leaf(txs, op, parent, view=view, proposer=self.node_id)
+        block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
+        block.__dict__["batch_digest"] = batch
+        return block
 
     def _refuse_results(self, block: Block) -> None:
         """A backup found ``block.op`` is not its batch's execution results

@@ -28,7 +28,7 @@ import math
 from bisect import bisect_left
 from typing import Optional
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import mint_batch
 from repro.client.workload import ArrivalStream, QueueSource, caught_up
 from repro.sim.loop import Simulator
 from repro.workload.spec import WorkloadSpec
@@ -148,9 +148,10 @@ class TrafficGenerator(ArrivalStream):
 
     def _emit_through(self, now: float) -> None:
         # ArrivalEngine's three draws in line, over the compiled segments:
-        # per arrival only the RNG draws, one sin, one log, the
-        # constructor and the append make calls.  Float for float the
-        # engine's arithmetic: base share, x diurnal, x each boost.
+        # per arrival only the RNG draws, one sin, one log and the row's
+        # append make calls; the rows are minted as one batch at the end.
+        # Float for float the engine's arithmetic: base share, x diurnal,
+        # x each boost.
         engine, spec, record = self._engine, self.spec, self._record
         rng, cdf = engine.rng, engine._zipf_cdf
         randrange, uniform = rng.randrange, rng.random
@@ -158,7 +159,8 @@ class TrafficGenerator(ArrivalStream):
         sigma, size = spec.lognormal_sigma, spec.payload_size
         amplitude, period = spec.diurnal_amplitude, spec.diurnal_period_ms
         two_pi, sin, log = 2.0 * math.pi, math.sin, math.log
-        fly = self._in_flight.append
+        rows: list = []
+        row = rows.append
         segments, index = self._segments, self._segment
         _, share, boosts, population = segments[index]
         bound = segments[index + 1][0]
@@ -179,9 +181,8 @@ class TrafficGenerator(ArrivalStream):
                     flashed += 1
                 rank = bisect_left(cdf, uniform()) if cdf else -1
                 seq += 1
-                fly(Transaction(client, seq,
-                                f"SET k{rank} v{seq}" if rank >= 0 else "",
-                                size, at))
+                row((client, seq, f"SET k{rank} v{seq}" if rank >= 0 else "",
+                     at))
                 if record is not None:
                     record.append((at, client, rank))
             rate = share
@@ -197,6 +198,10 @@ class TrafficGenerator(ArrivalStream):
                 at = at + rng.expovariate(1.0 / (1000.0 / rate))
             else:
                 at = at + rng.lognormvariate(log(1000.0 / rate) - shift, sigma)
+        if rows:
+            clients, seqs, payloads, instants = zip(*rows)
+            self._in_flight += mint_batch(clients, seqs, payloads, size,
+                                          instants)
         self._next_at, self._probing, self._seq = at, probing, seq
         self._segment = index
         engine.flash_arrivals, engine.churn_transitions = flashed, turns

@@ -8,8 +8,10 @@ trust a single reply (Sec. 6.1).  In every run, every backup checks
 batch in reverse order: the same transactions, so only the order of the
 batch tells the forged result from the honest one.  Backups re-derive
 ``op`` through ``repro.chain.execution``, so patching the proposer's
-binding of ``execute_transactions`` in ``repro.consensus.base`` forges
-every proposal and nothing else.
+binding of ``create_leaf`` in ``repro.consensus.base`` (the leader's
+``_build_block`` chains every proposal through it) forges every proposal
+and nothing else.  The block keeps the honest batch digest the leader
+encoded, so only ``op`` is forged.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 import repro.consensus.base as base
+from repro.chain.block import create_leaf
 from repro.chain.execution import execute_transactions
 from repro.client.workload import SaturatedSource
 from repro.consensus.cluster import build_cluster
@@ -35,8 +38,10 @@ MESSAGES = {
 }
 
 
-def reversed_results(txs, parent_hash: str) -> str:
-    return execute_transactions(txs[::-1], parent_hash)
+def reversed_results(txs, op, parent, view, proposer):
+    """The leader's block, its ``op`` derived over the batch reversed."""
+    return create_leaf(txs, execute_transactions(txs[::-1], parent.hash),
+                       parent, view, proposer)
 
 
 def run_cluster(protocol: str, config=None):
@@ -70,7 +75,7 @@ def test_honest_results_are_voted_and_committed(protocol):
 
 @pytest.mark.parametrize("protocol", sorted(MESSAGES))
 def test_results_over_a_reordered_batch_are_refused(protocol, monkeypatch):
-    monkeypatch.setattr(base, "execute_transactions", reversed_results)
+    monkeypatch.setattr(base, "create_leaf", reversed_results)
     cluster = run_cluster(protocol)
     proposal, vote = MESSAGES[protocol]
     sent = cluster.network.stats.by_kind
@@ -91,7 +96,7 @@ def test_experiment_configs_refuse_a_forged_op(protocol, monkeypatch):
     """The config every experiment, campaign and ledger row runs with,
     not only the tests' own: a forged ``op`` is never committed there
     either."""
-    monkeypatch.setattr(base, "execute_transactions", reversed_results)
+    monkeypatch.setattr(base, "create_leaf", reversed_results)
     config = protocol_config(resolve_protocol(protocol), f=1, seed=3,
                              counter_write_ms=0.0, batch_size=20)
     cluster = run_cluster(protocol, config)

@@ -24,7 +24,8 @@ from repro.chain.block import create_leaf, genesis_block
 from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
 from repro.chain.transaction import Transaction
-from repro.client.workload import OpenLoopGenerator, QueueSource
+from repro.client.workload import (OpenLoopGenerator, QueueSource,
+                                   SaturatedSource)
 from repro.consensus.cluster import build_cluster
 from repro.consensus.config import ProtocolConfig
 from repro.core.node import AchillesNode, Decide
@@ -48,25 +49,28 @@ from repro.workload.spec import ChurnEvent, FlashCrowd, WorkloadSpec
 resolve_protocol("achilles")  # fills the registry
 
 #: Calls per committed transaction measured when this budget was set
-#: (110 123 calls for 35 600 transactions; 3.19 while each delay was a
+#: (74 426 calls for 35 600 transactions; 3.09 while each transaction of
+#: a saturated batch was a ``Transaction.__init__`` call and each
+#: proposal encoded its batch twice, 3.19 while each delay was a
 #: ``gauss`` call, 6.18 while execution results hashed once per
 #: transaction, 8.43 before the per-event cuts).  One new call per
 #: transaction anywhere on the path adds 1.0 and breaks the 10 %
 #: allowance.
-CALLS_PER_TX = 3.09
+CALLS_PER_TX = 2.09
 
 CONFIG = dict(protocol="achilles", f=2, network="LAN", batch_size=400,
               duration_ms=300.0, warmup_ms=0.0, seed=1)
 
 
-#: The same cluster fed 20 000 requests/s open loop (218 984 calls for
+#: The same cluster fed 20 000 requests/s open loop (208 041 calls for
 #: 6 017 transactions; blocks are small, so per-block work dominates).  An
-#: emit event and a client-submit event per arrival add ~26; per-draw
-#: ``gauss`` and ``expovariate`` calls read 40.95, execution results
+#: emit event and a client-submit event per arrival add ~26; a
+#: ``Transaction.__init__`` and an append per arrival read 36.39,
+#: per-draw ``gauss`` and ``expovariate`` calls 40.95, execution results
 #: hashed per transaction 43.84, the per-transaction paths 66.39, the
-#: per-event chains 84.87.  Its allowance is 5 %, not 10 %: at ~36 calls
+#: per-event chains 84.87.  Its allowance is 5 %, not 10 %: at ~35 calls
 #: a transaction, 10 % would forgive three new calls on it.
-OPEN_LOOP_CALLS_PER_TX = 36.39
+OPEN_LOOP_CALLS_PER_TX = 34.58
 OPEN_LOOP_ALLOWANCE = 1.05
 
 #: Calls per simulator event, per protocol, at f=2 LAN saturated with
@@ -311,17 +315,21 @@ def test_a_memoised_signature_verdict_costs_one_call():
 # number after "was").
 # ----------------------------------------------------------------------
 #: One open-loop arrival from its emission to the ``take`` that returns
-#: it: the constructor and the in-flight append, plus its share of one
-#: ``exponential_block`` refill per block of gaps; landing, admission and
-#: ``take`` are per batch.  Was 5 while each gap was an ``expovariate``
-#: call (with its ``random`` and ``log``), 9 before that.
-OPEN_LOOP_ARRIVAL_CALLS = 2
+#: it: its share of one block emission (the due arrivals of a block of
+#: gaps minted as one batch), of one ``exponential_block`` refill per
+#: block of gaps, and of landing, admission and ``take``, all per batch.
+#: Reads 0.029.  Was 2 while each arrival was a ``Transaction.__init__``
+#: and an append, 5 while each gap was an ``expovariate`` call (with its
+#: ``random`` and ``log``), 9 before that.
+OPEN_LOOP_ARRIVAL_CALLS = 0.03
 
 #: One ``TrafficGenerator`` arrival of a soak-shaped spec (lognormal gaps,
 #: Zipf keys, diurnal curve, a flash crowd, churn), emission to ``take``:
-#: its RNG draws through the stdlib, one ``sin``, one ``log``, the
-#: constructor and the append — no spec lookup.  Reads 20.7; was 35.4.
-TRAFFIC_ARRIVAL_CALLS = 22
+#: its RNG draws through the stdlib, one ``sin``, one ``log`` and its
+#: row's append; the rows are minted once per catch-up — no spec lookup.
+#: Reads 17.68; was 22 (reading 20.7) while each arrival was a
+#: ``Transaction.__init__``, 35.4 before that.
+TRAFFIC_ARRIVAL_CALLS = 19
 
 #: One ``SET`` of an already-written key in ``apply_batch``: the split,
 #: the value's ``encode`` and ``len``, ``sha256``, ``hexdigest`` and the
@@ -333,6 +341,12 @@ SET_WRITE_CALLS = 6
 #: is encoded in line, so the count does not grow with the batch.  Reads
 #: 12; was 1 210 for 400 transactions, three calls each.
 EXECUTE_BATCH_CALLS = 16
+
+#: ``SaturatedSource.take`` of a full batch: the batch is minted as
+#: columns (``mint_batch``), so ``take(400)`` costs what ``take(1)`` does.
+#: Reads 11; was 403 for ``take(400)`` against 4 for ``take(1)``, one
+#: ``Transaction.__init__`` per transaction.
+SATURATED_TAKE_CALLS = 11
 
 #: ``QueueSource.submit`` of one fresh transaction with no stream
 #: attached: ``submit``, ``_admit_each``, ``set.add``, ``list.append``.
@@ -384,6 +398,32 @@ def test_a_set_write_is_a_bounded_number_of_calls():
     # The root over 64 keys at the end is a handful of calls per batch.
     assert per_item(lambda: machine.apply_batch(txs) and txs, len) \
         <= SET_WRITE_CALLS + 0.01
+
+
+def test_a_saturated_batch_costs_what_one_transaction_does():
+    source = SaturatedSource(Simulator(seed=1))
+    source.take(400, 5.0)                # first use
+    batch = calls_of(lambda: source.take(400, 5.0))
+    assert batch <= calls_of(lambda: source.take(1, 5.0))
+    assert batch <= SATURATED_TAKE_CALLS
+
+
+def test_a_proposal_encodes_its_batch_once():
+    """The leader encodes its batch once for ``op`` and seeds the block's
+    ``batch_digest`` with it, so its hash does not encode it again, and
+    every backup checks the results over that same memo."""
+    run_experiment(**{**CONFIG, "duration_ms": 30.0})
+    profile = cProfile.Profile()
+    profile.enable()
+    run_experiment(**{**CONFIG, "duration_ms": 100.0})
+    profile.disable()
+    counts = {"_build_block": 0, "tx_list_digest": 0}
+    for entry in profile.getstats():
+        name = getattr(entry.code, "co_name", None)
+        if name in counts:
+            counts[name] += entry.callcount
+    assert counts["_build_block"] > 10
+    assert counts["tx_list_digest"] == counts["_build_block"]
 
 
 def test_execution_results_are_one_digest_per_batch():
