@@ -17,6 +17,29 @@ from repro.cli import _FANOUT, _reproduce, _spec_fields, build_parser, main
 #: commit.
 SURFACE_PIN = pathlib.Path(__file__).with_name("cli_surface.txt")
 
+#: Short runs of the workload-shaped commands with every flag off its
+#: default, and their stdout: each flag reaching its callee keyword is
+#: pinned end to end.
+STDOUT_PIN = pathlib.Path(__file__).with_name("cli_stdout.txt")
+PINNED_RUNS = (
+    "run damysus-r --f 1 --network WAN --batch 50 --payload 32 "
+    "--counter-write-ms 10 --duration 600 --warmup 100 --seed 3 --rate 2000",
+    "compare achilles oneshot-r --f 1 --batch 20 --payload 16 "
+    "--counter-write-ms 5 --duration 300 --warmup 50 --seed 2",
+    "shard --protocol achilles-c --shards 1 2 --seeds 2 --f 1 "
+    "--duration 500 --warmup 50 --quiesce 150 --rate 1000 "
+    "--cross-fraction 0.2 --batch 20 --payload 16",
+)
+
+
+def pinned_stdout(capsys) -> str:
+    """Each pinned run's command line followed by its stdout."""
+    chunks = []
+    for words in PINNED_RUNS:
+        assert main(words.split()) == 0
+        chunks.append(f"$ repro {words}\n{capsys.readouterr().out}")
+    return "".join(chunks)
+
 
 def _subcommands() -> dict:
     """Sub-command name → (its parser, its one-line help)."""
@@ -372,6 +395,9 @@ class TestCommands:
         assert config["spec"].expect_violations == ("durable-prefix",)
         out = capsys.readouterr().out
         assert "negative control held" in out
+
+    def test_workload_commands_print_the_pinned_tables(self, capsys):
+        assert pinned_stdout(capsys) == STDOUT_PIN.read_text(encoding="utf-8")
 
     def test_compare_runs_multiple(self, capsys):
         code = main(["compare", "achilles", "braft", "--f", "1",
