@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from bench_common import by_protocol, render
 from conftest import quick_mode
-from repro.harness.experiments import fig3_batch_sweep
+from repro.harness.experiments import FIG3_BATCHES, FIG3_PROTOCOLS, sweep
 
 
 def test_fig3_batch_lan(benchmark, record_table):
     f = 4 if quick_mode() else 10
 
     results = benchmark.pedantic(
-        fig3_batch_sweep,
-        kwargs=dict(network="LAN", f=f),
+        sweep, args=("batch_size", FIG3_BATCHES),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="LAN", f=f, seed=1,
+                    payload_size=256),
         rounds=1, iterations=1,
     )
     record_table("fig3kl_batch_lan",

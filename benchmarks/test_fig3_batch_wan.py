@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from bench_common import by_protocol, render
 from conftest import quick_mode
-from repro.harness.experiments import fig3_batch_sweep
+from repro.harness.experiments import FIG3_BATCHES, FIG3_PROTOCOLS, sweep
 
 
 def test_fig3_batch_wan(benchmark, record_table):
     f = 4 if quick_mode() else 10
 
     results = benchmark.pedantic(
-        fig3_batch_sweep,
-        kwargs=dict(network="WAN", f=f),
+        sweep, args=("batch_size", FIG3_BATCHES),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="WAN", f=f, seed=1,
+                    payload_size=256),
         rounds=1, iterations=1,
     )
     record_table("fig3ij_batch_wan",

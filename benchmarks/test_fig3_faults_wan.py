@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from bench_common import by_protocol, render
 from conftest import quick_mode
-from repro.harness.experiments import fig3_fault_sweep
+from repro.harness.experiments import FIG3_FAULTS, FIG3_PROTOCOLS, sweep
 
 
 def test_fig3_faults_wan(benchmark, record_table):
-    faults = (1, 2, 4) if quick_mode() else (1, 2, 4, 10, 20, 30)
+    faults = (1, 2, 4) if quick_mode() else FIG3_FAULTS
 
     results = benchmark.pedantic(
-        fig3_fault_sweep,
-        kwargs=dict(network="WAN", faults=faults),
+        sweep, args=("f", faults),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="WAN", seed=1,
+                    batch_size=400, payload_size=256),
         rounds=1, iterations=1,
     )
     record_table("fig3ab_faults_wan",

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 from bench_common import by_protocol, render
 from conftest import quick_mode
-from repro.harness.experiments import fig3_payload_sweep
+from repro.harness.experiments import FIG3_PAYLOADS, FIG3_PROTOCOLS, sweep
 
 
 def test_fig3_payload_lan(benchmark, record_table):
     f = 4 if quick_mode() else 10
 
     results = benchmark.pedantic(
-        fig3_payload_sweep,
-        kwargs=dict(network="LAN", f=f),
+        sweep, args=("payload_size", FIG3_PAYLOADS),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="LAN", f=f, seed=1,
+                    batch_size=400),
         rounds=1, iterations=1,
     )
     record_table("fig3gh_payload_lan",

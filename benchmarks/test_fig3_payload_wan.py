@@ -8,15 +8,16 @@ from __future__ import annotations
 
 from bench_common import by_protocol, render
 from conftest import quick_mode
-from repro.harness.experiments import fig3_payload_sweep
+from repro.harness.experiments import FIG3_PAYLOADS, FIG3_PROTOCOLS, sweep
 
 
 def test_fig3_payload_wan(benchmark, record_table):
     f = 4 if quick_mode() else 10
 
     results = benchmark.pedantic(
-        fig3_payload_sweep,
-        kwargs=dict(network="WAN", f=f),
+        sweep, args=("payload_size", FIG3_PAYLOADS),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="WAN", f=f, seed=1,
+                    batch_size=400),
         rounds=1, iterations=1,
     )
     record_table("fig3ef_payload_wan",

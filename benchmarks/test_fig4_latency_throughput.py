@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bench_common import by_protocol
 from conftest import quick_mode
-from repro.harness.experiments import fig4_latency_vs_throughput
+from repro.harness.experiments import FIG3_PROTOCOLS, sweep
 from repro.harness.report import format_table
 
 
@@ -22,8 +22,9 @@ def test_fig4_latency_vs_throughput(benchmark, record_table):
         (500, 1000, 2000, 4000, 8000, 16000, 32000, 64000)
 
     results = benchmark.pedantic(
-        fig4_latency_vs_throughput,
-        kwargs=dict(f=f, rates_tps=rates),
+        sweep, args=("offered_load_tps", rates),
+        kwargs=dict(protocols=FIG3_PROTOCOLS, network="LAN", f=f, seed=1,
+                    batch_size=400, payload_size=256),
         rounds=1, iterations=1,
     )
     rows = [

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bench_common import by_protocol
 from conftest import quick_mode
-from repro.harness.experiments import fig5_counter_sweep
+from repro.harness.experiments import sweep
 from repro.harness.report import format_table
 
 
@@ -18,8 +18,10 @@ def test_fig5_counter_write_latency(benchmark, record_table):
     lats = (0, 20, 80) if quick_mode() else (0, 10, 20, 40, 80)
 
     results = benchmark.pedantic(
-        fig5_counter_sweep,
-        kwargs=dict(f=f, write_latencies_ms=lats),
+        sweep, args=("counter_write_ms", lats),
+        kwargs=dict(protocols=("damysus-r", "flexibft", "oneshot-r"),
+                    network="LAN", f=f, seed=1, batch_size=400,
+                    payload_size=256),
         rounds=1, iterations=1,
     )
     rows = [

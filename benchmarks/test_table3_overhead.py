@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bench_common import by_protocol
 from conftest import quick_mode
-from repro.harness.experiments import table3_overhead_profiling
+from repro.harness.experiments import sweep
 from repro.harness.report import format_table
 
 
@@ -17,8 +17,9 @@ def test_table3_overhead_profiling(benchmark, record_table):
     faults = (2,) if quick_mode() else (2, 4, 10)
 
     results = benchmark.pedantic(
-        table3_overhead_profiling,
-        kwargs=dict(faults=faults),
+        sweep, args=("f", faults),
+        kwargs=dict(protocols=("achilles", "achilles-c", "braft"),
+                    network="LAN", seed=1, batch_size=400, payload_size=256),
         rounds=1, iterations=1,
     )
     rows = [

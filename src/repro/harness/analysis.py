@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from repro.harness.parallel import parallel_map, run_experiments
+from repro.harness.experiments import sweep
+from repro.harness.parallel import parallel_map
 from repro.harness.metrics import MetricsCollector
 from repro.harness.runner import (
     PROTOCOLS,
@@ -105,11 +106,9 @@ def messages_linear_in_n(protocol: str, fs=(2, 4, 8), seed: int = 1) -> list[tup
     FlexiBFT it grows quadratically — the Table 1 complexity column,
     verified empirically in ``tests/integration/test_complexity.py``.
     """
-    results = run_experiments([
-        dict(protocol=protocol, f=f, network="LAN", batch_size=50,
-             payload_size=64, duration_ms=600.0, warmup_ms=100.0, seed=seed)
-        for f in fs
-    ])
+    results = sweep("f", fs, protocols=(protocol,), network="LAN", seed=seed,
+                    batch_size=50, payload_size=64, duration_ms=600.0,
+                    warmup_ms=100.0)
     return [(r.n, r.messages_sent / max(1, r.blocks_committed)) for r in results]
 
 

@@ -1,18 +1,21 @@
 """Per-figure/table experiment definitions (paper Sec. 5).
 
-Each function regenerates the data series behind one paper artifact and
-returns plain rows; the benchmarks print them via
+Every run-based artifact of the evaluation (Fig. 3a–l, Fig. 4, Fig. 5,
+Table 3, the traced cost breakdown) is one :func:`sweep`: protocols × one
+varied parameter at the paper's settings.  The benchmarks call it with
+the ``FIG3_*`` constants, print the rows via
 :func:`repro.harness.report.format_table` and record them in
 ``EXPERIMENTS.md``.  Durations adapt to committee size so the full suite
 stays tractable while every configuration still commits enough blocks for
-stable means.
+stable means.  Table 2 (a reboot per committee size) and Table 4 (counter
+latencies) are not throughput runs and keep their own functions.
 """
 
 from __future__ import annotations
 
 import pathlib
 from functools import partial
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.faults.crash import crash_and_reboot
 from repro.harness.metrics import MetricsCollector
@@ -45,156 +48,43 @@ def _window(network: str, protocol: str, f: int) -> tuple[float, float]:
     return duration, 250.0
 
 
-def fig3_fault_sweep(
+def sweep(
+    vary: str,
+    values: Sequence,
+    *,
+    protocols: Sequence[str],
     network: str,
-    faults: Sequence[int] = FIG3_FAULTS,
-    protocols: Sequence[str] = FIG3_PROTOCOLS,
-    batch_size: int = 400,
-    payload_size: int = 256,
-    seed: int = 1,
+    f: Optional[int] = None,
+    seed: int,
+    trace_dir: Optional[str] = None,
+    **fixed,
 ) -> list[ExperimentResult]:
-    """Fig. 3a/3b (WAN) and 3c/3d (LAN): vary the fault threshold."""
-    configs = []
-    for protocol in protocols:
-        for f in faults:
-            duration, warmup = _window(network, protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network=network,
-                batch_size=batch_size, payload_size=payload_size,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-            ))
-    return run_experiments(configs)
+    """Run every protocol at every value of the ``run_experiment``
+    parameter ``vary``, the rest ``fixed``; results protocol-major.
 
-
-def fig3_payload_sweep(
-    network: str,
-    payloads: Sequence[int] = FIG3_PAYLOADS,
-    protocols: Sequence[str] = FIG3_PROTOCOLS,
-    f: int = 10,
-    batch_size: int = 400,
-    seed: int = 1,
-) -> list[ExperimentResult]:
-    """Fig. 3e/3f (WAN) and 3g/3h (LAN): vary the transaction payload."""
-    configs = []
-    for protocol in protocols:
-        for payload in payloads:
-            duration, warmup = _window(network, protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network=network,
-                batch_size=batch_size, payload_size=payload,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-            ))
-    return run_experiments(configs)
-
-
-def fig3_batch_sweep(
-    network: str,
-    batches: Sequence[int] = FIG3_BATCHES,
-    protocols: Sequence[str] = FIG3_PROTOCOLS,
-    f: int = 10,
-    payload_size: int = 256,
-    seed: int = 1,
-) -> list[ExperimentResult]:
-    """Fig. 3i/3j (WAN) and 3k/3l (LAN): vary the batch size."""
-    configs = []
-    for protocol in protocols:
-        for batch in batches:
-            duration, warmup = _window(network, protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network=network,
-                batch_size=batch, payload_size=payload_size,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-            ))
-    return run_experiments(configs)
-
-
-def fig4_latency_vs_throughput(
-    protocols: Sequence[str] = FIG3_PROTOCOLS,
-    rates_tps: Sequence[float] = (500, 1000, 2000, 4000, 8000, 16000, 32000, 64000),
-    f: int = 10,
-    batch_size: int = 400,
-    payload_size: int = 256,
-    seed: int = 1,
-) -> list[ExperimentResult]:
-    """Fig. 4: open-loop offered-load sweep to saturation, LAN.
-
-    Each row reports achieved throughput and end-to-end latency at one
-    offered load; past saturation, throughput plateaus and latency climbs.
+    ``f`` is every run's fault threshold unless ``vary`` is ``"f"``.  A
+    run is sized by :func:`_window` unless ``duration_ms``/``warmup_ms``
+    are fixed, and its ``extras`` are tagged ``{vary: value}`` (the Fig. 4
+    and Fig. 5 tables read them).  ``trace_dir`` turns span tracing on and
+    writes each run's Perfetto JSON there, named by protocol, f, network
+    and seed.
     """
     configs = []
     for protocol in protocols:
-        for rate in rates_tps:
-            duration, warmup = _window("LAN", protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network="LAN",
-                batch_size=batch_size, payload_size=payload_size,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-                offered_load_tps=rate,
-                extras={"offered_load_tps": rate},
-            ))
-    return run_experiments(configs)
-
-
-def fig5_counter_sweep(
-    write_latencies_ms: Sequence[float] = (0, 10, 20, 40, 80),
-    protocols: Sequence[str] = ("damysus-r", "flexibft", "oneshot-r"),
-    f: int = 10,
-    batch_size: int = 400,
-    payload_size: int = 256,
-    seed: int = 1,
-) -> list[ExperimentResult]:
-    """Fig. 5: performance vs persistent-counter write latency, LAN.
-
-    At 0 ms the rows show the protocols *without* rollback prevention.
-    """
-    configs = []
-    for protocol in protocols:
-        for write_ms in write_latencies_ms:
-            duration, warmup = _window("LAN", protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network="LAN",
-                batch_size=batch_size, payload_size=payload_size,
-                counter_write_ms=write_ms,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-                extras={"counter_write_ms": write_ms},
-            ))
-    return run_experiments(configs)
-
-
-def cost_breakdown_sweep(
-    network: str = "LAN",
-    protocols: Sequence[str] = FIG3_PROTOCOLS,
-    f: int = 2,
-    batch_size: int = 400,
-    payload_size: int = 256,
-    counter_write_ms: float = 20.0,
-    seed: int = 1,
-    trace_dir: "str | None" = None,
-) -> list[ExperimentResult]:
-    """Where does each protocol's commit latency go? (paper Sec. 5, Table 4)
-
-    Runs the Fig. 3 protocol set with :mod:`repro.obs` tracing enabled and
-    returns results whose ``extras`` carry the per-bucket critical-path
-    attribution (``cp_counter_ms``, ``cp_network_ms``, ...).  The headline
-    contrast: Damysus-R/OneShot-R pay a persistent-counter write on every
-    hop of the commit path, Achilles pays none.  ``trace_dir`` additionally
-    writes one Perfetto JSON per protocol there.
-    """
-    configs = []
-    for protocol in protocols:
-        duration, warmup = _window(network, protocol, f)
-        trace_path = None
-        if trace_dir is not None:
-            safe = protocol.replace("/", "_")
-            trace_path = str(pathlib.Path(trace_dir) /
-                             f"{safe}-f{f}-{network.lower()}-seed{seed}.json")
-        configs.append(dict(
-            protocol=protocol, f=f, network=network,
-            batch_size=batch_size, payload_size=payload_size,
-            counter_write_ms=counter_write_ms,
-            duration_ms=duration, warmup_ms=warmup, seed=seed,
-            trace=True, trace_path=trace_path,
-        ))
+        for value in values:
+            config = dict(protocol=protocol, f=f, network=network, seed=seed,
+                          **fixed)
+            config[vary] = value
+            duration, warmup = _window(network, protocol, config["f"])
+            config.setdefault("duration_ms", duration)
+            config.setdefault("warmup_ms", warmup)
+            if trace_dir is not None:
+                name = (f"{protocol}-f{config['f']}-{network.lower()}"
+                        f"-seed{seed}.json")
+                config.update(trace=True,
+                              trace_path=str(pathlib.Path(trace_dir) / name))
+            config["extras"] = {vary: value}
+            configs.append(config)
     return run_experiments(configs)
 
 
@@ -233,26 +123,6 @@ def table2_recovery_breakdown(
     return parallel_map(partial(_table2_row, seed=seed), node_counts)
 
 
-def table3_overhead_profiling(
-    faults: Sequence[int] = (2, 4, 10),
-    protocols: Sequence[str] = ("achilles", "achilles-c", "braft"),
-    batch_size: int = 400,
-    payload_size: int = 256,
-    seed: int = 1,
-) -> list[ExperimentResult]:
-    """Table 3: Achilles vs Achilles-C vs BRaft peak throughput/latency, LAN."""
-    configs = []
-    for protocol in protocols:
-        for f in faults:
-            duration, warmup = _window("LAN", protocol, f)
-            configs.append(dict(
-                protocol=protocol, f=f, network="LAN",
-                batch_size=batch_size, payload_size=payload_size,
-                duration_ms=duration, warmup_ms=warmup, seed=seed,
-            ))
-    return run_experiments(configs)
-
-
 def table4_counter_latencies(samples: int = 200) -> list[dict]:
     """Table 4: measured write/read latency of each counter class."""
     import random
@@ -282,13 +152,7 @@ __all__ = [
     "FIG3_FAULTS",
     "FIG3_PAYLOADS",
     "FIG3_BATCHES",
-    "fig3_fault_sweep",
-    "fig3_payload_sweep",
-    "fig3_batch_sweep",
-    "fig4_latency_vs_throughput",
-    "fig5_counter_sweep",
-    "cost_breakdown_sweep",
+    "sweep",
     "table2_recovery_breakdown",
-    "table3_overhead_profiling",
     "table4_counter_latencies",
 ]

@@ -119,10 +119,10 @@ class TestExperimentDefinitions:
         assert rows["TPM"]["read_ms"] == pytest.approx(35, abs=4)
 
     def test_fig5_zero_column_is_no_prevention(self):
-        from repro.harness.experiments import fig5_counter_sweep
+        from repro.harness.experiments import sweep
 
-        results = fig5_counter_sweep(write_latencies_ms=(0, 40),
-                                     protocols=("oneshot-r",), f=1)
+        results = sweep("counter_write_ms", (0, 40), protocols=("oneshot-r",),
+                        network="LAN", f=1, seed=1)
         zero, forty = results
         assert zero.extras["counter_write_ms"] == 0
         assert zero.throughput_ktps > 3 * forty.throughput_ktps
