@@ -304,7 +304,6 @@ class ReplicaBase(Process):
         busy = cpu.busy_until
         ready = (busy if busy > now else now) + cost
         cpu.busy_until = ready
-        cpu.total_busy += cost
         sim.queue.push_fast(ready, self._dispatch, (envelope, now, self.epoch))
 
     def _dispatch(self, envelope: Envelope, arrival: float,

@@ -37,9 +37,7 @@ from repro.consensus.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.harness.invariants import InvariantViolation
 from repro.harness.metrics import MetricsCollector
-from repro.net.faults import LinkFaultModel
 from repro.net.latency import LAN_PROFILE, WAN_PROFILE, LatencyProfile
-from repro.net.transport import TransportConfig
 from repro.tee.counters import ConfigurableCounter
 from repro.tee.enclave import EnclaveProfile
 
@@ -369,21 +367,12 @@ def run_experiment(
     config_overrides: Optional[dict] = None,
     trace: bool = False,
     trace_path: Optional[str] = None,
-    loss: float = 0.0,
-    dup: float = 0.0,
-    reorder: float = 0.0,
-    corrupt: float = 0.0,
 ) -> ExperimentResult:
     """Run one measured experiment and return its metrics.
 
     ``offered_load_tps`` switches from the saturated workload to an
     open-loop Poisson workload at that rate (Fig. 4); the default measures
     peak throughput.
-
-    ``loss``/``dup``/``reorder``/``corrupt`` configure a
-    :class:`~repro.net.faults.LinkFaultModel` on the fabric; any nonzero
-    rate also installs the reliable transport, and ``extras`` gains
-    ``net_*`` retransmission/dedup/goodput counters.
 
     ``trace=True`` turns on :mod:`repro.obs` span tracing for the run:
     the result's ``extras`` gains the critical-path cost breakdown
@@ -405,42 +394,18 @@ def run_experiment(
     client_hop = latency.one_way_ms
     collector = MetricsCollector(warmup_ms=warmup_ms, reply_one_way_ms=client_hop)
 
-    faults = transport = None
-    if loss or dup or reorder or corrupt:
-        faults = LinkFaultModel(loss=loss, dup=dup, reorder=reorder,
-                                corrupt=corrupt)
-        transport = TransportConfig()
-
     deployment = build_deployment(
         spec, config, latency, seed,
         listener=collector,
         open_loop=None if offered_load_tps is None else poisson_arrivals(
             offered_load_tps, payload_size, latency),
         trace=bool(trace or trace_path),
-        faults=faults,
-        transport=transport,
     )
     cluster = deployment.cluster
     deployment.run(duration_ms)
     cluster.assert_safety()
 
     extras: dict = {}
-    if faults is not None:
-        stats = cluster.network.stats
-        totals = cluster.network.transport_totals()
-        extras["net_fault_dropped"] = stats.fault_dropped
-        extras["net_fault_duplicated"] = stats.fault_duplicated
-        extras["net_fault_corrupted"] = stats.fault_corrupted
-        extras["net_corrupt_rejected"] = stats.corrupt_rejected
-        extras["net_retransmissions"] = totals.get("retransmissions", 0)
-        extras["net_dup_suppressed"] = totals.get("dup_suppressed", 0)
-        extras["net_acks_sent"] = totals.get("acks_sent", 0)
-        extras["net_window_evictions"] = totals.get("window_evictions", 0)
-        if stats.messages_sent:
-            # Unique application deliveries per message offered to the wire.
-            extras["net_goodput"] = round(
-                (stats.messages_delivered - stats.duplicates_delivered)
-                / stats.messages_sent, 4)
     if trace or trace_path:
         from repro.obs.critical_path import critical_path_report
 

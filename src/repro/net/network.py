@@ -146,10 +146,6 @@ class Network:
         """Is an endpoint currently registered under ``node_id``?"""
         return node_id in self._endpoints
 
-    def endpoints(self) -> list[int]:
-        """Currently attached node ids, sorted."""
-        return sorted(self._endpoints)
-
     def channel(self, node_id: int) -> Optional[ReliableChannel]:
         """The reliable channel of ``node_id`` (None without transport)."""
         return self._channels.get(node_id)

@@ -23,7 +23,6 @@ class CpuModel:
 
     def __init__(self) -> None:
         self.busy_until: float = 0.0
-        self.total_busy: float = 0.0
 
     def account(self, now: float, cost: float) -> float:
         """Reserve ``cost`` ms of compute starting no earlier than ``now``.
@@ -37,23 +36,11 @@ class CpuModel:
         busy = self.busy_until
         finish = (busy if busy > now else now) + cost
         self.busy_until = finish
-        self.total_busy += cost
         return finish
-
-    def idle_at(self, now: float) -> bool:
-        """True when the core has no queued work at ``now``."""
-        return self.busy_until <= now
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` ms spent busy (clamped to [0, 1])."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy / elapsed)
 
     def reset(self) -> None:
         """Clear accumulated state (used when a node reboots)."""
         self.busy_until = 0.0
-        self.total_busy = 0.0
 
 
 __all__ = ["CpuModel"]

@@ -110,11 +110,6 @@ class Simulator:
         """
         self.queue.release(event)
 
-    def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` for the current instant (after pending
-        same-time events, preserving insertion order)."""
-        return self.schedule(0.0, callback, label)
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------

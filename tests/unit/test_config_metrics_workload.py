@@ -58,7 +58,7 @@ class TestProtocolConfig:
                 AchillesNode, ProtocolConfig.tee_committee(f=1, costs=node_costs),
                 LAN_PROFILE).nodes[0]
             node.deliver(Envelope(1, 0, "x", size, 0.0))
-            assert node.cpu.total_busy == pytest.approx(busy)
+            assert node.cpu.busy_until == pytest.approx(busy)
 
 
 class TestLatencyStats:

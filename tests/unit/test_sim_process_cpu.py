@@ -31,19 +31,12 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             cpu.account(now=0.0, cost=-1.0)
 
-    def test_utilization(self):
-        cpu = CpuModel()
-        cpu.account(now=0.0, cost=5.0)
-        assert cpu.utilization(elapsed=10.0) == 0.5
-        assert cpu.utilization(elapsed=0.0) == 0.0
-        assert cpu.utilization(elapsed=2.0) == 1.0  # clamped
-
     def test_reset(self):
         cpu = CpuModel()
         cpu.account(now=0.0, cost=5.0)
         cpu.reset()
-        assert cpu.idle_at(0.0)
-        assert cpu.total_busy == 0.0
+        assert cpu.busy_until == 0.0
+        assert cpu.account(now=0.0, cost=1.0) == 1.0
 
 
 class TestProcessAndTimers:
