@@ -5,7 +5,8 @@ table's rows).  The rows are:
 
 * printed in the pytest terminal summary (so ``pytest benchmarks/
   --benchmark-only | tee bench_output.txt`` captures them), and
-* written to ``benchmarks/results/<artifact>.txt``.
+* written to ``benchmarks/results/<artifact>.txt`` — full-size runs only,
+  so a quick run never overwrites the committed tables.
 
 Simulated metrics are what matter; wall-clock timings reported by
 pytest-benchmark measure the simulator itself.  Every benchmark uses
@@ -34,12 +35,14 @@ def quick_mode() -> bool:
 
 @pytest.fixture
 def record_table():
-    """Record one artifact's table: printed at session end + saved."""
+    """Record one artifact's table: printed at session end, and saved
+    unless the sweeps are quick-mode ones."""
 
     def _record(name: str, table: str) -> None:
         _collected.append(table)
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(table + "\n")
+        if not quick_mode():
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(table + "\n")
 
     return _record
 
