@@ -178,8 +178,9 @@ bench:
 # Fails when a refactor breaks a name benchmarks/perf/workloads.py imports.
 # The call profiler runs on an Achilles row, every attribution on, so
 # that it cannot rot, on the Damysus-R row, the one that seals its
-# trusted state on every update, under the sealed-update path, and on the
-# open-loop row under the paths that mint its arrivals.
+# trusted state on every update, under the sealed-update path, on the
+# open-loop and soak rows under the paths that mint their arrivals, and
+# on the sharded row under its arrivals and the shard machines' apply.
 perf-smoke:
 	$(PYTHON) benchmarks/perf/selftest.py
 	$(PYTHON) benchmarks/call_profile.py lan_sat_n101 --smoke --by-file \
@@ -188,6 +189,10 @@ perf-smoke:
 		--under protect_state_update,seal_state > /dev/null
 	$(PYTHON) benchmarks/call_profile.py wan_open_f10 --smoke \
 		--under take,_emit_through > /dev/null
+	$(PYTHON) benchmarks/call_profile.py soak_recover_f1 --smoke \
+		--under take,_emit_through > /dev/null
+	$(PYTHON) benchmarks/call_profile.py shard4_2pc --smoke \
+		--under _emit,apply_batch > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event

@@ -29,6 +29,7 @@ certificate-signed root — tampering with any of the three is caught.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Sequence
 
 from repro.chain.transaction import Transaction, tx_list_digest
@@ -43,6 +44,10 @@ MAX_VALUE_BYTES = 4096
 
 #: Size of the hash ring keys are mapped onto (32-bit points).
 KEYSPACE = 1 << 32
+
+_payload = attrgetter("payload")
+_split = methodcaller("split", " ", 2)
+_last = itemgetter(-1)
 
 
 def key_point(key: str) -> int:
@@ -150,22 +155,24 @@ class KVStateMachine:
 
         Inlined digest_of(history, (kind, key, value)) and, for a write,
         the item bytes: the two encodings share their (key, value) tail,
-        and a key's half of it is memoised, so a ``SET`` costs its split,
-        the value's encode and len, and the hash.  The history stays bytes
-        until the loop ends (or a routed entry reads it); the ``finally``
-        keeps every effect applied before a rejected write.
+        and a key's half of it is memoised.  Every payload's split and its
+        last part's encode and length are C maps over the batch (only a
+        ``SET`` reads them), so a ``SET`` costs only its hash.  The history
+        stays bytes until the loop ends (or a routed entry reads it); the
+        ``finally`` keeps every effect applied before a rejected write.
         tests/property/test_batch_encoders.py pins both to digest_of.
         """
         state, items, memo = self._state, self._item_bytes, self._key_bytes
         routed, sha = self._ROUTED, hashlib.sha256
         history, applied = self._history.encode(), self.applied
+        txs = list(txs)
+        splits = list(map(_split, map(_payload, txs)))
+        lasts = list(map(str.encode, map(_last, splits)))
         try:
-            for tx in txs:
-                parts = tx.payload.split(" ", 2)
+            for tx, parts, vb, vlen in zip(txs, splits, lasts,
+                                           map(len, lasts)):
                 if parts[0] == "SET" and parts[2:]:
                     key, value = parts[1], parts[2]
-                    vb = value.encode()
-                    vlen = len(vb)
                     if vlen > MAX_VALUE_BYTES:
                         validate_write(key, value)
                     try:

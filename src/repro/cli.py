@@ -324,8 +324,10 @@ def _reproduce(args: argparse.Namespace, result) -> str:
     words = ["python -m repro", args.command]
     for action in args.parser._actions:
         value = values.get(action.dest, action.default)
-        # ``--seeds`` is the fan-out that the pinned ``--seed`` replaces.
-        if value == action.default or action.dest == "seeds":
+        # ``--seeds`` is the fan-out that the pinned ``--seed`` replaces
+        # (``repro shard`` has no ``--seed``: its point is the last seed).
+        if value == action.default or (action.dest == "seeds"
+                                       and hasattr(args, "seed")):
             continue
         words.append(action.option_strings[0])
         if action.nargs != 0:  # not a bare flag
@@ -561,13 +563,14 @@ def cmd_shard(args: argparse.Namespace) -> int:
     """Throughput-vs-shard-count sweep over a sharded deployment.
 
     Every point is also a correctness run: the per-shard invariant
-    monitors and the ``cross-shard-atomicity`` audit must pass or the
-    sweep aborts.
+    monitors and the ``cross-shard-atomicity`` audit must pass.  A point
+    that fails is printed to stderr (FAIL header, violations, the
+    command that reproduces it) and the exit status is 1.
     """
     from repro.shard.sweep import (format_shard_slo, format_shard_sweep,
                                    run_shard_point)
 
-    rows = [run_shard_point(shards, seed=seed, **_keywords(args))
+    rows = [run_shard_point(shards, seed=seed, check=False, **_keywords(args))
             for shards in args.shards for seed in range(args.seeds)]
     table = format_shard_sweep(rows)
     print(table)
@@ -578,7 +581,18 @@ def cmd_shard(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(table + "\n")
         print(f"\nwrote {path}")
-    return 0
+    failures = [row for row in rows if row["violations"]]
+    for row in failures:
+        print(f"\nFAIL {row['shards']} shards seed {row['seed']}: "
+              f"{len(row['violations'])} violation(s)", file=sys.stderr)
+        for violation in row["violations"]:
+            print(f"  {violation}", file=sys.stderr)
+        # Seeds run from 0, so the point is the last one this runs.
+        point = argparse.Namespace(**vars(args) | {
+            "shards": [row["shards"]], "seeds": row["seed"] + 1})
+        print(f"  reproduce with:\n    {_reproduce(point, row)}",
+              file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _shard_chaos_adjust(args: argparse.Namespace, fields: dict) -> None:
@@ -727,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_keyword_args(p_shard, run_shard_point, _SHARD_FLAGS)
     p_shard.add_argument("--out", default=None,
                          help="also write the sweep table to this file")
-    p_shard.set_defaults(func=cmd_shard)
+    p_shard.set_defaults(func=cmd_shard, parser=p_shard)
 
     p_schaos = campaign(
         "shard-chaos", cmd_shard_chaos, _shard_chaos_adjust, ShardChaosSpec,

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, islice, repeat
+from math import log
 from operator import mod, truediv
 from typing import Optional
 
 from repro.chain.transaction import Transaction, mint_batch
-from repro.sim.loop import Simulator, exponential_block
+from repro.sim.loop import (TWO_53, WORD_BOUND, Simulator, exponential_block,
+                            word_block)
 
 
 def make_payload(payload_size: int, tag: int = 0) -> str:
@@ -218,6 +220,10 @@ _NEVER = float("inf")  # `_next_at` while not emitting (idle, paused, stopped)
 #: Open-loop transactions come from this many client ids, round-robin.
 OPEN_LOOP_CLIENTS = 16
 
+#: ``random.sample`` picks from a pool, not a set, up to this population
+#: for a sample of two (its ``setsize``).
+_SAMPLE_POOL_MAX = 21
+
 
 class ArrivalStream:
     """Open-loop arrivals as data: a seeded stream its mempool pulls.
@@ -382,6 +388,12 @@ class ShardedOpenLoopGenerator:
     2PC instances resolve (commit, abort, or TTL-expire — expiry needs
     blocks, which the continuing writes provide) before the atomicity
     audit runs.
+
+    An arrival's draws are decoded from the stream's 32-bit words
+    (:func:`~repro.sim.loop.word_block`), each what the stdlib call would
+    return, so a pool holds fewer than 2**32 keys.  An arrival stays a
+    simulator event, unlike a :class:`TrafficGenerator`'s: it is a
+    router's network send at its own instant, not a row a mempool pulls.
     """
 
     def __init__(self, sim: Simulator, router, txns, rate_tps: float,
@@ -393,17 +405,30 @@ class ShardedOpenLoopGenerator:
                              f"got {cross_fraction}")
         if shard_map.n_shards < 2 and cross_fraction > 0.0:
             raise ValueError("cross-shard traffic needs at least two shards")
+        if not 0 < keys_per_shard < WORD_BOUND:
+            raise ValueError(f"keys_per_shard must be in [1, 2**32), "
+                             f"got {keys_per_shard}")
         self.sim = sim
         self.router = router
         self.txns = txns
-        self.n_shards = shard_map.n_shards
+        self.n_shards = n = shard_map.n_shards
         self.rate_tps = rate_tps
         self.cross_fraction = cross_fraction
         self.payload_size = payload_size
         self._rng = sim.fork_rng("shard-open-loop")
+        # The stream's words (word_block); ``_words[_pos]`` is next.  Each
+        # draw keeps the top ``32 - bound.bit_length()`` bits of a word.
+        self._words: "tuple[int, ...]" = ()
+        self._pos = 0
+        # ``sample(range(n), 2)`` draws its second index below ``n - 1``
+        # from a pool while ``n`` is at most 21, else below ``n`` again
+        # until it differs from the first.
+        self._other = n - 1 if n <= _SAMPLE_POOL_MAX else n
+        self._drops = (32 - n.bit_length(), 32 - self._other.bit_length(),
+                       32 - keys_per_shard.bit_length())
         self._stopped = False
         self._seq = 0
-        self.keys_by_shard: list[list[str]] = [[] for _ in range(self.n_shards)]
+        self.keys_by_shard: list[list[str]] = [[] for _ in range(n)]
         i = 0
         while any(len(pool) < keys_per_shard for pool in self.keys_by_shard):
             key = f"k{i}"
@@ -411,6 +436,7 @@ class ShardedOpenLoopGenerator:
             if len(pool) < keys_per_shard:
                 pool.append(key)
             i += 1
+        self._keys = keys_per_shard
         self.writes_issued = 0
         self.txns_issued = 0
 
@@ -430,24 +456,77 @@ class ShardedOpenLoopGenerator:
     def _schedule_next(self) -> None:
         if self._stopped or self.rate_tps <= 0:
             return
-        gap_ms = self._rng.expovariate(self.rate_tps / 1000.0)
-        self.sim.schedule_fast(gap_ms, self._emit)
+        # expovariate(rate_tps / 1000.0), from the stream's next two words.
+        words, pos = self._words, self._pos
+        while True:
+            try:
+                u = ((words[pos] >> 5) * 67108864.0
+                     + (words[pos + 1] >> 6)) / TWO_53
+                break
+            except IndexError:
+                words, pos = words[pos:] + word_block(self._rng), 0
+        self._words, self._pos = words, pos + 2
+        self.sim.schedule_fast(-log(1.0 - u) / (self.rate_tps / 1000.0),
+                               self._emit)
 
     def _emit(self) -> None:
         if self._stopped:
             return
         self._seq += 1
-        rng = self._rng
-        if self.cross_fraction > 0.0 and rng.random() < self.cross_fraction:
-            shards = rng.sample(range(self.n_shards), 2)
-            writes = {rng.choice(self.keys_by_shard[s]): f"v{self._seq}.{j}"
-                      for j, s in enumerate(shards)}
-            self.txns.begin(writes)
+        # The stdlib's draws decoded in line from the stream's words:
+        # ``random() < cross_fraction`` (only while it is positive), the
+        # shard by ``randrange(n)``, which is also the first index of a
+        # cross-shard ``sample(range(n), 2)``, its second index, then a
+        # ``choice`` of key in each shard drawn.  Decoding only reads
+        # words, so an arrival that runs off the block is decoded again
+        # from its first word over the block's tail and a fresh block.
+        words, pos, cross = self._words, self._pos, self.cross_fraction
+        n, other_bound, keys = self.n_shards, self._other, self._keys
+        n_drop, other_drop, key_drop = self._drops
+        while True:
+            mark = pos
+            try:
+                txn = False
+                if cross > 0.0:
+                    txn = ((words[pos] >> 5) * 67108864.0
+                           + (words[pos + 1] >> 6)) / TWO_53 < cross
+                    pos += 2
+                shard = words[pos] >> n_drop
+                pos += 1
+                while shard >= n:
+                    shard = words[pos] >> n_drop
+                    pos += 1
+                if txn:
+                    other = words[pos] >> other_drop
+                    pos += 1
+                    while other >= other_bound or (
+                            other == shard and other_bound == n):
+                        other = words[pos] >> other_drop
+                        pos += 1
+                    if other == shard:  # the pool's vacancy holds n - 1
+                        other = n - 1
+                key = words[pos] >> key_drop
+                pos += 1
+                while key >= keys:
+                    key = words[pos] >> key_drop
+                    pos += 1
+                if txn:
+                    other_key = words[pos] >> key_drop
+                    pos += 1
+                    while other_key >= keys:
+                        other_key = words[pos] >> key_drop
+                        pos += 1
+                break
+            except IndexError:
+                words, pos = words[mark:] + word_block(self._rng), 0
+        self._words, self._pos = words, pos
+        pools = self.keys_by_shard
+        if txn:
+            self.txns.begin({pools[shard][key]: f"v{self._seq}.0",
+                             pools[other][other_key]: f"v{self._seq}.1"})
             self.txns_issued += 1
         else:
-            shard = rng.randrange(self.n_shards)
-            key = rng.choice(self.keys_by_shard[shard])
-            self.router.submit_write(key, f"v{self._seq}",
+            self.router.submit_write(pools[shard][key], f"v{self._seq}",
                                      payload_size=self.payload_size)
             self.writes_issued += 1
         self._schedule_next()

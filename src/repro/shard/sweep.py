@@ -36,7 +36,11 @@ def run_shard_point(
     check: bool = True,
 ) -> dict:
     """One sweep point: an S-shard deployment under per-shard open-loop
-    load, quiesced so all 2PC instances resolve, audited, summarized."""
+    load, quiesced so all 2PC instances resolve, audited, summarized.
+
+    With ``check`` an invariant violation raises ``AssertionError``;
+    without it the summary's ``violations`` lists them for the caller to
+    report.  A shard whose replicas diverged raises either way."""
     from repro.client.workload import ShardedOpenLoopGenerator
 
     deployment = ShardedDeployment(
@@ -63,8 +67,12 @@ def run_shard_point(
     deployment.finalize()
     if check:
         deployment.assert_ok()
+    else:
+        for cluster in deployment.clusters:
+            cluster.assert_safety()
 
     summary = deployment.summary()
+    summary["violations"] = [str(v) for v in deployment.all_violations()]
     summary["protocol"] = protocol
     summary["seed"] = seed
     summary["offered_tps_per_shard"] = rate_tps

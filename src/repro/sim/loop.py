@@ -4,8 +4,11 @@
 randomness in a run (network jitter, client arrivals, election timeouts)
 must come from :attr:`Simulator.rng` or a generator forked from it via
 :meth:`fork_rng`, so a run is a pure function of ``(configuration, seed)``.
-The hottest streams are read in blocks (:func:`normal_block`,
-:func:`exponential_block`), each value the float the stdlib would draw.
+The hottest streams are read in blocks, each value what the stdlib would
+draw: floats (:func:`normal_block`, :func:`exponential_block`) or the raw
+32-bit words (:func:`word_block`) that the workload generators decode in
+line into the stdlib's ``random``, ``randrange``, ``choice``, ``sample``,
+``expovariate`` and ``lognormvariate`` draws.
 
 Two scheduling paths share one ``(time, seq)`` order:
 
@@ -24,6 +27,7 @@ that interleave simulation with checks (the cluster harness, campaigns).
 from __future__ import annotations
 
 import random
+import struct
 from heapq import heappop
 from itertools import repeat, starmap
 from math import cos, inf, log, pi, sin, sqrt
@@ -234,4 +238,32 @@ def exponential_block(rng: random.Random) -> list[float]:
         sub, repeat(1.0), starmap(rng.random, repeat((), DRAW_BLOCK))))))
 
 
-__all__ = ["DRAW_BLOCK", "Simulator", "exponential_block", "normal_block"]
+_WORDS = struct.Struct(f"<{DRAW_BLOCK}I")
+
+#: ``random()`` is a 53-bit integer over this.
+TWO_53 = 9007199254740992.0
+
+#: A ``randrange`` bound decoded from one word is below this.
+WORD_BOUND = 1 << 32
+
+
+def word_block(rng: random.Random) -> "tuple[int, ...]":
+    """The next 32-bit Mersenne Twister outputs of ``rng``, in draw order.
+
+    ``getrandbits(32 * n)`` draws ``n`` outputs and places the first in
+    the lowest 32 bits, so splitting it little-endian gives them back one
+    by one.  The stdlib builds every draw from these words:
+
+    * ``random()`` from two, ``a`` and ``b``: ``((a >> 5) * 67108864.0 +
+      (b >> 6)) / TWO_53``;
+    * ``randrange(n)`` (and ``choice``, ``sample``) for ``0 < n <
+      WORD_BOUND`` from one ``w >> (32 - n.bit_length())``, drawn again
+      while it is at least ``n``;
+    * ``expovariate`` and ``lognormvariate`` from ``random()`` values.
+    """
+    return _WORDS.unpack(
+        rng.getrandbits(32 * DRAW_BLOCK).to_bytes(4 * DRAW_BLOCK, "little"))
+
+
+__all__ = ["DRAW_BLOCK", "Simulator", "TWO_53", "WORD_BOUND",
+           "exponential_block", "normal_block", "word_block"]

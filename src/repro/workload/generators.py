@@ -19,18 +19,27 @@ The engine's ``next_gap_ms`` / ``next_client`` / ``next_key_rank`` are
 the per-arrival definition (and the oracle the property tests run the
 stream against); :class:`TrafficGenerator` makes the same draws from the
 spec compiled into segments once (:meth:`WorkloadSpec.segments`), so an
-arrival asks the spec nothing.
+arrival asks the spec nothing.  It decodes them, in the same order, from
+the stream's 32-bit words (:func:`~repro.sim.loop.word_block`), the third
+block reader beside the normal and exponential ones: the client's
+``randrange`` from one word (another while it is out of range), the
+rank's ``random()`` from two, and the gap's ``expovariate`` from two or
+``lognormvariate`` from four per Kinderman-Monahan try.  So a population
+is below 2**32 (:class:`WorkloadSpec` refuses more), and a draw makes no
+call.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import repeat
+from random import NV_MAGICCONST
 from typing import Optional
 
 from repro.chain.transaction import mint_batch
 from repro.client.workload import ArrivalStream, QueueSource, caught_up
-from repro.sim.loop import Simulator
+from repro.sim.loop import TWO_53, Simulator, word_block
 from repro.workload.spec import WorkloadSpec
 
 #: Re-probe delay when the instantaneous rate is ~0 (population outage,
@@ -136,6 +145,9 @@ class TrafficGenerator(ArrivalStream):
         # The spec's segments, then an end marker no instant reaches.
         self._segments = spec.segments() + ((math.inf, 0.0, (), 0),)
         self._segment = 0
+        # The stream's words (word_block); ``_words[_pos]`` is next.
+        self._words: "tuple[int, ...]" = ()
+        self._pos = 0
 
     engine = caught_up("_engine", "The draw engine, its counters current.")
     record = caught_up("_record", "The (time_ms, client, rank) triples so far.")
@@ -147,61 +159,102 @@ class TrafficGenerator(ArrivalStream):
         self._next_at, self._probing = self.sim.now, True
 
     def _emit_through(self, now: float) -> None:
-        # ArrivalEngine's three draws in line, over the compiled segments:
-        # per arrival only the RNG draws, one sin, one log and the row's
-        # append make calls; the rows are minted as one batch at the end.
-        # Float for float the engine's arithmetic: base share, x diurnal,
-        # x each boost.
+        # ArrivalEngine's three draws in line, over the compiled segments,
+        # each decoded from the stream's 32-bit words (see word_block) into
+        # what the stdlib returns: randrange one word, shifted, drawn
+        # again while out of range; random() two; a Kinderman-Monahan try
+        # of lognormvariate four.  Decoding an arrival only reads words,
+        # so an arrival that runs off the block is decoded again from its
+        # first word over the block's tail and a fresh block.  Per arrival
+        # only one sin, the logs, one exp and the row's append make calls;
+        # ranks are bisected, payloads formatted and rows minted once per
+        # catch-up.  Float for float the engine's arithmetic: base share,
+        # x diurnal, x each boost.
         engine, spec, record = self._engine, self.spec, self._record
         rng, cdf = engine.rng, engine._zipf_cdf
-        randrange, uniform = rng.randrange, rng.random
+        words, pos = self._words, self._pos
         poisson, shift = spec.arrival == "poisson", engine._lognormal_shift
         sigma, size = spec.lognormal_sigma, spec.payload_size
         amplitude, period = spec.diurnal_amplitude, spec.diurnal_period_ms
-        two_pi, sin, log = 2.0 * math.pi, math.sin, math.log
+        two_pi, sin, log, exp = 2.0 * math.pi, math.sin, math.log, math.exp
         rows: list = []
         row = rows.append
         segments, index = self._segments, self._segment
         _, share, boosts, population = segments[index]
         bound = segments[index + 1][0]
+        drop = 32 - population.bit_length()
         flashed, turns = engine.flash_arrivals, engine.churn_transitions
         last_population = engine._last_population
         at, probing, seq = self._next_at, self._probing, self._seq
+        first, u = seq, 0.0
         while at <= now:
             while at >= bound:
                 index += 1
                 _, share, boosts, population = segments[index]
                 bound = segments[index + 1][0]
-            if not probing:
-                if population != last_population:
-                    turns += 1
-                    last_population = population
-                client = randrange(population)
-                if boosts:
-                    flashed += 1
-                rank = bisect_left(cdf, uniform()) if cdf else -1
-                seq += 1
-                row((client, seq, f"SET k{rank} v{seq}" if rank >= 0 else "",
-                     at))
-                if record is not None:
-                    record.append((at, client, rank))
+                drop = 32 - population.bit_length()
             rate = share
             if amplitude:
                 rate *= 1.0 + amplitude * sin(two_pi * at / period)
             for boost in boosts:
                 rate *= boost
-            # ~0: probe later with no client/key draw.
+            mark = pos
+            try:
+                if not probing:
+                    client = words[pos] >> drop
+                    pos += 1
+                    while client >= population:
+                        client = words[pos] >> drop
+                        pos += 1
+                    if cdf:
+                        u = ((words[pos] >> 5) * 67108864.0
+                             + (words[pos + 1] >> 6)) / TWO_53
+                        pos += 2
+                # ~0: probe later with no client/key draw.
+                if rate <= _MIN_RATE_TPS:
+                    gap = _IDLE_PROBE_MS
+                elif poisson:
+                    gap = -log(1.0 - ((words[pos] >> 5) * 67108864.0
+                                      + (words[pos + 1] >> 6)) / TWO_53
+                               ) / (1.0 / (1000.0 / rate))
+                    pos += 2
+                else:
+                    while True:
+                        u2 = 1.0 - ((words[pos + 2] >> 5) * 67108864.0
+                                    + (words[pos + 3] >> 6)) / TWO_53
+                        z = NV_MAGICCONST * (
+                            ((words[pos] >> 5) * 67108864.0
+                             + (words[pos + 1] >> 6)) / TWO_53 - 0.5) / u2
+                        pos += 4
+                        if z * z / 4.0 <= -log(u2):
+                            break
+                    gap = exp(log(1000.0 / rate) - shift + z * sigma)
+            except IndexError:
+                words, pos = words[mark:] + word_block(rng), 0
+                continue
+            if not probing:
+                if population != last_population:
+                    turns += 1
+                    last_population = population
+                if boosts:
+                    flashed += 1
+                seq += 1
+                row((client, u, at))
             probing = rate <= _MIN_RATE_TPS
-            if probing:
-                at = at + _IDLE_PROBE_MS
-            elif poisson:
-                at = at + rng.expovariate(1.0 / (1000.0 / rate))
-            else:
-                at = at + rng.lognormvariate(log(1000.0 / rate) - shift, sigma)
+            at = at + gap
         if rows:
-            clients, seqs, payloads, instants = zip(*rows)
+            clients, uniforms, instants = zip(*rows)
+            seqs = range(first + 1, seq + 1)
+            if cdf:
+                ranks = list(map(bisect_left, repeat(cdf), uniforms))
+                payloads = map("SET k{} v{}".format, ranks, seqs)
+            else:
+                ranks, payloads = repeat(-1), repeat("")
             self._in_flight += mint_batch(clients, seqs, payloads, size,
                                           instants)
+            if record is not None:
+                record.extend(zip(instants, clients, ranks))
+        self._words, self._pos = words, pos
         self._next_at, self._probing, self._seq = at, probing, seq
         self._segment = index
         engine.flash_arrivals, engine.churn_transitions = flashed, turns

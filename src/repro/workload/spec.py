@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.sim.loop import WORD_BOUND
+
 
 @dataclass(frozen=True)
 class FlashCrowd:
@@ -59,6 +61,9 @@ class ChurnEvent:
             raise ValueError("churn event time must be >= 0")
         if self.population <= 0:
             raise ValueError("churn population must be > 0 (use rate for outages)")
+        if self.population >= WORD_BOUND:
+            raise ValueError(f"churn population must be below 2**32 (a client "
+                             f"is one word's draw), got {self.population}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,9 @@ class WorkloadSpec:
             raise ValueError(f"unknown arrival process {self.arrival!r}")
         if self.lognormal_sigma <= 0:
             raise ValueError("lognormal_sigma must be > 0")
-        if self.clients <= 0:
-            raise ValueError("clients must be > 0")
+        if not 0 < self.clients < WORD_BOUND:
+            raise ValueError(f"clients must be in [1, 2**32) (a client is one "
+                             f"word's draw), got {self.clients}")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
         if self.diurnal_period_ms <= 0:

@@ -399,6 +399,29 @@ class TestCommands:
     def test_workload_commands_print_the_pinned_tables(self, capsys):
         assert pinned_stdout(capsys) == STDOUT_PIN.read_text(encoding="utf-8")
 
+    def test_a_failing_shard_point_is_reported_not_raised(self, capsys):
+        """A 150 ms quiesce is too short for WAN 2PC: the two-shard point
+        ends holding locks.  It is printed like a failing campaign, with
+        a reproduce line that fails the same way, and the exit is 1."""
+        flags = ("--f 1 --duration 500 --warmup 50 --quiesce 150 "
+                 "--rate 1000 --cross-fraction 0.2 --batch 20 --payload 16 "
+                 "--network WAN").split()
+        assert main(["shard", "--shards", "1", "2", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert "S=1" in out and "S=2" in out  # the table still prints
+        header, *rest = err.strip().splitlines()
+        assert header == "FAIL 2 shards seed 0: 2 violation(s)"
+        assert all("[cross-shard-atomicity]" in line and "still holds locks"
+                   in line for line in rest[:2])
+        assert rest[2:] == [
+            "  reproduce with:",
+            "    python -m repro shard --shards 2 --network WAN "
+            "--duration 500.0 --warmup 50.0 --quiesce 150.0 --rate 1000.0 "
+            "--cross-fraction 0.2 --batch 20 --payload 16"]
+        assert main(rest[3].split()[3:]) == 1
+        assert capsys.readouterr().err.strip().splitlines()[:3] == \
+            [header, *rest[:2]]
+
     def test_compare_runs_multiple(self, capsys):
         code = main(["compare", "achilles", "braft", "--f", "1",
                      "--batch", "20", "--payload", "16",

@@ -11,7 +11,8 @@ import pytest
 
 from repro.chain.transaction import Transaction
 from repro.client.workload import (DROP_DUPLICATE, DROP_OVERFLOW,
-                                   QueueSource)
+                                   QueueSource, ShardedOpenLoopGenerator)
+from repro.shard.ranges import ShardMap
 from repro.sim.loop import Simulator
 from repro.workload.generators import (_IDLE_PROBE_MS, ArrivalEngine,
                                        TrafficGenerator)
@@ -35,6 +36,15 @@ class TestWorkloadSpec:
             ChurnEvent(10.0, 0)
         with pytest.raises(ValueError):
             FlashCrowd(0.0, 0.0, 2.0)
+
+    def test_a_client_is_one_words_draw(self):
+        """The generator decodes a client from one 32-bit word, so the
+        population stays below 2**32 — at every churn step too."""
+        WorkloadSpec(clients=2**32 - 1, churn=(ChurnEvent(1.0, 2**32 - 1),))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            WorkloadSpec(clients=2**32)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            ChurnEvent(1.0, 2**32)
 
     def test_population_steps_at_churn_events(self):
         spec = WorkloadSpec(clients=100,
@@ -265,3 +275,24 @@ class TestBoundedQueueSource:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             QueueSource(capacity=0)
+
+
+class TestShardedGenerator:
+    class Router:
+        shard_map = ShardMap.uniform(4)
+
+    @pytest.mark.parametrize("keys_per_shard", [0, -1, 2**32])
+    def test_a_key_is_one_words_draw(self, keys_per_shard):
+        """A key's ``choice`` is decoded from one 32-bit word, so a pool
+        holds at least one key and fewer than 2**32: refused before any
+        pool is built."""
+        with pytest.raises(ValueError, match="keys_per_shard"):
+            ShardedOpenLoopGenerator(Simulator(seed=1), self.Router(), None,
+                                     rate_tps=10.0,
+                                     keys_per_shard=keys_per_shard)
+
+    def test_one_key_per_shard(self):
+        generator = ShardedOpenLoopGenerator(
+            Simulator(seed=1), self.Router(), None, rate_tps=10.0,
+            keys_per_shard=1)
+        assert [len(pool) for pool in generator.keys_by_shard] == [1] * 4
