@@ -195,11 +195,13 @@ def test_every_module_is_reachable_from_something_a_user_runs():
 def test_workloads_import_closure_does_not_grow():
     code = ("import sys; sys.path[:0] = ['src', 'benchmarks/perf']; "
             "import workloads; "
-            "print(sum(m == 'repro' or m.startswith('repro.') "
-            "for m in sys.modules))")
+            "print(*sorted(m for m in sys.modules "
+            "if m == 'repro' or m.startswith('repro.')))")
     out = subprocess.run([sys.executable, "-c", code], cwd=REPO, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert int(out.stdout) <= WORKLOADS_CLOSURE
+    loaded = out.stdout.split()
+    assert len(loaded) <= WORKLOADS_CLOSURE, \
+        f"{len(loaded)} repro modules loaded: {' '.join(loaded)}"
 
 
 def _is_dunder_all(node) -> bool:
