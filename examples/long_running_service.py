@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import MetricsCollector, ProtocolConfig, SaturatedSource, build_achilles_cluster
 from repro.client.client import SimulatedClient
-from repro.faults.crash import CrashRebootSchedule
+from repro.faults.scenarios import CrashRebootSchedule
 from repro.net.latency import LAN_PROFILE
 
 

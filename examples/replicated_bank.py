@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro import MetricsCollector, QueueSource, SimulatedClient, build_achilles_cluster
 from repro.chain.execution import KVStateMachine
 from repro.consensus.config import ProtocolConfig
-from repro.faults.crash import crash_and_reboot
+from repro.faults.scenarios import crash_and_reboot
 from repro.net.latency import LAN_PROFILE
 
 ACCOUNTS = ["alice", "bob", "carol", "dave"]

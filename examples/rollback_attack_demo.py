@@ -79,7 +79,7 @@ def achilles_has_no_attack_surface() -> None:
     print("— Achilles (rollback-resilient recovery) " + "—" * 19)
     from repro import MetricsCollector, ProtocolConfig, SaturatedSource, \
         build_achilles_cluster
-    from repro.faults.crash import crash_and_reboot
+    from repro.faults.scenarios import crash_and_reboot
     from repro.net.latency import LAN_PROFILE
 
     config = ProtocolConfig.tee_committee(f=F, batch_size=50, payload_size=64,

@@ -1,7 +1,10 @@
 """Fault injection.
 
-* :mod:`repro.faults.crash` — crash/reboot schedules driving the recovery
-  experiments (Table 2) and liveness-under-churn tests.
+* :mod:`repro.faults.scenarios` — the :class:`Crash` event and the one
+  function that installs crashes, reboots and rollback attacks; the
+  f-bounded crash/reboot schedules driving the recovery experiments
+  (Table 2); and the phase-scheduled fault plans of the soak campaigns
+  (:mod:`repro.harness.soak`).
 * :mod:`repro.faults.byz` — the composable Byzantine strategy engine:
   small stackable behaviors (equivocation, vote withholding, decide
   hiding, recovery lying/replay, counter skipping, stale-seal feeding,
@@ -11,8 +14,6 @@
 * :mod:`repro.faults.chaos` — seeded chaos campaigns composing crashes,
   rollback attacks, partitions, delays, client churn, lossy fabrics, and
   Byzantine replicas, run under the always-on invariant monitors.
-* :mod:`repro.faults.scenarios` — phase-scheduled fault plans for the soak
-  campaigns (:mod:`repro.harness.soak`).
 * :mod:`repro.faults.powercut` — exhaustive mid-write power-cut
   exploration over the durability journal.
 

@@ -42,7 +42,7 @@ from typing import Any, Optional, Type
 
 from repro.crypto.hashing import digest_of
 from repro.errors import EnclaveAbort
-from repro.tee.rollback import RollbackAttacker
+from repro.tee.rollback import RollbackAttacker, mount_rollback_attack
 
 #: Key under which a Byzantine replica persists captured recovery
 #: responses in its *untrusted* store — host-side disk, so the capture
@@ -437,7 +437,7 @@ class StaleSealStrategy(ByzStrategy):
     def pre_reboot(self, node: Any,
                    attacker: Optional[RollbackAttacker]) -> Optional[RollbackAttacker]:
         if attacker is None:
-            attacker = RollbackAttacker(store=node.checker.store)
+            attacker = mount_rollback_attack(node)
         attacker.serve_oldest("rstate")
         self.attempts += 1
         self.state["attacker"] = attacker

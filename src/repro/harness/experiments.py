@@ -17,7 +17,7 @@ import pathlib
 from functools import partial
 from typing import Optional, Sequence
 
-from repro.faults.crash import crash_and_reboot
+from repro.faults.scenarios import crash_and_reboot
 from repro.harness.metrics import MetricsCollector
 from repro.harness.parallel import parallel_map, run_experiments
 from repro.harness.runner import (

@@ -5,8 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.node import NodeStatus
-from repro.faults.crash import CrashRebootSchedule, crash_and_reboot
 from repro.errors import ConfigurationError
+from repro.faults.scenarios import (
+    LEADER,
+    Crash,
+    CrashRebootSchedule,
+    crash_and_reboot,
+    install_crashes,
+)
 
 from tests.conftest import achilles_cluster, fast_config
 
@@ -162,6 +168,60 @@ class TestConcurrentRecoveries:
         # until... in fact replies can only come from RUNNING nodes, and
         # only node 4 is running — recovery cannot complete.
         assert len(stuck) == 4
+
+
+#: rule -> (crashes on a 3-replica cluster, fired, skipped, attackers,
+#: the (kind, time, node) crash and reboot records the run leaves; a
+#: ``LEADER`` node there is the replica that led when the crash fired).
+INSTALLER_RULES = {
+    "a guarded crash while a replica is down is skipped": (
+        [Crash(80.0, 1, 150.0), Crash(100.0, 2, 120.0, guarded=True)],
+        1, 1, 0, [("crash", 80.0, 1), ("reboot", 150.0, 1)]),
+    # At 70 ms the replicas are in views 76, 75 and 75: replica 1 leads.
+    "LEADER hits the replica that leads at fire time": (
+        [Crash(70.0, LEADER, 80.0)],
+        1, 0, 0, [("crash", 70.0, LEADER), ("reboot", 80.0, LEADER)]),
+    "an unguarded crash of a crashed replica still fires": (
+        [Crash(80.0, 1, 120.0), Crash(90.0, 1, 130.0)],
+        2, 0, 0, [("crash", 80.0, 1), ("crash", 90.0, 1),
+                  ("reboot", 120.0, 1), ("reboot", 130.0, 1)]),
+    "each rollback reboot mounts its own attacker": (
+        [Crash(80.0, 2, 90.0, rollback=True),
+         Crash(250.0, 2, 260.0, rollback=True)],
+        2, 0, 2, [("crash", 80.0, 2), ("reboot", 90.0, 2),
+                  ("crash", 250.0, 2), ("reboot", 260.0, 2)]),
+    "the reboot lands at reboot_at_ms": (
+        [Crash(80.3, 0, 97.1)],
+        1, 0, 0, [("crash", 80.3, 0), ("reboot", 97.1, 0)]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(INSTALLER_RULES))
+def test_install_crashes_keeps_its_rules(rule):
+    crashes, fired, skipped, attackers, records = INSTALLER_RULES[rule]
+    cluster = achilles_cluster(f=1)
+    leaders: list = []
+
+    def note_leader():
+        views = [node.view for node in cluster.nodes if node.alive]
+        leaders.append(cluster.nodes[0].leader_of(max(views)))
+
+    for crash in crashes:
+        if crash.node == LEADER:  # queued first, so it fires first
+            cluster.sim.schedule_at(crash.at_ms, note_leader)
+    log = install_crashes(cluster, crashes)
+    cluster.start()
+    cluster.run(500.0)
+    cluster.assert_safety()
+    assert (log.fired, log.skipped) == (fired, skipped)
+    assert len(log.attackers) == len({id(a) for a in log.attackers}) \
+        == attackers
+    assert log.rollbacks_mounted == 0  # Achilles never unseals its state
+    expected = [(kind, at, leaders[0] if node == LEADER else node)
+                for kind, at, node in records]
+    assert [(e.kind, e.time, e.node) for e in cluster.sim.trace.events
+            if e.kind in ("crash", "reboot")] == expected
+    assert all(node.status is NodeStatus.RUNNING for node in cluster.nodes)
 
 
 class TestRecoveryMetrics:

@@ -22,7 +22,7 @@ from repro.core.node import AchillesNode, NodeStatus
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.errors import EnclaveAbort
 from repro.faults.byz import make_byzantine
-from repro.faults.crash import crash_and_reboot
+from repro.faults.scenarios import crash_and_reboot
 from repro.net.latency import LAN_PROFILE
 from repro.client.workload import SaturatedSource
 from repro.harness.metrics import MetricsCollector

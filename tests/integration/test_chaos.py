@@ -15,7 +15,7 @@ import pytest
 from repro.consensus.base import NodeStatus
 from repro.errors import ChainError, ConfigurationError
 from repro.faults.chaos import ChaosSpec, generate_campaign, run_chaos
-from repro.faults.crash import CrashRebootSchedule
+from repro.faults.scenarios import CrashRebootSchedule
 
 
 SMOKE = ChaosSpec(duration_ms=2200.0, quiesce_ms=900.0, warmup_ms=150.0)
@@ -255,8 +255,9 @@ DETECTORS = {
 }
 
 
-def run_rollback_plan(protocol: str, seed: int, monkeypatch):
-    """One ROLLBACK_PLAN campaign: its result, the replicas that recorded
+def run_rollback_plan(protocol: str, seed: int, monkeypatch,
+                      plan=ROLLBACK_PLAN):
+    """One ``plan`` campaign: its result, the replicas that recorded
     ``rollback_detected`` (in order), and the cluster it ran on."""
     from repro.faults import chaos
     from repro.sim.trace import TraceRecorder
@@ -278,7 +279,7 @@ def run_rollback_plan(protocol: str, seed: int, monkeypatch):
 
     monkeypatch.setattr(TraceRecorder, "record", spy)
     monkeypatch.setattr(chaos, "build_deployment", keep)
-    result = run_chaos(ChaosSpec(protocol=protocol, **ROLLBACK_PLAN), seed)
+    result = run_chaos(ChaosSpec(protocol=protocol, **plan), seed)
     return result, detected, deployments[0].cluster
 
 
@@ -294,6 +295,19 @@ def test_the_rolled_back_victim_detects_the_rollback(protocol, seed,
     assert result.rollbacks_mounted == len(detected)
     spec = ChaosSpec(protocol=protocol, **ROLLBACK_PLAN)
     assert tuple(detected) == generate_campaign(spec, seed).rollback_victims
+
+
+@pytest.mark.parametrize("protocol,seed,victim", [("damysus-r", 26, 4),
+                                                  ("oneshot-r", 5, 3)])
+def test_a_victim_crashed_twice_counts_both_rollbacks(protocol, seed, victim,
+                                                      monkeypatch):
+    """The default plan crashes the halted victim again: it reboots under
+    a fresh attacker and detects the rollback a second time, and both
+    episodes' attacks are counted."""
+    result, detected, _ = run_rollback_plan(protocol, seed, monkeypatch,
+                                            plan=dict(f=2))
+    assert detected == [victim, victim]
+    assert result.rollbacks_mounted == len(detected)
 
 
 @pytest.mark.parametrize("protocol", sorted(DETECTORS))

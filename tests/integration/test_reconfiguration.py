@@ -151,7 +151,7 @@ class TestReconfigurationRecoveryHazard:
         """A member that reboots *after* a replacement recovers from the
         current group (its requests go to everyone it knows; replies from
         the live quorum satisfy Algorithm 3)."""
-        from repro.faults.crash import crash_and_reboot
+        from repro.faults.scenarios import crash_and_reboot
 
         cluster = reconf_cluster()
         TestReplacement._run_replacement(TestReplacement(), cluster,

@@ -7,7 +7,7 @@ import pytest
 from repro.client.workload import SaturatedSource
 from repro.core.node import AchillesNode, NodeStatus
 from repro.core.protocol import build_achilles_cluster
-from repro.faults.crash import crash_and_reboot
+from repro.faults.scenarios import crash_and_reboot
 from repro.harness.metrics import MetricsCollector
 from repro.net.latency import WAN_PROFILE
 

@@ -243,7 +243,7 @@ class TestAchillesIsRollbackResilient:
         attacker = RollbackAttacker(store=node.checker.store)
         attacker.serve_nothing(f"{node.checker.identity}/rstate")
 
-        from repro.faults.crash import crash_and_reboot
+        from repro.faults.scenarios import crash_and_reboot
 
         crash_and_reboot(cluster, node_id=2, at_ms=100.0, downtime_ms=10.0)
         cluster.start()
@@ -276,7 +276,7 @@ class TestAchillesIsRollbackResilient:
                 votes.append(payload.cert)
 
         cluster.network.adversary.intercept = spy
-        from repro.faults.crash import crash_and_reboot
+        from repro.faults.scenarios import crash_and_reboot
 
         crash_and_reboot(cluster, node_id=2, at_ms=100.0, downtime_ms=10.0)
         crash_and_reboot(cluster, node_id=2, at_ms=350.0, downtime_ms=10.0)

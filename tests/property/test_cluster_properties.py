@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.faults.crash import CrashRebootSchedule
+from repro.faults.scenarios import CrashRebootSchedule
 
 from tests.conftest import achilles_cluster, fast_config
 

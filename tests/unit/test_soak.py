@@ -7,8 +7,7 @@ import pytest
 from repro.consensus.config import ProtocolConfig
 from repro.consensus.pacemaker import Pacemaker
 from repro.errors import ConfigurationError
-from repro.faults.scenarios import (LEADER, SCENARIOS, SoakCrash,
-                                    build_plan)
+from repro.faults.scenarios import LEADER, SCENARIOS, build_plan
 from repro.harness.metrics import WindowedLatencyStats
 from repro.harness.soak import (HealthWindow, SoakSpec, _bucket,
                                 detect_degradation_cycle,
@@ -175,9 +174,15 @@ class TestScenarioPlans:
         assert "recoveries" not in without.require
         assert "view-changes" not in without.require
 
-    def test_crash_event_validation_fields(self):
-        c = SoakCrash(at_ms=1.0, node=0, reboot_at_ms=2.0)
-        assert c.guarded and not c.rollback
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_only_the_storms_guard_their_crashes(self, scenario):
+        """Storm crashes are skipped while a replica is down; sub-quorum's
+        f concurrent crashes are the scenario, so they always fire."""
+        crashes = self._plan(scenario, n=4, f=1, quorum=3).crashes
+        guarded = scenario in ("leader-storm", "recovery-under-load",
+                               "rollback-loop")
+        assert crashes or scenario == "flash-crowd"
+        assert all(c.guarded is guarded for c in crashes)
 
 
 class TestPacemakerDamping:
