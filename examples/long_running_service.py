@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import MetricsCollector, ProtocolConfig, SaturatedSource, build_achilles_cluster
 from repro.client.client import SimulatedClient
-from repro.faults.scenarios import CrashRebootSchedule
+from repro.faults.scenarios import Crash, install_crashes
 from repro.net.latency import LAN_PROFILE
 
 
@@ -38,11 +38,10 @@ def main() -> None:
         listener=collector, seed=99,
     )
 
-    # Rolling churn: every node reboots once, well apart.
-    CrashRebootSchedule.rolling(
-        node_ids=[1, 3, 0], start_ms=800.0, spacing_ms=1200.0,
-        downtime_ms=15.0,
-    ).apply(cluster)
+    # Rolling churn: three nodes reboot once each, well apart.
+    install_crashes(cluster, [
+        Crash(at, node, at + 15.0)
+        for node, at in ((1, 800.0), (3, 2000.0), (0, 3200.0))])
 
     cluster.start()
     cluster.run(5000.0)

@@ -64,9 +64,9 @@ def validate_write(key: str, value: str) -> None:
     """Typed admission check for one ``SET`` write.
 
     Raises :class:`StateMachineError` on an empty key or an oversized
-    value; shared by :meth:`KVStateMachine.apply` and the shard router so
-    a bad write is rejected at the door with the same error it would die
-    with at apply time on every replica.
+    value; shared by :meth:`KVStateMachine.apply_batch` and the shard
+    router so a bad write is rejected at the door with the same error it
+    would die with at apply time on every replica.
     """
     if not key:
         raise StateMachineError("SET with an empty key")
@@ -136,10 +136,6 @@ class KVStateMachine:
         vb = value.encode()
         self._state[key] = value
         self._item_bytes[key] = b"l2:s%d:%ss%d:%s" % (len(kb), kb, len(vb), vb)
-
-    def apply(self, tx: Transaction) -> None:
-        """Apply one transaction (the one-element form of the batch)."""
-        self._execute((tx,))
 
     def apply_batch(self, txs: Iterable[Transaction]) -> str:
         """Apply a batch; returns the resulting state root."""

@@ -2,9 +2,9 @@
 
 * :mod:`repro.faults.scenarios` — the :class:`Crash` event and the one
   function that installs crashes, reboots and rollback attacks; the
-  f-bounded crash/reboot schedules driving the recovery experiments
-  (Table 2); and the phase-scheduled fault plans of the soak campaigns
-  (:mod:`repro.harness.soak`).
+  :class:`FaultPlan` chaos and soak campaigns inject and the one
+  f-bounded function that installs it; and the phase-scheduled soak
+  scenarios (:mod:`repro.harness.soak`).
 * :mod:`repro.faults.byz` — the composable Byzantine strategy engine:
   small stackable behaviors (equivocation, vote withholding, decide
   hiding, recovery lying/replay, counter skipping, stale-seal feeding,

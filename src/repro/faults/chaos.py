@@ -1,13 +1,16 @@
 """Seeded chaos campaigns.
 
 A campaign is a reproducible composition of every fault class the
-repository models — crash/reboot schedules (respecting the paper's f-bound
-via :class:`~repro.faults.scenarios.CrashRebootSchedule`), rollback attacks
-(:class:`~repro.tee.rollback.RollbackAttacker` plans), partitions and
-targeted delays (via :class:`~repro.net.adversary.NetworkAdversary`), and
-client churn — generated as a *pure function of* ``(spec, seed)``.
-Re-running a seed reproduces the exact event sequence and the exact
-simulation, so a failing seed is a complete bug report.
+repository models — crash/reboot events (respecting the paper's f-bound),
+rollback attacks (:class:`~repro.tee.rollback.RollbackAttacker` plans),
+partitions and targeted delays (via
+:class:`~repro.net.adversary.NetworkAdversary`), and client churn —
+generated as a *pure function of* ``(spec, seed)`` into one
+:class:`~repro.faults.scenarios.FaultPlan`.  :func:`run_plan` runs a
+campaign as it is given, so a plan with events dropped or edited runs
+through the same body as a generated one; re-running a seed reproduces
+the exact event sequence and the exact simulation, so a failing seed is a
+complete bug report.
 
 The run keeps an :class:`~repro.harness.invariants.InvariantMonitor`
 attached for the whole execution: safety (Theorem 1 prefix consistency,
@@ -35,8 +38,8 @@ from repro.faults.byz import (
     make_byzantine,
     resolve_strategies,
 )
-from repro.faults.scenarios import (Crash, CrashLog, CrashRebootSchedule,
-                                    install_crashes)
+from repro.faults.scenarios import (Crash, FaultPlan, install_plan,
+                                    max_concurrent)
 from repro.harness.invariants import InvariantMonitor
 from repro.harness.runner import (
     CampaignResult,
@@ -48,7 +51,8 @@ from repro.harness.runner import (
     resolve_protocol,
     verdict,
 )
-from repro.net.adversary import NetworkAdversary, PartitionWindow
+from repro.net.adversary import (DelayWindow, NetworkAdversary,
+                                 PartitionWindow)
 from repro.net.faults import LinkFaultModel
 from repro.net.transport import TransportConfig
 
@@ -109,8 +113,6 @@ class ChaosSpec:
     dup: float = 0.0
     reorder: float = 0.0
     corrupt: float = 0.0
-    #: Max extra delay a reordered message picks up.
-    reorder_jitter_ms: float = 8.0
     #: Deterministic pacemaker timeout jitter (see ProtocolConfig).
     timeout_jitter: float = 0.0
     #: Deployment shaping (small and fast — chaos is about logic coverage).
@@ -239,31 +241,16 @@ class ChaosSpec:
 
 
 @dataclass(frozen=True)
-class DelayWindow:
-    """Add ``extra_ms`` to all src→dst traffic during [at, until)."""
-
-    at_ms: float
-    until_ms: float
-    src: Optional[int]
-    dst: Optional[int]
-    extra_ms: float
-
-
-@dataclass(frozen=True)
 class ChaosCampaign:
     """The generated, fully deterministic fault plan for one seed."""
 
     spec: ChaosSpec
     seed: int
     n: int
-    #: (node, crash at, downtime) — max_concurrent ≤ f by construction.
-    crash_events: tuple[tuple[int, float, float], ...]
-    #: Crash victims that additionally get a rollback attack at reboot.
-    rollback_victims: tuple[int, ...]
-    partitions: tuple[PartitionWindow, ...]
-    delays: tuple[DelayWindow, ...]
-    #: (at, rate_tps) client-churn events.
-    churn: tuple[tuple[float, float], ...]
+    #: Honest crashes (``rollback`` on the victims attacked at reboot),
+    #: then the Byzantine self-reboots; partitions, delays, client churn
+    #: as offered-rate changes.  At most f nodes down by construction.
+    faults: FaultPlan
     #: Crash attempts dropped to respect the f-bound (observability: a
     #: campaign must say what it did NOT inject, not silently shrink).
     crashes_dropped: int = 0
@@ -274,10 +261,6 @@ class ChaosCampaign:
     #: Configured strategies inapplicable to this protocol — recorded,
     #: never silently dropped.
     byz_skipped: tuple[str, ...] = ()
-    #: Self-crash events of Byzantine replicas: (node, at, downtime).
-    #: Generated when stale-seal is in play — feeding the enclave a stale
-    #: sealed blob requires the attacker's host to reboot.
-    byz_reboots: tuple[tuple[int, float, float], ...] = ()
 
     def describe(self) -> str:
         """One line summarizing the injected faults."""
@@ -287,15 +270,18 @@ class ChaosCampaign:
                    f"[{','.join(self.byz_strategies)}]")
             if self.byz_skipped:
                 byz += f" (skipped: {','.join(self.byz_skipped)})"
+        crashes = self.faults.crashes
+        honest = sum(c.node not in self.byz_ids for c in crashes)
+        victims = {c.node for c in crashes if c.rollback}
         return (
             f"{self.spec.protocol} f={self.spec.f} seed={self.seed}: "
-            f"{len(self.crash_events)} crash(es) "
+            f"{honest} crash(es) "
             f"({self.crashes_dropped} dropped for f-bound), "
-            f"{len(self.rollback_victims)} rollback(s) "
+            f"{len(victims)} rollback(s) "
             f"({self.rollbacks_skipped} skipped), "
-            f"{len(self.partitions)} partition(s), "
-            f"{len(self.delays)} delay rule(s), "
-            f"{len(self.churn)} churn event(s)" + byz
+            f"{len(self.faults.partitions)} partition(s), "
+            f"{len(self.faults.delays)} delay rule(s), "
+            f"{len(self.faults.rates)} churn event(s)" + byz
         )
 
 
@@ -326,7 +312,11 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
     byz_ids: tuple[int, ...] = ()
     byz_strategies: list[str] = []
     byz_skipped: list[str] = []
-    byz_reboots: list[tuple[int, float, float]] = []
+    # Byzantine self-reboots, generated when stale-seal or stale-snapshot
+    # is in play: feeding the enclave a stale sealed blob requires the
+    # attacker's host to reboot.  They carry no rollback: the strategy
+    # chain's pre_reboot hook mounts the stale blob itself.
+    byz_reboots: list[Crash] = []
     if spec.byz:
         byz_rng = random.Random(f"chaos-byz/{spec.protocol}/{spec.f}/{seed}")
         byz_strategies, byz_skipped = applicable_strategies(
@@ -339,7 +329,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
             for node in byz_ids:
                 downtime = byz_rng.uniform(MIN_DOWNTIME_MS, MAX_DOWNTIME_MS)
                 at = byz_rng.uniform(start, max(start + 1.0, end - downtime))
-                byz_reboots.append((node, at, downtime))
+                byz_reboots.append(Crash(at, node, at + downtime))
         if "stale-snapshot" in byz_strategies:
             # Rolling a snapshot back is only meaningful once several
             # versions have been sealed, so these self-reboots land in the
@@ -350,7 +340,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
             for node in byz_ids:
                 downtime = byz_rng.uniform(MIN_DOWNTIME_MS, MAX_DOWNTIME_MS)
                 at = byz_rng.uniform(late, max(late + 1.0, end - downtime))
-                byz_reboots.append((node, at, downtime))
+                byz_reboots.append(Crash(at, node, at + downtime))
     byz_set = set(byz_ids)
     # Byzantine replicas occupy fault-budget slots for the whole run.
     honest_budget = spec.f - len(byz_ids)
@@ -379,15 +369,17 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
 
     def admits(events: list[tuple[int, float, float]]) -> bool:
         """True iff concurrent honest crashes stay within the budget the
-        Byzantine replicas leave open (f − byz_nodes)."""
-        extended = CrashRebootSchedule()
-        for who, at, downtime in events:
-            extended.add(who, at, effective_end(at, downtime) - at)
-        return extended.max_concurrent() <= honest_budget
+        Byzantine replicas leave open (f − byz_nodes).  Each event holds
+        a slot of its own, a victim crashed twice included."""
+        return max_concurrent(
+            (i, at, effective_end(at, downtime))
+            for i, (_who, at, downtime) in enumerate(events)
+        ) <= honest_budget
 
-    # Crash/reboot events, f-bound enforced at generation time over the
-    # *extended* windows (crash + recovery), never per raw downtime only.
-    schedule = CrashRebootSchedule()
+    # (node, crash at, downtime) events, f-bound enforced at generation
+    # time over the *extended* windows (crash + recovery), never per raw
+    # downtime only.
+    events: list[tuple[int, float, float]] = []
     crashes_dropped = 0
     down_nodes: set[int] = set()
     for _ in range(spec.crashes):
@@ -406,12 +398,12 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
         overlaps_self = any(
             who == node and at < effective_end(other_at, other_down)
             and other_at < effective_end(at, downtime)
-            for who, other_at, other_down in schedule.events
+            for who, other_at, other_down in events
         )
-        if overlaps_self or not admits(schedule.events + [(node, at, downtime)]):
+        if overlaps_self or not admits(events + [(node, at, downtime)]):
             crashes_dropped += 1
             continue
-        schedule.add(node, at, downtime)
+        events.append((node, at, downtime))
         down_nodes.add(node)
 
     # Rollback attacks ride on crash victims.  A detected rollback keeps
@@ -429,7 +421,7 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
         stretched = [
             (who, at, spec.duration_ms - at)
             if (who == node or who in rollback_victims) else (who, at, downtime)
-            for who, at, downtime in schedule.events
+            for who, at, downtime in events
         ]
         if not admits(stretched):
             rollbacks_skipped += 1
@@ -451,28 +443,26 @@ def generate_campaign(spec: ChaosSpec, seed: int) -> ChaosCampaign:
 
     # Client churn: rate swings inside the fault window, then back to base
     # so the post-quiesce liveness check always has traffic to commit.
-    churn: list[tuple[float, float]] = []
-    for _ in range(CHURN_EVENTS):
-        churn.append((rng.uniform(start, end),
-                      rng.uniform(MIN_RATE_TPS, MAX_RATE_TPS)))
-    churn.sort()
-    churn.append((end, spec.base_rate_tps))
+    rates = sorted((rng.uniform(start, end),
+                    rng.uniform(MIN_RATE_TPS, MAX_RATE_TPS))
+                   for _ in range(CHURN_EVENTS))
+    rates.append((end, spec.base_rate_tps))
 
+    crashes = [Crash(at, node, at + downtime,
+                     rollback=node in rollback_victims)
+               for node, at, downtime in events]
     return ChaosCampaign(
         spec=spec,
         seed=seed,
         n=n,
-        crash_events=tuple(schedule.events),
-        rollback_victims=tuple(sorted(rollback_victims)),
-        partitions=tuple(partitions),
-        delays=tuple(delays),
-        churn=tuple(churn),
+        faults=FaultPlan(end, crashes=tuple(crashes + byz_reboots),
+                         partitions=tuple(partitions), delays=tuple(delays),
+                         rates=tuple(rates)),
         crashes_dropped=crashes_dropped,
         rollbacks_skipped=rollbacks_skipped,
         byz_ids=byz_ids,
         byz_strategies=tuple(byz_strategies),
         byz_skipped=tuple(byz_skipped),
-        byz_reboots=tuple(byz_reboots),
     )
 
 
@@ -491,55 +481,24 @@ class ChaosResult(CampaignResult):
     partitions: int
 
 
-def _install(campaign: ChaosCampaign, cluster, monitor,
-             generator) -> CrashLog:
-    """Schedule every campaign event on the cluster's simulator."""
-    sim = cluster.sim
-    spec = campaign.spec
-    # Byzantine self-reboots carry no rollback: the strategy chain's
-    # pre_reboot hook substitutes the stale-blob attacker itself.
-    crash_log = install_crashes(cluster, [
-        Crash(at, node_id, at + downtime,
-              rollback=node_id in campaign.rollback_victims)
-        for node_id, at, downtime in campaign.crash_events
-    ] + [Crash(at, node_id, at + downtime)
-         for node_id, at, downtime in campaign.byz_reboots])
-
-    adversary = cluster.network.adversary
-    for window in campaign.partitions:
-        window.schedule(sim, adversary, campaign.n, "chaos")
-
-    for window in campaign.delays:
-        def slow(w=window):
-            adversary.delay_link(w.src, w.dst, w.extra_ms,
-                                 until_ms=w.until_ms, label="chaos.delay")
-
-        sim.schedule_at(window.at_ms, slow, label="chaos.delay")
-
-    if generator is not None:
-        for at, rate in campaign.churn:
-            def set_rate(rate=rate):
-                generator.rate_tps = rate
-
-            sim.schedule_at(at, set_rate, label="chaos.churn")
-
-    quiesce_at = spec.duration_ms - spec.quiesce_ms
-    sim.schedule_at(quiesce_at, monitor.mark_quiesced, label="chaos.quiesce")
-    return crash_log
-
-
 def run_chaos(spec: ChaosSpec, seed: int,
               trace_path: Optional[str] = None) -> ChaosResult:
-    """Run one seeded campaign and return its (deterministic) result.
+    """Run one seeded campaign and return its (deterministic) result."""
+    return run_plan(generate_campaign(spec, seed), trace_path)
+
+
+def run_plan(campaign: ChaosCampaign,
+             trace_path: Optional[str] = None) -> ChaosResult:
+    """Run ``campaign`` as given and return its (deterministic) result.
 
     ``trace_path`` turns on :mod:`repro.obs` span tracing for the run and
     writes the Perfetto/Chrome trace JSON there — the debugging view of a
     failing seed (tracing never changes simulation outcomes, so the traced
     re-run reproduces the failure exactly).
     """
+    spec, seed = campaign.spec, campaign.seed
     protocol = resolve_protocol(spec.protocol)
     latency = resolve_network(spec.network)
-    campaign = generate_campaign(spec, seed)
     config = campaign_config(protocol, spec, seed)
 
     # Lossy fabric + reliable transport.  Both are pure functions of the
@@ -548,8 +507,7 @@ def run_chaos(spec: ChaosSpec, seed: int,
     faults = transport = None
     if spec.loss or spec.dup or spec.reorder or spec.corrupt:
         faults = LinkFaultModel(loss=spec.loss, dup=spec.dup,
-                                reorder=spec.reorder, corrupt=spec.corrupt,
-                                reorder_jitter_ms=spec.reorder_jitter_ms)
+                                reorder=spec.reorder, corrupt=spec.corrupt)
         transport = TransportConfig()
 
     byzantine_factories = None
@@ -576,7 +534,7 @@ def run_chaos(spec: ChaosSpec, seed: int,
         byzantine_factories=byzantine_factories,
     )
     cluster = deployment.cluster
-    crash_log = _install(campaign, cluster, monitor, deployment.generator)
+    crash_log = install_plan(deployment, campaign.faults, monitor)
     deployment.run(spec.duration_ms)
     deployment.audit(monitor)
     if trace_path is not None:
@@ -615,7 +573,7 @@ def run_chaos(spec: ChaosSpec, seed: int,
             engagement_failures.append(
                 "[snapshot-engagement] cluster: snapshots enabled but no "
                 "snapshot was ever sealed")
-        reboots = len(campaign.crash_events) + len(campaign.byz_reboots)
+        reboots = len(campaign.faults.crashes)
         restores = (snap_totals.get("restored", 0)
                     + snap_totals.get("installed", 0)
                     + snap_totals.get("stale_runs", 0))
@@ -688,9 +646,10 @@ def run_chaos(spec: ChaosSpec, seed: int,
         committed_height=cluster.max_committed_height(),
         min_committed_height=cluster.min_committed_height(),
         recoveries=recoveries,
-        crashes=len(campaign.crash_events),
+        crashes=sum(c.node not in campaign.byz_ids
+                    for c in campaign.faults.crashes),
         rollbacks_mounted=crash_log.rollbacks_mounted,
-        partitions=len(campaign.partitions),
+        partitions=len(campaign.faults.partitions),
         violations=violations,
         sim_events=cluster.sim.events_processed,
         digest=digest,
@@ -702,7 +661,7 @@ __all__ = [
     "ChaosSpec",
     "ChaosCampaign",
     "ChaosResult",
-    "DelayWindow",
     "generate_campaign",
     "run_chaos",
+    "run_plan",
 ]

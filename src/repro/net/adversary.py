@@ -51,23 +51,24 @@ class LinkRule:
 @dataclass(frozen=True)
 class PartitionWindow:
     """Isolate ``group`` from everyone else during [at, until): the
-    scheduled form of :meth:`NetworkAdversary.partition` that campaign
-    plans carry."""
+    scheduled form of :meth:`NetworkAdversary.partition` that fault plans
+    carry."""
 
     at_ms: float
     until_ms: float
     group: tuple[int, ...]
 
-    def schedule(self, sim, adversary: "NetworkAdversary", n: int,
-                 label: str) -> None:
-        """Cut ``group`` off from the rest of an ``n``-node committee at
-        ``at_ms`` and heal the partition at ``until_ms``."""
-        group = set(self.group)
-        rest = set(range(n)) - group
-        sim.schedule_at(self.at_ms, lambda: adversary.partition(group, rest),
-                        label=f"{label}.partition")
-        sim.schedule_at(self.until_ms, adversary.heal_partition,
-                        label=f"{label}.heal")
+
+@dataclass(frozen=True)
+class DelayWindow:
+    """Add ``extra_ms`` to all src→dst traffic during [at, until): the
+    scheduled form of :meth:`NetworkAdversary.delay_link`."""
+
+    at_ms: float
+    until_ms: float
+    src: Optional[int]
+    dst: Optional[int]
+    extra_ms: float
 
 
 @dataclass
@@ -147,4 +148,4 @@ class NetworkAdversary:
         return 0.0
 
 
-__all__ = ["NetworkAdversary", "LinkRule", "PartitionWindow"]
+__all__ = ["NetworkAdversary", "LinkRule", "PartitionWindow", "DelayWindow"]

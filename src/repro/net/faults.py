@@ -73,6 +73,8 @@ class FaultVerdict:
 
 _PASS = FaultVerdict()
 
+#: Max extra delay a reordered message picks up (ms).
+REORDER_JITTER_MS = 8.0
 #: Per-link override key: (src, dst) with None as a wildcard.
 LinkKey = Tuple[Optional[int], Optional[int]]
 
@@ -94,16 +96,14 @@ class LinkFaultModel:
         dup: float = 0.0,
         reorder: float = 0.0,
         corrupt: float = 0.0,
-        reorder_jitter_ms: float = 8.0,
         dup_delay_ms: float = 4.0,
         per_kind: Optional[Mapping[str, FaultRates]] = None,
         per_link: Optional[Mapping[LinkKey, FaultRates]] = None,
     ) -> None:
         self.base = FaultRates(loss=loss, dup=dup, reorder=reorder,
                                corrupt=corrupt)
-        if reorder_jitter_ms < 0.0 or dup_delay_ms < 0.0:
-            raise ConfigurationError("fault delays must be non-negative")
-        self.reorder_jitter_ms = reorder_jitter_ms
+        if dup_delay_ms < 0.0:
+            raise ConfigurationError("dup_delay_ms must be non-negative")
         self.dup_delay_ms = dup_delay_ms
         self.per_kind: Dict[str, FaultRates] = dict(per_kind or {})
         self.per_link: Dict[LinkKey, FaultRates] = dict(per_link or {})
@@ -165,7 +165,7 @@ class LinkFaultModel:
         duplicate = rates.dup > 0.0 and rng.random() < rates.dup
         extra = 0.0
         if rates.reorder > 0.0 and rng.random() < rates.reorder:
-            extra = rng.uniform(0.0, self.reorder_jitter_ms)
+            extra = rng.uniform(0.0, REORDER_JITTER_MS)
             self.reorders += 1
         corrupt = rates.corrupt > 0.0 and rng.random() < rates.corrupt
         corrupt_dup = False

@@ -1,7 +1,7 @@
 """The per-block batch encoders equal the ``digest_of`` reference.
 
 ``tx_list_digest`` (the batch digest ``Block.hash`` and
-``execute_transactions`` share), the ``KVStateMachine.apply`` history
+``execute_transactions`` share), the ``KVStateMachine`` history
 step, ``state_root`` and ``digest_of``'s flat fast path each build their
 canonical bytes in line instead of calling the generic ``_canonical`` per
 item.  The encoding is frozen (``tests/unit/test_crypto.py`` pins its
@@ -111,7 +111,7 @@ class TestBatchEncoders:
         for tx in filter(applicable, txs):
             _, history, applied = machine.snapshot_state()
             effect = reference_effect(tx)
-            machine.apply(tx)
+            machine.apply_batch([tx])
             if effect[0] == "SET":
                 state[effect[1]] = effect[2]
             items, after, count = machine.snapshot_state()
@@ -157,7 +157,7 @@ class TestShardBatch:
         batch, single = ShardStateMachine(), ShardStateMachine()
         batch.apply_batch(txs)
         for tx in txs:
-            single.apply(tx)
+            single.apply_batch([tx])
         history = digest_of("kv-history")
         for tx in txs:
             kind, space, rest = tx.payload.partition(" ")
@@ -208,8 +208,8 @@ class TestStateRootFromOwnState:
         assert target.get("stale") is None
         # ... and stays in step on the writes that follow the install.
         tx = Transaction(2, 0, "SET a 9")
-        source.apply(tx)
-        target.apply(tx)
+        source.apply_batch([tx])
+        target.apply_batch([tx])
         assert target.state_root == source.state_root \
             == self.reference_root(target)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.faults.scenarios import CrashRebootSchedule
+from repro.faults.scenarios import Crash, install_crashes, max_concurrent
 
 from tests.conftest import achilles_cluster, fast_config
 
@@ -28,16 +28,12 @@ class TestSafetyUnderChurn:
         cluster = achilles_cluster(
             f=2, config=fast_config(f=2, base_timeout_ms=30.0), seed=seed,
         )
-        schedule = CrashRebootSchedule(allow_excessive=True)
-        for victim, at, downtime in events:
-            schedule.add(victim, at, downtime)
         # Cap concurrency at f by dropping offending events (the property
         # under test is safety within the model's assumptions).
-        if schedule.max_concurrent() > 2:
-            schedule = CrashRebootSchedule()
-            for victim, at, downtime in events[:1]:
-                schedule.add(victim, at, downtime)
-        schedule.apply(cluster)
+        if max_concurrent((v, at, at + d) for v, at, d in events) > 2:
+            events = events[:1]
+        install_crashes(cluster, [Crash(at, victim, at + downtime)
+                                  for victim, at, downtime in events])
         cluster.start()
         cluster.run(700.0)
         cluster.assert_safety()  # the invariant: never diverge
@@ -58,13 +54,10 @@ class TestScheduleProperties:
     @given(st.lists(crash_events, min_size=1, max_size=8))
     @settings(max_examples=50)
     def test_max_concurrent_matches_bruteforce(self, events):
-        schedule = CrashRebootSchedule()
-        for victim, at, downtime in events:
-            schedule.add(victim, at, downtime)
-        # Brute force: sample instants just after each crash edge.
-        worst = 0
-        for _v, at, _d in events:
-            t = at + 1e-6
-            down = sum(1 for _v2, a2, d2 in events if a2 <= t < a2 + d2)
-            worst = max(worst, down)
-        assert schedule.max_concurrent() >= worst
+        windows = [(victim, at, at + downtime)
+                   for victim, at, downtime in events]
+        # Brute force: the distinct victims down at each crash instant,
+        # where the count can only have just risen.
+        worst = max(len({v for v, a, up in windows if a <= at < up})
+                    for _v, at, _up in windows)
+        assert max_concurrent(windows) == worst

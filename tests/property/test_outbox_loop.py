@@ -62,8 +62,8 @@ class Sink:
 class Twin:
     def __init__(self, seed, lossy, transport, hostile) -> None:
         self.sim = sim = Simulator(seed=seed)
-        faults = LinkFaultModel(loss=0.15, dup=0.3, reorder=0.4, corrupt=0.2,
-                                reorder_jitter_ms=2.0) if lossy else None
+        faults = LinkFaultModel(loss=0.15, dup=0.3, reorder=0.4,
+                                corrupt=0.2) if lossy else None
         self.net = net = Network(sim, latency=LAN_PROFILE, faults=faults,
                                  transport=TransportConfig() if transport
                                  else None)

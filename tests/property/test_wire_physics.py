@@ -248,8 +248,8 @@ class Twin:
     def __init__(self, network_class, seed, latency, synchrony, delta,
                  bandwidth, corrupting, transport) -> None:
         self.sim = sim = Simulator(seed=seed)
-        faults = LinkFaultModel(loss=0.1, dup=0.2, reorder=0.2, corrupt=0.3,
-                                reorder_jitter_ms=1.5) if corrupting else None
+        faults = LinkFaultModel(loss=0.1, dup=0.2, reorder=0.2,
+                                corrupt=0.3) if corrupting else None
         self.net = network_class(
             sim, latency=LATENCIES[latency](),
             bandwidth=BandwidthModel() if bandwidth == "10gbps"

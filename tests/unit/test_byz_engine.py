@@ -118,8 +118,9 @@ class TestCampaignGeneration:
         for seed in range(8):
             campaign = generate_campaign(spec, seed)
             byz = set(campaign.byz_ids)
-            assert not byz & {who for who, _, _ in campaign.crash_events}
-            assert not byz & set(campaign.rollback_victims)
+            # "garbage" schedules no self-reboot, so no crash (and no
+            # rollback riding on one) lands on a Byzantine replica.
+            assert not byz & {c.node for c in campaign.faults.crashes}
 
     def test_no_byz_spec_generates_no_byz_layer(self):
         """A spec without Byzantine strategies yields an empty byz layer —
@@ -127,7 +128,8 @@ class TestCampaignGeneration:
         plain = generate_campaign(ChaosSpec(f=2, crashes=3), 5)
         assert plain.byz_ids == ()
         assert plain.byz_strategies == ()
-        assert plain.byz_reboots == ()
+        # Every crash is an honest attempt: no Byzantine self-reboot.
+        assert len(plain.faults.crashes) + plain.crashes_dropped == 3
 
     def test_inapplicable_strategies_are_recorded_not_dropped(self):
         spec = ChaosSpec(protocol="minbft", byz=("replay-recovery", "garbage"))
@@ -139,11 +141,11 @@ class TestCampaignGeneration:
     def test_stale_seal_schedules_a_byz_self_reboot(self):
         spec = ChaosSpec(protocol="damysus", byz=("stale-seal",))
         campaign = generate_campaign(spec, 1)
-        assert len(campaign.byz_reboots) == 1
-        node, at, downtime = campaign.byz_reboots[0]
-        assert node in campaign.byz_ids
+        [reboot] = [c for c in campaign.faults.crashes
+                    if c.node in campaign.byz_ids]
+        assert not reboot.rollback  # the strategy feeds the stale blob
         start, end = spec.fault_window
-        assert start <= at < end
+        assert start <= reboot.at_ms < end
 
     def test_byz_nodes_shrink_the_honest_crash_budget(self):
         """With byz_nodes == f every honest crash is dropped: Byzantine
@@ -151,5 +153,5 @@ class TestCampaignGeneration:
         spec = ChaosSpec(f=1, crashes=5, byz=("garbage",), byz_nodes=1)
         for seed in range(5):
             campaign = generate_campaign(spec, seed)
-            assert campaign.crash_events == ()
+            assert campaign.faults.crashes == ()
             assert campaign.crashes_dropped == 5

@@ -266,17 +266,17 @@ class TestExecution:
 
     def test_kv_machine_applies_sets(self):
         kv = KVStateMachine()
-        kv.apply(make_tx(1, "SET name achilles"))
+        kv.apply_batch([make_tx(1, "SET name achilles")])
         assert kv.get("name") == "achilles"
         assert kv.applied == 1
 
     def test_kv_machine_root_changes_per_tx(self):
         kv = KVStateMachine()
         r0 = kv.state_root
-        kv.apply(make_tx(1, "opaque payload"))
+        kv.apply_batch([make_tx(1, "opaque payload")])
         r1 = kv.state_root
         assert r0 != r1
-        kv.apply(make_tx(2, "SET a 1"))
+        kv.apply_batch([make_tx(2, "SET a 1")])
         assert kv.state_root != r1
 
     def test_kv_machines_converge_on_same_history(self):

@@ -20,7 +20,7 @@ def _apply(machine: ShardStateMachine, *payloads: str) -> "list[str]":
     for payload in payloads:
         seq = machine.applied + 1000
         tx = _tx(seq, payload)
-        machine.apply(tx)
+        machine.apply_batch([tx])
         outcomes.append(machine.reply_outcome(tx.key))
     return outcomes
 
@@ -116,11 +116,11 @@ class TestPrepareCommitAbort:
         machine = ShardStateMachine()
         for payload in ("TPREP t1", "TPREP t1 nosep", "TDEC t1 maybe"):
             with pytest.raises(StateMachineError):
-                machine.apply(_tx(1, payload))
+                machine.apply_batch([_tx(1, payload)])
 
     def test_plain_writes_fall_through(self):
         machine = ShardStateMachine()
-        machine.apply(_tx(1, "SET k v"))
+        machine.apply_batch([_tx(1, "SET k v")])
         assert machine.get("k") == "v"
 
 

@@ -67,7 +67,7 @@ class TestItemsInRangeAndSplitter:
     def test_items_in_range_is_deterministic_and_sorted(self):
         machine = KVStateMachine()
         for i in range(50):
-            machine.apply(_tx(i, f"SET k{i} v{i}"))
+            machine.apply_batch([_tx(i, f"SET k{i} v{i}")])
         items = machine.items_in_range(0, KEYSPACE)
         assert items == tuple(sorted(items))
         assert len(items) == 50
@@ -76,7 +76,7 @@ class TestItemsInRangeAndSplitter:
     def test_split_items_partitions_state(self):
         machine = KVStateMachine()
         for i in range(80):
-            machine.apply(_tx(i, f"SET k{i} v{i}"))
+            machine.apply_batch([_tx(i, f"SET k{i} v{i}")])
         smap = ShardMap.uniform(4)
         slices = smap.split_items(machine)
         assert len(slices) == 4
@@ -96,7 +96,7 @@ class TestTypedWriteValidation:
             validate_write("", "v")
         machine = KVStateMachine()
         with pytest.raises(StateMachineError):
-            machine.apply(_tx(1, "SET  v"))
+            machine.apply_batch([_tx(1, "SET  v")])
 
     def test_oversized_value_rejected(self):
         validate_write("k", "x" * MAX_VALUE_BYTES)  # at the limit: fine

@@ -49,7 +49,7 @@ class TestFaultModel:
         with pytest.raises(ConfigurationError):
             FaultRates(loss=1.5)
         with pytest.raises(ConfigurationError):
-            LinkFaultModel(reorder_jitter_ms=-1.0)
+            LinkFaultModel(dup_delay_ms=-1.0)
 
     def test_active_and_corrupt_possible(self):
         assert not LinkFaultModel().active
@@ -123,8 +123,7 @@ class TestFabricFaults:
         assert net.stats.corrupt_rejected == 1
 
     def test_reorder_delays_but_delivers(self):
-        sim, net, sinks = _net(faults=LinkFaultModel(reorder=1.0,
-                                                     reorder_jitter_ms=50.0))
+        sim, net, sinks = _net(faults=LinkFaultModel(reorder=1.0))
         net.send(0, 1, "x")
         sim.run()
         assert len(sinks[1].received) == 1
