@@ -123,14 +123,13 @@ class TestScenarioPlans:
                                   "flash-crowd", "recovery-under-load",
                                   "rollback-loop"}
         with pytest.raises(ConfigurationError):
-            build_plan("meteor-strike", n=3, f=1, quorum=2,
+            build_plan("meteor-strike", n=3, f=1,
                        pressure_start_ms=0, pressure_end_ms=100, seed=0,
                        has_recovery=True, clients=10)
 
     def _plan(self, scenario, seed=0, **kw):
         kw.setdefault("n", 3)
         kw.setdefault("f", 1)
-        kw.setdefault("quorum", 2)
         kw.setdefault("pressure_start_ms", 1000.0)
         kw.setdefault("pressure_end_ms", 5000.0)
         kw.setdefault("has_recovery", True)
@@ -178,7 +177,7 @@ class TestScenarioPlans:
     def test_only_the_storms_guard_their_crashes(self, scenario):
         """Storm crashes are skipped while a replica is down; sub-quorum's
         f concurrent crashes are the scenario, so they always fire."""
-        crashes = self._plan(scenario, n=4, f=1, quorum=3).crashes
+        crashes = self._plan(scenario, n=4, f=1).crashes
         guarded = scenario in ("leader-storm", "recovery-under-load",
                                "rollback-loop")
         assert crashes or scenario == "flash-crowd"
