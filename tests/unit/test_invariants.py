@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import Block, GENESIS_HASH
+from repro.chain.transaction import Transaction
 from repro.consensus.config import ProtocolConfig
 from repro.core.node import NodeStatus
 from repro.core.protocol import build_achilles_cluster
@@ -87,6 +88,93 @@ class TestAgreement:
             monitor.on_commit(node, two, now=2.0)
         assert monitor.ok
         monitor.assert_ok()
+
+
+def _tx_block(height: int, parent_hash: str, keys, op: str = "") -> Block:
+    return Block(txs=tuple(Transaction(client_id=c, tx_id=i) for c, i in keys),
+                 op=op, parent_hash=parent_hash, view=height, height=height,
+                 proposer=0)
+
+
+class TestExactlyOnceApply:
+    """A transaction key applied twice by one node trips
+    ``exactly-once-apply``, naming the block that applied it first."""
+
+    def _only(self, monitor) -> list:
+        found = [v for v in monitor.violations
+                 if v.invariant == "exactly-once-apply"]
+        assert len(found) == len(monitor.violations)
+        return found
+
+    def test_a_key_repeated_inside_one_block_trips(self):
+        monitor = InvariantMonitor()
+        block = _tx_block(1, GENESIS_HASH, [(3, 7), (3, 8), (3, 7)])
+        monitor.on_commit(2, block, now=1.0)
+        [violation] = self._only(monitor)
+        assert violation.node == 2
+        assert violation.message == (
+            f"tx (3, 7) applied twice: in block {block.hash[:12]} and "
+            f"again in {block.hash[:12]} (height 1)")
+
+    def test_a_key_repeated_across_two_blocks_trips(self):
+        monitor = InvariantMonitor()
+        first = _tx_block(1, GENESIS_HASH, [(i % 16, i) for i in range(1, 41)])
+        second = _tx_block(2, first.hash, [(i % 16, i) for i in range(41, 81)]
+                           + [(25 % 16, 25)])
+        for node in (0, 1):
+            monitor.on_commit(node, first, now=1.0)
+        monitor.on_commit(1, second, now=2.0)
+        [violation] = self._only(monitor)
+        assert violation.node == 1
+        assert violation.message == (
+            f"tx (9, 25) applied twice: in block {first.hash[:12]} and "
+            f"again in {second.hash[:12]} (height 2)")
+        # Node 0 applies the same second block: its own violation.
+        monitor.on_commit(0, second, now=3.0)
+        assert [v.node for v in self._only(monitor)] == [1, 0]
+
+    def test_per_client_counters_repeat_across_blocks(self):
+        monitor = InvariantMonitor()
+        first = _tx_block(1, GENESIS_HASH, [(10_000, 1), (10_001, 1),
+                                            (10_000, 2)])
+        second = _tx_block(2, first.hash, [(10_001, 2), (10_001, 1)])
+        monitor.on_commit(0, first, now=1.0)
+        monitor.on_commit(0, second, now=2.0)
+        [violation] = self._only(monitor)
+        assert violation.message == (
+            f"tx (10001, 1) applied twice: in block {first.hash[:12]} and "
+            f"again in {second.hash[:12]} (height 2)")
+
+    def test_distinct_keys_in_every_shape_are_clean(self):
+        monitor = InvariantMonitor()
+        shapes = [[(i % 64, i) for i in range(1, 401)],
+                  [(50_000, i) for i in range(1, 30, 3)],
+                  [(c, 1) for c in range(10_000, 10_020)],
+                  [(0, 2**32), (0, 2**40), (-1, 5), (7, -3), (0, 0)]]
+        parent = GENESIS_HASH
+        for height, keys in enumerate(shapes, start=1):
+            block = _tx_block(height, parent, keys)
+            monitor.on_commit(0, block, now=float(height))
+            parent = block.hash
+        assert monitor.ok, [str(v) for v in monitor.violations]
+
+    def test_a_power_cut_replay_does_not_trip(self):
+        monitor = InvariantMonitor()
+        one = _tx_block(1, GENESIS_HASH, [(1, 1), (2, 2)])
+        two = _tx_block(2, one.hash, [(3, 3), (4, 4)])
+        for block in (one, two):
+            monitor.on_commit(0, block, now=1.0)
+        monitor.note_power_cut(0, durable_height=0)
+        for block in (one, two):               # the replay re-commits both
+            monitor.on_commit(0, block, now=2.0)
+        assert monitor.ok, [str(v) for v in monitor.violations]
+        # Past the replay the audit holds again.
+        three = _tx_block(3, two.hash, [(5, 5), (2, 2)])
+        monitor.on_commit(0, three, now=3.0)
+        [violation] = self._only(monitor)
+        assert violation.message == (
+            f"tx (2, 2) applied twice: in block {one.hash[:12]} and "
+            f"again in {three.hash[:12]} (height 3)")
 
 
 class TestDeploymentAudit:
