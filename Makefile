@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-quick bench perf-smoke calls ledger ledger-compare scale \
+.PHONY: test bench-quick bench perf-smoke calls mem ledger ledger-compare scale \
 	scale-smoke chaos \
 	chaos-smoke loss-smoke rollback-smoke byz-smoke snapshot-smoke \
 	trace-smoke shard-smoke shard-chaos shard-sweep soak soak-smoke \
@@ -193,6 +193,8 @@ perf-smoke:
 		--under take,_emit_through > /dev/null
 	$(PYTHON) benchmarks/call_profile.py shard4_2pc --smoke \
 		--under _emit,apply_batch > /dev/null
+	$(PYTHON) benchmarks/mem_profile.py soak_recover_f1 --smoke --by-file \
+		> /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event
@@ -205,6 +207,13 @@ perf-smoke:
 calls:
 	$(PYTHON) benchmarks/call_profile.py $(W) $(if $(OF),--of '$(OF)') \
 		$(if $(BY),--by-$(BY)) $(if $(UNDER),--under '$(UNDER)')
+
+# Where one ledger workload's live memory goes: `make mem W=wan_open_f10`
+# prints the traced memory live at the end of one rep and its peak, and
+# the top allocation sites by source line; BY=file adds the live memory
+# summed per source file.
+mem:
+	$(PYTHON) benchmarks/mem_profile.py $(W) $(if $(BY),--by-$(BY))
 
 # The full performance ledger (all eight workloads, both passes, ~6 min),
 # and the same-seed comparison of two of them: any moved sim_* value or

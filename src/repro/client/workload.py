@@ -15,7 +15,7 @@ from math import log
 from operator import mod, truediv
 from typing import Optional
 
-from repro.chain.transaction import Transaction, mint_batch
+from repro.chain.transaction import Transaction, TxKeySet, mint_batch
 from repro.sim.loop import (TWO_53, WORD_BOUND, Simulator, exponential_block,
                             word_block)
 
@@ -76,11 +76,11 @@ def caught_up(attribute: str, doc: str) -> property:
 class QueueSource:
     """A FIFO mempool fed by generators or simulated clients.
 
-    Deduplicates by transaction key so a client retransmission cannot be
-    executed twice.  An optional ``capacity`` bounds admission: beyond it
-    new submissions are dropped (typed, counted in ``drops``) instead of
-    growing the queue — and the backlog — without bound during overload
-    or an outage.  Dropped transactions do **not** enter the dedup set,
+    Deduplicates by transaction key (a :class:`TxKeySet`, a few bytes a
+    key) so a client retransmission cannot be executed twice.  An
+    optional ``capacity`` bounds admission: beyond it new submissions are
+    dropped (typed, counted in ``drops``) instead of growing the queue —
+    and the backlog — without bound during overload or an outage.  Dropped transactions do **not** enter the dedup set,
     so a client retry after the backlog drains is admitted normally.
 
     ``capacity=None`` (the default) is byte-identical to the historical
@@ -105,7 +105,7 @@ class QueueSource:
             raise ValueError("capacity must be positive (or None = unbounded)")
         self._queue: list[Transaction] = []
         self._head = 0
-        self._seen: set[tuple[int, int]] = set()
+        self._seen = TxKeySet()
         self.capacity = capacity
         self._arrivals: Optional[ArrivalStream] = None
         self._submitted = 0
@@ -119,35 +119,37 @@ class QueueSource:
     def _admit(self, txs: list) -> int:
         """Pass a landed batch through the door in order; how many got in.
 
-        The whole batch is checked at once: distinct keys, none seen
-        before, room for all of it.  Otherwise each transaction goes
-        through :meth:`_admit_each`, so drops and order are the same.
+        The whole batch is checked at once: room for all of it, then
+        distinct keys, none seen before (which marks them seen).
+        Otherwise each transaction goes through :meth:`_admit_each`, so
+        drops and order are the same.
         """
-        keys = {tx.key for tx in txs}
         count, capacity = len(txs), self.capacity
-        if len(keys) == count and self._seen.isdisjoint(keys) and (
-                capacity is None
-                or len(self._queue) - self._head + count <= capacity):
-            self._seen |= keys
+        if (capacity is None
+                or len(self._queue) - self._head + count <= capacity) \
+                and self._seen.add_new(txs):
             self._queue += txs
             self._submitted += count
             return count
         return self._admit_each(txs)
 
     def _admit_each(self, txs) -> int:
-        """Pass ``txs`` through the door one by one; how many got in."""
+        """Pass ``txs`` through the door one by one; how many got in.  A
+        seen key is a duplicate, full or not; a full queue drops the rest
+        as overflow, and does not mark them seen."""
         queue, seen, drops = self._queue, self._seen, self._drops
         capacity, admitted = self.capacity, 0
         for tx in txs:
-            if tx.key in seen:
-                drops[DROP_DUPLICATE] = drops.get(DROP_DUPLICATE, 0) + 1
-            elif capacity is not None and \
+            if capacity is not None and \
                     len(queue) - self._head >= capacity:
-                drops[DROP_OVERFLOW] = drops.get(DROP_OVERFLOW, 0) + 1
-            else:
-                seen.add(tx.key)
+                reason = DROP_DUPLICATE if tx.key in seen else DROP_OVERFLOW
+            elif seen.add(tx.key):
                 queue.append(tx)
                 admitted += 1
+                continue
+            else:
+                reason = DROP_DUPLICATE
+            drops[reason] = drops.get(reason, 0) + 1
         self._submitted += admitted
         return admitted
 

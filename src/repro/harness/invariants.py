@@ -68,10 +68,11 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from repro.chain.block import Block
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxKeySet
 from repro.consensus.base import NodeStatus
 
 
@@ -113,8 +114,12 @@ class InvariantMonitor:
         # subscript, not a setdefault call, per block and node.
         # node -> hashes of every block it committed (no-duplicate-commit)
         self._committed_hashes: dict[int, set[str]] = defaultdict(set)
-        # node -> (tx key -> block hash it was applied in) (exactly-once)
-        self._applied_txs: dict[int, dict[tuple, str]] = defaultdict(dict)
+        # node -> the tx keys it applied, each tagged with its block's
+        # index in the node's applied blocks (exactly-once)
+        self._applied_txs: dict[int, TxKeySet] = defaultdict(
+            partial(TxKeySet, tagged=True))
+        # node -> hash of each block it applied transactions from
+        self._applied_in: dict[int, list[str]] = defaultdict(list)
         # node -> committed blocks not yet covered by a certificate
         self._uncovered: dict[int, deque[tuple[int, str]]] = \
             defaultdict(deque)
@@ -240,25 +245,24 @@ class InvariantMonitor:
             )
         committed.add(block_hash)
 
-        # Exactly-once: one set test per block; the block is walked per
+        # Exactly-once: one batch test per block; the block is walked per
         # transaction only when a key repeats, in it or in what the node
         # applied before, so that path alone words the violations.
-        applied = self._applied_txs[node]
         txs = block.txs
-        fresh = {tx.key: block_hash for tx in txs}
-        if len(fresh) == len(txs) and applied.keys().isdisjoint(fresh):
-            applied.update(fresh)
-        else:
-            for tx in txs:
-                earlier = applied.get(tx.key)
-                if earlier is not None:
-                    self._violate(
-                        "exactly-once-apply", node,
-                        f"tx {tx.key} applied twice: in block {earlier[:12]} "
-                        f"and again in {block_hash[:12]} (height {height})",
-                    )
-                else:
-                    applied[tx.key] = block_hash
+        if txs:
+            applied, blocks = self._applied_txs[node], self._applied_in[node]
+            tag = len(blocks)
+            blocks.append(block_hash)
+            if not applied.add_new(txs, tag):
+                for tx in txs:
+                    if not applied.add(tx.key, tag):
+                        earlier = blocks[applied.tag_of(tx.key)]
+                        self._violate(
+                            "exactly-once-apply", node,
+                            f"tx {tx.key} applied twice: in block "
+                            f"{earlier[:12]} and again in "
+                            f"{block_hash[:12]} (height {height})",
+                        )
 
         self._uncovered[node].append((height, block_hash))
         if self.inner is not None:

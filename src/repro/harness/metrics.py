@@ -18,11 +18,13 @@ A warmup window excludes cold-start effects.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.chain.block import Block
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxKeySet
 
 
 @dataclass
@@ -31,11 +33,13 @@ class LatencyStats:
 
     The sorted view is computed lazily and cached: reports ask for several
     percentiles back to back (p50, p99, ...), and re-sorting tens of
-    thousands of samples per call dominated report generation.
+    thousands of samples per call dominated report generation.  The
+    samples and the sorted view are ``array('d')`` s: 8 bytes a sample,
+    where a list held a float object and a pointer (32).
     """
 
-    samples: list[float] = field(default_factory=list)
-    _sorted: Optional[list[float]] = field(default=None, repr=False)
+    samples: array = field(default_factory=partial(array, "d"))
+    _sorted: Optional[array] = field(default=None, repr=False)
 
     def add(self, value: float) -> None:
         """Record one sample (invalidates the cached sorted view)."""
@@ -65,7 +69,7 @@ class LatencyStats:
             return 0.0
         ordered = self._sorted
         if ordered is None or len(ordered) != len(self.samples):
-            ordered = self._sorted = sorted(self.samples)
+            ordered = self._sorted = array("d", sorted(self.samples))
         rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
         return ordered[rank]
 
@@ -167,7 +171,7 @@ class MetricsCollector:
         self._proposed_at: dict[str, float] = {}
         self._block_txs: dict[str, int] = {}
         self._first_commit_at: dict[str, float] = {}
-        self._replied: set[tuple[int, int]] = set()
+        self._replied = TxKeySet()
         # Batches already fully processed by on_replies, keyed by
         # (first tx key, last tx key, length).  Every replica reports every
         # committed block, so after the first report a batch is 100%
@@ -216,11 +220,9 @@ class MetricsCollector:
 
     def on_reply(self, node: int, tx: Transaction, now: float) -> None:
         """Record the first reply per transaction (adds the client hop)."""
-        key = tx.key
-        if key in self._replied:
+        if not self._replied.add(tx.key):
             self.duplicate_replies += 1
             return
-        self._replied.add(key)
         if now < self.warmup_ms:
             return
         arrival = now + self.reply_one_way_ms
@@ -246,19 +248,15 @@ class MetricsCollector:
             self.duplicate_replies += len(txs)
             return
         self._batches_replied.add(batch_key)
-        # One pass per block, no per-transaction call: pick the first
-        # replies, mark them, sample them.
+        # No per-transaction call when every key is new (the first report
+        # of a block): mark them all, sample them all.  Otherwise the first
+        # occurrence of each key not replied yet is a first reply.
         replied = self._replied
-        fresh = [tx for tx in txs if tx.key not in replied]
-        marked = len(replied)
-        replied.update([tx.key for tx in fresh])
-        if len(replied) - marked != len(fresh):
-            # A key repeated inside the batch: only its first occurrence
-            # is a first reply.
-            seen: set = set()
-            fresh = [tx for tx in fresh
-                     if tx.key not in seen and not seen.add(tx.key)]
-        self.duplicate_replies += len(txs) - len(fresh)
+        if replied.add_new(txs):
+            fresh = txs
+        else:
+            fresh = [tx for tx in txs if replied.add(tx.key)]
+            self.duplicate_replies += len(txs) - len(fresh)
         if now < self.warmup_ms or not fresh:
             # Warmup replies still mark transactions as replied (the first
             # reply wins), they just don't contribute latency samples.

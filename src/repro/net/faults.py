@@ -75,6 +75,8 @@ _PASS = FaultVerdict()
 
 #: Max extra delay a reordered message picks up (ms).
 REORDER_JITTER_MS = 8.0
+#: Max delay of a duplicate copy behind its primary (ms).
+DUP_DELAY_MS = 4.0
 #: Per-link override key: (src, dst) with None as a wildcard.
 LinkKey = Tuple[Optional[int], Optional[int]]
 
@@ -96,15 +98,11 @@ class LinkFaultModel:
         dup: float = 0.0,
         reorder: float = 0.0,
         corrupt: float = 0.0,
-        dup_delay_ms: float = 4.0,
         per_kind: Optional[Mapping[str, FaultRates]] = None,
         per_link: Optional[Mapping[LinkKey, FaultRates]] = None,
     ) -> None:
         self.base = FaultRates(loss=loss, dup=dup, reorder=reorder,
                                corrupt=corrupt)
-        if dup_delay_ms < 0.0:
-            raise ConfigurationError("dup_delay_ms must be non-negative")
-        self.dup_delay_ms = dup_delay_ms
         self.per_kind: Dict[str, FaultRates] = dict(per_kind or {})
         self.per_link: Dict[LinkKey, FaultRates] = dict(per_link or {})
         self._rng = None
@@ -172,7 +170,7 @@ class LinkFaultModel:
         dup_delay = 0.0
         if duplicate:
             self.duplicates += 1
-            dup_delay = rng.uniform(0.0, self.dup_delay_ms)
+            dup_delay = rng.uniform(0.0, DUP_DELAY_MS)
             corrupt_dup = rates.corrupt > 0.0 and rng.random() < rates.corrupt
         if corrupt:
             self.corruptions += 1

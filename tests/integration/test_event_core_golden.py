@@ -62,6 +62,8 @@ from repro.net.faults import LinkFaultModel
 from repro.net.transport import TransportConfig
 from repro.shard.chaos import ShardChaosSpec, run_shard_chaos
 
+from tests.property.test_tx_key_set import checked_key_sets
+
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_PATH = _GOLDEN_DIR / "event_core_golden.json"
 OUTCOME_PATH = _GOLDEN_DIR / "outcome_golden.json"
@@ -426,7 +428,10 @@ def test_event_core_digest_matches_golden(name: str) -> None:
     golden, outcomes = _load(GOLDEN_PATH), _load(OUTCOME_PATH)
     assert name in golden and name in outcomes, \
         f"no golden recorded for {name}; regenerate"
-    event_core, outcome = compute_digests(name)
+    # Every transaction key set the run makes checks its answers against
+    # a set as it goes (tests/property/test_tx_key_set.py).
+    with checked_key_sets():
+        event_core, outcome = compute_digests(name)
     assert outcome == outcomes[name], (
         f"{name}: the run's outcome (everything but its event count) "
         f"drifted from the golden — a behaviour change, not an event-loop one"

@@ -132,7 +132,7 @@ class TestMetricsCollector:
         assert batched.e2e_latency.samples == single.e2e_latency.samples
         assert batched.e2e_latency.count == 4
         assert batched.duplicate_replies == single.duplicate_replies == 10
-        assert batched._replied == single._replied
+        assert set(batched._replied) == set(single._replied)
         assert batched.e2e_windows.indices() == single.e2e_windows.indices()
         for idx in single.e2e_windows.indices():
             assert batched.e2e_windows.window(idx).samples == \

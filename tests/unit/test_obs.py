@@ -252,7 +252,7 @@ class TestMetricsCollectorPruning:
         collector.on_commit(1, block, 3.0)
         assert block.hash not in collector._proposed_at
         assert block.hash not in collector._block_txs
-        assert collector.commit_latency.samples == [2.0]
+        assert list(collector.commit_latency.samples) == [2.0]
 
     def test_late_reproposal_of_committed_block_ignored(self):
         collector = MetricsCollector(warmup_ms=0.0)

@@ -48,8 +48,6 @@ class TestFaultModel:
     def test_rates_validated(self):
         with pytest.raises(ConfigurationError):
             FaultRates(loss=1.5)
-        with pytest.raises(ConfigurationError):
-            LinkFaultModel(dup_delay_ms=-1.0)
 
     def test_active_and_corrupt_possible(self):
         assert not LinkFaultModel().active
