@@ -62,6 +62,7 @@ from repro.net.faults import LinkFaultModel
 from repro.net.transport import TransportConfig
 from repro.shard.chaos import ShardChaosSpec, run_shard_chaos
 
+from tests.property.test_tx_batch import checked_batches
 from tests.property.test_tx_key_set import checked_key_sets
 
 _GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -429,8 +430,10 @@ def test_event_core_digest_matches_golden(name: str) -> None:
     assert name in golden and name in outcomes, \
         f"no golden recorded for {name}; regenerate"
     # Every transaction key set the run makes checks its answers against
-    # a set as it goes (tests/property/test_tx_key_set.py).
-    with checked_key_sets():
+    # a set as it goes (tests/property/test_tx_key_set.py), and every
+    # batch it takes against the transactions it stands for
+    # (tests/property/test_tx_batch.py).
+    with checked_key_sets(), checked_batches():
         event_core, outcome = compute_digests(name)
     assert outcome == outcomes[name], (
         f"{name}: the run's outcome (everything but its event count) "
