@@ -195,6 +195,7 @@ perf-smoke:
 		--under _emit,apply_batch > /dev/null
 	$(PYTHON) benchmarks/mem_profile.py soak_recover_f1 --smoke --by-file \
 		> /dev/null
+	$(PYTHON) benchmarks/mem_profile.py lan_sat_f10 --smoke > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event

@@ -7,7 +7,9 @@ The memory twin of ``call_profile.py``.  Prepares the workload exactly as
 ``tracemalloc`` and
 prints, at the end of the rep, the traced memory still live and its peak
 during the rep, the process's ``ru_maxrss`` (the ledger's ``peak_rss_mb``
-is the same figure in its own worker), and the allocation sites holding
+is the same figure in its own worker), the live bytes per committed
+transaction (what a run keeps per transaction, stores included, plus
+what it keeps regardless, spread over them), and the allocation sites holding
 the most live memory: by source line, and with ``--by-file``
 (``make mem W=... BY=file``) summed per source file.
 
@@ -73,6 +75,14 @@ def print_sites(snapshot: tracemalloc.Snapshot, key: str, top: int,
               f"{where}")
 
 
+def committed_txs(counts: dict) -> int:
+    """Transactions the rep committed, from its ledger counts."""
+    if "chain.txs_per_block" in counts:
+        return round(counts["chain.txs_per_block"]
+                     * counts["consensus.blocks_committed"])
+    return counts["client.acked"]
+
+
 def main() -> None:
     import workloads
 
@@ -103,6 +113,9 @@ def main() -> None:
           f"{rss:.1f} MB ru_maxrss (tracemalloc's own included); "
           f"{len(kept)} simulator(s) kept, "
           f"{outcome.counts['sim.events']} events")
+    committed = committed_txs(outcome.counts)
+    print(f"{live / max(1, committed):.1f} B live per committed transaction "
+          f"({committed} committed)")
     print_sites(snapshot, "lineno", args.top, live)
     if args.by_file:
         print_sites(snapshot, "filename", args.top, live)

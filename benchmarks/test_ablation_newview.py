@@ -30,7 +30,6 @@ def _run(node_cls, latency, f, duration_ms, warmup_ms, seed=17):
             sim, payload_size=256, client_one_way_ms=latency.one_way_ms),
         listener=collector, seed=seed,
     )
-    cluster.sim.trace.enabled = False
     cluster.start()
     cluster.run(duration_ms)
     cluster.assert_safety()

@@ -13,6 +13,7 @@ Run:  python examples/membership_change.py
 
 from __future__ import annotations
 
+from repro.chain.transaction import TxBatch
 from repro.client.workload import SaturatedSource
 from repro.core.reconfig import build_reconfigurable_cluster, make_reconf_tx
 from repro.harness.metrics import MetricsCollector
@@ -37,13 +38,14 @@ def main() -> None:
 
         def take_once(count, now, _orig=original_take):
             cluster.source.take = _orig
-            return [tx] + _orig(count - 1, now)
+            return TxBatch.of([tx, *_orig(count - 1, now)])
 
         cluster.source.take = take_once
         print(f"t={cluster.sim.now:7.1f} ms  injected: replace node 1 with "
               f"standby node 5")
 
     cluster.sim.schedule_at(150.0, inject_replacement)
+    cluster.sim.trace.enabled = True    # keep the events read below
     cluster.start()
     cluster.run(800.0)
     cluster.assert_safety()

@@ -168,7 +168,7 @@ class FlexiBFTNode(StableLeaderNode):
             self.listener.on_propose(self.node_id, block, self.sim.now)
         if self._obs.enabled:
             self._obs.block_proposed(block.hash, self.view, self.node_id,
-                                     len(block.txs), self.sim.now)
+                                     block.txs.n, self.sim.now)
         self.broadcast(FProposal(block=block, block_cert=cert))
         self._cast_vote(block)
 
@@ -191,7 +191,7 @@ class FlexiBFTNode(StableLeaderNode):
         )
 
     def _cast_vote(self, block: Block) -> None:
-        self.charge(self.config.costs.exec_cost(len(block.txs)))
+        self.charge(self.config.costs.exec_cost(block.txs.n))
         if not block.results_valid:
             self._refuse_results(block)
             return

@@ -140,7 +140,7 @@ class MinBFTNode(StableLeaderNode):
             self.listener.on_propose(self.node_id, block, self.sim.now)
         if self._obs.enabled:
             self._obs.block_proposed(block.hash, self.view, self.node_id,
-                                     len(block.txs), self.sim.now)
+                                     block.txs.n, self.sim.now)
         self.broadcast(prepare)
         # The leader's prepare doubles as its commit (MinBFT §IV).
         self._commit_uis.setdefault(prepare_digest, set()).add(self.node_id)

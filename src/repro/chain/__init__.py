@@ -7,7 +7,7 @@ at which it was produced (needed by every certificate).  Blocks link into a
 chain rooted at a hard-coded genesis block G; heights are distances to G.
 """
 
-from repro.chain.transaction import Transaction, tx_wire_size
+from repro.chain.transaction import Transaction, TxBatch, tx_wire_size
 from repro.chain.block import Block, genesis_block, create_leaf
 from repro.chain.store import BlockStore
 from repro.chain.execution import (
@@ -19,6 +19,7 @@ from repro.chain.snapshot import Snapshot, build_snapshot
 
 __all__ = [
     "Transaction",
+    "TxBatch",
     "tx_wire_size",
     "Block",
     "genesis_block",

@@ -27,7 +27,8 @@ from typing import Any, Callable, Optional, Protocol as TypingProtocol
 from repro.chain.block import Block, create_leaf
 from repro.chain.execution import KVStateMachine, execution_results
 from repro.chain.store import BlockStore
-from repro.chain.transaction import Transaction, tx_list_digest
+from repro.chain.transaction import (EMPTY_BATCH, Transaction, TxBatch,
+                                     tx_list_digest)
 from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.messages import BlockSyncRequest, BlockSyncResponse
 from repro.crypto.keys import KeyPair, Keyring
@@ -54,7 +55,7 @@ class CommitListener(TypingProtocol):
 class TransactionSource(TypingProtocol):
     """Where a proposer gets transactions (mempool abstraction)."""
 
-    def take(self, count: int, now: float) -> list[Transaction]:
+    def take(self, count: int, now: float) -> TxBatch:
         """Remove and return up to ``count`` pending transactions."""
 
     def pending(self) -> int:
@@ -469,20 +470,20 @@ class ReplicaBase(Process):
     # ------------------------------------------------------------------
     # Batching / mempool
     # ------------------------------------------------------------------
-    def make_batch(self) -> tuple[Transaction, ...]:
+    def make_batch(self) -> TxBatch:
         """Pull up to ``batch_size`` transactions from the source."""
         if self.source is None:
-            return ()
+            return EMPTY_BATCH
         txs = self.source.take(self.config.batch_size, self.sim.now)
-        self.charge(self.config.costs.batch_per_tx_ms * len(txs))
-        return tuple(txs)
+        self.charge(self.config.costs.batch_per_tx_ms * txs.n)
+        return txs
 
-    def requeue_batch(self, txs: tuple[Transaction, ...]) -> None:
+    def requeue_batch(self, txs: TxBatch) -> None:
         """Return a batch to the mempool after a failed proposal (e.g. the
         checker refused because the view moved on) — the transactions must
         not be lost."""
         requeue = getattr(self.source, "requeue", None)
-        if requeue is not None and txs:
+        if requeue is not None and txs.n:
             requeue(txs)
 
     def _build_block(self, parent: Block, view: int,
@@ -495,18 +496,17 @@ class ReplicaBase(Process):
         :meth:`requeue_batch`.
         """
         txs = self.make_batch()
-        if not txs:
+        if not txs.n:
             self._batch_timer.start(BATCH_WAIT_MS,
                                     lambda: self.run_work(retry))
             return None
         self._batch_timer.cancel()
         # executeTx over the batch, encoded once: the block's own
         # ``batch_digest`` memo is seeded with the digest ``op`` was built
-        # on (the block's batch is a tuple), so its hash does not encode
-        # the batch again.
+        # on, so its hash does not encode the batch again.
         batch = tx_list_digest(txs)
         op = execution_results(parent.hash, batch)
-        self.charge(self.config.costs.exec_cost(len(txs)))
+        self.charge(self.config.costs.exec_cost(txs.n))
         block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
         block.__dict__["batch_digest"] = batch
         return block
@@ -555,7 +555,7 @@ class ReplicaBase(Process):
         for b in newly:
             if obs is not None:
                 obs.block_committed(b.hash, self.node_id, now)
-            self._pending_cost += costs.exec_cost(len(b.txs))
+            self._pending_cost += costs.exec_cost(b.txs.n)
             sm = self.state_machine
             if sm is not None and sm.state_height == b.height - 1:
                 # Application of a batch is gated on contiguity: after a
@@ -575,7 +575,7 @@ class ReplicaBase(Process):
                 listener.on_commit(self.node_id, b, now)
                 if reply:
                     if on_replies is not None:
-                        on_replies(self.node_id, b.txs, now)
+                        on_replies(self.node_id, b, now)
                     else:
                         on_reply = listener.on_reply
                         for tx in b.txs:
@@ -591,13 +591,13 @@ class ReplicaBase(Process):
                 # outcome ("prepared"/"committed"/...); the plain machine
                 # has no such method and replies stay byte-identical.
                 outcome_of = getattr(self.state_machine, "reply_outcome", None)
-                for tx in b.txs:
-                    client = pop_client(tx.key, None)
+                for key in b.txs.keys():
+                    client = pop_client(key, None)
                     if client is not None:
                         self.send_to(client, ClientReply(
-                            tx_key=tx.key, block_hash=b.hash, view=b.view,
+                            tx_key=key, block_hash=b.hash, view=b.view,
                             replica=self.node_id,
-                            outcome=outcome_of(tx.key) if outcome_of else "",
+                            outcome=outcome_of(key) if outcome_of else "",
                         ))
             interval = self.config.checkpoint_interval
             if interval and b.height > 0 and b.height % interval == 0:
@@ -820,7 +820,7 @@ class ReplicaBase(Process):
                 continue
             if b.height != expected:
                 return None
-            self.charge(self.config.costs.exec_cost(len(b.txs)))
+            self.charge(self.config.costs.exec_cost(b.txs.n))
             machine.apply_batch(b.txs)
             machine.state_height = b.height
             expected += 1

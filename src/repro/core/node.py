@@ -336,10 +336,10 @@ class ChainedTeeNode(ReplicaBase):
         if self.listener is not None:
             self.listener.on_propose(self.node_id, block, self.sim.now)
         self.sim.trace.record(self.sim.now, "propose", self.node_id,
-                              view=view, block=block.hash, txs=len(block.txs))
+                              view=view, block=block.hash, txs=block.txs.n)
         if self._obs.enabled:
             self._obs.block_proposed(block.hash, view, self.node_id,
-                                     len(block.txs), self.sim.now)
+                                     block.txs.n, self.sim.now)
         self._announce(block, prepared)
 
     # ------------------------------------------------------------------
@@ -385,7 +385,7 @@ class ChainedTeeNode(ReplicaBase):
     def _validated(self, block: Block, cert: BlockCertificate, vote) -> None:
         if self.status is not NodeStatus.RUNNING:
             return
-        self._pending_cost += self.config.costs.exec_cost(len(block.txs))
+        self._pending_cost += self.config.costs.exec_cost(block.txs.n)
         if not block.results_valid:
             self._refuse_results(block)
             return

@@ -249,17 +249,17 @@ class InvariantMonitor:
         # transaction only when a key repeats, in it or in what the node
         # applied before, so that path alone words the violations.
         txs = block.txs
-        if txs:
+        if txs.n:
             applied, blocks = self._applied_txs[node], self._applied_in[node]
             tag = len(blocks)
             blocks.append(block_hash)
-            if not applied.add_new(txs, tag):
-                for tx in txs:
-                    if not applied.add(tx.key, tag):
-                        earlier = blocks[applied.tag_of(tx.key)]
+            if not applied.add_new(txs.client_ids, txs.tx_ids, tag):
+                for key in txs.keys():
+                    if not applied.add(key, tag):
+                        earlier = blocks[applied.tag_of(key)]
                         self._violate(
                             "exactly-once-apply", node,
-                            f"tx {tx.key} applied twice: in block "
+                            f"tx {key} applied twice: in block "
                             f"{earlier[:12]} and again in "
                             f"{block_hash[:12]} (height {height})",
                         )
@@ -294,12 +294,12 @@ class InvariantMonitor:
         if self.inner is not None:
             self.inner.on_reply(node, tx, now)
 
-    def on_replies(self, node: int, txs: tuple[Transaction, ...], now: float) -> None:
+    def on_replies(self, node: int, block: Block, now: float) -> None:
         inner_many = getattr(self.inner, "on_replies", None)
         if inner_many is not None:
-            inner_many(node, txs, now)
+            inner_many(node, block, now)
         elif self.inner is not None:
-            for tx in txs:
+            for tx in block.txs:
                 self.inner.on_reply(node, tx, now)
 
     def on_commit_certificate(self, node: int, qc: Any, now: float) -> None:

@@ -21,6 +21,8 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
+from operator import sub
 from typing import Optional
 
 from repro.chain.block import Block
@@ -172,11 +174,11 @@ class MetricsCollector:
         self._block_txs: dict[str, int] = {}
         self._first_commit_at: dict[str, float] = {}
         self._replied = TxKeySet()
-        # Batches already fully processed by on_replies, keyed by
-        # (first tx key, last tx key, length).  Every replica reports every
-        # committed block, so after the first report a batch is 100%
-        # duplicates — this set turns the n−1 re-reports into O(1) each.
-        self._batches_replied: set[tuple] = set()
+        # Hashes of the blocks whose replies on_replies has processed.
+        # Every replica reports every committed block, so after the first
+        # report a block's batch is 100% duplicates — this set turns the
+        # n−1 re-reports into O(1) each.
+        self._blocks_replied: set[str] = set()
         self.commit_latency = LatencyStats()
         self.e2e_latency = LatencyStats()
         self.txs_committed = 0
@@ -196,7 +198,7 @@ class MetricsCollector:
         if block.hash in self._first_commit_at:
             return  # already committed (late re-proposal after a view change)
         self._proposed_at.setdefault(block.hash, now)
-        self._block_txs.setdefault(block.hash, len(block.txs))
+        self._block_txs.setdefault(block.hash, block.txs.n)
 
     def on_commit(self, node: int, block: Block, now: float) -> None:
         """Record first commit of a block; accumulate window counters."""
@@ -214,7 +216,7 @@ class MetricsCollector:
             self.window_start = now
         self.window_end = max(self.window_end, now)
         self.blocks_committed += 1
-        self.txs_committed += len(block.txs)
+        self.txs_committed += block.txs.n
         if proposed is not None:
             self.commit_latency.add(now - proposed)
 
@@ -230,39 +232,43 @@ class MetricsCollector:
         if self.e2e_windows is not None:
             self.e2e_windows.add(arrival - tx.created_at, arrival)
 
-    def on_replies(self, node: int, txs: tuple[Transaction, ...], now: float) -> None:
-        """Batched :meth:`on_reply` for a whole committed block.
+    def on_replies(self, node: int, block: Block, now: float) -> None:
+        """Batched :meth:`on_reply` for every transaction of a committed
+        block.
 
         Semantically identical to calling ``on_reply`` per transaction —
         every replica reports every committed transaction, so the per-call
         overhead of the unbatched path dominated commit processing.
         """
-        if not txs:
+        txs = block.txs
+        count = txs.n
+        if not count:
             return
-        batch_key = (txs[0].key, txs[-1].key, len(txs))
-        if batch_key in self._batches_replied:
-            # Re-report of a fully processed batch (another replica's
-            # commit): every transaction is a duplicate by construction —
-            # a batch maps to exactly one committed block, and the first
+        if block.hash in self._blocks_replied:
+            # Re-report of a processed block (another replica's commit):
+            # every transaction is a duplicate by construction — the first
             # report marked them all.
-            self.duplicate_replies += len(txs)
+            self.duplicate_replies += count
             return
-        self._batches_replied.add(batch_key)
+        self._blocks_replied.add(block.hash)
         # No per-transaction call when every key is new (the first report
         # of a block): mark them all, sample them all.  Otherwise the first
         # occurrence of each key not replied yet is a first reply.
         replied = self._replied
-        if replied.add_new(txs):
-            fresh = txs
+        created = txs.column("created_at")
+        if replied.add_new(txs.client_ids, txs.tx_ids):
+            fresh = count
         else:
-            fresh = [tx for tx in txs if replied.add(tx.key)]
-            self.duplicate_replies += len(txs) - len(fresh)
+            created = [at for at, key in zip(created, txs.keys())
+                       if replied.add(key)]
+            fresh = len(created)
+            self.duplicate_replies += count - fresh
         if now < self.warmup_ms or not fresh:
             # Warmup replies still mark transactions as replied (the first
             # reply wins), they just don't contribute latency samples.
             return
         arrival = now + self.reply_one_way_ms
-        samples = [arrival - tx.created_at for tx in fresh]
+        samples = list(map(sub, repeat(arrival), created))
         self.e2e_latency.add_many(samples)
         if self.e2e_windows is not None:
             self.e2e_windows.add_many(samples, arrival)

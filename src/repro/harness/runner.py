@@ -253,9 +253,6 @@ def build_deployment(
         seed=seed,
         **cluster_kwargs,
     )
-    # Hot call sites are guarded on this flag, so a disabled recorder costs
-    # nothing; cold sites still tick their event counters.
-    cluster.sim.trace.enabled = False
     cluster.sim.obs.enabled = trace
     if poll_every_ms is not None:
         listener.attach(cluster, poll_every_ms=poll_every_ms)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.chain.execution import KVStateMachine, validate_write
-from repro.chain.transaction import Transaction
 from repro.crypto.hashing import digest_of
 from repro.errors import StateMachineError
 
@@ -168,7 +167,7 @@ class ShardStateMachine(KVStateMachine):
 
     _ROUTED = frozenset(("TPREP", "TCMT", "TABT", "TDEC"))
 
-    def _route(self, tx: Transaction, parts: "list[str]") -> None:
+    def _route(self, key: "tuple[int, int]", parts: "list[str]") -> None:
         """Execute one 2PC entry where the apply loop meets it in the log."""
         kind, txid = parts[0], parts[1]
         if kind == "TPREP":
@@ -179,7 +178,7 @@ class ShardStateMachine(KVStateMachine):
             outcome = self._apply_abort(txid)
         else:  # TDEC
             outcome = self._apply_decide(txid, parts)
-        self._outcomes[tx.key] = outcome
+        self._outcomes[key] = outcome
         self._fold((kind, txid, outcome))
         self.applied += 1
 

@@ -48,7 +48,9 @@ class Simulator:
         self.rng = random.Random(seed)
         self.queue = EventQueue()
         self.now: float = 0.0
-        self.trace = TraceRecorder()
+        # Off: the per-kind counters tick, but no event is kept unless a
+        # reader turns it on (``sim.trace.enabled = True``).
+        self.trace = TraceRecorder(enabled=False)
         # Causal span tracer (repro.obs); disabled by default — every
         # emission site guards on `obs.enabled`, so this costs nothing
         # on untraced runs.

@@ -1,9 +1,9 @@
 """Structured trace recording.
 
 The trace is how the harness computes message complexity (Table 1),
-communication-step counts, and debug timelines.  Recording is cheap (an
-appended record) and can be disabled entirely for long benchmark runs,
-while the per-kind counters keep ticking.
+communication-step counts, and debug timelines.  A simulator builds its
+recorder disabled, so a run keeps no event unless a reader turns it on
+(``sim.trace.enabled = True``); the per-kind counters tick either way.
 """
 
 from __future__ import annotations

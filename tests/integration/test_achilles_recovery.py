@@ -224,6 +224,7 @@ def test_install_crashes_keeps_its_rules(rule):
         if crash.node == LEADER:  # queued first, so it fires first
             cluster.sim.schedule_at(crash.at_ms, note_leader)
     log = install_crashes(cluster, crashes)
+    cluster.sim.trace.enabled = True    # the crash and reboot records
     cluster.start()
     cluster.run(500.0)
     cluster.assert_safety()

@@ -24,7 +24,7 @@ import pytest
 from repro.chain.block import create_leaf, genesis_block
 from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxBatch
 from repro.client.workload import (OpenLoopGenerator, QueueSource,
                                    SaturatedSource, ShardedOpenLoopGenerator)
 from repro.consensus.cluster import build_cluster
@@ -367,11 +367,14 @@ SET_WRITE_CALLS = 3
 #: before that, three calls each.
 EXECUTE_BATCH_CALLS = 16
 
-#: ``SaturatedSource.take`` of a full batch: the batch is minted as
-#: columns (``mint_batch``), so ``take(400)`` costs what ``take(1)`` does.
-#: Reads 11; was 403 for ``take(400)`` against 4 for ``take(1)``, one
-#: ``Transaction.__init__`` per transaction.
-SATURATED_TAKE_CALLS = 11
+#: ``SaturatedSource.take`` of a full batch: one ``TxBatch`` of a
+#: ``range`` of ids, a byte array of clients and one shared payload,
+#: size, time and wire size, so ``take(400)`` costs what ``take(1)``
+#: does: ``take``, ``max``, ``TxBatch.__init__`` and its ``len``.  Reads
+#: 4; was 11 while ``mint_batch`` made the objects column by column, 403
+#: for ``take(400)`` against 4 for ``take(1)`` while each transaction was
+#: a ``Transaction.__init__``.
+SATURATED_TAKE_CALLS = 4
 
 #: ``QueueSource.submit`` of one fresh transaction with no stream
 #: attached: ``submit``, ``_admit_each``, ``set.add``, ``list.append``.
@@ -479,11 +482,12 @@ def test_execution_results_are_one_digest_per_batch():
     def execute_calls(txs) -> int:
         return calls_of(lambda: execute_transactions(txs, "p" * 64))
 
-    empty = tuple(Transaction(1, i) for i in range(400))
+    empty = TxBatch.of([Transaction(1, i) for i in range(400)])
     assert execute_calls(empty) <= execute_calls(empty[:1])
     assert execute_calls(empty) <= EXECUTE_BATCH_CALLS
     # A payload's encode and len are C maps over the batch too.
-    writes = tuple(Transaction(1, i, f"SET k{i} v{i}") for i in range(400))
+    writes = TxBatch.of([Transaction(1, i, f"SET k{i} v{i}")
+                         for i in range(400)])
     assert execute_calls(writes) <= EXECUTE_BATCH_CALLS
 
 
@@ -531,18 +535,22 @@ def test_marking_a_batch_makes_no_call_per_transaction(shape):
     is let through for the first batch that reaches a new id range."""
     keys = BATCH_SHAPES[shape]
 
-    def batch(start, n) -> tuple:
-        return tuple(Transaction(c, i, created_at=0.0)
-                     for c, i in keys(start, n))
+    def batch(start, n, view):
+        """The batch as it lands, and the block that commits it."""
+        txs = [Transaction(c, i, created_at=0.0) for c, i in keys(start, n)]
+        block = create_leaf(txs, "op", genesis_block(), view, 0)
+        block.hash  # hashed where it was made, not by the collector
+        return txs, block
 
     queue, collector = QueueSource(), MetricsCollector()
-    first, small, large = batch(1, 10), batch(100, 100), batch(1000, 1000)
-    queue._admit(list(first))
-    collector.on_replies(0, first, 1.0)
-    small_admit = calls_of(lambda: queue._admit(list(small)))
-    small_reply = calls_of(lambda: collector.on_replies(0, small, 2.0))
-    large_admit = calls_of(lambda: queue._admit(list(large)))
-    large_reply = calls_of(lambda: collector.on_replies(0, large, 3.0))
+    (first, one), (small, two), (large, three) = \
+        batch(1, 10, 1), batch(100, 100, 2), batch(1000, 1000, 3)
+    queue._admit(first)
+    collector.on_replies(0, one, 1.0)
+    small_admit = calls_of(lambda: queue._admit(small))
+    small_reply = calls_of(lambda: collector.on_replies(0, two, 2.0))
+    large_admit = calls_of(lambda: queue._admit(large))
+    large_reply = calls_of(lambda: collector.on_replies(0, three, 3.0))
     assert large_admit <= small_admit + 1
     assert large_reply <= small_reply + 1
     assert queue.pending() == 1110

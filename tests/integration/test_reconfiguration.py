@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.transaction import TxBatch
 from repro.client.workload import QueueSource, SaturatedSource
 from repro.core.reconfig import (
     ACTIVATION_GRACE,
@@ -53,7 +54,7 @@ class TestReplacement:
 
             def take_with_reconf(count, now, _orig=original_take):
                 cluster.source.take = _orig
-                return [tx] + _orig(count - 1, now)
+                return TxBatch.of([tx, *_orig(count - 1, now)])
 
             cluster.source.take = take_with_reconf
 

