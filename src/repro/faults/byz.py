@@ -272,9 +272,10 @@ class EquivocateStrategy(ByzStrategy):
         refusal is a counted denial."""
         from repro.chain.block import create_leaf
         from repro.chain.execution import execute_transactions
+        from repro.chain.transaction import EMPTY_BATCH
 
         parent = args[0]
-        txs: tuple = ()
+        txs = EMPTY_BATCH
         evil = create_leaf(txs, execute_transactions(txs, parent.hash), parent,
                            view=getattr(node, "view", 0), proposer=node.node_id)
         proposer = getattr(node, "proposer", None)
@@ -354,12 +355,13 @@ class EquivocateStrategy(ByzStrategy):
     def _tick_braft(self, node: Any) -> None:
         from repro.baselines.braft import AppendEntries, LogEntry
         from repro.chain.block import create_leaf
+        from repro.chain.transaction import EMPTY_BATCH
 
         if node.term <= 0:
             return  # no leader elected yet: a term-0 forgery is inert
         parent = node.log[-1].block if node.log else node.store.committed_tip
         forged = create_leaf(
-            txs=(),
+            txs=EMPTY_BATCH,
             op=digest_of("byz-fork", node.term, parent.hash),
             parent=parent, view=node.term, proposer=node.node_id,
         )

@@ -77,9 +77,10 @@ class TestCompaction:
         # Committing on top still works: ancestry anchors at the base.
         from repro.chain.block import create_leaf
         from repro.chain.execution import execute_transactions
+        from repro.chain.transaction import TxBatch
         from tests.unit.test_chain import make_tx
 
-        txs = (make_tx(500),)
+        txs = TxBatch.of([make_tx(500)])
         child = create_leaf(txs, execute_transactions(txs, blocks[-1].hash),
                             blocks[-1], view=21, proposer=0)
         store.add(child)

@@ -135,6 +135,7 @@ class TestMinBFT:
         from repro.baselines.minbft import MPrepare
         from repro.chain.block import create_leaf
         from repro.chain.execution import execute_transactions
+        from repro.chain.transaction import EMPTY_BATCH
         from repro.crypto.hashing import digest_of
 
         cluster = minbft_cluster(f=1)
@@ -144,10 +145,10 @@ class TestMinBFT:
         parent = backup.store.committed_tip
 
         def prepare_from(leader, view):
-            op = execute_transactions([], parent.hash)
+            op = execute_transactions(EMPTY_BATCH, parent.hash)
             # Same height, same parent — only the view differs, which is
             # enough to give the two blocks different hashes.
-            block = create_leaf([], op, parent, view=view,
+            block = create_leaf(EMPTY_BATCH, op, parent, view=view,
                                 proposer=leader.node_id)
             digest = digest_of("mprep", view, block.hash)
             ui = leader.usig.create_ui(digest)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain.block import create_leaf, genesis_block
 from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, TxBatch
 from repro.crypto.hashing import digest_of
 
 
@@ -19,7 +19,7 @@ transactions = st.builds(
     payload_size=st.integers(min_value=0, max_value=64),
 )
 
-tx_batches = st.lists(transactions, max_size=6).map(tuple)
+tx_batches = st.lists(transactions, max_size=6).map(TxBatch.of)
 
 
 class TestHashingProperties:

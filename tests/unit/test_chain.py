@@ -7,7 +7,8 @@ import pytest
 from repro.chain.block import Block, create_leaf, genesis_block
 from repro.chain.execution import KVStateMachine, execute_transactions
 from repro.chain.store import BlockStore
-from repro.chain.transaction import TX_METADATA_BYTES, Transaction, tx_wire_size
+from repro.chain.transaction import (EMPTY_BATCH, TX_METADATA_BYTES,
+                                     Transaction, TxBatch, tx_wire_size)
 from repro.errors import ChainError
 
 
@@ -20,7 +21,7 @@ def chain_of(store: BlockStore, length: int, view_start: int = 1) -> list[Block]
     blocks = []
     parent = store.genesis
     for i in range(length):
-        txs = (make_tx(100 + i),)
+        txs = TxBatch.of([make_tx(100 + i)])
         op = execute_transactions(txs, parent.hash)
         block = create_leaf(txs, op, parent, view=view_start + i, proposer=0)
         store.add(block)
@@ -89,7 +90,7 @@ class TestBlockStore:
     def test_add_rejects_wrong_height(self):
         store = BlockStore()
         g = store.genesis
-        bad = Block(txs=(), op="x", parent_hash=g.hash, view=1, height=5)
+        bad = Block(txs=EMPTY_BATCH, op="x", parent_hash=g.hash, view=1, height=5)
         with pytest.raises(ChainError):
             store.add(bad)
 
@@ -185,7 +186,7 @@ class TestOrphanValidation:
     def test_orphan_with_bogus_height_is_evicted(self):
         _, blocks = self.build_remote_chain(1)
         store = BlockStore()
-        liar = Block(txs=(), op="x", parent_hash=blocks[0].hash,
+        liar = Block(txs=EMPTY_BATCH, op="x", parent_hash=blocks[0].hash,
                      view=2, height=7)  # claims height 7 atop height 1
         store.add(liar)  # accepted provisionally (parent unknown)
         assert liar.hash in store
@@ -198,9 +199,9 @@ class TestOrphanValidation:
         from it — they go too."""
         _, blocks = self.build_remote_chain(1)
         store = BlockStore()
-        liar = Block(txs=(), op="x", parent_hash=blocks[0].hash,
+        liar = Block(txs=EMPTY_BATCH, op="x", parent_hash=blocks[0].hash,
                      view=2, height=7)
-        child = Block(txs=(), op="x", parent_hash=liar.hash, view=3, height=8)
+        child = Block(txs=EMPTY_BATCH, op="x", parent_hash=liar.hash, view=3, height=8)
         store.add(liar)
         store.add(child)  # consistent with its (bogus) parent
         store.add(blocks[0])
@@ -212,7 +213,7 @@ class TestOrphanValidation:
         get the same retroactive height check."""
         remote, blocks = self.build_remote_chain(4)
         store = BlockStore()
-        liar = Block(txs=(), op="x", parent_hash=blocks[2].hash,
+        liar = Block(txs=EMPTY_BATCH, op="x", parent_hash=blocks[2].hash,
                      view=9, height=99)
         store.add(liar)
         store.install_checkpoint(blocks[2])
@@ -222,11 +223,11 @@ class TestOrphanValidation:
 
 class TestExecution:
     def test_execute_deterministic(self):
-        txs = (make_tx(1, "SET a 1"), make_tx(2, "SET b 2"))
+        txs = TxBatch.of((make_tx(1, "SET a 1"), make_tx(2, "SET b 2")))
         assert execute_transactions(txs, "parent") == execute_transactions(txs, "parent")
 
     def test_execute_depends_on_parent_and_order(self):
-        txs = (make_tx(1, "SET a 1"), make_tx(2, "SET b 2"))
+        txs = TxBatch.of((make_tx(1, "SET a 1"), make_tx(2, "SET b 2")))
         assert execute_transactions(txs, "p1") != execute_transactions(txs, "p2")
         assert execute_transactions(txs, "p") != execute_transactions(txs[::-1], "p")
 
@@ -237,16 +238,16 @@ class TestExecution:
         # formulation, including empty and multi-byte payloads.
         from repro.crypto.hashing import digest_of
 
-        txs = (
+        txs = TxBatch.of((
             make_tx(1, "SET a 1"),
             make_tx(2, ""),
             make_tx(3, "héllo ⚡ wörld"),
             make_tx(4, "opaque payload"),
-        )
+        ))
         expected = digest_of("exec", "parent",
                              digest_of([t.key + (t.payload,) for t in txs]))
         assert execute_transactions(txs, "parent") == expected
-        assert execute_transactions((), "parent") == \
+        assert execute_transactions(EMPTY_BATCH, "parent") == \
             digest_of("exec", "parent", digest_of([]))
 
     def test_block_hash_matches_generic_encoding(self):
@@ -255,7 +256,8 @@ class TestExecution:
         from repro.chain.block import Block
         from repro.crypto.hashing import digest_of
 
-        txs = (make_tx(1, "SET a 1"), make_tx(2, ""), make_tx(3, "ünïcode"))
+        txs = TxBatch.of((make_tx(1, "SET a 1"), make_tx(2, ""),
+                          make_tx(3, "ünïcode")))
         block = Block(txs=txs, op="op", parent_hash="p" * 64, view=2,
                       height=5, proposer=1)
         tx_digest = digest_of([t.key + (t.payload,) for t in txs])

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import Block, GENESIS_HASH
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import EMPTY_BATCH, Transaction, TxBatch
 from repro.consensus.config import ProtocolConfig
 from repro.core.node import NodeStatus
 from repro.core.protocol import build_achilles_cluster
@@ -20,7 +20,7 @@ from tests.conftest import fast_config
 
 def _block(height: int, parent_hash: str, view: int, proposer: int = 0,
            op: str = "") -> Block:
-    return Block(txs=(), op=op, parent_hash=parent_hash, view=view,
+    return Block(txs=EMPTY_BATCH, op=op, parent_hash=parent_hash, view=view,
                  height=height, proposer=proposer)
 
 
@@ -91,7 +91,8 @@ class TestAgreement:
 
 
 def _tx_block(height: int, parent_hash: str, keys, op: str = "") -> Block:
-    return Block(txs=tuple(Transaction(client_id=c, tx_id=i) for c, i in keys),
+    return Block(txs=TxBatch.of([Transaction(client_id=c, tx_id=i)
+                                 for c, i in keys]),
                  op=op, parent_hash=parent_hash, view=height, height=height,
                  proposer=0)
 
