@@ -188,14 +188,15 @@ perf-smoke:
 	$(PYTHON) benchmarks/call_profile.py counter_r_f10 --smoke \
 		--under protect_state_update,seal_state > /dev/null
 	$(PYTHON) benchmarks/call_profile.py wan_open_f10 --smoke \
-		--under take,_emit_through > /dev/null
+		--under take,_emit_through,catch_up,QueueSource._admit > /dev/null
 	$(PYTHON) benchmarks/call_profile.py soak_recover_f1 --smoke \
-		--under take,_emit_through > /dev/null
+		--under take,_emit_through,catch_up,QueueSource._admit > /dev/null
 	$(PYTHON) benchmarks/call_profile.py shard4_2pc --smoke \
 		--under _emit,apply_batch > /dev/null
 	$(PYTHON) benchmarks/mem_profile.py soak_recover_f1 --smoke --by-file \
 		> /dev/null
 	$(PYTHON) benchmarks/mem_profile.py lan_sat_f10 --smoke > /dev/null
+	$(PYTHON) benchmarks/mem_profile.py wan_open_f10 --smoke > /dev/null
 
 # Where one ledger workload's host calls go: `make calls W=lan_sat_n101`
 # prints the row's total (host_mcalls x 1e6), calls per simulator event

@@ -14,7 +14,8 @@ delivery or dispatch also to the message's kind), with the callback's
 fires and its calls per fire.  ``--under`` (``UNDER=``) runs it once more
 and prints the inclusive calls under each named function (matched by name
 or qualified name; the function's own call included), its share of the
-row and its calls per outermost entry.
+row and its calls per outermost entry; it exits 1 if a named function was
+never entered, so a renamed one does not silently profile nothing.
 Never run seed 7 while developing a change: it is the ledger's hold-out.
 """
 
@@ -219,7 +220,12 @@ def main() -> None:
     if args.under:
         state = workload.prepare(args.seed, scale)
         names = [name for name in args.under.split(",") if name]
-        print_under(*calls_under(lambda: workload.run(state), names), calls)
+        under, entries = calls_under(lambda: workload.run(state), names)
+        print_under(under, entries, calls)
+        missing = [name for name in names if not entries[name]]
+        if missing:
+            sys.exit(f"error: --under names no function the rep entered: "
+                     f"{', '.join(missing)}")
 
 
 if __name__ == "__main__":

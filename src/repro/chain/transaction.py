@@ -7,24 +7,19 @@ consensus; the KV state machine interprets payloads of the form
 own digest (so execution results are still deterministic functions of the
 payload).
 
-A batch that leaves a source is a :class:`TxBatch`: its transactions
-held as columns (ids in arrays or a ``range``, and one shared payload,
-size, creation time and wire size where the whole batch has one), which
-is what ``take``, ``make_batch``, ``create_leaf`` and ``Block.txs``
-carry, so a run keeps a few bytes per committed transaction, not an
-object.  Its consumers read the columns; iterating it makes the
-``Transaction`` objects it stands for.
-
-A ``Transaction`` is one client request as an object: open-loop arrivals
-between emission and ``take`` (minted in bulk by :func:`mint_batch`,
-column by column, with no Python frame per transaction), client
-submissions and what iterating a batch makes.  It is immutable by
-convention and a hand-rolled ``__slots__`` type rather than a dataclass,
-whose generated ``__init__``/``__post_init__`` pair was a measurable
-slice of simulator profiles.  ``key`` (the globally unique identity) and
-the wire size are precomputed at construction; nothing may write to a
-transaction after ``__init__`` (or :func:`mint_batch`) returns, or
-digests derived from it would go stale.
+Transactions are columns from arrival to commit: the open-loop
+generators put arrivals on the client hop as columns, a mempool
+(``client/workload.py::QueueSource``) queues them as columns, and a batch
+that leaves a source is a :class:`TxBatch` (what ``take``,
+``create_leaf`` and ``Block.txs`` carry), so a run keeps a few bytes per
+transaction, not an object.  A ``Transaction`` is one client request as
+an object: what a client or a router sends, and what iterating a batch
+makes.  It is a hand-rolled ``__slots__`` type (a dataclass's generated
+``__init__`` was a measurable slice of profiles), immutable by
+convention: ``key`` and the wire size are computed at construction.
+Ids are ints at the boundary: one that is not an ``int`` a 64-bit array
+holds is refused with ``ValueError`` where a ``Transaction``, a mempool
+row or a batch is made.
 
 What a run remembers per transaction key to its end (the mempool's dedup
 keys, the first replies, the keys each node applied, a store's committed
@@ -37,11 +32,14 @@ from __future__ import annotations
 import hashlib
 from array import array
 from itertools import repeat
-from operator import add, attrgetter, eq, is_
+from operator import attrgetter, is_
 from typing import Iterable, Optional, Sequence
 
 #: Metadata bytes per transaction (client id + transaction id), Sec. 5.1.
 TX_METADATA_BYTES = 8
+
+#: Ids are ints a 64-bit array holds, signed or unsigned.
+ID_MIN, ID_END = -(1 << 63), 1 << 64
 
 
 class Transaction:
@@ -52,6 +50,11 @@ class Transaction:
 
     def __init__(self, client_id: int, tx_id: int, payload: str = "",
                  payload_size: int = 0, created_at: float = 0.0) -> None:
+        if client_id.__class__ is not int or tx_id.__class__ is not int \
+                or not ID_MIN <= client_id < ID_END \
+                or not ID_MIN <= tx_id < ID_END:
+            raise ValueError(f"transaction ids must be 64-bit ints, got "
+                             f"({client_id!r}, {tx_id!r})")
         self.client_id = client_id
         self.tx_id = tx_id
         self.payload = payload
@@ -91,134 +94,98 @@ def tx_wire_size(payload_size: int) -> int:
     return TX_METADATA_BYTES + payload_size
 
 
-def _fill(txs: "list[Transaction]", client_ids: Iterable,
-          tx_ids: Iterable, payloads: Iterable, payload_sizes: Iterable,
-          created_ats: Iterable) -> None:
-    """Store five slots of ``txs`` and their ``key``, column by column
-    (``any`` drains a ``map`` of ``setattr``, which returns ``None``);
-    ``key`` shares its ints with the stored slots, as in ``__init__``."""
-    any(map(setattr, txs, repeat("client_id"), client_ids))
-    any(map(setattr, txs, repeat("tx_id"), tx_ids))
-    any(map(setattr, txs, repeat("payload"), payloads))
-    any(map(setattr, txs, repeat("payload_size"), payload_sizes))
-    any(map(setattr, txs, repeat("created_at"), created_ats))
-    any(map(setattr, txs, repeat("key"), zip(
-        map(getattr, txs, repeat("client_id")),
-        map(getattr, txs, repeat("tx_id")))))
-
-
-def mint_batch(client_ids: Iterable[int], tx_ids: Sequence[int],
-               payloads: Iterable[str], payload_size: int,
-               created_ats: Iterable[float]) -> "list[Transaction]":
-    """``[Transaction(c, i, p, payload_size, t) for c, i, p, t in zip(...)]``
-    with no Python frame per transaction: the objects are allocated and
-    each slot is stored column-wise by ``map`` over C functions.  One
-    transaction per entry of ``tx_ids``; every other column is read once,
-    so it may be an iterator (``repeat``).  Equal wire sizes share one
-    int.  Pinned to the constructor by
-    tests/property/test_transaction_mint.py."""
-    txs = list(map(object.__new__, repeat(Transaction, len(tx_ids))))
-    _fill(txs, client_ids, tx_ids, payloads, repeat(payload_size),
-          created_ats)
-    # As in __init__: metadata + max(declared size, the text's bytes),
-    # as max(declared wire size, the text's): every transaction whose text
-    # fits its declared size shares the one ``wire`` int.
-    wire = TX_METADATA_BYTES + payload_size
-    any(map(setattr, txs, repeat("_wire_size"), map(
-        max, repeat(wire), map(add, map(len, map(str.encode, map(
-            getattr, txs, repeat("payload")))), repeat(TX_METADATA_BYTES)))))
-    return txs
-
-
 #: The types a :class:`TxBatch` column comes in when it holds one entry
 #: per transaction; a value of any other type stands for the whole batch.
-COLUMN_TYPES = frozenset((tuple, array, range))
+COLUMN_TYPES = frozenset((list, tuple, array, range))
 
+#: The types a :class:`TxBatch` id column comes in.
+ID_COLUMN_TYPES = frozenset((array, range))
+
+#: Integer array codes, narrowest first.
+_CODES = "BHIQq"
+
+#: A transaction's fields, in :class:`TxBatch`'s column order.
 _rows = attrgetter("tx_id", "client_id", "payload", "payload_size",
-                   "created_at", "_wire_size")
+                   "created_at")
 
 
-def _int_column(values: Sequence) -> Sequence:
-    """``values`` in the smallest ``array`` that holds them, or a tuple if
-    one of them is not an ``int`` (``True``, ``2.0``) or none fits."""
-    if set(map(type, values)) == {int}:
-        for code in "BHIQq":     # a code that cannot hold one overflows
-            try:
-                return array(code, values)
-            except OverflowError:
-                pass
-    return tuple(values)
-
-
-def _float_column(values: Sequence) -> Sequence:
-    """``values`` in an ``array('d')`` if every one is a ``float``."""
-    if set(map(type, values)) == {float}:
-        return array("d", values)
-    return tuple(values)
+def append_ints(column: array, values: Sequence[int]) -> array:
+    """``column`` with the ints ``values`` appended: in place while its
+    type holds them, else as a new array of the narrowest type that holds
+    both.  ``ValueError`` if no 64-bit type does."""
+    try:
+        column += array(column.typecode, values)
+        return column
+    except OverflowError:
+        pass
+    for code in _CODES:
+        try:
+            wider = array(code, column)
+            wider += array(code, values)
+            return wider
+        except OverflowError:
+            pass
+    raise ValueError("ids must be ints that one 64-bit array holds")
 
 
 class TxBatch:
     """An immutable batch of transactions, held as columns.
 
-    ``tx_ids`` and ``client_ids`` hold one entry per transaction: an
-    ``array`` of the smallest type that holds them (:func:`_int_column`),
-    a ``range``, or a ``tuple`` of ids that are not ints.  ``payloads``,
-    ``payload_sizes``, ``created_at`` and ``wire_sizes`` each hold one
-    entry per transaction, or one value that stands for every
-    transaction (a value whose type is not in :data:`COLUMN_TYPES`;
-    :meth:`column` reads either as one entry per transaction).  ``n``
-    is the number of transactions, an attribute so that a hot path pays
-    no ``len`` call.
+    ``tx_ids`` and ``client_ids`` are int ``array`` s or ``range`` s
+    (anything else is refused with ``ValueError``).  ``payloads``,
+    ``payload_sizes`` and ``created_at`` each hold one entry per
+    transaction (a list or a tuple; times an ``array('d')``), or one
+    value for all of them (a type not in :data:`COLUMN_TYPES`;
+    :meth:`column` reads either as one entry per transaction).  ``n`` is
+    the number of transactions, an attribute so that a hot path pays no
+    ``len`` call; wire sizes are derived (:meth:`wire_size`).
 
     A batch stands for the ``Transaction`` objects iterating it makes,
     and answers ``len``, ``==``, indexing and slicing as the tuple of
-    them would.  Its consumers (the digest, the wire size, the key sets,
-    the latency samples, the apply loop) read the columns with no Python
-    frame per transaction.  Nothing may write to a batch once it is
-    built.  Pinned to the objects it stands for by
-    tests/property/test_tx_batch.py.
+    them would; its consumers read the columns with no Python frame per
+    transaction.  Nothing may write to a batch once it is built.  Pinned
+    to the objects it stands for by tests/property/test_tx_batch.py.
     """
 
     __slots__ = ("n", "tx_ids", "client_ids", "payloads", "payload_sizes",
-                 "created_at", "wire_sizes")
+                 "created_at")
 
     def __init__(self, tx_ids: Sequence, client_ids: Sequence, payloads,
-                 payload_sizes, created_at, wire_sizes) -> None:
+                 payload_sizes, created_at) -> None:
+        if tx_ids.__class__ not in ID_COLUMN_TYPES or \
+                client_ids.__class__ not in ID_COLUMN_TYPES:
+            raise ValueError("a batch's ids are an int array or a range")
         self.n = len(tx_ids)
         self.tx_ids = tx_ids
         self.client_ids = client_ids
         self.payloads = payloads
         self.payload_sizes = payload_sizes
         self.created_at = created_at
-        self.wire_sizes = wire_sizes
 
     @classmethod
     def of(cls, txs: Iterable[Transaction]) -> "TxBatch":
         """The batch of ``txs``, in order (a batch is returned as it is);
-        a value every transaction holds by identity is stored once."""
+        a value every transaction holds by identity is stored once.  Only
+        ``create_leaf`` and ``KVStateMachine.apply_batch`` convert, for
+        the host-speed probes in benchmarks/perf/probes.py."""
         if txs.__class__ is cls:
             return txs
         rows = list(map(_rows, txs))
         if not rows:
             return EMPTY_BATCH
-        if not rows[1:]:
-            tx_id, client_id, *shared = rows[0]
-            return cls((tx_id,), (client_id,), *shared)
-        ids, clients, payloads, sizes, created, wires = zip(*rows)
+        ids, clients, payloads, sizes, created = zip(*rows)
+        if not set(map(type, ids + clients)) <= {int}:   # True, 2.0
+            raise ValueError("ids must be ints")
         # A value every transaction holds as that very object stands for
-        # all of them (its type and sign kept); else a tuple, compacted.
-        # Equal wire sizes, ints derived from the rest, are one value.
+        # all of them (its type and sign kept); else a tuple, and times
+        # that are all floats an ``array('d')``.
         payloads, sizes, created = [
             column[0] if all(map(is_, column, repeat(column[0]))) else column
             for column in (payloads, sizes, created)]
-        if sizes.__class__ is tuple:
-            sizes = _int_column(sizes)
-        if created.__class__ is tuple:
-            created = _float_column(created)
-        wires = wires[0] if all(map(eq, wires, repeat(wires[0]))) \
-            else _int_column(wires)
-        return cls(_int_column(ids), _int_column(clients), payloads, sizes,
-                   created, wires)
+        if created.__class__ is tuple and set(map(type, created)) == {float}:
+            created = array("d", created)
+        return cls(append_ints(array("B"), ids),
+                   append_ints(array("B"), clients), payloads, sizes, created)
 
     def column(self, name: str) -> Iterable:
         """The column ``name``, one entry per transaction."""
@@ -227,34 +194,47 @@ class TxBatch:
             return values
         return repeat(values, self.n)
 
+    def columns(self) -> tuple:
+        """The five columns, in the constructor's order."""
+        return (self.tx_ids, self.client_ids, self.payloads,
+                self.payload_sizes, self.created_at)
+
     def keys(self) -> Iterable:
         """The transactions' keys ``(client_id, tx_id)``, in order."""
         return zip(self.client_ids, self.tx_ids)
 
     def wire_size(self) -> int:
-        """The transactions' wire sizes, summed."""
-        wires = self.wire_sizes
-        if wires.__class__ in COLUMN_TYPES:
-            return sum(wires)
-        return wires * self.n
+        """The transactions' wire sizes, summed: each is metadata +
+        max(its declared size, its text's bytes), as ``Transaction``
+        makes it; a shared payload is encoded once."""
+        payloads, sizes, n = self.payloads, self.payload_sizes, self.n
+        if payloads.__class__ is str:
+            text = len(payloads.encode()) if payloads else 0
+            if sizes.__class__ not in COLUMN_TYPES:
+                return n * (TX_METADATA_BYTES +
+                            (sizes if sizes > text else text))
+            texts = repeat(text, n)
+        else:
+            texts = map(len, map(str.encode, payloads))
+        if sizes.__class__ not in COLUMN_TYPES:
+            sizes = repeat(sizes, n)
+        return TX_METADATA_BYTES * n + sum(map(max, sizes, texts))
 
     def __len__(self) -> int:
         return self.n
 
     def __iter__(self):
-        txs = list(map(object.__new__, repeat(Transaction, self.n)))
         column = self.column
-        _fill(txs, self.client_ids, self.tx_ids, column("payloads"),
-              column("payload_sizes"), column("created_at"))
-        any(map(setattr, txs, repeat("_wire_size"), column("wire_sizes")))
-        return iter(txs)
+        return map(Transaction, self.client_ids, self.tx_ids,
+                   column("payloads"), column("payload_sizes"),
+                   column("created_at"))
 
     def __getitem__(self, index):
         cut = [values[index] if values.__class__ in COLUMN_TYPES else values
-               for values in map(getattr, repeat(self), _COLUMNS)]
+               for values in self.columns()]
         if index.__class__ is slice:
             return TxBatch(*cut)
-        tx_id, client_id, payload, payload_size, created_at, _ = cut
+        tx_id, client_id, payload, payload_size, created_at = cut
         return Transaction(client_id, tx_id, payload, payload_size,
                            created_at)
 
@@ -263,7 +243,7 @@ class TxBatch:
             return NotImplemented
         return self.n == other.n and all(
             list(self.column(name)) == list(other.column(name))
-            for name in _COLUMNS[:5])
+            for name in _COLUMNS)
 
     def __hash__(self) -> int:
         return hash((tuple(self.tx_ids), tuple(self.client_ids)))
@@ -276,7 +256,7 @@ class TxBatch:
 _COLUMNS = TxBatch.__slots__[1:]
 
 #: The batch of no transactions.
-EMPTY_BATCH = TxBatch((), (), "", 0, 0.0, TX_METADATA_BYTES)
+EMPTY_BATCH = TxBatch(range(0), range(0), "", 0, 0.0)
 
 
 #: Slots a :class:`TxKeySet` may hold per key it holds (beyond
@@ -289,19 +269,6 @@ MIN_SLOTS = 1024
 #: a free slot, so clients below it fit a slot.  A tag is below it too.
 FREE = (1 << 32) - 1
 _FREE_BYTES = array("I", [FREE]).tobytes()
-
-
-def _canonical(value):
-    """``value``, or the int it equals (``True``, ``2.0``): the key a
-    ``set`` would find it as."""
-    if type(value) is not int:
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            return value
-        if number == value:
-            return number
-    return value
 
 
 class TxKeySet:
@@ -319,13 +286,14 @@ class TxKeySet:
       key, so sparse ids cost at most ``4 * SLOTS_PER_KEY`` bytes a key;
     * ``_rest``, a ``set`` of every other key: a key whose slot another
       client holds (per-client counters, as several simulated clients
-      send), negative, huge or non-int ids and clients, and ids too
-      sparse for the array.  Those keys cost what a set of them costs.
+      send), negative or huge ids and clients, and ids too sparse for
+      the array.  Those keys cost what a set of them costs.
 
     ``tagged=True`` also keeps, per key, the int it was added with
     (:meth:`tag_of`, below :data:`FREE`): 4 more bytes a slot, and
     ``_rest`` is a dict from key to tag.  :meth:`add` makes no call
-    unless the array grows, and :meth:`add_new` none per key.
+    unless the array grows, and :meth:`add_new` none per key.  Keys are
+    pairs of ints (ids are ints at the boundary).
     """
 
     __slots__ = ("_slots", "_tags", "_size", "_count", "_rest")
@@ -346,10 +314,6 @@ class TxKeySet:
 
     def __contains__(self, key) -> bool:
         client, tx_id = key
-        if type(client) is not int or type(tx_id) is not int:
-            key = client, tx_id = _canonical(client), _canonical(tx_id)
-            if type(client) is not int or type(tx_id) is not int:
-                return key in self._rest
         if 0 <= client < FREE and 0 <= tx_id < self._size and \
                 self._slots[tx_id] == client:
             return True
@@ -358,11 +322,9 @@ class TxKeySet:
     def add(self, key, tag: int = 0) -> bool:
         """Add ``key`` (with ``tag``); whether it was not held before."""
         client, tx_id = key
-        if type(client) is not int or type(tx_id) is not int or \
-                not 0 <= client < FREE or tx_id < 0:
-            return self._add_other(key, tag)
+        slot = 0 <= client < FREE and tx_id >= 0
         vacant = False
-        if tx_id < self._size:
+        if slot and tx_id < self._size:
             held = self._slots[tx_id]
             if held == client:
                 return False
@@ -370,7 +332,7 @@ class TxKeySet:
         rest = self._rest
         if rest and key in rest:
             return False
-        if vacant or tx_id >= self._size and self._room(tx_id):
+        if vacant or slot and tx_id >= self._size and self._room(tx_id):
             self._slots[tx_id] = client
             if self._tags is not None:
                 self._tags[tx_id] = tag
@@ -378,21 +340,6 @@ class TxKeySet:
             rest.add(key)
         else:
             rest[key] = tag
-        self._count += 1
-        return True
-
-    def _add_other(self, key, tag: int) -> bool:
-        """:meth:`add` of a key no slot can hold as it is."""
-        key = client, tx_id = _canonical(key[0]), _canonical(key[1])
-        if type(client) is int and type(tx_id) is int and \
-                0 <= client < FREE and tx_id >= 0:
-            return self.add(key, tag)      # it was ``(True, 2.0)``
-        if key in self._rest:
-            return False
-        if self._tags is None:
-            self._rest.add(key)
-        else:
-            self._rest[key] = tag
         self._count += 1
         return True
 
@@ -429,7 +376,7 @@ class TxKeySet:
                     return True
             except IndexError:
                 beyond = True
-            except (TypeError, OverflowError):
+            except OverflowError:       # a client no slot holds
                 pass
             for tx_id in tx_ids[:done]:
                 slots[tx_id] = FREE
@@ -438,12 +385,9 @@ class TxKeySet:
             # Past the array: grow to the batch's last id (its highest,
             # when ids rise), or else to its highest.
             top = tx_ids[-1]
-            try:
-                if type(top) is not int or top < self._size:
-                    top = max(tx_ids)
-                grown = self._room(top, count)
-            except TypeError:
-                pass
+            if top < self._size:
+                top = max(tx_ids)
+            grown = self._room(top, count)
             if not grown:
                 return self._add_new_rest(client_ids, tx_ids, tag)
 
@@ -451,20 +395,12 @@ class TxKeySet:
                       tag: int) -> bool:
         """:meth:`add_new` of a batch that does not fit free slots: into
         ``_rest`` whole if no key is held and no two are equal, checked
-        in a loop with no call while every id and client is an int; else
-        key by key."""
+        in a loop with no call."""
         keys = list(zip(client_ids, tx_ids))
         if len(set(keys)) < len(keys):
             return False
         slots, size = self._slots, self._size
         for client, tx_id in keys:
-            if type(client) is not int or type(tx_id) is not int:
-                for key in keys:
-                    if key in self:
-                        return False
-                for key in keys:
-                    self.add(key, tag)
-                return True
             if 0 <= client < FREE and 0 <= tx_id < size and \
                     slots[tx_id] == client:
                 return False
@@ -484,12 +420,11 @@ class TxKeySet:
         """The tag ``key`` was added with (it must be held)."""
         if self._tags is None:
             return 0
-        client, tx_id = _canonical(key[0]), _canonical(key[1])
-        if type(client) is int and type(tx_id) is int and \
-                0 <= client < FREE and 0 <= tx_id < self._size and \
+        client, tx_id = key
+        if 0 <= client < FREE and 0 <= tx_id < self._size and \
                 self._slots[tx_id] == client:
             return self._tags[tx_id]
-        return self._rest.get((client, tx_id), 0)
+        return self._rest.get(key, 0)
 
     def _room(self, tx_id: int, adding: int = 1) -> bool:
         """Grow the slots to cover ``tx_id`` if they stay dense enough
@@ -540,5 +475,6 @@ def tx_list_digest(batch: TxBatch) -> str:
     return hashlib.sha256(b"l%d:%s" % (batch.n, b"".join(items))).hexdigest()
 
 
-__all__ = ["Transaction", "TxBatch", "TxKeySet", "EMPTY_BATCH", "mint_batch",
-           "tx_list_digest", "tx_wire_size", "TX_METADATA_BYTES"]
+__all__ = ["Transaction", "TxBatch", "TxKeySet", "EMPTY_BATCH",
+           "append_ints", "tx_list_digest", "tx_wire_size",
+           "TX_METADATA_BYTES"]

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, islice, repeat
+from functools import partial
+from itertools import accumulate, compress, islice, repeat
 from math import log
-from operator import attrgetter, mod, truediv
+from operator import add, mod, truediv
 from typing import Optional
 
-from repro.chain.transaction import (EMPTY_BATCH, TX_METADATA_BYTES,
+from repro.chain.transaction import (COLUMN_TYPES, EMPTY_BATCH,
                                      Transaction, TxBatch, TxKeySet,
-                                     mint_batch)
+                                     _rows, append_ints)
 from repro.sim.loop import (TWO_53, WORD_BOUND, Simulator, exponential_block,
                             word_block)
-
-
-_key = attrgetter("key")
 
 
 def make_payload(payload_size: int, tag: int = 0) -> str:
@@ -43,7 +41,7 @@ class SaturatedSource:
     end-to-end latency still includes the client→replica step.  A take
     is one :class:`~repro.chain.transaction.TxBatch` of a few objects,
     whatever its size: its ids a ``range``, its clients (``id % 64``) a
-    byte array, and one payload, size, creation time and wire size.
+    byte array, and one payload, size and creation time.
     """
 
     def __init__(self, sim: Simulator, payload_size: int = 256,
@@ -58,11 +56,9 @@ class SaturatedSource:
         base = self.minted
         tx_ids = range(base + 1, base + count + 1)
         self.minted = base + count
-        size = self.payload_size
-        # As ``Transaction``'s wire size of an empty payload.
-        wire = TX_METADATA_BYTES + (size if size > 0 else 0)
         return TxBatch(tx_ids, array("B", map(mod, tx_ids, repeat(64))), "",
-                       size, max(0.0, now - self.client_one_way_ms), wire)
+                       self.payload_size,
+                       max(0.0, now - self.client_one_way_ms))
 
     def pending(self) -> int:
         """A saturated source always has work."""
@@ -82,6 +78,81 @@ def caught_up(attribute: str, doc: str) -> property:
     return property(read, doc=doc)
 
 
+def _joined(held, rows: int, added, adding: int) -> list:
+    """The column of ``rows`` entries ``held``, then ``adding`` entries
+    ``added`` (each one value for all its entries, or one entry per
+    row), as a list."""
+    if added.__class__ not in COLUMN_TYPES:
+        added = (added,) * adding
+    if held.__class__ not in COLUMN_TYPES:
+        held = [held] * rows
+    held += added
+    return held
+
+
+class _Columns:
+    """Rows of transactions as columns, oldest first, ``n`` of them behind
+    a cursor ``head``: ids and clients in int arrays of the smallest type
+    that holds them, creation times in an ``array('d')``, and payloads
+    and declared sizes each one value while every row shares it, else a
+    list.  A mempool's queue is one, and so is an arrival stream's hop."""
+
+    __slots__ = ("n", "head", "ids", "clients", "payloads", "sizes",
+                 "created")
+
+    #: Cursor position past which :meth:`pop` deletes the popped prefix
+    #: though rows are left (bounds what a backlog holds).
+    COMPACT_AT = 1024
+
+    def __init__(self) -> None:
+        self.n = self.head = 0
+        self.ids, self.clients = array("B"), array("B")
+        self.payloads, self.sizes = "", 0
+        self.created = array("d")
+
+    def push(self, count: int, ids, clients, payloads, sizes,
+             created) -> None:
+        """Append ``count`` rows, given as a :class:`TxBatch`'s columns."""
+        rows = self.head + self.n
+        self.n += count
+        self.ids = append_ints(self.ids, ids)
+        self.clients = append_ints(self.clients, clients)
+        if not rows:
+            self.payloads = [*payloads] \
+                if payloads.__class__ in COLUMN_TYPES else payloads
+            self.sizes = [*sizes] if sizes.__class__ in COLUMN_TYPES \
+                else sizes
+        else:
+            if payloads.__class__ is not str or payloads != self.payloads:
+                self.payloads = _joined(self.payloads, rows, payloads, count)
+            if sizes.__class__ is not int or sizes != self.sizes:
+                self.sizes = _joined(self.sizes, rows, sizes, count)
+        self.created += array("d", created) \
+            if created.__class__ in COLUMN_TYPES else \
+            array("d", (created,)) * count
+
+    def pop(self, count: int) -> tuple:
+        """Remove the oldest ``count`` rows; their columns, as a
+        :class:`TxBatch`'s.  The removed prefix is deleted once no row is
+        left or the cursor passes :data:`COMPACT_AT`."""
+        head, payloads, sizes = self.head, self.payloads, self.sizes
+        end = head + count
+        popped = (self.ids[head:end], self.clients[head:end],
+                  tuple(payloads[head:end]) if payloads.__class__ is list
+                  else payloads,
+                  tuple(sizes[head:end]) if sizes.__class__ is list
+                  else sizes, self.created[head:end])
+        self.n -= count
+        if end >= self.COMPACT_AT or not self.n:
+            del self.ids[:end], self.clients[:end], self.created[:end]
+            for column in (payloads, sizes):
+                if column.__class__ is list:
+                    del column[:end]
+            end = 0
+        self.head = end
+        return popped
+
+
 class QueueSource:
     """A FIFO mempool fed by generators or simulated clients.
 
@@ -89,88 +160,97 @@ class QueueSource:
     key) so a client retransmission cannot be executed twice.  An
     optional ``capacity`` bounds admission: beyond it new submissions are
     dropped (typed, counted in ``drops``) instead of growing the queue —
-    and the backlog — without bound during overload or an outage.  Dropped transactions do **not** enter the dedup set,
-    so a client retry after the backlog drains is admitted normally.
-
-    ``capacity=None`` (the default) is byte-identical to the historical
-    unbounded behavior — the golden-digest suite pins this.  Every method
+    and the backlog — without bound during overload or an outage.
+    Dropped transactions do **not** enter the dedup set, so a client
+    retry after the backlog drains is admitted normally.  Every method
     and counter first pulls what an attached :class:`ArrivalStream` has
-    delivered by now.
+    delivered by now (``take``, ``pending`` and ``submit``, read per
+    block or per request, test for a stream in line).
 
-    The queue is a list of ``Transaction`` objects read behind a cursor:
-    ``take`` slices from ``_head`` and hands the slice out as one
-    :class:`~repro.chain.transaction.TxBatch`, and the taken prefix is
-    deleted once the queue drains or the cursor passes
-    :data:`COMPACT_AT`, so neither end costs a call per transaction.
-    ``take``, ``pending`` and ``submit``, the reads a replica makes per
-    block or per request, test for a stream in line rather than calling
-    :meth:`catch_up`.
+    The queue is columns (a :class:`_Columns`): a landing is admitted as
+    a batch, a submitted transaction is buffered in ``_rows`` and folded
+    in, in order, before the columns are next read or grown, and
+    ``take`` pops one :class:`~repro.chain.transaction.TxBatch` off them.
     """
-
-    #: Cursor position past which ``take`` deletes the taken prefix even
-    #: though the queue has not drained (bounds what a backlog holds).
-    COMPACT_AT = 1024
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive (or None = unbounded)")
-        self._queue: list[Transaction] = []
-        self._head = 0
         self._seen = TxKeySet()
         self.capacity = capacity
         self._arrivals: Optional[ArrivalStream] = None
         self._submitted = 0
         self._drops: dict[str, int] = {}
+        self._rows: list[Transaction] = []
+        self._queue, self._depth = _Columns(), 0
 
     def catch_up(self) -> None:
         """Pull in what the attached arrival stream has delivered by now."""
         if self._arrivals is not None:
             self._arrivals.catch_up()
 
-    def _admit(self, txs: list) -> int:
-        """Pass a landed batch through the door in order; how many got in.
+    def _fold(self) -> None:
+        """Move the buffered submissions into the columns, in order."""
+        rows, self._rows = self._rows, []
+        count = len(rows)
+        ids, clients, payloads, sizes, created = zip(*map(_rows, rows))
+        if payloads == payloads[:1] * count:
+            payloads = payloads[0]
+        if sizes == sizes[:1] * count:
+            sizes = sizes[0]
+        self._queue.push(count, ids, clients, payloads, sizes, created)
 
-        The whole batch is checked at once: room for all of it, then
-        distinct keys, none seen before (which marks them seen).
-        Otherwise each transaction goes through :meth:`_admit_each`, so
-        drops and order are the same.
+    def _admit(self, count: int, ids, clients, payloads, sizes,
+               created) -> int:
+        """Pass ``count`` landed transactions, given as a
+        :class:`TxBatch`'s columns, through the door in order; how many
+        got in.  The whole landing is checked at once: room for all of
+        it, then distinct keys, none seen before (``TxKeySet.add_new``
+        over the two id columns, which marks them seen).  Otherwise each
+        goes through :meth:`_admit_one`, so drops and order are the same.
         """
-        count, capacity = len(txs), self.capacity
-        if not count:
-            return 0
-        if (capacity is None
-                or len(self._queue) - self._head + count <= capacity) \
-                and self._seen.add_new(*zip(*map(_key, txs))):
-            self._queue += txs
+        capacity = self.capacity
+        if self._rows:
+            self._fold()
+        if (capacity is None or self._depth + count <= capacity) \
+                and self._seen.add_new(clients, ids):
+            self._queue.push(count, ids, clients, payloads, sizes, created)
+            self._depth += count
             self._submitted += count
             return count
-        return self._admit_each(txs)
-
-    def _admit_each(self, txs) -> int:
-        """Pass ``txs`` through the door one by one; how many got in.  A
-        seen key is a duplicate, full or not; a full queue drops the rest
-        as overflow, and does not mark them seen."""
-        queue, seen, drops = self._queue, self._seen, self._drops
-        capacity, admitted = self.capacity, 0
-        for tx in txs:
-            if capacity is not None and \
-                    len(queue) - self._head >= capacity:
-                reason = DROP_DUPLICATE if tx.key in seen else DROP_OVERFLOW
-            elif seen.add(tx.key):
-                queue.append(tx)
-                admitted += 1
-                continue
-            else:
-                reason = DROP_DUPLICATE
-            drops[reason] = drops.get(reason, 0) + 1
-        self._submitted += admitted
+        depth = self._depth
+        keep = list(map(self._admit_one, zip(clients, ids)))
+        admitted = self._depth - depth
+        if admitted:
+            self._queue.push(admitted, *[
+                list(compress(values, keep))
+                if values.__class__ in COLUMN_TYPES else values
+                for values in (ids, clients, payloads, sizes, created)])
         return admitted
+
+    def _admit_one(self, key) -> bool:
+        """Admit ``key`` or count why not; whether it got in.  A seen key
+        is a duplicate, full or not; a full queue drops the rest as
+        overflow, and does not mark them seen."""
+        if self.capacity is not None and self._depth >= self.capacity:
+            reason = DROP_DUPLICATE if key in self._seen else DROP_OVERFLOW
+        elif self._seen.add(key):
+            self._depth += 1
+            self._submitted += 1
+            return True
+        else:
+            reason = DROP_DUPLICATE
+        self._drops[reason] = self._drops.get(reason, 0) + 1
+        return False
 
     def submit(self, tx: Transaction) -> bool:
         """Add a transaction; returns False for duplicates/overflow."""
         if self._arrivals is not None:
             self._arrivals.catch_up()
-        return self._admit_each((tx,)) == 1
+        if self._admit_one(tx.key):
+            self._rows.append(tx)
+            return True
+        return False
 
     submitted = caught_up("_submitted", "Transactions admitted so far.")
     drops = caught_up("_drops", "Refused submissions by reason (DROP_*).")
@@ -186,18 +266,13 @@ class QueueSource:
         """Pop up to ``count`` transactions, as one batch."""
         if self._arrivals is not None:
             self._arrivals.catch_up()
-        queue, head = self._queue, self._head
-        if not queue:           # the cursor is at its end only when empty
+        if self._rows:
+            self._fold()
+        depth = self._depth
+        if not depth or count <= 0:
             return EMPTY_BATCH
-        end = head + count if count > 0 else head
-        taken = TxBatch.of(queue[head:end])
-        if end >= len(queue):
-            del queue[:]
-            end = 0
-        elif end >= self.COMPACT_AT:
-            del queue[:end]
-            end = 0
-        self._head = end
+        taken = TxBatch(*self._queue.pop(count if count < depth else depth))
+        self._depth = depth - taken.n
         return taken
 
     def requeue(self, txs: TxBatch) -> None:
@@ -209,8 +284,12 @@ class QueueSource:
         the door only.
         """
         self.catch_up()
-        head = self._head
-        self._queue[head:head] = txs
+        if self._rows:
+            self._fold()
+        rest = self._queue.pop(self._depth)     # empties the columns
+        self._queue.push(txs.n, *txs.columns())
+        self._queue.push(self._depth, *rest)
+        self._depth += txs.n
 
     def reset(self) -> None:
         """Wipe the mempool — it is volatile state, so a whole-group crash
@@ -221,15 +300,14 @@ class QueueSource:
         resubmit after a wipe: replicas answer those from the durable
         store without re-queueing.)"""
         self.catch_up()
-        del self._queue[:]
-        self._head = 0
+        self._rows, self._queue, self._depth = [], _Columns(), 0
         self._seen.clear()
 
     def pending(self) -> int:
         """Transactions currently queued."""
         if self._arrivals is not None:
             self._arrivals.catch_up()
-        return len(self._queue) - self._head
+        return self._depth
 
 
 _NEVER = float("inf")  # `_next_at` while not emitting (idle, paused, stopped)
@@ -255,16 +333,18 @@ class ArrivalStream:
     that a rate change, which catches up first, cannot reach requests
     already on the hop.  Only one arrival is ever drawn ahead.  A subclass
     supplies ``_arm()`` (place ``_next_at`` on starting) and
-    ``_emit_through(now)`` (mint every arrival due by ``now`` onto the
-    ``_in_flight`` list, leave ``_next_at`` beyond it).
+    ``_emit_through(now)`` (push every arrival due by ``now`` onto the
+    ``_flying`` columns, instants rising, and leave ``_next_at`` beyond
+    it); a landing is the due prefix of those columns, popped.
     """
 
     def __init__(self, sim: Simulator, source: QueueSource,
-                 client_one_way_ms: float) -> None:
+                 client_one_way_ms: float, payload_size: int) -> None:
         self.sim = sim
         self.source = source
         self.client_one_way_ms = client_one_way_ms
-        self._in_flight: list[Transaction] = []
+        self.payload_size = payload_size
+        self._flying = _Columns()
         self._next_at = _NEVER
         self._running = False
         self._accepted = 0
@@ -286,15 +366,16 @@ class ArrivalStream:
         now = self.sim.now
         if self._next_at <= now:
             self._emit_through(now)
-        in_flight, hop, due = self._in_flight, self.client_one_way_ms, 0
-        for tx in in_flight:
-            if tx.created_at + hop > now:
-                break
-            due += 1
-        if due:
-            landed = in_flight[:due]
-            del in_flight[:due]
-            self._accepted += self.source._admit(landed)
+        flying = self._flying
+        if flying.n:
+            created, head = flying.created, flying.head
+            hop = self.client_one_way_ms
+            if created[head] + hop <= now:
+                due = flying.n
+                if created[-1] + hop > now:     # a prefix: instants rise
+                    due = bisect_right(created, now, head,
+                                       key=partial(add, hop)) - head
+                self._accepted += self.source._admit(due, *flying.pop(due))
 
 
 class OpenLoopGenerator(ArrivalStream):
@@ -318,9 +399,8 @@ class OpenLoopGenerator(ArrivalStream):
     def __init__(self, sim: Simulator, source: QueueSource, rate_tps: float,
                  payload_size: int = 256, client_one_way_ms: float = 0.05,
                  kv_keys: int = 0) -> None:
-        super().__init__(sim, source, client_one_way_ms)
+        super().__init__(sim, source, client_one_way_ms, payload_size)
         self._rate_tps = rate_tps
-        self.payload_size = payload_size
         self.kv_keys = kv_keys
         self._rng = sim.fork_rng("open-loop")
         # Gaps are read from ``_rng`` in blocks of standard exponentials
@@ -356,10 +436,10 @@ class OpenLoopGenerator(ArrivalStream):
     def _emit_through(self, now: float) -> None:
         # Every arrival due from the current block of gaps at once: the
         # instants are the running sums ``at = at + e / rate`` (float for
-        # float), the due ones a prefix of them, minted as one batch.  No
-        # call per arrival; a refill per block of gaps.
+        # float), the due ones a prefix of them, put on the hop as
+        # columns.  No call per arrival; a refill per block of gaps.
         at, seq = self._next_at, self._next_id
-        clients, keys, size = OPEN_LOOP_CLIENTS, self.kv_keys, self.payload_size
+        clients, keys = OPEN_LOOP_CLIENTS, self.kv_keys
         rate = self._rate_tps / 1000.0
         exponentials, drawn = self._exponentials, self._drawn
         while at <= now:
@@ -374,10 +454,10 @@ class OpenLoopGenerator(ArrivalStream):
             # most one arrival per gap left in the block.
             due = min(bisect_right(instants, now), len(instants) - 1)
             tx_ids = range(seq + 1, seq + due + 1)
-            self._in_flight += mint_batch(
-                map(mod, tx_ids, repeat(clients)), tx_ids,
+            self._flying.push(
+                due, tx_ids, list(map(mod, tx_ids, repeat(clients))),
                 [f"SET k{i % keys} v{i}" for i in tx_ids] if keys > 0
-                else repeat(""), size, instants[:due])
+                else "", self.payload_size, instants[:due])
             seq += due
             drawn += due
             at = instants[due]
@@ -555,12 +635,12 @@ class FiniteWorkload:
     def __init__(self, sim: Simulator, count: int, payload_size: int = 0,
                  payload_prefix: str = "") -> None:
         self.source = QueueSource()
-        for i in range(1, count + 1):
-            payload = f"{payload_prefix}{i}" if payload_prefix else make_payload(payload_size, i)
-            self.source.submit(Transaction(
-                client_id=0, tx_id=i, payload=payload,
-                payload_size=payload_size, created_at=sim.now,
-            ))
+        count = max(count, 0)
+        tx_ids = range(1, count + 1)
+        self.source._admit(count, tx_ids, array("B", bytes(count)),
+                           [f"{payload_prefix}{i}" if payload_prefix
+                            else make_payload(payload_size, i)
+                            for i in tx_ids], payload_size, sim.now)
 
     def take(self, count: int, now: float) -> TxBatch:
         """Delegate to the underlying queue."""

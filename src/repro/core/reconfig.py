@@ -53,12 +53,12 @@ def make_reconf_tx(old_member: int, new_member: int, tx_id: int,
     )
 
 
-def parse_reconf(tx: Transaction) -> Optional[tuple[int, int]]:
-    """Extract (old, new) from a reconfiguration transaction, else None."""
-    if not tx.payload.startswith(RECONF_PREFIX):
+def parse_reconf(payload: str) -> Optional[tuple[int, int]]:
+    """Extract (old, new) from a reconfiguration payload, else None."""
+    if not payload.startswith(RECONF_PREFIX):
         return None
     try:
-        _r, _v, old, new = tx.payload.split(" ")
+        _r, _v, old, new = payload.split(" ")
         return int(old), int(new)
     except ValueError:
         return None
@@ -124,7 +124,7 @@ class ReconfigurableChecker(AchillesChecker):
         self.charge_hash(block.wire_size())
         if qc.block_hash != block.hash:
             raise EnclaveAbort("certificate does not name this block")
-        changes = [c for c in (parse_reconf(tx) for tx in block.txs)
+        changes = [c for c in map(parse_reconf, block.txs.column("payloads"))
                    if c is not None]
         if len(changes) != 1:
             raise EnclaveAbort("expected exactly one replacement")
@@ -228,7 +228,7 @@ class ReconfigurableAchillesNode(AchillesNode):
         super()._apply_commitment(qc, block)
         if was_committed or not self.store.is_committed(qc.block_hash):
             return  # nothing new actually committed (e.g. ancestry pending)
-        changes = [c for c in (parse_reconf(tx) for tx in block.txs)
+        changes = [c for c in map(parse_reconf, block.txs.column("payloads"))
                    if c is not None]
         if not changes:
             return

@@ -37,7 +37,6 @@ from itertools import repeat
 from random import NV_MAGICCONST
 from typing import Optional
 
-from repro.chain.transaction import mint_batch
 from repro.client.workload import ArrivalStream, QueueSource, caught_up
 from repro.sim.loop import TWO_53, Simulator, word_block
 from repro.workload.spec import WorkloadSpec
@@ -125,8 +124,8 @@ class ArrivalEngine:
 class TrafficGenerator(ArrivalStream):
     """Open-loop production-shaped traffic into a single-cluster mempool.
 
-    One arrival = one step of the pulled stream: draw (client, key), mint
-    the transaction, put it on the client hop towards ``source`` (bounded
+    One arrival = one step of the pulled stream: draw (client, key), put
+    the transaction's row on the client hop towards ``source`` (bounded
     queues drop at landing and account for it), draw the next gap.  Where
     the rate is ~0 the step is an idle probe: no draw, look again later.
     ``record`` (tests only) captures ``(time_ms, client_id, key_rank)``
@@ -136,7 +135,8 @@ class TrafficGenerator(ArrivalStream):
     def __init__(self, sim: Simulator, source: QueueSource,
                  spec: WorkloadSpec, rng_tag: str = "workload",
                  record: Optional[list] = None) -> None:
-        super().__init__(sim, source, spec.client_one_way_ms)
+        super().__init__(sim, source, spec.client_one_way_ms,
+                         spec.payload_size)
         self.spec = spec
         self._engine = ArrivalEngine(spec, sim.fork_rng(rng_tag))
         self._record = record
@@ -167,14 +167,14 @@ class TrafficGenerator(ArrivalStream):
         # so an arrival that runs off the block is decoded again from its
         # first word over the block's tail and a fresh block.  Per arrival
         # only one sin, the logs, one exp and the row's append make calls;
-        # ranks are bisected, payloads formatted and rows minted once per
-        # catch-up.  Float for float the engine's arithmetic: base share,
-        # x diurnal, x each boost.
+        # ranks are bisected, payloads formatted and rows put on the hop
+        # once per catch-up.  Float for float the engine's arithmetic:
+        # base share, x diurnal, x each boost.
         engine, spec, record = self._engine, self.spec, self._record
         rng, cdf = engine.rng, engine._zipf_cdf
         words, pos = self._words, self._pos
         poisson, shift = spec.arrival == "poisson", engine._lognormal_shift
-        sigma, size = spec.lognormal_sigma, spec.payload_size
+        sigma = spec.lognormal_sigma
         amplitude, period = spec.diurnal_amplitude, spec.diurnal_period_ms
         two_pi, sin, log, exp = 2.0 * math.pi, math.sin, math.log, math.exp
         rows: list = []
@@ -247,11 +247,11 @@ class TrafficGenerator(ArrivalStream):
             seqs = range(first + 1, seq + 1)
             if cdf:
                 ranks = list(map(bisect_left, repeat(cdf), uniforms))
-                payloads = map("SET k{} v{}".format, ranks, seqs)
+                payloads = list(map("SET k{} v{}".format, ranks, seqs))
             else:
-                ranks, payloads = repeat(-1), repeat("")
-            self._in_flight += mint_batch(clients, seqs, payloads, size,
-                                          instants)
+                ranks, payloads = repeat(-1), ""
+            self._flying.push(seq - first, seqs, clients, payloads,
+                              self.payload_size, instants)
             if record is not None:
                 record.extend(zip(instants, clients, ranks))
         self._words, self._pos = words, pos

@@ -377,9 +377,18 @@ EXECUTE_BATCH_CALLS = 16
 SATURATED_TAKE_CALLS = 4
 
 #: ``QueueSource.submit`` of one fresh transaction with no stream
-#: attached: ``submit``, ``_admit_each``, ``set.add``, ``list.append``.
-#: Was 5.
+#: attached: ``submit``, ``_admit_one``, ``TxKeySet.add``, ``list.append``
+#: (the row is buffered and folded into the queue's columns at the next
+#: take).  Was 5.
 SUBMIT_CALLS = 4
+
+#: ``QueueSource.take`` from a queue of columns: ``take``, the columns'
+#: ``batch``, ``TxBatch.__init__`` and its ``len``, and ``cut`` when the
+#: take drains the queue or compacts it; the take slices the columns, so
+#: ``take(400)`` costs what ``take(3)`` does.  Reads 4; was 12 while the
+#: queue held ``Transaction`` objects and each take converted its slice
+#: (``TxBatch.of``).
+QUEUE_TAKE_CALLS = 5
 
 
 def per_item(step, items) -> float:
@@ -507,6 +516,18 @@ def test_the_exactly_once_audit_is_one_set_test_per_block():
     assert audit_calls(10) == audit_calls(1000)
 
 
+def test_a_mempool_take_costs_the_same_for_3_and_for_400():
+    def take_calls(count: int) -> int:
+        queue = QueueSource()
+        batch = TxBatch.of([Transaction(i % 16, i, "SET k v", 8, 0.5)
+                            for i in range(1, 2001)])
+        queue._admit(batch.n, *batch.columns())
+        queue.take(1, 0.0)                  # the cursor off the head
+        return calls_of(lambda: queue.take(count, 0.0))
+
+    assert take_calls(400) == take_calls(3) <= QUEUE_TAKE_CALLS
+
+
 def test_submitting_one_transaction_is_not_dearer():
     queue = QueueSource()
     tx = Transaction(0, 1)
@@ -545,11 +566,12 @@ def test_marking_a_batch_makes_no_call_per_transaction(shape):
     queue, collector = QueueSource(), MetricsCollector()
     (first, one), (small, two), (large, three) = \
         batch(1, 10, 1), batch(100, 100, 2), batch(1000, 1000, 3)
-    queue._admit(first)
+    first, small, large = map(TxBatch.of, (first, small, large))
+    queue._admit(first.n, *first.columns())
     collector.on_replies(0, one, 1.0)
-    small_admit = calls_of(lambda: queue._admit(small))
+    small_admit = calls_of(lambda: queue._admit(small.n, *small.columns()))
     small_reply = calls_of(lambda: collector.on_replies(0, two, 2.0))
-    large_admit = calls_of(lambda: queue._admit(large))
+    large_admit = calls_of(lambda: queue._admit(large.n, *large.columns()))
     large_reply = calls_of(lambda: collector.on_replies(0, three, 3.0))
     assert large_admit <= small_admit + 1
     assert large_reply <= small_reply + 1

@@ -34,7 +34,7 @@ from unittest import mock
 import pytest
 
 from repro.chain.block import Block, GENESIS_HASH, create_leaf, genesis_block
-from repro.chain.transaction import MIN_SLOTS
+from repro.chain.transaction import MIN_SLOTS, TxBatch
 from repro.client.client import SimulatedClient
 from repro.client.workload import (OpenLoopGenerator, QueueSource,
                                    SaturatedSource)
@@ -85,15 +85,15 @@ BATCH = 400
 
 class Recorder(QueueSource):
     """A mempool that records what reaches its door: each landed batch (a
-    list) and each submitted transaction."""
+    ``TxBatch``) and each submitted transaction."""
 
     def __init__(self, capacity=None) -> None:
         super().__init__(capacity)
         self.landed: list = []
 
-    def _admit(self, txs) -> int:
-        self.landed.append(list(txs))
-        return super()._admit(txs)
+    def _admit(self, count, *columns) -> int:
+        self.landed.append(TxBatch(*columns))
+        return super()._admit(count, *columns)
 
     def submit(self, tx) -> bool:
         self.landed.append(tx)
@@ -186,8 +186,8 @@ def kept_bytes(build, feed) -> int:
 def feed_queue(landed):
     def feed(queue: QueueSource) -> None:
         for arrival in landed:
-            if type(arrival) is list:
-                queue._admit(arrival)
+            if type(arrival) is TxBatch:
+                queue._admit(arrival.n, *arrival.columns())
             else:
                 queue.submit(arrival)
             queue.take(1 << 30, 0.0)        # the queue itself drains
@@ -380,3 +380,65 @@ def test_a_committed_block_holds_bytes_not_objects(stream):
     assert held <= budget, (
         f"a committed {stream} block holds {held:.1f} bytes per "
         f"transaction (budget {budget}): its batch is objects again")
+
+
+#: Bytes the mempool's queue and the stream's client hop keep per
+#: transaction queued or on the hop, ``stream: (budget, what they kept
+#: while each arrival was a ``Transaction`` object)``: ids and clients in
+#: int arrays of the smallest type, creation times an ``array('d')``, and
+#: the open-loop stream's one shared payload; the soak stream's ``SET``
+#: payloads are a list of their strings.  The budgets sit a little above
+#: the readings when they were set (11.7 and 82.5); id and client columns
+#: in 8-byte ints would add about 13 bytes.
+QUEUED_BYTES_PER_TX = {
+    "open-loop": (13.0, 206.8),
+    "soak": (85.0, 300.1),
+}
+
+
+def backlog(stream: str):
+    """A mempool and its stream (20 ms client hop) after 100 ms of
+    arrivals at 60 000 tps and no take."""
+    sim = Simulator(seed=1)
+    queue = QueueSource()
+    if stream == "open-loop":
+        generator = OpenLoopGenerator(sim, queue, rate_tps=60_000.0,
+                                      client_one_way_ms=20.0)
+    else:
+        spec = WorkloadSpec(base_rate_tps=60_000.0, arrival="lognormal",
+                            lognormal_sigma=1.0, clients=50_000,
+                            key_space=512, client_one_way_ms=20.0)
+        generator = TrafficGenerator(sim, queue, spec)
+    generator.start()
+    sim.run(until=100.0)
+    return queue, generator
+
+
+def queued_bytes_per_tx(stream: str) -> float:
+    """Bytes freed when the queue's and the hop's columns are dropped,
+    per transaction they held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        queue, generator = backlog(stream)
+        txs = queue.pending() + generator._flying.n
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        queue._queue = type(queue._queue)()
+        generator._flying = type(generator._flying)()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert txs > 5_000
+    return held / txs
+
+
+@pytest.mark.parametrize("stream", sorted(QUEUED_BYTES_PER_TX))
+def test_a_queued_transaction_is_bytes_not_an_object(stream):
+    budget, _before = QUEUED_BYTES_PER_TX[stream]
+    held = queued_bytes_per_tx(stream)
+    assert held <= budget, (
+        f"the {stream} backlog holds {held:.1f} bytes per queued "
+        f"transaction (budget {budget}): its columns are wider, or "
+        f"objects again")

@@ -34,13 +34,11 @@ def reconf_cluster(f=2, standbys=1, seed=23):
 class TestReconfTx:
     def test_roundtrip(self):
         tx = make_reconf_tx(old_member=1, new_member=5, tx_id=9)
-        assert parse_reconf(tx) == (1, 5)
+        assert parse_reconf(tx.payload) == (1, 5)
 
     def test_non_reconf_tx_ignored(self):
-        from repro.chain.transaction import Transaction
-
-        assert parse_reconf(Transaction(0, 1, payload="SET a 1")) is None
-        assert parse_reconf(Transaction(0, 1, payload="RECONF REPLACE x")) is None
+        assert parse_reconf("SET a 1") is None
+        assert parse_reconf("RECONF REPLACE x") is None
 
 
 class TestReplacement:
@@ -99,7 +97,7 @@ class TestReplacement:
         chain = cluster.nodes[0].store.committed_chain()
         reconf_height = next(
             b.height for b in chain
-            if any(parse_reconf(tx) for tx in b.txs)
+            if any(map(parse_reconf, b.txs.column("payloads")))
         )
         after = [b for b in chain
                  if b.height > reconf_height + ACTIVATION_GRACE + 1]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.transaction import Transaction
-from repro.client.workload import OpenLoopGenerator, QueueSource
+from repro.client.workload import OpenLoopGenerator, QueueSource, _Columns
 from repro.sim.loop import Simulator
 from repro.workload.generators import ArrivalEngine, TrafficGenerator
 from repro.workload.spec import ChurnEvent, FlashCrowd, WorkloadSpec
@@ -198,6 +198,9 @@ class Side:
         return tuple(seen)
 
 
+COMPACT_AT = _Columns.COMPACT_AT
+
+
 def assert_indistinguishable(oracle: Side, stream: Side, script, extra,
                              change_rate=None) -> int:
     """Play ``script`` on both sides; how many ``take`` s compacted the
@@ -205,13 +208,13 @@ def assert_indistinguishable(oracle: Side, stream: Side, script, extra,
     compactions = 0
     for index, (advance_ms, action, amount) in enumerate(script):
         expected = oracle.act(advance_ms, action, amount, change_rate)
-        head = stream.queue._head
+        head = stream.queue._queue.head
         actual = stream.act(advance_ms, action, amount, change_rate)
         assert actual == expected, f"observation {index} ({action})"
         assert extra(stream.generator) == extra(oracle.generator), \
             f"observation {index} ({action})"
-        if action == "take" and stream.queue._head == 0 and actual[-4] \
-                and head + len(actual[1]) >= QueueSource.COMPACT_AT:
+        if action == "take" and stream.queue._queue.head == 0 \
+                and actual[-4] and head + len(actual[1]) >= COMPACT_AT:
             compactions += 1
     # Whatever is still on the client hop lands the same way.
     for side in (oracle, stream):
@@ -280,8 +283,8 @@ def test_traffic_stream_equals_event_per_arrival(
 
 
 # ----------------------------------------------------------------------
-# Shapes the random scripts above cannot reach: the mempool is a list
-# read behind a take cursor that compacts past QueueSource.COMPACT_AT, and
+# Shapes the random scripts above cannot reach: the mempool is columns
+# read behind a take cursor that compacts past COMPACT_AT, and
 # a landed batch is admitted whole unless it overlaps the dedup set,
 # repeats a key or crosses capacity.
 # ----------------------------------------------------------------------

@@ -52,6 +52,12 @@ key_batch = st.one_of(global_run, per_client,
                       st.lists(odd_key, min_size=1, max_size=12))
 
 
+def land(queue: QueueSource, txs) -> int:
+    """``queue._admit`` of ``txs`` landed as one batch."""
+    batch = TxBatch.of(txs)
+    return queue._admit(batch.n, *batch.columns())
+
+
 def transactions(keys, created_at: float = 0.0) -> list:
     return [Transaction(client_id=c, tx_id=i, created_at=created_at)
             for c, i in keys]
@@ -116,7 +122,7 @@ def test_the_queue_admits_and_drops_as_the_set_oracle(capacity, ops):
         if kind == "land":
             txs = transactions(arg)
             offered += txs
-            assert queue._admit(txs) == oracle.admit(txs)
+            assert land(queue, (txs)) == oracle.admit(txs)
         elif kind == "submit":
             [tx] = transactions([arg])
             offered.append(tx)
@@ -157,22 +163,22 @@ def test_a_retry_after_an_overflow_drop_is_admitted():
 def test_a_landed_batch_past_capacity_is_admitted_up_to_it():
     queue = QueueSource(capacity=3)
     batch = transactions([(i % 16, i) for i in range(1, 6)])
-    assert queue._admit(batch) == 3
+    assert land(queue, (batch)) == 3
     assert queue.drops == {DROP_OVERFLOW: 2}
     assert list(queue.take(10, 0.0)) == batch[:3]
     # The dropped two were never seen: they land on a retry.
-    assert queue._admit(batch[3:]) == 2
-    assert queue._admit(batch) == 0
+    assert land(queue, (batch[3:])) == 2
+    assert land(queue, (batch)) == 0
     assert queue.drops == {DROP_OVERFLOW: 2, DROP_DUPLICATE: 5}
 
 
 def test_reset_forgets_every_key():
     queue = QueueSource()
     batch = transactions([(i % 64, i) for i in range(1, 101)])
-    assert queue._admit(batch) == 100
+    assert land(queue, (batch)) == 100
     queue.reset()
     assert queue.pending() == 0
-    assert queue._admit(batch) == 100
+    assert land(queue, (batch)) == 100
     assert queue.submit(Transaction(10_000, 1))
     queue.reset()
     assert queue.submit(Transaction(10_000, 1))

@@ -1,8 +1,11 @@
 """A batch is minted slot for slot as one construction at a time.
 
-``mint_batch`` builds a batch column by column, with no Python frame per
-transaction, so how it builds the objects is a host-cost choice only:
-every transaction it returns must equal, slot for slot (``key`` and the
+``mint_batch`` builds ``Transaction`` objects column by column, with no
+Python frame per transaction.  It is how open-loop arrivals were minted
+while the mempool held objects; arrivals are columns from emission to
+commit now, and ``mint_batch`` is kept here as the oracle that
+``tests/property/test_tx_batch.py`` holds every landed batch to.  Every
+transaction it returns must equal, slot for slot (``key`` and the
 precomputed wire size included), the one ``Transaction(...)`` builds.
 The transactions a ``SaturatedSource.take`` batch stands for are held
 to the original list comprehension of constructor calls, kept below
@@ -17,11 +20,53 @@ and ``tests/property/test_draw_streams.py`` (the stdlib instants).
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
+from typing import Iterable, Sequence
+
 from hypothesis import given, settings, strategies as st
 
-from repro.chain.transaction import TX_METADATA_BYTES, Transaction, mint_batch
+from repro.chain.transaction import TX_METADATA_BYTES, Transaction
 from repro.client.workload import SaturatedSource
 from repro.sim.loop import Simulator
+
+
+def _fill(txs: "list[Transaction]", client_ids: Iterable,
+          tx_ids: Iterable, payloads: Iterable, payload_sizes: Iterable,
+          created_ats: Iterable) -> None:
+    """Store five slots of ``txs`` and their ``key``, column by column
+    (``any`` drains a ``map`` of ``setattr``, which returns ``None``);
+    ``key`` shares its ints with the stored slots, as in ``__init__``."""
+    any(map(setattr, txs, repeat("client_id"), client_ids))
+    any(map(setattr, txs, repeat("tx_id"), tx_ids))
+    any(map(setattr, txs, repeat("payload"), payloads))
+    any(map(setattr, txs, repeat("payload_size"), payload_sizes))
+    any(map(setattr, txs, repeat("created_at"), created_ats))
+    any(map(setattr, txs, repeat("key"), zip(
+        map(getattr, txs, repeat("client_id")),
+        map(getattr, txs, repeat("tx_id")))))
+
+
+def mint_batch(client_ids: Iterable[int], tx_ids: Sequence[int],
+               payloads: Iterable[str], payload_size: int,
+               created_ats: Iterable[float]) -> "list[Transaction]":
+    """``[Transaction(c, i, p, payload_size, t) for c, i, p, t in zip(...)]``
+    with no Python frame per transaction: the objects are allocated and
+    each slot is stored column-wise by ``map`` over C functions.  One
+    transaction per entry of ``tx_ids``; every other column is read once,
+    so it may be an iterator (``repeat``).  Equal wire sizes share one
+    int."""
+    txs = list(map(object.__new__, repeat(Transaction, len(tx_ids))))
+    _fill(txs, client_ids, tx_ids, payloads, repeat(payload_size),
+          created_ats)
+    # As in __init__: metadata + max(declared size, the text's bytes),
+    # as max(declared wire size, the text's): every transaction whose text
+    # fits its declared size shares the one ``wire`` int.
+    wire = TX_METADATA_BYTES + payload_size
+    any(map(setattr, txs, repeat("_wire_size"), map(
+        max, repeat(wire), map(add, map(len, map(str.encode, map(
+            getattr, txs, repeat("payload")))), repeat(TX_METADATA_BYTES)))))
+    return txs
 
 
 def slots(tx: Transaction) -> tuple:
@@ -53,7 +98,7 @@ payloads = st.one_of(st.just(""), st.text(max_size=24),
 
 rows = st.lists(st.tuples(
     st.integers(min_value=-2 ** 40, max_value=2 ** 40),
-    st.integers(min_value=0, max_value=2 ** 70),
+    st.integers(min_value=0, max_value=2 ** 64 - 1),
     payloads,
     st.floats(allow_nan=False)), max_size=40)
 

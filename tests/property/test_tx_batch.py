@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.block import create_leaf, genesis_block
@@ -42,6 +44,7 @@ from repro.harness.invariants import InvariantMonitor
 from repro.harness.metrics import MetricsCollector
 from repro.net.message import HASH_BYTES
 from repro.sim.loop import Simulator
+from tests.property.test_transaction_mint import mint_batch
 
 #: A block's wire size beyond its transactions: op, parent hash, view,
 #: height and proposer.
@@ -57,9 +60,8 @@ def slots(tx: Transaction) -> tuple:
 
 
 def oracle_digest(txs) -> str:
-    """``tx_list_digest`` over the objects, one at a time: for int ids it
-    is ``digest_of([t.key + (t.payload,) for t in txs])``, and an id that
-    is not an int is formatted by ``%d`` as it was."""
+    """``tx_list_digest`` over the objects, one at a time:
+    ``digest_of([t.key + (t.payload,) for t in txs])``."""
     encoded = b"".join([b"l3:i%di%ds%d:%s" % (
         t.client_id, t.tx_id, len(t.payload.encode()), t.payload.encode())
         for t in txs])
@@ -118,11 +120,8 @@ def check_batch(taken, oracle: list, deep: bool = True) -> None:
     assert [tx.key for tx in taken] == [tx.key for tx in oracle]
     assert [tx.wire_size() for tx in taken] == \
         [tx.wire_size() for tx in oracle]
-    assert tx_list_digest(taken) == oracle_digest(oracle)
-    if all(type(t.client_id) is int and type(t.tx_id) is int
-           for t in oracle):
-        assert oracle_digest(oracle) == \
-            digest_of([t.key + (t.payload,) for t in oracle])
+    assert tx_list_digest(taken) == oracle_digest(oracle) == \
+        digest_of([t.key + (t.payload,) for t in oracle])
     block, twin = block_of(taken), block_of(tuple(oracle))
     assert block.wire_size() == HEADER_BYTES + sum(
         tx.wire_size() for tx in oracle)
@@ -166,28 +165,26 @@ def test_a_saturated_mint_answers_as_its_transactions(
     assert source.minted == minted + count
 
 
-def pending(queue: QueueSource) -> list:
-    """The mempool's queued transactions, oldest first."""
-    queue.catch_up()
-    return queue._queue[queue._head:]
+def queued(queue: QueueSource) -> list:
+    """The objects ``queue`` stands for, oldest first, as
+    :func:`checked_batches` keeps them."""
+    return queue.__dict__.setdefault("oracle", [])
 
 
-def test_an_open_loop_mint_answers_as_its_transactions():
+def test_an_open_loop_landing_answers_as_its_transactions():
     for kv_keys in (0, 8):
-        sim = Simulator(seed=3)
-        queue = QueueSource()
-        OpenLoopGenerator(sim, queue, rate_tps=40_000.0, payload_size=64,
-                          kv_keys=kv_keys).start()
-        taken = 0
-        for step, count in enumerate([1, 400, 7, 0, 400, 1 << 20]):
-            sim.run(until=5.0 * (step + 1))
-            oracle = pending(queue)[:max(count, 0)]
-            batch = queue.take(count, sim.now)
-            check_batch(batch, oracle)
-            taken += len(oracle)
-        assert taken > 400
+        with checked_batches(deep=True):
+            sim = Simulator(seed=3)
+            queue = QueueSource()
+            OpenLoopGenerator(sim, queue, rate_tps=40_000.0,
+                              payload_size=64, kv_keys=kv_keys).start()
+            taken = []
+            for step, count in enumerate([1, 400, 7, 0, 400, 1 << 20]):
+                sim.run(until=5.0 * (step + 1))
+                taken += queue.take(count, sim.now)
+        assert len(taken) > 400
         if kv_keys:
-            assert all(tx.payload.startswith("SET k") for tx in oracle)
+            assert all(tx.payload.startswith("SET k") for tx in taken)
 
 
 def test_single_client_submits_answer_as_their_transactions():
@@ -200,19 +197,40 @@ def test_single_client_submits_answer_as_their_transactions():
     check_batch(queue.take(25, 13.0), oracle[25:])
 
 
-#: Client ids and transaction ids that are not plain non-negative ints
-#: below 2**32: what a set would answer for them is what counts.
-ODD_IDS = [(True, 2), (False, 2.0), (3, 2 ** 64 + 5), (-1, -7), (2 ** 70, 1),
-           (0, 2.5), (5, True)]
+#: Ids no slot array holds: negative, past 2**32, past 2**63 (one array
+#: holds the negative ones, another those past 2**63).
+WIDE_IDS = ([(-1, -7), (2 ** 40, 1), (0, 2 ** 32), (5, 2 ** 63 - 1)],
+            [(3, 2 ** 63 + 5), (2 ** 64 - 1, 0), (1, 1)])
 
 
-def test_ids_that_are_not_ints_answer_as_their_transactions():
+def test_wide_ids_answer_as_their_transactions():
     queue = QueueSource()
-    oracle = [Transaction(c, i, "", 4, 1.0) for c, i in ODD_IDS]
-    for tx in oracle:
-        queue.submit(tx)
-    kept = pending(queue)
-    check_batch(queue.take(1 << 10, 2.0), kept)
+    for keys in WIDE_IDS:
+        oracle = [Transaction(c, i, "", 4, 1.0) for c, i in keys]
+        for tx in oracle:
+            assert queue.submit(tx)
+        check_batch(queue.take(1 << 10, 2.0), oracle)
+
+
+#: Ids that are not ints (``True`` and ``2.0`` are the keys ``1`` and
+#: ``2`` to a ``set``), or that no 64-bit array holds.
+REFUSED_IDS = [(True, 2), (False, 2.0), (0, 2.5), (5, True), ("7", 1),
+               (None, 1), (3, 2 ** 64 + 5), (2 ** 70, 1), (-2 ** 63 - 1, 1)]
+
+
+def test_ids_that_are_not_64_bit_ints_are_refused():
+    for client, tx_id in REFUSED_IDS:
+        with pytest.raises(ValueError):
+            Transaction(client, tx_id)
+        row = SimpleNamespace(client_id=client, tx_id=tx_id, payload="",
+                              payload_size=0, created_at=0.0)
+        with pytest.raises(ValueError):
+            TxBatch.of([row])
+        with pytest.raises(ValueError):
+            TxBatch((tx_id,), (client,), "", 0, 0.0)
+    # Each fits a 64-bit array, but no one array holds both.
+    with pytest.raises(ValueError):
+        TxBatch.of([Transaction(-1, 1), Transaction(2 ** 63, 2)])
 
 
 def test_an_empty_batch_answers_as_no_transactions():
@@ -229,8 +247,8 @@ def test_a_requeued_batch_is_taken_again_as_it_was():
     queue = QueueSource()
     OpenLoopGenerator(sim, queue, rate_tps=40_000.0, kv_keys=4).start()
     sim.run(until=10.0)
-    oracle = pending(queue)[:50]
     batch = queue.take(50, sim.now)
+    oracle = list(batch)
     queue.requeue(batch)
     again = queue.take(50, sim.now)
     check_batch(again, oracle)
@@ -238,6 +256,18 @@ def test_a_requeued_batch_is_taken_again_as_it_was():
     minted = SaturatedSource(sim, 32).take(3, sim.now)
     queue.requeue(minted)
     check_batch(queue.take(3, sim.now), list(minted))
+    # So does a submitted one, behind what is queued.
+    with checked_batches(deep=True):
+        queue = QueueSource()
+        for k in range(1, 9):
+            queue.submit(Transaction(9, k, f"SET a v{k}", 16 * (k % 2),
+                                     k / 2))
+        first = queue.take(3, 9.0)
+        queue.submit(Transaction(9, 20, "", 0, 20.0))
+        queue.requeue(first)
+        queue.requeue(minted)
+        queue.take(4, 21.0)
+        queue.take(100, 21.0)
 
 
 def test_an_oversize_write_answers_as_its_transaction():
@@ -264,12 +294,12 @@ rows = st.lists(st.tuples(
 @given(rows=rows, chunks=st.lists(st.integers(-1, 12), min_size=1,
                                   max_size=6))
 def test_any_submitted_stream_answers_as_its_transactions(rows, chunks):
-    queue = QueueSource()
-    for c, i, payload, size, at in rows:
-        queue.submit(Transaction(c, i, payload, size, at))
-    for count in chunks:
-        oracle = pending(queue)[:max(count, 0)]
-        check_batch(queue.take(count, 20.0), oracle)
+    with checked_batches(deep=True):
+        queue = QueueSource()
+        for c, i, payload, size, at in rows:
+            queue.submit(Transaction(c, i, payload, size, at))
+        for count in chunks:
+            queue.take(count, 20.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -303,8 +333,8 @@ def test_a_saturated_take_holds_a_few_objects_whatever_its_size():
     batch = SaturatedSource(Simulator(seed=1), 256).take(400, 5.0)
     assert type(batch.tx_ids) is range and batch.n == 400
     assert batch.client_ids.typecode == "B"
-    assert (batch.payloads, batch.payload_sizes, batch.created_at,
-            batch.wire_sizes) == ("", 256, 4.95, 264)
+    assert (batch.payloads, batch.payload_sizes, batch.created_at) == \
+        ("", 256, 4.95)
     assert batch.wire_size() == 400 * 264
     assert SaturatedSource(Simulator(seed=1)).take(0, 1.0).n == 0
     assert QueueSource().take(5, 1.0) is EMPTY_BATCH
@@ -314,23 +344,64 @@ def test_a_saturated_take_holds_a_few_objects_whatever_its_size():
 # Every take of a golden run
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
-def checked_batches():
+def checked_batches(deep: bool = False):
     """Every ``take`` of a saturated source or a mempool inside checks
-    what it returns against the transactions it stands for."""
-    saturated, queued = SaturatedSource.take, QueueSource.take
+    what it returns against the transactions it stands for (``deep``
+    adds the collector, the monitor and the KV machine).  A mempool's
+    are kept beside it (:func:`queued`): what ``_admit`` let in of a
+    landed batch, minted by ``mint_batch`` (the keys it marked seen),
+    each transaction ``submit`` took, and a requeued batch's objects at
+    the head."""
+    saturated, admit = SaturatedSource.take, QueueSource._admit
+    submit, take = QueueSource.submit, QueueSource.take
+    requeue, reset = QueueSource.requeue, QueueSource.reset
 
     def take_saturated(self, count, now):
         oracle = oracle_saturated(self, count, now)
         batch = saturated(self, count, now)
-        check_batch(batch, oracle, deep=False)
+        check_batch(batch, oracle, deep)
         return batch
+
+    def admit_minted(self, count, *columns):
+        batch = TxBatch(*columns)
+        fresh = [key not in self._seen for key in batch.keys()]
+        admitted = admit(self, count, *columns)
+        assert batch.n == count and type(batch.payload_sizes) is int
+        minted = mint_batch(batch.client_ids, batch.tx_ids,
+                            batch.column("payloads"), batch.payload_sizes,
+                            batch.column("created_at"))
+        queued(self).extend(tx for tx, new in zip(minted, fresh)
+                            if new and tx.key in self._seen)
+        return admitted
+
+    def submit_kept(self, tx):
+        self.catch_up()
+        if not submit(self, tx):
+            return False
+        queued(self).append(tx)
+        return True
 
     def take_queued(self, count, now):
-        oracle = pending(self)[:max(count, 0)]
-        batch = queued(self, count, now)
-        check_batch(batch, oracle, deep=False)
+        oracle = queued(self)
+        assert self.pending() == len(oracle)
+        expected = oracle[:max(count, 0)]
+        batch = take(self, count, now)
+        del oracle[:len(expected)]
+        check_batch(batch, expected, deep)
         return batch
 
+    def requeue_kept(self, txs):
+        requeue(self, txs)
+        queued(self)[:0] = list(txs)
+
+    def reset_kept(self):
+        reset(self)
+        queued(self).clear()
+
     with mock.patch.object(SaturatedSource, "take", take_saturated), \
-            mock.patch.object(QueueSource, "take", take_queued):
+            mock.patch.object(QueueSource, "_admit", admit_minted), \
+            mock.patch.object(QueueSource, "submit", submit_kept), \
+            mock.patch.object(QueueSource, "take", take_queued), \
+            mock.patch.object(QueueSource, "requeue", requeue_kept), \
+            mock.patch.object(QueueSource, "reset", reset_kept):
         yield

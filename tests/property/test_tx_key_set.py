@@ -6,9 +6,10 @@ every shape is driven here against a ``set`` (and, tagged,
 a ``dict`` of first tags) as the oracle: one global counter with the
 client derived from the id, per-client counters, soak's sparse ids (one
 counter, random clients, gaps where a bounded mempool dropped some),
-client 0, ids past 2**32, negative and non-int ids (``True`` and ``2.0``
-are the keys ``1`` and ``2``, as in a set), repeats inside a batch, runs
-that are not contiguous, ids too sparse for the array, and ``clear()``.
+client 0, ids past 2**32 and 2**63, negative ids, repeats inside a
+batch, runs that are not contiguous, ids too sparse for the array, and
+``clear()``.  Ids are ints at the boundary (a ``Transaction`` or a batch
+refuses any other), so every key here is a pair of ints.
 
 :func:`checked_key_sets` swaps an oracle-checked subclass into every
 holder; ``tests/integration/test_event_core_golden.py`` runs each pinned
@@ -99,10 +100,10 @@ def per_client(clients: int, first: int, n: int, base: int) -> list:
 
 
 odd_id = st.one_of(
-    st.integers(-3, 2**33), st.sampled_from([2**32, 2**32 + 7, 2**62, 2**64]),
-    st.sampled_from([True, False, 2.0, 2.5, -0.0, "7", None, (1, 2)]))
+    st.integers(-3, 2**33),
+    st.sampled_from([2**32, 2**32 + 7, 2**62, 2**63, 2**64 - 1]))
 odd_client = st.one_of(st.integers(-2, 70), st.sampled_from(
-    [0, 10_000, 50_000, 2**63 - 2, 2**63 - 1, 2**63, True, 1.0, "c"]))
+    [0, 10_000, 50_000, 2**63 - 2, 2**63 - 1, 2**63, 2**64 - 1]))
 
 batch = st.one_of(
     st.builds(global_counter, st.integers(0, 3 * MIN_SLOTS),
@@ -126,8 +127,12 @@ operation = st.one_of(
 
 def columns(keys) -> tuple:
     """The client and id columns of a batch of ``keys``, as a ``TxBatch``
-    holds them (arrays, or tuples of ids that are not ints)."""
-    batch = TxBatch.of([Transaction(client_id=c, tx_id=i) for c, i in keys])
+    holds them (arrays), or tuples where no one array holds them."""
+    try:
+        batch = TxBatch.of([Transaction(client_id=c, tx_id=i)
+                            for c, i in keys])
+    except ValueError:
+        return tuple(zip(*keys))
     return batch.client_ids, batch.tx_ids
 
 
