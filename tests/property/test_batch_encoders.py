@@ -10,8 +10,8 @@ every one of them is held here to the generic formulation it replaced.
 The apply loop keeps the history as bytes and routes 2PC entries mid-batch,
 so a ``ShardStateMachine`` batch is held to applying it one transaction at
 a time and to the ``digest_of`` fold of every effect in log order; the
-roots of mixed KV and 2PC batches ending in a rejected write are pinned
-byte for byte.
+roots of mixed KV and 2PC batches ending in a rejected write, and of a
+shard's blocks through TTL expiries, are pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -258,6 +258,25 @@ class TestPinnedRoots:
                   ("14ef2968e35c27c9", 18, "fe4e3ef0c2df6d7f")],
     }
 
+    #: Blocks of a shard with a TTL of 2 blocks: ``t9`` and ``t10``
+    #: prepare in block 1 and both expire at the start of block 3, ``t10``
+    #: first (sorted txid order, not prepare order); ``t9``'s commit then
+    #: comes too late, and ``t12`` expires at the start of block 5.
+    EXPIRY_BLOCKS = (
+        ("TPREP t9 a=1", "TPREP t10 b=2&c=3", "SET e 5"),
+        ("TPREP t11 d=4", "TDEC t9 commit", "opaque"),
+        ("TCMT t9", "TCMT t11", "TPREP t12 a=7"),
+        ("SET a 8",),
+        ("TABT t12",),
+    )
+
+    #: ``(root, applied, history, expired)`` after each expiry block.
+    EXPIRY_PINS = [("be75d3720859ccfd", 3, "823ce1fb36f6c90b", 0),
+                   ("f8931360f9d9261d", 6, "4ef8a3cb3330503b", 0),
+                   ("89d1759d48e48d02", 9, "abaf93a6984bc238", 2),
+                   ("6b08cb9f6b3d5ad0", 10, "5b7f1c1c6324abfb", 2),
+                   ("99769b193278ae95", 11, "9fb65ca394038319", 3)]
+
     @staticmethod
     def state(machine) -> tuple:
         return (machine.state_root[:16], machine.applied,
@@ -289,3 +308,14 @@ class TestPinnedRoots:
     def test_shard_roots(self, oversized_key):
         assert self.roots(ShardStateMachine(), self.SHARD_BATCHES,
                           oversized_key) == self.PINS["shard"]
+
+    def test_expiry_roots(self):
+        machine, seen, base = ShardStateMachine(txn_ttl_blocks=2), [], 0
+        for height, block in enumerate(self.EXPIRY_BLOCKS, start=1):
+            machine.apply_batch([Transaction(1, base + i, p)
+                                 for i, p in enumerate(block)])
+            machine.state_height = height
+            base += len(block)
+            seen.append(self.state(machine) + (machine.expired,))
+        assert seen == self.EXPIRY_PINS
+        assert machine.reply_outcome((1, 6)) == "rejected"
