@@ -192,7 +192,9 @@ perf-smoke:
 	$(PYTHON) benchmarks/call_profile.py soak_recover_f1 --smoke \
 		--under take,_emit_through,catch_up,QueueSource._admit > /dev/null
 	$(PYTHON) benchmarks/call_profile.py shard4_2pc --smoke \
-		--under _emit,apply_batch > /dev/null
+		--under _emit,apply_batch,_expire > /dev/null
+	$(PYTHON) benchmarks/call_profile.py powercut_snap_f1 --smoke \
+		--under WriteAheadJournal.fsync,WriteAheadJournal.commit > /dev/null
 	$(PYTHON) benchmarks/mem_profile.py soak_recover_f1 --smoke --by-file \
 		> /dev/null
 	$(PYTHON) benchmarks/mem_profile.py lan_sat_f10 --smoke > /dev/null

@@ -25,6 +25,10 @@ from repro.chain.execution import execution_results
 from repro.chain.transaction import EMPTY_BATCH, TxBatch, tx_list_digest
 from repro.net.message import HASH_BYTES
 
+#: A block's serialized bytes besides its transactions: ``op``, the
+#: parent hash, view, height and proposer.
+BLOCK_HEADER_BYTES = 2 * HASH_BYTES + 8 + 8 + 4
+
 
 @dataclass(frozen=True)
 class Block:
@@ -75,8 +79,10 @@ class Block:
 
     @cached_property
     def _wire_size(self) -> int:
-        header = 2 * HASH_BYTES + 8 + 8 + 4  # op + parent hash + view/height/proposer
-        return header + self.txs.wire_size()
+        """:data:`BLOCK_HEADER_BYTES` and the batch's wire size; a
+        leader's ``_build_block`` seeds this memo where the batch digest's
+        pass already summed the payloads."""
+        return BLOCK_HEADER_BYTES + self.txs.wire_size()
 
     def wire_size(self) -> int:
         """Serialized size: header fields + all transactions.
@@ -122,4 +128,4 @@ def create_leaf(
     )
 
 
-__all__ = ["Block", "genesis_block", "create_leaf"]
+__all__ = ["Block", "BLOCK_HEADER_BYTES", "genesis_block", "create_leaf"]

@@ -110,7 +110,8 @@ class KVStateMachine:
     @property
     def state_root(self) -> str:
         """Digest committing to the execution history *and* the
-        materialized state (cached; recomputed lazily after writes)."""
+        materialized state: computed at its first read after a change,
+        then cached until the next one."""
         if self._root is None:
             # Inlined compute_state_root over the per-key bytes; pinned
             # equal to it by tests/property/test_batch_encoders.py.
@@ -135,16 +136,19 @@ class KVStateMachine:
         self._state[key] = value
         self._item_bytes[key] = b"l2:s%d:%ss%d:%s" % (len(kb), kb, len(vb), vb)
 
-    def apply_batch(self, txs: TxBatch) -> str:
-        """Apply a batch; returns the resulting state root.
+    def apply_batch(self, txs: TxBatch) -> None:
+        """Apply a batch.
 
+        The state root is not computed here: :attr:`state_root` hashes
+        every item, so it is left to whoever reads it (a checkpoint's
+        snapshot capture, the invariant monitor, a campaign's extras),
+        once per read of a changed state rather than once per block.
         ``Transaction`` objects are taken as their
         :class:`~repro.chain.transaction.TxBatch`: the execution probes in
         benchmarks/perf/probes.py apply tuples of them."""
         if txs.__class__ is not TxBatch:
             txs = TxBatch.of(txs)
         self._execute(txs)
-        return self.state_root
 
     #: Payload kinds (first word, followed by a space) that a subclass
     #: executes itself, in log order, through ``_route(key, parts)``.

@@ -456,25 +456,40 @@ class TxKeySet:
 
 def tx_list_digest(batch: TxBatch) -> str:
     """``digest_of([t.key + (t.payload,) for t in batch])``, the one
-    encoding of a batch, built in one pass over its columns with no call
-    per transaction: a shared payload is encoded once, else the payloads'
-    encode and length are C maps over the batch.
+    encoding of a batch (:func:`tx_list_encoding`'s digest)."""
+    return tx_list_encoding(batch)[0]
+
+
+def tx_list_encoding(batch: TxBatch) -> "tuple[str, Optional[int]]":
+    """``(tx_list_digest(batch), wire)``, built in one pass over the
+    batch's columns with no call per transaction: a shared payload is
+    encoded once, else the payloads' encode and length are C maps over
+    the batch.  ``wire`` is ``batch.wire_size()`` where the payloads are
+    a per-row column, summed from the lengths the digest took; ``None``
+    for a shared payload, whose wire size costs no pass.
     Pinned by tests/property/test_batch_encoders.py."""
-    keys, payloads = batch.keys(), batch.payloads
+    keys, payloads, n = batch.keys(), batch.payloads, batch.n
+    wire = None
     if payloads.__class__ is not str:
         data = list(map(str.encode, payloads))
-        items = [b"l3:i%di%ds%d:%s" % (c, i, n, d) if n
+        lengths = list(map(len, data))
+        items = [b"l3:i%di%ds%d:%s" % (c, i, size, d) if size
                  else b"l3:i%di%ds0:" % (c, i)
-                 for (c, i), d, n in zip(keys, data, map(len, data))]
+                 for (c, i), d, size in zip(keys, data, lengths)]
+        sizes = batch.payload_sizes
+        if sizes.__class__ not in COLUMN_TYPES:
+            sizes = repeat(sizes, n)
+        wire = TX_METADATA_BYTES * n + sum(map(max, sizes, lengths))
     elif payloads:
         data = payloads.encode()
-        n = len(data)
-        items = [b"l3:i%di%ds%d:%s" % (c, i, n, data) for c, i in keys]
+        size = len(data)
+        items = [b"l3:i%di%ds%d:%s" % (c, i, size, data) for c, i in keys]
     else:
         items = [b"l3:i%di%ds0:" % key for key in keys]
-    return hashlib.sha256(b"l%d:%s" % (batch.n, b"".join(items))).hexdigest()
+    return (hashlib.sha256(b"l%d:%s" % (n, b"".join(items))).hexdigest(),
+            wire)
 
 
 __all__ = ["Transaction", "TxBatch", "TxKeySet", "EMPTY_BATCH",
-           "append_ints", "tx_list_digest", "tx_wire_size",
-           "TX_METADATA_BYTES"]
+           "append_ints", "tx_list_digest", "tx_list_encoding",
+           "tx_wire_size", "TX_METADATA_BYTES"]

@@ -24,11 +24,11 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional, Protocol as TypingProtocol
 
-from repro.chain.block import Block, create_leaf
+from repro.chain.block import BLOCK_HEADER_BYTES, Block, create_leaf
 from repro.chain.execution import KVStateMachine, execution_results
 from repro.chain.store import BlockStore
 from repro.chain.transaction import (EMPTY_BATCH, Transaction, TxBatch,
-                                     tx_list_digest)
+                                     tx_list_encoding)
 from repro.consensus.config import BATCH_WAIT_MS, ProtocolConfig
 from repro.consensus.messages import BlockSyncRequest, BlockSyncResponse
 from repro.crypto.keys import KeyPair, Keyring
@@ -503,12 +503,15 @@ class ReplicaBase(Process):
         self._batch_timer.cancel()
         # executeTx over the batch, encoded once: the block's own
         # ``batch_digest`` memo is seeded with the digest ``op`` was built
-        # on, so its hash does not encode the batch again.
-        batch = tx_list_digest(txs)
+        # on, so its hash does not encode the batch again, and its wire
+        # size with the payload bytes that pass summed, if it summed them.
+        batch, wire = tx_list_encoding(txs)
         op = execution_results(parent.hash, batch)
         self.charge(self.config.costs.exec_cost(txs.n))
         block = create_leaf(txs, op, parent, view=view, proposer=self.node_id)
         block.__dict__["batch_digest"] = batch
+        if wire is not None:
+            block.__dict__["_wire_size"] = BLOCK_HEADER_BYTES + wire
         return block
 
     def _refuse_results(self, block: Block) -> None:

@@ -31,10 +31,10 @@ negative-control chaos campaigns use that to demonstrate wedged locks.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Optional
 
 from repro.chain.execution import KVStateMachine, validate_write
-from repro.crypto.hashing import digest_of
 from repro.errors import StateMachineError
 
 
@@ -74,13 +74,12 @@ def decode_writes(encoded: str) -> "tuple[tuple[str, str], ...]":
 class _TxnEntry:
     """Per-transaction 2PC bookkeeping on one shard."""
 
-    __slots__ = ("status", "writes", "prepare_height")
+    __slots__ = ("status", "writes")
 
-    def __init__(self, status: str, writes: "tuple[tuple[str, str], ...]" = (),
-                 prepare_height: int = 0) -> None:
+    def __init__(self, status: str,
+                 writes: "tuple[tuple[str, str], ...]" = ()) -> None:
         self.status = status
         self.writes = writes
-        self.prepare_height = prepare_height
 
 
 class ShardStateMachine(KVStateMachine):
@@ -103,6 +102,10 @@ class ShardStateMachine(KVStateMachine):
         self.locks: dict[str, str] = {}
         #: txid -> :class:`_TxnEntry`
         self.txns: dict[str, _TxnEntry] = {}
+        # txid -> prepare height of each transaction still "prepared", in
+        # prepare order (heights never fall on one machine), so the TTL
+        # sweep reads only the due prefix.
+        self._prepared: dict[str, int] = {}
         #: txid -> coordinator decision record ("commit"/"abort")
         self.decisions: dict[str, str] = {}
         #: Commits arriving after a local abort/expiry — the atomicity
@@ -131,7 +134,7 @@ class ShardStateMachine(KVStateMachine):
     # ------------------------------------------------------------------
     # Deterministic apply
     # ------------------------------------------------------------------
-    def apply_batch(self, txs) -> str:
+    def apply_batch(self, txs) -> None:
         """Expire stale prepares for the block being applied, then apply.
 
         The replica layer calls this once per committed block with
@@ -140,25 +143,49 @@ class ShardStateMachine(KVStateMachine):
         shard's ordered log and the TTL.
         """
         self._expire(self.state_height + 1)
-        return super().apply_batch(txs)
+        super().apply_batch(txs)
 
     def _expire(self, height: int) -> None:
+        """Abort the prepares ``height`` finds ``txn_ttl_blocks`` old, in
+        txid order.  The due ones are a prefix of :attr:`_prepared`, so a
+        block pays for what it expires, not for the shard's history;
+        tests/property/test_shard_expiry.py holds it to the full sorted
+        sweep."""
         ttl = self.txn_ttl_blocks
         if ttl is None:
             return
-        for txid in sorted(self.txns):
-            entry = self.txns[txid]
-            if entry.status == "prepared" and height - entry.prepare_height >= ttl:
-                self._release(txid)
-                entry.status = "aborted"
-                self.expired += 1
-                self._fold(("TEXP", txid, height))
+        due = []
+        for txid, prepared_at in self._prepared.items():
+            if height - prepared_at < ttl:
+                break
+            due.append(txid)
+        if not due:
+            return
+        for txid in sorted(due):
+            del self._prepared[txid]
+            self._release(txid)
+            self.txns[txid].status = "aborted"
+            self.expired += 1
+            self._fold("TEXP", txid, height)
 
-    def _fold(self, effect: tuple) -> None:
-        # Every 2PC effect lands in the rolling history digest exactly the
-        # way plain effects do, so the state-agreement invariant covers
-        # locks and outcomes too.
-        self._history = digest_of(self._history, effect)
+    def _fold(self, kind: str, txid: str, last: "str | int") -> None:
+        """Fold the effect ``(kind, txid, last)`` into the history.
+
+        Every 2PC effect lands in the rolling history digest exactly the
+        way plain effects do, so the state-agreement invariant covers
+        locks and outcomes too.  Inlined ``digest_of(history, (kind,
+        txid, last))`` (``last`` an outcome or an expiry height), pinned
+        to it by tests/property/test_shard_expiry.py.
+        """
+        kb, tb = kind.encode(), txid.encode()
+        if last.__class__ is int:
+            lenc = b"i%d" % last
+        else:
+            lb = last.encode()
+            lenc = b"s%d:%s" % (len(lb), lb)
+        self._history = hashlib.sha256(b"s64:%sl3:s%d:%ss%d:%s%s" % (
+            self._history.encode(), len(kb), kb, len(tb), tb,
+            lenc)).hexdigest()
         self._root = None
 
     def _release(self, txid: str) -> None:
@@ -179,7 +206,7 @@ class ShardStateMachine(KVStateMachine):
         else:  # TDEC
             outcome = self._apply_decide(txid, parts)
         self._outcomes[key] = outcome
-        self._fold((kind, txid, outcome))
+        self._fold(kind, txid, outcome)
         self.applied += 1
 
     def _apply_prepare(self, txid: str, parts: "list[str]") -> str:
@@ -198,7 +225,8 @@ class ShardStateMachine(KVStateMachine):
             return "aborted"
         for key, _ in writes:
             self.locks[key] = txid
-        self.txns[txid] = _TxnEntry("prepared", writes, self.state_height + 1)
+        self.txns[txid] = _TxnEntry("prepared", writes)
+        self._prepared[txid] = self.state_height + 1
         return "prepared"
 
     def _apply_commit(self, txid: str) -> str:
@@ -209,6 +237,7 @@ class ShardStateMachine(KVStateMachine):
         if entry.status == "prepared":
             for key, value in entry.writes:
                 self._put(key, value)
+            del self._prepared[txid]
             self._release(txid)
             entry.status = "committed"
         return "committed"
@@ -222,6 +251,7 @@ class ShardStateMachine(KVStateMachine):
         if entry.status == "committed":
             return "committed"
         if entry.status == "prepared":
+            del self._prepared[txid]
             self._release(txid)
             entry.status = "aborted"
         return "aborted"
