@@ -12,9 +12,9 @@ A config is the runner's keyword arguments: ``run_experiment``'s fields,
 or ``{"spec": spec, "seed": seed}`` for every campaign kind.  It adds two
 orthogonal conveniences:
 
-* **Fan-out** — configs run ``workers`` at a time (defaults to the CPU
-  count, override with ``REPRO_HARNESS_WORKERS``; ``1`` forces the plain
-  sequential loop with no pool at all).
+* **Fan-out** — configs run :func:`default_workers` at a time (the CPU
+  count, or ``REPRO_HARNESS_WORKERS``; ``1`` forces the plain sequential
+  loop with no pool at all).
 * **Result cache** — with ``cache_dir`` (or ``REPRO_RESULT_CACHE``) set,
   each result is stored as JSON keyed by a digest of the runner and its
   configuration, and rebuilt by :func:`repro.harness.runner.from_json`
@@ -118,11 +118,7 @@ def _cache_store(cache_dir: pathlib.Path, key: str, result: object) -> None:
     tmp.replace(path)  # atomic on POSIX: concurrent writers both win
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-) -> list[R]:
+def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """Order-preserving map over a process pool.
 
     ``fn`` must be picklable (module-level function or ``functools.partial``
@@ -130,10 +126,8 @@ def parallel_map(
     no pickling — which also keeps single-CPU machines and debuggers happy.
     """
     items = list(items)
-    workers = min(default_workers() if workers is None else max(1, workers),
-                  len(items) or 1)
-    if (workers <= 1 or len(items) <= 1
-            or multiprocessing.current_process().daemon):
+    workers = min(default_workers(), len(items))
+    if workers <= 1 or multiprocessing.current_process().daemon:
         # Pool workers are daemonic and cannot spawn children; a nested
         # parallel_map degrades to the sequential loop instead of raising.
         return [fn(item) for item in items]
@@ -144,7 +138,6 @@ def parallel_map(
 def run_experiments(
     configs: Sequence[Mapping],
     *,
-    workers: Optional[int] = None,
     cache_dir: Optional[os.PathLike | str] = None,
     report: Optional[Callable[[str], None]] = None,
     runner: Callable = run_experiment,
@@ -196,8 +189,7 @@ def run_experiments(
     batch_start = time.perf_counter()
     if pending:
         body = functools.partial(_run_kwargs, runner=runner)
-        fresh = parallel_map(body, [configs[i] for i in pending],
-                             workers=workers)
+        fresh = parallel_map(body, [configs[i] for i in pending])
         for i, (result, wall) in zip(pending, fresh):
             results[i] = result
             walls[i] = wall

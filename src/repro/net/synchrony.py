@@ -49,9 +49,9 @@ class PartialSynchrony:
         return now >= self.gst_ms
 
     @classmethod
-    def always_synchronous(cls, delta_ms: float = 1000.0) -> "PartialSynchrony":
+    def always_synchronous(cls) -> "PartialSynchrony":
         """A model with GST = 0 (the common benchmark configuration)."""
-        return cls(delta_ms=delta_ms, gst_ms=0.0)
+        return cls(delta_ms=1000.0, gst_ms=0.0)
 
 
 __all__ = ["PartialSynchrony"]

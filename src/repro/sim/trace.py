@@ -1,9 +1,13 @@
 """Structured trace recording.
 
-The trace is how the harness computes message complexity (Table 1),
-communication-step counts, and debug timelines.  A simulator builds its
-recorder disabled, so a run keeps no event unless a reader turns it on
-(``sim.trace.enabled = True``); the per-kind counters tick either way.
+Replicas, the pacemaker and the invariant monitors record notable moments
+here (a crash, a reboot, a view timeout, a checkpoint or snapshot
+install, an invariant violation).  Only tests read them back, through
+``events`` and ``count``.  Table 1's message complexity is not computed
+from the trace: ``harness/analysis.py`` reads ``messages_sent`` from the
+network's stats.  A simulator builds its recorder disabled, so a run
+keeps no event unless a reader turns it on (``sim.trace.enabled =
+True``); the per-kind counters tick either way.
 """
 
 from __future__ import annotations

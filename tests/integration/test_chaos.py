@@ -215,12 +215,12 @@ class TestChaosRuns:
                          duration_ms=SMOKE.duration_ms,
                          quiesce_ms=SMOKE.quiesce_ms,
                          warmup_ms=SMOKE.warmup_ms)
-        [result] = run_experiments([{"spec": spec, "seed": 2}], workers=1,
+        [result] = run_experiments([{"spec": spec, "seed": 2}],
                                    runner=run_chaos, result_type=ChaosResult)
         assert result.seed == 2 and result.protocol == "achilles"
         assert result == run_chaos(spec, 2)
 
-    def test_parallel_harness_integration(self, tmp_path):
+    def test_parallel_harness_integration(self, tmp_path, monkeypatch):
         """run_experiments runs every campaign kind from the config
         ``{"spec": spec, "seed": seed}``, equal to calling its runner, and
         caches results by (runner, config): a second call replays them
@@ -242,6 +242,7 @@ class TestChaosRuns:
         soak = SoakSpec(scenario="flash-crowd", warmup_ms=250.0,
                         pressure_ms=500.0, reconverge_budget_ms=500.0,
                         settle_ms=250.0, clients=5000)
+        monkeypatch.setenv("REPRO_HARNESS_WORKERS", "1")
         replayed = {}
         for runner, result_type, spec, seeds in (
                 (run_chaos, ChaosResult, chaos, (0, 1)),
@@ -249,10 +250,10 @@ class TestChaosRuns:
                 (run_soak, SoakResult, soak, (1,))):
             configs = [{"spec": spec, "seed": seed} for seed in seeds]
             lines: list[str] = []
-            fresh = run_experiments(configs, workers=1, cache_dir=tmp_path,
+            fresh = run_experiments(configs, cache_dir=tmp_path,
                                     report=lines.append, runner=runner,
                                     result_type=result_type)
-            cached = run_experiments(configs, workers=1, cache_dir=tmp_path,
+            cached = run_experiments(configs, cache_dir=tmp_path,
                                      report=lines.append, runner=runner,
                                      result_type=result_type)
             assert fresh == cached

@@ -53,24 +53,24 @@ class TestDeterminism:
         other = run_experiment(**{**_CONFIG, "seed": 4})
         assert dataclasses.asdict(base) != dataclasses.asdict(other)
 
-    def test_parallel_equals_sequential(self):
-        sequential = run_experiments(_SWEEP, workers=1, report=_quiet)
-        parallel = run_experiments(_SWEEP, workers=3, report=_quiet)
+    def test_parallel_equals_sequential(self, monkeypatch):
+        monkeypatch.setenv("REPRO_HARNESS_WORKERS", "1")
+        sequential = run_experiments(_SWEEP, report=_quiet)
+        monkeypatch.setenv("REPRO_HARNESS_WORKERS", "3")
+        parallel = run_experiments(_SWEEP, report=_quiet)
         assert _snapshot(sequential) == _snapshot(parallel)
         # extras are stamped identically on both paths
         assert sequential[2].extras == parallel[2].extras == {"tag": "x"}
 
-    def test_result_cache_round_trips_exactly(self, tmp_path):
-        fresh = run_experiments(_SWEEP, workers=1, cache_dir=tmp_path,
-                                report=_quiet)
+    def test_result_cache_round_trips_exactly(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_HARNESS_WORKERS", "1")
+        fresh = run_experiments(_SWEEP, cache_dir=tmp_path, report=_quiet)
         assert list(tmp_path.glob("*.json"))
-        cached = run_experiments(_SWEEP, workers=1, cache_dir=tmp_path,
-                                 report=_quiet)
+        cached = run_experiments(_SWEEP, cache_dir=tmp_path, report=_quiet)
         # JSON round-trip (repr-based floats) must be bit-identical.
         assert _snapshot(fresh) == _snapshot(cached)
 
     def test_harness_matches_direct_run_experiment(self):
         direct = run_experiment(**_SWEEP[0])
-        [via_harness] = run_experiments([_SWEEP[0]], workers=1,
-                                        report=_quiet)
+        [via_harness] = run_experiments([_SWEEP[0]], report=_quiet)
         assert dataclasses.asdict(direct) == dataclasses.asdict(via_harness)

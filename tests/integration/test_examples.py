@@ -37,11 +37,6 @@ class TestExamples:
         assert "attack detected: rollback detected" in out
         assert "recovered from peers" in out
 
-    def test_membership_change(self, capsys):
-        out = run_example("membership_change.py", capsys)
-        assert "active committee now:  [0, 2, 3, 4, 5]" in out
-        assert "safety intact" in out
-
     def test_every_example_has_a_main_guard(self):
         for script in EXAMPLES.glob("*.py"):
             text = script.read_text()

@@ -140,7 +140,7 @@ class TestWorker:
 
         spec = PowercutSpec(protocol="minbft", duration_ms=1200.0,
                             quiesce_ms=500.0, warmup_ms=150.0, max_cuts=2)
-        [result] = run_experiments([{"spec": spec, "seed": 1}], workers=1,
+        [result] = run_experiments([{"spec": spec, "seed": 1}],
                                    runner=run_powercut,
                                    result_type=PowercutResult)
         assert result.protocol == "minbft" and result.seed == 1

@@ -34,7 +34,6 @@ from repro.chain.block import create_leaf, genesis_block
 from repro.core.accumulator import AchillesAccumulator
 from repro.core.certificates import BlockCertificate, CommitmentCertificate
 from repro.core.checker import AchillesChecker
-from repro.core.reconfig import ReconfigurableChecker
 from repro.crypto.keys import Keyring, generate_keypairs
 from repro.crypto.signatures import SignatureList, sign
 from repro.errors import EnclaveAbort
@@ -59,10 +58,6 @@ class Variant:
         self.restores = restores        # has a sealed-state tee_restore
 
 
-def _reconfigurable(**kwargs):
-    return ReconfigurableChecker(members=range(N), **kwargs)
-
-
 _ACHILLES = dict(counter=False, view="tee_view", prepare_acc="tee_prepare",
                  prepare_qc="tee_prepare", votes=("tee_store",),
                  restores=False)
@@ -77,7 +72,6 @@ _DAMYSUS = dict(view="tee_new_view", prepare_acc="tee_prepare",
 
 VARIANTS = {
     "achilles": Variant(AchillesChecker, **_ACHILLES),
-    "reconfig": Variant(_reconfigurable, **_ACHILLES),
     "oneshot": Variant(OneShotChecker, counter=False, **_ONESHOT),
     "oneshot-r": Variant(OneShotChecker, counter=True, **_ONESHOT),
     "damysus": Variant(DamysusChecker, counter=False, **_DAMYSUS),

@@ -286,17 +286,25 @@ class _Calls(ast.NodeVisitor):
 
     def __init__(self, bases: dict) -> None:
         self.bases = bases
-        self.keywords: set = set()     # f(name=...)
+        self.keywords: dict = {}       # f(name=...) -> enclosing defs' ids
         self.assigned: set = set()     # x.name = ... (x not self)
         self.splatted: set = set()     # f(**kw)
         self.handed_on: set = set()    # f passed or stored as a value
         self.reach: dict = {}          # f -> most positional args passed
         self._class: "str | None" = None
+        self._defs: frozenset = frozenset()
 
     def visit_ClassDef(self, node) -> None:
         outer, self._class = self._class, node.name
         self.generic_visit(node)
         self._class = outer
+
+    def visit_FunctionDef(self, node) -> None:
+        outer, self._defs = self._defs, self._defs | {id(node)}
+        self.generic_visit(node)
+        self._defs = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node) -> None:
         func = node.func
@@ -316,7 +324,7 @@ class _Calls(ast.NodeVisitor):
                 self.splatted.add(name)
         for kw in node.keywords:
             if kw.arg is not None:
-                self.keywords.add(kw.arg)
+                self.keywords.setdefault(kw.arg, []).append(self._defs)
         for value in node.args + [kw.value for kw in node.keywords]:
             self.handed_on.update(_values(value))
         self.generic_visit(node)
@@ -354,9 +362,9 @@ class _Calls(ast.NodeVisitor):
 
 
 def _options(tree: ast.Module, bases: dict, own_init: set):
-    """``(label, callee, position, name)`` for every public parameter with
-    a default of a public function, method or constructor in ``tree``
-    (``position`` is None for a keyword-only one)."""
+    """``(label, callee, position, name, fn)`` for every public parameter
+    with a default of a public function, method or constructor ``fn`` in
+    ``tree`` (``position`` is None for a keyword-only one)."""
     scopes = [(None, tree.body)] + [
         (node, node.body) for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)]
@@ -385,10 +393,10 @@ def _options(tree: ast.Module, bases: dict, own_init: set):
             defaulted = positional[len(positional) - len(fn.args.defaults):]
             for arg in defaulted:
                 yield (f"{label}({arg.arg})", callee, positional.index(arg),
-                       arg.arg)
+                       arg.arg, fn)
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    yield f"{label}({arg.arg})", callee, None, arg.arg
+                    yield f"{label}({arg.arg})", callee, None, arg.arg, fn
 
 
 def unset_options(repo: pathlib.Path) -> set:
@@ -396,13 +404,14 @@ def unset_options(repo: pathlib.Path) -> set:
     ``src/``, ``benchmarks/`` or ``examples/`` sets.
 
     Matched by name, so the check under-reports and never cries wolf: a
-    parameter counts as set by any ``name=`` keyword anywhere, by any
-    ``x.name = ...`` outside ``self``, and by a call to any function of
-    the same name (a class through itself or a subclass that inherits its
-    constructor, or ``super().__init__``) that passes it by position or
-    splats ``*args`` / ``**kwargs``; a function or class that is passed or
-    stored as a value may be called from anywhere, so all its parameters
-    count as set."""
+    parameter counts as set by any ``name=`` keyword outside the body of
+    the function that declares it (a call there hands the parameter on,
+    it does not set it), by any ``x.name = ...`` outside ``self``, and by
+    a call to any function of the same name (a class through itself or a
+    subclass that inherits its constructor, or ``super().__init__``) that
+    passes it by position or splats ``*args`` / ``**kwargs``; a function
+    or class that is passed or stored as a value may be called from
+    anywhere, so all its parameters count as set."""
     src = sorted((repo / "src" / "repro").rglob("*.py"))
     roots = src + sorted((repo / "benchmarks").rglob("*.py")) \
         + sorted((repo / "examples").glob("*.py"))
@@ -427,9 +436,11 @@ def unset_options(repo: pathlib.Path) -> set:
         return names
 
     unset = set()
-    for label, callee, position, name in options:
+    for label, callee, position, name, fn in options:
         names = called_as(callee)
-        if name.startswith("_") or name in calls.keywords \
+        by_keyword = any(id(fn) not in defs
+                         for defs in calls.keywords.get(name, ()))
+        if name.startswith("_") or by_keyword \
                 or name in calls.assigned or names & calls.splatted \
                 or names & calls.handed_on:
             continue
