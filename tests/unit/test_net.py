@@ -204,6 +204,13 @@ class TestPartialSynchrony:
         assert not ps.synchronous_at(50.0)
         assert ps.synchronous_at(100.0)
 
+    def test_always_synchronous_caps_every_delay_from_time_zero(self):
+        ps = PartialSynchrony.always_synchronous()
+        assert (ps.delta_ms, ps.gst_ms) == (1000.0, 0.0)
+        assert ps.synchronous_at(0.0)
+        rng = random.Random(0)
+        assert ps.actual_delay(0, 1, now=0.0, nominal=5000.0, rng=rng) == 1000.0
+
 
 class TestNetwork:
     def _net(self, latency=FixedLatency("f", 1.0)):

@@ -29,6 +29,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -460,3 +463,50 @@ def test_every_option_is_set_by_a_caller_or_listed_as_test_only():
         text = (REPO / test).read_text(encoding="utf-8")
         assert re.search(rf"\b{name}\b|\b{callee}\(", text), \
             f"{test} does not use {label}: make it a constant"
+
+
+def _scan(tmp_path: pathlib.Path, src: str, example: str = "") -> set:
+    """:func:`unset_options` of a repository whose ``src/repro`` is the
+    one module ``src`` and whose one example is ``example``."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(textwrap.dedent(src), encoding="utf-8")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "x.py").write_text(textwrap.dedent(example),
+                                                encoding="utf-8")
+    return unset_options(tmp_path)
+
+
+KNOB = """
+def knob(size=1):
+    return size
+"""
+
+
+@pytest.mark.parametrize("src, example, unset", [
+    (KNOB + """
+def relay(size=2):
+    return knob(size=size)
+""", "", {"relay(size)"}),
+    (KNOB + """
+def caller():
+    return knob(size=3)
+""", "", set()),
+    (KNOB + "\nVALUE = knob(size=3)\n", "", set()),
+    (KNOB, "from repro.m import knob\nknob(size=3)\n", set()),
+    ("""
+def knob(size=1):
+    return knob(size=size - 1) if size else 0
+""", "", {"knob(size)"}),
+    ("""
+def knob(size=1):
+    def inner():
+        return knob(size=size)
+    return inner
+""", "", {"knob(size)"}),
+], ids=["wrapper-hands-on", "other-function", "module-level", "example",
+        "own-body", "nested-in-own-body"])
+def test_a_keyword_sets_a_parameter_only_outside_its_own_function(
+        tmp_path, src, example, unset):
+    assert _scan(tmp_path, src, example) == unset
